@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .caustics import (
+    MIN_GRID_RESOLUTION,
     CausticSet,
     extract_contours,
     fertility_report,
@@ -100,11 +101,14 @@ class Scenario:
                 for t in raw["wavefront"]
             )
             wavefront = WaveAberration(terms, pupil_radius=pupil)
+        grid = int(raw.get("grid_resolution", 512))
+        if grid < MIN_GRID_RESOLUTION:
+            raise ValueError(f"grid_resolution must be at least {MIN_GRID_RESOLUTION}")
         return Scenario(
             wavefront=wavefront,
             shorthand=shorthand,
             pupil_radius_mm=pupil,
-            grid_resolution=int(raw.get("grid_resolution", 512)),
+            grid_resolution=grid,
             visibility_threshold_arcmin=float(raw.get("visibility_threshold_arcmin", 1.0)),
             fertility_distance=float(raw.get("fertility_distance", 0.12)),
             output_dir=str(raw.get("output_dir", "starburst_out")),
@@ -244,21 +248,11 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
     outdir.mkdir(parents=True, exist_ok=True)
     write_report_json(outdir / "report.json", report)
 
-    rows = []
-    for k, poly in enumerate(contours.polylines):
-        for i, (x, y) in enumerate(poly):
-            rows.append([k, i, float(x), float(y)])
-    _write_csv(outdir / "contours_pupil.csv", ["curve", "vertex", "x", "y"], rows)
-
-    rows = []
-    for k, poly in enumerate(caustics.retina_curves):
-        for i, (xi, eta) in enumerate(poly):
-            rows.append([k, i, float(xi), float(eta)])
-    _write_csv(
-        outdir / "contours_retina.csv",
-        ["curve", "vertex", "xi_arcmin", "eta_arcmin"],
-        rows,
-    )
+    for plane, curves, axes in (("pupil", contours.polylines, ["x", "y"]),
+                                ("retina", caustics.retina_curves, ["xi_arcmin", "eta_arcmin"])):
+        rows = [[k, i, float(a), float(b)]
+                for k, poly in enumerate(curves) for i, (a, b) in enumerate(poly)]
+        _write_csv(outdir / f"contours_{plane}.csv", ["curve", "vertex", *axes], rows)
 
     rows = [
         [
@@ -284,12 +278,10 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
         rows,
     )
 
-    w = scenario.wavefront
-    wpoly = w.to_polynomial()
-    heatmap_figure(wpoly, "wave aberration W (um)", outdir / "wavefront.svg")
+    heatmap_figure(field.W, "wave aberration W (um)", outdir / "wavefront.svg")
     heatmap_figure(field.G, "hessian determinant G", outdir / "hessian_full.svg")
-    gmax = float(np.max(np.abs(field.G(*np.meshgrid(
-        np.linspace(-1, 1, 65), np.linspace(-1, 1, 65), indexing="ij")))))
+    axis = np.linspace(-1, 1, 65)
+    gmax = float(np.max(np.abs(field.G.grid(axis, axis))))
     heatmap_figure(
         field.G,
         "hessian determinant G (clipped colorbar)",
@@ -576,6 +568,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    if args.grid < MIN_GRID_RESOLUTION:
+        print(f"error: --grid must be at least {MIN_GRID_RESOLUTION}", file=sys.stderr)
+        return 2
     solver = SolverOptions()
     all_ok = True
     t0 = time.perf_counter()
@@ -601,6 +596,13 @@ def cmd_fixtures(args) -> int:
     return 0 if all_ok else 1
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starburst",
@@ -611,13 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run the full pipeline for one wavefront")
     pa.add_argument("--scenario", help="scenario JSON file")
-    pa.add_argument("--alpha", type=float, help="defocus coefficient (um)")
-    pa.add_argument("--beta", type=float, help="spherical coefficient (um)")
-    pa.add_argument("--gamma", type=float, help="Z_n^n coefficient (um)")
+    pa.add_argument("--alpha", type=_finite, help="defocus coefficient (um)")
+    pa.add_argument("--beta", type=_finite, help="spherical coefficient (um)")
+    pa.add_argument("--gamma", type=_finite, help="Z_n^n coefficient (um)")
     pa.add_argument("--n", type=int, help="azimuthal order of the Z_n^n term")
-    pa.add_argument("--pupil-radius", type=float, default=3.5, help="pupil radius (mm)")
+    pa.add_argument("--pupil-radius", type=_finite, default=3.5, help="pupil radius (mm)")
     pa.add_argument("--grid", type=int, default=512, help="contour grid resolution")
-    pa.add_argument("--threshold", type=float, default=1.0,
+    pa.add_argument("--threshold", type=_finite, default=1.0,
                     help="visibility threshold (arcmin)")
     pa.add_argument("--out", default="", help="output directory")
     pa.add_argument("--timing", action="store_true",
@@ -627,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("regions", help="emit a saddle-region diagram")
     pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--beta", type=float, required=True)
+    pr.add_argument("--beta", type=_finite, required=True)
     pr.add_argument("--window", default="", help="G0,G1,A0,A1 (um)")
     pr.add_argument("--res", type=int, default=121, help="samples per axis")
     pr.add_argument("--out", default="starburst_regions")
@@ -635,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="closed-form vs numerical agreement check")
     pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--beta", type=float, required=True)
+    pv.add_argument("--beta", type=_finite, required=True)
     pv.add_argument("--samples", type=int, required=True)
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_verify)

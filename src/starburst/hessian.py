@@ -157,14 +157,11 @@ _GRID_SHIFT_X = (math.sqrt(2.0) - 1.0) / 2.0
 _GRID_SHIFT_Y = (math.sqrt(3.0) - 1.0) / 2.0
 
 
-def _corner_grid(field: HessianField, radius: float, n: int, center=(0.0, 0.0)):
+def _corner_grid(field: HessianField, radius: float, n: int):
     h = 2.0 * radius / n
-    xs = np.linspace(center[0] - radius, center[0] + radius, n + 1) + _GRID_SHIFT_X * h
-    ys = np.linspace(center[1] - radius, center[1] + radius, n + 1) + _GRID_SHIFT_Y * h
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    gx = field.Gx(X, Y)
-    gy = field.Gy(X, Y)
-    return X, Y, gx, gy
+    xs = np.linspace(-radius, radius, n + 1) + _GRID_SHIFT_X * h
+    ys = np.linspace(-radius, radius, n + 1) + _GRID_SHIFT_Y * h
+    return xs, ys, field.Gx.grid(xs, ys), field.Gy.grid(xs, ys)
 
 
 def _sign_change_cells(v: np.ndarray) -> np.ndarray:
@@ -183,31 +180,26 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
     return v <= best
 
 
-def _collect_seeds(field: HessianField, opts: SolverOptions) -> np.ndarray:
+def _collect_seeds(field: HessianField, opts: SolverOptions, base) -> np.ndarray:
+    """Seeds from every zoom pass; ``base`` is the zoom-1 corner grid."""
     seeds = []
     for zoom in opts.zoom_factors:
         radius = opts.domain_radius * zoom
-        X, Y, gx, gy = _corner_grid(field, radius, opts.grid_size)
+        xs, ys, gx, gy = base if zoom == 1.0 else _corner_grid(field, radius, opts.grid_size)
         cells = _sign_change_cells(gx) & _sign_change_cells(gy)
         ci, cj = np.nonzero(cells)
         if ci.size:
             # center plus corners of every flagged cell
-            x0, y0 = X[ci, cj], Y[ci, cj]
+            x0, y0 = xs[ci], ys[cj]
             h = 2.0 * radius / opts.grid_size
             for dx, dy in ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
                 seeds.append(np.column_stack([x0 + dx * h, y0 + dy * h]))
         gn = np.hypot(gx, gy)
         mi, mj = np.nonzero(_local_min_mask(gn))
-        seeds.append(np.column_stack([X[mi, mj], Y[mi, mj]]))
+        seeds.append(np.column_stack([xs[mi], ys[mj]]))
     if not seeds:
         return np.empty((0, 2))
     return np.concatenate(seeds, axis=0)
-
-
-def _gradient_scale(field: HessianField, opts: SolverOptions) -> tuple[float, float]:
-    X, Y, gx, gy = _corner_grid(field, opts.domain_radius, opts.grid_size)
-    g = field.G(X, Y)
-    return float(np.max(np.hypot(gx, gy))), float(np.max(np.abs(g)))
 
 
 def _newton_batch(field: HessianField, pts: np.ndarray, opts: SolverOptions, conv_tol: float):
@@ -292,8 +284,7 @@ def _newton_polish(field: HessianField, pts: np.ndarray, domain_radius: float,
         a = field.Gxx(xi, yi)
         b = field.Gxy(xi, yi)
         d = field.Gyy(xi, yi)
-        gxi = field.Gx(xi, yi)
-        gyi = field.Gy(xi, yi)
+        gxi, gyi = field.grad_g(xi, yi)
         det = a * d - b * b
         with np.errstate(divide="ignore", invalid="ignore"):
             dx = -(d * gxi - b * gyi) / det
@@ -341,7 +332,10 @@ def find_critical_points(
         return CriticalPointSearch(
             (), degenerate=True, message="hessian determinant is constant"
         )
-    gscale, g_abs_scale = _gradient_scale(field, opts)
+    # the zoom-1 seed grid also sets the gradient and |G| scales
+    xs, ys, gx, gy = base = _corner_grid(field, opts.domain_radius, opts.grid_size)
+    gscale = float(np.max(np.hypot(gx, gy)))
+    g_abs_scale = float(np.max(np.abs(field.G.grid(xs, ys))))
     if gscale == 0.0:
         return CriticalPointSearch(
             (), degenerate=True, message="gradient of G vanishes on the sample grid"
@@ -350,7 +344,7 @@ def find_critical_points(
     accept_tol = opts.gradient_tol * max(1.0, gscale)
     det_threshold = opts.degeneracy_rel_threshold * g_abs_scale**2
 
-    seeds = _collect_seeds(field, opts)
+    seeds = _collect_seeds(field, opts, base)
     if seeds.size == 0:
         return CriticalPointSearch((), message="no seeds", g_scale=g_abs_scale,
                                    gradient_scale=gscale)

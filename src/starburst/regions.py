@@ -62,6 +62,8 @@ class ABParams:
         object.__setattr__(self, "n", int(self.n))
         for name in ("alpha", "beta", "gamma"):
             object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta == 0.0:
             raise ValueError("beta must be nonzero")
 

@@ -137,7 +137,7 @@ class Frame:
 
 
 def heatmap_figure(
-    values_fn,
+    poly,
     title: str,
     path,
     cells: int = 96,
@@ -145,13 +145,12 @@ def heatmap_figure(
     disk_only: bool = True,
     size: int = 520,
 ) -> None:
-    """Render values_fn(x, y) over [-1, 1]^2 as a colored cell grid with a
-    vertical colorbar; ``clip`` limits the color range to +-clip."""
+    """Render the polynomial ``poly`` over [-1, 1]^2 as a colored cell grid
+    with a vertical colorbar; ``clip`` limits the color range to +-clip."""
     canvas = SvgCanvas(size + 110, size + 70, title)
     xs = np.linspace(-1.0, 1.0, cells + 1)
     centers = 0.5 * (xs[:-1] + xs[1:])
-    X, Y = np.meshgrid(centers, centers, indexing="ij")
-    V = np.asarray(values_fn(X, Y), dtype=float)
+    V = poly.grid(centers, centers)
     vmax = float(np.max(np.abs(V))) or 1.0
     crange = min(vmax, clip) if clip else vmax
     m = 40

@@ -74,6 +74,19 @@ class BivariatePolynomial:
     def __call__(self, x, y):
         return npol.polyval2d(x, y, self.coeffs)
 
+    def grid(self, xs, ys) -> np.ndarray:
+        """Values on the tensor grid xs x ys, shape (len(xs), len(ys)): the
+        operations of ``self(*np.meshgrid(xs, ys, indexing="ij"))`` in the
+        same order, so bit-identical, without its (degree + 1) * len(xs) *
+        len(ys) temporaries."""
+        ys = np.asarray(ys, dtype=float)
+        b = npol.polyval(np.asarray(xs, dtype=float), self.coeffs)
+        out = b[-1][:, None] + ys * 0.0
+        for bk in b[-2::-1]:
+            out *= ys
+            out += bk[:, None]
+        return out
+
     def differentiate(self, axis: str) -> "BivariatePolynomial":
         """Exact partial derivative along ``axis`` ("x" or "y")."""
         if axis == "x":
@@ -115,10 +128,8 @@ class BivariatePolynomial:
             return BivariatePolynomial(self.coeffs * float(other))
         a, b = self.coeffs, other.coeffs
         out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                if a[i, j] != 0.0:
-                    out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+        for i, j in zip(*np.nonzero(a)):
+            out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
         return BivariatePolynomial(out)
 
     __rmul__ = __mul__
@@ -140,6 +151,8 @@ class ZernikeTerm:
                 raise ValueError(f"{name} must be an integer, got {value}")
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "coeff", float(self.coeff))
+        if not math.isfinite(self.coeff):
+            raise ValueError(f"coefficient must be finite, got {self.coeff}")
         if self.n < 0:
             raise ValueError(f"radial order must be a non-negative integer, got {self.n}")
         if abs(self.m) > self.n:
@@ -158,11 +171,11 @@ class ZernikeTerm:
     def to_polynomial(self) -> BivariatePolynomial:
         """Exact Cartesian polynomial of total degree n for this term."""
         m_abs = abs(self.m)
-        harmonic = _harmonic_matrix(m_abs, use_sin=self.m < 0)
+        harmonic = BivariatePolynomial(_harmonic_matrix(m_abs, use_sin=self.m < 0))
         acc = np.zeros((self.n + 1, self.n + 1))
         for power, c_rad in _radial_coefficients(self.n, m_abs).items():
             s = (power - m_abs) // 2
-            block = _matmul2d(_disk_power_matrix(s), harmonic)
+            block = (BivariatePolynomial(_disk_power_matrix(s)) * harmonic).coeffs
             acc[: block.shape[0], : block.shape[1]] += c_rad * block
         return BivariatePolynomial(acc * (self.coeff * self.normalization))
 
@@ -212,15 +225,6 @@ def _disk_power_matrix(s: int) -> np.ndarray:
     return out
 
 
-def _matmul2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0.0:
-                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-    return out
-
-
 @dataclass(frozen=True)
 class WaveAberration:
     """Wave aberration W as a list of Zernike terms plus pupil radius [mm]."""
@@ -230,8 +234,8 @@ class WaveAberration:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.pupil_radius <= 0:
-            raise ValueError("pupil_radius must be positive")
+        if not (self.pupil_radius > 0 and math.isfinite(self.pupil_radius)):
+            raise ValueError("pupil_radius must be positive and finite")
         seen = set()
         for t in self.terms:
             key = (t.n, t.m)

@@ -78,6 +78,60 @@ class TestAnalyzeCommand:
         scen = make_scenario_file(tmp_path, {"alpha": 0.1})
         assert main(["analyze", "--scenario", scen]) == 2
 
+    def test_small_grid_in_scenario_file_exit_code(self, tmp_path, capsys):
+        scen = make_scenario_file(
+            tmp_path,
+            {"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3, "grid_resolution": 10,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert main(["analyze", "--scenario", scen]) == 2
+        assert "error: grid_resolution must be at least 64" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_small_grid_flag_exit_code(self, tmp_path, capsys):
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", "--grid", "10", "--out", str(tmp_path / "out")]) == 2
+        assert "error: grid_resolution must be at least 64" in capsys.readouterr().err
+
+    def test_non_finite_term_coefficient_in_scenario_file_exit_code(self, tmp_path, capsys):
+        for value in ("NaN", "Infinity"):
+            path = tmp_path / "scenario.json"
+            path.write_text(
+                '{"wavefront": [{"n": 4, "m": 0, "coeff_um": 0.2}, '
+                f'{{"n": 3, "m": 3, "coeff_um": {value}}}]}}'
+            )
+            assert main(["analyze", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert "error: coefficient must be finite" in capsys.readouterr().err
+
+    def test_non_finite_shorthand_in_scenario_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"alpha": NaN, "beta": 0.2, "gamma": 0.2, "n": 3}')
+        assert main(["analyze", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: alpha must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--alpha", "--beta", "--gamma", "--pupil-radius", "--threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exit_code(self, tmp_path, capsys, flag, value):
+        args = {"--alpha": "0", "--beta": "0.2", "--gamma": "0.2"}
+        args[flag] = value
+        argv = ["analyze", "--n", "3", "--out", str(tmp_path / "out")]
+        assert main(argv + [f"{name}={v}" for name, v in args.items()]) == 2
+        assert f"error: argument {flag}: {value} is not a finite number" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_pupil_radius_in_scenario_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3, '
+                        '"pupil_radius_mm": NaN}')
+        assert main(["analyze", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: pupil_radius must be positive and finite" in (
+            capsys.readouterr().err)
+
     def test_missing_flags_exit_code(self):
         assert main(["analyze", "--alpha", "0.1"]) == 2
 
@@ -139,6 +193,13 @@ class TestRegionsCommand:
         assert main(["regions", "--n", "7", "--beta", "0.2",
                      "--out", str(tmp_path)]) == 2
 
+    def test_non_finite_beta(self, tmp_path, capsys):
+        assert main(["regions", "--n", "4", "--beta", "nan",
+                     "--out", str(tmp_path / "regions")]) == 2
+        assert "error: argument --beta: nan is not a finite number" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "regions").exists()
+
     def test_bad_window(self, tmp_path):
         assert main(["regions", "--n", "4", "--beta", "0.2", "--window", "1,2",
                      "--out", str(tmp_path)]) == 2
@@ -158,6 +219,9 @@ class TestVerifyCommand:
     def test_zero_samples_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "0.2", "--samples", "0"]) == 2
 
+    def test_non_finite_beta_usage_error(self):
+        assert main(["verify", "--n", "4", "--beta", "inf", "--samples", "2"]) == 2
+
     def test_cli_exit_zero(self):
         assert main(["verify", "--n", "5", "--beta", "0.2", "--samples", "5",
                      "--seed", "3"]) == 0
@@ -166,6 +230,10 @@ class TestVerifyCommand:
 class TestFixturesCommand:
     def test_all_pass(self):
         assert main(["fixtures", "--grid", "512"]) == 0
+
+    def test_small_grid_usage_error(self, capsys):
+        assert main(["fixtures", "--grid", "10"]) == 2
+        assert "error: --grid must be at least 64" in capsys.readouterr().err
 
 
 class TestParser:

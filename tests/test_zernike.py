@@ -9,6 +9,7 @@ from starburst import (
     MAX_RADIAL_ORDER,
     WaveAberration,
     ZernikeTerm,
+    build_field,
 )
 
 
@@ -33,6 +34,11 @@ class TestTermValidation:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             ZernikeTerm(-2, 0, 0.1)
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="finite"):
+            ZernikeTerm(4, 0, coeff)
 
 
 class TestKnownValues:
@@ -149,6 +155,55 @@ class TestPolynomialAlgebra:
         poly = ZernikeTerm(2, 0, 1.0).to_polynomial()
         with pytest.raises(ValueError):
             poly.coeffs[0, 0] = 99.0
+
+
+def _meshgrid_values(poly, xs, ys):
+    return poly(*np.meshgrid(xs, ys, indexing="ij"))
+
+
+class TestTensorGrid:
+    """``grid`` must reproduce evaluation on the meshgrid bit for bit."""
+
+    XS = np.linspace(-1.0, 1.0, 97)
+    YS = np.linspace(-1.0, 1.0, 97)
+
+    def test_degree_20_hessian_determinant(self):
+        w = WaveAberration(
+            (ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 12, 0.02), ZernikeTerm(2, 0, 0.02))
+        )
+        g = build_field(w).G
+        assert g.degree == 20
+        out = g.grid(self.XS, self.YS)
+        assert out.shape == (97, 97)
+        assert np.array_equal(out, _meshgrid_values(g, self.XS, self.YS))
+
+    def test_constant(self):
+        p = BivariatePolynomial(np.array([[-2.5]]))
+        assert np.array_equal(p.grid(self.XS, self.YS),
+                              _meshgrid_values(p, self.XS, self.YS))
+
+    def test_zero(self):
+        p = BivariatePolynomial(np.zeros((1, 1)))
+        out = p.grid(self.XS, self.YS)
+        assert np.array_equal(out, _meshgrid_values(p, self.XS, self.YS))
+        assert not np.any(out)
+
+    def test_non_square_coefficients(self):
+        rng = np.random.default_rng(3)
+        for shape in ((2, 7), (6, 1), (1, 5)):
+            p = BivariatePolynomial(rng.normal(size=shape) + 1.0)
+            assert p.coeffs.shape == shape
+            assert np.array_equal(p.grid(self.XS, self.YS),
+                                  _meshgrid_values(p, self.XS, self.YS))
+
+    def test_unequal_axis_lengths(self):
+        rng = np.random.default_rng(4)
+        p = BivariatePolynomial(rng.normal(size=(5, 4)))
+        xs = np.linspace(-0.8, 1.3, 41)
+        ys = np.sort(rng.uniform(-1.0, 1.0, 13))
+        out = p.grid(xs, ys)
+        assert out.shape == (41, 13)
+        assert np.array_equal(out, _meshgrid_values(p, xs, ys))
 
 
 class TestOrthogonalitySmoke:
