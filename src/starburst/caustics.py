@@ -72,12 +72,23 @@ class CausticSet:
     retina_curves: tuple[np.ndarray, ...]
     projected_cusps: tuple[ProjectedCusp, ...]
     aberration: WaveAberration
+    # Retina image of the pupil center: the symmetry center of the pattern.
+    # The vertex-cloud centroid is biased by the direction-dependent vertex
+    # density of the extracted contours, so it is not used.
+    center: np.ndarray
 
 
 @dataclass(frozen=True)
 class SpikeTip:
     radius_arcmin: float
     angle: float
+
+
+@dataclass(frozen=True)
+class SymmetryResult:
+    p: int
+    residual: float
+    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,7 @@ class StarburstSummary:
     visibility_threshold: float
     note: str = VERDICT_NOTE
     detail: str = ""
+    symmetry: SymmetryResult | None = None  # None when there is no caustic
 
 
 EQUALLY_DISTANCED = "equally_distanced"
@@ -101,84 +113,58 @@ NO_STARBURST = "none"
 # --------------------------------------------------------------------------
 
 
-def _edge_point(key, xs, ys, values):
-    kind, i, j = key
-    if kind == "h":
-        v0, v1 = values[i, j], values[i + 1, j]
-        t = v0 / (v0 - v1)
-        return (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-    v0, v1 = values[i, j], values[i, j + 1]
-    t = v0 / (v0 - v1)
-    return (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
+def _case_table() -> np.ndarray:
+    """The 16-case marching-squares table (Lorensen & Cline, 1987, in 2-D).
+
+    A cell's corner code has bit 0 for (i, j), 1 for (i+1, j), 2 for
+    (i+1, j+1) and 3 for (i, j+1) when G > 0 there; its edges are numbered
+    0 bottom, 1 right, 2 top, 3 left.  Row ``code`` lists the crossed edge
+    pairs joined inside the cell, -1 padded.  The saddle codes 5 and 10 are
+    listed for a positive cell center: a cell whose center is not positive
+    is looked up under the complementary code."""
+    table = np.full((16, 2, 2), -1, dtype=np.intp)
+    corners = ((0, 1), (1, 2), (3, 2), (0, 3))  # the corner bits of each edge
+    for code in range(1, 15):
+        bit = [(code >> k) & 1 for k in range(4)]
+        crossed = [e for e, (a, b) in enumerate(corners) if bit[a] != bit[b]]
+        if len(crossed) == 2:
+            table[code, 0] = crossed
+    table[5] = [(0, 1), (2, 3)]
+    table[10] = [(0, 3), (2, 1)]
+    return table
 
 
-def _cell_segments(i, j, values, g_center):
-    """Edge-key pairs crossed by the zero level inside cell (i, j)."""
-    p00 = values[i, j] > 0.0
-    p10 = values[i + 1, j] > 0.0
-    p11 = values[i + 1, j + 1] > 0.0
-    p01 = values[i, j + 1] > 0.0
-    bottom = ("h", i, j)
-    top = ("h", i, j + 1)
-    left = ("v", i, j)
-    right = ("v", i + 1, j)
-    code = (p00, p10, p11, p01)
-    if code in ((True, True, True, True), (False, False, False, False)):
-        return []
-    crossings = []
-    if p00 != p10:
-        crossings.append(bottom)
-    if p10 != p11:
-        crossings.append(right)
-    if p01 != p11:
-        crossings.append(top)
-    if p00 != p01:
-        crossings.append(left)
-    if len(crossings) == 2:
-        return [tuple(crossings)]
-    # opposite-corner ambiguity: connect around the corners whose sign
-    # differs from the cell-center sample
-    center_positive = g_center() > 0.0
-    if p00 == p11:
-        if center_positive == p00:
-            return [(bottom, right), (top, left)]
-        return [(bottom, left), (top, right)]
-    if center_positive == p10:
-        return [(bottom, left), (top, right)]
-    return [(bottom, right), (top, left)]
+_CASES = _case_table()
 
 
-def _stitch(segments):
-    """Join edge-key segments into ordered vertex-key chains."""
-    adjacency: dict = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    visited = set()
+def _stitch(nbr):
+    """Chains of node indices through a graph of degree 1 or 2.
+
+    ``nbr[k]`` holds the one or two neighbours of node k, -1 padded.  Open
+    chains start at their lower-numbered end, loops at their lowest node and
+    run first towards its lower neighbour; a loop repeats its start."""
+    visited = bytearray(len(nbr))
     chains = []
 
     def walk(start):
         chain = [start]
-        visited.add(start)
+        visited[start] = 1
         current = start
         while True:
-            nexts = [k for k in adjacency[current] if k not in visited]
+            a, b = nbr[current]
+            nexts = [k for k in (a, b) if k >= 0 and not visited[k]]
             if not nexts:
                 # close the loop if the start is still reachable
-                if len(chain) > 2 and start in adjacency[current] and chain[0] != chain[-1]:
+                if len(chain) > 2 and start in (a, b):
                     chain.append(start)
                 return chain
-            nxt = sorted(nexts)[0]
-            visited.add(nxt)
-            chain.append(nxt)
-            current = nxt
+            current = min(nexts)
+            visited[current] = 1
+            chain.append(current)
 
-    open_ends = sorted(k for k, v in adjacency.items() if len(v) == 1)
-    for key in open_ends:
-        if key not in visited:
-            chains.append(walk(key))
-    for key in sorted(adjacency):
-        if key not in visited:
+    open_ends = [k for k, (_, b) in enumerate(nbr) if b < 0]
+    for key in open_ends + list(range(len(nbr))):
+        if not visited[key]:
             chains.append(walk(key))
     return chains
 
@@ -232,35 +218,68 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
         raise ValueError(f"resolution must be at least {MIN_GRID_RESOLUTION}")
     if field.G.is_zero:
         return ContourSet((), resolution, degenerate=True)
-    xs = ys = np.linspace(-1.0, 1.0, resolution)
+    n = resolution
+    xs = ys = np.linspace(-1.0, 1.0, n)
     values = field.G.grid(xs, ys)
 
-    pos = values > 0.0
-    change_x = pos[:-1, :] != pos[1:, :]
-    change = np.zeros((resolution - 1, resolution - 1), dtype=bool)
-    change |= change_x[:, :-1] | change_x[:, 1:]
-    change_y = pos[:, :-1] != pos[:, 1:]
-    change |= change_y[:-1, :] | change_y[1:, :]
-
+    pos = (values > 0.0).astype(np.uint8)
+    code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
     # mask cells whose closest point to the origin lies outside the disk
     cx = np.clip(0.0, xs[:-1], xs[1:])
     cy = np.clip(0.0, ys[:-1], ys[1:])
     outside = (cx[:, None] ** 2 + cy[None, :] ** 2) > 1.0
-    change &= ~outside
-
-    segments = []
-    half = 0.5 * (xs[1] - xs[0])
-    for i, j in zip(*np.nonzero(change)):
-        g_center = lambda i=i, j=j: field.G(xs[i] + half, ys[j] + half)
-        segments.extend(_cell_segments(i, j, values, g_center))
-    if not segments:
+    ci, cj = np.nonzero((code != 0) & (code != 15) & ~outside)
+    if ci.size == 0:
         return ContourSet((), resolution)
 
-    chains = _stitch(segments)
+    # saddle cells: decide the pairing by the sign of G at the cell center
+    case = code[ci, cj]
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    half = 0.5 * (xs[1] - xs[0])
+    center = field.G(xs[ci[saddle]] + half, ys[cj[saddle]] + half)
+    case[saddle[~(center > 0.0)]] ^= 15
+
+    # edge ids keep the (kind, i, j) order, "h" before "v": the horizontal
+    # edge (i, j)-(i+1, j) is i*n + j, the vertical (i, j)-(i, j+1) is
+    # h_count + i*(n-1) + j
+    h_count = (n - 1) * n
+    edges = np.column_stack([
+        ci * n + cj,                           # bottom
+        h_count + (ci + 1) * (n - 1) + cj,     # right
+        ci * n + cj + 1,                       # top
+        h_count + ci * (n - 1) + cj,           # left
+    ])
+    slots = _CASES[case]
+    used = slots[:, :, 0] >= 0
+    pairs = edges[np.nonzero(used)[0][:, None], slots[used]]
+
+    # neighbour table over the crossed edges; an edge lies in at most two
+    # cells and is used once by each, so every node has one or two
+    nodes, ends = np.unique(pairs, return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    order = np.argsort(ends.ravel(), kind="stable")
+    src, dst = ends.ravel()[order], ends[:, ::-1].ravel()[order]
+    second = np.concatenate([[False], src[1:] == src[:-1]])
+    nbr = np.full((len(nodes), 2), -1, dtype=np.intp)
+    nbr[src, second.astype(np.intp)] = dst
+
+    # linear interpolation of the zero crossing along each edge
+    points = np.empty((len(nodes), 2))
+    h = nodes < h_count
+    i, j = np.divmod(nodes[h], n)
+    v0, v1 = values[i, j], values[i + 1, j]
+    t = v0 / (v0 - v1)
+    points[h, 0] = xs[i] + t * (xs[i + 1] - xs[i])
+    points[h, 1] = ys[j]
+    i, j = np.divmod(nodes[~h] - h_count, n - 1)
+    v0, v1 = values[i, j], values[i, j + 1]
+    t = v0 / (v0 - v1)
+    points[~h, 0] = xs[i]
+    points[~h, 1] = ys[j] + t * (ys[j + 1] - ys[j])
+
     polylines = []
-    for chain in chains:
-        pts = np.array([_edge_point(k, xs, ys, values) for k in chain])
-        for piece in _clip_polyline_to_disk(pts):
+    for chain in _stitch(nbr.tolist()):
+        for piece in _clip_polyline_to_disk(points[chain]):
             if len(piece) >= 2:
                 piece.flags.writeable = False
                 polylines.append(piece)
@@ -272,17 +291,23 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
 # --------------------------------------------------------------------------
 
 
-def map_to_retina(points, w: WaveAberration) -> np.ndarray:
+def map_to_retina(
+    points, w: WaveAberration, field: HessianField | None = None
+) -> np.ndarray:
     """Map pupil points to retina angular coordinates (xi, eta) in arcmin.
 
     xi = -dW/dx, eta = -dW/dy with respect to the physical pupil
     coordinate (normalized coordinate times the pupil radius), i.e.
     micrometres per millimetre = milliradians, converted to arcminutes.
+    ``field``, when given, is ``w``'s built field: its Wx and Wy are used
+    instead of differentiating ``w`` again.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = w.to_polynomial()
-    wx = poly.differentiate("x")
-    wy = poly.differentiate("y")
+    if field is None:
+        poly = w.to_polynomial()
+        wx, wy = poly.differentiate("x"), poly.differentiate("y")
+    else:
+        wx, wy = field.Wx, field.Wy
     scale = ARCMIN_PER_MRAD / w.pupil_radius
     xi = -wx(pts[:, 0], pts[:, 1]) * scale
     eta = -wy(pts[:, 0], pts[:, 1]) * scale
@@ -293,24 +318,26 @@ def map_caustics(
     w: WaveAberration,
     contours: ContourSet,
     critical_points: tuple[CriticalPoint, ...] = (),
+    field: HessianField | None = None,
 ) -> CausticSet:
-    retina = []
-    for poly in contours.polylines:
-        img = map_to_retina(poly, w)
-        img.flags.writeable = False
-        retina.append(img)
-    projected = []
-    if critical_points:
-        img = map_to_retina([(p.x, p.y) for p in critical_points], w)
-        projected = [
-            ProjectedCusp(pt, float(xi), float(eta))
-            for pt, (xi, eta) in zip(critical_points, img)
-        ]
+    """Retina images of the contour vertices, the critical points and the
+    pupil center, mapped in one evaluation (``field`` as in map_to_retina)."""
+    polylines = contours.polylines
+    cusps = np.array([(p.x, p.y) for p in critical_points], dtype=float).reshape(-1, 2)
+    img = map_to_retina(np.concatenate([*polylines, cusps, [(0.0, 0.0)]]), w, field)
+    img.flags.writeable = False
+    cuts = np.cumsum([len(poly) for poly in polylines] + [len(cusps)])
+    *retina, cusp_img, center = np.split(img, cuts)
+    projected = [
+        ProjectedCusp(pt, float(xi), float(eta))
+        for pt, (xi, eta) in zip(critical_points, cusp_img)
+    ]
     return CausticSet(
         pupil_contours=contours,
         retina_curves=tuple(retina),
         projected_cusps=tuple(projected),
         aberration=w,
+        center=center[0],
     )
 
 
@@ -328,31 +355,23 @@ class _PolylineDistance:
     """
 
     def __init__(self, polylines):
-        starts = []
-        ends = []
-        verts = []
-        vert_segments = []
-        seg_id = 0
-        for poly in polylines:
-            for k in range(len(poly)):
-                verts.append(poly[k])
-                adj = []
-                if k > 0:
-                    adj.append(seg_id + k - 1)
-                if k < len(poly) - 1:
-                    adj.append(seg_id + k)
-                vert_segments.append(adj)
-            for k in range(len(poly) - 1):
-                starts.append(poly[k])
-                ends.append(poly[k + 1])
-            seg_id += len(poly) - 1
-        self.starts = np.array(starts)
-        self.ends = np.array(ends)
-        self.verts = np.array(verts)
-        pad = max(len(a) for a in vert_segments)
-        self.vert_segments = np.full((len(vert_segments), pad), -1, dtype=int)
-        for i, adj in enumerate(vert_segments):
-            self.vert_segments[i, : len(adj)] = adj
+        lengths = np.array([len(poly) for poly in polylines])
+        self.verts = np.concatenate(polylines)
+        self.starts = np.concatenate([poly[:-1] for poly in polylines])
+        self.ends = np.concatenate([poly[1:] for poly in polylines])
+        # segment ids run on across polylines: vertex g of polyline k starts
+        # segment g - k and ends segment g - k - 1
+        vertex = np.arange(len(self.verts))
+        local = vertex - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        after = vertex - np.repeat(np.arange(len(lengths)), lengths)
+        has_prev = local > 0
+        has_next = local < np.repeat(lengths, lengths) - 1
+        adjacent = np.column_stack([
+            np.where(has_prev, after - 1, np.where(has_next, after, -1)),
+            np.where(has_prev & has_next, after, -1),
+        ])
+        pad = int(np.max(has_prev.astype(int) + has_next))
+        self.vert_segments = adjacent[:, :pad]
         self.tree = cKDTree(self.verts)
 
     def distances(self, points: np.ndarray, k: int = 6) -> np.ndarray:
@@ -384,45 +403,54 @@ def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
     ) + center
 
 
-@dataclass(frozen=True)
-class SymmetryResult:
-    p: int
-    residual: float
-    tolerance: float
-
-
-def _pattern_center(caustics: CausticSet) -> np.ndarray:
-    """Retina image of the pupil center: the symmetry center of the pattern.
-
-    The vertex-cloud centroid is biased by the direction-dependent vertex
-    density of the extracted contours, so it is not used."""
-    return map_to_retina([(0.0, 0.0)], caustics.aberration)[0]
+_SCREEN_STRIDE = 16  # every how many vertices symmetry_order screens a p on
 
 
 def symmetry_order(
     caustics: CausticSet, tol_rel: float = 1e-3, p_max: int = 12
 ) -> SymmetryResult:
     """Largest p in {2..p_max} whose 2 pi / p rotation maps the retina
-    vertex cloud onto itself within a Hausdorff tolerance; p=1 if none."""
+    vertex cloud onto itself within a Hausdorff tolerance; p=1 if none.
+
+    Each p is screened on every _SCREEN_STRIDE-th vertex first.  A subset's
+    largest distance is a lower bound on the whole cloud's, so a p whose
+    subset misses the tolerance is rejected exactly, and only the p that
+    pass the screen are checked on the full cloud.  When no p passes, the
+    residual is the smallest full-cloud residual; the screen bounds decide
+    which p can still hold it, and only those are computed in full."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not curves:
         raise ValueError("empty caustic set")
     cloud = np.concatenate(curves, axis=0)
-    center = _pattern_center(caustics)
+    center = caustics.center
     diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
     if diameter == 0.0:
         raise ValueError("caustic cloud has zero extent")
     tol = tol_rel * diameter
     geom = _PolylineDistance(curves)
+
+    def residual(points, p):
+        angle = 2.0 * math.pi / p
+        d1 = geom.distances(_rotate(points, angle, center)).max()
+        d2 = geom.distances(_rotate(points, -angle, center)).max()
+        return max(float(d1), float(d2))
+
+    sample = cloud[::_SCREEN_STRIDE]
+    bounds = {}
     best_residual = math.inf
     for p in range(p_max, 1, -1):
-        angle = 2.0 * math.pi / p
-        d1 = geom.distances(_rotate(cloud, angle, center)).max()
-        d2 = geom.distances(_rotate(cloud, -angle, center)).max()
-        residual = max(float(d1), float(d2))
-        if residual < tol:
-            return SymmetryResult(p, residual, tol)
-        best_residual = min(best_residual, residual)
+        bound = residual(sample, p)
+        if bound >= tol:
+            bounds[p] = bound
+            continue
+        full = residual(cloud, p)
+        if full < tol:
+            return SymmetryResult(p, full, tol)
+        best_residual = min(best_residual, full)
+    for p in sorted(bounds, key=bounds.get):
+        if bounds[p] >= best_residual:
+            break
+        best_residual = min(best_residual, residual(cloud, p))
     return SymmetryResult(1, best_residual, tol)
 
 
@@ -497,7 +525,7 @@ def _meridian_aligned(tips, p, tol):
 
 def starburst_verdict(
     caustics: CausticSet,
-    saddles: tuple[CriticalPoint, ...] = (),
+    *,
     threshold_arcmin: float = 1.0,
     profile_bins: int = 360,
     prominence_rel: float = 0.05,
@@ -514,10 +542,11 @@ def starburst_verdict(
     ``secondary_ratio`` of the dominant tip radius -- shorter protrusions
     are treated as part of the central pattern rather than starburst
     points.  ``radius_split`` is the relative gap separating "two distinct
-    tip radii" from a single ring of tips.
+    tip radii" from a single ring of tips.  The p-fold symmetry comes from
+    one ``symmetry_order`` pass and is returned as ``symmetry``.
     """
-    if threshold_arcmin <= 0.0:
-        raise ValueError("threshold_arcmin must be positive")
+    if not 0.0 < threshold_arcmin < math.inf:
+        raise ValueError("threshold_arcmin must be positive and finite")
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not curves:
         return StarburstSummary(
@@ -529,12 +558,13 @@ def starburst_verdict(
             detail="no caustic curves",
         )
     cloud = np.concatenate(curves, axis=0)
-    center = _pattern_center(caustics)
+    center = caustics.center
     profile, occupied, r, phi = _radial_profile(cloud, center, profile_bins)
     tips = _profile_peaks(
         profile, occupied, r, phi, threshold_arcmin, prominence_rel, profile_bins
     )
-    p = symmetry_order(caustics).p
+    symmetry = symmetry_order(caustics)
+    p = symmetry.p
     tips = _meridian_aligned(tips, p, meridian_tol)
     if tips:
         r_max = max(t.radius_arcmin for t in tips)
@@ -547,6 +577,7 @@ def starburst_verdict(
             spike_tips=(),
             visibility_threshold=threshold_arcmin,
             detail="no resolvable meridian-aligned tips above the threshold",
+            symmetry=symmetry,
         )
     radii = np.array([t.radius_arcmin for t in tips])
     spread = float((radii.max() - radii.min()) / radii.max())
@@ -575,6 +606,7 @@ def starburst_verdict(
         spike_tips=tuple(tips),
         visibility_threshold=threshold_arcmin,
         detail=detail,
+        symmetry=symmetry,
     )
 
 

@@ -32,7 +32,6 @@ from .caustics import (
     fertility_report,
     map_caustics,
     starburst_verdict,
-    symmetry_order,
 )
 from .hessian import SolverOptions, build_field, find_critical_points
 from .regions import (
@@ -104,13 +103,19 @@ class Scenario:
         grid = int(raw.get("grid_resolution", 512))
         if grid < MIN_GRID_RESOLUTION:
             raise ValueError(f"grid_resolution must be at least {MIN_GRID_RESOLUTION}")
+        threshold = float(raw.get("visibility_threshold_arcmin", 1.0))
+        if not 0.0 < threshold < math.inf:
+            raise ValueError("visibility_threshold_arcmin must be positive and finite")
+        fertility = float(raw.get("fertility_distance", 0.12))
+        if not 0.0 <= fertility < math.inf:
+            raise ValueError("fertility_distance must be non-negative and finite")
         return Scenario(
             wavefront=wavefront,
             shorthand=shorthand,
             pupil_radius_mm=pupil,
             grid_resolution=grid,
-            visibility_threshold_arcmin=float(raw.get("visibility_threshold_arcmin", 1.0)),
-            fertility_distance=float(raw.get("fertility_distance", 0.12)),
+            visibility_threshold_arcmin=threshold,
+            fertility_distance=fertility,
             output_dir=str(raw.get("output_dir", "starburst_out")),
         )
 
@@ -167,17 +172,15 @@ def run_analysis(scenario: Scenario, solver: SolverOptions | None = None):
     field = build_field(w)
     search = find_critical_points(field, solver)
     contours = extract_contours(field, scenario.grid_resolution)
-    caustics = map_caustics(w, contours, search.points)
+    caustics = map_caustics(w, contours, search.points, field)
     prediction = None
     if scenario.shorthand is not None and scenario.shorthand.beta > 0:
         prediction = predict_saddles(scenario.shorthand)
     fert = fertility_report(search.saddles, contours, scenario.fertility_distance)
     fertile_ids = {id(f.point) for f in fert if f.fertile}
     verdict = starburst_verdict(
-        caustics, search.saddles,
-        threshold_arcmin=scenario.visibility_threshold_arcmin,
+        caustics, threshold_arcmin=scenario.visibility_threshold_arcmin
     )
-    sym = symmetry_order(caustics) if caustics.retina_curves else None
 
     cusp_rows = []
     for proj in caustics.projected_cusps:
@@ -221,7 +224,9 @@ def run_analysis(scenario: Scenario, solver: SolverOptions | None = None):
             ],
             "note": verdict.note,
             "detail": verdict.detail,
-            "rotation_residual": sym.residual if sym else None,
+            "rotation_residual": (
+                verdict.symmetry.residual if verdict.symmetry else None
+            ),
         },
         "versions": {"starburst": __version__, "report_format": 1},
     }

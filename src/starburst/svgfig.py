@@ -81,16 +81,16 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def diverging_color(t: float) -> str:
-    """Blue-white-red map for t in [-1, 1]."""
-    t = max(-1.0, min(1.0, t))
-    if t < 0:
-        u = 1.0 + t
-        r, g, b = 43 + u * (255 - 43), 131 + u * (255 - 131), 186 + u * (255 - 186)
-    else:
-        u = 1.0 - t
-        r, g, b = 215 + u * (255 - 215), 25 + u * (255 - 25), 28 + u * (255 - 28)
-    return f"rgb({int(round(r))},{int(round(g))},{int(round(b))})"
+def diverging_colors(t) -> list[str]:
+    """Blue-white-red map for t in [-1, 1], elementwise over an array.
+
+    ``np.rint`` rounds half to even, as ``round`` does."""
+    t = np.clip(np.asarray(t, dtype=float).ravel(), -1.0, 1.0)
+    neg = (t < 0)[:, None]
+    u = np.where(neg, 1.0 + t[:, None], 1.0 - t[:, None])
+    end = np.where(neg, [43.0, 131.0, 186.0], [215.0, 25.0, 28.0])
+    rgb = np.rint(end + u * (255.0 - end)).astype(int).tolist()
+    return [f"rgb({r},{g},{b})" for r, g, b in rgb]
 
 
 class Frame:
@@ -155,21 +155,24 @@ def heatmap_figure(
     crange = min(vmax, clip) if clip else vmax
     m = 40
     cell = size / cells
-    for i in range(cells):
-        for j in range(cells):
-            if disk_only and centers[i] ** 2 + centers[j] ** 2 > 1.0:
-                continue
-            t = V[i, j] / crange
-            px = m + (centers[i] + 1.0) / 2.0 * size - cell / 2
-            py = 30 + size - (centers[j] + 1.0) / 2.0 * size - cell / 2
-            canvas.rect(px, py, cell + 0.5, cell + 0.5, diverging_color(t))
+    # SvgCanvas.rect's markup, with the pixel strings formatted once per
+    # column and row; the cells run column by column
+    px = [_f(v) for v in m + (centers + 1.0) / 2.0 * size - cell / 2]
+    py = [_f(v) for v in 30 + size - (centers + 1.0) / 2.0 * size - cell / 2]
+    wh = f'width="{_f(cell + 0.5)}" height="{_f(cell + 0.5)}"'
+    inside = centers[:, None] ** 2 + centers[None, :] ** 2 <= 1.0
+    ii, jj = np.nonzero(inside if disk_only else np.ones_like(inside))
+    colors = diverging_colors(V[ii, jj] / crange)
+    canvas.parts.extend(
+        f'<rect x="{px[i]}" y="{py[j]}" {wh} fill="{color}" stroke="none"/>'
+        for i, j, color in zip(ii.tolist(), jj.tolist(), colors)
+    )
     canvas.circle(m + size / 2, 30 + size / 2, size / 2, stroke="black")
     bar_x = m + size + 20
     nbar = 64
-    for k in range(nbar):
-        t = 1.0 - 2.0 * k / (nbar - 1)
-        canvas.rect(bar_x, 30 + k * size / nbar, 18, size / nbar + 0.5,
-                    diverging_color(t))
+    bar = diverging_colors(1.0 - 2.0 * np.arange(nbar) / (nbar - 1))
+    for k, color in enumerate(bar):
+        canvas.rect(bar_x, 30 + k * size / nbar, 18, size / nbar + 0.5, color)
     for frac, val in ((0.0, crange), (0.5, 0.0), (1.0, -crange)):
         canvas.text(bar_x + 24, 34 + frac * size, f"{val:.3g}", size=9)
     if clip and clip < vmax:

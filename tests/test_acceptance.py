@@ -20,7 +20,7 @@ from starburst import (
     saddle_upper_bound,
     starburst_verdict,
 )
-from starburst.caustics import _PolylineDistance, _pattern_center, _rotate
+from starburst.caustics import _PolylineDistance, _rotate
 from starburst.cli import run_verification
 
 FIXTURE_ORDER = ["3star", "5star", "4star", "6star", "8stars"]
@@ -38,7 +38,7 @@ def test_criterion_1_fixture_reproduction(analyses):
     ok = True
     for name in FIXTURE_ORDER:
         a = analyses[name]
-        verdict = starburst_verdict(a.caustics, a.search.saddles)
+        verdict = starburst_verdict(a.caustics)
         got = (
             len(a.search.points),
             len(a.search.saddles),
@@ -195,7 +195,7 @@ def test_criterion_7_retina_symmetry(analyses):
         a = analyses[name]
         curves = list(a.caustics.retina_curves)
         cloud = np.concatenate(curves)
-        center = _pattern_center(a.caustics)
+        center = a.caustics.center
         diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
         geom = _PolylineDistance(curves)
         angle = 2.0 * math.pi / a.n

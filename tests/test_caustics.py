@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from starburst import (
     ARCMIN_PER_MRAD,
+    BivariatePolynomial,
     EQUALLY_DISTANCED,
     NO_STARBURST,
     NON_EQUALLY_DISTANCED,
@@ -18,7 +20,11 @@ from starburst import (
     starburst_verdict,
     symmetry_order,
 )
-from starburst.caustics import _PolylineDistance
+from starburst.caustics import (
+    SymmetryResult,
+    _PolylineDistance,
+    _rotate,
+)
 
 
 class TestContourExtraction:
@@ -62,6 +68,18 @@ class TestContourExtraction:
             d = geom.distances(poly)
             assert np.max(d) < fine_cell_diag
 
+    @pytest.mark.parametrize("eps", [1e-6, -1e-6])
+    def test_saddle_cell_follows_center_sign(self, eps):
+        # G = xy + eps: at even resolution the origin is a cell center, the
+        # corners of that cell alternate in sign, and the center sample must
+        # keep each hyperbola branch inside its own pair of quadrants
+        G = BivariatePolynomial(np.array([[eps, 0.0], [0.0, 1.0]]))
+        contours = extract_contours(SimpleNamespace(G=G), 64)
+        assert len(contours) == 2
+        for poly in contours.polylines:
+            assert np.all(np.sign(poly[:, 0] * poly[:, 1]) == -np.sign(eps))
+            assert len(set(np.sign(poly[:, 0]))) == 1
+
     def test_threefold_symmetric_contours(self, analyses):
         a = analyses["3star"]
         assert len(a.contours) > 0
@@ -103,6 +121,21 @@ class TestRetinaMapping:
                 retina[:, 1], -wy(pupil[:, 0], pupil[:, 1]) * scale, atol=1e-12
             )
 
+    def test_field_derivatives_give_the_same_bits(self, analyses):
+        a = analyses["8stars"]
+        with_field = map_caustics(a.aberration, a.contours, a.search.points, a.field)
+        assert len(with_field.retina_curves) == len(a.contours.polylines)
+        for pupil, retina, rebuilt in zip(a.contours.polylines, with_field.retina_curves,
+                                          a.caustics.retina_curves):
+            np.testing.assert_array_equal(retina, map_to_retina(pupil, a.aberration))
+            np.testing.assert_array_equal(retina, rebuilt)
+        assert with_field.projected_cusps == a.caustics.projected_cusps
+        np.testing.assert_array_equal(
+            with_field.center, map_to_retina([(0.0, 0.0)], a.aberration)[0])
+        pts = [(0.3, -0.4), (0.0, 0.9)]
+        np.testing.assert_array_equal(map_to_retina(pts, a.aberration, a.field),
+                                      map_to_retina(pts, a.aberration))
+
     def test_vertex_counts_preserved(self, analyses):
         a = analyses["6star"]
         assert len(a.caustics.retina_curves) == len(a.contours.polylines)
@@ -140,12 +173,73 @@ class TestSymmetryOrder:
         with pytest.raises(ValueError):
             symmetry_order(ca)
 
+    @pytest.mark.parametrize("name", ["3star", "4star", "5star", "6star", "8stars"])
+    def test_screen_matches_full_scan_on_fixtures(self, analyses, name):
+        caustics = analyses[name].caustics
+        assert symmetry_order(caustics) == full_scan_symmetry_order(caustics)
+
+    @pytest.mark.parametrize("terms,p", [
+        (((4, 0, 0.2), (3, 1, 0.1)), 1),
+        (((4, 0, 0.2), (4, 2, 0.03), (6, 6, 0.055)), 2),
+        (((4, 0, 0.2), (8, 8, 0.02), (2, 0, 0.02)), 8),
+    ])
+    def test_screen_matches_full_scan(self, terms, p):
+        w = WaveAberration(tuple(ZernikeTerm(*t) for t in terms))
+        field = build_field(w)
+        caustics = map_caustics(w, extract_contours(field, 256), (), field)
+        result = symmetry_order(caustics)
+        assert result == full_scan_symmetry_order(caustics)
+        assert result.p == p
+
+    def test_verdict_carries_symmetry(self, analyses):
+        caustics = analyses["5star"].caustics
+        assert starburst_verdict(caustics).symmetry == symmetry_order(caustics)
+
+
+def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
+    """Every p from p_max down on the whole vertex cloud, no screening."""
+    curves = [c for c in caustics.retina_curves if len(c) >= 2]
+    cloud = np.concatenate(curves)
+    center = caustics.center
+    tol = tol_rel * 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
+    geom = _PolylineDistance(curves)
+    best = math.inf
+    for p in range(p_max, 1, -1):
+        angle = 2.0 * math.pi / p
+        residual = max(
+            float(geom.distances(_rotate(cloud, angle, center)).max()),
+            float(geom.distances(_rotate(cloud, -angle, center)).max()),
+        )
+        if residual < tol:
+            return SymmetryResult(p, residual, tol)
+        best = min(best, residual)
+    return SymmetryResult(1, best, tol)
+
+
+def test_polyline_distance_tables():
+    # segment ids run on across polylines; each vertex lists its previous
+    # segment, then its next one, -1 padded
+    polylines = [np.array([[0.0, 0.0], [1.0, 0.0]]),
+                 np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]),
+                 np.array([[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]])]
+    geom = _PolylineDistance(polylines)
+    np.testing.assert_array_equal(geom.vert_segments, [
+        [0, -1], [0, -1],
+        [1, -1], [1, 2], [2, 3], [3, -1],
+        [4, -1], [4, 5], [5, -1],
+    ])
+    np.testing.assert_array_equal(geom.starts, np.concatenate([p[:-1] for p in polylines]))
+    np.testing.assert_array_equal(geom.ends, np.concatenate([p[1:] for p in polylines]))
+    assert geom.distances(np.array([[2.5, 1.5]]))[0] == pytest.approx(0.5)
+    two_point = _PolylineDistance(polylines[:1])
+    np.testing.assert_array_equal(two_point.vert_segments, [[0], [0]])
+
 
 class TestVerdicts:
     @pytest.mark.parametrize("name", ["3star", "5star", "4star", "6star", "8stars"])
     def test_fixture_verdicts(self, analyses, name):
         a = analyses[name]
-        verdict = starburst_verdict(a.caustics, a.search.saddles)
+        verdict = starburst_verdict(a.caustics)
         assert verdict.point_count == a.expected_points
         assert verdict.kind == a.expected_kind
         assert verdict.p_fold == a.n
@@ -168,17 +262,17 @@ class TestVerdicts:
     def test_threshold_validation(self, analyses):
         a = analyses["3star"]
         with pytest.raises(ValueError):
-            starburst_verdict(a.caustics, a.search.saddles, threshold_arcmin=0.0)
+            starburst_verdict(a.caustics, threshold_arcmin=0.0)
 
     def test_tips_exceed_visibility_threshold(self, analyses):
         for a in analyses.values():
-            verdict = starburst_verdict(a.caustics, a.search.saddles)
+            verdict = starburst_verdict(a.caustics)
             for tip in verdict.spike_tips:
                 assert tip.radius_arcmin >= verdict.visibility_threshold
 
     def test_long_short_alternation(self, analyses):
         a = analyses["8stars"]
-        verdict = starburst_verdict(a.caustics, a.search.saddles)
+        verdict = starburst_verdict(a.caustics)
         assert verdict.kind == NON_EQUALLY_DISTANCED
         tips = sorted(verdict.spike_tips, key=lambda t: t.angle)
         radii = np.array([t.radius_arcmin for t in tips])
@@ -194,7 +288,7 @@ class TestVerdicts:
 
     def test_equal_tips_single_radius(self, analyses):
         a = analyses["6star"]
-        verdict = starburst_verdict(a.caustics, a.search.saddles)
+        verdict = starburst_verdict(a.caustics)
         assert verdict.kind == EQUALLY_DISTANCED
         radii = [t.radius_arcmin for t in verdict.spike_tips]
         assert (max(radii) - min(radii)) / max(radii) < 0.01

@@ -132,6 +132,43 @@ class TestAnalyzeCommand:
         assert "error: pupil_radius must be positive and finite" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "-1"])
+    def test_bad_threshold_in_scenario_file_exit_code(self, tmp_path, capsys, value):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3, '
+                        f'"visibility_threshold_arcmin": {value}}}')
+        assert main(["analyze", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: visibility_threshold_arcmin must be positive and finite" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1", "-1e-9"])
+    def test_bad_fertility_distance_in_scenario_file_exit_code(
+            self, tmp_path, capsys, value):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3, '
+                        f'"fertility_distance": {value}}}')
+        assert main(["analyze", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: fertility_distance must be non-negative and finite" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_fertility_distance_accepted(self):
+        s = Scenario.from_dict({"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3,
+                                "fertility_distance": 0})
+        assert s.fertility_distance == 0.0
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_threshold_flag_exit_code(self, tmp_path, capsys, value):
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", f"--threshold={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: visibility_threshold_arcmin must be positive and finite" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_flags_exit_code(self):
         assert main(["analyze", "--alpha", "0.1"]) == 2
 
