@@ -291,40 +291,40 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
 # --------------------------------------------------------------------------
 
 
-def map_to_retina(
-    points, w: WaveAberration, field: HessianField | None = None
-) -> np.ndarray:
-    """Map pupil points to retina angular coordinates (xi, eta) in arcmin.
-
-    xi = -dW/dx, eta = -dW/dy with respect to the physical pupil
-    coordinate (normalized coordinate times the pupil radius), i.e.
-    micrometres per millimetre = milliradians, converted to arcminutes.
-    ``field``, when given, is ``w``'s built field: its Wx and Wy are used
-    instead of differentiating ``w`` again.
-    """
+def _retina_image(points, wx, wy, pupil_radius: float) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if field is None:
-        poly = w.to_polynomial()
-        wx, wy = poly.differentiate("x"), poly.differentiate("y")
-    else:
-        wx, wy = field.Wx, field.Wy
-    scale = ARCMIN_PER_MRAD / w.pupil_radius
+    scale = ARCMIN_PER_MRAD / pupil_radius
     xi = -wx(pts[:, 0], pts[:, 1]) * scale
     eta = -wy(pts[:, 0], pts[:, 1]) * scale
     return np.column_stack([xi, eta])
 
 
+def map_to_retina(points, w: WaveAberration) -> np.ndarray:
+    """Map pupil points to retina angular coordinates (xi, eta) in arcmin.
+
+    xi = -dW/dx, eta = -dW/dy with respect to the physical pupil
+    coordinate (normalized coordinate times the pupil radius), i.e.
+    micrometres per millimetre = milliradians, converted to arcminutes.
+    """
+    poly = w.to_polynomial()
+    return _retina_image(
+        points, poly.differentiate("x"), poly.differentiate("y"), w.pupil_radius
+    )
+
+
 def map_caustics(
     w: WaveAberration,
     contours: ContourSet,
-    critical_points: tuple[CriticalPoint, ...] = (),
-    field: HessianField | None = None,
+    critical_points: tuple[CriticalPoint, ...],
+    field: HessianField,
 ) -> CausticSet:
-    """Retina images of the contour vertices, the critical points and the
-    pupil center, mapped in one evaluation (``field`` as in map_to_retina)."""
+    """Retina images (as in map_to_retina) of the contour vertices, the
+    critical points and the pupil center, mapped in one evaluation of the
+    built field's Wx and Wy."""
     polylines = contours.polylines
     cusps = np.array([(p.x, p.y) for p in critical_points], dtype=float).reshape(-1, 2)
-    img = map_to_retina(np.concatenate([*polylines, cusps, [(0.0, 0.0)]]), w, field)
+    pts = np.concatenate([*polylines, cusps, [(0.0, 0.0)]])
+    img = _retina_image(pts, field.Wx, field.Wy, w.pupil_radius)
     img.flags.writeable = False
     cuts = np.cumsum([len(poly) for poly in polylines] + [len(cusps)])
     *retina, cusp_img, center = np.split(img, cuts)

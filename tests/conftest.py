@@ -34,7 +34,9 @@ class FixtureAnalysis:
         self.field = build_field(self.aberration)
         self.search = find_critical_points(self.field)
         self.contours = extract_contours(self.field, grid)
-        self.caustics = map_caustics(self.aberration, self.contours, self.search.points)
+        self.caustics = map_caustics(
+            self.aberration, self.contours, self.search.points, self.field
+        )
 
 
 @pytest.fixture(scope="session")
