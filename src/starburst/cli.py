@@ -14,7 +14,6 @@ significant digits, no timestamps (timing goes to stdout only).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -27,7 +26,6 @@ import numpy as np
 from . import __version__
 from .caustics import (
     MIN_GRID_RESOLUTION,
-    CausticSet,
     extract_contours,
     fertility_report,
     map_caustics,
@@ -42,7 +40,7 @@ from .regions import (
     predict_saddles,
     region_diagram,
 )
-from .svgfig import Frame, SvgCanvas, heatmap_figure
+from .svgfig import heatmap_figure, regions_figure, retina_figure
 from .zernike import WaveAberration, ZernikeTerm
 
 FIXTURE_SCENARIOS = {
@@ -156,14 +154,12 @@ def write_report_json(path: Path, payload: dict) -> None:
     path.write_text(body + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Write preformatted lines, each ending in \\r\\n, under a header:
+    what csv.writer's excel dialect writes for fields that need no quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.12g}" if isinstance(v, float) else v for v in row]
-            )
+        fh.write(header + "\r\n")
+        fh.writelines(lines)
 
 
 def run_analysis(scenario: Scenario, solver: SolverOptions | None = None):
@@ -253,11 +249,13 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
     outdir.mkdir(parents=True, exist_ok=True)
     write_report_json(outdir / "report.json", report)
 
-    for plane, curves, axes in (("pupil", contours.polylines, ["x", "y"]),
-                                ("retina", caustics.retina_curves, ["xi_arcmin", "eta_arcmin"])):
-        rows = [[k, i, float(a), float(b)]
-                for k, poly in enumerate(curves) for i, (a, b) in enumerate(poly)]
-        _write_csv(outdir / f"contours_{plane}.csv", ["curve", "vertex", *axes], rows)
+    for plane, curves, axes in (("pupil", contours.polylines, "x,y"),
+                                ("retina", caustics.retina_curves, "xi_arcmin,eta_arcmin")):
+        _write_csv(
+            outdir / f"contours_{plane}.csv", f"curve,vertex,{axes}",
+            (f"{k},{i},{a:.12g},{b:.12g}\r\n" for k, poly in enumerate(curves)
+             for i, (a, b) in enumerate(poly.tolist())),
+        )
 
     rows = [
         [
@@ -278,9 +276,10 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
     ]
     _write_csv(
         outdir / "critical_points.csv",
-        ["index", "x", "y", "rho", "theta_deg", "class", "on_boundary", "fertile",
-         "g_value", "hess_g_det", "xi_arcmin", "eta_arcmin"],
-        rows,
+        "index,x,y,rho,theta_deg,class,on_boundary,fertile,g_value,hess_g_det,"
+        "xi_arcmin,eta_arcmin",
+        (",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\r\n"
+         for row in rows),
     )
 
     heatmap_figure(field.W, "wave aberration W (um)", outdir / "wavefront.svg")
@@ -293,37 +292,8 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
         outdir / "hessian_clipped.svg",
         clip=0.02 * gmax if gmax > 0 else None,
     )
-    _retina_figure(outdir / "retina.svg", caustics, report)
-
-
-def _retina_figure(path: Path, caustics: CausticSet, report) -> None:
-    canvas = SvgCanvas(620, 620, "caustics at the retina plane (arcmin)")
-    pts = (
-        np.concatenate(caustics.retina_curves)
-        if caustics.retina_curves
-        else np.zeros((1, 2))
-    )
-    lim = max(1.0, float(np.max(np.abs(pts))) * 1.1)
-    fr = Frame(canvas, -lim, lim, -lim, lim, margin=60)
-    fr.frame_box("xi (arcmin)", "eta (arcmin)")
-    nt = 5
-    ticks = np.linspace(-lim, lim, nt)
-    fr.ticks(ticks, ticks)
-    for poly in caustics.retina_curves:
-        fr.polyline(poly, stroke="rgb(120,30,140)", width=1.0)
-    for c in report["critical_points"]:
-        x, y = fr.px(c["xi_arcmin"]), fr.py(c["eta_arcmin"])
-        if c["class"] == "saddle":
-            canvas.circle(x, y, 3.0, fill="rgb(30,150,60)", stroke="black")
-            canvas.circle(x, y, 6.0, stroke="black")
-        else:
-            canvas.marker_star(x, y, 5.0, "rgb(30,150,60)")
-    for t in report["starburst"]["spike_tips"]:
-        a = math.radians(t["angle_deg"])
-        x = fr.px(t["radius_arcmin"] * math.sin(a))
-        y = fr.py(t["radius_arcmin"] * math.cos(a))
-        canvas.circle(x, y, 4.0, stroke="rgb(200,120,0)", width=1.5)
-    canvas.save(path)
+    retina_figure(caustics.retina_curves, report["critical_points"],
+                  report["starburst"]["spike_tips"], outdir / "retina.svg")
 
 
 def cmd_analyze(args) -> int:
@@ -389,77 +359,29 @@ def cmd_regions(args) -> int:
         gamma_range, alpha_range = (g0, g1), (a0, a1)
     else:
         gamma_range = alpha_range = None
-    diagram = region_diagram(
-        args.n, args.beta, gamma_range, alpha_range, resolution=args.res
-    )
+    try:
+        diagram = region_diagram(
+            args.n, args.beta, gamma_range, alpha_range, resolution=args.res
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    family_names = {0: "none", 1: "even", 2: "odd", 3: "both"}
-    for i, a in enumerate(diagram.alpha_values):
-        for j, g in enumerate(diagram.gamma_values):
-            rows.append(
-                [float(g), float(a), int(diagram.counts[i, j]),
-                 family_names[int(diagram.family_codes[i, j])]]
-            )
-    _write_csv(outdir / "regions_grid.csv", ["gamma", "alpha", "count", "family"], rows)
-    _regions_figure(outdir / "regions.svg", diagram)
+    # each gamma and alpha is formatted once
+    gammas, alphas = ([f"{v:.12g}" for v in values.tolist()]
+                      for values in (diagram.gamma_values, diagram.alpha_values))
+    family_names = ("none", "even", "odd", "both")
+    _write_csv(
+        outdir / "regions_grid.csv", "gamma,alpha,count,family",
+        (f"{g},{a},{c},{family_names[k]}\r\n"
+         for a, counts, codes in zip(alphas, diagram.counts.tolist(),
+                                     diagram.family_codes.tolist())
+         for g, c, k in zip(gammas, counts, codes)),
+    )
+    regions_figure(diagram, outdir / "regions.svg")
     print(f"region diagram for n={args.n}, beta={args.beta} written to {outdir}")
     return 0
-
-
-def _regions_figure(path: Path, diagram) -> None:
-    canvas = SvgCanvas(700, 560, f"saddle regions, n={diagram.n}, beta={diagram.beta}")
-    g = diagram.gamma_values
-    a = diagram.alpha_values
-    fr = Frame(canvas, g[0], g[-1], a[0], a[-1], margin=60)
-    cw = fr.w / len(g)
-    ch = fr.h / len(a)
-    colors = {1: "rgb(255,200,130)", 2: "rgb(150,190,255)", 3: "rgb(190,150,220)"}
-    for i in range(len(a)):
-        for j in range(len(g)):
-            code = int(diagram.family_codes[i, j])
-            if code:
-                canvas.rect(fr.px(g[j]) - cw / 2, fr.py(a[i]) - ch / 2, cw + 0.5,
-                            ch + 0.5, colors[code])
-    curve_colors = {
-        "alpha1_plus": "rgb(30,80,220)",
-        "alpha1_minus": "rgb(110,110,20)",
-        "alpha2": "rgb(230,130,20)",
-        "alpha3": "rgb(200,30,30)",
-        "sqrt15_beta-alpha2_plus": "rgb(0,150,150)",
-        "sqrt15_beta-alpha2_minus": "rgb(200,30,160)",
-    }
-    for name, pts in diagram.boundary_curves.items():
-        mask = (pts[:, 1] >= a[0]) & (pts[:, 1] <= a[-1])
-        seg = []
-        for (gv, av), ok in zip(pts, mask):
-            if ok:
-                seg.append((gv, av))
-            else:
-                if len(seg) > 1:
-                    fr.polyline(seg, stroke=curve_colors.get(name, "black"), width=1.2)
-                seg = []
-        if len(seg) > 1:
-            fr.polyline(seg, stroke=curve_colors.get(name, "black"), width=1.2)
-    y0 = fr.py(a[0])
-    for name, gv in diagram.ticks.items():
-        if name.startswith("sqrt(15)"):
-            if a[0] <= gv <= a[-1]:
-                canvas.line(fr.px(g[0]), fr.py(gv), fr.px(g[-1]), fr.py(gv),
-                            stroke="rgb(200,30,30)", width=0.8, dash="4,3")
-                canvas.text(fr.px(g[0]) + 4, fr.py(gv) - 3, name, size=8)
-        elif g[0] <= gv <= g[-1]:
-            canvas.line(fr.px(gv), fr.py(a[0]), fr.px(gv), fr.py(a[-1]),
-                        stroke="gray", width=0.7, dash="2,3")
-            canvas.text(fr.px(gv), y0 + 26, name, size=8, anchor="middle")
-    fr.frame_box("gamma (um)", "alpha (um)")
-    fr.ticks(np.linspace(g[0], g[-1], 5), np.linspace(a[0], a[-1], 5))
-    legend = [("even family", colors[1]), ("odd family", colors[2]), ("both (2n)", colors[3])]
-    for k, (label, color) in enumerate(legend):
-        canvas.rect(fr.m + 8 + 130 * k, 24, 12, 12, color, stroke="black")
-        canvas.text(fr.m + 24 + 130 * k, 34, label, size=9)
-    canvas.save(path)
 
 
 def run_verification(
@@ -635,7 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("regions", help="emit a saddle-region diagram")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--beta", type=_finite, required=True)
-    pr.add_argument("--window", default="", help="G0,G1,A0,A1 (um)")
+    pr.add_argument("--window", default="",
+                    help="G0,G1,A0,A1 (um), finite with G0<G1 and A0<A1; write "
+                    "--window=G0,G1,A0,A1 when G0 is negative")
     pr.add_argument("--res", type=int, default=121, help="samples per axis")
     pr.add_argument("--out", default="starburst_regions")
     pr.set_defaults(func=cmd_regions)

@@ -244,15 +244,25 @@ def saddle_radii(p: ABParams) -> RadiiResult:
 
 @dataclass(frozen=True)
 class _Row:
+    """lo < value < hi on both axes; None is an absent bound.  The alpha
+    bounds are arrays when the rows were built for an array of gammas."""
+
     label: str
-    gamma_lo: float
-    gamma_hi: float
-    alpha_lo: float
-    alpha_hi: float
+    gamma_lo: float | None
+    gamma_hi: float | None
+    alpha_lo: float | np.ndarray | None
+    alpha_hi: float | np.ndarray | None
 
 
-def _named_bounds(p: ABParams) -> dict[str, float]:
-    a, b, g, n = p.alpha, p.beta, p.gamma, p.n
+def _named_bounds(n: int, beta: float, gamma) -> dict:
+    """Boundary values of the inequality tables at (beta, gamma); none reads
+    alpha.  ``gamma`` may be an array of nonzero values: the bounds that
+    depend on it are then arrays, each element computed by the scalar
+    operations in the same order.  Where alpha_2 (proportional to a power of
+    1/gamma) has no float value, at gamma = 0 or when gamma * gamma
+    underflows, it is left out.
+    """
+    b, g = beta, gamma
     s15b = SQRT15 * b
     out = {"sqrt15_beta": s15b}
     if n == 3:
@@ -267,25 +277,32 @@ def _named_bounds(p: ABParams) -> dict[str, float]:
     elif n == 5:
         out["alpha1_plus"] = (-60.0 * b * b + 25.0 * SQRT15 * b * g + 75.0 * g * g) / (2.0 * SQRT15 * b)
         out["alpha1_minus"] = (-60.0 * b * b - 25.0 * SQRT15 * b * g + 75.0 * g * g) / (2.0 * SQRT15 * b)
-        if g != 0.0:
+        try:
             out["alpha2_plus"] = 9.0 * (4561.0 + 445.0 * SQRT89) * b**3 / (1024.0 * SQRT15 * g * g)
             out["alpha2_minus"] = 9.0 * (4561.0 - 445.0 * SQRT89) * b**3 / (1024.0 * SQRT15 * g * g)
+        except ZeroDivisionError:  # gamma = 0, or gamma * gamma underflows
+            pass
         out["gamma1_plus"] = SQRT15 * (SQRT89 + 5.0) * b / 40.0
         out["gamma1_minus"] = SQRT15 * (SQRT89 - 5.0) * b / 40.0
     else:  # n == 6
         out["alpha1_plus"] = (-120.0 * b * b + 45.0 * SQRT70 * b * g + 525.0 * g * g) / (4.0 * SQRT15 * b)
         out["alpha1_minus"] = (-120.0 * b * b - 45.0 * SQRT70 * b * g + 525.0 * g * g) / (4.0 * SQRT15 * b)
-        if g != 0.0:
-            # signed: proportional to 1/gamma
+        try:  # signed: proportional to 1/gamma
             out["alpha2_plus"] = b * b * math.sqrt(2.0 / 7.0) * (9.0 + 4.0 * SQRT3) / g
             out["alpha2_minus"] = b * b * math.sqrt(2.0 / 7.0) * (9.0 - 4.0 * SQRT3) / g
+        except ZeroDivisionError:  # gamma = 0
+            pass
         out["gamma1_plus"] = b * (SQRT210 + SQRT70) / 35.0
         out["gamma1_minus"] = b * (SQRT210 - SQRT70) / 35.0
     return out
 
 
-def _family_rows(p: ABParams) -> dict[str, list[_Row]]:
-    """Saddle-existence rows per angle family.
+def _family_rows(n: int, beta: float, gamma) -> dict[str, list[_Row]]:
+    """Saddle-existence rows per angle family at (beta, gamma).
+
+    ``gamma`` may be an array of nonzero values (see `_named_bounds`).  Where
+    alpha_2 is left out, its rows get infinite alpha bounds; those rows
+    need |gamma| > gamma_1, so they are inactive there either way.
 
     Two entries below deviate from their most literal transcription: the
     n=5 odd-family row at gamma < -gamma_1^- bounds alpha by alpha_1^-
@@ -294,55 +311,55 @@ def _family_rows(p: ABParams) -> dict[str, list[_Row]]:
     family swap symmetry and from the published two-ring regions, and are
     confirmed by the numerical census.
     """
-    nb = _named_bounds(p)
-    b = p.beta
+    nb = _named_bounds(n, beta, gamma)
+    b = beta
     inf = math.inf
     s15b = nb["sqrt15_beta"]
     rows: dict[str, list[_Row]] = {EVEN_FAMILY: [], ODD_FAMILY: []}
-    if p.n == 3:
+    if n == 3:
         gs = nb["gamma_star"]
         rows[EVEN_FAMILY] = [
-            _Row("gamma<0, alpha1+<alpha<alpha2", -inf, 0.0, nb["alpha1_plus"], nb["alpha2"]),
+            _Row("gamma<0, alpha1+<alpha<alpha2", None, 0.0, nb["alpha1_plus"], nb["alpha2"]),
             _Row("0<gamma<4*sqrt(10)*beta, alpha2<alpha<alpha3", 0.0, gs, nb["alpha2"], nb["alpha3"]),
-            _Row("gamma>4*sqrt(10)*beta, alpha2<alpha<alpha1+", gs, inf, nb["alpha2"], nb["alpha1_plus"]),
+            _Row("gamma>4*sqrt(10)*beta, alpha2<alpha<alpha1+", gs, None, nb["alpha2"], nb["alpha1_plus"]),
         ]
         rows[ODD_FAMILY] = [
-            _Row("gamma>0, alpha1-<alpha<alpha2", 0.0, inf, nb["alpha1_minus"], nb["alpha2"]),
+            _Row("gamma>0, alpha1-<alpha<alpha2", 0.0, None, nb["alpha1_minus"], nb["alpha2"]),
             _Row("-4*sqrt(10)*beta<gamma<0, alpha2<alpha<alpha3", -gs, 0.0, nb["alpha2"], nb["alpha3"]),
-            _Row("gamma<-4*sqrt(10)*beta, alpha2<alpha<alpha1-", -inf, -gs, nb["alpha2"], nb["alpha1_minus"]),
+            _Row("gamma<-4*sqrt(10)*beta, alpha2<alpha<alpha1-", None, -gs, nb["alpha2"], nb["alpha1_minus"]),
         ]
-    elif p.n == 4:
+    elif n == 4:
         rows[EVEN_FAMILY] = [
             _Row("-3*sqrt(2)*beta<gamma<0, alpha1+<alpha<sqrt(15)*beta",
                  -3.0 * SQRT2 * b, 0.0, nb["alpha1_plus"], s15b),
             _Row("gamma>sqrt(2)*beta, sqrt(15)*beta<alpha<alpha1+",
-                 SQRT2 * b, inf, s15b, nb["alpha1_plus"]),
+                 SQRT2 * b, None, s15b, nb["alpha1_plus"]),
         ]
         rows[ODD_FAMILY] = [
             _Row("0<gamma<3*sqrt(2)*beta, alpha1-<alpha<sqrt(15)*beta",
                  0.0, 3.0 * SQRT2 * b, nb["alpha1_minus"], s15b),
             _Row("gamma<-sqrt(2)*beta, sqrt(15)*beta<alpha<alpha1-",
-                 -inf, -SQRT2 * b, s15b, nb["alpha1_minus"]),
+                 None, -SQRT2 * b, s15b, nb["alpha1_minus"]),
         ]
-    elif p.n == 5:
+    elif n == 5:
         g1p, g1m = nb["gamma1_plus"], nb["gamma1_minus"]
         a2p = nb.get("alpha2_plus", inf)
         a2m = nb.get("alpha2_minus", inf)
         rows[ODD_FAMILY] = [
             _Row("gamma<-gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1-",
-                 -inf, -g1m, s15b - a2m, nb["alpha1_minus"]),
+                 None, -g1m, s15b - a2m, nb["alpha1_minus"]),
             _Row("0<gamma<gamma1+, alpha1-<alpha<sqrt(15)*beta",
                  0.0, g1p, nb["alpha1_minus"], s15b),
             _Row("gamma>gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
-                 g1p, inf, s15b - a2p, s15b),
+                 g1p, None, s15b - a2p, s15b),
         ]
         rows[EVEN_FAMILY] = [
             _Row("gamma<-gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
-                 -inf, -g1p, s15b - a2p, s15b),
+                 None, -g1p, s15b - a2p, s15b),
             _Row("-gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta",
                  -g1p, 0.0, nb["alpha1_plus"], s15b),
             _Row("gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+",
-                 g1m, inf, s15b - a2m, nb["alpha1_plus"]),
+                 g1m, None, s15b - a2m, nb["alpha1_plus"]),
         ]
     else:  # n == 6, alpha2 bounds are signed (proportional to 1/gamma)
         g1p, g1m = nb["gamma1_plus"], nb["gamma1_minus"]
@@ -350,19 +367,19 @@ def _family_rows(p: ABParams) -> dict[str, list[_Row]]:
         a2m = nb.get("alpha2_minus", inf)
         rows[ODD_FAMILY] = [
             _Row("gamma<-gamma1-, sqrt(15)*beta+alpha2-<alpha<alpha1-",
-                 -inf, -g1m, s15b + a2m, nb["alpha1_minus"]),
+                 None, -g1m, s15b + a2m, nb["alpha1_minus"]),
             _Row("0<gamma<gamma1+, alpha1-<alpha<sqrt(15)*beta",
                  0.0, g1p, nb["alpha1_minus"], s15b),
             _Row("gamma>=gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
-                 g1p, inf, s15b - a2p, s15b),
+                 g1p, None, s15b - a2p, s15b),
         ]
         rows[EVEN_FAMILY] = [
             _Row("gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+",
-                 g1m, inf, s15b - a2m, nb["alpha1_plus"]),
+                 g1m, None, s15b - a2m, nb["alpha1_plus"]),
             _Row("-gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta",
                  -g1p, 0.0, nb["alpha1_plus"], s15b),
             _Row("gamma<=-gamma1+, sqrt(15)*beta+alpha2+<alpha<sqrt(15)*beta",
-                 -inf, -g1p, s15b + a2p, s15b),
+                 None, -g1p, s15b + a2p, s15b),
         ]
     return rows
 
@@ -370,20 +387,35 @@ def _family_rows(p: ABParams) -> dict[str, list[_Row]]:
 _BOUNDARY_REL_TOL = 1e-12
 
 
-def _row_state(p: ABParams, row: _Row) -> tuple[bool, bool]:
-    """(strictly active, active up to the boundary tolerance)."""
-    slacks = []
-    for value, lo, hi in ((p.gamma, row.gamma_lo, row.gamma_hi),
-                          (p.alpha, row.alpha_lo, row.alpha_hi)):
-        scale = max(1.0, abs(value), abs(lo) if math.isfinite(lo) else 0.0,
-                    abs(hi) if math.isfinite(hi) else 0.0)
-        tol = _BOUNDARY_REL_TOL * scale
-        if math.isfinite(lo):
-            slacks.append((value - lo, tol))
-        if math.isfinite(hi):
-            slacks.append((hi - value, tol))
-    strict = all(s > t for s, t in slacks)
-    loose = all(s > -t for s, t in slacks)
+def _row_state(gamma, alpha, row: _Row):
+    """(strictly active, active up to the boundary tolerance), elementwise.
+
+    gamma, alpha and the row's bounds may be scalars or arrays that
+    broadcast.  On each axis tol = 1e-12 * max(1, |value|, |lo|, |hi|) over
+    the present bounds; strict needs every slack (value - lo, hi - value)
+    above tol, loose above -tol.  Rounding is monotone, so 1e-12 * max(...)
+    is the largest of the products 1e-12 * x: "slack > tol" is "slack
+    exceeds every product" and "slack > -tol" is "slack exceeds some
+    negated product".  That needs no elementwise max, and scalars stay
+    Python floats.
+    """
+    strict = loose = True
+    for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
+                          (alpha, row.alpha_lo, row.alpha_hi)):
+        tols = [_BOUNDARY_REL_TOL, _BOUNDARY_REL_TOL * abs(value)]
+        slacks = []
+        if lo is not None:
+            tols.append(_BOUNDARY_REL_TOL * abs(lo))
+            slacks.append(value - lo)
+        if hi is not None:
+            tols.append(_BOUNDARY_REL_TOL * abs(hi))
+            slacks.append(hi - value)
+        for slack in slacks:
+            above = False
+            for tol in tols:
+                strict = strict & (slack > tol)
+                above = above | (slack > -tol)
+            loose = loose & above
     return strict, loose
 
 
@@ -488,7 +520,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
             n=p.n,
             non_generic=True,
         )
-    rows = _family_rows(p)
+    rows = _family_rows(p.n, p.beta, p.gamma)
     radii = saddle_radii(p)
     rings: list[Ring] = []
     labels: list[str] = []
@@ -498,7 +530,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
         strict_rows = []
         loose_rows = []
         for row in rows[family]:
-            strict, loose = _row_state(p, row)
+            strict, loose = _row_state(p.gamma, p.alpha, row)
             if strict:
                 strict_rows.append(row)
             elif loose:
@@ -545,14 +577,25 @@ def boundary_slacks(p: ABParams) -> list[float]:
     Includes the gamma = 0 axis.
     """
     out = [abs(p.gamma) / max(1.0, abs(p.beta))]
-    for rows in _family_rows(p).values():
+    for rows in _family_rows(p.n, p.beta, p.gamma).values():
         for row in rows:
             for value, lo, hi in ((p.gamma, row.gamma_lo, row.gamma_hi),
                                   (p.alpha, row.alpha_lo, row.alpha_hi)):
                 for bound in (lo, hi):
-                    if math.isfinite(bound):
+                    if bound is not None and math.isfinite(bound):
                         out.append(abs(value - bound) / max(1.0, abs(bound)))
     return out
+
+
+def _saddles_exist(n: int, beta: float, alpha: float, gamma):
+    """Elementwise ``predict_saddles(ABParams(alpha, beta, gamma, n)).count
+    > 0`` for nonzero gamma: some row of either family is active, strictly
+    or up to the boundary tolerance."""
+    exist = False
+    for rows in _family_rows(n, beta, gamma).values():
+        for row in rows:
+            exist = exist | _row_state(gamma, alpha, row)[1]
+    return exist
 
 
 def admissible_gamma_interval(
@@ -567,26 +610,23 @@ def admissible_gamma_interval(
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    cap = gamma_cap_factor * beta
-
-    def active(g: float) -> bool:
-        if g == 0.0:
-            return False
-        return predict_saddles(ABParams(alpha, beta, g, n)).count > 0
-
+    if not gamma_cap_factor > 0.0:
+        raise ValueError("gamma_cap_factor must be positive")
+    # checks n and the finiteness of alpha, beta and the cap
+    p = ABParams(alpha, beta, gamma_cap_factor * beta, n)
+    cap = p.gamma
     m = 2048
     gs = np.linspace(cap / m, cap, m)
-    flags = [active(float(g)) for g in gs]
-    if not any(flags):
+    flags = (gs != 0.0) & _saddles_exist(p.n, p.beta, p.alpha, gs)
+    if not flags.any():
         return None
-    last = max(i for i, f in enumerate(flags) if f)
-    lo = float(gs[last])
-    hi = float(gs[last + 1]) if last + 1 < m else cap
+    last = int(np.flatnonzero(flags)[-1])
     if last + 1 >= m:
         return (-cap, cap)
+    lo, hi = float(gs[last]), float(gs[last + 1])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if active(mid):
+        if _saddles_exist(p.n, p.beta, p.alpha, mid):
             lo = mid
         else:
             hi = mid
@@ -627,28 +667,15 @@ class RegionDiagram:
 
 
 def _curve_samples(n: int, beta: float, gammas: np.ndarray) -> dict[str, np.ndarray]:
-    curves: dict[str, list[list[float]]] = {}
-
-    def add(name: str, g: float, a: float) -> None:
-        curves.setdefault(name, []).append([g, a])
-
-    for g in gammas:
-        if g == 0.0:
-            continue
-        p = ABParams(0.0, beta, float(g), n)
-        nb = _named_bounds(p)
-        add("alpha1_plus", g, nb["alpha1_plus"])
-        add("alpha1_minus", g, nb["alpha1_minus"])
-        if n == 3:
-            add("alpha2", g, nb["alpha2"])
-            add("alpha3", g, nb["alpha3"])
-        if n == 5:
-            add("sqrt15_beta-alpha2_plus", g, nb["sqrt15_beta"] - nb["alpha2_plus"])
-            add("sqrt15_beta-alpha2_minus", g, nb["sqrt15_beta"] - nb["alpha2_minus"])
-        if n == 6:
-            add("sqrt15_beta-alpha2_plus", g, nb["sqrt15_beta"] - nb["alpha2_plus"])
-            add("sqrt15_beta-alpha2_minus", g, nb["sqrt15_beta"] - nb["alpha2_minus"])
-    return {k: np.array(v) for k, v in curves.items()}
+    g = gammas[gammas != 0.0]
+    nb = _named_bounds(n, beta, g)
+    curves = {"alpha1_plus": nb["alpha1_plus"], "alpha1_minus": nb["alpha1_minus"]}
+    if n == 3:
+        curves.update(alpha2=nb["alpha2"], alpha3=nb["alpha3"])
+    if n in (5, 6):
+        curves["sqrt15_beta-alpha2_plus"] = nb["sqrt15_beta"] - nb["alpha2_plus"]
+        curves["sqrt15_beta-alpha2_minus"] = nb["sqrt15_beta"] - nb["alpha2_minus"]
+    return {k: np.column_stack([g, a]) for k, a in curves.items()}
 
 
 def _tick_values(n: int, beta: float) -> dict[str, float]:
@@ -662,8 +689,7 @@ def _tick_values(n: int, beta: float) -> dict[str, float]:
             ticks[f"{s}3*sqrt(2)b"] = v * 3.0 * SQRT2 * beta
             ticks[f"{s}(sqrt(2)+sqrt(6))b"] = v * (SQRT2 + SQRT6) * beta
     else:
-        p = ABParams(0.0, beta, beta, n)  # gamma value irrelevant for gamma1
-        nb = _named_bounds(p)
+        nb = _named_bounds(n, beta, beta)  # gamma value irrelevant for gamma1
         for s, v in (("", 1.0), ("-", -1.0)):
             ticks[f"{s}gamma1+"] = v * nb["gamma1_plus"]
             ticks[f"{s}gamma1-"] = v * nb["gamma1_minus"]
@@ -678,34 +704,42 @@ def region_diagram(
     resolution: int = 121,
 ) -> RegionDiagram:
     """Sample predicted counts/families over a (gamma, alpha) window and
-    emit the named boundary curves from the same closed forms."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    emit the named boundary curves from the same closed forms.
+
+    The family code of a cell has bit 1 when an even-family row is strictly
+    active and bit 2 for the odd family.  The rows are built once, on the
+    array of nonzero gammas, and every row is tested on the whole grid at
+    once; the gamma = 0 column stays 0.
+    """
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if n not in SUPPORTED_ORDERS:
         raise CapabilityError(f"supported orders are {SUPPORTED_ORDERS}, got n={n}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    beta = float(beta)
     w = DEFAULT_WINDOWS[n]
     if gamma_range is None:
         gamma_range = (w[0] * beta, w[1] * beta)
     if alpha_range is None:
         alpha_range = (w[2] * beta, w[3] * beta)
+    for name, (lo, hi) in (("gamma", gamma_range), ("alpha", alpha_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(
+                f"the {name} window must be finite and increasing, got {lo}, {hi}"
+            )
     gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
-    counts = np.zeros((resolution, resolution), dtype=int)
+    nonzero = gammas != 0.0
+    g = gammas[nonzero]
+    rows = _family_rows(n, beta, g)
     codes = np.zeros((resolution, resolution), dtype=int)
-    for i, a in enumerate(alphas):
-        for j, g in enumerate(gammas):
-            if g == 0.0:
-                continue
-            pred_rows = _family_rows(ABParams(float(a), beta, float(g), n))
-            code = 0
-            p = ABParams(float(a), beta, float(g), n)
-            for bit, family in ((1, EVEN_FAMILY), (2, ODD_FAMILY)):
-                if any(_row_state(p, row)[0] for row in pred_rows[family]):
-                    code |= bit
-            codes[i, j] = code
-            counts[i, j] = n * bin(code).count("1")
+    for bit, family in ((1, EVEN_FAMILY), (2, ODD_FAMILY)):
+        hit = False
+        for row in rows[family]:
+            hit = hit | _row_state(g, alphas[:, None], row)[0]
+        codes[:, nonzero] |= bit * hit
+    counts = n * ((codes & 1) + (codes >> 1))
     dense = np.linspace(gamma_range[0], gamma_range[1], max(512, 4 * resolution))
     return RegionDiagram(
         n=n,

@@ -178,3 +178,92 @@ def heatmap_figure(
     if clip and clip < vmax:
         canvas.text(bar_x, 30 + size + 24, f"clipped to +-{crange:.3g}", size=8)
     canvas.save(path)
+
+
+def retina_figure(curves, critical_points, spike_tips, path) -> None:
+    """Caustic curves at the retina plane (arcmin) with the projected cusps
+    (``critical_points`` rows of report.json) and the spike tips."""
+    canvas = SvgCanvas(620, 620, "caustics at the retina plane (arcmin)")
+    pts = np.concatenate(curves) if curves else np.zeros((1, 2))
+    lim = max(1.0, float(np.max(np.abs(pts))) * 1.1)
+    fr = Frame(canvas, -lim, lim, -lim, lim, margin=60)
+    fr.frame_box("xi (arcmin)", "eta (arcmin)")
+    nt = 5
+    ticks = np.linspace(-lim, lim, nt)
+    fr.ticks(ticks, ticks)
+    for poly in curves:
+        fr.polyline(poly, stroke="rgb(120,30,140)", width=1.0)
+    for c in critical_points:
+        x, y = fr.px(c["xi_arcmin"]), fr.py(c["eta_arcmin"])
+        if c["class"] == "saddle":
+            canvas.circle(x, y, 3.0, fill="rgb(30,150,60)", stroke="black")
+            canvas.circle(x, y, 6.0, stroke="black")
+        else:
+            canvas.marker_star(x, y, 5.0, "rgb(30,150,60)")
+    for t in spike_tips:
+        a = math.radians(t["angle_deg"])
+        x = fr.px(t["radius_arcmin"] * math.sin(a))
+        y = fr.py(t["radius_arcmin"] * math.cos(a))
+        canvas.circle(x, y, 4.0, stroke="rgb(200,120,0)", width=1.5)
+    canvas.save(path)
+
+
+def regions_figure(diagram, path) -> None:
+    """A `regions.RegionDiagram`: shaded family codes, the boundary curves
+    inside the alpha window, and the named gamma and alpha thresholds."""
+    canvas = SvgCanvas(700, 560, f"saddle regions, n={diagram.n}, beta={diagram.beta}")
+    g = diagram.gamma_values
+    a = diagram.alpha_values
+    fr = Frame(canvas, g[0], g[-1], a[0], a[-1], margin=60)
+    cw = fr.w / len(g)
+    ch = fr.h / len(a)
+    colors = {1: "rgb(255,200,130)", 2: "rgb(150,190,255)", 3: "rgb(190,150,220)"}
+    # SvgCanvas.rect's markup, with the pixel strings formatted once per
+    # column and row; the shaded cells run row by row
+    px = [_f(v) for v in (fr.px(g) - cw / 2).tolist()]
+    py = [_f(v) for v in (fr.py(a) - ch / 2).tolist()]
+    wh = f'width="{_f(cw + 0.5)}" height="{_f(ch + 0.5)}"'
+    ii, jj = np.nonzero(diagram.family_codes)
+    canvas.parts.extend(
+        f'<rect x="{px[j]}" y="{py[i]}" {wh} fill="{colors[code]}" stroke="none"/>'
+        for i, j, code in zip(ii.tolist(), jj.tolist(),
+                              diagram.family_codes[ii, jj].tolist())
+    )
+    curve_colors = {
+        "alpha1_plus": "rgb(30,80,220)",
+        "alpha1_minus": "rgb(110,110,20)",
+        "alpha2": "rgb(230,130,20)",
+        "alpha3": "rgb(200,30,30)",
+        "sqrt15_beta-alpha2_plus": "rgb(0,150,150)",
+        "sqrt15_beta-alpha2_minus": "rgb(200,30,160)",
+    }
+    for name, pts in diagram.boundary_curves.items():
+        mask = (pts[:, 1] >= a[0]) & (pts[:, 1] <= a[-1])
+        seg = []
+        for (gv, av), ok in zip(pts, mask):
+            if ok:
+                seg.append((gv, av))
+            else:
+                if len(seg) > 1:
+                    fr.polyline(seg, stroke=curve_colors.get(name, "black"), width=1.2)
+                seg = []
+        if len(seg) > 1:
+            fr.polyline(seg, stroke=curve_colors.get(name, "black"), width=1.2)
+    y0 = fr.py(a[0])
+    for name, gv in diagram.ticks.items():
+        if name.startswith("sqrt(15)"):
+            if a[0] <= gv <= a[-1]:
+                canvas.line(fr.px(g[0]), fr.py(gv), fr.px(g[-1]), fr.py(gv),
+                            stroke="rgb(200,30,30)", width=0.8, dash="4,3")
+                canvas.text(fr.px(g[0]) + 4, fr.py(gv) - 3, name, size=8)
+        elif g[0] <= gv <= g[-1]:
+            canvas.line(fr.px(gv), fr.py(a[0]), fr.px(gv), fr.py(a[-1]),
+                        stroke="gray", width=0.7, dash="2,3")
+            canvas.text(fr.px(gv), y0 + 26, name, size=8, anchor="middle")
+    fr.frame_box("gamma (um)", "alpha (um)")
+    fr.ticks(np.linspace(g[0], g[-1], 5), np.linspace(a[0], a[-1], 5))
+    legend = [("even family", colors[1]), ("odd family", colors[2]), ("both (2n)", colors[3])]
+    for k, (label, color) in enumerate(legend):
+        canvas.rect(fr.m + 8 + 130 * k, 24, 12, 12, color, stroke="black")
+        canvas.text(fr.m + 24 + 130 * k, 34, label, size=9)
+    canvas.save(path)

@@ -241,6 +241,34 @@ class TestRegionsCommand:
         assert main(["regions", "--n", "4", "--beta", "0.2", "--window", "1,2",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--res", "1"],
+            ["--res", "0"],
+            ["--beta", "0"],
+            ["--beta", "-0.2"],
+            ["--window=nan,1,0,1"],
+            ["--window=-inf,1,0,1"],
+            ["--window=0.1,0.1,0,1"],
+            ["--window=0,1,2,2"],
+            ["--window=1,0,0,1"],
+        ],
+    )
+    def test_invalid_input_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "regions"
+        argv = ["regions", "--n", "4", "--beta", "0.2", "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_negative_window_start(self, tmp_path):
+        out = tmp_path / "regions"
+        assert main(["regions", "--n", "5", "--beta", "0.2", "--res", "11",
+                     "--window=-0.3,0.3,-1,2", "--out", str(out)]) == 0
+        grid = (out / "regions_grid.csv").read_text().splitlines()
+        assert grid[1].startswith("-0.3,-1,")
+
 
 class TestVerifyCommand:
     def test_small_run_agrees(self):

@@ -1,9 +1,13 @@
-"""Byte-level regression: every file `analyze` writes, against pinned hashes.
+"""Byte-level regression: every file `analyze` and `regions` write, against
+pinned hashes.
 
 tests/golden/analyze_outputs.sha256 (sha256sum format) holds the hash of
 each file `analyze` wrote for the 3star fixture and the radial-order-12
 scenario at grid 512, before the heatmap, marching-squares and symmetry
-code ran on whole arrays.  Rerunning `analyze` must reproduce every byte.
+code ran on whole arrays.  tests/golden/regions_outputs.sha256 holds the
+hashes of `regions --n n --beta 0.2` (n = 3..6, default resolution) from
+before the region predicates ran on arrays.  Rerunning the commands must
+reproduce every byte.
 """
 
 import hashlib
@@ -15,7 +19,7 @@ import pytest
 
 from starburst.cli import main
 
-HASH_FILE = Path(__file__).parent / "golden" / "analyze_outputs.sha256"
+GOLDEN = Path(__file__).parent / "golden"
 
 HIGHORDER = {
     "wavefront": [
@@ -27,10 +31,10 @@ HIGHORDER = {
 }
 
 
-def pinned_hashes() -> dict[str, dict[str, str]]:
-    """{case: {file name: sha256}} from the sha256sum listing."""
+def pinned_hashes(listing: str) -> dict[str, dict[str, str]]:
+    """{case: {file name: sha256}} from a sha256sum listing in tests/golden."""
     out: dict[str, dict[str, str]] = defaultdict(dict)
-    for line in HASH_FILE.read_text(encoding="utf-8").splitlines():
+    for line in (GOLDEN / listing).read_text(encoding="utf-8").splitlines():
         digest, path = line.split(maxsplit=1)
         case, name = path.split("/")
         out[case][name] = digest
@@ -48,8 +52,20 @@ def analyze_argv(case: str, tmp_path: Path) -> list[str]:
 
 @pytest.mark.parametrize("case", ["3star", "highorder"])
 def test_analyze_outputs_match_pinned_hashes(case, tmp_path):
-    want = pinned_hashes()[case]
+    want = pinned_hashes("analyze_outputs.sha256")[case]
     out = tmp_path / "out"
     assert main(analyze_argv(case, tmp_path) + ["--out", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert got == want
+    assert file_hashes(out) == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_regions_outputs_match_pinned_hashes(n, tmp_path):
+    want = pinned_hashes("regions_outputs.sha256")[f"n{n}"]
+    out = tmp_path / "out"
+    assert main(["regions", "--n", str(n), "--beta", "0.2", "--out", str(out)]) == 0
+    assert file_hashes(out) == want
+
+
+def file_hashes(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()}

@@ -18,7 +18,7 @@ from starburst import (
     saddle_radii,
     spherical_equivalent,
 )
-from starburst.regions import _named_bounds
+from starburst.regions import _family_rows, _named_bounds, _saddles_exist
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -135,6 +135,12 @@ class TestPredictSaddles:
         pred = predict_saddles(ABParams(0.1, 0.2, 0.0, 4))
         assert pred.count == 0 and pred.non_generic
 
+    def test_gamma_squared_underflow(self):
+        # alpha_2 (proportional to 1/gamma^2) has no float value, but the
+        # rows it bounds need |gamma| > gamma_1: as for any tiny gamma
+        tiny, small = (predict_saddles(ABParams(0.0, 0.2, g, 5)) for g in (1e-170, 1e-100))
+        assert (tiny.count, tiny.boundary) == (small.count, small.boundary)
+
     def test_outside_all_regions(self):
         # alpha far above every bound
         pred = predict_saddles(ABParams(5.0, 0.2, 0.05, 4))
@@ -169,12 +175,12 @@ class TestPredictSaddles:
         hi = predict_saddles(ABParams(SQRT15 * 0.2 + 1e-4, 0.2, 0.15, 4))
         assert lo.count == 4 and hi.count == 0
         # crossing alpha_3 for n=3 (even family ceiling)
-        a3 = _named_bounds(ABParams(0.0, 0.2, 0.2, 3))["alpha3"]
+        a3 = _named_bounds(3, 0.2, 0.2)["alpha3"]
         below = predict_saddles(ABParams(a3 - 1e-4, 0.2, 0.2, 3))
         above = predict_saddles(ABParams(a3 + 1e-4, 0.2, 0.2, 3))
         assert below.count == 3 and above.count == 0
         # crossing alpha_2 for n=3 swaps the angular family at equal count
-        a2 = _named_bounds(ABParams(0.0, 0.2, 0.2, 3))["alpha2"]
+        a2 = _named_bounds(3, 0.2, 0.2)["alpha2"]
         under = predict_saddles(ABParams(a2 - 1e-4, 0.2, 0.2, 3))
         over = predict_saddles(ABParams(a2 + 1e-4, 0.2, 0.2, 3))
         assert under.count == over.count == 3
@@ -227,6 +233,45 @@ class TestGammaIntervals:
         with pytest.raises(ValueError):
             admissible_gamma_interval(4, -0.2, 0.0)
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
+    def test_invalid_cap(self, factor):
+        with pytest.raises(ValueError):
+            admissible_gamma_interval(5, 0.2, 0.0, factor)
+
+    # endpoints of the per-sample predict_saddles scan, before the scan ran
+    # on arrays; the array scan must reproduce them bit for bit
+    PINNED_EDGES = {
+        (3, 0.0): 2.5298221281369804,
+        (3, 0.5): 2.685461286022015,
+        (4, 0.0): 0.7727406610313601,
+        (4, 0.5): 0.8228795426533908,
+        (5, 0.0): 0.4530915057563004,
+        (5, 0.5): 0.7609850071926909,
+        (6, 0.0): 0.43966017885731823,
+        (6, 0.5): 1.240216463959737,
+    }
+
+    @pytest.mark.parametrize("n,alpha", sorted(PINNED_EDGES))
+    def test_endpoints_bit_identical(self, n, alpha):
+        edge = self.PINNED_EDGES[n, alpha]
+        assert admissible_gamma_interval(n, 0.2, alpha) == (-edge, edge)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_scan_predicate_is_predict_saddles(self, n):
+        # grid points plus points on and within 1e-13 of the gamma
+        # thresholds, where the boundary tolerance decides
+        ticks = [abs(v) for v in region_diagram(n, 0.2, resolution=2).ticks.values()]
+        gammas = np.concatenate([
+            np.linspace(0.01, 6.0, 97),
+            [t * f for t in ticks for f in (1.0, 1.0 - 1e-13, 1.0 + 1e-13)],
+        ])
+        for alpha in (-0.3, 0.0, 0.5, SQRT15 * 0.2):
+            got = _saddles_exist(n, 0.2, alpha, gammas)
+            want = [predict_saddles(ABParams(alpha, 0.2, float(g), n)).count > 0
+                    for g in gammas]
+            assert got.tolist() == want
+            assert [_saddles_exist(n, 0.2, alpha, float(g)) for g in gammas] == want
+
 
 class TestSphericalEquivalent:
     def test_values(self):
@@ -259,7 +304,7 @@ class TestRegionDiagram:
         pts = d.boundary_curves["alpha1_plus"]
         g = float(pts[17, 0])
         if g != 0.0:
-            expected = _named_bounds(ABParams(0.0, 0.2, g, 4))["alpha1_plus"]
+            expected = _named_bounds(4, 0.2, g)["alpha1_plus"]
             assert pts[17, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_grid_agrees_with_predictor(self):
@@ -277,11 +322,48 @@ class TestRegionDiagram:
                 continue
             assert d.counts[i, j] == pred.count
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_codes_match_scalar_rule(self, n):
+        d = region_diagram(n, 0.2, resolution=41)
+        want = np.zeros((41, 41), dtype=int)
+        for j, g in enumerate(d.gamma_values.tolist()):
+            if g == 0.0:
+                continue
+            rows = _family_rows(n, 0.2, g)
+            for i, a in enumerate(d.alpha_values.tolist()):
+                for bit, family in ((1, EVEN_FAMILY), (2, ODD_FAMILY)):
+                    if any(strictly_inside(g, a, row) for row in rows[family]):
+                        want[i, j] |= bit
+        assert 0 < np.count_nonzero(want) < want.size
+        np.testing.assert_array_equal(d.family_codes, want)
+        np.testing.assert_array_equal(
+            d.counts, n * np.array([[bin(c).count("1") for c in r] for r in want]))
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             region_diagram(4, 0.2, resolution=1)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta(self, beta):
+        with pytest.raises(ValueError):
+            region_diagram(4, beta, resolution=5)
 
     def test_single_cell_window(self):
         d = region_diagram(4, 0.2, gamma_range=(0.1, 0.1001),
                            alpha_range=(0.0, 0.0001), resolution=2)
         assert d.counts.shape == (2, 2)
+
+
+def strictly_inside(gamma: float, alpha: float, row) -> bool:
+    """The strict row rule, one cell at a time: on each axis every present
+    bound (None is absent) must be beaten by more than
+    1e-12 * max(1, |value|, |lo|, |hi|)."""
+    for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
+                          (alpha, row.alpha_lo, row.alpha_hi)):
+        present = [b for b in (lo, hi) if b is not None]
+        tol = 1e-12 * max([1.0, abs(value)] + [abs(b) for b in present])
+        if lo is not None and not value - lo > tol:
+            return False
+        if hi is not None and not hi - value > tol:
+            return False
+    return True
