@@ -31,6 +31,17 @@ from .zernike import WaveAberration
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
 
+# Verdict constants (see starburst_verdict).
+_PROFILE_BINS = 360  # 1-degree bins of the radial extent profile
+_PROMINENCE_REL = 0.05
+_SECONDARY_RATIO = 0.4
+_MERIDIAN_TOL = 0.04  # radians
+_RADIUS_SPLIT = 0.1
+# symmetry_order: Hausdorff tolerance relative to the cloud diameter, and
+# the largest p tried
+_SYMMETRY_TOL_REL = 1e-3
+_P_MAX = 12
+
 VERDICT_NOTE = (
     "model prediction: spike tips are assumed to arise from cusp caustics "
     "or closely spaced fold-caustic pairs resolvable beyond the visibility "
@@ -169,10 +180,10 @@ def _stitch(nbr):
     return chains
 
 
-def _clip_polyline_to_disk(points: np.ndarray, radius: float = 1.0):
-    """Split a polyline into pieces inside the closed disk, inserting
+def _clip_polyline_to_disk(points: np.ndarray):
+    """Split a polyline into pieces inside the closed unit disk, inserting
     circle-intersection vertices at each crossing."""
-    inside = np.hypot(points[:, 0], points[:, 1]) <= radius + 1e-12
+    inside = np.hypot(points[:, 0], points[:, 1]) <= 1.0 + 1e-12
     if np.all(inside):
         return [points]
     pieces = []
@@ -182,7 +193,7 @@ def _clip_polyline_to_disk(points: np.ndarray, radius: float = 1.0):
         d = b - a
         aa = d @ d
         bb = 2.0 * (a @ d)
-        cc = a @ a - radius * radius
+        cc = a @ a - 1.0
         disc = bb * bb - 4.0 * aa * cc
         if disc < 0.0 or aa == 0.0:
             return None
@@ -346,6 +357,9 @@ def map_caustics(
 # --------------------------------------------------------------------------
 
 
+_NEAREST_VERTICES = 6  # KD-tree candidates per distance query
+
+
 class _PolylineDistance:
     """Nearest-distance queries from points to a family of polylines.
 
@@ -374,9 +388,9 @@ class _PolylineDistance:
         self.vert_segments = adjacent[:, :pad]
         self.tree = cKDTree(self.verts)
 
-    def distances(self, points: np.ndarray, k: int = 6) -> np.ndarray:
+    def distances(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        k = min(k, len(self.verts))
+        k = min(_NEAREST_VERTICES, len(self.verts))
         _, idx = self.tree.query(pts, k=k)
         idx = np.atleast_2d(idx)
         cand = self.vert_segments[idx].reshape(len(pts), -1)
@@ -406,10 +420,8 @@ def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
 _SCREEN_STRIDE = 16  # every how many vertices symmetry_order screens a p on
 
 
-def symmetry_order(
-    caustics: CausticSet, tol_rel: float = 1e-3, p_max: int = 12
-) -> SymmetryResult:
-    """Largest p in {2..p_max} whose 2 pi / p rotation maps the retina
+def symmetry_order(caustics: CausticSet) -> SymmetryResult:
+    """Largest p in {2.._P_MAX} whose 2 pi / p rotation maps the retina
     vertex cloud onto itself within a Hausdorff tolerance; p=1 if none.
 
     Each p is screened on every _SCREEN_STRIDE-th vertex first.  A subset's
@@ -426,7 +438,7 @@ def symmetry_order(
     diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
     if diameter == 0.0:
         raise ValueError("caustic cloud has zero extent")
-    tol = tol_rel * diameter
+    tol = _SYMMETRY_TOL_REL * diameter
     geom = _PolylineDistance(curves)
 
     def residual(points, p):
@@ -438,7 +450,7 @@ def symmetry_order(
     sample = cloud[::_SCREEN_STRIDE]
     bounds = {}
     best_residual = math.inf
-    for p in range(p_max, 1, -1):
+    for p in range(_P_MAX, 1, -1):
         bound = residual(sample, p)
         if bound >= tol:
             bounds[p] = bound
@@ -462,25 +474,27 @@ def _wavefront_fold_order(w: WaveAberration) -> int:
     return int(np.gcd.reduce(orders))
 
 
-def _radial_profile(cloud: np.ndarray, centroid: np.ndarray, bins: int = 360):
+def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):
     rel = cloud - centroid
     r = np.hypot(rel[:, 0], rel[:, 1])
     phi = np.arctan2(rel[:, 0], rel[:, 1]) % (2.0 * math.pi)
-    idx = np.minimum((phi / (2.0 * math.pi) * bins).astype(int), bins - 1)
-    profile = np.zeros(bins)
+    idx = np.minimum((phi / (2.0 * math.pi) * _PROFILE_BINS).astype(int),
+                     _PROFILE_BINS - 1)
+    profile = np.zeros(_PROFILE_BINS)
     np.maximum.at(profile, idx, r)
-    occupied = np.zeros(bins, dtype=bool)
+    occupied = np.zeros(_PROFILE_BINS, dtype=bool)
     occupied[idx] = True
     return profile, occupied, r, phi
 
 
-def _profile_peaks(profile, occupied, r, phi, threshold, prominence_rel, bins):
+def _profile_peaks(profile, occupied, r, phi, threshold):
     """Circular local maxima of the radial-extent profile.
 
     Peaks are found on the periodically extended profile; each peak must
     exceed the visibility threshold and protrude by at least
-    ``prominence_rel`` of its own radius above its surroundings.  The tip
+    _PROMINENCE_REL of its own radius above its surroundings.  The tip
     is the exact vertex of largest radius near the peak bin."""
+    bins = len(profile)
     ext = np.tile(profile, 3)
     idx, props = find_peaks(ext, prominence=1e-12)
     tips = []
@@ -492,7 +506,7 @@ def _profile_peaks(profile, occupied, r, phi, threshold, prominence_rel, bins):
         if not occupied[b]:
             continue
         radius = profile[b]
-        if radius < threshold or props["prominences"][k] < prominence_rel * radius:
+        if radius < threshold or props["prominences"][k] < _PROMINENCE_REL * radius:
             continue
         lo = (b - 2) * width
         hi = (b + 3) * width
@@ -505,7 +519,7 @@ def _profile_peaks(profile, occupied, r, phi, threshold, prominence_rel, bins):
     return sorted(tips, key=lambda t: t.angle)
 
 
-def _meridian_aligned(tips, p, tol):
+def _meridian_aligned(tips, p):
     """Keep tips lying on the p-fold reflection meridians.
 
     The meridian fan is anchored at the dominant tip; starburst points sit
@@ -518,7 +532,7 @@ def _meridian_aligned(tips, p, tol):
     kept = []
     for t in tips:
         d = (t.angle - anchor) % step
-        if min(d, step - d) <= tol:
+        if min(d, step - d) <= _MERIDIAN_TOL:
             kept.append(t)
     return kept
 
@@ -527,21 +541,16 @@ def starburst_verdict(
     caustics: CausticSet,
     *,
     threshold_arcmin: float = 1.0,
-    profile_bins: int = 360,
-    prominence_rel: float = 0.05,
-    secondary_ratio: float = 0.4,
-    meridian_tol: float = 0.04,
-    radius_split: float = 0.1,
 ) -> StarburstSummary:
     """Count spike tips on the mapped caustic and classify the starburst.
 
     Tips are local maxima of the 1-degree-binned radial extent profile
     that (i) exceed the visibility threshold, (ii) protrude by at least
-    ``prominence_rel`` of their radius, (iii) lie on a symmetry meridian
-    (within ``meridian_tol`` radians), and (iv) reach at least
-    ``secondary_ratio`` of the dominant tip radius -- shorter protrusions
+    _PROMINENCE_REL of their radius, (iii) lie on a symmetry meridian
+    (within _MERIDIAN_TOL radians), and (iv) reach at least
+    _SECONDARY_RATIO of the dominant tip radius -- shorter protrusions
     are treated as part of the central pattern rather than starburst
-    points.  ``radius_split`` is the relative gap separating "two distinct
+    points.  _RADIUS_SPLIT is the relative gap separating "two distinct
     tip radii" from a single ring of tips.  The p-fold symmetry comes from
     one ``symmetry_order`` pass and is returned as ``symmetry``.
     """
@@ -559,16 +568,14 @@ def starburst_verdict(
         )
     cloud = np.concatenate(curves, axis=0)
     center = caustics.center
-    profile, occupied, r, phi = _radial_profile(cloud, center, profile_bins)
-    tips = _profile_peaks(
-        profile, occupied, r, phi, threshold_arcmin, prominence_rel, profile_bins
-    )
+    profile, occupied, r, phi = _radial_profile(cloud, center)
+    tips = _profile_peaks(profile, occupied, r, phi, threshold_arcmin)
     symmetry = symmetry_order(caustics)
     p = symmetry.p
-    tips = _meridian_aligned(tips, p, meridian_tol)
+    tips = _meridian_aligned(tips, p)
     if tips:
         r_max = max(t.radius_arcmin for t in tips)
-        tips = [t for t in tips if t.radius_arcmin >= secondary_ratio * r_max]
+        tips = [t for t in tips if t.radius_arcmin >= _SECONDARY_RATIO * r_max]
     if not tips:
         return StarburstSummary(
             p_fold=p,
@@ -581,9 +588,9 @@ def starburst_verdict(
         )
     radii = np.array([t.radius_arcmin for t in tips])
     spread = float((radii.max() - radii.min()) / radii.max())
-    if len(tips) == p and spread <= radius_split:
+    if len(tips) == p and spread <= _RADIUS_SPLIT:
         kind, detail = EQUALLY_DISTANCED, f"{p} tips at a single radius"
-    elif len(tips) == 2 * p and spread > radius_split:
+    elif len(tips) == 2 * p and spread > _RADIUS_SPLIT:
         long_short = radii >= 0.5 * (radii.max() + radii.min())
         alternating = all(
             long_short[i] != long_short[(i + 1) % len(tips)] for i in range(len(tips))

@@ -31,7 +31,7 @@ from .caustics import (
     map_caustics,
     starburst_verdict,
 )
-from .hessian import SolverOptions, build_field, find_critical_points
+from .hessian import build_field, find_critical_points
 from .regions import (
     DEFAULT_WINDOWS,
     SUPPORTED_ORDERS,
@@ -137,15 +137,15 @@ class Scenario:
         return out
 
 
-def _round_floats(obj, digits: int = 12):
+def _round_floats(obj):
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
-        return float(f"{obj:.{digits}g}") + 0.0  # normalizes -0.0
+        return float(f"{obj:.12g}") + 0.0  # normalizes -0.0
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -162,11 +162,11 @@ def _write_csv(path: Path, header: str, lines) -> None:
         fh.writelines(lines)
 
 
-def run_analysis(scenario: Scenario, solver: SolverOptions | None = None):
+def run_analysis(scenario: Scenario):
     """Full pipeline for one scenario; returns (report dict, artifacts)."""
     w = scenario.wavefront
     field = build_field(w)
-    search = find_critical_points(field, solver)
+    search = find_critical_points(field)
     contours = extract_contours(field, scenario.grid_resolution)
     caustics = map_caustics(w, contours, search.points, field)
     prediction = None
@@ -314,7 +314,6 @@ def cmd_analyze(args) -> int:
                     "pupil_radius_mm": args.pupil_radius,
                     "grid_resolution": args.grid,
                     "visibility_threshold_arcmin": args.threshold,
-                    "output_dir": args.out,
                 }
             )
         if args.out:
@@ -326,11 +325,6 @@ def cmd_analyze(args) -> int:
     report, artifacts = run_analysis(scenario)
     _emit_analysis_files(Path(scenario.output_dir), scenario, report, artifacts)
     elapsed = time.perf_counter() - t0
-    if args.timing:
-        report_path = Path(scenario.output_dir) / "report.json"
-        payload = json.loads(report_path.read_text())
-        payload["timing_s"] = round(elapsed, 3)
-        write_report_json(report_path, payload)
     counts = report["counts"]
     star = report["starburst"]
     print(
@@ -384,19 +378,16 @@ def cmd_regions(args) -> int:
     return 0
 
 
-def run_verification(
-    n: int,
-    beta: float,
-    samples: int,
-    seed: int,
-    band: float = 1e-3,
-    solver: SolverOptions | None = None,
-):
+_VERIFY_BAND = 1e-3  # smallest boundary slack of a verification sample
+
+
+def run_verification(n: int, beta: float, samples: int, seed: int):
     """Random closed-form vs numerical-census comparison.
 
     Draws (gamma, alpha) uniformly in the region-diagram window, skipping a
-    relative band around every boundary curve, and checks saddle count,
-    angular family, and ring radii (to 1e-8).  Returns a result dict.
+    relative band of width _VERIFY_BAND around every boundary curve, and
+    checks saddle count, angular family, and ring radii (to 1e-8).
+    Returns a result dict.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -411,16 +402,16 @@ def run_verification(
         if attempts > 1000 * samples:
             raise RuntimeError(
                 "could not draw enough samples outside the boundary band; "
-                "lower --samples or the band width"
+                "lower --samples"
             )
         gamma = float(rng.uniform(g0, g1)) * beta
         alpha = float(rng.uniform(a0, a1)) * beta
         params = ABParams(alpha, beta, gamma, n)
-        if min(boundary_slacks(params)) < band:
+        if min(boundary_slacks(params)) < _VERIFY_BAND:
             continue
         done += 1
         pred = predict_saddles(params)
-        census = find_critical_points(build_field(params.to_wavefront()), solver)
+        census = find_critical_points(build_field(params.to_wavefront()))
         saddles = census.saddles
         if census.degenerate or pred.count != len(saddles):
             failures.append(
@@ -480,6 +471,9 @@ def cmd_verify(args) -> int:
     if args.n not in SUPPORTED_ORDERS:
         print(f"error: unsupported order n={args.n}", file=sys.stderr)
         return 2
+    if args.beta <= 0.0:
+        print("error: --beta must be positive", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     result = run_verification(args.n, args.beta, args.samples, args.seed)
     elapsed = time.perf_counter() - t0
@@ -498,7 +492,6 @@ def cmd_fixtures(args) -> int:
     if args.grid < MIN_GRID_RESOLUTION:
         print(f"error: --grid must be at least {MIN_GRID_RESOLUTION}", file=sys.stderr)
         return 2
-    solver = SolverOptions()
     all_ok = True
     t0 = time.perf_counter()
     for name, (alpha, beta, gamma, n, cusps, saddles, points, kind) in FIXTURE_SCENARIOS.items():
@@ -506,7 +499,7 @@ def cmd_fixtures(args) -> int:
             {"alpha": alpha, "beta": beta, "gamma": gamma, "n": n,
              "grid_resolution": args.grid}
         )
-        report, _ = run_analysis(scenario, solver)
+        report, _ = run_analysis(scenario)
         got = (
             report["counts"]["critical_points"],
             report["counts"]["saddles"],
@@ -548,10 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--grid", type=int, default=512, help="contour grid resolution")
     pa.add_argument("--threshold", type=_finite, default=1.0,
                     help="visibility threshold (arcmin)")
-    pa.add_argument("--out", default="", help="output directory")
-    pa.add_argument("--timing", action="store_true",
-                    help="include wall-clock timing in report.json "
-                    "(breaks byte-for-byte determinism)")
+    pa.add_argument("--out", help="output directory (default: the scenario's "
+                    "output_dir, else starburst_out)")
     pa.set_defaults(func=cmd_analyze)
 
     pr = sub.add_parser("regions", help="emit a saddle-region diagram")

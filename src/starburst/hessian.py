@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,26 +92,25 @@ def build_field(w: WaveAberration) -> HessianField:
     return field_from_polynomial(w.to_polynomial())
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    grid_size: int = 64
-    max_iterations: int = 100
-    damping: float = 0.5
-    max_halvings: int = 6
-    gradient_tol: float = 1e-10
-    dedup_radius: float = 1e-6
-    # |det Hess G| below degeneracy_rel_threshold * (max |G| on grid)^2 is
-    # classified degenerate.  1e-12 keeps a >1e6 margin over the
-    # double-precision evaluation noise while not swallowing the genuinely
-    # small determinants of rings close to a merge transition.
-    degeneracy_rel_threshold: float = 1e-12
-    boundary_clamp: float = 1e-9
-    degenerate_point_limit: int = 50
-    domain_radius: float = 1.0
-    # Extra zoomed seeding passes around the origin: saddle rings shrink
-    # toward the pupil center close to region boundaries, below the cell
-    # size of the base grid.
-    zoom_factors: tuple[float, ...] = (1.0, 0.125, 0.015625)
+# Census constants.
+_GRID_SIZE = 64  # seed-grid cells per axis, per zoom pass
+_MAX_ITERATIONS = 100
+_DAMPING = 0.5
+_MAX_HALVINGS = 6
+_POLISH_ITERATIONS = 8
+GRADIENT_TOL = 1e-10  # accepted |grad G|, relative to its grid maximum
+DEDUP_RADIUS = 1e-6
+# |det Hess G| below DEGENERACY_REL_THRESHOLD * (max |G| on grid)^2 is
+# classified degenerate.  1e-12 keeps a >1e6 margin over the
+# double-precision evaluation noise while not swallowing the genuinely
+# small determinants of rings close to a merge transition.
+DEGENERACY_REL_THRESHOLD = 1e-12
+_BOUNDARY_CLAMP = 1e-9
+_DEGENERATE_POINT_LIMIT = 50
+# Extra zoomed seeding passes around the origin: saddle rings shrink
+# toward the pupil center close to region boundaries, below the cell
+# size of the base grid.
+_ZOOM_FACTORS = (1.0, 0.125, 0.015625)
 
 
 @dataclass(frozen=True)
@@ -180,18 +179,18 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
     return v <= best
 
 
-def _collect_seeds(field: HessianField, opts: SolverOptions, base) -> np.ndarray:
+def _collect_seeds(field: HessianField, domain_radius: float, base) -> np.ndarray:
     """Seeds from every zoom pass; ``base`` is the zoom-1 corner grid."""
     seeds = []
-    for zoom in opts.zoom_factors:
-        radius = opts.domain_radius * zoom
-        xs, ys, gx, gy = base if zoom == 1.0 else _corner_grid(field, radius, opts.grid_size)
+    for zoom in _ZOOM_FACTORS:
+        radius = domain_radius * zoom
+        xs, ys, gx, gy = base if zoom == 1.0 else _corner_grid(field, radius, _GRID_SIZE)
         cells = _sign_change_cells(gx) & _sign_change_cells(gy)
         ci, cj = np.nonzero(cells)
         if ci.size:
             # center plus corners of every flagged cell
             x0, y0 = xs[ci], ys[cj]
-            h = 2.0 * radius / opts.grid_size
+            h = 2.0 * radius / _GRID_SIZE
             for dx, dy in ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
                 seeds.append(np.column_stack([x0 + dx * h, y0 + dy * h]))
         gn = np.hypot(gx, gy)
@@ -202,27 +201,35 @@ def _collect_seeds(field: HessianField, opts: SolverOptions, base) -> np.ndarray
     return np.concatenate(seeds, axis=0)
 
 
-def _newton_batch(field: HessianField, pts: np.ndarray, opts: SolverOptions, conv_tol: float):
+def _newton_step(field: HessianField, x, y, gx, gy):
+    """Newton step (dx, dy) for grad G = 0 at (x, y), given grad G = (gx, gy)
+    there, and det(Hess G); the step is not finite where det is 0."""
+    a = field.Gxx(x, y)
+    b = field.Gxy(x, y)
+    d = field.Gyy(x, y)
+    det = a * d - b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = -(d * gx - b * gy) / det
+        dy = -(-b * gx + a * gy) / det
+    return dx, dy, det
+
+
+def _newton_batch(field: HessianField, pts: np.ndarray, domain_radius: float,
+                  conv_tol: float):
     x = pts[:, 0].copy()
     y = pts[:, 1].copy()
     gx, gy = field.grad_g(x, y)
     gn = np.hypot(gx, gy)
     active = np.isfinite(gn) & (gn > conv_tol)
-    span = 2.0 * opts.domain_radius
-    for _ in range(opts.max_iterations):
+    span = 2.0 * domain_radius
+    for _ in range(_MAX_ITERATIONS):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         xi, yi = x[idx], y[idx]
-        a = field.Gxx(xi, yi)
-        b = field.Gxy(xi, yi)
-        d = field.Gyy(xi, yi)
-        det = a * d - b * b
-        bad = ~np.isfinite(det) | (det == 0.0)
         gxi, gyi = gx[idx], gy[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = -(d * gxi - b * gyi) / det
-            dy = -(-b * gxi + a * gyi) / det
+        dx, dy, det = _newton_step(field, xi, yi, gxi, gyi)
+        bad = ~np.isfinite(det) | (det == 0.0)
         dx[bad] = 0.0
         dy[bad] = 0.0
         # damped update: halve the step while the gradient norm grows
@@ -230,11 +237,11 @@ def _newton_batch(field: HessianField, pts: np.ndarray, opts: SolverOptions, con
         nx, ny = xi + dx, yi + dy
         ngx, ngy = field.grad_g(nx, ny)
         ngn = np.hypot(ngx, ngy)
-        for _ in range(opts.max_halvings):
-            worse = ~(ngn <= gn[idx]) & (scale > opts.damping**opts.max_halvings)
+        for _ in range(_MAX_HALVINGS):
+            worse = ~(ngn <= gn[idx]) & (scale > _DAMPING**_MAX_HALVINGS)
             if not np.any(worse):
                 break
-            scale[worse] *= opts.damping
+            scale[worse] *= _DAMPING
             nx[worse] = xi[worse] + scale[worse] * dx[worse]
             ny[worse] = yi[worse] + scale[worse] * dy[worse]
             ngx_w, ngy_w = field.grad_g(nx[worse], ny[worse])
@@ -261,8 +268,7 @@ def _newton_batch(field: HessianField, pts: np.ndarray, opts: SolverOptions, con
     return np.column_stack([x, y]), gn
 
 
-def _newton_polish(field: HessianField, pts: np.ndarray, domain_radius: float,
-                   iterations: int = 8):
+def _newton_polish(field: HessianField, pts: np.ndarray, domain_radius: float):
     """Undamped Newton refinement of already-located points.
 
     The damped search can stall a few micro-cells away from strongly
@@ -276,19 +282,13 @@ def _newton_polish(field: HessianField, pts: np.ndarray, domain_radius: float,
     best_x, best_y = x.copy(), y.copy()
     active = np.ones(len(x), dtype=bool)
     max_step = 0.05 * domain_radius
-    for _ in range(iterations):
+    for _ in range(_POLISH_ITERATIONS):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         xi, yi = x[idx], y[idx]
-        a = field.Gxx(xi, yi)
-        b = field.Gxy(xi, yi)
-        d = field.Gyy(xi, yi)
         gxi, gyi = field.grad_g(xi, yi)
-        det = a * d - b * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = -(d * gxi - b * gyi) / det
-            dy = -(-b * gxi + a * gyi) / det
+        dx, dy, _ = _newton_step(field, xi, yi, gxi, gyi)
         step = np.hypot(dx, dy)
         ok = np.isfinite(step) & (step <= max_step)
         nx = np.where(ok, xi + dx, xi)
@@ -319,21 +319,21 @@ def classify_point(
 
 
 def find_critical_points(
-    field: HessianField, opts: SolverOptions | None = None
+    field: HessianField, domain_radius: float = 1.0
 ) -> CriticalPointSearch:
-    """Locate all cusps of Gauss inside the (possibly dilated) pupil disk.
+    """Locate all cusps of Gauss inside the disk of radius ``domain_radius``
+    (the unit pupil, or a dilated one).
 
     Returns a flagged empty result when G is constant or when the critical
     set is non-isolated (more deduplicated points than
-    ``opts.degenerate_point_limit``, as happens for axially symmetric W).
+    ``_DEGENERATE_POINT_LIMIT``, as happens for axially symmetric W).
     """
-    opts = opts or SolverOptions()
     if field.G.degree <= 0:
         return CriticalPointSearch(
             (), degenerate=True, message="hessian determinant is constant"
         )
     # the zoom-1 seed grid also sets the gradient and |G| scales
-    xs, ys, gx, gy = base = _corner_grid(field, opts.domain_radius, opts.grid_size)
+    xs, ys, gx, gy = base = _corner_grid(field, domain_radius, _GRID_SIZE)
     gscale = float(np.max(np.hypot(gx, gy)))
     g_abs_scale = float(np.max(np.abs(field.G.grid(xs, ys))))
     if gscale == 0.0:
@@ -341,25 +341,25 @@ def find_critical_points(
             (), degenerate=True, message="gradient of G vanishes on the sample grid"
         )
     conv_tol = 1e-12 * max(1.0, gscale)
-    accept_tol = opts.gradient_tol * max(1.0, gscale)
-    det_threshold = opts.degeneracy_rel_threshold * g_abs_scale**2
+    accept_tol = GRADIENT_TOL * max(1.0, gscale)
+    det_threshold = DEGENERACY_REL_THRESHOLD * g_abs_scale**2
 
-    seeds = _collect_seeds(field, opts, base)
+    seeds = _collect_seeds(field, domain_radius, base)
     if seeds.size == 0:
         return CriticalPointSearch((), message="no seeds", g_scale=g_abs_scale,
                                    gradient_scale=gscale)
-    pts, gn = _newton_batch(field, seeds, opts, conv_tol)
+    pts, gn = _newton_batch(field, seeds, domain_radius, conv_tol)
 
     ok = np.isfinite(gn) & (gn <= accept_tol)
     n_unconverged = int(np.count_nonzero(~ok))
     pts, gn = pts[ok], gn[ok]
     if len(pts):
-        pts, gn = _newton_polish(field, pts, opts.domain_radius)
+        pts, gn = _newton_polish(field, pts, domain_radius)
         keep = gn <= accept_tol
         pts, gn = pts[keep], gn[keep]
     rho = np.hypot(pts[:, 0], pts[:, 1])
-    R = opts.domain_radius
-    inside = rho <= R + opts.boundary_clamp
+    R = domain_radius
+    inside = rho <= R + _BOUNDARY_CLAMP
     pts, gn, rho = pts[inside], gn[inside], rho[inside]
 
     # keep the best-converged representative of each cluster
@@ -367,9 +367,9 @@ def find_critical_points(
     kept: list[int] = []
     for i in order:
         p = pts[i]
-        if all(math.hypot(p[0] - pts[j][0], p[1] - pts[j][1]) > opts.dedup_radius for j in kept):
+        if all(math.hypot(p[0] - pts[j][0], p[1] - pts[j][1]) > DEDUP_RADIUS for j in kept):
             kept.append(i)
-    if len(kept) > opts.degenerate_point_limit:
+    if len(kept) > _DEGENERATE_POINT_LIMIT:
         return CriticalPointSearch(
             (),
             degenerate=True,
@@ -437,9 +437,7 @@ class RescaleReport:
     message: str = ""
 
 
-def rescale_check(
-    w: WaveAberration, factor: float, opts: SolverOptions | None = None
-) -> RescaleReport:
+def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
     """Verify that critical points of W(x/r, y/r) are the r-scaled points of W.
 
     Positions are compared in normalized (unit-pupil) coordinates; classes
@@ -447,12 +445,9 @@ def rescale_check(
     """
     if factor <= 0:
         raise ValueError("factor must be positive")
-    opts = opts or SolverOptions()
-    base = find_critical_points(build_field(w), opts)
+    base = find_critical_points(build_field(w))
     scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor))
-    scaled = find_critical_points(
-        scaled_field, replace(opts, domain_radius=opts.domain_radius * factor)
-    )
+    scaled = find_critical_points(scaled_field, domain_radius=factor)
     if base.degenerate and scaled.degenerate:
         return RescaleReport(factor, True, 0.0, 0, True, "degenerate in both domains")
     if base.degenerate != scaled.degenerate:

@@ -89,13 +89,22 @@ def _require_positive_beta(p: ABParams) -> None:
         )
 
 
+def _ab_coefficients(p: ABParams):
+    """(c_a0, c_a2, c_ahi, c_b) of A = c_a0 + c_a2 rho^2 - c_ahi rho^(2n-6)
+    and B = c_b rho^(n-2)."""
+    a, b, g, n = p.alpha, p.beta, p.gamma, p.n
+    return (
+        192.0 * b * (SQRT15 * a - 15.0 * b),
+        8640.0 * b * b,
+        g * g * (n - 2) * (n - 1) ** 2 * n * n * (n + 1),
+        12.0 * SQRT10 * b * g * (n - 1) * n * n * math.sqrt(n + 1.0),
+    )
+
+
 def ab_functions(p: ABParams):
     """Radial factors (A, B) of grad G = 0; callables accepting scalars/arrays."""
-    a, b, g, n = p.alpha, p.beta, p.gamma, p.n
-    c_a0 = 192.0 * b * (SQRT15 * a - 15.0 * b)
-    c_a2 = 8640.0 * b * b
-    c_ahi = g * g * (n - 2) * (n - 1) ** 2 * n * n * (n + 1)
-    c_b = 12.0 * SQRT10 * b * g * (n - 1) * n * n * math.sqrt(n + 1.0)
+    n = p.n
+    c_a0, c_a2, c_ahi, c_b = _ab_coefficients(p)
 
     def A(rho):
         rho = np.asarray(rho, dtype=float)
@@ -109,10 +118,8 @@ def ab_functions(p: ABParams):
 
 
 def _ab_derivatives(p: ABParams):
-    a, b, g, n = p.alpha, p.beta, p.gamma, p.n
-    c_a2 = 8640.0 * b * b
-    c_ahi = g * g * (n - 2) * (n - 1) ** 2 * n * n * (n + 1)
-    c_b = 12.0 * SQRT10 * b * g * (n - 1) * n * n * math.sqrt(n + 1.0)
+    n = p.n
+    _, c_a2, c_ahi, c_b = _ab_coefficients(p)
 
     def dA(rho):
         rho = np.asarray(rho, dtype=float)
@@ -206,7 +213,10 @@ def _roots_in_unit_interval(p: ABParams, sign: float) -> tuple[float, ...]:
     return tuple(sorted(r for r in out if 0.0 < r < 1.0))
 
 
-def _real_roots(coeffs: list[float], imag_tol: float = 1e-10) -> list[float]:
+_IMAG_TOL = 1e-10  # |imag| of a real root, relative to max(1, largest |root|)
+
+
+def _real_roots(coeffs: list[float]) -> list[float]:
     """Real roots of a polynomial (ascending coefficients), via the
     companion-matrix eigenvalues behind numpy's polyroots."""
     c = np.array(coeffs, dtype=float)
@@ -218,7 +228,7 @@ def _real_roots(coeffs: list[float], imag_tol: float = 1e-10) -> list[float]:
         return []
     rts = npol.polyroots(c)
     scale = max(1.0, float(np.max(np.abs(rts))) if rts.size else 1.0)
-    return [float(r.real) for r in rts if abs(r.imag) <= imag_tol * scale]
+    return [float(r.real) for r in rts if abs(r.imag) <= _IMAG_TOL * scale]
 
 
 def saddle_radii(p: ABParams) -> RadiiResult:
@@ -456,8 +466,9 @@ def _hessian_quadratic_basis(n: int):
 
     W = c0 P0 + c1 P1 + c2 P2 with (P0, P1, P2) = (Z_2^0, Z_4^0, Z_n^n)
     makes G (and each of its second derivatives) a quadratic form in the
-    coefficients; the per-pair basis polynomials are cached so that region
-    sweeps do not rebuild full fields point by point.
+    coefficients.  Returns the coefficient pairs and, per pair, the basis
+    polynomials of Gxx, Gxy and Gyy, cached so that region sweeps do not
+    rebuild full fields point by point.
     """
     polys = [
         ZernikeTerm(2, 0, 1.0).to_polynomial(),
@@ -480,14 +491,7 @@ def _hessian_quadratic_basis(n: int):
             g_ab = axx * byy + bxx * ayy - (axy * bxy) * 2.0
         gx = g_ab.differentiate("x")
         gy = g_ab.differentiate("y")
-        basis.append(
-            (
-                g_ab,
-                gx.differentiate("x"),
-                gx.differentiate("y"),
-                gy.differentiate("y"),
-            )
-        )
+        basis.append((gx.differentiate("x"), gx.differentiate("y"), gy.differentiate("y")))
     return pairs, basis
 
 
@@ -495,7 +499,7 @@ def _det_hess_g_quadratic(p: ABParams, x: float, y: float) -> float:
     pairs, basis = _hessian_quadratic_basis(p.n)
     c = (p.alpha, p.beta, p.gamma)
     gxx = gxy = gyy = 0.0
-    for (a, b), (_, bxx, bxy, byy) in zip(pairs, basis):
+    for (a, b), (bxx, bxy, byy) in zip(pairs, basis):
         w = c[a] * c[b]
         if w == 0.0:
             continue

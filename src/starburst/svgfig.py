@@ -94,14 +94,15 @@ def diverging_colors(t) -> list[str]:
 
 
 class Frame:
-    """Maps data coordinates to canvas pixels (y axis flipped)."""
+    """Maps data coordinates to canvas pixels (y axis flipped), inside a
+    60-pixel margin."""
 
-    def __init__(self, canvas, x0, x1, y0, y1, margin=48):
+    def __init__(self, canvas, x0, x1, y0, y1):
         self.c = canvas
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        self.m = margin
-        self.w = canvas.width - 2 * margin
-        self.h = canvas.height - 2 * margin
+        self.m = 60
+        self.w = canvas.width - 2 * self.m
+        self.h = canvas.height - 2 * self.m
 
     def px(self, x):
         return self.m + (x - self.x0) / (self.x1 - self.x0) * self.w
@@ -136,17 +137,14 @@ class Frame:
             self.c.text(x - 6, y + 3, fmt.format(t), size=8, anchor="end")
 
 
-def heatmap_figure(
-    poly,
-    title: str,
-    path,
-    cells: int = 96,
-    clip: float | None = None,
-    disk_only: bool = True,
-    size: int = 520,
-) -> None:
-    """Render the polynomial ``poly`` over [-1, 1]^2 as a colored cell grid
-    with a vertical colorbar; ``clip`` limits the color range to +-clip."""
+_HEATMAP_CELLS = 96  # cells per axis over [-1, 1]
+_HEATMAP_SIZE = 520  # pixels per axis of the cell grid
+
+
+def heatmap_figure(poly, title: str, path, clip: float | None = None) -> None:
+    """Render the polynomial ``poly`` over the unit disk as a colored cell
+    grid with a vertical colorbar; ``clip`` limits the color range to +-clip."""
+    cells, size = _HEATMAP_CELLS, _HEATMAP_SIZE
     canvas = SvgCanvas(size + 110, size + 70, title)
     xs = np.linspace(-1.0, 1.0, cells + 1)
     centers = 0.5 * (xs[:-1] + xs[1:])
@@ -161,7 +159,7 @@ def heatmap_figure(
     py = [_f(v) for v in 30 + size - (centers + 1.0) / 2.0 * size - cell / 2]
     wh = f'width="{_f(cell + 0.5)}" height="{_f(cell + 0.5)}"'
     inside = centers[:, None] ** 2 + centers[None, :] ** 2 <= 1.0
-    ii, jj = np.nonzero(inside if disk_only else np.ones_like(inside))
+    ii, jj = np.nonzero(inside)
     colors = diverging_colors(V[ii, jj] / crange)
     canvas.parts.extend(
         f'<rect x="{px[i]}" y="{py[j]}" {wh} fill="{color}" stroke="none"/>'
@@ -186,7 +184,7 @@ def retina_figure(curves, critical_points, spike_tips, path) -> None:
     canvas = SvgCanvas(620, 620, "caustics at the retina plane (arcmin)")
     pts = np.concatenate(curves) if curves else np.zeros((1, 2))
     lim = max(1.0, float(np.max(np.abs(pts))) * 1.1)
-    fr = Frame(canvas, -lim, lim, -lim, lim, margin=60)
+    fr = Frame(canvas, -lim, lim, -lim, lim)
     fr.frame_box("xi (arcmin)", "eta (arcmin)")
     nt = 5
     ticks = np.linspace(-lim, lim, nt)
@@ -214,7 +212,7 @@ def regions_figure(diagram, path) -> None:
     canvas = SvgCanvas(700, 560, f"saddle regions, n={diagram.n}, beta={diagram.beta}")
     g = diagram.gamma_values
     a = diagram.alpha_values
-    fr = Frame(canvas, g[0], g[-1], a[0], a[-1], margin=60)
+    fr = Frame(canvas, g[0], g[-1], a[0], a[-1])
     cw = fr.w / len(g)
     ch = fr.h / len(a)
     colors = {1: "rgb(255,200,130)", 2: "rgb(150,190,255)", 3: "rgb(190,150,220)"}

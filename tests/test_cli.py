@@ -213,6 +213,14 @@ class TestAnalyzeCommand:
         assert report["starburst"]["point_count"] == 8
         assert report["starburst"]["kind"] == "non_equally_distanced"
 
+    def test_flag_invocation_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", "--grid", "64"]) == 0
+        assert (tmp_path / "starburst_out" / "report.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["starburst_out"]
+        assert "outputs in starburst_out (" in capsys.readouterr().out
+
 
 class TestRegionsCommand:
     def test_outputs(self, tmp_path):
@@ -286,6 +294,11 @@ class TestVerifyCommand:
 
     def test_non_finite_beta_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "inf", "--samples", "2"]) == 2
+
+    @pytest.mark.parametrize("beta", ["--beta=0", "--beta=-0.2"])
+    def test_non_positive_beta_usage_error(self, beta, capsys):
+        assert main(["verify", "--n", "3", beta, "--samples", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cli_exit_zero(self):
         assert main(["verify", "--n", "5", "--beta", "0.2", "--samples", "5",

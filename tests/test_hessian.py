@@ -8,7 +8,6 @@ from starburst import (
     ABParams,
     CapabilityError,
     PointClass,
-    SolverOptions,
     WaveAberration,
     ZernikeTerm,
     build_field,
@@ -17,6 +16,7 @@ from starburst import (
     rescale_check,
     saddle_upper_bound,
 )
+from starburst.hessian import DEDUP_RADIUS, DEGENERACY_REL_THRESHOLD, GRADIENT_TOL
 
 EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 
@@ -114,7 +114,7 @@ class TestCriticalPointCensus:
 
     def test_gradient_tolerance_invariant(self, analyses):
         a = analyses["3star"]
-        tol = SolverOptions().gradient_tol * max(1.0, a.search.gradient_scale)
+        tol = GRADIENT_TOL * max(1.0, a.search.gradient_scale)
         for p in a.search.points:
             gx, gy = a.field.grad_g(p.x, p.y)
             assert math.hypot(gx, gy) <= tol
@@ -124,7 +124,7 @@ class TestCriticalPointCensus:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d = math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y)
-                assert d > SolverOptions().dedup_radius
+                assert d > DEDUP_RADIUS
 
     def test_ordering_and_determinism(self, analyses):
         a = analyses["6star"]
@@ -142,8 +142,7 @@ class TestCriticalPointCensus:
 
     def test_classify_matches_reported_kind(self, analyses):
         a = analyses["4star"]
-        opts = SolverOptions()
-        threshold = opts.degeneracy_rel_threshold * a.search.g_scale**2
+        threshold = DEGENERACY_REL_THRESHOLD * a.search.g_scale**2
         for p in a.search.points:
             kind, det = classify_point(a.field, p.x, p.y, threshold)
             assert kind is p.kind
