@@ -53,6 +53,16 @@ FIXTURE_SCENARIOS = {
 }
 
 
+def _number(raw: dict, key: str, default=None):
+    """raw[key] (or a given default for an absent key), if a JSON number."""
+    if key not in raw and default is None:
+        raise ValueError(f"{key} is missing")
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return value
+
+
 @dataclasses.dataclass
 class Scenario:
     wavefront: WaveAberration
@@ -71,6 +81,8 @@ class Scenario:
 
     @staticmethod
     def from_dict(raw: dict) -> "Scenario":
+        if not isinstance(raw, dict):
+            raise ValueError("scenario must be a JSON object")
         shorthand_keys = {"alpha", "beta", "gamma", "n"}
         has_short = shorthand_keys & raw.keys()
         has_terms = "wavefront" in raw
@@ -81,40 +93,46 @@ class Scenario:
             )
         if not has_short and not has_terms:
             raise ValueError("scenario lacks a wavefront definition")
-        pupil = float(raw.get("pupil_radius_mm", 3.5))
+        pupil = float(_number(raw, "pupil_radius_mm", 3.5))
         shorthand = None
         if has_short:
             missing = shorthand_keys - raw.keys()
             if missing:
                 raise ValueError(f"shorthand scenario missing keys: {sorted(missing)}")
-            shorthand = ABParams(
-                float(raw["alpha"]), float(raw["beta"]), float(raw["gamma"]),
-                int(raw["n"]),
-            )
+            # ABParams rejects an n outside its supported orders, 3.7 included
+            shorthand = ABParams(*(_number(raw, k) for k in ("alpha", "beta", "gamma", "n")))
             wavefront = shorthand.to_wavefront(pupil_radius=pupil)
         else:
-            terms = tuple(
-                ZernikeTerm(int(t["n"]), int(t["m"]), float(t["coeff_um"]))
-                for t in raw["wavefront"]
+            terms = raw["wavefront"]
+            if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+                raise ValueError("wavefront must be a list of {n, m, coeff_um} objects")
+            wavefront = WaveAberration(
+                tuple(ZernikeTerm(_number(t, "n"), _number(t, "m"), _number(t, "coeff_um"))
+                      for t in terms),
+                pupil_radius=pupil,
             )
-            wavefront = WaveAberration(terms, pupil_radius=pupil)
-        grid = int(raw.get("grid_resolution", 512))
+        grid = _number(raw, "grid_resolution", 512)
+        if isinstance(grid, float) and not grid.is_integer():
+            raise ValueError(f"grid_resolution must be an integer, got {grid}")
         if grid < MIN_GRID_RESOLUTION:
             raise ValueError(f"grid_resolution must be at least {MIN_GRID_RESOLUTION}")
-        threshold = float(raw.get("visibility_threshold_arcmin", 1.0))
+        threshold = float(_number(raw, "visibility_threshold_arcmin", 1.0))
         if not 0.0 < threshold < math.inf:
             raise ValueError("visibility_threshold_arcmin must be positive and finite")
-        fertility = float(raw.get("fertility_distance", 0.12))
+        fertility = float(_number(raw, "fertility_distance", 0.12))
         if not 0.0 <= fertility < math.inf:
             raise ValueError("fertility_distance must be non-negative and finite")
+        output_dir = raw.get("output_dir", "starburst_out")
+        if not isinstance(output_dir, str):
+            raise ValueError("output_dir must be a string")
         return Scenario(
             wavefront=wavefront,
             shorthand=shorthand,
             pupil_radius_mm=pupil,
-            grid_resolution=grid,
+            grid_resolution=int(grid),
             visibility_threshold_arcmin=threshold,
             fertility_distance=fertility,
-            output_dir=str(raw.get("output_dir", "starburst_out")),
+            output_dir=output_dir,
         )
 
     def echo(self) -> dict:
@@ -296,29 +314,33 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
                   report["starburst"]["spike_tips"], outdir / "retina.svg")
 
 
+# analyze's scenario flags: argparse dest -> the scenario key it sets
+_SCENARIO_FLAGS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma", "n": "n",
+                   "pupil_radius": "pupil_radius_mm", "grid": "grid_resolution",
+                   "threshold": "visibility_threshold_arcmin"}
+
+
 def cmd_analyze(args) -> int:
+    given = {dest: getattr(args, dest) for dest in _SCENARIO_FLAGS
+             if getattr(args, dest) is not None}
     try:
         if args.scenario:
+            if given:
+                flags = " ".join("--" + dest.replace("_", "-") for dest in given)
+                raise ValueError(
+                    f"{flags} cannot be combined with --scenario; set them in the file"
+                )
             scenario = Scenario.from_file(args.scenario)
         else:
-            if args.alpha is None or args.beta is None or args.gamma is None or args.n is None:
+            if not {"alpha", "beta", "gamma", "n"} <= given.keys():
                 raise ValueError(
                     "either --scenario FILE or all of --alpha --beta --gamma --n required"
                 )
             scenario = Scenario.from_dict(
-                {
-                    "alpha": args.alpha,
-                    "beta": args.beta,
-                    "gamma": args.gamma,
-                    "n": args.n,
-                    "pupil_radius_mm": args.pupil_radius,
-                    "grid_resolution": args.grid,
-                    "visibility_threshold_arcmin": args.threshold,
-                }
-            )
+                {_SCENARIO_FLAGS[dest]: value for dest, value in given.items()})
         if args.out:
             scenario.output_dir = args.out
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
@@ -474,6 +496,9 @@ def cmd_verify(args) -> int:
     if args.beta <= 0.0:
         print("error: --beta must be positive", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     result = run_verification(args.n, args.beta, args.samples, args.seed)
     elapsed = time.perf_counter() - t0
@@ -537,10 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--beta", type=_finite, help="spherical coefficient (um)")
     pa.add_argument("--gamma", type=_finite, help="Z_n^n coefficient (um)")
     pa.add_argument("--n", type=int, help="azimuthal order of the Z_n^n term")
-    pa.add_argument("--pupil-radius", type=_finite, default=3.5, help="pupil radius (mm)")
-    pa.add_argument("--grid", type=int, default=512, help="contour grid resolution")
-    pa.add_argument("--threshold", type=_finite, default=1.0,
-                    help="visibility threshold (arcmin)")
+    # unset flags stay None, so Scenario.from_dict's defaults apply and
+    # cmd_analyze can tell a given flag from an absent one
+    pa.add_argument("--pupil-radius", type=_finite, help="pupil radius (mm)")
+    pa.add_argument("--grid", type=int, help="contour grid resolution")
+    pa.add_argument("--threshold", type=_finite, help="visibility threshold (arcmin)")
     pa.add_argument("--out", help="output directory (default: the scenario's "
                     "output_dir, else starburst_out)")
     pa.set_defaults(func=cmd_analyze)

@@ -15,6 +15,10 @@ saddles is decided by explicit inequality tables in the (gamma, alpha)
 plane, with boundary curves alpha_1^{+/-}, alpha_2(^{+/-}), alpha_3 and
 gamma thresholds depending on n.  The tables assume beta > 0.
 
+Of a family's candidate radii, the saddle ring is the one where
+det(Hess G) < 0.  On a ring that determinant is a closed form in A' and B'
+(`_ring_det_hess_g`), so no polynomial field is built to choose it.
+
 Angle-family bookkeeping follows the package-wide polar convention
 (x, y) = (rho sin theta, rho cos theta).
 """
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npol
@@ -460,53 +463,21 @@ def _family_angles(n: int, family: str) -> tuple[float, ...]:
     return tuple((2.0 * k + 1.0) * math.pi / n for k in range(n))
 
 
-@lru_cache(maxsize=None)
-def _hessian_quadratic_basis(n: int):
-    """det(Hess G) of the three-term family as a quadratic form.
+def _ring_det_hess_g(p: ABParams, rho: float, sign: float) -> float:
+    """det(Hess G) on the ring of radius rho solving A + sign*B = 0.
 
-    W = c0 P0 + c1 P1 + c2 P2 with (P0, P1, P2) = (Z_2^0, Z_4^0, Z_n^n)
-    makes G (and each of its second derivatives) a quadratic form in the
-    coefficients.  Returns the coefficient pairs and, per pair, the basis
-    polynomials of Gxx, Gxy and Gyy, cached so that region sweeps do not
-    rebuild full fields point by point.
+    Z_n^n is harmonic, so G = P(rho) + Q(rho) cos(n theta) with
+    Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the family's
+    meridians, where cos(n theta) = -sign, dG/drho = 4 rho (A + sign*B) and
+    dG/dtheta = d2G/drho dtheta = 0.  At a root of A + sign*B the Hessian is
+    therefore diagonal in polar coordinates: G_rhorho = 4 rho (A' + sign*B')
+    and G_thetatheta / rho^2 = -4 sign n c_b rho^(n-2), whose product is
+    -16 sign n c_b rho^(n-1) (A' + sign*B')(rho).
     """
-    polys = [
-        ZernikeTerm(2, 0, 1.0).to_polynomial(),
-        ZernikeTerm(4, 0, 1.0).to_polynomial(),
-        ZernikeTerm(n, n, 1.0).to_polynomial(),
-    ]
-    d2 = []
-    for poly in polys:
-        px = poly.differentiate("x")
-        py = poly.differentiate("y")
-        d2.append((px.differentiate("x"), px.differentiate("y"), py.differentiate("y")))
-    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-    basis = []
-    for a, b in pairs:
-        axx, axy, ayy = d2[a]
-        bxx, bxy, byy = d2[b]
-        if a == b:
-            g_ab = axx * ayy - axy * axy
-        else:
-            g_ab = axx * byy + bxx * ayy - (axy * bxy) * 2.0
-        gx = g_ab.differentiate("x")
-        gy = g_ab.differentiate("y")
-        basis.append((gx.differentiate("x"), gx.differentiate("y"), gy.differentiate("y")))
-    return pairs, basis
-
-
-def _det_hess_g_quadratic(p: ABParams, x: float, y: float) -> float:
-    pairs, basis = _hessian_quadratic_basis(p.n)
-    c = (p.alpha, p.beta, p.gamma)
-    gxx = gxy = gyy = 0.0
-    for (a, b), (bxx, bxy, byy) in zip(pairs, basis):
-        w = c[a] * c[b]
-        if w == 0.0:
-            continue
-        gxx += w * bxx(x, y)
-        gxy += w * bxy(x, y)
-        gyy += w * byy(x, y)
-    return gxx * gyy - gxy * gxy
+    dA, dB = _ab_derivatives(p)
+    c_b = _ab_coefficients(p)[3]
+    slope = dA(rho) + sign * dB(rho)
+    return float(-16.0 * sign * p.n * c_b * rho ** (p.n - 1) * slope)
 
 
 def predict_saddles(p: ABParams) -> SaddlePrediction:
@@ -530,7 +501,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     labels: list[str] = []
     warnings: list[str] = []
     boundary = False
-    for family in (EVEN_FAMILY, ODD_FAMILY):
+    for family, sign in ((EVEN_FAMILY, -1.0), (ODD_FAMILY, 1.0)):
         strict_rows = []
         loose_rows = []
         for row in rows[family]:
@@ -549,9 +520,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
         angles = _family_angles(p.n, family)
         chosen = []
         for rho in candidates:
-            det = _det_hess_g_quadratic(
-                p, rho * math.sin(angles[0]), rho * math.cos(angles[0])
-            )
+            det = _ring_det_hess_g(p, rho, sign)
             if det < 0.0:
                 chosen.append(Ring(rho, family, angles, det))
         if len(chosen) != 1:

@@ -147,7 +147,8 @@ class ZernikeTerm:
     def __post_init__(self) -> None:
         for name in ("n", "m"):
             value = getattr(self, name)
-            if value != int(value):
+            # a float must be whole; int() of inf or nan would raise instead
+            if not (value.is_integer() if isinstance(value, float) else value == int(value)):
                 raise ValueError(f"{name} must be an integer, got {value}")
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "coeff", float(self.coeff))

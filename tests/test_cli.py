@@ -11,6 +11,10 @@ from starburst.cli import (
 )
 
 
+# a valid 3star shorthand scenario, left open for more keys
+SHORTHAND_3 = '{"alpha": 0, "beta": 0.2, "gamma": 0.2, "n": 3'
+
+
 def make_scenario_file(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -153,6 +157,57 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: fertility_distance must be non-negative and finite" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            pytest.param("[1]", "scenario must be a JSON object", id="top-level-list"),
+            pytest.param('{"wavefront": 5}', "wavefront must be a list of {n, m, coeff_um} "
+                         "objects", id="wavefront-int"),
+            pytest.param('{"wavefront": [1]}', "wavefront must be a list of {n, m, coeff_um} "
+                         "objects", id="wavefront-item-int"),
+            pytest.param('{"alpha": null, "beta": 0.2, "gamma": 0.2, "n": 3}',
+                         "alpha must be a number, got null", id="alpha-null"),
+            pytest.param(SHORTHAND_3 + ', "grid_resolution": null}',
+                         "grid_resolution must be a number, got null", id="grid-null"),
+            pytest.param('{"alpha": 0, "beta": 0.2, "gamma": 0.2, "n": 3.7}',
+                         "supported orders are (3, 4, 5, 6), got n=3.7", id="n-fraction"),
+            pytest.param('{"wavefront": [{"m": 0, "coeff_um": 0.2}]}',
+                         "n is missing", id="term-n-missing"),
+            pytest.param('{"wavefront": [{"n": 4.5, "m": 0, "coeff_um": 0.2}]}',
+                         "n must be an integer, got 4.5", id="term-n-fraction"),
+            pytest.param('{"wavefront": [{"n": Infinity, "m": 0, "coeff_um": 0.2}]}',
+                         "n must be an integer, got inf", id="term-n-inf"),
+            pytest.param(SHORTHAND_3 + ', "grid_resolution": 64.9}',
+                         "grid_resolution must be an integer, got 64.9", id="grid-fraction"),
+            pytest.param(SHORTHAND_3 + ', "grid_resolution": Infinity}',
+                         "grid_resolution must be an integer, got inf", id="grid-inf"),
+            pytest.param(SHORTHAND_3 + ', "output_dir": null}',
+                         "output_dir must be a string", id="output-dir-null"),
+        ],
+    )
+    def test_malformed_scenario_file_exit_code(self, tmp_path, capsys, body, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(body)
+        assert main(["analyze", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "0.1"], ["--n", "4"], ["--pupil-radius", "3"], ["--grid", "64"],
+         ["--threshold", "50"], ["--grid", "64", "--threshold", "50", "--gamma", "0.5"]],
+    )
+    def test_flags_with_scenario_file_exit_code(self, tmp_path, capsys, flags):
+        scen = make_scenario_file(
+            tmp_path, {"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3})
+        assert main(["analyze", "--scenario", scen,
+                     "--out", str(tmp_path / "out")] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot be combined with --scenario" in err
+        assert all(f in err for f in flags if f.startswith("--"))
         assert not (tmp_path / "out").exists()
 
     def test_zero_fertility_distance_accepted(self):
@@ -299,6 +354,11 @@ class TestVerifyCommand:
     def test_non_positive_beta_usage_error(self, beta, capsys):
         assert main(["verify", "--n", "3", beta, "--samples", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_usage_error(self, capsys):
+        assert main(["verify", "--n", "3", "--beta", "0.2", "--samples", "2",
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
     def test_cli_exit_zero(self):
         assert main(["verify", "--n", "5", "--beta", "0.2", "--samples", "5",

@@ -18,7 +18,14 @@ from starburst import (
     saddle_radii,
     spherical_equivalent,
 )
-from starburst.regions import _family_rows, _named_bounds, _saddles_exist
+from starburst.regions import (
+    DEFAULT_WINDOWS,
+    SUPPORTED_ORDERS,
+    _family_rows,
+    _named_bounds,
+    _ring_det_hess_g,
+    _saddles_exist,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -189,6 +196,32 @@ class TestPredictSaddles:
     def test_boundary_flag(self):
         pred = predict_saddles(ABParams(SQRT15 * 0.2, 0.2, 0.15, 4))
         assert pred.boundary
+
+
+class TestRingDeterminant:
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_closed_form_matches_field(self, n):
+        # det(Hess G) of every candidate ring, closed form against the full
+        # polynomial field evaluated on the family's first meridian
+        rng = np.random.default_rng(40 + n)
+        g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+        beta = 0.2
+        saddle_seen = set()
+        for _ in range(100):
+            p = ABParams(float(rng.uniform(a0, a1)) * beta, beta,
+                         float(rng.uniform(g0, g1)) * beta, n)
+            field = build_field(p.to_wavefront())
+            radii = saddle_radii(p)
+            for family, sign in ((EVEN_FAMILY, -1.0), (ODD_FAMILY, 1.0)):
+                theta = 0.0 if family == EVEN_FAMILY else math.pi / n
+                for rho in radii.for_family(family):
+                    det = _ring_det_hess_g(p, rho, sign)
+                    want = float(field.det_hess_g(rho * math.sin(theta),
+                                                  rho * math.cos(theta)))
+                    assert (det < 0.0) == (want < 0.0)
+                    assert det == pytest.approx(want, rel=1e-9)
+                    saddle_seen.add(det < 0.0)
+        assert saddle_seen == {True, False}  # saddle and extremum rings alike
 
 
 class TestPredictionMatchesCensus:
