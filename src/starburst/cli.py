@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .caustics import (
     map_caustics,
     starburst_verdict,
 )
-from .hessian import build_field, find_critical_points
+from .hessian import build_field, find_critical_points, find_critical_points_batch
 from .regions import (
     DEFAULT_WINDOWS,
     SUPPORTED_ORDERS,
@@ -401,24 +402,37 @@ def cmd_regions(args) -> int:
 
 
 _VERIFY_BAND = 1e-3  # smallest boundary slack of a verification sample
+# samples drawn and censused as one batch: bounds memory for any --samples
+_VERIFY_CHUNK = 16
 
 
-def run_verification(n: int, beta: float, samples: int, seed: int):
-    """Random closed-form vs numerical-census comparison.
+def _verify_sample(params: ABParams, census) -> tuple[float, str]:
+    """(largest ring deviation checked, failure reason or "") of one sample."""
+    pred = predict_saddles(params)
+    saddles = census.saddles
+    if census.degenerate or pred.count != len(saddles):
+        return 0.0, (f"count: predicted {pred.count}, census "
+                     f"{'degenerate' if census.degenerate else len(saddles)}")
+    max_dev = 0.0
+    for ring in pred.rings:
+        members = [s for s in saddles if abs(s.rho - ring.rho) < 1e-6]
+        if len(members) != params.n:
+            return max_dev, f"ring at rho={ring.rho:.6f}: {len(members)} members"
+        rdev = max(abs(s.rho - ring.rho) for s in members)
+        adev = max(min(abs((s.theta - t + math.pi) % (2 * math.pi) - math.pi)
+                       for t in ring.theta_offsets) for s in members)
+        max_dev = max(max_dev, rdev, adev)
+        if rdev > 1e-8 or adev > 1e-8:
+            return max_dev, f"deviation rho={rdev:.2e} angle={adev:.2e}"
+    return max_dev, ""
 
-    Draws (gamma, alpha) uniformly in the region-diagram window, skipping a
-    relative band of width _VERIFY_BAND around every boundary curve, and
-    checks saddle count, angular family, and ring radii (to 1e-8).
-    Returns a result dict.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+
+def _verification_samples(n: int, beta: float, samples: int, seed: int):
+    """Yield ``samples`` ABParams drawn in the region-diagram window, outside
+    a relative band of width _VERIFY_BAND around every boundary curve."""
     rng = np.random.default_rng(seed)
     g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
-    failures = []
-    max_dev = 0.0
-    done = 0
-    attempts = 0
+    done = attempts = 0
     while done < samples:
         attempts += 1
         if attempts > 1000 * samples:
@@ -432,48 +446,30 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
         if min(boundary_slacks(params)) < _VERIFY_BAND:
             continue
         done += 1
-        pred = predict_saddles(params)
-        census = find_critical_points(build_field(params.to_wavefront()))
-        saddles = census.saddles
-        if census.degenerate or pred.count != len(saddles):
-            failures.append(
-                {
-                    "gamma": gamma,
-                    "alpha": alpha,
-                    "reason": f"count: predicted {pred.count}, census "
-                    f"{'degenerate' if census.degenerate else len(saddles)}",
-                }
-            )
-            continue
-        for ring in pred.rings:
-            members = [s for s in saddles if abs(s.rho - ring.rho) < 1e-6]
-            if len(members) != n:
+        yield params
+
+
+def run_verification(n: int, beta: float, samples: int, seed: int):
+    """Random closed-form vs numerical-census comparison.
+
+    Draws (gamma, alpha) uniformly in the region-diagram window, skipping a
+    relative band of width _VERIFY_BAND around every boundary curve,
+    censuses the samples _VERIFY_CHUNK at a time, and checks saddle count,
+    angular family, and ring radii (to 1e-8).  Returns a result dict.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    draws = _verification_samples(n, beta, samples, seed)
+    failures = []
+    max_dev = 0.0
+    while chunk := list(itertools.islice(draws, _VERIFY_CHUNK)):
+        censuses = find_critical_points_batch([build_field(p.to_wavefront()) for p in chunk])
+        for params, census in zip(chunk, censuses):
+            dev, reason = _verify_sample(params, census)
+            max_dev = max(max_dev, dev)
+            if reason:
                 failures.append(
-                    {
-                        "gamma": gamma,
-                        "alpha": alpha,
-                        "reason": f"ring at rho={ring.rho:.6f}: {len(members)} members",
-                    }
-                )
-                break
-            rdev = max(abs(s.rho - ring.rho) for s in members)
-            adev = max(
-                min(
-                    abs((s.theta - t + math.pi) % (2 * math.pi) - math.pi)
-                    for t in ring.theta_offsets
-                )
-                for s in members
-            )
-            max_dev = max(max_dev, rdev, adev)
-            if rdev > 1e-8 or adev > 1e-8:
-                failures.append(
-                    {
-                        "gamma": gamma,
-                        "alpha": alpha,
-                        "reason": f"deviation rho={rdev:.2e} angle={adev:.2e}",
-                    }
-                )
-                break
+                    {"gamma": params.gamma, "alpha": params.alpha, "reason": reason})
     return {
         "n": n,
         "beta": beta,

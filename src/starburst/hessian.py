@@ -8,23 +8,27 @@ sign of det(Hess G): saddle if negative, extremum if positive, degenerate
 inside a scale-normalized threshold band.
 
 The search is deterministic: seeds come from fixed grids, the Newton
-batch is data-parallel, and results are deduplicated and sorted by
-(rho, theta).
+batch is data-parallel over points and fields, and results are
+deduplicated and sorted by (rho, theta).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .zernike import (
     MAX_RADIAL_ORDER,
     BivariatePolynomial,
     CapabilityError,
     WaveAberration,
+    gathered_values,
+    grid_values,
 )
 
 
@@ -50,9 +54,6 @@ class HessianField:
     Gxx: BivariatePolynomial
     Gxy: BivariatePolynomial
     Gyy: BivariatePolynomial
-
-    def grad_g(self, x, y):
-        return self.Gx(x, y), self.Gy(x, y)
 
     def det_hess_g(self, x, y):
         return self.Gxx(x, y) * self.Gyy(x, y) - self.Gxy(x, y) ** 2
@@ -154,59 +155,65 @@ class CriticalPointSearch:
 # zeros would defeat the sign-change test.
 _GRID_SHIFT_X = (math.sqrt(2.0) - 1.0) / 2.0
 _GRID_SHIFT_Y = (math.sqrt(3.0) - 1.0) / 2.0
+# seeds in a sign-change cell: its center, then its corners, in cell units
+_CELL_OFFSETS = ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
 
-def _corner_grid(field: HessianField, radius: float, n: int):
+def _stack(fields, names) -> np.ndarray:
+    """The named polynomials of every field, zero-padded into one
+    (DX, DY, len(names), len(fields)) coefficient stack."""
+    coeffs = [[getattr(f, name).coeffs for f in fields] for name in names]
+    dx, dy = np.max([c.shape for row in coeffs for c in row], axis=0)
+    out = np.zeros((dx, dy, len(names), len(fields)))
+    for m, row in enumerate(coeffs):
+        for k, c in enumerate(row):
+            out[: c.shape[0], : c.shape[1], m, k] = c
+    return out
+
+
+def _corner_grid(stack: np.ndarray, radius: float, n: int):
     h = 2.0 * radius / n
     xs = np.linspace(-radius, radius, n + 1) + _GRID_SHIFT_X * h
     ys = np.linspace(-radius, radius, n + 1) + _GRID_SHIFT_Y * h
-    return xs, ys, field.Gx.grid(xs, ys), field.Gy.grid(xs, ys)
+    return xs, ys, grid_values(stack, xs, ys)
 
 
 def _sign_change_cells(v: np.ndarray) -> np.ndarray:
-    c = np.stack([v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]])
-    return np.any(c > 0, axis=0) & np.any(c < 0, axis=0)
+    pos, neg = ((s[..., :-1, :-1] | s[..., 1:, :-1] | s[..., :-1, 1:] | s[..., 1:, 1:])
+                for s in (v > 0, v < 0))
+    return pos & neg
 
 
 def _local_min_mask(v: np.ndarray) -> np.ndarray:
-    p = np.pad(v, 1, constant_values=np.inf)
-    best = np.full_like(v, np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            best = np.minimum(best, p[1 + di : 1 + di + v.shape[0], 1 + dj : 1 + dj + v.shape[1]])
-    return v <= best
+    p = np.pad(v, [(0, 0)] * (v.ndim - 2) + [(1, 1), (1, 1)], constant_values=np.inf)
+    rows, cols = v.shape[-2:]
+    neighbours = [p[..., 1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols]
+                  for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+    return v <= functools.reduce(np.minimum, neighbours)
 
 
-def _collect_seeds(field: HessianField, domain_radius: float, base) -> np.ndarray:
-    """Seeds from every zoom pass; ``base`` is the zoom-1 corner grid."""
-    seeds = []
+def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
+    """(field index, seed) pairs from every zoom pass, grouped by field, each
+    field's seeds in pass, then cell offset, then row-major cell order;
+    ``base`` is the zoom-1 corner grid of ``grad``."""
+    blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
-        xs, ys, gx, gy = base if zoom == 1.0 else _corner_grid(field, radius, _GRID_SIZE)
-        cells = _sign_change_cells(gx) & _sign_change_cells(gy)
-        ci, cj = np.nonzero(cells)
-        if ci.size:
-            # center plus corners of every flagged cell
-            x0, y0 = xs[ci], ys[cj]
-            h = 2.0 * radius / _GRID_SIZE
-            for dx, dy in ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-                seeds.append(np.column_stack([x0 + dx * h, y0 + dy * h]))
-        gn = np.hypot(gx, gy)
-        mi, mj = np.nonzero(_local_min_mask(gn))
-        seeds.append(np.column_stack([xs[mi], ys[mj]]))
-    if not seeds:
-        return np.empty((0, 2))
-    return np.concatenate(seeds, axis=0)
+        xs, ys, (gx, gy) = base if zoom == 1.0 else _corner_grid(grad, radius, _GRID_SIZE)
+        f, ci, cj = np.nonzero(_sign_change_cells(gx) & _sign_change_cells(gy))
+        h = 2.0 * radius / _GRID_SIZE
+        blocks += [(f, xs[ci] + dx * h, ys[cj] + dy * h) for dx, dy in _CELL_OFFSETS]
+        f, mi, mj = np.nonzero(_local_min_mask(np.hypot(gx, gy)))
+        blocks.append((f, xs[mi], ys[mj]))
+    f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
+    order = np.argsort(f, kind="stable")
+    return f[order], x[order], y[order]
 
 
-def _newton_step(field: HessianField, x, y, gx, gy):
+def _newton_step(hess: np.ndarray, fidx, x, y, gx, gy):
     """Newton step (dx, dy) for grad G = 0 at (x, y), given grad G = (gx, gy)
     there, and det(Hess G); the step is not finite where det is 0."""
-    a = field.Gxx(x, y)
-    b = field.Gxy(x, y)
-    d = field.Gyy(x, y)
+    a, b, d = gathered_values(hess, fidx, x, y)
     det = a * d - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
         dx = -(d * gx - b * gy) / det
@@ -214,11 +221,12 @@ def _newton_step(field: HessianField, x, y, gx, gy):
     return dx, dy, det
 
 
-def _newton_batch(field: HessianField, pts: np.ndarray, domain_radius: float,
-                  conv_tol: float):
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    gx, gy = field.grad_g(x, y)
+def _newton_batch(grad, hess, fidx, x, y, domain_radius: float, conv_tol):
+    """Damped Newton from every seed at once; point k belongs to field
+    ``fidx[k]`` and stops at |grad G| <= ``conv_tol[k]``.  Returns the final
+    iterates and grad G there."""
+    x, y = x.copy(), y.copy()
+    gx, gy = gathered_values(grad, fidx, x, y)
     gn = np.hypot(gx, gy)
     active = np.isfinite(gn) & (gn > conv_tol)
     span = 2.0 * domain_radius
@@ -226,16 +234,15 @@ def _newton_batch(field: HessianField, pts: np.ndarray, domain_radius: float,
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
+        fi = fidx[idx]
         xi, yi = x[idx], y[idx]
-        gxi, gyi = gx[idx], gy[idx]
-        dx, dy, det = _newton_step(field, xi, yi, gxi, gyi)
+        dx, dy, det = _newton_step(hess, fi, xi, yi, gx[idx], gy[idx])
         bad = ~np.isfinite(det) | (det == 0.0)
-        dx[bad] = 0.0
-        dy[bad] = 0.0
+        dx[bad] = dy[bad] = 0.0
         # damped update: halve the step while the gradient norm grows
         scale = np.ones_like(dx)
         nx, ny = xi + dx, yi + dy
-        ngx, ngy = field.grad_g(nx, ny)
+        ngx, ngy = gathered_values(grad, fi, nx, ny)
         ngn = np.hypot(ngx, ngy)
         for _ in range(_MAX_HALVINGS):
             worse = ~(ngn <= gn[idx]) & (scale > _DAMPING**_MAX_HALVINGS)
@@ -244,40 +251,29 @@ def _newton_batch(field: HessianField, pts: np.ndarray, domain_radius: float,
             scale[worse] *= _DAMPING
             nx[worse] = xi[worse] + scale[worse] * dx[worse]
             ny[worse] = yi[worse] + scale[worse] * dy[worse]
-            ngx_w, ngy_w = field.grad_g(nx[worse], ny[worse])
-            ngx[worse] = ngx_w
-            ngy[worse] = ngy_w
-            ngn[worse] = np.hypot(ngx_w, ngy_w)
+            ngx[worse], ngy[worse] = gathered_values(grad, fi[worse], nx[worse], ny[worse])
+            ngn[worse] = np.hypot(ngx[worse], ngy[worse])
         step = np.hypot(nx - xi, ny - yi)
         progressed = ngn < gn[idx]
-        x[idx] = np.where(progressed, nx, xi)
-        y[idx] = np.where(progressed, ny, yi)
-        gn_new = np.where(progressed, ngn, gn[idx])
-        gx[idx] = np.where(progressed, ngx, gxi)
-        gy[idx] = np.where(progressed, ngy, gyi)
-        gn[idx] = gn_new
-        stop = (
-            (gn_new <= conv_tol)
-            | bad
-            | ~progressed
-            | (step <= 1e-15)
-            | ~np.isfinite(gn_new)
-            | (np.hypot(x[idx], y[idx]) > 2.0 * span)
-        )
+        moved = idx[progressed]
+        x[moved], y[moved], gx[moved], gy[moved], gn[moved] = (
+            v[progressed] for v in (nx, ny, ngx, ngy, ngn))
+        gn_new = gn[idx]
+        stop = ((gn_new <= conv_tol[idx]) | bad | ~progressed | (step <= 1e-15)
+                | ~np.isfinite(gn_new) | (np.hypot(x[idx], y[idx]) > 2.0 * span))
         active[idx[stop]] = False
-    return np.column_stack([x, y]), gn
+    return x, y, gx, gy
 
 
-def _newton_polish(field: HessianField, pts: np.ndarray, domain_radius: float):
-    """Undamped Newton refinement of already-located points.
+def _newton_polish(grad, hess, fidx, x, y, gx, gy, domain_radius: float):
+    """Undamped Newton refinement of already-located points, given grad G
+    = (gx, gy) at them.
 
     The damped search can stall a few micro-cells away from strongly
     anisotropic saddles (the gradient norm is not monotone along Newton's
     direction there); full steps converge quadratically once inside the
     basin.  Keeps the best iterate seen per point."""
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    gx, gy = field.grad_g(x, y)
+    x, y, gx, gy = x.copy(), y.copy(), gx.copy(), gy.copy()
     best_gn = np.hypot(gx, gy)
     best_x, best_y = x.copy(), y.copy()
     active = np.ones(len(x), dtype=bool)
@@ -286,24 +282,51 @@ def _newton_polish(field: HessianField, pts: np.ndarray, domain_radius: float):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
+        fi = fidx[idx]
         xi, yi = x[idx], y[idx]
-        gxi, gyi = field.grad_g(xi, yi)
-        dx, dy, _ = _newton_step(field, xi, yi, gxi, gyi)
+        dx, dy, _ = _newton_step(hess, fi, xi, yi, gx[idx], gy[idx])
         step = np.hypot(dx, dy)
         ok = np.isfinite(step) & (step <= max_step)
         nx = np.where(ok, xi + dx, xi)
         ny = np.where(ok, yi + dy, yi)
-        ngx, ngy = field.grad_g(nx, ny)
+        ngx, ngy = gathered_values(grad, fi, nx, ny)
         ngn = np.hypot(ngx, ngy)
         improved = ok & np.isfinite(ngn) & (ngn < best_gn[idx])
         gidx = idx[improved]
-        best_gn[gidx] = ngn[improved]
-        best_x[gidx] = nx[improved]
-        best_y[gidx] = ny[improved]
-        x[idx] = nx
-        y[idx] = ny
+        best_x[gidx], best_y[gidx], best_gn[gidx] = nx[improved], ny[improved], ngn[improved]
+        x[idx], y[idx], gx[idx], gy[idx] = nx, ny, ngx, ngy
         active[idx] = ok & (step > 1e-16)
-    return np.column_stack([best_x, best_y]), best_gn
+    return best_x, best_y, best_gn
+
+
+def _dedup(fidx: np.ndarray, x: np.ndarray, y: np.ndarray, gn: np.ndarray) -> np.ndarray:
+    """Indices of the points kept: in order of field, then |grad G|, each
+    unless within DEDUP_RADIUS (np.hypot) of an earlier kept point of its
+    field.  Resolved in rounds over the close pairs: a point whose earlier
+    neighbours are all dropped is kept, and drops its later neighbours."""
+    order = np.lexsort((gn, fidx))
+    f, px, py = fidx[order], x[order], y[order]
+    # the field index as a third coordinate keeps fields apart
+    tree = cKDTree(np.column_stack([px, py, f]))
+    i, j = tree.query_pairs(2.0 * DEDUP_RADIUS, output_type="ndarray").T
+    near = np.hypot(px[i] - px[j], py[i] - py[j]) <= DEDUP_RADIUS
+    i, j = i[near], j[near]
+    kept = np.zeros(len(order), dtype=bool)
+    dropped = np.zeros(len(order), dtype=bool)
+    while not np.all(kept | dropped):
+        blocked = np.zeros(len(order), dtype=bool)
+        blocked[j[~dropped[i]]] = True
+        kept |= ~blocked & ~dropped
+        dropped[j[kept[i]]] = True
+    return order[kept]
+
+
+def _kind(det: float, threshold: float) -> PointClass:
+    if det < -threshold:
+        return PointClass.SADDLE
+    if det > threshold:
+        return PointClass.EXTREMUM
+    return PointClass.DEGENERATE
 
 
 def classify_point(
@@ -311,110 +334,105 @@ def classify_point(
 ) -> tuple[PointClass, float]:
     """Classify a critical point by the sign of det(Hess G)."""
     det = float(field.det_hess_g(x, y))
-    if det < -threshold:
-        return PointClass.SADDLE, det
-    if det > threshold:
-        return PointClass.EXTREMUM, det
-    return PointClass.DEGENERATE, det
+    return _kind(det, threshold), det
+
+
+def _locate(x: float, y: float, R: float) -> tuple:
+    """(x, y, rho, theta, on_boundary) of a located point, clamped onto the
+    rim of the disk of radius R when just outside it."""
+    r = math.hypot(x, y)
+    on_boundary = r >= R * (1.0 - 1e-12)
+    if r > R:
+        x, y, r = x * R / r, y * R / r, R
+    theta = 0.0 if r < 1e-12 else math.atan2(x, y) % (2.0 * math.pi)
+    if 2.0 * math.pi - theta < 1e-9:
+        theta = 0.0
+    return x, y, r, theta, on_boundary
 
 
 def find_critical_points(
     field: HessianField, domain_radius: float = 1.0
 ) -> CriticalPointSearch:
     """Locate all cusps of Gauss inside the disk of radius ``domain_radius``
-    (the unit pupil, or a dilated one).
+    (the unit pupil, or a dilated one): `find_critical_points_batch` of one."""
+    return find_critical_points_batch([field], domain_radius)[0]
 
-    Returns a flagged empty result when G is constant or when the critical
-    set is non-isolated (more deduplicated points than
+
+def find_critical_points_batch(
+    fields, domain_radius: float = 1.0
+) -> list[CriticalPointSearch]:
+    """Census of every field inside the disk of radius ``domain_radius``,
+    run as one array program; each result is the field's census alone.
+
+    Returns a flagged empty result for a field whose G is constant or whose
+    critical set is non-isolated (more deduplicated points than
     ``_DEGENERATE_POINT_LIMIT``, as happens for axially symmetric W).
     """
-    if field.G.degree <= 0:
-        return CriticalPointSearch(
-            (), degenerate=True, message="hessian determinant is constant"
-        )
-    # the zoom-1 seed grid also sets the gradient and |G| scales
-    xs, ys, gx, gy = base = _corner_grid(field, domain_radius, _GRID_SIZE)
-    gscale = float(np.max(np.hypot(gx, gy)))
-    g_abs_scale = float(np.max(np.abs(field.G.grid(xs, ys))))
-    if gscale == 0.0:
-        return CriticalPointSearch(
-            (), degenerate=True, message="gradient of G vanishes on the sample grid"
-        )
-    conv_tol = 1e-12 * max(1.0, gscale)
-    accept_tol = GRADIENT_TOL * max(1.0, gscale)
-    det_threshold = DEGENERACY_REL_THRESHOLD * g_abs_scale**2
-
-    seeds = _collect_seeds(field, domain_radius, base)
-    if seeds.size == 0:
-        return CriticalPointSearch((), message="no seeds", g_scale=g_abs_scale,
-                                   gradient_scale=gscale)
-    pts, gn = _newton_batch(field, seeds, domain_radius, conv_tol)
-
-    ok = np.isfinite(gn) & (gn <= accept_tol)
-    n_unconverged = int(np.count_nonzero(~ok))
-    pts, gn = pts[ok], gn[ok]
-    if len(pts):
-        pts, gn = _newton_polish(field, pts, domain_radius)
-        keep = gn <= accept_tol
-        pts, gn = pts[keep], gn[keep]
-    rho = np.hypot(pts[:, 0], pts[:, 1])
+    if not (domain_radius > 0 and math.isfinite(domain_radius)):
+        raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
     R = domain_radius
-    inside = rho <= R + _BOUNDARY_CLAMP
-    pts, gn, rho = pts[inside], gn[inside], rho[inside]
+    if not fields:
+        return []
+    # the zoom-1 seed grid also sets the gradient and |G| scales
+    xs, ys, (g, gx, gy) = _corner_grid(_stack(fields, ("G", "Gx", "Gy")), R, _GRID_SIZE)
+    gscale = np.max(np.hypot(gx, gy), axis=(1, 2))
+    g_abs_scale = np.max(np.abs(g), axis=(1, 2))
+    constant = np.array([f.G.degree <= 0 for f in fields])
+    # fmax, as Python's max(1.0, nan) is 1.0
+    conv_tol = 1e-12 * np.fmax(1.0, gscale)
+    accept_tol = GRADIENT_TOL * np.fmax(1.0, gscale)
+    grad = _stack(fields, ("Gx", "Gy"))
+    hess = _stack(fields, ("Gxx", "Gxy", "Gyy"))
+
+    fidx, x, y = _collect_seeds(grad, R, (xs, ys, (gx, gy)))
+    live = ~constant[fidx] & (gscale[fidx] != 0.0)
+    fidx, x, y = fidx[live], x[live], y[live]
+    n_seeds = np.bincount(fidx, minlength=len(fields))
+    x, y, gx, gy = _newton_batch(grad, hess, fidx, x, y, R, conv_tol[fidx])
+    gn = np.hypot(gx, gy)
+    ok = np.isfinite(gn) & (gn <= accept_tol[fidx])
+    n_unconverged = np.bincount(fidx[~ok], minlength=len(fields))
+    fidx = fidx[ok]
+    x, y, gn = _newton_polish(grad, hess, fidx, x[ok], y[ok], gx[ok], gy[ok], R)
+    keep = (gn <= accept_tol[fidx]) & (np.hypot(x, y) <= R + _BOUNDARY_CLAMP)
+    fidx, x, y, gn = fidx[keep], x[keep], y[keep], gn[keep]
 
     # keep the best-converged representative of each cluster
-    order = np.argsort(gn, kind="stable")
-    kept: list[int] = []
-    for i in order:
-        p = pts[i]
-        if all(math.hypot(p[0] - pts[j][0], p[1] - pts[j][1]) > DEDUP_RADIUS for j in kept):
-            kept.append(i)
-    if len(kept) > _DEGENERATE_POINT_LIMIT:
-        return CriticalPointSearch(
-            (),
-            degenerate=True,
-            message=f"non-isolated critical set ({len(kept)} deduplicated points)",
-            g_scale=g_abs_scale,
-            gradient_scale=gscale,
-        )
+    kept = _dedup(fidx, x, y, gn)
+    n_kept = np.bincount(fidx[kept], minlength=len(fields))
+    kept = kept[n_kept[fidx[kept]] <= _DEGENERATE_POINT_LIMIT]
+    located = [_locate(float(x[i]), float(y[i]), R) for i in kept]
+    px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
+    values = gathered_values(_stack(fields, ("G", "Gxx", "Gxy", "Gyy")), fidx[kept], px, py)
+    points: list[list[CriticalPoint]] = [[] for _ in fields]
+    for (cx, cy, r, theta, on_boundary), f, g, a, b, d in zip(
+            located, fidx[kept].tolist(), *values):
+        # the scalar square, as in `classify_point`: for a numpy float
+        # b ** 2 is pow(), which can differ from b * b in the last bit
+        det = float(a * d - b**2)
+        kind = _kind(det, DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f]) ** 2)
+        points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(g), det, on_boundary))
 
-    points = []
-    for i in kept:
-        x, y = float(pts[i][0]), float(pts[i][1])
-        r = math.hypot(x, y)
-        on_boundary = False
-        if r > R:
-            x, y = x * R / r, y * R / r
-            r = R
-            on_boundary = True
-        elif r >= R * (1.0 - 1e-12):
-            on_boundary = True
-        if r < 1e-12:
-            theta = 0.0
-        else:
-            theta = math.atan2(x, y) % (2.0 * math.pi)
-            if 2.0 * math.pi - theta < 1e-9:
-                theta = 0.0
-        kind, det = classify_point(field, x, y, det_threshold)
-        points.append(
-            CriticalPoint(
-                x=x,
-                y=y,
-                rho=r,
-                theta=theta,
-                kind=kind,
-                g_value=float(field.G(x, y)),
-                hess_g_det=det,
-                on_boundary=on_boundary,
-            )
-        )
-    points.sort(key=lambda p: (p.rho, p.theta))
-    message = ""
-    if n_unconverged:
-        message = f"{n_unconverged} of {len(seeds)} seeds did not converge"
-    return CriticalPointSearch(
-        tuple(points), message=message, g_scale=g_abs_scale, gradient_scale=gscale
-    )
+    results = []
+    for f in range(len(fields)):
+        scales = (float(g_abs_scale[f]), float(gscale[f]))
+        degenerate, message = False, ""
+        if constant[f]:
+            degenerate, message, scales = True, "hessian determinant is constant", (0.0, 0.0)
+        elif gscale[f] == 0.0:
+            degenerate, scales = True, (0.0, 0.0)
+            message = "gradient of G vanishes on the sample grid"
+        elif n_seeds[f] == 0:
+            message = "no seeds"
+        elif n_kept[f] > _DEGENERATE_POINT_LIMIT:
+            degenerate = True
+            message = f"non-isolated critical set ({n_kept[f]} deduplicated points)"
+        elif n_unconverged[f]:
+            message = f"{n_unconverged[f]} of {n_seeds[f]} seeds did not converge"
+        results.append(CriticalPointSearch(
+            tuple(sorted(points[f], key=lambda p: (p.rho, p.theta))),
+            degenerate, message, *scales))
+    return results
 
 
 def saddle_upper_bound(w: WaveAberration) -> int:
@@ -443,8 +461,8 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
     Positions are compared in normalized (unit-pupil) coordinates; classes
     must agree and the correspondence must be a bijection.
     """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not (factor > 0 and math.isfinite(factor)):
+        raise ValueError(f"factor must be positive and finite, got {factor}")
     base = find_critical_points(build_field(w))
     scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor))
     scaled = find_critical_points(scaled_field, domain_radius=factor)

@@ -45,6 +45,37 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return np.array(c[: rows[-1] + 1, : cols[-1] + 1])
 
 
+def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:
+    """Values of sum_{i,j} coeffs[i, j, ...] x^i y^j, one polynomial per
+    trailing index of ``coeffs``, on the tensor grid xs x ys: shape
+    coeffs.shape[2:] + (len(xs), len(ys)).  ``polyval2d``'s operations in
+    the same order, so bit-identical (zero padding too), without its
+    (degree + 1) * len(xs) * len(ys) temporaries."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    b = coeffs[-1][..., None] + xs * 0.0
+    for row in coeffs[-2::-1]:
+        b = row[..., None] + b * xs
+    out = b[-1][..., None] + ys * 0.0
+    for bk in b[-2::-1]:
+        out *= ys
+        out += bk[..., None]
+    return out
+
+
+def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y) -> np.ndarray:
+    """Values at each point (x[k], y[k]) of its own polynomials
+    coeffs[:, :, ..., index[k]], stacked as in `grid_values`: shape
+    coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.  Gathers
+    one Horner row per step, never the whole per-point coefficient block."""
+    c = coeffs[-1][..., index] + x * 0.0
+    for row in coeffs[-2::-1]:
+        c = row[..., index] + c * x
+    out = c[-1] + y * 0.0
+    for ck in c[-2::-1]:
+        out = ck + out * y
+    return out
+
+
 @dataclass(frozen=True)
 class BivariatePolynomial:
     """Dense polynomial sum_{i,j} c[i, j] x^i y^j.
@@ -75,17 +106,9 @@ class BivariatePolynomial:
         return npol.polyval2d(x, y, self.coeffs)
 
     def grid(self, xs, ys) -> np.ndarray:
-        """Values on the tensor grid xs x ys, shape (len(xs), len(ys)): the
-        operations of ``self(*np.meshgrid(xs, ys, indexing="ij"))`` in the
-        same order, so bit-identical, without its (degree + 1) * len(xs) *
-        len(ys) temporaries."""
-        ys = np.asarray(ys, dtype=float)
-        b = npol.polyval(np.asarray(xs, dtype=float), self.coeffs)
-        out = b[-1][:, None] + ys * 0.0
-        for bk in b[-2::-1]:
-            out *= ys
-            out += bk[:, None]
-        return out
+        """Values on the tensor grid xs x ys, shape (len(xs), len(ys));
+        bit-identical to ``self(*np.meshgrid(xs, ys, indexing="ij"))``."""
+        return grid_values(self.coeffs, xs, ys)
 
     def differentiate(self, axis: str) -> "BivariatePolynomial":
         """Exact partial derivative along ``axis`` ("x" or "y")."""
@@ -97,12 +120,13 @@ class BivariatePolynomial:
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         if self.coeffs.shape[ax] == 1:
             return BivariatePolynomial(np.zeros((1, 1)))
-        return BivariatePolynomial(npol.polyder(self.coeffs, m=1, axis=ax))
+        c = np.moveaxis(self.coeffs, ax, 0)  # polyder's j * c[j], in one product
+        return BivariatePolynomial(np.moveaxis(c[1:] * np.arange(1, len(c))[:, None], 0, ax))
 
     def rescale_domain(self, factor: float) -> "BivariatePolynomial":
         """Return q(x, y) = p(x / factor, y / factor)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
+        if not (factor > 0 and math.isfinite(factor)):
+            raise ValueError(f"factor must be positive and finite, got {factor}")
         i = np.arange(self.coeffs.shape[0])[:, None]
         j = np.arange(self.coeffs.shape[1])[None, :]
         return BivariatePolynomial(self.coeffs / factor ** (i + j))

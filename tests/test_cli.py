@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -346,6 +347,20 @@ class TestVerifyCommand:
 
     def test_zero_samples_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "0.2", "--samples", "0"]) == 2
+
+    def test_memory_bounded_in_samples(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                result = run_verification(3, 0.2, samples=samples, seed=9)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(32)
+        large, result = peak(256)
+        assert result["failed"] == 0
+        assert large <= 1.5 * small
 
     def test_non_finite_beta_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "inf", "--samples", "2"]) == 2

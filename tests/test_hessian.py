@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from starburst import (
     build_field,
     classify_point,
     find_critical_points,
+    find_critical_points_batch,
     rescale_check,
     saddle_upper_bound,
 )
-from starburst.hessian import DEDUP_RADIUS, DEGENERACY_REL_THRESHOLD, GRADIENT_TOL
+from starburst.hessian import DEDUP_RADIUS, DEGENERACY_REL_THRESHOLD, GRADIENT_TOL, _dedup
+from starburst.zernike import BivariatePolynomial
 
 EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 
@@ -116,8 +119,7 @@ class TestCriticalPointCensus:
         a = analyses["3star"]
         tol = GRADIENT_TOL * max(1.0, a.search.gradient_scale)
         for p in a.search.points:
-            gx, gy = a.field.grad_g(p.x, p.y)
-            assert math.hypot(gx, gy) <= tol
+            assert math.hypot(a.field.Gx(p.x, p.y), a.field.Gy(p.x, p.y)) <= tol
 
     def test_deduplication_distance(self, analyses):
         pts = analyses["5star"].search.points
@@ -234,3 +236,129 @@ class TestRescaleInvariance:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             rescale_check(EQ3.to_wavefront(), 0.0)
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            rescale_check(EQ3.to_wavefront(), factor)
+
+
+def _mixed_fields(seed, count):
+    """Three-term fields of mixed order plus mixed-m and degenerate ones."""
+    rng = np.random.default_rng(seed)
+    ws = [
+        WaveAberration((ZernikeTerm(4, 0, 0.2),)),
+        WaveAberration((ZernikeTerm(2, 0, 0.3),)),
+        WaveAberration(()),
+        WaveAberration((ZernikeTerm(6, -4, 0.05), ZernikeTerm(4, 2, 0.11))),
+        WaveAberration((ZernikeTerm(8, 0, 0.02), ZernikeTerm(7, 7, 0.03))),
+    ]
+    while len(ws) < count:
+        n = int(rng.integers(3, 7))
+        ws.append(ABParams(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.05, 0.4)),
+                           float(rng.uniform(-0.5, 0.5)), n).to_wavefront())
+    return [build_field(w) for w in ws]
+
+
+class TestBatchedCensus:
+    """A batch gives each field its own census, to the last bit."""
+
+    @pytest.mark.parametrize("batch", [2, 7, 32])
+    def test_batch_repr_equals_single(self, batch):
+        fields = _mixed_fields(batch, 40)
+        order = np.random.default_rng(batch + 1).permutation(len(fields))
+        shuffled = [fields[k] for k in order]
+        batched = []
+        for start in range(0, len(shuffled), batch):
+            batched += find_critical_points_batch(shuffled[start : start + batch])
+        single = [find_critical_points(f) for f in shuffled]
+        assert [repr(r) for r in batched] == [repr(r) for r in single]
+        assert any(r.degenerate for r in single) and any(r.saddles for r in single)
+
+    def test_dilated_domain(self):
+        fields = _mixed_fields(3, 9)
+        batched = find_critical_points_batch(fields, domain_radius=2.5)
+        single = [find_critical_points(f, domain_radius=2.5) for f in fields]
+        assert [repr(r) for r in batched] == [repr(r) for r in single]
+
+    def test_empty_batch(self):
+        assert find_critical_points_batch([]) == []
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_domain_radius(self, radius):
+        field = build_field(EQ3.to_wavefront())
+        with pytest.raises(ValueError, match="domain_radius"):
+            find_critical_points(field, radius)
+        with pytest.raises(ValueError, match="domain_radius"):
+            find_critical_points_batch([field, field], radius)
+
+    def test_det_squares_like_classify_point(self):
+        # G = (A x^2 + 2 B xy + D y^2) / 2 has a saddle at the origin and
+        # constant Hess G.  For this B, B ** 2 (pow) and B * B differ in the
+        # last bit, and so do the two determinants.
+        A, B, D = 1.0, -133.7960890729294, 1.0
+        assert A * D - np.float64(B) ** 2 != A * D - B * B
+
+        def poly(c):
+            return BivariatePolynomial(np.array(c, dtype=float))
+
+        field = dataclasses.replace(
+            build_field(EQ3.to_wavefront()),
+            G=poly([[0.0, 0.0, D / 2], [0.0, B, 0.0], [A / 2, 0.0, 0.0]]),
+            Gx=poly([[0.0, B], [A, 0.0]]),
+            Gy=poly([[0.0, D], [B, 0.0]]),
+            Gxx=poly([[A]]), Gxy=poly([[B]]), Gyy=poly([[D]]),
+        )
+        (p,) = find_critical_points(field).points
+        assert p.kind is PointClass.SADDLE
+        _, det = classify_point(field, p.x, p.y, 0.0)
+        assert p.hess_g_det == det == A * D - np.float64(B) ** 2
+
+
+def _greedy_dedup(fidx, x, y, gn):
+    """Reference: the greedy pass over the points in (field, |grad G|) order."""
+    kept = []
+    for i in np.lexsort((gn, fidx)):
+        if all(fidx[j] != fidx[i] or np.hypot(x[i] - x[j], y[i] - y[j]) > DEDUP_RADIUS
+               for j in kept):
+            kept.append(i)
+    return kept
+
+
+class TestDedup:
+    @pytest.mark.parametrize(
+        "distance,kept",
+        [
+            (DEDUP_RADIUS, 1),
+            (np.nextafter(DEDUP_RADIUS, 0.0), 1),
+            (np.nextafter(DEDUP_RADIUS, 1.0), 2),
+        ],
+    )
+    def test_radius_boundary(self, distance, kept):
+        x = np.array([0.0, distance])
+        y = np.array([0.0, 0.0])
+        out = _dedup(np.zeros(2, dtype=np.intp), x, y, np.array([2e-13, 1e-13]))
+        # the better-converged point comes first and is always kept
+        assert out.tolist() == [1, 0][:kept]
+
+    def test_fields_kept_apart(self):
+        x, y = np.zeros(3), np.zeros(3)
+        out = _dedup(np.array([1, 0, 1]), x, y, np.array([0.0, 0.0, 0.0]))
+        assert out.tolist() == [1, 0]
+
+    def test_matches_greedy_pass(self):
+        # chains of points 0.6 radius apart: the kept set depends on the
+        # greedy order, not only on which pairs are close
+        rng = np.random.default_rng(12)
+        n = 400
+        fidx = rng.integers(0, 3, n)
+        base = rng.uniform(-1.0, 1.0, (n // 8, 2))
+        pick = rng.integers(0, len(base), n)
+        steps = rng.integers(-3, 4, n) * 0.6 * DEDUP_RADIUS
+        x = base[pick, 0] + steps
+        y = base[pick, 1] + rng.normal(scale=0.05 * DEDUP_RADIUS, size=n)
+        gn = rng.choice([1e-13, 2e-13, 3e-13], n)
+        out = _dedup(fidx, x, y, gn)
+        want = _greedy_dedup(fidx, x, y, gn)
+        assert out.tolist() == want
+        assert len(want) < n

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npol
 
 from starburst import (
     BivariatePolynomial,
@@ -11,6 +12,7 @@ from starburst import (
     ZernikeTerm,
     build_field,
 )
+from starburst.zernike import gathered_values, grid_values
 
 
 def all_valid_terms(max_order):
@@ -135,6 +137,19 @@ class TestDifferentiation:
         with pytest.raises(ValueError):
             ZernikeTerm(2, 0, 1.0).to_polynomial().differentiate("z")
 
+    def test_same_bits_as_polyder(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            poly = BivariatePolynomial(rng.normal(size=tuple(rng.integers(1, 14, 2))))
+            for ax, axis in enumerate("xy"):
+                got = poly.differentiate(axis).coeffs
+                if poly.coeffs.shape[ax] == 1:
+                    assert got.shape == (1, 1) and not np.any(got)
+                    continue
+                want = BivariatePolynomial(npol.polyder(poly.coeffs, axis=ax)).coeffs
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestPolynomialAlgebra:
     def test_product_against_pointwise(self):
@@ -150,6 +165,11 @@ class TestPolynomialAlgebra:
         scaled = poly.rescale_domain(2.0)
         x, y = 0.37, -0.81
         assert scaled(2.0 * x, 2.0 * y) == pytest.approx(poly(x, y), rel=1e-13)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_rescale_domain_rejects_invalid_factor(self, factor):
+        with pytest.raises(ValueError):
+            ZernikeTerm(4, 4, 0.3).to_polynomial().rescale_domain(factor)
 
     def test_immutability(self):
         poly = ZernikeTerm(2, 0, 1.0).to_polynomial()
@@ -204,6 +224,55 @@ class TestTensorGrid:
         out = p.grid(xs, ys)
         assert out.shape == (41, 13)
         assert np.array_equal(out, _meshgrid_values(p, xs, ys))
+
+
+def _random_stack(rng, fields, names):
+    """Random polynomials of mixed shapes and their zero-padded stack."""
+    polys = [[rng.normal(size=tuple(rng.integers(1, 10, 2))) for _ in range(fields)]
+             for _ in range(names)]
+    dx = max(c.shape[0] for row in polys for c in row)
+    dy = max(c.shape[1] for row in polys for c in row)
+    stack = np.zeros((dx, dy, names, fields))
+    for m, row in enumerate(polys):
+        for k, c in enumerate(row):
+            stack[: c.shape[0], : c.shape[1], m, k] = c
+    return polys, stack
+
+
+class TestStackedHorner:
+    """The stacked kernels give ``polyval2d``'s bits for every polynomial."""
+
+    @pytest.mark.parametrize("points", [1, 2, 7, 40, 300, 2000])
+    def test_gathered_matches_polyval2d(self, points):
+        rng = np.random.default_rng(points)
+        fields = int(rng.integers(1, 6))
+        polys, stack = _random_stack(rng, fields, 3)
+        index = rng.integers(0, fields, points)
+        x = rng.uniform(-1.3, 1.3, points)
+        y = rng.uniform(-1.3, 1.3, points)
+        # zeros of both signs and negative coordinates on each axis
+        x[::3] = 0.0
+        y[1::4] = -0.0
+        x[2::5] = -np.abs(x[2::5])
+        out = gathered_values(stack, index, x, y)
+        assert out.shape == (3, points)
+        for m, row in enumerate(polys):
+            for k, c in enumerate(row):
+                sel = index == k
+                want = npol.polyval2d(x[sel], y[sel], c)
+                assert np.array_equal(out[m, sel].view(np.int64), want.view(np.int64))
+
+    def test_grid_values_match_polyval2d(self):
+        rng = np.random.default_rng(21)
+        polys, stack = _random_stack(rng, 4, 2)
+        xs = np.linspace(-1.0, 1.0, 33) + 0.1
+        ys = np.concatenate([[0.0, -0.0], np.linspace(-1.2, 0.9, 19)])
+        out = grid_values(stack, xs, ys)
+        assert out.shape == (2, 4, 33, 21)
+        for m, row in enumerate(polys):
+            for k, c in enumerate(row):
+                want = npol.polyval2d(*np.meshgrid(xs, ys, indexing="ij"), c)
+                assert np.array_equal(out[m, k].view(np.int64), want.view(np.int64))
 
 
 class TestOrthogonalitySmoke:
