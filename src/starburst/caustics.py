@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 from scipy.spatial import cKDTree
 
 from .hessian import CriticalPoint, HessianField
@@ -305,9 +304,13 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
 def _retina_image(points, wx, wy, pupil_radius: float) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scale = ARCMIN_PER_MRAD / pupil_radius
-    xi = -wx(pts[:, 0], pts[:, 1]) * scale
-    eta = -wy(pts[:, 0], pts[:, 1]) * scale
-    return np.column_stack([xi, eta])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        xi = -wx(pts[:, 0], pts[:, 1]) * scale
+        eta = -wy(pts[:, 0], pts[:, 1]) * scale
+    img = np.column_stack([xi, eta])
+    if not np.all(np.isfinite(img)):
+        raise ValueError(f"retina map is not finite at pupil radius {pupil_radius:g} mm")
+    return img
 
 
 def map_to_retina(points, w: WaveAberration) -> np.ndarray:
@@ -424,34 +427,39 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     """Largest p in {2.._P_MAX} whose 2 pi / p rotation maps the retina
     vertex cloud onto itself within a Hausdorff tolerance; p=1 if none.
 
-    Each p is screened on every _SCREEN_STRIDE-th vertex first.  A subset's
-    largest distance is a lower bound on the whole cloud's, so a p whose
-    subset misses the tolerance is rejected exactly, and only the p that
-    pass the screen are checked on the full cloud.  When no p passes, the
-    residual is the smallest full-cloud residual; the screen bounds decide
-    which p can still hold it, and only those are computed in full."""
+    Each p is screened on every _SCREEN_STRIDE-th vertex, rotated by
+    +2 pi / p only.  The full residual is the larger of the two rotations'
+    largest distances, and a subset's largest distance is a lower bound on
+    the whole cloud's, so a p whose screen misses the tolerance is rejected
+    exactly, and only the p that pass the screen are checked on the full
+    cloud, both ways.  When no p passes, the residual is the smallest
+    full-cloud residual; the screen bounds decide which p can still hold
+    it, and only those are computed in full."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not curves:
         raise ValueError("empty caustic set")
     cloud = np.concatenate(curves, axis=0)
     center = caustics.center
-    diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
+    with np.errstate(over="ignore"):  # reported below
+        diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
     if diameter == 0.0:
         raise ValueError("caustic cloud has zero extent")
+    if not math.isfinite(diameter * diameter):  # squared in the distance queries
+        raise ValueError("retina caustic overflows the distance arithmetic at pupil "
+                         f"radius {caustics.aberration.pupil_radius:g} mm")
     tol = _SYMMETRY_TOL_REL * diameter
     geom = _PolylineDistance(curves)
 
-    def residual(points, p):
+    def residual(points, p, signs=(1.0, -1.0)):
         angle = 2.0 * math.pi / p
-        d1 = geom.distances(_rotate(points, angle, center)).max()
-        d2 = geom.distances(_rotate(points, -angle, center)).max()
-        return max(float(d1), float(d2))
+        return max(float(geom.distances(_rotate(points, s * angle, center)).max())
+                   for s in signs)
 
     sample = cloud[::_SCREEN_STRIDE]
     bounds = {}
     best_residual = math.inf
     for p in range(_P_MAX, 1, -1):
-        bound = residual(sample, p)
+        bound = residual(sample, p, signs=(1.0,))
         if bound >= tol:
             bounds[p] = bound
             continue
@@ -487,6 +495,42 @@ def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):
     return profile, occupied, r, phi
 
 
+def _find_peaks(x: np.ndarray):
+    """Local maxima of the 1-D array x with their topographic prominence,
+    keeping those with prominence >= 1e-12: what
+    ``scipy.signal.find_peaks(x, prominence=1e-12)`` returns as indices and
+    ``prominences``, bit for bit.
+
+    A maximal run of equal values is a peak when both of its neighbours are
+    lower, so a run touching either end of x is not one; the peak index is
+    the run's middle, (left + right) // 2.  The prominence is x[peak] minus
+    the larger of the two side minima, each taken over the run of values
+    <= x[peak] that reaches out from the peak on that side."""
+    n = len(x)
+    if n < 3:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    starts = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    ends = np.append(starts[1:] - 1, n - 1)
+    v = x[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    height = x[peaks]
+    # each side's run ends before the nearest value that is not <= the peak's
+    stop = ~(x <= height[:, None])
+    after = np.arange(n) > peaks[:, None]
+    left, right = stop & ~after, stop & after
+    first = np.where(left.any(axis=1), n - left[:, ::-1].argmax(axis=1), 0)
+    last = np.where(right.any(axis=1), right.argmax(axis=1), n)
+    # side minima over [first, peak] and [peak, last); the odd reduceat
+    # segments lie between two runs and are dropped
+    padded = np.append(x, 0.0)
+    left_min = np.minimum.reduceat(padded, np.column_stack([first, peaks + 1]).ravel())[::2]
+    right_min = np.minimum.reduceat(padded, np.column_stack([peaks, last]).ravel())[::2]
+    prominences = height - np.maximum(left_min, right_min)
+    keep = prominences >= 1e-12
+    return peaks[keep], prominences[keep]
+
+
 def _profile_peaks(profile, occupied, r, phi, threshold):
     """Circular local maxima of the radial-extent profile.
 
@@ -496,7 +540,7 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
     is the exact vertex of largest radius near the peak bin."""
     bins = len(profile)
     ext = np.tile(profile, 3)
-    idx, props = find_peaks(ext, prominence=1e-12)
+    idx, prominences = _find_peaks(ext)
     tips = []
     width = 2.0 * math.pi / bins
     for k, pk in enumerate(idx):
@@ -506,7 +550,7 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
         if not occupied[b]:
             continue
         radius = profile[b]
-        if radius < threshold or props["prominences"][k] < _PROMINENCE_REL * radius:
+        if radius < threshold or prominences[k] < _PROMINENCE_REL * radius:
             continue
         lo = (b - 2) * width
         hi = (b + 3) * width

@@ -41,7 +41,7 @@ from .regions import (
     predict_saddles,
     region_diagram,
 )
-from .svgfig import heatmap_figure, regions_figure, retina_figure
+from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure
 from .zernike import WaveAberration, ZernikeTerm
 
 FIXTURE_SCENARIOS = {
@@ -301,12 +301,14 @@ def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) ->
          for row in rows),
     )
 
-    heatmap_figure(field.W, "wave aberration W (um)", outdir / "wavefront.svg")
-    heatmap_figure(field.G, "hessian determinant G", outdir / "hessian_full.svg")
+    heatmap_figure(heatmap_values(field.W), "wave aberration W (um)",
+                   outdir / "wavefront.svg")
+    g_values = heatmap_values(field.G)
+    heatmap_figure(g_values, "hessian determinant G", outdir / "hessian_full.svg")
     axis = np.linspace(-1, 1, 65)
     gmax = float(np.max(np.abs(field.G.grid(axis, axis))))
     heatmap_figure(
-        field.G,
+        g_values,
         "hessian determinant G (clipped colorbar)",
         outdir / "hessian_clipped.svg",
         clip=0.02 * gmax if gmax > 0 else None,
@@ -341,11 +343,11 @@ def cmd_analyze(args) -> int:
                 {_SCENARIO_FLAGS[dest]: value for dest, value in given.items()})
         if args.out:
             scenario.output_dir = args.out
+        t0 = time.perf_counter()
+        report, artifacts = run_analysis(scenario)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
-    report, artifacts = run_analysis(scenario)
     _emit_analysis_files(Path(scenario.output_dir), scenario, report, artifacts)
     elapsed = time.perf_counter() - t0
     counts = report["counts"]

@@ -139,17 +139,24 @@ class Frame:
 
 _HEATMAP_CELLS = 96  # cells per axis over [-1, 1]
 _HEATMAP_SIZE = 520  # pixels per axis of the cell grid
+_HEATMAP_EDGES = np.linspace(-1.0, 1.0, _HEATMAP_CELLS + 1)
+_HEATMAP_CENTERS = 0.5 * (_HEATMAP_EDGES[:-1] + _HEATMAP_EDGES[1:])
 
 
-def heatmap_figure(poly, title: str, path, clip: float | None = None) -> None:
-    """Render the polynomial ``poly`` over the unit disk as a colored cell
-    grid with a vertical colorbar; ``clip`` limits the color range to +-clip."""
+def heatmap_values(poly) -> np.ndarray:
+    """The polynomial ``poly`` at the heatmap's cell centers, the grid
+    ``heatmap_figure`` draws."""
+    return poly.grid(_HEATMAP_CENTERS, _HEATMAP_CENTERS)
+
+
+def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = None) -> None:
+    """Render ``values = heatmap_values(poly)`` over the unit disk as a colored
+    cell grid with a vertical colorbar; ``clip`` limits the color range to
+    +-clip."""
     cells, size = _HEATMAP_CELLS, _HEATMAP_SIZE
     canvas = SvgCanvas(size + 110, size + 70, title)
-    xs = np.linspace(-1.0, 1.0, cells + 1)
-    centers = 0.5 * (xs[:-1] + xs[1:])
-    V = poly.grid(centers, centers)
-    vmax = float(np.max(np.abs(V))) or 1.0
+    centers = _HEATMAP_CENTERS
+    vmax = float(np.max(np.abs(values))) or 1.0
     crange = min(vmax, clip) if clip else vmax
     m = 40
     cell = size / cells
@@ -160,7 +167,7 @@ def heatmap_figure(poly, title: str, path, clip: float | None = None) -> None:
     wh = f'width="{_f(cell + 0.5)}" height="{_f(cell + 0.5)}"'
     inside = centers[:, None] ** 2 + centers[None, :] ** 2 <= 1.0
     ii, jj = np.nonzero(inside)
-    colors = diverging_colors(V[ii, jj] / crange)
+    colors = diverging_colors(values[ii, jj] / crange)
     canvas.parts.extend(
         f'<rect x="{px[i]}" y="{py[j]}" {wh} fill="{color}" stroke="none"/>'
         for i, j, color in zip(ii.tolist(), jj.tolist(), colors)

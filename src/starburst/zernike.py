@@ -38,11 +38,10 @@ class CapabilityError(ValueError):
 
 def _trim(c: np.ndarray) -> np.ndarray:
     """Drop all-zero trailing rows/columns, keeping at least a 1x1 array."""
-    rows = np.nonzero(np.any(c != 0.0, axis=1))[0]
-    cols = np.nonzero(np.any(c != 0.0, axis=0))[0]
-    if rows.size == 0 or cols.size == 0:
+    rows, cols = np.nonzero(c)
+    if rows.size == 0:
         return np.zeros((1, 1))
-    return np.array(c[: rows[-1] + 1, : cols[-1] + 1])
+    return np.array(c[: rows.max() + 1, : cols.max() + 1])
 
 
 def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:

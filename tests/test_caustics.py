@@ -22,7 +22,9 @@ from starburst import (
 )
 from starburst.caustics import (
     SymmetryResult,
+    _find_peaks,
     _PolylineDistance,
+    _radial_profile,
     _rotate,
 )
 
@@ -184,16 +186,40 @@ class TestSymmetryOrder:
         (((4, 0, 0.2), (8, 8, 0.02), (2, 0, 0.02)), 8),
     ])
     def test_screen_matches_full_scan(self, terms, p):
-        w = WaveAberration(tuple(ZernikeTerm(*t) for t in terms))
-        field = build_field(w)
-        caustics = map_caustics(w, extract_contours(field, 256), (), field)
-        result = symmetry_order(caustics)
-        assert result == full_scan_symmetry_order(caustics)
-        assert result.p == p
+        assert screened_order_matching_full_scan(terms, 256) == p
+
+    def test_screen_matches_full_scan_on_highorder(self):
+        # the radial-order-12 golden scenario, at its grid
+        terms = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
+        assert screened_order_matching_full_scan(terms, 512) == 12
+
+    def test_screen_rotates_one_way(self, analyses, monkeypatch):
+        # 3star: p = 12..4 fail the one-way screen, p = 3 passes it and
+        # holds on the full cloud, checked both ways
+        calls = []
+        distances = _PolylineDistance.distances
+        monkeypatch.setattr(_PolylineDistance, "distances",
+                            lambda self, pts: calls.append(len(pts)) or distances(self, pts))
+        caustics = analyses["3star"].caustics
+        assert symmetry_order(caustics).p == 3
+        cloud = sum(len(c) for c in caustics.retina_curves)
+        assert calls.count(cloud) == 2
+        assert len(calls) == 10 + 2
 
     def test_verdict_carries_symmetry(self, analyses):
         caustics = analyses["5star"].caustics
         assert starburst_verdict(caustics).symmetry == symmetry_order(caustics)
+
+
+def screened_order_matching_full_scan(terms, grid):
+    """symmetry_order's p for the wavefront ``terms``, after checking its
+    whole result against the unscreened scan."""
+    w = WaveAberration(tuple(ZernikeTerm(*t) for t in terms))
+    field = build_field(w)
+    caustics = map_caustics(w, extract_contours(field, grid), (), field)
+    result = symmetry_order(caustics)
+    assert result == full_scan_symmetry_order(caustics)
+    return result.p
 
 
 def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
@@ -233,6 +259,65 @@ def test_polyline_distance_tables():
     assert geom.distances(np.array([[2.5, 1.5]]))[0] == pytest.approx(0.5)
     two_point = _PolylineDistance(polylines[:1])
     np.testing.assert_array_equal(two_point.vert_segments, [[0], [0]])
+
+
+def scipy_peaks(x):
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    idx, props = find_peaks(x, prominence=1e-12)
+    return idx, props["prominences"]
+
+
+def assert_peaks_match_scipy(x):
+    idx, prominences = _find_peaks(x)
+    want_idx, want_prominences = scipy_peaks(x)
+    np.testing.assert_array_equal(idx, want_idx)
+    assert prominences.tobytes() == want_prominences.tobytes()
+
+
+class TestFindPeaks:
+    """_find_peaks against scipy.signal.find_peaks(x, prominence=1e-12),
+    indices equal and prominences bit for bit."""
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            assert_peaks_match_scipy(rng.normal(size=int(rng.integers(0, 80))))
+
+    def test_integer_arrays_with_plateaus(self):
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            n = int(rng.integers(0, 40))
+            runs = rng.integers(1, 5, size=n)
+            assert_peaks_match_scipy(np.repeat(rng.integers(-3, 4, size=n), runs).astype(float))
+
+    def test_zero_runs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            n = int(rng.integers(0, 60))
+            assert_peaks_match_scipy(np.where(rng.random(n) < 0.6, 0.0, rng.random(n)))
+
+    @pytest.mark.parametrize("x", [
+        [2.0, 2.0, 1.0, 3.0, 1.0, 2.0, 2.0],     # plateaus at both ends
+        [3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0],  # flat top: one peak, at its middle
+        [1.0, 2.0, 2.0, 2.0],                     # flat top touching the end
+        [0.0, 0.0, 0.0],
+        [1.0, 2.0],
+        [],
+    ])
+    def test_plateaus_and_edges(self, x):
+        assert_peaks_match_scipy(np.array(x))
+
+    def test_flat_top_index(self):
+        idx, prominences = _find_peaks(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.5]))
+        np.testing.assert_array_equal(idx, [2])  # (1 + 4) // 2
+        np.testing.assert_array_equal(prominences, [0.5])
+
+    @pytest.mark.parametrize("name", ["3star", "4star", "5star", "6star", "8stars"])
+    def test_fixture_profiles(self, analyses, name):
+        caustics = analyses[name].caustics
+        cloud = np.concatenate([c for c in caustics.retina_curves if len(c) >= 2])
+        profile = _radial_profile(cloud, caustics.center)[0]
+        assert_peaks_match_scipy(np.tile(profile, 3))
 
 
 class TestVerdicts:

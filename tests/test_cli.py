@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import starburst
 from starburst.cli import (
     Scenario,
     build_parser,
@@ -225,6 +230,23 @@ class TestAnalyzeCommand:
             capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("radius,message", [
+        ("1e-300", ("error: retina caustic overflows the distance arithmetic at pupil radius "
+                    "1e-300 mm")),
+        ("1e-310", "error: retina map is not finite at pupil radius 1e-310 mm"),
+    ])
+    def test_tiny_pupil_radius_exit_code(self, tmp_path, capsys, radius, message):
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", "--grid", "64", f"--pupil-radius={radius}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_small_pupil_radius_still_analyzed(self, tmp_path):
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", "--grid", "64", "--pupil-radius=1e-100",
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_flags_exit_code(self):
         assert main(["analyze", "--alpha", "0.1"]) == 2
 
@@ -387,6 +409,18 @@ class TestFixturesCommand:
     def test_small_grid_usage_error(self, capsys):
         assert main(["fixtures", "--grid", "10"]) == 2
         assert "error: --grid must be at least 64" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # the CLI's cold start: scipy.signal would pull in scipy.stats,
+    # scipy.interpolate and scipy.optimize on every command
+    env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
+    code = ("import sys, starburst.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 class TestParser:

@@ -12,7 +12,7 @@ from starburst import (
     ZernikeTerm,
     build_field,
 )
-from starburst.zernike import gathered_values, grid_values
+from starburst.zernike import _trim, gathered_values, grid_values
 
 
 def all_valid_terms(max_order):
@@ -175,6 +175,44 @@ class TestPolynomialAlgebra:
         poly = ZernikeTerm(2, 0, 1.0).to_polynomial()
         with pytest.raises(ValueError):
             poly.coeffs[0, 0] = 99.0
+
+
+def _trim_by_rows_and_columns(c):
+    """The trimming rule as first written: last nonzero row and column,
+    each found from its own any() reduction."""
+    rows = np.nonzero(np.any(c != 0.0, axis=1))[0]
+    cols = np.nonzero(np.any(c != 0.0, axis=0))[0]
+    if rows.size == 0 or cols.size == 0:
+        return np.zeros((1, 1))
+    return np.array(c[: rows[-1] + 1, : cols[-1] + 1])
+
+
+class TestTrim:
+    @pytest.mark.parametrize("shape,filled", [
+        ((5, 4), (3, 2)),   # trailing zero rows and columns
+        ((5, 4), (5, 1)),   # trailing zero columns only
+        ((2, 6), (1, 6)),   # trailing zero rows only
+        ((3, 3), (0, 0)),   # all zeros
+        ((1, 1), (1, 1)),
+        ((1, 1), (0, 0)),
+    ])
+    def test_matches_row_and_column_rule(self, shape, filled):
+        rng = np.random.default_rng(3)
+        c = np.zeros(shape)
+        c[: filled[0], : filled[1]] = rng.normal(size=filled)
+        got, want = _trim(c), _trim_by_rows_and_columns(c)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, c)
+
+    def test_interior_zeros_kept(self):
+        c = np.zeros((4, 4))
+        c[2, 0] = 1.0
+        c[0, 3] = -0.0  # a signed zero is trimmed like any zero
+        c[1, 2] = 2.0
+        got = _trim(c)
+        assert got.shape == (3, 3)
+        assert got.tobytes() == _trim_by_rows_and_columns(c).tobytes()
 
 
 def _meshgrid_values(poly, xs, ys):
