@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .hessian import CriticalPoint, HessianField
 from .zernike import WaveAberration
@@ -360,56 +359,108 @@ def map_caustics(
 # --------------------------------------------------------------------------
 
 
-_NEAREST_VERTICES = 6  # KD-tree candidates per distance query
+_PAIR_BUDGET = 1 << 14  # (point, segment) pairs evaluated at once, about 2 MB
+_EXACT_REACH = 1.0 - 1e-9  # of a cell side: margin for rounding in the cell index
+_PROBE_STRIDE = 16  # _PolylineDistance.farthest measures every this many points first
 
 
 class _PolylineDistance:
-    """Nearest-distance queries from points to a family of polylines.
+    """Exact nearest-segment distances from points to a family of polylines.
 
-    A KD-tree over the vertices proposes candidates; the exact distance is
-    then taken over the segments adjacent to the nearest vertices, which
-    removes the vertex-spacing floor from the estimate.
+    The segments are bucketed on uniform grids (Bentley & Friedman, ACM
+    Comput. Surv. 1979), grid k with cells 2**k base sides wide, built when
+    first needed.  A cell lists every segment whose bounding box touches it
+    or one of its 8 neighbours, so a point's candidates hold every segment
+    within one cell side of it: when the nearest candidate is that close,
+    the distance is exact.  The points left go on to the next grid.
     """
 
     def __init__(self, polylines):
-        lengths = np.array([len(poly) for poly in polylines])
-        self.verts = np.concatenate(polylines)
-        self.starts = np.concatenate([poly[:-1] for poly in polylines])
-        self.ends = np.concatenate([poly[1:] for poly in polylines])
-        # segment ids run on across polylines: vertex g of polyline k starts
-        # segment g - k and ends segment g - k - 1
-        vertex = np.arange(len(self.verts))
-        local = vertex - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        after = vertex - np.repeat(np.arange(len(lengths)), lengths)
-        has_prev = local > 0
-        has_next = local < np.repeat(lengths, lengths) - 1
-        adjacent = np.column_stack([
-            np.where(has_prev, after - 1, np.where(has_next, after, -1)),
-            np.where(has_prev & has_next, after, -1),
-        ])
-        pad = int(np.max(has_prev.astype(int) + has_next))
-        self.vert_segments = adjacent[:, :pad]
-        self.tree = cKDTree(self.verts)
+        starts = np.concatenate([poly[:-1] for poly in polylines])
+        ends = np.concatenate([poly[1:] for poly in polylines])
+        self.ax, self.ay = starts.T
+        self.dx, self.dy = (ends - starts).T
+        den = self.dx * self.dx + self.dy * self.dy
+        self.den = np.where(den > 0, den, 1.0)
+        self.lo, self.hi = np.minimum(starts, ends), np.maximum(starts, ends)
+        self.origin = self.lo.min(axis=0)
+        length = np.sqrt(den[den > 0])  # base side: >= 1/16 of the longest
+        self.side = max(float(np.median(length)), float(length.max()) / 16) if length.size else 1.0
+        self.grids = {}
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        k = min(_NEAREST_VERTICES, len(self.verts))
-        _, idx = self.tree.query(pts, k=k)
-        idx = np.atleast_2d(idx)
-        cand = self.vert_segments[idx].reshape(len(pts), -1)
-        valid = cand >= 0
-        safe = np.where(valid, cand, 0)
-        a = self.starts[safe]
-        b = self.ends[safe]
-        d = b - a
-        denom = np.einsum("ijk,ijk->ij", d, d)
-        ap = pts[:, None, :] - a
-        t = np.einsum("ijk,ijk->ij", ap, d) / np.where(denom > 0, denom, 1.0)
-        t = np.clip(t, 0.0, 1.0)
-        proj = a + t[..., None] * d
-        dist = np.linalg.norm(pts[:, None, :] - proj, axis=2)
-        dist = np.where(valid, dist, np.inf)
-        return dist.min(axis=1)
+    def _grid(self, k):
+        """(cell side, last cell, listing cells' ids, and their first slots and
+        counts in the segment ids sorted by cell) of grid k; cell (i, j), from
+        (-1, -1) on, has id (i + 1) * (last[1] + 2) + j + 1."""
+        if k not in self.grids:
+            side = self.side * 2.0**k
+            c0, c1 = (np.floor((v - self.origin) / side).astype(np.intp) for v in (self.lo, self.hi))
+            span, last = c1 - c0 + 3, c1.max(axis=0) + 1
+            count = span[:, 0] * span[:, 1]
+            seg = np.repeat(np.arange(len(count)), count)
+            di, dj = np.divmod(_ranges(np.zeros_like(count), count), span[:, 1][seg])
+            cell = (c0[:, 0] * (last[1] + 2) + c0[:, 1])[seg] + di * (last[1] + 2) + dj
+            order = np.argsort(cell)
+            ids, first, n = np.unique(cell[order], return_index=True, return_counts=True)
+            self.grids[k] = (side, last, ids, first, n, seg[order])
+        return self.grids[k]
+
+    def _candidate_nearest(self, k, pts):
+        """Distance from each point to its nearest candidate on grid k (inf
+        if it has none), _PAIR_BUDGET pairs at a time."""
+        side, last, ids, first, count, segs = self._grid(k)
+        c = np.clip(np.floor((pts - self.origin) / side), -1, last).astype(np.intp) + 1
+        cells = c[:, 0] * (last[1] + 2) + c[:, 1]
+        pos = np.minimum(np.searchsorted(ids, cells), len(ids) - 1)
+        n, first = np.where(ids[pos] == cells, count[pos], 0), first[pos]
+        best = np.full(len(pts), np.inf)
+        cuts = np.searchsorted(np.cumsum(n), np.arange(_PAIR_BUDGET, n.sum(), _PAIR_BUDGET))
+        for lo, hi in zip((0, *cuts), (*cuts, len(pts))):
+            nn, has = n[lo:hi], n[lo:hi] > 0
+            if has.any():
+                seg = segs[_ranges(first[lo:hi], nn)]
+                who = np.repeat(np.arange(lo, hi), nn)
+                px, py = pts[:, 0][who], pts[:, 1][who]
+                ax, ay, dx, dy = self.ax[seg], self.ay[seg], self.dx[seg], self.dy[seg]
+                t = np.clip(((px - ax) * dx + (py - ay) * dy) / self.den[seg], 0.0, 1.0)
+                ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+                best[lo:hi][has] = np.minimum.reduceat(np.sqrt(ex * ex + ey * ey),
+                                                       (np.cumsum(nn) - nn)[has])
+        return best
+
+    def distances(self, pts: np.ndarray, cap: float = math.inf) -> np.ndarray:
+        """min(distance to the nearest segment, cap) for each point, exact."""
+        best = np.full(len(pts), np.inf)
+        todo, k = np.arange(len(pts)), 0
+        while todo.size:
+            best[todo] = np.minimum(best[todo], self._candidate_nearest(k, pts[todo]))
+            reach = self.side * 2.0**k * _EXACT_REACH
+            todo, k = todo[best[todo] > reach], k + 1
+            if reach >= cap:
+                break
+        return np.minimum(best, cap)
+
+    def farthest(self, points: np.ndarray, cap: float, runs: int = 1) -> np.ndarray:
+        """min(largest distance, cap) of each of ``runs`` equal runs of the
+        points.  Every _PROBE_STRIDE-th point is measured first; as distance
+        is 1-Lipschitz, the others are measured only where that can raise
+        their run's largest distance, and not at all in a run at the cap."""
+        run = np.arange(len(points)) // (len(points) // runs)
+        probe = np.arange(len(points)) // _PROBE_STRIDE * _PROBE_STRIDE
+        near = self.distances(points[::_PROBE_STRIDE], cap)
+        worst = np.zeros(runs)
+        np.maximum.at(worst, run[::_PROBE_STRIDE], near)
+        # rounding in a distance scales with the coordinates
+        bound = (near[probe // _PROBE_STRIDE] + np.hypot(*(points - points[probe]).T)
+                 + 1e-9 * float(np.abs(points).max()))
+        todo = np.flatnonzero((bound > worst[run]) & (worst[run] < cap))
+        np.maximum.at(worst, run[todo], self.distances(points[todo], cap))
+        return worst
+
+
+def _ranges(first, count):
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for every i, in turn."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
@@ -421,20 +472,20 @@ def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
 
 
 _SCREEN_STRIDE = 16  # every how many vertices symmetry_order screens a p on
+_CAP_GROWTH = 8.0  # the p = 1 search's distance cap grows by this each round
 
 
 def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     """Largest p in {2.._P_MAX} whose 2 pi / p rotation maps the retina
     vertex cloud onto itself within a Hausdorff tolerance; p=1 if none.
 
-    Each p is screened on every _SCREEN_STRIDE-th vertex, rotated by
-    +2 pi / p only.  The full residual is the larger of the two rotations'
-    largest distances, and a subset's largest distance is a lower bound on
-    the whole cloud's, so a p whose screen misses the tolerance is rejected
-    exactly, and only the p that pass the screen are checked on the full
-    cloud, both ways.  When no p passes, the residual is the smallest
-    full-cloud residual; the screen bounds decide which p can still hold
-    it, and only those are computed in full."""
+    A p's residual is the largest exact distance from the cloud, rotated
+    both ways, to the caustic polylines, found only up to a cap.  Each p is
+    first screened on every _SCREEN_STRIDE-th vertex, rotated one way: a
+    subset's largest distance is a lower bound on the whole cloud's, so
+    only the p that pass are checked in full.  When no p holds, the
+    residual is the smallest one, found under a cap that grows from the
+    tolerance until some p comes in under it.  Every residual is exact."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not curves:
         raise ValueError("empty caustic set")
@@ -450,28 +501,28 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     tol = _SYMMETRY_TOL_REL * diameter
     geom = _PolylineDistance(curves)
 
-    def residual(points, p, signs=(1.0, -1.0)):
-        angle = 2.0 * math.pi / p
-        return max(float(geom.distances(_rotate(points, s * angle, center)).max())
-                   for s in signs)
+    orders, sample = range(_P_MAX, 1, -1), cloud[::_SCREEN_STRIDE]
 
-    sample = cloud[::_SCREEN_STRIDE]
-    bounds = {}
-    best_residual = math.inf
-    for p in range(_P_MAX, 1, -1):
-        bound = residual(sample, p, signs=(1.0,))
-        if bound >= tol:
-            bounds[p] = bound
-            continue
-        full = residual(cloud, p)
-        if full < tol:
-            return SymmetryResult(p, full, tol)
-        best_residual = min(best_residual, full)
-    for p in sorted(bounds, key=bounds.get):
-        if bounds[p] >= best_residual:
-            break
-        best_residual = min(best_residual, residual(cloud, p))
-    return SymmetryResult(1, best_residual, tol)
+    def screen(cap):
+        rotated = np.concatenate([_rotate(sample, 2.0 * math.pi / p, center) for p in orders])
+        return dict(zip(orders, geom.farthest(rotated, cap, len(orders))))
+
+    def residual(p, cap):
+        angle = 2.0 * math.pi / p
+        both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
+        return float(geom.farthest(both, cap)[0])
+
+    cap = tol  # every residual is at most the diameter, so the cap outgrows them
+    while True:
+        bounds, best = screen(cap), cap
+        for p in orders:
+            if bounds[p] < best:
+                best = residual(p, best)
+                if best < tol:
+                    return SymmetryResult(p, best, tol)
+        if best < cap:
+            return SymmetryResult(1, best, tol)
+        cap *= _CAP_GROWTH
 
 
 def _wavefront_fold_order(w: WaveAberration) -> int:

@@ -265,7 +265,6 @@ def run_analysis(scenario: Scenario):
 
 def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) -> None:
     field, search, contours, caustics, verdict = artifacts
-    outdir.mkdir(parents=True, exist_ok=True)
     write_report_json(outdir / "report.json", report)
 
     for plane, curves, axes in (("pupil", contours.polylines, "x,y"),
@@ -345,6 +344,7 @@ def cmd_analyze(args) -> int:
             scenario.output_dir = args.out
         t0 = time.perf_counter()
         report, artifacts = run_analysis(scenario)
+        Path(scenario.output_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -382,11 +382,11 @@ def cmd_regions(args) -> int:
         diagram = region_diagram(
             args.n, args.beta, gamma_range, alpha_range, resolution=args.res
         )
-    except ValueError as exc:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     # each gamma and alpha is formatted once
     gammas, alphas = ([f"{v:.12g}" for v in values.tolist()]
                       for values in (diagram.gamma_values, diagram.alpha_values))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .zernike import (
     MAX_RADIAL_ORDER,
@@ -55,9 +54,6 @@ class HessianField:
     Gxy: BivariatePolynomial
     Gyy: BivariatePolynomial
 
-    def det_hess_g(self, x, y):
-        return self.Gxx(x, y) * self.Gyy(x, y) - self.Gxy(x, y) ** 2
-
 
 def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
     if w_poly.degree > MAX_RADIAL_ORDER:
@@ -89,8 +85,12 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
 
 
 def build_field(w: WaveAberration) -> HessianField:
-    """Build the full derivative field for a wave aberration."""
-    return field_from_polynomial(w.to_polynomial())
+    """The full derivative field of a wave aberration; ValueError on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        field = field_from_polynomial(w.to_polynomial())
+    if not all(np.isfinite(poly.coeffs).all() for poly in vars(field).values()):
+        raise ValueError("wavefront coefficients overflow the Hessian determinant")
+    return field
 
 
 # Census constants.
@@ -306,9 +306,14 @@ def _dedup(fidx: np.ndarray, x: np.ndarray, y: np.ndarray, gn: np.ndarray) -> np
     neighbours are all dropped is kept, and drops its later neighbours."""
     order = np.lexsort((gn, fidx))
     f, px, py = fidx[order], x[order], y[order]
-    # the field index as a third coordinate keeps fields apart
-    tree = cKDTree(np.column_stack([px, py, f]))
-    i, j = tree.query_pairs(2.0 * DEDUP_RADIUS, output_type="ndarray").T
+    # candidate pairs: by (field, x), as complex numbers compare, each point
+    # with the later ones of its field at most 2 DEDUP_RADIUS further in x
+    by_x = np.lexsort((px, f))
+    key = f[by_x] + 1j * px[by_x]
+    count = np.searchsorted(key, key + 2j * DEDUP_RADIUS, side="right") - np.arange(len(key)) - 1
+    a = np.repeat(np.arange(len(key)), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.minimum(by_x[a], by_x[b]), np.maximum(by_x[a], by_x[b])
     near = np.hypot(px[i] - px[j], py[i] - py[j]) <= DEDUP_RADIUS
     i, j = i[near], j[near]
     kept = np.zeros(len(order), dtype=bool)
@@ -319,22 +324,6 @@ def _dedup(fidx: np.ndarray, x: np.ndarray, y: np.ndarray, gn: np.ndarray) -> np
         kept |= ~blocked & ~dropped
         dropped[j[kept[i]]] = True
     return order[kept]
-
-
-def _kind(det: float, threshold: float) -> PointClass:
-    if det < -threshold:
-        return PointClass.SADDLE
-    if det > threshold:
-        return PointClass.EXTREMUM
-    return PointClass.DEGENERATE
-
-
-def classify_point(
-    field: HessianField, x: float, y: float, threshold: float
-) -> tuple[PointClass, float]:
-    """Classify a critical point by the sign of det(Hess G)."""
-    det = float(field.det_hess_g(x, y))
-    return _kind(det, threshold), det
 
 
 def _locate(x: float, y: float, R: float) -> tuple:
@@ -407,10 +396,12 @@ def find_critical_points_batch(
     points: list[list[CriticalPoint]] = [[] for _ in fields]
     for (cx, cy, r, theta, on_boundary), f, g, a, b, d in zip(
             located, fidx[kept].tolist(), *values):
-        # the scalar square, as in `classify_point`: for a numpy float
-        # b ** 2 is pow(), which can differ from b * b in the last bit
+        # b ** 2 of a numpy float is pow(), which can differ from b * b in
+        # the last bit; the determinants reported have always used it
         det = float(a * d - b**2)
-        kind = _kind(det, DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f]) ** 2)
+        band = DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f]) ** 2
+        kind = (PointClass.SADDLE if det < -band else
+                PointClass.EXTREMUM if det > band else PointClass.DEGENERATE)
         points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(g), det, on_boundary))
 
     results = []

@@ -44,6 +44,11 @@ def analyses():
     return {name: FixtureAnalysis(name) for name in FIXTURE_PARAMS}
 
 
+def det_hess_g(field, x, y):
+    """det(Hess G) = Gxx Gyy - Gxy^2 at (x, y), from the field's polynomials."""
+    return float(field.Gxx(x, y) * field.Gyy(x, y) - field.Gxy(x, y) ** 2)
+
+
 def circular_deviation(angles, offsets):
     """Max over angles of the circular distance to the nearest offset."""
     out = 0.0

@@ -29,6 +29,9 @@ from starburst.caustics import (
 )
 
 
+HIGHORDER_TERMS = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
+
+
 class TestContourExtraction:
     def test_constant_positive_g_yields_empty_set(self):
         field = build_field(WaveAberration((ZernikeTerm(2, 0, 0.3),)))
@@ -188,23 +191,24 @@ class TestSymmetryOrder:
     def test_screen_matches_full_scan(self, terms, p):
         assert screened_order_matching_full_scan(terms, 256) == p
 
-    def test_screen_matches_full_scan_on_highorder(self):
-        # the radial-order-12 golden scenario, at its grid
-        terms = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
-        assert screened_order_matching_full_scan(terms, 512) == 12
+    def test_screen_matches_full_scan_on_highorder(self, highorder_caustics):
+        result = symmetry_order(highorder_caustics)
+        assert result == full_scan_symmetry_order(highorder_caustics)
+        assert result.p == 12
 
     def test_screen_rotates_one_way(self, analyses, monkeypatch):
-        # 3star: p = 12..4 fail the one-way screen, p = 3 passes it and
-        # holds on the full cloud, checked both ways
+        # 3star: one screen of p = 12..2 on the sample, each rotated one way
+        # only, then p = 3, the largest p to pass it, on the full cloud both
+        # ways
         calls = []
-        distances = _PolylineDistance.distances
-        monkeypatch.setattr(_PolylineDistance, "distances",
-                            lambda self, pts: calls.append(len(pts)) or distances(self, pts))
+        farthest = _PolylineDistance.farthest
+        monkeypatch.setattr(_PolylineDistance, "farthest",
+                            lambda self, pts, cap, runs=1: calls.append((len(pts), runs))
+                            or farthest(self, pts, cap, runs))
         caustics = analyses["3star"].caustics
         assert symmetry_order(caustics).p == 3
         cloud = sum(len(c) for c in caustics.retina_curves)
-        assert calls.count(cloud) == 2
-        assert len(calls) == 10 + 2
+        assert calls == [(11 * len(range(0, cloud, 16)), 11), (2 * cloud, 1)]
 
     def test_verdict_carries_symmetry(self, analyses):
         caustics = analyses["5star"].caustics
@@ -223,42 +227,147 @@ def screened_order_matching_full_scan(terms, grid):
 
 
 def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
-    """Every p from p_max down on the whole vertex cloud, no screening."""
+    """Every p from p_max down on the whole vertex cloud, no screening: the
+    first p under the tolerance, else the smallest residual; a residual is
+    only needed up to the tolerance, then up to the smallest one so far."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     cloud = np.concatenate(curves)
     center = caustics.center
     tol = tol_rel * 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
     geom = _PolylineDistance(curves)
+
+    def residual(p, cap):
+        angle = 2.0 * math.pi / p
+        both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
+        return float(geom.farthest(both, cap)[0])
+
+    for p in range(p_max, 1, -1):
+        full = residual(p, tol)
+        if full < tol:
+            return SymmetryResult(p, full, tol)
     best = math.inf
     for p in range(p_max, 1, -1):
-        angle = 2.0 * math.pi / p
-        residual = max(
-            float(geom.distances(_rotate(cloud, angle, center)).max()),
-            float(geom.distances(_rotate(cloud, -angle, center)).max()),
-        )
-        if residual < tol:
-            return SymmetryResult(p, residual, tol)
-        best = min(best, residual)
+        best = min(best, residual(p, best))
     return SymmetryResult(1, best, tol)
 
 
 def test_polyline_distance_tables():
-    # segment ids run on across polylines; each vertex lists its previous
-    # segment, then its next one, -1 padded
+    # the segment tables run on across polylines; a cell lists every segment
+    # whose bounding box touches it or one of its neighbours
     polylines = [np.array([[0.0, 0.0], [1.0, 0.0]]),
                  np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]),
                  np.array([[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]])]
     geom = _PolylineDistance(polylines)
-    np.testing.assert_array_equal(geom.vert_segments, [
-        [0, -1], [0, -1],
-        [1, -1], [1, 2], [2, 3], [3, -1],
-        [4, -1], [4, 5], [5, -1],
-    ])
-    np.testing.assert_array_equal(geom.starts, np.concatenate([p[:-1] for p in polylines]))
-    np.testing.assert_array_equal(geom.ends, np.concatenate([p[1:] for p in polylines]))
+    starts = np.concatenate([p[:-1] for p in polylines])
+    ends = np.concatenate([p[1:] for p in polylines])
+    np.testing.assert_array_equal(np.column_stack([geom.ax, geom.ay]), starts)
+    np.testing.assert_array_equal(np.column_stack([geom.dx, geom.dy]), ends - starts)
+    assert geom.side == 1.0  # the median segment length
+
+    def listed(i, j):
+        _, top, ids, first, count, segs = geom._grid(0)
+        pos = np.searchsorted(ids, (i + 1) * (top[1] + 2) + j + 1)
+        return sorted(segs[first[pos] : first[pos] + count[pos]].tolist())
+
+    assert listed(2, 1) == [0, 1, 2, 3]
+    assert listed(4, 4) == [4]
+    assert listed(-1, -1) == [0]
     assert geom.distances(np.array([[2.5, 1.5]]))[0] == pytest.approx(0.5)
-    two_point = _PolylineDistance(polylines[:1])
-    np.testing.assert_array_equal(two_point.vert_segments, [[0], [0]])
+    assert geom.distances(np.array([[2.5, 1.5]]), 0.25)[0] == 0.25
+    # no segment within 8 cells: the point is resolved on grid 4
+    assert geom.distances(np.array([[20.0, 0.0]]))[0] == math.hypot(14.0, 5.0)
+    assert sorted(geom.grids) == [0, 1, 2, 3, 4]
+
+
+def brute_distances(polylines, pts):
+    """Reference: the distance from every point to every segment, in the
+    arithmetic _PolylineDistance uses, minimised."""
+    a = np.concatenate([p[:-1] for p in polylines])
+    ax, ay = a.T.copy()
+    dx, dy = (np.concatenate([p[1:] for p in polylines]) - a).T.copy()
+    den = dx * dx + dy * dy
+    den = np.where(den > 0, den, 1.0)
+    out = []
+    for chunk in np.array_split(pts, max(1, len(pts) // 8)):  # a few cache-sized rows
+        px, py = chunk[:, :1], chunk[:, 1:]
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / den, 0.0, 1.0)
+        ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+        out.append(np.sqrt((ex * ex + ey * ey).min(axis=1)))  # sqrt is monotone
+    return np.concatenate(out)
+
+
+@pytest.fixture(scope="module")
+def highorder_caustics():
+    # the radial-order-12 golden scenario, at its grid
+    w = WaveAberration(tuple(ZernikeTerm(*t) for t in HIGHORDER_TERMS))
+    field = build_field(w)
+    return map_caustics(w, extract_contours(field, 512), (), field)
+
+
+class TestExactDistances:
+    """_PolylineDistance against every-segment brute force, to the bit."""
+
+    @pytest.mark.parametrize("name", ["3star", "4star", "5star", "6star", "8stars"])
+    def test_rotated_clouds(self, analyses, name):
+        caustics = analyses[name].caustics
+        curves = list(caustics.retina_curves)
+        cloud = np.concatenate(curves)
+        geom = _PolylineDistance(curves)
+        n = analyses[name].n
+        # the symmetry rotation keeps every point close; a 2 pi / 5 turn of
+        # an n != 5 cloud sends many far; every 4th point keeps this quick
+        for angle in (2.0 * math.pi / n, -2.0 * math.pi / 5):
+            pts = _rotate(cloud, angle, caustics.center)[::4]
+            want = brute_distances(curves, pts)
+            np.testing.assert_array_equal(geom.distances(pts), want)
+            for cap in (1e-3, 0.1, 1.0):
+                np.testing.assert_array_equal(geom.distances(pts, cap), np.minimum(want, cap))
+
+    def test_random_polylines_with_long_segments(self):
+        # the nearest segment's endpoints can both be far from a point near
+        # its middle
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            polylines = [np.cumsum(rng.normal(size=(int(rng.integers(2, 25)), 2))
+                                   * rng.choice([0.01, 1.0, 10.0]), axis=0)
+                         for _ in range(int(rng.integers(1, 5)))]
+            starts = np.concatenate([p[:-1] for p in polylines])
+            ends = np.concatenate([p[1:] for p in polylines])
+            pts = np.concatenate([0.5 * (starts + ends) + rng.normal(scale=0.01, size=starts.shape),
+                                  rng.uniform(-30.0, 30.0, (40, 2))])
+            geom = _PolylineDistance(polylines)
+            np.testing.assert_array_equal(geom.distances(pts), brute_distances(polylines, pts))
+
+    def test_farthest_is_the_capped_largest_distance(self, analyses):
+        # per run of points, the largest of the per-point distances, capped;
+        # the probing and the Lipschitz bounds leave it exact
+        caustics = analyses["3star"].caustics
+        curves = list(caustics.retina_curves)
+        cloud = np.concatenate(curves)
+        geom = _PolylineDistance(curves)
+        for p in (3, 5, 12):
+            runs = [_rotate(cloud, s * 2.0 * math.pi / p, caustics.center) for s in (1.0, -1.0)]
+            points = np.concatenate(runs)
+            for cap in (1e-4, 0.05, 1.0):
+                want = [geom.distances(r, cap).max() for r in runs]
+                np.testing.assert_array_equal(geom.farthest(points, cap, 2), want)
+                assert geom.farthest(points, cap)[0] == max(want)
+
+    def test_highorder_residual_is_exact(self, highorder_caustics):
+        # the whole cloud, both ways: the exact residual is about 6.7 times
+        # below what a nearest-vertex heuristic found
+        curves = list(highorder_caustics.retina_curves)
+        cloud = np.concatenate(curves)
+        geom = _PolylineDistance(curves)
+        want = 0.0
+        for s in (1.0, -1.0):
+            pts = _rotate(cloud, s * 2.0 * math.pi / 12, highorder_caustics.center)
+            exact = brute_distances(curves, pts)
+            np.testing.assert_array_equal(geom.distances(pts), exact)
+            want = max(want, exact.max())
+        result = symmetry_order(highorder_caustics)
+        assert (result.p, result.residual) == (12, want)
+        assert result.residual == pytest.approx(2.98852e-4, rel=1e-5)
 
 
 def scipy_peaks(x):

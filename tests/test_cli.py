@@ -114,6 +114,26 @@ class TestAnalyzeCommand:
                          "--out", str(tmp_path / "out")]) == 2
             assert "error: coefficient must be finite" in capsys.readouterr().err
 
+    def test_overflowing_coefficients_in_scenario_file_exit_code(self, tmp_path, capsys):
+        # finite coefficients whose Hessian determinant overflows
+        scen = make_scenario_file(tmp_path, {"wavefront": [
+            {"n": 4, "m": 0, "coeff_um": 1e305}, {"n": 3, "m": 3, "coeff_um": 1e300}]})
+        assert main(["analyze", "--scenario", scen, "--out", str(tmp_path / "out")]) == 2
+        assert "error: wavefront coefficients overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_coefficient_flags_exit_code(self, tmp_path, capsys):
+        assert main(["analyze", "--alpha", "0", "--beta", "1e305", "--gamma", "1e300",
+                     "--n", "3", "--out", str(tmp_path / "out")]) == 2
+        assert "error: wavefront coefficients overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
+                     "--grid", "64", "--out", str(tmp_path / "afile" / "sub")]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_non_finite_shorthand_in_scenario_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text('{"alpha": NaN, "beta": 0.2, "gamma": 0.2, "n": 3}')
@@ -323,6 +343,12 @@ class TestRegionsCommand:
             capsys.readouterr().err)
         assert not (tmp_path / "regions").exists()
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        assert main(["regions", "--n", "3", "--beta", "0.2", "--res", "11",
+                     "--out", str(tmp_path / "afile" / "sub")]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_bad_window(self, tmp_path):
         assert main(["regions", "--n", "4", "--beta", "0.2", "--window", "1,2",
                      "--out", str(tmp_path)]) == 2
@@ -411,16 +437,25 @@ class TestFixturesCommand:
         assert "error: --grid must be at least 64" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # the CLI's cold start: scipy.signal would pull in scipy.stats,
-    # scipy.interpolate and scipy.optimize on every command
+def test_cli_import_leaves_scipy_signal_out(tmp_path):
+    # numpy is the only runtime dependency: no scipy module is loaded by the
+    # import, nor lazily by running each command
     env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
-    code = ("import sys, starburst.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, starburst.cli; {loaded}"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+    runs = [["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
+             "--grid", "64", "--out", str(tmp_path / "a")],
+            ["regions", "--n", "3", "--beta", "0.2", "--res", "11", "--out", str(tmp_path / "r")],
+            ["verify", "--n", "3", "--beta", "0.2", "--samples", "2"]]
+    code = (f"import sys; from starburst.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; print(codes, file=sys.stderr); {loaded}")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stderr == "[0, 0, 0]\n"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestParser:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circular_deviation
+from conftest import circular_deviation, det_hess_g
 from starburst import (
     ABParams,
     CapabilityError,
@@ -12,7 +12,6 @@ from starburst import (
     WaveAberration,
     ZernikeTerm,
     build_field,
-    classify_point,
     find_critical_points,
     find_critical_points_batch,
     rescale_check,
@@ -146,7 +145,9 @@ class TestCriticalPointCensus:
         a = analyses["4star"]
         threshold = DEGENERACY_REL_THRESHOLD * a.search.g_scale**2
         for p in a.search.points:
-            kind, det = classify_point(a.field, p.x, p.y, threshold)
+            det = det_hess_g(a.field, p.x, p.y)
+            kind = (PointClass.SADDLE if det < -threshold else
+                    PointClass.EXTREMUM if det > threshold else PointClass.DEGENERATE)
             assert kind is p.kind
             assert det == pytest.approx(p.hess_g_det, rel=1e-12)
 
@@ -292,7 +293,7 @@ class TestBatchedCensus:
         with pytest.raises(ValueError, match="domain_radius"):
             find_critical_points_batch([field, field], radius)
 
-    def test_det_squares_like_classify_point(self):
+    def test_det_squares_with_pow(self):
         # G = (A x^2 + 2 B xy + D y^2) / 2 has a saddle at the origin and
         # constant Hess G.  For this B, B ** 2 (pow) and B * B differ in the
         # last bit, and so do the two determinants.
@@ -311,8 +312,7 @@ class TestBatchedCensus:
         )
         (p,) = find_critical_points(field).points
         assert p.kind is PointClass.SADDLE
-        _, det = classify_point(field, p.x, p.y, 0.0)
-        assert p.hess_g_det == det == A * D - np.float64(B) ** 2
+        assert p.hess_g_det == det_hess_g(field, p.x, p.y) == A * D - np.float64(B) ** 2
 
 
 def _greedy_dedup(fidx, x, y, gn):
@@ -362,3 +362,20 @@ class TestDedup:
         want = _greedy_dedup(fidx, x, y, gn)
         assert out.tolist() == want
         assert len(want) < n
+
+    def test_matches_greedy_pass_on_clusters(self):
+        # tight clusters repeated in every field, points sharing an x, and
+        # neighbours within 2 radii in x but not in the plane
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-1.0, 1.0, (12, 2))
+        centers[:4, 0] = centers[0, 0]
+        pick = rng.integers(0, len(centers), 600)
+        offsets = rng.uniform(-1.5, 1.5, (600, 2)) * DEDUP_RADIUS
+        offsets[::5, 0] = 0.0
+        x, y = (centers[pick] + offsets).T
+        fidx = rng.integers(0, 5, 600)
+        gn = rng.integers(1, 4, 600) * 1e-13
+        out = _dedup(fidx, x, y, gn)
+        assert out.tolist() == _greedy_dedup(fidx, x, y, gn)
+        assert 5 * len(centers) <= len(out) < 300
+

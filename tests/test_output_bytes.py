@@ -4,7 +4,8 @@ pinned hashes.
 tests/golden/analyze_outputs.sha256 (sha256sum format) holds the hash of
 each file `analyze` wrote for the 3star fixture and the radial-order-12
 scenario at grid 512, before the heatmap, marching-squares and symmetry
-code ran on whole arrays.  tests/golden/regions_outputs.sha256 holds the
+code ran on whole arrays; highorder/report.json was pinned again when its
+rotation_residual became the exact Hausdorff residual.  tests/golden/regions_outputs.sha256 holds the
 hashes of `regions --n n --beta 0.2` (n = 3..6, default resolution) from
 before the region predicates ran on arrays.  Rerunning the commands must
 reproduce every byte.
