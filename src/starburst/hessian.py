@@ -7,6 +7,10 @@ grid-seeded damped Newton iteration on grad G = 0 and classified by the
 sign of det(Hess G): saddle if negative, extremum if positive, degenerate
 inside a scale-normalized threshold band.
 
+For the three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n the
+census's coefficient stacks are contracted from a cached basis of pair
+polynomials instead (`three_term_stacks`); `build_field` serves any W.
+
 The search is deterministic: seeds come from fixed grids, the Newton
 batch is data-parallel over points and fields, and results are
 deduplicated and sorted by (rho, theta).
@@ -18,6 +22,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .zernike import (
     BivariatePolynomial,
     CapabilityError,
     WaveAberration,
+    ZernikeTerm,
     gathered_values,
     grid_values,
 )
@@ -55,6 +62,14 @@ class HessianField:
     Gyy: BivariatePolynomial
 
 
+def _g_derivatives(g: BivariatePolynomial) -> dict[str, BivariatePolynomial]:
+    """G and its derivatives to second order, by HessianField name."""
+    gx = g.differentiate("x")
+    gy = g.differentiate("y")
+    return {"G": g, "Gx": gx, "Gy": gy, "Gxx": gx.differentiate("x"),
+            "Gxy": gx.differentiate("y"), "Gyy": gy.differentiate("y")}
+
+
 def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
     if w_poly.degree > MAX_RADIAL_ORDER:
         raise CapabilityError(
@@ -65,32 +80,97 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
     wxx = wx.differentiate("x")
     wxy = wx.differentiate("y")
     wyy = wy.differentiate("y")
-    g = wxx * wyy - wxy * wxy
-    gx = g.differentiate("x")
-    gy = g.differentiate("y")
-    return HessianField(
-        W=w_poly,
-        Wx=wx,
-        Wy=wy,
-        Wxx=wxx,
-        Wxy=wxy,
-        Wyy=wyy,
-        G=g,
-        Gx=gx,
-        Gy=gy,
-        Gxx=gx.differentiate("x"),
-        Gxy=gx.differentiate("y"),
-        Gyy=gy.differentiate("y"),
-    )
+    return HessianField(W=w_poly, Wx=wx, Wy=wy, Wxx=wxx, Wxy=wxy, Wyy=wyy,
+                        **_g_derivatives(wxx * wyy - wxy * wxy))
+
+
+_OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
+
+
+def _squarable(g_hess: np.ndarray) -> bool:
+    """Whether the census can square the values of a (G, Gxx, Gxy, Gyy)
+    stack: |G|^2 scales the degeneracy band and det(Hess G) = Gxx Gyy -
+    Gxy^2.  Each polynomial's sum |c_ij| bounds its values on the unit
+    square; twice its square must be finite (NaN coefficients fail too)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(g_hess).sum(axis=(0, 1))
+        return bool(np.isfinite(2.0 * bound * bound).all())
 
 
 def build_field(w: WaveAberration) -> HessianField:
     """The full derivative field of a wave aberration; ValueError on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         field = field_from_polynomial(w.to_polynomial())
-    if not all(np.isfinite(poly.coeffs).all() for poly in vars(field).values()):
-        raise ValueError("wavefront coefficients overflow the Hessian determinant")
+    if not (all(np.isfinite(poly.coeffs).all() for poly in vars(field).values())
+            and _squarable(_stack([field], _GROUPS.g_hess))):
+        raise ValueError(_OVERFLOW)
     return field
+
+
+class CensusStacks(NamedTuple):
+    """The zero-padded (DX, DY, len(names), fields) coefficient stacks that
+    the census evaluates, each trimmed to its own group of polynomials."""
+
+    g_grad: np.ndarray  # G, Gx, Gy: the zoom-1 seed grid and the scales
+    grad: np.ndarray  # Gx, Gy: seeding and Newton
+    hess: np.ndarray  # Gxx, Gxy, Gyy: Newton steps
+    g_hess: np.ndarray  # G, Gxx, Gxy, Gyy: the located points' values
+
+
+_GROUPS = CensusStacks(("G", "Gx", "Gy"), ("Gx", "Gy"), ("Gxx", "Gxy", "Gyy"),
+                       ("G", "Gxx", "Gxy", "Gyy"))
+
+
+def _stack(fields, names) -> np.ndarray:
+    """The named polynomials of every field, zero-padded into one
+    (DX, DY, len(names), len(fields)) coefficient stack, (1, 1, ...) for
+    no fields."""
+    coeffs = [[getattr(f, name).coeffs for f in fields] for name in names]
+    dx, dy = np.max([c.shape for row in coeffs for c in row] + [(1, 1)], axis=0)
+    out = np.zeros((dx, dy, len(names), len(fields)))
+    for m, row in enumerate(coeffs):
+        for k, c in enumerate(row):
+            out[: c.shape[0], : c.shape[1], m, k] = c
+    return out
+
+
+# The three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n: G is
+# quadratic in (alpha, beta, gamma), so G and its derivatives are sums of
+# one pair polynomial per product of two coefficients, in this order.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+@functools.cache
+def _pair_basis(n: int) -> CensusStacks:
+    """The census stacks of the three-term family's pair polynomials for
+    order n, one field per entry of _PAIRS."""
+    terms = [field_from_polynomial(ZernikeTerm(k, m, 1.0).to_polynomial())
+             for k, m in ((2, 0), (4, 0), (n, n))]
+    pairs = []
+    for a, b in _PAIRS:
+        p, q = terms[a], terms[b]
+        g = p.Wxx * q.Wyy - p.Wxy * q.Wxy
+        if a != b:  # c_a c_b appears twice in G = Wxx Wyy - Wxy^2
+            g = g + q.Wxx * p.Wyy - q.Wxy * p.Wxy
+        pairs.append(SimpleNamespace(**_g_derivatives(g)))
+    basis = CensusStacks(*(_stack(pairs, names) for names in _GROUPS))
+    for stack in basis:  # shared by every caller
+        stack.flags.writeable = False
+    return basis
+
+
+def three_term_stacks(n: int, alpha, beta, gamma) -> CensusStacks:
+    """Census stacks of W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n, one field
+    per entry of the coefficient arrays, contracted from the cached pair
+    basis; ValueError on overflow, as `build_field`."""
+    c = np.array([alpha, beta, gamma], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        weights = np.array([c[a] * c[b] for a, b in _PAIRS])
+        stacks = CensusStacks(*(np.tensordot(basis, weights, axes=1)
+                                for basis in _pair_basis(n)))
+    if not _squarable(stacks.g_hess):
+        raise ValueError(_OVERFLOW)
+    return stacks
 
 
 # Census constants.
@@ -157,18 +237,6 @@ _GRID_SHIFT_X = (math.sqrt(2.0) - 1.0) / 2.0
 _GRID_SHIFT_Y = (math.sqrt(3.0) - 1.0) / 2.0
 # seeds in a sign-change cell: its center, then its corners, in cell units
 _CELL_OFFSETS = ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-
-
-def _stack(fields, names) -> np.ndarray:
-    """The named polynomials of every field, zero-padded into one
-    (DX, DY, len(names), len(fields)) coefficient stack."""
-    coeffs = [[getattr(f, name).coeffs for f in fields] for name in names]
-    dx, dy = np.max([c.shape for row in coeffs for c in row], axis=0)
-    out = np.zeros((dx, dy, len(names), len(fields)))
-    for m, row in enumerate(coeffs):
-        for k, c in enumerate(row):
-            out[: c.shape[0], : c.shape[1], m, k] = c
-    return out
 
 
 def _corner_grid(stack: np.ndarray, radius: float, n: int):
@@ -351,36 +419,47 @@ def find_critical_points_batch(
     fields, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field inside the disk of radius ``domain_radius``,
-    run as one array program; each result is the field's census alone.
+    run as one array program; each result is the field's census alone:
+    `census_from_stacks` of the fields' stacked polynomials."""
+    return census_from_stacks(
+        CensusStacks(*(_stack(fields, names) for names in _GROUPS)), domain_radius)
 
-    Returns a flagged empty result for a field whose G is constant or whose
-    critical set is non-isolated (more deduplicated points than
-    ``_DEGENERATE_POINT_LIMIT``, as happens for axially symmetric W).
+
+def census_from_stacks(
+    stacks: CensusStacks, domain_radius: float = 1.0
+) -> list[CriticalPointSearch]:
+    """Census of every field of ``stacks`` (its trailing index) inside the
+    disk of radius ``domain_radius``, run as one array program.
+
+    Returns a flagged empty result for a field whose G is constant (every
+    coefficient but [0, 0] zero) or whose critical set is non-isolated (more
+    deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
+    axially symmetric W).
     """
     if not (domain_radius > 0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
     R = domain_radius
-    if not fields:
+    n_fields = stacks.g_grad.shape[-1]
+    if not n_fields:
         return []
     # the zoom-1 seed grid also sets the gradient and |G| scales
-    xs, ys, (g, gx, gy) = _corner_grid(_stack(fields, ("G", "Gx", "Gy")), R, _GRID_SIZE)
+    xs, ys, (g, gx, gy) = _corner_grid(stacks.g_grad, R, _GRID_SIZE)
     gscale = np.max(np.hypot(gx, gy), axis=(1, 2))
     g_abs_scale = np.max(np.abs(g), axis=(1, 2))
-    constant = np.array([f.G.degree <= 0 for f in fields])
+    constant = ~np.any(stacks.g_grad[:, :, 0].reshape(-1, n_fields)[1:], axis=0)
     # fmax, as Python's max(1.0, nan) is 1.0
     conv_tol = 1e-12 * np.fmax(1.0, gscale)
     accept_tol = GRADIENT_TOL * np.fmax(1.0, gscale)
-    grad = _stack(fields, ("Gx", "Gy"))
-    hess = _stack(fields, ("Gxx", "Gxy", "Gyy"))
+    grad, hess = stacks.grad, stacks.hess
 
     fidx, x, y = _collect_seeds(grad, R, (xs, ys, (gx, gy)))
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
-    n_seeds = np.bincount(fidx, minlength=len(fields))
+    n_seeds = np.bincount(fidx, minlength=n_fields)
     x, y, gx, gy = _newton_batch(grad, hess, fidx, x, y, R, conv_tol[fidx])
     gn = np.hypot(gx, gy)
     ok = np.isfinite(gn) & (gn <= accept_tol[fidx])
-    n_unconverged = np.bincount(fidx[~ok], minlength=len(fields))
+    n_unconverged = np.bincount(fidx[~ok], minlength=n_fields)
     fidx = fidx[ok]
     x, y, gn = _newton_polish(grad, hess, fidx, x[ok], y[ok], gx[ok], gy[ok], R)
     keep = (gn <= accept_tol[fidx]) & (np.hypot(x, y) <= R + _BOUNDARY_CLAMP)
@@ -388,12 +467,12 @@ def find_critical_points_batch(
 
     # keep the best-converged representative of each cluster
     kept = _dedup(fidx, x, y, gn)
-    n_kept = np.bincount(fidx[kept], minlength=len(fields))
+    n_kept = np.bincount(fidx[kept], minlength=n_fields)
     kept = kept[n_kept[fidx[kept]] <= _DEGENERATE_POINT_LIMIT]
     located = [_locate(float(x[i]), float(y[i]), R) for i in kept]
     px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
-    values = gathered_values(_stack(fields, ("G", "Gxx", "Gxy", "Gyy")), fidx[kept], px, py)
-    points: list[list[CriticalPoint]] = [[] for _ in fields]
+    values = gathered_values(stacks.g_hess, fidx[kept], px, py)
+    points: list[list[CriticalPoint]] = [[] for _ in range(n_fields)]
     for (cx, cy, r, theta, on_boundary), f, g, a, b, d in zip(
             located, fidx[kept].tolist(), *values):
         # b ** 2 of a numpy float is pow(), which can differ from b * b in
@@ -405,7 +484,7 @@ def find_critical_points_batch(
         points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(g), det, on_boundary))
 
     results = []
-    for f in range(len(fields)):
+    for f in range(n_fields):
         scales = (float(g_abs_scale[f]), float(gscale[f]))
         degenerate, message = False, ""
         if constant[f]:

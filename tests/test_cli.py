@@ -128,6 +128,20 @@ class TestAnalyzeCommand:
         assert "error: wavefront coefficients overflow" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_huge_finite_coefficient_flags_exit_code(self, tmp_path, capsys):
+        # G's coefficients (about 1e300) are finite; det(Hess G) is not
+        assert main(["analyze", "--alpha", "0", "--beta", "1e150", "--gamma", "1e150",
+                     "--n", "3", "--grid", "64", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_finite_coefficients_in_scenario_file_exit_code(self, tmp_path, capsys):
+        scen = make_scenario_file(tmp_path, {"alpha": 0, "beta": 1e150, "gamma": 1e150,
+                                             "n": 3, "grid_resolution": 64})
+        assert main(["analyze", "--scenario", scen, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
         assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
@@ -410,6 +424,10 @@ class TestVerifyCommand:
         assert result["failed"] == 0
         assert large <= 1.5 * small
 
+    def test_overflowing_beta_usage_error(self, capsys):
+        assert main(["verify", "--n", "3", "--beta", "1e200", "--samples", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
+
     def test_non_finite_beta_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "inf", "--samples", "2"]) == 2
 
@@ -456,6 +474,16 @@ def test_cli_import_leaves_scipy_signal_out(tmp_path):
                           capture_output=True, text=True)
     assert done.stderr == "[0, 0, 0]\n"
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_builds_no_pair_basis():
+    # verify's pair basis is built on first use, so the import stays as cheap
+    env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
+    code = ("import starburst.cli; from starburst.hessian import _pair_basis; "
+            "print(_pair_basis.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
 
 
 class TestParser:

@@ -1,23 +1,37 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import circular_deviation, det_hess_g
 from starburst import (
+    SUPPORTED_ORDERS,
     ABParams,
     CapabilityError,
     PointClass,
     WaveAberration,
     ZernikeTerm,
     build_field,
+    census_from_stacks,
     find_critical_points,
     find_critical_points_batch,
     rescale_check,
     saddle_upper_bound,
+    three_term_stacks,
 )
-from starburst.hessian import DEDUP_RADIUS, DEGENERACY_REL_THRESHOLD, GRADIENT_TOL, _dedup
+from starburst.cli import _verification_samples
+from starburst.hessian import (
+    _GROUPS,
+    _PAIRS,
+    DEDUP_RADIUS,
+    DEGENERACY_REL_THRESHOLD,
+    GRADIENT_TOL,
+    _dedup,
+    _pair_basis,
+    _stack,
+)
 from starburst.zernike import BivariatePolynomial
 
 EQ3 = ABParams(0.0, 0.2, 0.2, 3)
@@ -313,6 +327,85 @@ class TestBatchedCensus:
         (p,) = find_critical_points(field).points
         assert p.kind is PointClass.SADDLE
         assert p.hess_g_det == det_hess_g(field, p.x, p.y) == A * D - np.float64(B) ** 2
+
+
+def _coefficients(params):
+    return np.array([(p.alpha, p.beta, p.gamma) for p in params]).T
+
+
+def _padded(a, shape):
+    out = np.zeros(shape)
+    out[tuple(slice(0, k) for k in a.shape)] = a
+    return out
+
+
+class TestThreeTermBasis:
+    """`verify` builds W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n from a
+    cached pair basis; `build_field` of the same W is the reference."""
+
+    # alpha = 0 and gamma = 0 drop a term from to_wavefront; gamma < 0
+    COEFFS = [(-0.3, 0.2, 0.15), (0.0, 0.2, 0.2), (0.25, 0.1, 0.0),
+              (0.1, 0.3, -0.12), (0.0, 0.2, 0.0), (-1.1, 0.05, -0.4)]
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_stacks_match_build_field(self, n):
+        params = [ABParams(a, b, g, n) for a, b, g in self.COEFFS]
+        stacks = three_term_stacks(n, *_coefficients(params))
+        fields = [build_field(p.to_wavefront()) for p in params]
+        for got, names in zip(stacks, _GROUPS):
+            want = _stack(fields, names)
+            shape = np.maximum(got.shape, want.shape)
+            got, want = _padded(got, shape), _padded(want, shape)
+            scale = np.max(np.abs(want), axis=(0, 1))
+            assert np.all(scale > 0)
+            assert np.all(np.max(np.abs(got - want), axis=(0, 1)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_defocus_and_harmonic_pair_vanishes(self, n):
+        # Hess Z_2^0 is a constant multiple of the identity and Z_n^n is
+        # harmonic, so the alpha * gamma pair, a multiple of the Laplacian
+        # of Z_n^n, is zero
+        for stack in _pair_basis(n):
+            pair = stack[..., _PAIRS.index((0, 2))]
+            assert np.max(np.abs(pair)) <= 1e-13 * np.max(np.abs(stack))
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_census_matches_build_field(self, n):
+        params = list(_verification_samples(n, 0.2, 200, seed=70 + n))
+        for start in range(0, len(params), 50):
+            chunk = params[start : start + 50]
+            basis = census_from_stacks(three_term_stacks(n, *_coefficients(chunk)))
+            fields = find_critical_points_batch([build_field(p.to_wavefront()) for p in chunk])
+            for got, want in zip(basis, fields, strict=True):
+                assert got.degenerate == want.degenerate
+                assert len(got) == len(want)
+                # ring members share rho, so their order is rounding: match
+                # each point to the nearest of the reference
+                a = np.array([(p.x, p.y) for p in got]).reshape(-1, 2)
+                b = np.array([(p.x, p.y) for p in want]).reshape(-1, 2)
+                dist = np.hypot(*(a[:, None, :] - b[None, :, :]).transpose(2, 0, 1))
+                match = np.argmin(dist, axis=1) if len(b) else np.array([], dtype=int)
+                assert sorted(match.tolist()) == list(range(len(b)))
+                assert np.all(dist[np.arange(len(a)), match] <= 1e-10)
+                assert [p.kind for p in got] == [want.points[j].kind for j in match]
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            three_term_stacks(3, [0.0], [1e150], [1e150])
+        with pytest.raises(ValueError, match="overflow"):
+            build_field(ABParams(0.0, 1e150, 1e150, 3).to_wavefront())
+
+    def test_cached_bases_stay_small(self):
+        # a cache of per-pair seed grids would hold megabytes
+        _pair_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in SUPPORTED_ORDERS:
+                _pair_basis(n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 256 * 1024
 
 
 def _greedy_dedup(fidx, x, y, gn):
