@@ -75,9 +75,8 @@ class ProjectedCusp:
 
 @dataclass(frozen=True)
 class CausticSet:
-    """Pupil contours, their retina images, and projected cusps of Gauss."""
+    """Retina images of the pupil contours, and projected cusps of Gauss."""
 
-    pupil_contours: ContourSet
     retina_curves: tuple[np.ndarray, ...]
     projected_cusps: tuple[ProjectedCusp, ...]
     aberration: WaveAberration
@@ -346,7 +345,6 @@ def map_caustics(
         for pt, (xi, eta) in zip(critical_points, cusp_img)
     ]
     return CausticSet(
-        pupil_contours=contours,
         retina_curves=tuple(retina),
         projected_cusps=tuple(projected),
         aberration=w,

@@ -404,6 +404,7 @@ def cmd_regions(args) -> int:
 
 
 _VERIFY_BAND = 1e-3  # smallest boundary slack of a verification sample
+_VERIFY_MAX_REJECTS = 1000  # consecutive draws inside the band before giving up
 # samples drawn and censused as one batch: bounds memory for any --samples
 _VERIFY_CHUNK = 16
 
@@ -431,22 +432,29 @@ def _verify_sample(params: ABParams, census) -> tuple[float, str]:
 
 def _verification_samples(n: int, beta: float, samples: int, seed: int):
     """Yield ``samples`` ABParams drawn in the region-diagram window, outside
-    a relative band of width _VERIFY_BAND around every boundary curve."""
+    a relative band of width _VERIFY_BAND around every boundary curve.
+
+    Raises ValueError after _VERIFY_MAX_REJECTS consecutive draws inside the
+    band: the band is absolute where a bound is below 1, so for a small beta
+    it covers the whole window.
+    """
     rng = np.random.default_rng(seed)
     g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
-    done = attempts = 0
+    done = rejected = 0
     while done < samples:
-        attempts += 1
-        if attempts > 1000 * samples:
-            raise RuntimeError(
-                "could not draw enough samples outside the boundary band; "
-                "lower --samples"
-            )
         gamma = float(rng.uniform(g0, g1)) * beta
         alpha = float(rng.uniform(a0, a1)) * beta
         params = ABParams(alpha, beta, gamma, n)
         if min(boundary_slacks(params)) < _VERIFY_BAND:
+            rejected += 1
+            if rejected == _VERIFY_MAX_REJECTS:
+                raise ValueError(
+                    f"{rejected} consecutive draws fell inside the boundary band "
+                    f"(width {_VERIFY_BAND:g}, absolute for bounds below 1); "
+                    f"raise --beta"
+                )
             continue
+        rejected = 0
         done += 1
         yield params
 
@@ -501,7 +509,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     try:
         result = run_verification(args.n, args.beta, args.samples, args.seed)
-    except ValueError as exc:  # a beta whose Hessian determinant overflows
+    except ValueError as exc:  # a beta too large (overflow) or too small (band)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npol
 
 from .zernike import CapabilityError, WaveAberration, ZernikeTerm
 
@@ -104,37 +103,40 @@ def _ab_coefficients(p: ABParams):
     )
 
 
-def ab_functions(p: ABParams):
-    """Radial factors (A, B) of grad G = 0; callables accepting scalars/arrays."""
+def _ab_polynomial(p: ABParams, sign: float) -> list[float]:
+    """Ascending rho-coefficients of A + sign*B: sign = -1 for the even
+    family, +1 for the odd family, 0 for A alone."""
     n = p.n
     c_a0, c_a2, c_ahi, c_b = _ab_coefficients(p)
+    c = [0.0] * (max(2, 2 * n - 6) + 1)
+    c[0] = c_a0
+    c[2] += c_a2
+    c[2 * n - 6] -= c_ahi
+    c[n - 2] += sign * c_b
+    return c
+
+
+def _horner(c: list[float], x):
+    """(value, derivative) at x of the polynomial with ascending coefficients c."""
+    value = slope = 0.0
+    for ck in reversed(c):
+        slope = slope * x + value
+        value = value * x + ck
+    return value, slope
+
+
+def ab_functions(p: ABParams):
+    """Radial factors (A, B) of grad G = 0; callables accepting scalars/arrays."""
+    a = _ab_polynomial(p, 0.0)
+    b = [ab - ak for ab, ak in zip(_ab_polynomial(p, 1.0), a)]
 
     def A(rho):
-        rho = np.asarray(rho, dtype=float)
-        return c_a0 + c_a2 * rho**2 - c_ahi * rho ** (2 * n - 6)
+        return _horner(a, np.asarray(rho, dtype=float))[0]
 
     def B(rho):
-        rho = np.asarray(rho, dtype=float)
-        return c_b * rho ** (n - 2)
+        return _horner(b, np.asarray(rho, dtype=float))[0]
 
     return A, B
-
-
-def _ab_derivatives(p: ABParams):
-    n = p.n
-    _, c_a2, c_ahi, c_b = _ab_coefficients(p)
-
-    def dA(rho):
-        rho = np.asarray(rho, dtype=float)
-        if n == 3:
-            return 2.0 * c_a2 * rho
-        return 2.0 * c_a2 * rho - (2 * n - 6) * c_ahi * rho ** (2 * n - 7)
-
-    def dB(rho):
-        rho = np.asarray(rho, dtype=float)
-        return (n - 2) * c_b * rho ** (n - 3)
-
-    return dA, dB
 
 
 @dataclass(frozen=True)
@@ -155,82 +157,52 @@ class RadiiResult:
         return self.even if family == EVEN_FAMILY else self.odd
 
 
-def _polish_root(p: ABParams, rho: float, sign: float) -> float:
-    """One or two guarded Newton steps on A(rho) + sign*B(rho) = 0."""
-    A, B = ab_functions(p)
-    dA, dB = _ab_derivatives(p)
-    f = lambda r: float(A(r) + sign * B(r))
-    df = lambda r: float(dA(r) + sign * dB(r))
-    val = f(rho)
-    for _ in range(2):
-        d = df(rho)
-        if d == 0.0:
-            break
-        cand = rho - val / d
-        cand_val = f(cand)
-        if abs(cand_val) >= abs(val):
-            break
-        rho, val = cand, cand_val
-    return rho
-
-
 def _roots_in_unit_interval(p: ABParams, sign: float) -> tuple[float, ...]:
-    """All roots of A + sign*B in (0, 1); sign=-1 even family, +1 odd."""
-    a, b, g, n = p.alpha, p.beta, p.gamma, p.n
-    roots: list[float] = []
-    if n == 3:
-        # quadratic 180 b^2 r^2 + sign * 9 sqrt(10) b g r + 4 b (sqrt(15) a - 15 b) - 3 g^2
-        disc = 32.0 * b * (15.0 * b - SQRT15 * a) + 33.0 * g * g
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            for r in ((-sign * 3.0 * g + s), (-sign * 3.0 * g - s)):
-                roots.append(r / (12.0 * SQRT10 * b))
-    elif n == 4:
-        denom = 6.0 * b * b + sign * 2.0 * SQRT2 * b * g - g * g
-        if denom != 0.0:
-            r2 = 2.0 * b * (15.0 * b - SQRT15 * a) / (15.0 * denom)
-            if r2 > 0.0:
-                roots.append(math.sqrt(r2))
-    elif n == 5:
-        # -75 g^2 r^4 + sign*25 sqrt(15) b g r^3 + 90 b^2 r^2 + 2 sqrt(15) b (a - sqrt(15) b)
-        coeffs = [
-            2.0 * SQRT15 * b * (a - SQRT15 * b),
-            0.0,
-            90.0 * b * b,
-            sign * 25.0 * SQRT15 * b * g,
-            -75.0 * g * g,
-        ]
-        roots.extend(_real_roots(coeffs))
-    else:  # n == 6, cubic in t = r^2
-        coeffs = [
-            4.0 * SQRT15 * b * (a - SQRT15 * b),
-            180.0 * b * b,
-            sign * 45.0 * SQRT70 * b * g,
-            -525.0 * g * g,
-        ]
-        roots.extend(math.sqrt(t) for t in _real_roots(coeffs) if t > 0.0)
+    """All roots of A + sign*B in (0, 1), each polished by up to two
+    guarded Newton steps."""
+    c = _ab_polynomial(p, sign)
+    if any(c[1::2]):
+        roots = _real_roots(c)
+    else:  # a polynomial in t = rho^2
+        roots = [math.sqrt(t) for t in _real_roots(c[::2]) if t > 0.0]
     out = []
-    for r in roots:
-        if 0.0 < r < 1.0:
-            out.append(_polish_root(p, r, sign))
-    return tuple(sorted(r for r in out if 0.0 < r < 1.0))
+    for rho in roots:
+        if not 0.0 < rho < 1.0:
+            continue
+        val, slope = _horner(c, rho)
+        for _ in range(2):
+            if slope == 0.0:
+                break
+            cand = rho - val / slope
+            cand_val, cand_slope = _horner(c, cand)
+            if abs(cand_val) >= abs(val):
+                break
+            rho, val, slope = cand, cand_val, cand_slope
+        if 0.0 < rho < 1.0:
+            out.append(rho)
+    return tuple(sorted(out))
 
 
 _IMAG_TOL = 1e-10  # |imag| of a real root, relative to max(1, largest |root|)
 
 
 def _real_roots(coeffs: list[float]) -> list[float]:
-    """Real roots of a polynomial (ascending coefficients), via the
-    companion-matrix eigenvalues behind numpy's polyroots."""
-    c = np.array(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
+    """Real roots of a polynomial (ascending coefficients): the real
+    eigenvalues of its companion matrix, rotated as numpy's polyroots
+    rotates it.  Leading coefficients up to eps times the largest are
+    dropped first: on (0, 1) such a term is below the rounding of the
+    others, and dividing by it could overflow."""
+    c = list(coeffs)
+    tiny = np.finfo(float).eps * max(map(abs, c))
+    while c and abs(c[-1]) <= tiny:
+        c.pop()
+    d = len(c) - 1
+    if d < 1:
         return []
-    c = c[: nz[-1] + 1]
-    if c.size < 2:
-        return []
-    rts = npol.polyroots(c)
-    scale = max(1.0, float(np.max(np.abs(rts))) if rts.size else 1.0)
+    m = np.eye(d, k=1)
+    m[:, 0] = np.divide(c[-2::-1], -c[-1])
+    rts = m[0] if d == 1 else np.linalg.eigvals(m)  # 1 x 1: its own eigenvalue
+    scale = max(1.0, *map(abs, rts))
     return [float(r.real) for r in rts if abs(r.imag) <= _IMAG_TOL * scale]
 
 
@@ -240,9 +212,7 @@ def saddle_radii(p: ABParams) -> RadiiResult:
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
         # of critical points instead of isolated rings.
-        circle = tuple(
-            r for r in _roots_in_unit_interval(p, 0.0) if 0.0 < r < 1.0
-        )
+        circle = _roots_in_unit_interval(p, 0.0)
         return RadiiResult(even=(), odd=(), degenerate_circle=circle, non_generic=True)
     return RadiiResult(
         even=_roots_in_unit_interval(p, -1.0),
@@ -474,9 +444,8 @@ def _ring_det_hess_g(p: ABParams, rho: float, sign: float) -> float:
     and G_thetatheta / rho^2 = -4 sign n c_b rho^(n-2), whose product is
     -16 sign n c_b rho^(n-1) (A' + sign*B')(rho).
     """
-    dA, dB = _ab_derivatives(p)
     c_b = _ab_coefficients(p)[3]
-    slope = dA(rho) + sign * dB(rho)
+    slope = _horner(_ab_polynomial(p, sign), rho)[1]
     return float(-16.0 * sign * p.n * c_b * rho ** (p.n - 1) * slope)
 
 
@@ -571,22 +540,21 @@ def _saddles_exist(n: int, beta: float, alpha: float, gamma):
     return exist
 
 
-def admissible_gamma_interval(
-    n: int, beta: float, alpha: float, gamma_cap_factor: float = 30.0
-) -> tuple[float, float] | None:
+_GAMMA_CAP_FACTOR = 30.0  # admissible_gamma_interval scans |gamma| <= this * beta
+
+
+def admissible_gamma_interval(n: int, beta: float, alpha: float) -> tuple[float, float] | None:
     """Symmetric interval of gamma values with a positive saddle count.
 
-    The scan covers |gamma| <= gamma_cap_factor * beta and returns the
+    The scan covers |gamma| <= _GAMMA_CAP_FACTOR * beta and returns the
     outermost admissible magnitude (the predicate is symmetric under
     gamma -> -gamma up to a family swap).  Returns None when no gamma in
     the scanned range yields saddles.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if not gamma_cap_factor > 0.0:
-        raise ValueError("gamma_cap_factor must be positive")
     # checks n and the finiteness of alpha, beta and the cap
-    p = ABParams(alpha, beta, gamma_cap_factor * beta, n)
+    p = ABParams(alpha, beta, _GAMMA_CAP_FACTOR * beta, n)
     cap = p.gamma
     m = 2048
     gs = np.linspace(cap / m, cap, m)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -428,6 +429,14 @@ class TestVerifyCommand:
         assert main(["verify", "--n", "3", "--beta", "1e200", "--samples", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
 
+    def test_tiny_beta_usage_error(self, capsys):
+        # the boundary band covers the whole window: give up quickly, exit 2
+        t0 = time.perf_counter()
+        assert main(["verify", "--n", "3", "--beta", "1e-5", "--samples", "200"]) == 2
+        assert time.perf_counter() - t0 < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--beta" in err
+
     def test_non_finite_beta_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "inf", "--samples", "2"]) == 2
 
@@ -456,10 +465,11 @@ class TestFixturesCommand:
 
 
 def test_cli_import_leaves_scipy_signal_out(tmp_path):
-    # numpy is the only runtime dependency: no scipy module is loaded by the
-    # import, nor lazily by running each command
+    # numpy is the only runtime dependency: no scipy or sympy module (test
+    # extras) is loaded by the import, nor lazily by running each command
     env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
-    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    loaded = ("print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'sympy')))")
     code = f"import sys, starburst.cli; {loaded}"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

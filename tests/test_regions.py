@@ -21,6 +21,7 @@ from starburst import (
 from starburst.regions import (
     DEFAULT_WINDOWS,
     SUPPORTED_ORDERS,
+    _ab_polynomial,
     _family_rows,
     _named_bounds,
     _ring_det_hess_g,
@@ -104,6 +105,84 @@ class TestSaddleRadii:
                 assert abs(float(A(rho) - B(rho))) < 1e-10
             for rho in rr.odd:
                 assert abs(float(A(rho) + B(rho))) < 1e-10
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    @pytest.mark.parametrize("beta,gamma", [(1e-154, 10.0), (0.2, 1e-160)])
+    def test_negligible_leading_coefficient(self, n, beta, gamma):
+        # a leading coefficient of A -+ B below the rounding of the others
+        # (beta^2 or gamma^2) would overflow the companion matrix
+        radii = saddle_radii(ABParams(0.0, beta, gamma, n))
+        assert all(0.0 < r < 1.0 for r in radii.even + radii.odd)
+        predict_saddles(ABParams(0.0, beta, gamma, n))
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_no_root_dropped(self, n):
+        # as many radii as sign changes of A -+ B on a fine grid of [0, 1];
+        # tangent cases, where the grid minimum of |A -+ B| is at rounding
+        # level, are skipped
+        rng = np.random.default_rng(60 + n)
+        g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+        beta = 0.2
+        rho = np.linspace(0.0, 1.0, 20001)
+        checked = 0
+        for _ in range(400):
+            p = ABParams(float(rng.uniform(a0, a1)) * beta, beta,
+                         float(rng.uniform(g0, g1)) * beta, n)
+            A, B = ab_functions(p)
+            a, b = A(rho), B(rho)
+            radii = saddle_radii(p)
+            for family, f in ((EVEN_FAMILY, a - b), (ODD_FAMILY, a + b)):
+                if np.min(np.abs(f)) <= 1e-9 * np.max(np.abs(a) + np.abs(b)):
+                    continue
+                changes = np.count_nonzero(np.signbit(f[1:]) != np.signbit(f[:-1]))
+                assert len(radii.for_family(family)) == changes, (p, family)
+                checked += 1
+        assert checked >= 790
+
+
+class TestIndependentDerivation:
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_ab_from_hessian_determinant(self, n):
+        # G = Wxx Wyy - Wxy^2 of W = a Z_2^0 + b Z_4^0 + g Z_n^n, built
+        # symbolically from the Zernike definitions, is P(rho) + Q(rho)
+        # cos(n theta) with P' = 4 rho A and Q' = -4 rho B, so the rho
+        # coefficients of (P' - s Q') / (4 rho) are those of A + s B
+        sp = pytest.importorskip("sympy")
+        x, y, rho = sp.symbols("x y rho", real=True)
+        a, b, g = sp.symbols("a b g", real=True)
+        r2 = x**2 + y**2
+        w = (a * sp.sqrt(3) * (2 * r2 - 1)
+             + b * sp.sqrt(5) * (6 * r2**2 - 6 * r2 + 1)
+             + g * sp.sqrt(2 * (n + 1)) * sp.re(sp.expand((y + sp.I * x) ** n)))
+        G = sp.diff(w, x, 2) * sp.diff(w, y, 2) - sp.diff(w, x, y) ** 2
+
+        def meridian(theta):  # polar convention (x, y) = (rho sin, rho cos)
+            return G.subs({x: rho * sp.sin(theta), y: rho * sp.cos(theta)})
+
+        on_even, on_odd = meridian(0), meridian(sp.pi / n)
+        dP = sp.Poly(sp.expand(sp.diff(on_even + on_odd, rho) / 2), rho)
+        dQ = sp.Poly(sp.expand(sp.diff(on_even - on_odd, rho) / 2), rho)
+        rng = np.random.default_rng(80 + n)
+        g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+        for _ in range(3):
+            beta = float(rng.uniform(0.1, 0.3))
+            p = ABParams(float(rng.uniform(a0, a1)) * beta, beta,
+                         float(rng.uniform(g0, g1)) * beta, n)
+            at = {a: sp.Rational(p.alpha), b: sp.Rational(p.beta), g: sp.Rational(p.gamma)}
+
+            def ascending(poly):
+                coeffs = [float(sp.N(c.subs(at), 30)) for c in reversed(poly.all_coeffs())]
+                return np.array(coeffs + [0.0] * (2 * n - len(coeffs)))
+
+            p_prime, q_prime = ascending(dP), ascending(dQ)
+            for s in (-1.0, 1.0):
+                want = (p_prime - s * q_prime) / 4.0
+                got = _ab_polynomial(p, s)
+                scale = np.max(np.abs(want))
+                assert abs(want[0]) <= 1e-12 * scale  # divisible by rho
+                np.testing.assert_allclose(want[1:len(got) + 1], got, rtol=0,
+                                           atol=1e-12 * scale)
+                assert np.all(np.abs(want[len(got) + 1:]) <= 1e-12 * scale)
 
 
 class TestPredictSaddles:
@@ -264,11 +343,6 @@ class TestGammaIntervals:
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             admissible_gamma_interval(4, -0.2, 0.0)
-
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
-    def test_invalid_cap(self, factor):
-        with pytest.raises(ValueError):
-            admissible_gamma_interval(5, 0.2, 0.0, factor)
 
     # endpoints of the per-sample predict_saddles scan, before the scan ran
     # on arrays; the array scan must reproduce them bit for bit
