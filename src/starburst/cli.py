@@ -182,7 +182,8 @@ def _write_csv(path: Path, header: str, lines) -> None:
 
 
 def run_analysis(scenario: Scenario):
-    """Full pipeline for one scenario; returns (report dict, artifacts)."""
+    """Full pipeline for one scenario; returns the report dict and the
+    (field, contours, caustics) that `_emit_analysis_files` draws."""
     w = scenario.wavefront
     field = build_field(w)
     search = find_critical_points(field)
@@ -260,11 +261,10 @@ def run_analysis(scenario: Scenario):
                 for r in prediction.rings
             ],
         }
-    return report, (field, search, contours, caustics, verdict)
+    return report, (field, contours, caustics)
 
 
-def _emit_analysis_files(outdir: Path, scenario: Scenario, report, artifacts) -> None:
-    field, search, contours, caustics, verdict = artifacts
+def _emit_analysis_files(outdir: Path, report, field, contours, caustics) -> None:
     write_report_json(outdir / "report.json", report)
 
     for plane, curves, axes in (("pupil", contours.polylines, "x,y"),
@@ -348,7 +348,7 @@ def cmd_analyze(args) -> int:
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_analysis_files(Path(scenario.output_dir), scenario, report, artifacts)
+    _emit_analysis_files(Path(scenario.output_dir), report, *artifacts)
     elapsed = time.perf_counter() - t0
     counts = report["counts"]
     star = report["starburst"]

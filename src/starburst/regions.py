@@ -10,10 +10,11 @@ family), where
              - g^2 (n-2)(n-1)^2 n^2 (n+1) rho^(2n-6)
     B(rho) = 12 sqrt(10) b g (n-1) n^2 sqrt(n+1) rho^(n-2)
 
-(a, b, g = alpha, beta, gamma).  Whether a family's ring consists of
-saddles is decided by explicit inequality tables in the (gamma, alpha)
-plane, with boundary curves alpha_1^{+/-}, alpha_2(^{+/-}), alpha_3 and
-gamma thresholds depending on n.  The tables assume beta > 0.
+(a, b, g = alpha, beta, gamma).  W(a, b, -g) is W rotated by pi / n, so
+the odd family at gamma is the even family at -gamma.  One inequality
+table in the (gamma, alpha) plane decides whether the even family's ring
+consists of saddles, with boundary curves alpha_1^+, alpha_2(^{+/-}),
+alpha_3 and gamma thresholds depending on n.  It assumes beta > 0.
 
 Of a family's candidate radii, the saddle ring is the one where
 det(Hess G) < 0.  On a ring that determinant is a closed form in A' and B'
@@ -45,6 +46,8 @@ SUPPORTED_ORDERS = (3, 4, 5, 6)
 
 EVEN_FAMILY = "even"  # theta = 2 k pi / n      <-> A - B = 0
 ODD_FAMILY = "odd"    # theta = (2k+1) pi / n   <-> A + B = 0
+# each family with the sign s of gamma at which it is the even family
+_FAMILIES = ((EVEN_FAMILY, 1.0), (ODD_FAMILY, -1.0))
 
 
 @dataclass(frozen=True)
@@ -157,10 +160,10 @@ class RadiiResult:
         return self.even if family == EVEN_FAMILY else self.odd
 
 
-def _roots_in_unit_interval(p: ABParams, sign: float) -> tuple[float, ...]:
-    """All roots of A + sign*B in (0, 1), each polished by up to two
-    guarded Newton steps."""
-    c = _ab_polynomial(p, sign)
+def _roots_in_unit_interval(p: ABParams) -> tuple[float, ...]:
+    """All roots of A - B in (0, 1), each polished by up to two guarded
+    Newton steps."""
+    c = _ab_polynomial(p, -1.0)
     if any(c[1::2]):
         roots = _real_roots(c)
     else:  # a polynomial in t = rho^2
@@ -212,64 +215,69 @@ def saddle_radii(p: ABParams) -> RadiiResult:
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
         # of critical points instead of isolated rings.
-        circle = _roots_in_unit_interval(p, 0.0)
+        circle = _roots_in_unit_interval(p)
         return RadiiResult(even=(), odd=(), degenerate_circle=circle, non_generic=True)
-    return RadiiResult(
-        even=_roots_in_unit_interval(p, -1.0),
-        odd=_roots_in_unit_interval(p, +1.0),
-    )
+    even, odd = (_roots_in_unit_interval(ABParams(p.alpha, p.beta, s * p.gamma, p.n))
+                 for _, s in _FAMILIES)
+    return RadiiResult(even=even, odd=odd)
 
 
 # --------------------------------------------------------------------------
-# Inequality tables
+# Inequality table
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Row:
     """lo < value < hi on both axes; None is an absent bound.  The alpha
-    bounds are arrays when the rows were built for an array of gammas."""
+    bounds are arrays when the rows were built for an array of gammas.
+    ``labels`` names the row in each family, in _FAMILIES order."""
 
-    label: str
+    labels: tuple[str, str]
     gamma_lo: float | None
     gamma_hi: float | None
     alpha_lo: float | np.ndarray | None
     alpha_hi: float | np.ndarray | None
 
 
+_OVERFLOW = "wavefront coefficients overflow the closed-form region bounds"
+
+
+@np.errstate(over="ignore", invalid="ignore")  # reported below
 def _named_bounds(n: int, beta: float, gamma) -> dict:
-    """Boundary values of the inequality tables at (beta, gamma); none reads
+    """Boundary values of the inequality table at (beta, gamma); none reads
     alpha.  ``gamma`` may be an array of nonzero values: the bounds that
     depend on it are then arrays, each element computed by the scalar
     operations in the same order.  Where alpha_2 (proportional to a power of
     1/gamma) has no float value, at gamma = 0 or when gamma * gamma
-    underflows, it is left out.
+    underflows, it is left out.  ValueError when the bounds overflow: a
+    power of beta, or alpha_1^+ (every caller also reads -gamma, where it is
+    alpha_1^-).
     """
     b, g = beta, gamma
-    s15b = SQRT15 * b
-    out = {"sqrt15_beta": s15b}
+    out = {"sqrt15_beta": SQRT15 * b}
     if n == 3:
         out["alpha1_plus"] = (-120.0 * b * b + 9.0 * SQRT10 * b * g + 3.0 * g * g) / (4.0 * SQRT15 * b)
-        out["alpha1_minus"] = (-120.0 * b * b - 9.0 * SQRT10 * b * g + 3.0 * g * g) / (4.0 * SQRT15 * b)
         out["alpha2"] = (60.0 * b * b + 3.0 * g * g) / (4.0 * SQRT15 * b)
         out["alpha3"] = (480.0 * b * b + 33.0 * g * g) / (32.0 * SQRT15 * b)
         out["gamma_star"] = 4.0 * SQRT10 * b
     elif n == 4:
         out["alpha1_plus"] = (-60.0 * b * b + 30.0 * SQRT2 * b * g + 15.0 * g * g) / (2.0 * SQRT15 * b)
-        out["alpha1_minus"] = (-60.0 * b * b - 30.0 * SQRT2 * b * g + 15.0 * g * g) / (2.0 * SQRT15 * b)
+        out["sqrt2_beta"] = SQRT2 * b
+        out["3sqrt2_beta"] = 3.0 * SQRT2 * b
     elif n == 5:
         out["alpha1_plus"] = (-60.0 * b * b + 25.0 * SQRT15 * b * g + 75.0 * g * g) / (2.0 * SQRT15 * b)
-        out["alpha1_minus"] = (-60.0 * b * b - 25.0 * SQRT15 * b * g + 75.0 * g * g) / (2.0 * SQRT15 * b)
         try:
             out["alpha2_plus"] = 9.0 * (4561.0 + 445.0 * SQRT89) * b**3 / (1024.0 * SQRT15 * g * g)
             out["alpha2_minus"] = 9.0 * (4561.0 - 445.0 * SQRT89) * b**3 / (1024.0 * SQRT15 * g * g)
         except ZeroDivisionError:  # gamma = 0, or gamma * gamma underflows
             pass
+        except OverflowError:  # beta**3
+            raise ValueError(_OVERFLOW) from None
         out["gamma1_plus"] = SQRT15 * (SQRT89 + 5.0) * b / 40.0
         out["gamma1_minus"] = SQRT15 * (SQRT89 - 5.0) * b / 40.0
     else:  # n == 6
         out["alpha1_plus"] = (-120.0 * b * b + 45.0 * SQRT70 * b * g + 525.0 * g * g) / (4.0 * SQRT15 * b)
-        out["alpha1_minus"] = (-120.0 * b * b - 45.0 * SQRT70 * b * g + 525.0 * g * g) / (4.0 * SQRT15 * b)
         try:  # signed: proportional to 1/gamma
             out["alpha2_plus"] = b * b * math.sqrt(2.0 / 7.0) * (9.0 + 4.0 * SQRT3) / g
             out["alpha2_minus"] = b * b * math.sqrt(2.0 / 7.0) * (9.0 - 4.0 * SQRT3) / g
@@ -277,94 +285,69 @@ def _named_bounds(n: int, beta: float, gamma) -> dict:
             pass
         out["gamma1_plus"] = b * (SQRT210 + SQRT70) / 35.0
         out["gamma1_minus"] = b * (SQRT210 - SQRT70) / 35.0
+    if not np.isfinite(out["alpha1_plus"]).all():
+        raise ValueError(_OVERFLOW)
     return out
 
 
-def _family_rows(n: int, beta: float, gamma) -> dict[str, list[_Row]]:
-    """Saddle-existence rows per angle family at (beta, gamma).
+def _family_rows(n: int, beta: float, gamma) -> list[_Row]:
+    """The even family's saddle-existence rows at (beta, gamma); the odd
+    family's rows at gamma are these rows at -gamma.
 
     ``gamma`` may be an array of nonzero values (see `_named_bounds`).  Where
     alpha_2 is left out, its rows get infinite alpha bounds; those rows
     need |gamma| > gamma_1, so they are inactive there either way.
-
-    Two entries below deviate from their most literal transcription: the
-    n=5 odd-family row at gamma < -gamma_1^- bounds alpha by alpha_1^-
-    (not alpha_1^+), and the n=6 even-family hyperbola row starts at
-    gamma_1^- (not gamma_1^+).  Both follow from the gamma -> -gamma
-    family swap symmetry and from the published two-ring regions, and are
-    confirmed by the numerical census.
     """
     nb = _named_bounds(n, beta, gamma)
-    b = beta
-    inf = math.inf
-    s15b = nb["sqrt15_beta"]
-    rows: dict[str, list[_Row]] = {EVEN_FAMILY: [], ODD_FAMILY: []}
+    s15b, a1p = nb["sqrt15_beta"], nb["alpha1_plus"]
     if n == 3:
-        gs = nb["gamma_star"]
-        rows[EVEN_FAMILY] = [
-            _Row("gamma<0, alpha1+<alpha<alpha2", None, 0.0, nb["alpha1_plus"], nb["alpha2"]),
-            _Row("0<gamma<4*sqrt(10)*beta, alpha2<alpha<alpha3", 0.0, gs, nb["alpha2"], nb["alpha3"]),
-            _Row("gamma>4*sqrt(10)*beta, alpha2<alpha<alpha1+", gs, None, nb["alpha2"], nb["alpha1_plus"]),
+        a2, gs = nb["alpha2"], nb["gamma_star"]
+        return [
+            _Row(("gamma<0, alpha1+<alpha<alpha2", "gamma>0, alpha1-<alpha<alpha2"),
+                 None, 0.0, a1p, a2),
+            _Row(("0<gamma<4*sqrt(10)*beta, alpha2<alpha<alpha3",
+                  "-4*sqrt(10)*beta<gamma<0, alpha2<alpha<alpha3"),
+                 0.0, gs, a2, nb["alpha3"]),
+            _Row(("gamma>4*sqrt(10)*beta, alpha2<alpha<alpha1+",
+                  "gamma<-4*sqrt(10)*beta, alpha2<alpha<alpha1-"),
+                 gs, None, a2, a1p),
         ]
-        rows[ODD_FAMILY] = [
-            _Row("gamma>0, alpha1-<alpha<alpha2", 0.0, None, nb["alpha1_minus"], nb["alpha2"]),
-            _Row("-4*sqrt(10)*beta<gamma<0, alpha2<alpha<alpha3", -gs, 0.0, nb["alpha2"], nb["alpha3"]),
-            _Row("gamma<-4*sqrt(10)*beta, alpha2<alpha<alpha1-", None, -gs, nb["alpha2"], nb["alpha1_minus"]),
+    if n == 4:
+        return [
+            _Row(("-3*sqrt(2)*beta<gamma<0, alpha1+<alpha<sqrt(15)*beta",
+                  "0<gamma<3*sqrt(2)*beta, alpha1-<alpha<sqrt(15)*beta"),
+                 -nb["3sqrt2_beta"], 0.0, a1p, s15b),
+            _Row(("gamma>sqrt(2)*beta, sqrt(15)*beta<alpha<alpha1+",
+                  "gamma<-sqrt(2)*beta, sqrt(15)*beta<alpha<alpha1-"),
+                 nb["sqrt2_beta"], None, s15b, a1p),
         ]
-    elif n == 4:
-        rows[EVEN_FAMILY] = [
-            _Row("-3*sqrt(2)*beta<gamma<0, alpha1+<alpha<sqrt(15)*beta",
-                 -3.0 * SQRT2 * b, 0.0, nb["alpha1_plus"], s15b),
-            _Row("gamma>sqrt(2)*beta, sqrt(15)*beta<alpha<alpha1+",
-                 SQRT2 * b, None, s15b, nb["alpha1_plus"]),
-        ]
-        rows[ODD_FAMILY] = [
-            _Row("0<gamma<3*sqrt(2)*beta, alpha1-<alpha<sqrt(15)*beta",
-                 0.0, 3.0 * SQRT2 * b, nb["alpha1_minus"], s15b),
-            _Row("gamma<-sqrt(2)*beta, sqrt(15)*beta<alpha<alpha1-",
-                 None, -SQRT2 * b, s15b, nb["alpha1_minus"]),
-        ]
-    elif n == 5:
-        g1p, g1m = nb["gamma1_plus"], nb["gamma1_minus"]
-        a2p = nb.get("alpha2_plus", inf)
-        a2m = nb.get("alpha2_minus", inf)
-        rows[ODD_FAMILY] = [
-            _Row("gamma<-gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1-",
-                 None, -g1m, s15b - a2m, nb["alpha1_minus"]),
-            _Row("0<gamma<gamma1+, alpha1-<alpha<sqrt(15)*beta",
-                 0.0, g1p, nb["alpha1_minus"], s15b),
-            _Row("gamma>gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
-                 g1p, None, s15b - a2p, s15b),
-        ]
-        rows[EVEN_FAMILY] = [
-            _Row("gamma<-gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
+    g1p, g1m = nb["gamma1_plus"], nb["gamma1_minus"]
+    a2p = nb.get("alpha2_plus", math.inf)
+    a2m = nb.get("alpha2_minus", math.inf)
+    if n == 5:
+        return [
+            _Row(("gamma<-gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
+                  "gamma>gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta"),
                  None, -g1p, s15b - a2p, s15b),
-            _Row("-gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta",
-                 -g1p, 0.0, nb["alpha1_plus"], s15b),
-            _Row("gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+",
-                 g1m, None, s15b - a2m, nb["alpha1_plus"]),
+            _Row(("-gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta",
+                  "0<gamma<gamma1+, alpha1-<alpha<sqrt(15)*beta"),
+                 -g1p, 0.0, a1p, s15b),
+            _Row(("gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+",
+                  "gamma<-gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1-"),
+                 g1m, None, s15b - a2m, a1p),
         ]
-    else:  # n == 6, alpha2 bounds are signed (proportional to 1/gamma)
-        g1p, g1m = nb["gamma1_plus"], nb["gamma1_minus"]
-        a2p = nb.get("alpha2_plus", inf)
-        a2m = nb.get("alpha2_minus", inf)
-        rows[ODD_FAMILY] = [
-            _Row("gamma<-gamma1-, sqrt(15)*beta+alpha2-<alpha<alpha1-",
-                 None, -g1m, s15b + a2m, nb["alpha1_minus"]),
-            _Row("0<gamma<gamma1+, alpha1-<alpha<sqrt(15)*beta",
-                 0.0, g1p, nb["alpha1_minus"], s15b),
-            _Row("gamma>=gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
-                 g1p, None, s15b - a2p, s15b),
-        ]
-        rows[EVEN_FAMILY] = [
-            _Row("gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+",
-                 g1m, None, s15b - a2m, nb["alpha1_plus"]),
-            _Row("-gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta",
-                 -g1p, 0.0, nb["alpha1_plus"], s15b),
-            _Row("gamma<=-gamma1+, sqrt(15)*beta+alpha2+<alpha<sqrt(15)*beta",
-                 None, -g1p, s15b + a2p, s15b),
-        ]
-    return rows
+    # n == 6: alpha_2 is odd in gamma, so the odd labels flip its sign
+    return [
+        _Row(("gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+",
+              "gamma<-gamma1-, sqrt(15)*beta+alpha2-<alpha<alpha1-"),
+             g1m, None, s15b - a2m, a1p),
+        _Row(("-gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta",
+              "0<gamma<gamma1+, alpha1-<alpha<sqrt(15)*beta"),
+             -g1p, 0.0, a1p, s15b),
+        _Row(("gamma<=-gamma1+, sqrt(15)*beta+alpha2+<alpha<sqrt(15)*beta",
+              "gamma>=gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta"),
+             None, -g1p, s15b + a2p, s15b),
+    ]
 
 
 _BOUNDARY_REL_TOL = 1e-12
@@ -427,26 +410,20 @@ class SaddlePrediction:
         return tuple(r.family for r in self.rings)
 
 
-def _family_angles(n: int, family: str) -> tuple[float, ...]:
-    if family == EVEN_FAMILY:
-        return tuple(2.0 * k * math.pi / n for k in range(n))
-    return tuple((2.0 * k + 1.0) * math.pi / n for k in range(n))
-
-
-def _ring_det_hess_g(p: ABParams, rho: float, sign: float) -> float:
-    """det(Hess G) on the ring of radius rho solving A + sign*B = 0.
+def _ring_det_hess_g(p: ABParams, rho: float) -> float:
+    """det(Hess G) on the even-family ring of radius rho, a root of A - B.
 
     Z_n^n is harmonic, so G = P(rho) + Q(rho) cos(n theta) with
-    Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the family's
-    meridians, where cos(n theta) = -sign, dG/drho = 4 rho (A + sign*B) and
-    dG/dtheta = d2G/drho dtheta = 0.  At a root of A + sign*B the Hessian is
-    therefore diagonal in polar coordinates: G_rhorho = 4 rho (A' + sign*B')
-    and G_thetatheta / rho^2 = -4 sign n c_b rho^(n-2), whose product is
-    -16 sign n c_b rho^(n-1) (A' + sign*B')(rho).
+    Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the even
+    meridians, where cos(n theta) = 1, dG/drho = 4 rho (A - B) and
+    dG/dtheta = d2G/drho dtheta = 0.  At a root of A - B the Hessian is
+    therefore diagonal in polar coordinates: G_rhorho = 4 rho (A' - B') and
+    G_thetatheta / rho^2 = 4 n c_b rho^(n-2), whose product is
+    16 n c_b rho^(n-1) (A' - B')(rho).
     """
     c_b = _ab_coefficients(p)[3]
-    slope = _horner(_ab_polynomial(p, sign), rho)[1]
-    return float(-16.0 * sign * p.n * c_b * rho ** (p.n - 1) * slope)
+    slope = _horner(_ab_polynomial(p, -1.0), rho)[1]
+    return float(16.0 * p.n * c_b * rho ** (p.n - 1) * slope)
 
 
 def predict_saddles(p: ABParams) -> SaddlePrediction:
@@ -464,32 +441,28 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
             n=p.n,
             non_generic=True,
         )
-    rows = _family_rows(p.n, p.beta, p.gamma)
-    radii = saddle_radii(p)
     rings: list[Ring] = []
     labels: list[str] = []
     warnings: list[str] = []
     boundary = False
-    for family, sign in ((EVEN_FAMILY, -1.0), (ODD_FAMILY, 1.0)):
-        strict_rows = []
-        loose_rows = []
-        for row in rows[family]:
-            strict, loose = _row_state(p.gamma, p.alpha, row)
+    for k, (family, s) in enumerate(_FAMILIES):
+        q = ABParams(p.alpha, p.beta, s * p.gamma, p.n)  # the family, as even
+        strict_rows, loose_rows = [], []
+        for row in _family_rows(q.n, q.beta, q.gamma):
+            strict, loose = _row_state(q.gamma, q.alpha, row)
             if strict:
                 strict_rows.append(row)
             elif loose:
                 loose_rows.append(row)
-        if not strict_rows and loose_rows:
-            boundary = True
-        active = bool(strict_rows) or bool(loose_rows)
-        if not active:
+        if not (strict_rows or loose_rows):
             continue
-        labels.append(f"{family}: " + (strict_rows or loose_rows)[0].label)
-        candidates = radii.for_family(family)
-        angles = _family_angles(p.n, family)
+        boundary = boundary or not strict_rows
+        labels.append(f"{family}: " + (strict_rows or loose_rows)[0].labels[k])
+        candidates = _roots_in_unit_interval(q)
+        angles = tuple((2.0 * j + k) * math.pi / p.n for j in range(p.n))
         chosen = []
         for rho in candidates:
-            det = _ring_det_hess_g(p, rho, sign)
+            det = _ring_det_hess_g(q, rho)
             if det < 0.0:
                 chosen.append(Ring(rho, family, angles, det))
         if len(chosen) != 1:
@@ -498,11 +471,10 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
                 f"{len(chosen)} among radii {candidates}"
             )
         rings.extend(chosen)
-    count = p.n * (len(labels))
     if len(rings) != len(labels):
         warnings.append("ring selection and inequality table disagree")
     return SaddlePrediction(
-        count=count,
+        count=p.n * len(labels),
         rings=tuple(sorted(rings, key=lambda r: r.rho)),
         region_label="; ".join(labels) if labels else "outside all saddle regions",
         n=p.n,
@@ -519,9 +491,10 @@ def boundary_slacks(p: ABParams) -> list[float]:
     Includes the gamma = 0 axis.
     """
     out = [abs(p.gamma) / max(1.0, abs(p.beta))]
-    for rows in _family_rows(p.n, p.beta, p.gamma).values():
-        for row in rows:
-            for value, lo, hi in ((p.gamma, row.gamma_lo, row.gamma_hi),
+    for _, s in _FAMILIES:
+        gamma = s * p.gamma
+        for row in _family_rows(p.n, p.beta, gamma):
+            for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
                                   (p.alpha, row.alpha_lo, row.alpha_hi)):
                 for bound in (lo, hi):
                     if bound is not None and math.isfinite(bound):
@@ -534,9 +507,9 @@ def _saddles_exist(n: int, beta: float, alpha: float, gamma):
     > 0`` for nonzero gamma: some row of either family is active, strictly
     or up to the boundary tolerance."""
     exist = False
-    for rows in _family_rows(n, beta, gamma).values():
-        for row in rows:
-            exist = exist | _row_state(gamma, alpha, row)[1]
+    for _, s in _FAMILIES:
+        for row in _family_rows(n, beta, s * gamma):
+            exist = exist | _row_state(s * gamma, alpha, row)[1]
     return exist
 
 
@@ -610,7 +583,8 @@ class RegionDiagram:
 def _curve_samples(n: int, beta: float, gammas: np.ndarray) -> dict[str, np.ndarray]:
     g = gammas[gammas != 0.0]
     nb = _named_bounds(n, beta, g)
-    curves = {"alpha1_plus": nb["alpha1_plus"], "alpha1_minus": nb["alpha1_minus"]}
+    curves = {"alpha1_plus": nb["alpha1_plus"],
+              "alpha1_minus": _named_bounds(n, beta, -g)["alpha1_plus"]}
     if n == 3:
         curves.update(alpha2=nb["alpha2"], alpha3=nb["alpha3"])
     if n in (5, 6):
@@ -620,20 +594,17 @@ def _curve_samples(n: int, beta: float, gammas: np.ndarray) -> dict[str, np.ndar
 
 
 def _tick_values(n: int, beta: float) -> dict[str, float]:
-    ticks = {"sqrt(15)b": SQRT15 * beta}
+    nb = _named_bounds(n, beta, beta)  # no tick reads gamma
     if n == 3:
-        ticks["4*sqrt(10)b"] = 4.0 * SQRT10 * beta
-        ticks["-4*sqrt(10)b"] = -4.0 * SQRT10 * beta
+        named = {"4*sqrt(10)b": nb["gamma_star"]}
     elif n == 4:
-        for s, v in (("", 1.0), ("-", -1.0)):
-            ticks[f"{s}sqrt(2)b"] = v * SQRT2 * beta
-            ticks[f"{s}3*sqrt(2)b"] = v * 3.0 * SQRT2 * beta
-            ticks[f"{s}(sqrt(2)+sqrt(6))b"] = v * (SQRT2 + SQRT6) * beta
+        named = {"sqrt(2)b": nb["sqrt2_beta"], "3*sqrt(2)b": nb["3sqrt2_beta"],
+                 "(sqrt(2)+sqrt(6))b": (SQRT2 + SQRT6) * beta}
     else:
-        nb = _named_bounds(n, beta, beta)  # gamma value irrelevant for gamma1
-        for s, v in (("", 1.0), ("-", -1.0)):
-            ticks[f"{s}gamma1+"] = v * nb["gamma1_plus"]
-            ticks[f"{s}gamma1-"] = v * nb["gamma1_minus"]
+        named = {"gamma1+": nb["gamma1_plus"], "gamma1-": nb["gamma1_minus"]}
+    ticks = {"sqrt(15)b": nb["sqrt15_beta"]}
+    for s, v in (("", 1.0), ("-", -1.0)):
+        ticks.update((s + name, v * value) for name, value in named.items())
     return ticks
 
 
@@ -648,9 +619,10 @@ def region_diagram(
     emit the named boundary curves from the same closed forms.
 
     The family code of a cell has bit 1 when an even-family row is strictly
-    active and bit 2 for the odd family.  The rows are built once, on the
-    array of nonzero gammas, and every row is tested on the whole grid at
-    once; the gamma = 0 column stays 0.
+    active and bit 2 for the odd family.  The rows are built once per
+    family, on the array of nonzero gammas (negated for the odd family),
+    and every row is tested on the whole grid at once; the gamma = 0 column
+    stays 0.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
@@ -673,13 +645,12 @@ def region_diagram(
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
     nonzero = gammas != 0.0
     g = gammas[nonzero]
-    rows = _family_rows(n, beta, g)
     codes = np.zeros((resolution, resolution), dtype=int)
-    for bit, family in ((1, EVEN_FAMILY), (2, ODD_FAMILY)):
+    for k, (_, s) in enumerate(_FAMILIES):
         hit = False
-        for row in rows[family]:
-            hit = hit | _row_state(g, alphas[:, None], row)[0]
-        codes[:, nonzero] |= bit * hit
+        for row in _family_rows(n, beta, s * g):
+            hit = hit | _row_state(s * g, alphas[:, None], row)[0]
+        codes[:, nonzero] |= (1 << k) * hit
     counts = n * ((codes & 1) + (codes >> 1))
     dense = np.linspace(gamma_range[0], gamma_range[1], max(512, 4 * resolution))
     return RegionDiagram(

@@ -389,6 +389,17 @@ class TestRegionsCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n,beta", [("5", "1e110"), ("3", "1e160")])
+    def test_overflowing_beta_usage_error(self, n, beta, tmp_path, capsys):
+        # beta**3 raises for n = 5; for n = 3 alpha_1^+ overflows, and every
+        # cell of the diagram would read 0
+        out = tmp_path / "regions"
+        assert main(["regions", "--n", n, "--beta", beta, "--res", "21",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: wavefront coefficients overflow the closed-form region bounds")
+        assert not out.exists()
+
     def test_negative_window_start(self, tmp_path):
         out = tmp_path / "regions"
         assert main(["regions", "--n", "5", "--beta", "0.2", "--res", "11",
@@ -428,6 +439,12 @@ class TestVerifyCommand:
     def test_overflowing_beta_usage_error(self, capsys):
         assert main(["verify", "--n", "3", "--beta", "1e200", "--samples", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
+
+    def test_overflowing_bounds_usage_error(self, capsys):
+        # beta**3 in the n = 5 bounds raises before any field is built
+        assert main(["verify", "--n", "5", "--beta", "1e110", "--samples", "2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: wavefront coefficients overflow the closed-form region bounds")
 
     def test_tiny_beta_usage_error(self, capsys):
         # the boundary band covers the whole window: give up quickly, exit 2

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from starburst import (
     saddle_radii,
     spherical_equivalent,
 )
+from starburst.cli import _verification_samples
+from starburst.hessian import census_from_stacks, three_term_stacks
 from starburst.regions import (
     DEFAULT_WINDOWS,
     SUPPORTED_ORDERS,
@@ -140,26 +143,35 @@ class TestSaddleRadii:
         assert checked >= 790
 
 
+@functools.cache
+def symbolic_meridians(n):
+    """(G on the even meridian theta = 0, G on the odd one theta = pi/n) as
+    sympy expressions in rho, a, b, g: G = Wxx Wyy - Wxy^2 of
+    W = a Z_2^0 + b Z_4^0 + g Z_n^n, built from the Zernike definitions."""
+    sp = pytest.importorskip("sympy")
+    x, y, rho = sp.symbols("x y rho", real=True)
+    a, b, g = sp.symbols("a b g", real=True)
+    r2 = x**2 + y**2
+    w = (a * sp.sqrt(3) * (2 * r2 - 1)
+         + b * sp.sqrt(5) * (6 * r2**2 - 6 * r2 + 1)
+         + g * sp.sqrt(2 * (n + 1)) * sp.re(sp.expand((y + sp.I * x) ** n)))
+    G = sp.diff(w, x, 2) * sp.diff(w, y, 2) - sp.diff(w, x, y) ** 2
+
+    def meridian(theta):  # polar convention (x, y) = (rho sin, rho cos)
+        return G.subs({x: rho * sp.sin(theta), y: rho * sp.cos(theta)})
+
+    return meridian(0), meridian(sp.pi / n)
+
+
 class TestIndependentDerivation:
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_ab_from_hessian_determinant(self, n):
-        # G = Wxx Wyy - Wxy^2 of W = a Z_2^0 + b Z_4^0 + g Z_n^n, built
-        # symbolically from the Zernike definitions, is P(rho) + Q(rho)
-        # cos(n theta) with P' = 4 rho A and Q' = -4 rho B, so the rho
-        # coefficients of (P' - s Q') / (4 rho) are those of A + s B
+        # G = P(rho) + Q(rho) cos(n theta) with P' = 4 rho A and
+        # Q' = -4 rho B, so the rho coefficients of (P' - s Q') / (4 rho)
+        # are those of A + s B
         sp = pytest.importorskip("sympy")
-        x, y, rho = sp.symbols("x y rho", real=True)
-        a, b, g = sp.symbols("a b g", real=True)
-        r2 = x**2 + y**2
-        w = (a * sp.sqrt(3) * (2 * r2 - 1)
-             + b * sp.sqrt(5) * (6 * r2**2 - 6 * r2 + 1)
-             + g * sp.sqrt(2 * (n + 1)) * sp.re(sp.expand((y + sp.I * x) ** n)))
-        G = sp.diff(w, x, 2) * sp.diff(w, y, 2) - sp.diff(w, x, y) ** 2
-
-        def meridian(theta):  # polar convention (x, y) = (rho sin, rho cos)
-            return G.subs({x: rho * sp.sin(theta), y: rho * sp.cos(theta)})
-
-        on_even, on_odd = meridian(0), meridian(sp.pi / n)
+        rho, a, b, g = sp.symbols("rho a b g", real=True)
+        on_even, on_odd = symbolic_meridians(n)
         dP = sp.Poly(sp.expand(sp.diff(on_even + on_odd, rho) / 2), rho)
         dQ = sp.Poly(sp.expand(sp.diff(on_even - on_odd, rho) / 2), rho)
         rng = np.random.default_rng(80 + n)
@@ -183,6 +195,41 @@ class TestIndependentDerivation:
                 np.testing.assert_allclose(want[1:len(got) + 1], got, rtol=0,
                                            atol=1e-12 * scale)
                 assert np.all(np.abs(want[len(got) + 1:]) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_named_bounds(self, n):
+        # the even family's table bounds, solved from A - B of G's even
+        # meridian, where dG/drho = 4 rho (A - B); A - B is linear in alpha
+        sp = pytest.importorskip("sympy")
+        rho, a, b, g = sp.symbols("rho a b g", real=True)
+        a_minus_b = sp.expand(sp.cancel(sp.diff(symbolic_meridians(n)[0], rho) / (4 * rho)))
+
+        def alpha_where(expr):  # the alpha at which expr vanishes
+            (root,) = sp.solve(expr, a)
+            return root
+
+        # the ring leaves the pupil (rho = 1) or shrinks to its center
+        want = {"alpha1_plus": alpha_where(a_minus_b.subs(rho, 1)),
+                "alpha2" if n == 3 else "sqrt15_beta": alpha_where(a_minus_b.subs(rho, 0))}
+        if n == 3:  # A - B is quadratic in rho: its two roots merge at alpha_3
+            want["alpha3"] = alpha_where(sp.discriminant(a_minus_b, rho))
+            gap = sp.numer(sp.together(want["alpha3"] - want["alpha1_plus"]))
+            assert sp.expand(sp.discriminant(gap, g)) == 0  # touching curves
+            (want["gamma_star"],) = set(sp.solve(gap, g))
+        if n == 4:  # alpha_1^+ crosses sqrt(15) beta
+            lo, hi = sorted(sp.solve(want["alpha1_plus"] - want["sqrt15_beta"], g),
+                            key=lambda r: float(r.subs(b, 1)))
+            want["3sqrt2_beta"], want["sqrt2_beta"] = -lo, hi
+        rng = np.random.default_rng(90 + n)
+        g0, g1 = DEFAULT_WINDOWS[n][:2]
+        for _ in range(3):
+            beta = float(rng.uniform(0.1, 0.3))
+            gamma = float(rng.uniform(g0, g1)) * beta
+            got = _named_bounds(n, beta, gamma)
+            at = {b: sp.Rational(beta), g: sp.Rational(gamma)}
+            for name, expr in want.items():
+                assert got[name] == pytest.approx(float(sp.N(expr.subs(at), 30)),
+                                                  rel=1e-12), name
 
 
 class TestPredictSaddles:
@@ -226,6 +273,16 @@ class TestPredictSaddles:
         # rows it bounds need |gamma| > gamma_1: as for any tiny gamma
         tiny, small = (predict_saddles(ABParams(0.0, 0.2, g, 5)) for g in (1e-170, 1e-100))
         assert (tiny.count, tiny.boundary) == (small.count, small.boundary)
+
+    @pytest.mark.parametrize("n,beta,gamma", [
+        (5, 1e160, 1.0),  # beta**3 raises
+        (5, 1e110, 1.0),
+        (3, 1e160, 1.0),  # beta * beta overflows alpha_1^+
+        (6, 0.2, 1e160),  # gamma * gamma does
+    ])
+    def test_overflowing_bounds_rejected(self, n, beta, gamma):
+        with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
+            predict_saddles(ABParams(0.0, beta, gamma, n))
 
     def test_outside_all_regions(self):
         # alpha far above every bound
@@ -291,15 +348,38 @@ class TestRingDeterminant:
                          float(rng.uniform(g0, g1)) * beta, n)
             field = build_field(p.to_wavefront())
             radii = saddle_radii(p)
-            for family, sign in ((EVEN_FAMILY, -1.0), (ODD_FAMILY, 1.0)):
+            for family, s in ((EVEN_FAMILY, 1.0), (ODD_FAMILY, -1.0)):
                 theta = 0.0 if family == EVEN_FAMILY else math.pi / n
+                as_even = ABParams(p.alpha, p.beta, s * p.gamma, n)
                 for rho in radii.for_family(family):
-                    det = _ring_det_hess_g(p, rho, sign)
+                    det = _ring_det_hess_g(as_even, rho)
                     want = det_hess_g(field, rho * math.sin(theta), rho * math.cos(theta))
                     assert (det < 0.0) == (want < 0.0)
                     assert det == pytest.approx(want, rel=1e-9)
                     saddle_seen.add(det < 0.0)
         assert saddle_seen == {True, False}  # saddle and extremum rings alike
+
+
+class TestCensusMirror:
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_minus_gamma_is_rotation(self, n):
+        # the symmetry the single table rests on, checked without the
+        # closed forms: the census at -gamma is the census at gamma turned
+        # by pi/n, (x, y) = (rho sin theta, rho cos theta) -> theta + pi/n
+        samples = list(_verification_samples(n, 0.2, 50, seed=n))
+        coeffs = np.array([(p.alpha, p.beta, p.gamma) for p in samples]).T
+        at_gamma = census_from_stacks(three_term_stacks(n, *coeffs))
+        at_minus = census_from_stacks(three_term_stacks(n, *(coeffs * [[1], [1], [-1]])))
+        c, s = math.cos(math.pi / n), math.sin(math.pi / n)
+        # equal counts and distinct points make the nearest match one to one
+        for there, here in zip(at_gamma, at_minus):
+            assert (there.degenerate, len(there.points)) == (here.degenerate, len(here.points))
+            xy = np.array([(q.x, q.y) for q in here.points]).reshape(-1, 2)
+            for q in there.points:
+                turned = (q.x * c + q.y * s, q.y * c - q.x * s)
+                k = int(np.argmin(np.hypot(*(xy - turned).T)))
+                assert math.dist(xy[k], turned) < 1e-9
+                assert here.points[k].kind == q.kind
 
 
 class TestPredictionMatchesCensus:
@@ -435,10 +515,10 @@ class TestRegionDiagram:
         for j, g in enumerate(d.gamma_values.tolist()):
             if g == 0.0:
                 continue
-            rows = _family_rows(n, 0.2, g)
-            for i, a in enumerate(d.alpha_values.tolist()):
-                for bit, family in ((1, EVEN_FAMILY), (2, ODD_FAMILY)):
-                    if any(strictly_inside(g, a, row) for row in rows[family]):
+            for bit, s in ((1, 1.0), (2, -1.0)):  # the odd family at -gamma
+                rows = _family_rows(n, 0.2, s * g)
+                for i, a in enumerate(d.alpha_values.tolist()):
+                    if any(strictly_inside(s * g, a, row) for row in rows):
                         want[i, j] |= bit
         assert 0 < np.count_nonzero(want) < want.size
         np.testing.assert_array_equal(d.family_codes, want)
