@@ -181,6 +181,19 @@ def _write_csv(path: Path, header: str, lines) -> None:
         fh.writelines(lines)
 
 
+def _contour_rows(curves) -> str:
+    """The curve,vertex,a,b rows of every vertex of ``curves``, formatted
+    in one call; ``%d`` prints the float-held indices as integers."""
+    if not curves:
+        return ""
+    lengths = [len(poly) for poly in curves]
+    points = np.concatenate(curves)
+    curve = np.repeat(np.arange(len(curves)), lengths)
+    vertex = np.arange(len(points)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    flat = np.column_stack((curve, vertex, points)).ravel().tolist()
+    return ("%d,%d,%.12g,%.12g\r\n" * len(points)) % tuple(flat)
+
+
 def run_analysis(scenario: Scenario):
     """Full pipeline for one scenario; returns the report dict and the
     (field, contours, caustics) that `_emit_analysis_files` draws."""
@@ -269,11 +282,8 @@ def _emit_analysis_files(outdir: Path, report, field, contours, caustics) -> Non
 
     for plane, curves, axes in (("pupil", contours.polylines, "x,y"),
                                 ("retina", caustics.retina_curves, "xi_arcmin,eta_arcmin")):
-        _write_csv(
-            outdir / f"contours_{plane}.csv", f"curve,vertex,{axes}",
-            (f"{k},{i},{a:.12g},{b:.12g}\r\n" for k, poly in enumerate(curves)
-             for i, (a, b) in enumerate(poly.tolist())),
-        )
+        _write_csv(outdir / f"contours_{plane}.csv", f"curve,vertex,{axes}",
+                   [_contour_rows(curves)])
 
     rows = [
         [

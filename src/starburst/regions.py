@@ -351,24 +351,32 @@ def _family_rows(n: int, beta: float, gamma) -> list[_Row]:
 
 
 _BOUNDARY_REL_TOL = 1e-12
+# The boundary tolerance's floor is 1 for beta >= _FLOOR_BETA (the paper's
+# beta) and beta / _FLOOR_BETA below it.  Every bound is beta times a
+# function of gamma/beta and alpha/beta, so a diagram at a smaller beta is
+# the diagram at _FLOOR_BETA scaled, instead of losing every cell to a
+# floor far above its values.
+_FLOOR_BETA = 0.2
 
 
-def _row_state(gamma, alpha, row: _Row):
+def _row_state(gamma, alpha, row: _Row, beta: float):
     """(strictly active, active up to the boundary tolerance), elementwise.
 
     gamma, alpha and the row's bounds may be scalars or arrays that
-    broadcast.  On each axis tol = 1e-12 * max(1, |value|, |lo|, |hi|) over
-    the present bounds; strict needs every slack (value - lo, hi - value)
-    above tol, loose above -tol.  Rounding is monotone, so 1e-12 * max(...)
+    broadcast.  On each axis tol = 1e-12 * max(floor, |value|, |lo|, |hi|)
+    over the present bounds, with floor = min(1, beta / _FLOOR_BETA).
+    Strict needs every slack (value - lo, hi - value) above tol, loose
+    above -tol.  Rounding is monotone, so 1e-12 * max(...)
     is the largest of the products 1e-12 * x: "slack > tol" is "slack
     exceeds every product" and "slack > -tol" is "slack exceeds some
     negated product".  That needs no elementwise max, and scalars stay
     Python floats.
     """
     strict = loose = True
+    floor = _BOUNDARY_REL_TOL * min(1.0, beta / _FLOOR_BETA)
     for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
                           (alpha, row.alpha_lo, row.alpha_hi)):
-        tols = [_BOUNDARY_REL_TOL, _BOUNDARY_REL_TOL * abs(value)]
+        tols = [floor, _BOUNDARY_REL_TOL * abs(value)]
         slacks = []
         if lo is not None:
             tols.append(_BOUNDARY_REL_TOL * abs(lo))
@@ -449,7 +457,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
         q = ABParams(p.alpha, p.beta, s * p.gamma, p.n)  # the family, as even
         strict_rows, loose_rows = [], []
         for row in _family_rows(q.n, q.beta, q.gamma):
-            strict, loose = _row_state(q.gamma, q.alpha, row)
+            strict, loose = _row_state(q.gamma, q.alpha, row, q.beta)
             if strict:
                 strict_rows.append(row)
             elif loose:
@@ -509,7 +517,7 @@ def _saddles_exist(n: int, beta: float, alpha: float, gamma):
     exist = False
     for _, s in _FAMILIES:
         for row in _family_rows(n, beta, s * gamma):
-            exist = exist | _row_state(s * gamma, alpha, row)[1]
+            exist = exist | _row_state(s * gamma, alpha, row, beta)[1]
     return exist
 
 
@@ -649,7 +657,7 @@ def region_diagram(
     for k, (_, s) in enumerate(_FAMILIES):
         hit = False
         for row in _family_rows(n, beta, s * g):
-            hit = hit | _row_state(s * g, alphas[:, None], row)[0]
+            hit = hit | _row_state(s * g, alphas[:, None], row, beta)[0]
         codes[:, nonzero] |= (1 << k) * hit
     counts = n * ((codes & 1) + (codes >> 1))
     dense = np.linspace(gamma_range[0], gamma_range[1], max(512, 4 * resolution))

@@ -7,6 +7,7 @@ precision so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,7 +45,10 @@ class SvgCanvas:
         )
 
     def polyline(self, points, stroke="black", width=1.0):
-        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
+        """``points``: an (n, 2) array; all of it formatted in one call, as
+        ``_f`` formats each value."""
+        flat = np.asarray(points, dtype=float).ravel().tolist()
+        pts = ("%.3f,%.3f " * (len(flat) // 2))[:-1] % tuple(flat)
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>'
@@ -84,13 +88,16 @@ def _escape(s: str) -> str:
 def diverging_colors(t) -> list[str]:
     """Blue-white-red map for t in [-1, 1], elementwise over an array.
 
-    ``np.rint`` rounds half to even, as ``round`` does."""
+    ``np.rint`` rounds half to even, as ``round`` does.  Only the distinct
+    colors are formatted."""
     t = np.clip(np.asarray(t, dtype=float).ravel(), -1.0, 1.0)
     neg = (t < 0)[:, None]
     u = np.where(neg, 1.0 + t[:, None], 1.0 - t[:, None])
     end = np.where(neg, [43.0, 131.0, 186.0], [215.0, 25.0, 28.0])
-    rgb = np.rint(end + u * (255.0 - end)).astype(int).tolist()
-    return [f"rgb({r},{g},{b})" for r, g, b in rgb]
+    rgb = np.rint(end + u * (255.0 - end)).astype(np.int64)
+    keys, index = np.unique(rgb @ [1 << 16, 1 << 8, 1], return_inverse=True)
+    names = [f"rgb({k >> 16},{(k >> 8) & 255},{k & 255})" for k in keys.tolist()]
+    return np.array(names, dtype=object)[index].tolist()
 
 
 class Frame:
@@ -111,8 +118,9 @@ class Frame:
         return self.c.height - self.m - (y - self.y0) / (self.y1 - self.y0) * self.h
 
     def polyline(self, xy, **kw):
-        pts = [(self.px(x), self.py(y)) for x, y in xy]
-        self.c.polyline(pts, **kw)
+        """``xy``: (n, 2) data points, mapped as ``px`` and ``py`` map each."""
+        xy = np.asarray(xy, dtype=float)
+        self.c.polyline(np.column_stack((self.px(xy[:, 0]), self.py(xy[:, 1]))), **kw)
 
     def frame_box(self, xlabel="", ylabel=""):
         self.c.parts.append(
@@ -139,6 +147,7 @@ class Frame:
 
 _HEATMAP_CELLS = 96  # cells per axis over [-1, 1]
 _HEATMAP_SIZE = 520  # pixels per axis of the cell grid
+_HEATMAP_LEFT, _HEATMAP_TOP = 40, 30  # canvas pixels of the cell grid's corner
 _HEATMAP_EDGES = np.linspace(-1.0, 1.0, _HEATMAP_CELLS + 1)
 _HEATMAP_CENTERS = 0.5 * (_HEATMAP_EDGES[:-1] + _HEATMAP_EDGES[1:])
 
@@ -149,39 +158,48 @@ def heatmap_values(poly) -> np.ndarray:
     return poly.grid(_HEATMAP_CENTERS, _HEATMAP_CENTERS)
 
 
+@functools.cache
+def _heatmap_cells() -> tuple[np.ndarray, str]:
+    """(mask of the cells inside the unit disk, their markup with one ``%s``
+    fill slot per cell), built on first use: the layout does not depend on
+    the values drawn."""
+    centers, size = _HEATMAP_CENTERS, _HEATMAP_SIZE
+    cell = size / _HEATMAP_CELLS
+    # SvgCanvas.rect's markup, with the pixel strings formatted once per
+    # column and row; the cells run column by column
+    px = [_f(v) for v in _HEATMAP_LEFT + (centers + 1.0) / 2.0 * size - cell / 2]
+    py = [_f(v) for v in _HEATMAP_TOP + size - (centers + 1.0) / 2.0 * size - cell / 2]
+    wh = f'width="{_f(cell + 0.5)}" height="{_f(cell + 0.5)}"'
+    inside = centers[:, None] ** 2 + centers[None, :] ** 2 <= 1.0
+    inside.flags.writeable = False  # shared by every caller
+    template = "\n".join(
+        f'<rect x="{px[i]}" y="{py[j]}" {wh} fill="%s" stroke="none"/>'
+        for i, j in zip(*(k.tolist() for k in np.nonzero(inside)))
+    )
+    return inside, template
+
+
 def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = None) -> None:
     """Render ``values = heatmap_values(poly)`` over the unit disk as a colored
     cell grid with a vertical colorbar; ``clip`` limits the color range to
     +-clip."""
-    cells, size = _HEATMAP_CELLS, _HEATMAP_SIZE
+    size = _HEATMAP_SIZE
     canvas = SvgCanvas(size + 110, size + 70, title)
-    centers = _HEATMAP_CENTERS
     vmax = float(np.max(np.abs(values))) or 1.0
     crange = min(vmax, clip) if clip else vmax
-    m = 40
-    cell = size / cells
-    # SvgCanvas.rect's markup, with the pixel strings formatted once per
-    # column and row; the cells run column by column
-    px = [_f(v) for v in m + (centers + 1.0) / 2.0 * size - cell / 2]
-    py = [_f(v) for v in 30 + size - (centers + 1.0) / 2.0 * size - cell / 2]
-    wh = f'width="{_f(cell + 0.5)}" height="{_f(cell + 0.5)}"'
-    inside = centers[:, None] ** 2 + centers[None, :] ** 2 <= 1.0
-    ii, jj = np.nonzero(inside)
-    colors = diverging_colors(values[ii, jj] / crange)
-    canvas.parts.extend(
-        f'<rect x="{px[i]}" y="{py[j]}" {wh} fill="{color}" stroke="none"/>'
-        for i, j, color in zip(ii.tolist(), jj.tolist(), colors)
-    )
-    canvas.circle(m + size / 2, 30 + size / 2, size / 2, stroke="black")
-    bar_x = m + size + 20
+    inside, template = _heatmap_cells()
+    canvas.parts.append(template % tuple(diverging_colors(values[inside] / crange)))
+    canvas.circle(_HEATMAP_LEFT + size / 2, _HEATMAP_TOP + size / 2, size / 2,
+                  stroke="black")
+    bar_x = _HEATMAP_LEFT + size + 20
     nbar = 64
     bar = diverging_colors(1.0 - 2.0 * np.arange(nbar) / (nbar - 1))
     for k, color in enumerate(bar):
-        canvas.rect(bar_x, 30 + k * size / nbar, 18, size / nbar + 0.5, color)
+        canvas.rect(bar_x, _HEATMAP_TOP + k * size / nbar, 18, size / nbar + 0.5, color)
     for frac, val in ((0.0, crange), (0.5, 0.0), (1.0, -crange)):
-        canvas.text(bar_x + 24, 34 + frac * size, f"{val:.3g}", size=9)
+        canvas.text(bar_x + 24, _HEATMAP_TOP + 4 + frac * size, f"{val:.3g}", size=9)
     if clip and clip < vmax:
-        canvas.text(bar_x, 30 + size + 24, f"clipped to +-{crange:.3g}", size=8)
+        canvas.text(bar_x, _HEATMAP_TOP + size + 24, f"clipped to +-{crange:.3g}", size=8)
     canvas.save(path)
 
 
@@ -243,17 +261,13 @@ def regions_figure(diagram, path) -> None:
         "sqrt15_beta-alpha2_minus": "rgb(200,30,160)",
     }
     for name, pts in diagram.boundary_curves.items():
-        mask = (pts[:, 1] >= a[0]) & (pts[:, 1] <= a[-1])
-        seg = []
-        for (gv, av), ok in zip(pts, mask):
-            if ok:
-                seg.append((gv, av))
-            else:
-                if len(seg) > 1:
-                    fr.polyline(seg, stroke=curve_colors.get(name, "black"), width=1.2)
-                seg = []
-        if len(seg) > 1:
-            fr.polyline(seg, stroke=curve_colors.get(name, "black"), width=1.2)
+        # one polyline per run of at least two points inside the alpha window
+        inside = (pts[:, 1] >= a[0]) & (pts[:, 1] <= a[-1])
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(int), [0]))))
+        for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            if stop - start > 1:
+                fr.polyline(pts[start:stop], stroke=curve_colors.get(name, "black"),
+                            width=1.2)
     y0 = fr.py(a[0])
     for name, gv in diagram.ticks.items():
         if name.startswith("sqrt(15)"):

@@ -513,6 +513,16 @@ def test_cli_import_builds_no_pair_basis():
     assert out == "0\n"
 
 
+def test_cli_import_builds_no_heatmap_markup():
+    # the heatmap cells' markup is built on first use, so the import stays as cheap
+    env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
+    code = ("import starburst.cli; from starburst.svgfig import _heatmap_cells; "
+            "print(_heatmap_cells.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
+
+
 class TestParser:
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2

@@ -5,7 +5,9 @@ tests/golden/analyze_outputs.sha256 (sha256sum format) holds the hash of
 each file `analyze` wrote for the 3star fixture and the radial-order-12
 scenario at grid 512, before the heatmap, marching-squares and symmetry
 code ran on whole arrays; highorder/report.json was pinned again when its
-rotation_residual became the exact Hausdorff residual.  tests/golden/regions_outputs.sha256 holds the
+rotation_residual became the exact Hausdorff residual.  The other four
+fixtures' files were pinned at grid 512 before the figures and contour
+tables were formatted from whole arrays.  tests/golden/regions_outputs.sha256 holds the
 hashes of `regions --n n --beta 0.2` (n = 3..6, default resolution) from
 before the region predicates ran on arrays.  Rerunning the commands must
 reproduce every byte.
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from starburst.cli import main
+from starburst.cli import FIXTURE_SCENARIOS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,15 +45,17 @@ def pinned_hashes(listing: str) -> dict[str, dict[str, str]]:
 
 
 def analyze_argv(case: str, tmp_path: Path) -> list[str]:
-    if case == "3star":
-        return ["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
-                "--n", "3", "--grid", "512"]
+    if case in FIXTURE_SCENARIOS:
+        alpha, beta, gamma, n = FIXTURE_SCENARIOS[case][:4]
+        return ["analyze", "--alpha", repr(alpha), "--beta", repr(beta),
+                "--gamma", repr(gamma), "--n", str(n), "--grid", "512"]
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(HIGHORDER), encoding="utf-8")
     return ["analyze", "--scenario", str(scenario)]
 
 
-@pytest.mark.parametrize("case", ["3star", "highorder"])
+@pytest.mark.parametrize("case", ["3star", "4star", "5star", "6star", "8stars",
+                                  "highorder"])
 def test_analyze_outputs_match_pinned_hashes(case, tmp_path):
     want = pinned_hashes("analyze_outputs.sha256")[case]
     out = tmp_path / "out"

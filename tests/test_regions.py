@@ -539,6 +539,15 @@ class TestRegionDiagram:
                            alpha_range=(0.0, 0.0001), resolution=2)
         assert d.counts.shape == (2, 2)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_small_beta_is_scaled_diagram(self, n):
+        # every bound scales with beta, so the boundary tolerance must too:
+        # a floor of 1 left no strictly active cell below beta ~ 1e-12
+        want = region_diagram(n, 0.2, resolution=21)
+        got = region_diagram(n, 1e-13, resolution=21)
+        assert np.count_nonzero(got.counts) == np.count_nonzero(want.counts) > 0
+        np.testing.assert_array_equal(got.family_codes, want.family_codes)
+
 
 def strictly_inside(gamma: float, alpha: float, row) -> bool:
     """The strict row rule, one cell at a time: on each axis every present
