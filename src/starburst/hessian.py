@@ -13,7 +13,13 @@ polynomials instead (`three_term_stacks`); `build_field` serves any W.
 
 The search is deterministic: seeds come from fixed grids, the Newton
 batch is data-parallel over points and fields, and results are
-deduplicated and sorted by (rho, theta).
+deduplicated and sorted by (rho, theta).  Each Newton or polish trial is
+one evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the
+next step reuses.  Seeds identical to the bit in (field, x, y), about a
+quarter of them, take identical paths, so each runs once and is counted
+as often as it was collected.  Every converged seed is polished, not one
+per root: deduplication keeps each root's best-polished iterate, and
+which seed that is decides the noise-level digits of the reported point.
 """
 
 from __future__ import annotations
@@ -112,12 +118,11 @@ class CensusStacks(NamedTuple):
     the census evaluates, each trimmed to its own group of polynomials."""
 
     g_grad: np.ndarray  # G, Gx, Gy: the zoom-1 seed grid and the scales
-    grad: np.ndarray  # Gx, Gy: seeding and Newton
-    hess: np.ndarray  # Gxx, Gxy, Gyy: Newton steps
+    newton: np.ndarray  # Gx, Gy, Gxx, Gxy, Gyy: seeding (the first two), Newton
     g_hess: np.ndarray  # G, Gxx, Gxy, Gyy: the located points' values
 
 
-_GROUPS = CensusStacks(("G", "Gx", "Gy"), ("Gx", "Gy"), ("Gxx", "Gxy", "Gyy"),
+_GROUPS = CensusStacks(("G", "Gx", "Gy"), ("Gx", "Gy", "Gxx", "Gxy", "Gyy"),
                        ("G", "Gxx", "Gxy", "Gyy"))
 
 
@@ -253,11 +258,16 @@ def _sign_change_cells(v: np.ndarray) -> np.ndarray:
 
 
 def _local_min_mask(v: np.ndarray) -> np.ndarray:
-    p = np.pad(v, [(0, 0)] * (v.ndim - 2) + [(1, 1), (1, 1)], constant_values=np.inf)
-    rows, cols = v.shape[-2:]
-    neighbours = [p[..., 1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols]
-                  for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
-    return v <= functools.reduce(np.minimum, neighbours)
+    """Cells no greater than any of their (up to) 8 neighbours over the last
+    two axes, as a separable 3x3 minimum: v <= min(v, neighbours) is v <=
+    min(neighbours), and both are False where the block holds a NaN."""
+    least = v.copy()  # over each cell's column of three, then its row
+    np.minimum(least[..., 1:, :], v[..., :-1, :], out=least[..., 1:, :])
+    np.minimum(least[..., :-1, :], v[..., 1:, :], out=least[..., :-1, :])
+    columns = least.copy()
+    np.minimum(least[..., 1:], columns[..., :-1], out=least[..., 1:])
+    np.minimum(least[..., :-1], columns[..., 1:], out=least[..., :-1])
+    return v <= least
 
 
 def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
@@ -278,24 +288,43 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
     return f[order], x[order], y[order]
 
 
-def _newton_step(hess: np.ndarray, fidx, x, y, gx, gy):
-    """Newton step (dx, dy) for grad G = 0 at (x, y), given grad G = (gx, gy)
-    there, and det(Hess G); the step is not finite where det is 0."""
-    a, b, d = gathered_values(hess, fidx, x, y)
-    det = a * d - b * b
+def _distinct_seeds(fidx: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Indices of the first of each run of seeds identical in (field, x, y),
+    to the bit, in seed order, and how many seeds each stands for."""
+    keys = (fidx, x.view(np.int64), y.view(np.int64))
+    order = np.lexsort(keys[::-1])  # stable: each run starts at its first seed
+    run = np.zeros(len(order) + 1, dtype=bool)
+    run[0] = run[-1] = True
+    for key in keys:
+        key = key[order]
+        run[1:-1] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(run)
+    first, copies = order[starts[:-1]], np.diff(starts)
+    seed_order = np.argsort(first)
+    return first[seed_order], copies[seed_order]
+
+
+def _newton_step(gx, gy, gxx, gxy, gyy):
+    """Newton step (dx, dy) for grad G = 0 at a point, given grad G = (gx,
+    gy) and Hess G = [[gxx, gxy], [gxy, gyy]] there (the rows of one
+    evaluation of the census's Newton stack), and det(Hess G); the step is
+    not finite where det is 0."""
+    det = gxx * gyy - gxy * gxy
     with np.errstate(divide="ignore", invalid="ignore"):
-        dx = -(d * gx - b * gy) / det
-        dy = -(-b * gx + a * gy) / det
+        dx = -(gyy * gx - gxy * gy) / det
+        dy = -(-gxy * gx + gxx * gy) / det
     return dx, dy, det
 
 
-def _newton_batch(grad, hess, fidx, x, y, domain_radius: float, conv_tol):
+def _newton_batch(newton, fidx, x, y, domain_radius: float, conv_tol):
     """Damped Newton from every seed at once; point k belongs to field
-    ``fidx[k]`` and stops at |grad G| <= ``conv_tol[k]``.  Returns the final
-    iterates and grad G there."""
+    ``fidx[k]`` and stops at |grad G| <= ``conv_tol[k]``.  Every trial point
+    is one evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack ``newton``, so the
+    next step reuses the Hessian of the accepted one.  Returns the final
+    iterates and those five values there."""
     x, y = x.copy(), y.copy()
-    gx, gy = gathered_values(grad, fidx, x, y)
-    gn = np.hypot(gx, gy)
+    v = gathered_values(newton, fidx, x, y)
+    gn = np.hypot(v[0], v[1])
     active = np.isfinite(gn) & (gn > conv_tol)
     span = 2.0 * domain_radius
     for _ in range(_MAX_ITERATIONS):
@@ -304,14 +333,14 @@ def _newton_batch(grad, hess, fidx, x, y, domain_radius: float, conv_tol):
             break
         fi = fidx[idx]
         xi, yi = x[idx], y[idx]
-        dx, dy, det = _newton_step(hess, fi, xi, yi, gx[idx], gy[idx])
+        dx, dy, det = _newton_step(*v[:, idx])
         bad = ~np.isfinite(det) | (det == 0.0)
         dx[bad] = dy[bad] = 0.0
         # damped update: halve the step while the gradient norm grows
         scale = np.ones_like(dx)
         nx, ny = xi + dx, yi + dy
-        ngx, ngy = gathered_values(grad, fi, nx, ny)
-        ngn = np.hypot(ngx, ngy)
+        nv = gathered_values(newton, fi, nx, ny)
+        ngn = np.hypot(nv[0], nv[1])
         for _ in range(_MAX_HALVINGS):
             worse = ~(ngn <= gn[idx]) & (scale > _DAMPING**_MAX_HALVINGS)
             if not np.any(worse):
@@ -319,30 +348,30 @@ def _newton_batch(grad, hess, fidx, x, y, domain_radius: float, conv_tol):
             scale[worse] *= _DAMPING
             nx[worse] = xi[worse] + scale[worse] * dx[worse]
             ny[worse] = yi[worse] + scale[worse] * dy[worse]
-            ngx[worse], ngy[worse] = gathered_values(grad, fi[worse], nx[worse], ny[worse])
-            ngn[worse] = np.hypot(ngx[worse], ngy[worse])
+            nv[:, worse] = gathered_values(newton, fi[worse], nx[worse], ny[worse])
+            ngn[worse] = np.hypot(nv[0, worse], nv[1, worse])
         step = np.hypot(nx - xi, ny - yi)
         progressed = ngn < gn[idx]
         moved = idx[progressed]
-        x[moved], y[moved], gx[moved], gy[moved], gn[moved] = (
-            v[progressed] for v in (nx, ny, ngx, ngy, ngn))
+        x[moved], y[moved], gn[moved] = nx[progressed], ny[progressed], ngn[progressed]
+        v[:, moved] = nv[:, progressed]
         gn_new = gn[idx]
         stop = ((gn_new <= conv_tol[idx]) | bad | ~progressed | (step <= 1e-15)
                 | ~np.isfinite(gn_new) | (np.hypot(x[idx], y[idx]) > 2.0 * span))
         active[idx[stop]] = False
-    return x, y, gx, gy
+    return x, y, v
 
 
-def _newton_polish(grad, hess, fidx, x, y, gx, gy, domain_radius: float):
-    """Undamped Newton refinement of already-located points, given grad G
-    = (gx, gy) at them.
+def _newton_polish(newton, fidx, x, y, v, domain_radius: float):
+    """Undamped Newton refinement of already-located points, given the
+    values ``v`` of the (Gx, Gy, Gxx, Gxy, Gyy) stack ``newton`` at them.
 
     The damped search can stall a few micro-cells away from strongly
     anisotropic saddles (the gradient norm is not monotone along Newton's
     direction there); full steps converge quadratically once inside the
     basin.  Keeps the best iterate seen per point."""
-    x, y, gx, gy = x.copy(), y.copy(), gx.copy(), gy.copy()
-    best_gn = np.hypot(gx, gy)
+    x, y, v = x.copy(), y.copy(), v.copy()
+    best_gn = np.hypot(v[0], v[1])
     best_x, best_y = x.copy(), y.copy()
     active = np.ones(len(x), dtype=bool)
     max_step = 0.05 * domain_radius
@@ -352,17 +381,17 @@ def _newton_polish(grad, hess, fidx, x, y, gx, gy, domain_radius: float):
             break
         fi = fidx[idx]
         xi, yi = x[idx], y[idx]
-        dx, dy, _ = _newton_step(hess, fi, xi, yi, gx[idx], gy[idx])
+        dx, dy, _ = _newton_step(*v[:, idx])
         step = np.hypot(dx, dy)
         ok = np.isfinite(step) & (step <= max_step)
         nx = np.where(ok, xi + dx, xi)
         ny = np.where(ok, yi + dy, yi)
-        ngx, ngy = gathered_values(grad, fi, nx, ny)
-        ngn = np.hypot(ngx, ngy)
+        nv = gathered_values(newton, fi, nx, ny)
+        ngn = np.hypot(nv[0], nv[1])
         improved = ok & np.isfinite(ngn) & (ngn < best_gn[idx])
         gidx = idx[improved]
         best_x[gidx], best_y[gidx], best_gn[gidx] = nx[improved], ny[improved], ngn[improved]
-        x[idx], y[idx], gx[idx], gy[idx] = nx, ny, ngx, ngy
+        x[idx], y[idx], v[:, idx] = nx, ny, nv
         active[idx] = ok & (step > 1e-16)
     return best_x, best_y, best_gn
 
@@ -450,18 +479,24 @@ def census_from_stacks(
     # fmax, as Python's max(1.0, nan) is 1.0
     conv_tol = 1e-12 * np.fmax(1.0, gscale)
     accept_tol = GRADIENT_TOL * np.fmax(1.0, gscale)
-    grad, hess = stacks.grad, stacks.hess
+    newton = stacks.newton
 
-    fidx, x, y = _collect_seeds(grad, R, (xs, ys, (gx, gy)))
+    fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, (gx, gy)))
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)
-    x, y, gx, gy = _newton_batch(grad, hess, fidx, x, y, R, conv_tol[fidx])
-    gn = np.hypot(gx, gy)
+    # identical seeds take identical paths: run each once, count it as many
+    first, copies = _distinct_seeds(fidx, x, y)
+    fidx = fidx[first]
+    x, y, v = _newton_batch(newton, fidx, x[first], y[first], R, conv_tol[fidx])
+    gn = np.hypot(v[0], v[1])
     ok = np.isfinite(gn) & (gn <= accept_tol[fidx])
-    n_unconverged = np.bincount(fidx[~ok], minlength=n_fields)
+    n_unconverged = np.bincount(fidx[~ok], copies[~ok], minlength=n_fields).astype(int)
+    # polish every converged seed, not one per root: _dedup keeps the
+    # best-polished of each root, and a lone representative would move the
+    # noise-level digits of the points reported
     fidx = fidx[ok]
-    x, y, gn = _newton_polish(grad, hess, fidx, x[ok], y[ok], gx[ok], gy[ok], R)
+    x, y, gn = _newton_polish(newton, fidx, x[ok], y[ok], v[:, ok], R)
     keep = (gn <= accept_tol[fidx]) & (np.hypot(x, y) <= R + _BOUNDARY_CLAMP)
     fidx, x, y, gn = fidx[keep], x[keep], y[keep], gn[keep]
 

@@ -64,14 +64,29 @@ def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:
 def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y) -> np.ndarray:
     """Values at each point (x[k], y[k]) of its own polynomials
     coeffs[:, :, ..., index[k]], stacked as in `grid_values`: shape
-    coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.  Gathers
-    one Horner row per step, never the whole per-point coefficient block."""
-    c = coeffs[-1][..., index] + x * 0.0
-    for row in coeffs[-2::-1]:
-        c = row[..., index] + c * x
-    out = c[-1] + y * 0.0
-    for ck in c[-2::-1]:
-        out = ck + out * y
+    coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.
+
+    Gathers one Horner row per step, never the whole per-point coefficient
+    block, and only its leading columns: row i in x carries the columns up
+    to the last nonzero one of rows i and above, so the zero triangle above
+    the total degree is skipped.  Only +0.0 counts as zero: it leaves every
+    Horner sum's bits unchanged, a -0.0 coefficient can flip a zero's sign.
+    A skipped column would stay +0.0 at a finite point; at a non-finite one
+    every column is NaN, and at least one is always carried.  A stack of
+    one field broadcasts its rows instead of gathering them."""
+    nonzero = (coeffs != 0.0) | np.signbit(coeffs)
+    rows = nonzero.reshape(coeffs.shape[0], coeffs.shape[1], -1).any(axis=2)
+    last = (rows * np.arange(1, rows.shape[1] + 1)).max(axis=1)  # 0 for no column
+    widths = np.maximum(np.maximum.accumulate(last[::-1])[::-1], 1).tolist()
+    field = slice(0, 1) if coeffs.shape[-1] == 1 else index
+    c = np.zeros((widths[0],) + coeffs.shape[2:-1] + (len(x),))
+    for row, width in zip(coeffs[::-1], widths[::-1]):
+        c[:width] *= x
+        c[:width] += row[:width, ..., field]
+    out = np.zeros(c.shape[1:])
+    for ck in c[::-1]:
+        out *= y
+        out += ck
     return out
 
 

@@ -29,6 +29,8 @@ from starburst.hessian import (
     DEGENERACY_REL_THRESHOLD,
     GRADIENT_TOL,
     _dedup,
+    _distinct_seeds,
+    _local_min_mask,
     _pair_basis,
     _stack,
 )
@@ -165,6 +167,22 @@ class TestCriticalPointCensus:
             assert kind is p.kind
             assert det == pytest.approx(p.hess_g_det, rel=1e-12)
 
+    def test_highorder_census(self):
+        # G of degree 20: a quarter of its seeds are bit-identical copies,
+        # each run once and still counted in the message
+        w = WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 12, 0.02),
+                            ZernikeTerm(2, 0, 0.02)))
+        search = find_critical_points(build_field(w))
+        assert (len(search), len(search.saddles)) == (37, 24)
+        assert search.message == "3 of 627 seeds did not converge"
+        assert not search.degenerate
+
+    def test_unconverged_copies_counted(self):
+        # 139 seeds do not converge, 45 of them copies of another
+        search = find_critical_points(build_field(WaveAberration((ZernikeTerm(6, -2, 0.08),))))
+        assert (len(search), len(search.saddles)) == (21, 12)
+        assert search.message == "139 of 505 seeds did not converge"
+
 
 class TestDegenerateFields:
     def test_pure_defocus_flagged(self):
@@ -289,6 +307,15 @@ class TestBatchedCensus:
         single = [find_critical_points(f) for f in shuffled]
         assert [repr(r) for r in batched] == [repr(r) for r in single]
         assert any(r.degenerate for r in single) and any(r.saddles for r in single)
+
+    def test_repeated_fields(self):
+        # the same field twice gives the same seeds in two fields: each is
+        # run, counted and deduplicated in its own field
+        f, g = _mixed_fields(11, 7)[5:7]
+        batched = find_critical_points_batch([f, f, g, f])
+        single = [find_critical_points(h) for h in (f, f, g, f)]
+        assert [repr(r) for r in batched] == [repr(r) for r in single]
+        assert len(batched[0]) > 0
 
     def test_dilated_domain(self):
         fields = _mixed_fields(3, 9)
@@ -472,3 +499,46 @@ class TestDedup:
         assert out.tolist() == _greedy_dedup(fidx, x, y, gn)
         assert 5 * len(centers) <= len(out) < 300
 
+
+def _eight_neighbour_min_mask(v):
+    """Reference: v <= the least of its 8 neighbours, inf off the edges."""
+    p = np.pad(v, [(0, 0)] * (v.ndim - 2) + [(1, 1), (1, 1)], constant_values=np.inf)
+    rows, cols = v.shape[-2:]
+    least = np.full(v.shape, np.inf)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                least = np.minimum(least, p[..., 1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols])
+    return v <= least
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 7, 9), (2, 33, 33)])
+    def test_local_min_mask_is_eight_neighbour_minimum(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        # few distinct values, so ties are common, and +-inf and NaN,
+        # on edge cells too
+        v = rng.integers(0, 4, shape).astype(float)
+        flat = v.reshape(-1)
+        for value, step in ((np.inf, 7), (-np.inf, 11), (np.nan, 13)):
+            flat[rng.integers(0, flat.size, 1 + flat.size // step)] = value
+        got = _local_min_mask(v)
+        assert got.dtype == bool and got.shape == v.shape
+        assert np.array_equal(got, _eight_neighbour_min_mask(v))
+
+    def test_local_min_mask_edges_and_nan(self):
+        v = np.array([[1.0, 2.0, 1.0], [3.0, np.nan, 3.0], [0.0, 5.0, np.inf]])
+        assert _local_min_mask(v).tolist() == [[False] * 3] * 3
+        v[1, 1] = 4.0
+        assert _local_min_mask(v).tolist() == [[True, False, True], [False, False, False],
+                                               [True, False, False]]
+        assert _local_min_mask(np.full((1, 2, 2), np.inf)).all()
+
+    def test_distinct_seeds(self):
+        fidx = np.array([0, 0, 0, 1, 1, 0, 1])
+        x = np.array([0.5, 0.5, -0.0, 0.5, 0.5, 0.0, 0.5])
+        y = np.array([0.25, 0.25, 1.0, 0.25, 0.25, 1.0, 0.75])
+        first, copies = _distinct_seeds(fidx, x, y)
+        # -0.0 and 0.0 are different seeds; the first copy stands for all
+        assert first.tolist() == [0, 2, 3, 5, 6]
+        assert copies.tolist() == [2, 1, 2, 1, 1]

@@ -300,6 +300,79 @@ class TestStackedHorner:
                 want = npol.polyval2d(x[sel], y[sel], c)
                 assert np.array_equal(out[m, sel].view(np.int64), want.view(np.int64))
 
+    @staticmethod
+    def _assert_bits(stack, index, x, y):
+        """gathered_values against polyval2d of each stacked polynomial as
+        stored, padding included: the same bits, NaN where it is NaN."""
+        with np.errstate(invalid="ignore"):  # 0 * inf at non-finite points
+            out = gathered_values(stack, index, x, y)
+            wants = [[npol.polyval2d(x[index == k], y[index == k], stack[:, :, m, k])
+                      for k in range(stack.shape[3])] for m in range(stack.shape[2])]
+        assert out.shape == stack.shape[2:-1] + (len(x),)
+        for m, row in enumerate(wants):
+            for k, want in enumerate(row):
+                sel = index == k
+                got = out[m, sel]
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                finite = ~np.isnan(want)
+                assert np.array_equal(got[finite].view(np.int64),
+                                      want[finite].view(np.int64))
+
+    @staticmethod
+    def _points(rng, count):
+        x = rng.uniform(-1.3, 1.3, count)
+        y = rng.uniform(-1.3, 1.3, count)
+        x[::3] = 0.0
+        x[1::7] = -0.0
+        y[1::4] = -0.0
+        x[2::5] = -np.abs(x[2::5])
+        return x, y
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_field_stack(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        _, stack = _random_stack(rng, 1, 3)
+        x, y = self._points(rng, 97)
+        self._assert_bits(stack, np.zeros(97, dtype=int), x, y)
+
+    @pytest.mark.parametrize("fields", [1, 3])
+    def test_triangular_stack_with_zero_margins(self, fields):
+        # polynomials of total degree <= 6 in an 11 x 9 stack: the triangle
+        # above the degree and the trailing rows and columns are +0.0
+        rng = np.random.default_rng(50 + fields)
+        stack = np.zeros((11, 9, 2, fields))
+        i, j = np.indices((7, 7))
+        stack[:7, :7][i + j <= 6] = rng.normal(size=(28, 2, fields))
+        stack[2, 3, 1, 0] = 0.0  # an interior zero stays carried
+        x, y = self._points(rng, 120)
+        x[5::31], y[9::29], x[13::37] = np.inf, -np.inf, np.nan
+        index = rng.integers(0, fields, 120)
+        self._assert_bits(stack, index, x, y)
+        # all zero: +0.0 at finite points, NaN at the others
+        self._assert_bits(np.zeros_like(stack), index, x, y)
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    def test_negative_zero_above_the_degree(self, fields):
+        # -0.0 can flip the sign of a zero, so it is carried even above the
+        # degree.  The first polynomials are -0.0 throughout: +0.0 at every
+        # point, though their first column alone is -0.0 at x, y < 0.  The
+        # second are constants with -0.0 everywhere else.
+        stack = np.full((5, 4, 2, fields), -0.0)
+        rng = np.random.default_rng(60 + fields)
+        stack[0, 0, 1] = rng.normal(size=fields)
+        x, y = self._points(rng, 64)
+        assert np.signbit(npol.polyval2d(x, y, stack[:, :1, 0, 0])).any()
+        self._assert_bits(stack, rng.integers(0, fields, 64), x, y)
+
+    def test_repeated_points(self):
+        rng = np.random.default_rng(70)
+        _, stack = _random_stack(rng, 3, 2)
+        index = np.repeat(rng.integers(0, 3, 10), 4)
+        x, y = (np.repeat(v, 4) for v in self._points(rng, 10))
+        self._assert_bits(stack, index, x, y)
+        out = gathered_values(stack, index, x, y).reshape(2, 10, 4)
+        assert np.array_equal(out.view(np.int64), np.repeat(out[..., :1], 4, axis=-1).view(np.int64))
+
     def test_grid_values_match_polyval2d(self):
         rng = np.random.default_rng(21)
         polys, stack = _random_stack(rng, 4, 2)
