@@ -93,23 +93,29 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
 
 
-def _squarable(g_hess: np.ndarray) -> bool:
-    """Whether the census can square the values of a (G, Gxx, Gxy, Gyy)
-    stack: |G|^2 scales the degeneracy band and det(Hess G) = Gxx Gyy -
-    Gxy^2.  Each polynomial's sum |c_ij| bounds its values on the unit
-    square; twice its square must be finite (NaN coefficients fail too)."""
+def _require_squarable(g_hess: np.ndarray) -> None:
+    """ValueError unless the census can square the values of each field of a
+    (G, Gxx, Gxy, Gyy) stack: |G|^2 scales the degeneracy band and
+    det(Hess G) = Gxx Gyy - Gxy^2.  Each polynomial's sum |c_ij| bounds its
+    values on the unit square; twice the square of a field's largest bound
+    must be 0 or a normal float (NaN coefficients fail too)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.abs(g_hess).sum(axis=(0, 1))
-        return bool(np.isfinite(2.0 * bound * bound).all())
+        bound = np.abs(g_hess).sum(axis=(0, 1)).max(axis=0)
+        square = 2.0 * bound * bound
+    if not np.isfinite(square).all():
+        raise ValueError(_OVERFLOW)
+    if np.any((bound != 0.0) & (square < np.finfo(float).tiny)):
+        raise ValueError("wavefront coefficients underflow the Hessian determinant")
 
 
 def build_field(w: WaveAberration) -> HessianField:
-    """The full derivative field of a wave aberration; ValueError on overflow."""
+    """The full derivative field of a wave aberration; ValueError when it
+    overflows, or as `_require_squarable`."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         field = field_from_polynomial(w.to_polynomial())
-    if not (all(np.isfinite(poly.coeffs).all() for poly in vars(field).values())
-            and _squarable(_stack([field], _GROUPS.g_hess))):
+    if not all(np.isfinite(poly.coeffs).all() for poly in vars(field).values()):
         raise ValueError(_OVERFLOW)
+    _require_squarable(_stack([field], _GROUPS.g_hess))
     return field
 
 
@@ -167,14 +173,13 @@ def _pair_basis(n: int) -> CensusStacks:
 def three_term_stacks(n: int, alpha, beta, gamma) -> CensusStacks:
     """Census stacks of W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n, one field
     per entry of the coefficient arrays, contracted from the cached pair
-    basis; ValueError on overflow, as `build_field`."""
+    basis; ValueError as `build_field`."""
     c = np.array([alpha, beta, gamma], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         weights = np.array([c[a] * c[b] for a, b in _PAIRS])
         stacks = CensusStacks(*(np.tensordot(basis, weights, axes=1)
                                 for basis in _pair_basis(n)))
-    if not _squarable(stacks.g_hess):
-        raise ValueError(_OVERFLOW)
+    _require_squarable(stacks.g_hess)
     return stacks
 
 
@@ -476,9 +481,8 @@ def census_from_stacks(
     gscale = np.max(np.hypot(gx, gy), axis=(1, 2))
     g_abs_scale = np.max(np.abs(g), axis=(1, 2))
     constant = ~np.any(stacks.g_grad[:, :, 0].reshape(-1, n_fields)[1:], axis=0)
-    # fmax, as Python's max(1.0, nan) is 1.0
-    conv_tol = 1e-12 * np.fmax(1.0, gscale)
-    accept_tol = GRADIENT_TOL * np.fmax(1.0, gscale)
+    conv_tol = 1e-12 * gscale
+    accept_tol = GRADIENT_TOL * gscale
     newton = stacks.newton
 
     fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, (gx, gy)))

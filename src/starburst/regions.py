@@ -14,7 +14,9 @@ family), where
 the odd family at gamma is the even family at -gamma.  One inequality
 table in the (gamma, alpha) plane decides whether the even family's ring
 consists of saddles, with boundary curves alpha_1^+, alpha_2(^{+/-}),
-alpha_3 and gamma thresholds depending on n.  It assumes beta > 0.
+alpha_3 and gamma thresholds depending on n.  Every bound is beta times a
+function of gamma / beta, and G is homogeneous in (a, b, g), so both are
+solved at beta = 1: for any beta > 0 with |gamma / beta| below ~1e153.
 
 Of a family's candidate radii, the saddle ring is the one where
 det(Hess G) < 0.  On a ring that determinant is a closed form in A' and B'
@@ -243,62 +245,60 @@ class _Row:
 _OVERFLOW = "wavefront coefficients overflow the closed-form region bounds"
 
 
-@np.errstate(over="ignore", invalid="ignore")  # reported below
-def _named_bounds(n: int, beta: float, gamma) -> dict:
-    """Boundary values of the inequality table at (beta, gamma); none reads
-    alpha.  ``gamma`` may be an array of nonzero values: the bounds that
-    depend on it are then arrays, each element computed by the scalar
-    operations in the same order.  Where alpha_2 (proportional to a power of
-    1/gamma) has no float value, at gamma = 0 or when gamma * gamma
-    underflows, it is left out.  ValueError when the bounds overflow: a
-    power of beta, or alpha_1^+ (every caller also reads -gamma, where it is
-    alpha_1^-).
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # reported below
+def _named_bounds(n: int, t) -> dict:
+    """Boundary values of the inequality table at beta = 1 and gamma = t:
+    every bound is beta times a function of gamma / beta.  None reads
+    alpha.  ``t`` may be an array of nonzero values: the bounds that depend
+    on it are then arrays, each element computed by the scalar operations in
+    the same order.  Where alpha_2 (proportional to a power of 1/t) has no
+    float value, at t = 0 or when t * t underflows, it is left out (inf in
+    an array).
+    ValueError when alpha_1^+ overflows, as t * t does for |t| above ~1e153
+    (every caller also reads -t, where it is alpha_1^-).
     """
-    b, g = beta, gamma
-    out = {"sqrt15_beta": SQRT15 * b}
+    out = {"sqrt15_beta": SQRT15}
     if n == 3:
-        out["alpha1_plus"] = (-120.0 * b * b + 9.0 * SQRT10 * b * g + 3.0 * g * g) / (4.0 * SQRT15 * b)
-        out["alpha2"] = (60.0 * b * b + 3.0 * g * g) / (4.0 * SQRT15 * b)
-        out["alpha3"] = (480.0 * b * b + 33.0 * g * g) / (32.0 * SQRT15 * b)
-        out["gamma_star"] = 4.0 * SQRT10 * b
+        out["alpha1_plus"] = (-120.0 + 9.0 * SQRT10 * t + 3.0 * t * t) / (4.0 * SQRT15)
+        out["alpha2"] = (60.0 + 3.0 * t * t) / (4.0 * SQRT15)
+        out["alpha3"] = (480.0 + 33.0 * t * t) / (32.0 * SQRT15)
+        out["gamma_star"] = 4.0 * SQRT10
     elif n == 4:
-        out["alpha1_plus"] = (-60.0 * b * b + 30.0 * SQRT2 * b * g + 15.0 * g * g) / (2.0 * SQRT15 * b)
-        out["sqrt2_beta"] = SQRT2 * b
-        out["3sqrt2_beta"] = 3.0 * SQRT2 * b
+        out["alpha1_plus"] = (-60.0 + 30.0 * SQRT2 * t + 15.0 * t * t) / (2.0 * SQRT15)
+        out["sqrt2_beta"] = SQRT2
+        out["3sqrt2_beta"] = 3.0 * SQRT2
     elif n == 5:
-        out["alpha1_plus"] = (-60.0 * b * b + 25.0 * SQRT15 * b * g + 75.0 * g * g) / (2.0 * SQRT15 * b)
+        out["alpha1_plus"] = (-60.0 + 25.0 * SQRT15 * t + 75.0 * t * t) / (2.0 * SQRT15)
         try:
-            out["alpha2_plus"] = 9.0 * (4561.0 + 445.0 * SQRT89) * b**3 / (1024.0 * SQRT15 * g * g)
-            out["alpha2_minus"] = 9.0 * (4561.0 - 445.0 * SQRT89) * b**3 / (1024.0 * SQRT15 * g * g)
-        except ZeroDivisionError:  # gamma = 0, or gamma * gamma underflows
+            out["alpha2_plus"] = 9.0 * (4561.0 + 445.0 * SQRT89) / (1024.0 * SQRT15 * t * t)
+            out["alpha2_minus"] = 9.0 * (4561.0 - 445.0 * SQRT89) / (1024.0 * SQRT15 * t * t)
+        except ZeroDivisionError:  # t = 0, or t * t underflows
             pass
-        except OverflowError:  # beta**3
-            raise ValueError(_OVERFLOW) from None
-        out["gamma1_plus"] = SQRT15 * (SQRT89 + 5.0) * b / 40.0
-        out["gamma1_minus"] = SQRT15 * (SQRT89 - 5.0) * b / 40.0
+        out["gamma1_plus"] = SQRT15 * (SQRT89 + 5.0) / 40.0
+        out["gamma1_minus"] = SQRT15 * (SQRT89 - 5.0) / 40.0
     else:  # n == 6
-        out["alpha1_plus"] = (-120.0 * b * b + 45.0 * SQRT70 * b * g + 525.0 * g * g) / (4.0 * SQRT15 * b)
-        try:  # signed: proportional to 1/gamma
-            out["alpha2_plus"] = b * b * math.sqrt(2.0 / 7.0) * (9.0 + 4.0 * SQRT3) / g
-            out["alpha2_minus"] = b * b * math.sqrt(2.0 / 7.0) * (9.0 - 4.0 * SQRT3) / g
-        except ZeroDivisionError:  # gamma = 0
+        out["alpha1_plus"] = (-120.0 + 45.0 * SQRT70 * t + 525.0 * t * t) / (4.0 * SQRT15)
+        try:  # signed: proportional to 1/t
+            out["alpha2_plus"] = math.sqrt(2.0 / 7.0) * (9.0 + 4.0 * SQRT3) / t
+            out["alpha2_minus"] = math.sqrt(2.0 / 7.0) * (9.0 - 4.0 * SQRT3) / t
+        except ZeroDivisionError:  # t = 0
             pass
-        out["gamma1_plus"] = b * (SQRT210 + SQRT70) / 35.0
-        out["gamma1_minus"] = b * (SQRT210 - SQRT70) / 35.0
+        out["gamma1_plus"] = (SQRT210 + SQRT70) / 35.0
+        out["gamma1_minus"] = (SQRT210 - SQRT70) / 35.0
     if not np.isfinite(out["alpha1_plus"]).all():
         raise ValueError(_OVERFLOW)
     return out
 
 
-def _family_rows(n: int, beta: float, gamma) -> list[_Row]:
-    """The even family's saddle-existence rows at (beta, gamma); the odd
-    family's rows at gamma are these rows at -gamma.
+def _family_rows(n: int, t) -> list[_Row]:
+    """The even family's saddle-existence rows at gamma = t, in units of
+    beta; the odd family's rows at t are these rows at -t.
 
-    ``gamma`` may be an array of nonzero values (see `_named_bounds`).  Where
+    ``t`` may be an array of nonzero values (see `_named_bounds`).  Where
     alpha_2 is left out, its rows get infinite alpha bounds; those rows
-    need |gamma| > gamma_1, so they are inactive there either way.
+    need |t| > gamma_1, so they are inactive there either way.
     """
-    nb = _named_bounds(n, beta, gamma)
+    nb = _named_bounds(n, t)
     s15b, a1p = nb["sqrt15_beta"], nb["alpha1_plus"]
     if n == 3:
         a2, gs = nb["alpha2"], nb["gamma_star"]
@@ -351,32 +351,26 @@ def _family_rows(n: int, beta: float, gamma) -> list[_Row]:
 
 
 _BOUNDARY_REL_TOL = 1e-12
-# The boundary tolerance's floor is 1 for beta >= _FLOOR_BETA (the paper's
-# beta) and beta / _FLOOR_BETA below it.  Every bound is beta times a
-# function of gamma/beta and alpha/beta, so a diagram at a smaller beta is
-# the diagram at _FLOOR_BETA scaled, instead of losing every cell to a
-# floor far above its values.
-_FLOOR_BETA = 0.2
 
 
-def _row_state(gamma, alpha, row: _Row, beta: float):
-    """(strictly active, active up to the boundary tolerance), elementwise.
+def _row_state(t, a, row: _Row):
+    """(strictly active, active up to the boundary tolerance), elementwise,
+    at gamma = t and alpha = a in units of beta.
 
-    gamma, alpha and the row's bounds may be scalars or arrays that
-    broadcast.  On each axis tol = 1e-12 * max(floor, |value|, |lo|, |hi|)
-    over the present bounds, with floor = min(1, beta / _FLOOR_BETA).
-    Strict needs every slack (value - lo, hi - value) above tol, loose
-    above -tol.  Rounding is monotone, so 1e-12 * max(...)
-    is the largest of the products 1e-12 * x: "slack > tol" is "slack
-    exceeds every product" and "slack > -tol" is "slack exceeds some
-    negated product".  That needs no elementwise max, and scalars stay
+    t, a and the row's bounds may be scalars or arrays that broadcast.  On
+    each axis tol = 1e-12 * max(1, |value|, |lo|, |hi|) over the present
+    bounds: relative, with beta as the unit, so a diagram at any beta is
+    the same diagram scaled.  Strict needs every slack (value - lo,
+    hi - value) above tol, loose above -tol.  Rounding is monotone, so
+    1e-12 * max(...) is the largest of the products 1e-12 * x: "slack > tol"
+    is "slack exceeds every product" and "slack > -tol" is "slack exceeds
+    some negated product".  That needs no elementwise max, and scalars stay
     Python floats.
     """
     strict = loose = True
-    floor = _BOUNDARY_REL_TOL * min(1.0, beta / _FLOOR_BETA)
-    for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
-                          (alpha, row.alpha_lo, row.alpha_hi)):
-        tols = [floor, _BOUNDARY_REL_TOL * abs(value)]
+    for value, lo, hi in ((t, row.gamma_lo, row.gamma_hi),
+                          (a, row.alpha_lo, row.alpha_hi)):
+        tols = [_BOUNDARY_REL_TOL, _BOUNDARY_REL_TOL * abs(value)]
         slacks = []
         if lo is not None:
             tols.append(_BOUNDARY_REL_TOL * abs(lo))
@@ -400,7 +394,6 @@ class Ring:
     rho: float
     family: str
     theta_offsets: tuple[float, ...]
-    hess_g_det: float
 
 
 @dataclass(frozen=True)
@@ -434,11 +427,21 @@ def _ring_det_hess_g(p: ABParams, rho: float) -> float:
     return float(16.0 * p.n * c_b * rho ** (p.n - 1) * slope)
 
 
+def _in_beta_units(p: ABParams, sign: float = 1.0) -> ABParams:
+    """(alpha / beta, 1, sign * gamma / beta, n): the table and the ring radii
+    at beta = 1.  ValueError when a ratio overflows."""
+    a, t = p.alpha / p.beta, sign * p.gamma / p.beta
+    if not (math.isfinite(a) and math.isfinite(t)):
+        raise ValueError(_OVERFLOW)
+    return ABParams(a, 1.0, t, p.n)
+
+
 def predict_saddles(p: ABParams) -> SaddlePrediction:
     """Closed-form saddle census: count in {0, n, 2n}, rings, region label.
 
     Boundary equalities within the relative tolerance 1e-12 are reported
-    with ``boundary=True`` rather than resolved either way.
+    with ``boundary=True`` rather than resolved either way.  Solved in
+    units of beta, so the prediction at c * p is the prediction at p.
     """
     _require_positive_beta(p)
     if p.gamma == 0.0:
@@ -454,10 +457,10 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     warnings: list[str] = []
     boundary = False
     for k, (family, s) in enumerate(_FAMILIES):
-        q = ABParams(p.alpha, p.beta, s * p.gamma, p.n)  # the family, as even
+        q = _in_beta_units(p, s)  # the family, as even
         strict_rows, loose_rows = [], []
-        for row in _family_rows(q.n, q.beta, q.gamma):
-            strict, loose = _row_state(q.gamma, q.alpha, row, q.beta)
+        for row in _family_rows(q.n, q.gamma):
+            strict, loose = _row_state(q.gamma, q.alpha, row)
             if strict:
                 strict_rows.append(row)
             elif loose:
@@ -468,11 +471,8 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
         labels.append(f"{family}: " + (strict_rows or loose_rows)[0].labels[k])
         candidates = _roots_in_unit_interval(q)
         angles = tuple((2.0 * j + k) * math.pi / p.n for j in range(p.n))
-        chosen = []
-        for rho in candidates:
-            det = _ring_det_hess_g(q, rho)
-            if det < 0.0:
-                chosen.append(Ring(rho, family, angles, det))
+        chosen = [Ring(rho, family, angles) for rho in candidates
+                  if _ring_det_hess_g(q, rho) < 0.0]
         if len(chosen) != 1:
             warnings.append(
                 f"{family} family: expected exactly one saddle ring, found "
@@ -492,32 +492,34 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
 
 
 def boundary_slacks(p: ABParams) -> list[float]:
-    """Normalized distances of (gamma, alpha) to every table inequality.
+    """Distances of (gamma, alpha) to every table inequality, in units of
+    beta and relative to bounds above 1.
 
     Used to exclude samples too close to a region boundary, where the
     strict inequalities (and the numerical census) become ill-conditioned.
     Includes the gamma = 0 axis.
     """
-    out = [abs(p.gamma) / max(1.0, abs(p.beta))]
+    q = _in_beta_units(p)
+    out = [abs(q.gamma)]
     for _, s in _FAMILIES:
-        gamma = s * p.gamma
-        for row in _family_rows(p.n, p.beta, gamma):
-            for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
-                                  (p.alpha, row.alpha_lo, row.alpha_hi)):
+        t = s * q.gamma
+        for row in _family_rows(p.n, t):
+            for value, lo, hi in ((t, row.gamma_lo, row.gamma_hi),
+                                  (q.alpha, row.alpha_lo, row.alpha_hi)):
                 for bound in (lo, hi):
                     if bound is not None and math.isfinite(bound):
                         out.append(abs(value - bound) / max(1.0, abs(bound)))
     return out
 
 
-def _saddles_exist(n: int, beta: float, alpha: float, gamma):
-    """Elementwise ``predict_saddles(ABParams(alpha, beta, gamma, n)).count
-    > 0`` for nonzero gamma: some row of either family is active, strictly
-    or up to the boundary tolerance."""
+def _saddles_exist(n: int, a: float, t):
+    """Elementwise ``predict_saddles(ABParams(a, 1, t, n)).count > 0`` for
+    nonzero t: some row of either family is active, strictly or up to the
+    boundary tolerance."""
     exist = False
     for _, s in _FAMILIES:
-        for row in _family_rows(n, beta, s * gamma):
-            exist = exist | _row_state(s * gamma, alpha, row, beta)[1]
+        for row in _family_rows(n, s * t):
+            exist = exist | _row_state(s * t, a, row)[1]
     return exist
 
 
@@ -536,23 +538,23 @@ def admissible_gamma_interval(n: int, beta: float, alpha: float) -> tuple[float,
         raise ValueError("beta must be positive")
     # checks n and the finiteness of alpha, beta and the cap
     p = ABParams(alpha, beta, _GAMMA_CAP_FACTOR * beta, n)
-    cap = p.gamma
+    a = _in_beta_units(p).alpha
     m = 2048
-    gs = np.linspace(cap / m, cap, m)
-    flags = (gs != 0.0) & _saddles_exist(p.n, p.beta, p.alpha, gs)
+    ts = np.linspace(_GAMMA_CAP_FACTOR / m, _GAMMA_CAP_FACTOR, m)
+    flags = _saddles_exist(p.n, a, ts)
     if not flags.any():
         return None
     last = int(np.flatnonzero(flags)[-1])
     if last + 1 >= m:
-        return (-cap, cap)
-    lo, hi = float(gs[last]), float(gs[last + 1])
+        return (-p.gamma, p.gamma)
+    lo, hi = float(ts[last]), float(ts[last + 1])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _saddles_exist(p.n, p.beta, p.alpha, mid):
+        if _saddles_exist(p.n, a, mid):
             lo = mid
         else:
             hi = mid
-    edge = 0.5 * (lo + hi)
+    edge = 0.5 * (lo + hi) * p.beta
     return (-edge, edge)
 
 
@@ -590,28 +592,29 @@ class RegionDiagram:
 
 def _curve_samples(n: int, beta: float, gammas: np.ndarray) -> dict[str, np.ndarray]:
     g = gammas[gammas != 0.0]
-    nb = _named_bounds(n, beta, g)
+    t = g / beta
+    nb = _named_bounds(n, t)
     curves = {"alpha1_plus": nb["alpha1_plus"],
-              "alpha1_minus": _named_bounds(n, beta, -g)["alpha1_plus"]}
+              "alpha1_minus": _named_bounds(n, -t)["alpha1_plus"]}
     if n == 3:
         curves.update(alpha2=nb["alpha2"], alpha3=nb["alpha3"])
     if n in (5, 6):
         curves["sqrt15_beta-alpha2_plus"] = nb["sqrt15_beta"] - nb["alpha2_plus"]
         curves["sqrt15_beta-alpha2_minus"] = nb["sqrt15_beta"] - nb["alpha2_minus"]
-    return {k: np.column_stack([g, a]) for k, a in curves.items()}
+    return {k: np.column_stack([g, beta * a]) for k, a in curves.items()}
 
 
 def _tick_values(n: int, beta: float) -> dict[str, float]:
-    nb = _named_bounds(n, beta, beta)  # no tick reads gamma
+    nb = _named_bounds(n, 1.0)  # no tick reads gamma
     if n == 3:
         named = {"4*sqrt(10)b": nb["gamma_star"]}
     elif n == 4:
         named = {"sqrt(2)b": nb["sqrt2_beta"], "3*sqrt(2)b": nb["3sqrt2_beta"],
-                 "(sqrt(2)+sqrt(6))b": (SQRT2 + SQRT6) * beta}
+                 "(sqrt(2)+sqrt(6))b": SQRT2 + SQRT6}
     else:
         named = {"gamma1+": nb["gamma1_plus"], "gamma1-": nb["gamma1_minus"]}
-    ticks = {"sqrt(15)b": nb["sqrt15_beta"]}
-    for s, v in (("", 1.0), ("-", -1.0)):
+    ticks = {"sqrt(15)b": nb["sqrt15_beta"] * beta}
+    for s, v in (("", beta), ("-", -beta)):
         ticks.update((s + name, v * value) for name, value in named.items())
     return ticks
 
@@ -628,9 +631,9 @@ def region_diagram(
 
     The family code of a cell has bit 1 when an even-family row is strictly
     active and bit 2 for the odd family.  The rows are built once per
-    family, on the array of nonzero gammas (negated for the odd family),
-    and every row is tested on the whole grid at once; the gamma = 0 column
-    stays 0.
+    family in units of beta, on the array of nonzero gamma / beta (negated
+    for the odd family), and every row is tested on the whole grid at once;
+    the gamma = 0 column stays 0.  Only the axes, curves and ticks carry beta.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
@@ -652,12 +655,12 @@ def region_diagram(
     gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)
     nonzero = gammas != 0.0
-    g = gammas[nonzero]
+    t, a = gammas[nonzero] / beta, alphas[:, None] / beta
     codes = np.zeros((resolution, resolution), dtype=int)
     for k, (_, s) in enumerate(_FAMILIES):
         hit = False
-        for row in _family_rows(n, beta, s * g):
-            hit = hit | _row_state(s * g, alphas[:, None], row, beta)[0]
+        for row in _family_rows(n, s * t):
+            hit = hit | _row_state(s * t, a, row)[0]
         codes[:, nonzero] |= (1 << k) * hit
     counts = n * ((codes & 1) + (codes >> 1))
     dense = np.linspace(gamma_range[0], gamma_range[1], max(512, 4 * resolution))

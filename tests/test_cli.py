@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import pytest
 import starburst
 from starburst.cli import (
     Scenario,
+    _verification_samples,
     build_parser,
     main,
     run_verification,
@@ -142,6 +142,20 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--scenario", scen, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
         assert not (tmp_path / "out").exists()
+
+    def test_underflowing_coefficient_flags_exit_code(self, tmp_path, capsys):
+        # G (about 1e-180) is too small to square: the census would lose its
+        # digits, not report a short or empty one
+        assert main(["analyze", "--alpha", "0", "--beta", "1e-90", "--gamma", "1e-90",
+                     "--n", "3", "--grid", "64", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: wavefront coefficients underflow the Hessian determinant\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_small_coefficient_flags_full_census(self, tmp_path, capsys):
+        assert main(["analyze", "--alpha", "0", "--beta", "1e-20", "--gamma", "1e-20",
+                     "--n", "3", "--grid", "64", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("analyzed: 7 cusps of Gauss, 3 saddles")
 
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
@@ -389,16 +403,19 @@ class TestRegionsCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("n,beta", [("5", "1e110"), ("3", "1e160")])
-    def test_overflowing_beta_usage_error(self, n, beta, tmp_path, capsys):
-        # beta**3 raises for n = 5; for n = 3 alpha_1^+ overflows, and every
-        # cell of the diagram would read 0
-        out = tmp_path / "regions"
-        assert main(["regions", "--n", n, "--beta", beta, "--res", "21",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: wavefront coefficients overflow the closed-form region bounds")
-        assert not out.exists()
+    @pytest.mark.parametrize("n,beta", [("5", "1e110"), ("3", "1e160"), ("4", "1e-200")])
+    def test_extreme_beta_is_scaled_diagram(self, n, beta, tmp_path):
+        # the cells are read in units of beta: bounds computed in
+        # micrometres overflowed (beta**3 for n = 5, beta * beta in alpha_1^+)
+        # or underflowed, and lost the diagram
+        def cells(beta):
+            out = tmp_path / beta
+            assert main(["regions", "--n", n, "--beta", beta, "--res", "21",
+                         "--out", str(out)]) == 0
+            rows = (out / "regions_grid.csv").read_text().splitlines()[1:]
+            return [row.split(",")[2:] for row in rows]
+
+        assert cells(beta) == cells("0.2")
 
     def test_negative_window_start(self, tmp_path):
         out = tmp_path / "regions"
@@ -441,18 +458,40 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: wavefront coefficients overflow")
 
     def test_overflowing_bounds_usage_error(self, capsys):
-        # beta**3 in the n = 5 bounds raises before any field is built
+        # the closed forms run in units of beta and no longer overflow at
+        # beta = 1e110; G, of order beta^2, still cannot be squared
         assert main(["verify", "--n", "5", "--beta", "1e110", "--samples", "2"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: wavefront coefficients overflow the closed-form region bounds")
+        assert capsys.readouterr().err == (
+            "error: wavefront coefficients overflow the Hessian determinant\n")
 
-    def test_tiny_beta_usage_error(self, capsys):
-        # the boundary band covers the whole window: give up quickly, exit 2
-        t0 = time.perf_counter()
-        assert main(["verify", "--n", "3", "--beta", "1e-5", "--samples", "200"]) == 2
-        assert time.perf_counter() - t0 < 0.5
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--beta" in err
+    def test_underflowing_beta_usage_error(self, capsys):
+        assert main(["verify", "--n", "5", "--beta", "1e-90", "--samples", "20"]) == 2
+        assert capsys.readouterr().err == (
+            "error: wavefront coefficients underflow the Hessian determinant\n")
+
+    @pytest.mark.parametrize("beta", ["1e-5", "1e-4", "1e-20"])
+    def test_tiny_beta_agrees(self, beta, capsys):
+        # the boundary band is in units of beta, so it no longer covers the
+        # whole window below beta ~ 1e-3
+        assert main(["verify", "--n", "3", "--beta", beta, "--samples", "100"]) == 0
+        assert "100/100 agree" in capsys.readouterr().out
+
+    def test_fail_lines_keep_small_values(self, monkeypatch, capsys):
+        # a FAIL line prints gamma and alpha to 6 significant digits, which
+        # fixed-point formatting rounded to 0 for a small beta
+        def fail_all(params, census):
+            return 0.0, "count: predicted 3, census 1"
+
+        monkeypatch.setattr("starburst.cli._verify_sample", fail_all)
+        assert main(["verify", "--n", "3", "--beta", "1e-8", "--samples", "1",
+                     "--seed", "2"]) == 1
+        (line,) = [s for s in capsys.readouterr().out.splitlines() if "FAIL" in s]
+        (want,) = _verification_samples(3, 1e-8, 1, 2)
+        assert line == (f"  FAIL gamma={want.gamma:.6g} alpha={want.alpha:.6g}: "
+                        "count: predicted 3, census 1")
+        gamma, alpha = (float(w.split("=")[1].rstrip(":")) for w in line.split()[1:3])
+        assert gamma == pytest.approx(want.gamma, rel=1e-5)
+        assert alpha == pytest.approx(want.alpha, rel=1e-5)
 
     def test_non_finite_beta_usage_error(self):
         assert main(["verify", "--n", "4", "--beta", "inf", "--samples", "2"]) == 2

@@ -17,11 +17,12 @@ from starburst import (
     census_from_stacks,
     find_critical_points,
     find_critical_points_batch,
+    predict_saddles,
     rescale_check,
     saddle_upper_bound,
     three_term_stacks,
 )
-from starburst.cli import _verification_samples
+from starburst.cli import FIXTURE_SCENARIOS, _verification_samples
 from starburst.hessian import (
     _GROUPS,
     _PAIRS,
@@ -274,6 +275,71 @@ class TestRescaleInvariance:
     def test_negative_or_non_finite_factor(self, factor):
         with pytest.raises(ValueError, match="factor"):
             rescale_check(EQ3.to_wavefront(), factor)
+
+
+def _census_key(result):
+    """A census with the values that scale with W (G, det Hess G and the
+    scales) left out."""
+    return (result.degenerate, result.message,
+            [(p.x, p.y, p.rho, p.theta, p.kind, p.on_boundary) for p in result.points])
+
+
+def _scaled_fixture(name, k):
+    """The fixture's three-term parameters times 2^k, each exact."""
+    alpha, beta, gamma, n = FIXTURE_SCENARIOS[name][:4]
+    return ABParams(*(math.ldexp(c, k) for c in (alpha, beta, gamma)), n)
+
+
+class TestCoefficientScale:
+    """G is homogeneous of degree 2 in W's coefficients and every census
+    tolerance is relative to G's own scale, so c W has the census of W."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SCENARIOS))
+    def test_power_of_two_scaling_is_bit_identical(self, name):
+        ks = (0, -200, -150, -64, -23, -1, 1, 17, 40)
+        base, *scaled = find_critical_points_batch(
+            [build_field(_scaled_fixture(name, k).to_wavefront()) for k in ks])
+        for k, got in zip(ks[1:], scaled):
+            assert _census_key(got) == _census_key(base), k
+            assert [p.g_value for p in got] == [math.ldexp(p.g_value, 2 * k) for p in base]
+            assert [p.hess_g_det for p in got] == [
+                math.ldexp(p.hess_g_det, 4 * k) for p in base]
+
+    def test_underflowing_scale_rejected(self):
+        # the last scale whose squared G stays a normal float still gives
+        # the full census; below it the census would lose its digits
+        census = find_critical_points(build_field(_scaled_fixture("3star", -260).to_wavefront()))
+        assert (len(census), len(census.saddles), census.message) == (7, 3, "")
+        tiny = _scaled_fixture("3star", -270)
+        with pytest.raises(ValueError, match="underflow the Hessian determinant"):
+            build_field(tiny.to_wavefront())
+        with pytest.raises(ValueError, match="underflow the Hessian determinant"):
+            three_term_stacks(3, *_coefficients([EQ3, tiny]))
+
+    def test_zero_field_is_not_underflow(self):
+        # G = 0 (no term, or tilt alone) is constant, not too small to square
+        for w in (WaveAberration(()), WaveAberration((ZernikeTerm(1, 1, 0.3),))):
+            census = find_critical_points(build_field(w))
+            assert census.degenerate and census.message == "hessian determinant is constant"
+
+
+# verify --n 4 --beta 0.2 --samples 1000 --seed 4: the closed form puts the
+# even family's 4 saddles on a ring at rho = 0.987838, next to the rim
+RIM_RING = ABParams(0.6240191031801114, 0.2, -0.8342619035157544, 4)
+
+
+class TestKnownCensusMisses:
+    def test_rim_ring_prediction(self):
+        pred = predict_saddles(RIM_RING)
+        assert (pred.count, pred.families, pred.boundary) == (4, ("even",), False)
+        assert pred.rings[0].rho == pytest.approx(0.987838, abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="the census finds 2 of the 4 saddles of "
+                       "the rim ring, with no message (ROADMAP items 1 and 4)")
+    def test_rim_ring_saddles_found(self):
+        (census,) = census_from_stacks(three_term_stacks(4, *_coefficients([RIM_RING])))
+        rho = predict_saddles(RIM_RING).rings[0].rho
+        assert len([p for p in census.saddles if abs(p.rho - rho) < 1e-6]) == 4
 
 
 def _mixed_fields(seed, count):

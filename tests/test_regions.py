@@ -1,8 +1,11 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import bisect_root, circular_deviation, det_hess_g
 from starburst import (
@@ -12,6 +15,7 @@ from starburst import (
     ODD_FAMILY,
     ab_functions,
     admissible_gamma_interval,
+    boundary_slacks,
     build_field,
     find_critical_points,
     predict_saddles,
@@ -116,7 +120,11 @@ class TestSaddleRadii:
         # (beta^2 or gamma^2) would overflow the companion matrix
         radii = saddle_radii(ABParams(0.0, beta, gamma, n))
         assert all(0.0 < r < 1.0 for r in radii.even + radii.odd)
-        predict_saddles(ABParams(0.0, beta, gamma, n))
+        if gamma / beta > 1e154:  # predict_saddles works on gamma / beta
+            with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
+                predict_saddles(ABParams(0.0, beta, gamma, n))
+        else:
+            predict_saddles(ABParams(0.0, beta, gamma, n))
 
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_no_root_dropped(self, n):
@@ -225,11 +233,11 @@ class TestIndependentDerivation:
         for _ in range(3):
             beta = float(rng.uniform(0.1, 0.3))
             gamma = float(rng.uniform(g0, g1)) * beta
-            got = _named_bounds(n, beta, gamma)
+            got = _named_bounds(n, gamma / beta)  # in units of beta
             at = {b: sp.Rational(beta), g: sp.Rational(gamma)}
             for name, expr in want.items():
-                assert got[name] == pytest.approx(float(sp.N(expr.subs(at), 30)),
-                                                  rel=1e-12), name
+                assert got[name] * beta == pytest.approx(float(sp.N(expr.subs(at), 30)),
+                                                         rel=1e-12), name
 
 
 class TestPredictSaddles:
@@ -275,14 +283,23 @@ class TestPredictSaddles:
         assert (tiny.count, tiny.boundary) == (small.count, small.boundary)
 
     @pytest.mark.parametrize("n,beta,gamma", [
-        (5, 1e160, 1.0),  # beta**3 raises
-        (5, 1e110, 1.0),
-        (3, 1e160, 1.0),  # beta * beta overflows alpha_1^+
-        (6, 0.2, 1e160),  # gamma * gamma does
+        (6, 0.2, 1e160),  # (gamma / beta)^2 overflows alpha_1^+
+        (4, 1e-154, 10.0),
+        (3, 1e-300, 1e10),  # gamma / beta itself overflows
     ])
     def test_overflowing_bounds_rejected(self, n, beta, gamma):
         with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
             predict_saddles(ABParams(0.0, beta, gamma, n))
+        with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
+            boundary_slacks(ABParams(0.0, beta, gamma, n))
+
+    @pytest.mark.parametrize("n,beta", [(5, 1e160), (5, 1e110), (3, 1e160)])
+    def test_huge_beta_is_scaled_prediction(self, n, beta):
+        # these bounds overflowed while they were computed in micrometres
+        # (beta**3, beta * beta); in units of beta they are those of beta = 1
+        got = predict_saddles(ABParams(0.3 * beta, beta, 1.5 * beta, n))
+        assert got == predict_saddles(ABParams(0.3, 1.0, 1.5, n))
+        assert got.count > 0
 
     def test_outside_all_regions(self):
         # alpha far above every bound
@@ -318,12 +335,12 @@ class TestPredictSaddles:
         hi = predict_saddles(ABParams(SQRT15 * 0.2 + 1e-4, 0.2, 0.15, 4))
         assert lo.count == 4 and hi.count == 0
         # crossing alpha_3 for n=3 (even family ceiling)
-        a3 = _named_bounds(3, 0.2, 0.2)["alpha3"]
+        a3 = 0.2 * _named_bounds(3, 1.0)["alpha3"]
         below = predict_saddles(ABParams(a3 - 1e-4, 0.2, 0.2, 3))
         above = predict_saddles(ABParams(a3 + 1e-4, 0.2, 0.2, 3))
         assert below.count == 3 and above.count == 0
         # crossing alpha_2 for n=3 swaps the angular family at equal count
-        a2 = _named_bounds(3, 0.2, 0.2)["alpha2"]
+        a2 = 0.2 * _named_bounds(3, 1.0)["alpha2"]
         under = predict_saddles(ABParams(a2 - 1e-4, 0.2, 0.2, 3))
         over = predict_saddles(ABParams(a2 + 1e-4, 0.2, 0.2, 3))
         assert under.count == over.count == 3
@@ -424,8 +441,9 @@ class TestGammaIntervals:
         with pytest.raises(ValueError):
             admissible_gamma_interval(4, -0.2, 0.0)
 
-    # endpoints of the per-sample predict_saddles scan, before the scan ran
-    # on arrays; the array scan must reproduce them bit for bit
+    # endpoints of the per-sample predict_saddles scan in micrometres,
+    # before the scan ran on arrays and in units of beta; the scan in units
+    # of beta reproduces them to 1e-12 relative
     PINNED_EDGES = {
         (3, 0.0): 2.5298221281369804,
         (3, 0.5): 2.685461286022015,
@@ -437,10 +455,24 @@ class TestGammaIntervals:
         (6, 0.5): 1.240216463959737,
     }
 
+    # the same endpoints from the scan in units of beta, pinned bit for bit
+    PINNED_BETA_UNIT_EDGES = {
+        (3, 0.0): 2.529822128136981,
+        (3, 0.5): 2.6854612860220146,
+        (4, 0.0): 0.7727406610313363,
+        (4, 0.5): 0.8228795426533694,
+        (5, 0.0): 0.45309150575623447,
+        (5, 0.5): 0.7609850071923785,
+        (6, 0.0): 0.43966017885719016,
+        (6, 0.5): 1.2402164639587192,
+    }
+
     @pytest.mark.parametrize("n,alpha", sorted(PINNED_EDGES))
     def test_endpoints_bit_identical(self, n, alpha):
-        edge = self.PINNED_EDGES[n, alpha]
+        edge = self.PINNED_BETA_UNIT_EDGES[n, alpha]
         assert admissible_gamma_interval(n, 0.2, alpha) == (-edge, edge)
+        old = self.PINNED_EDGES[n, alpha]
+        assert abs(edge - old) <= 1e-12 * max(1.0, abs(old))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_scan_predicate_is_predict_saddles(self, n):
@@ -452,11 +484,50 @@ class TestGammaIntervals:
             [t * f for t in ticks for f in (1.0, 1.0 - 1e-13, 1.0 + 1e-13)],
         ])
         for alpha in (-0.3, 0.0, 0.5, SQRT15 * 0.2):
-            got = _saddles_exist(n, 0.2, alpha, gammas)
+            got = _saddles_exist(n, alpha / 0.2, gammas / 0.2)  # in units of beta
             want = [predict_saddles(ABParams(alpha, 0.2, float(g), n)).count > 0
                     for g in gammas]
             assert got.tolist() == want
-            assert [_saddles_exist(n, 0.2, alpha, float(g)) for g in gammas] == want
+            assert [_saddles_exist(n, alpha / 0.2, float(g) / 0.2) for g in gammas] == want
+
+
+@st.composite
+def window_samples(draw):
+    """(n, gamma / beta, alpha / beta) in the order's region-diagram window."""
+    n = draw(st.sampled_from(SUPPORTED_ORDERS))
+    g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+    return n, draw(st.floats(g0, g1)), draw(st.floats(a0, a1))
+
+
+def scaled_exactly(values, k):
+    """``values`` times 2^k, or None where a product is not exact."""
+    out = [math.ldexp(v, k) for v in values]
+    return out if all(math.ldexp(v, -k) == w for v, w in zip(out, values)) else None
+
+
+class TestScaleInvariance:
+    """Every table bound is beta times a function of gamma / beta, so
+    scaling (alpha, beta, gamma) by a power of two scales the results
+    exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample=window_samples(), k=st.integers(-1000, 1000))
+    def test_predict_saddles(self, sample, k):
+        n, t, a = sample
+        p = ABParams(0.2 * a, 0.2, 0.2 * t, n)
+        scaled = scaled_exactly((p.alpha, p.beta, p.gamma), k)
+        assume(scaled is not None)
+        assert predict_saddles(ABParams(*scaled, n)) == predict_saddles(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sample=window_samples(), k=st.integers(-900, 900))  # edges stay normal
+    def test_admissible_gamma_interval(self, sample, k):
+        n, _, a = sample
+        scaled = scaled_exactly((0.2 * a, 0.2, 6.0), k)  # 6 = 30 beta, the cap
+        assume(scaled is not None)
+        want = admissible_gamma_interval(n, 0.2, 0.2 * a)
+        got = admissible_gamma_interval(n, scaled[1], scaled[0])
+        assert got == (want and tuple(math.ldexp(e, k) for e in want))
 
 
 class TestSphericalEquivalent:
@@ -490,7 +561,7 @@ class TestRegionDiagram:
         pts = d.boundary_curves["alpha1_plus"]
         g = float(pts[17, 0])
         if g != 0.0:
-            expected = _named_bounds(4, 0.2, g)["alpha1_plus"]
+            expected = 0.2 * _named_bounds(4, g / 0.2)["alpha1_plus"]
             assert pts[17, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_grid_agrees_with_predictor(self):
@@ -515,10 +586,11 @@ class TestRegionDiagram:
         for j, g in enumerate(d.gamma_values.tolist()):
             if g == 0.0:
                 continue
+            t = g / 0.2  # the rows are in units of beta
             for bit, s in ((1, 1.0), (2, -1.0)):  # the odd family at -gamma
-                rows = _family_rows(n, 0.2, s * g)
+                rows = _family_rows(n, s * t)
                 for i, a in enumerate(d.alpha_values.tolist()):
-                    if any(strictly_inside(s * g, a, row) for row in rows):
+                    if any(strictly_inside(s * t, a / 0.2, row) for row in rows):
                         want[i, j] |= bit
         assert 0 < np.count_nonzero(want) < want.size
         np.testing.assert_array_equal(d.family_codes, want)
@@ -534,6 +606,15 @@ class TestRegionDiagram:
         with pytest.raises(ValueError):
             region_diagram(4, beta, resolution=5)
 
+    def test_underflowing_gamma_window_is_quiet(self):
+        # (gamma / beta)^2 underflows in n = 5's alpha_2: its rows get an
+        # infinite bound, with no numpy warning on the command line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = region_diagram(5, 0.2, gamma_range=(-1e-170, 1e-170),
+                               alpha_range=(0.0, 1.0), resolution=5)
+        assert d.counts.shape == (5, 5)
+
     def test_single_cell_window(self):
         d = region_diagram(4, 0.2, gamma_range=(0.1, 0.1001),
                            alpha_range=(0.0, 0.0001), resolution=2)
@@ -541,18 +622,22 @@ class TestRegionDiagram:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_small_beta_is_scaled_diagram(self, n):
-        # every bound scales with beta, so the boundary tolerance must too:
-        # a floor of 1 left no strictly active cell below beta ~ 1e-12
+        # every bound is beta times a function of gamma / beta, so the cells
+        # are read in units of beta: an absolute tolerance floor left no
+        # strictly active cell below beta ~ 1e-12, and bounds computed in
+        # micrometres underflowed or overflowed at the extremes
         want = region_diagram(n, 0.2, resolution=21)
-        got = region_diagram(n, 1e-13, resolution=21)
-        assert np.count_nonzero(got.counts) == np.count_nonzero(want.counts) > 0
-        np.testing.assert_array_equal(got.family_codes, want.family_codes)
+        assert np.count_nonzero(want.counts) > 0
+        for beta in (1e-200, 1e-13, 1e100, 1e300):
+            got = region_diagram(n, beta, resolution=21)
+            np.testing.assert_array_equal(got.family_codes, want.family_codes)
+            np.testing.assert_array_equal(got.counts, want.counts)
 
 
 def strictly_inside(gamma: float, alpha: float, row) -> bool:
     """The strict row rule, one cell at a time: on each axis every present
     bound (None is absent) must be beaten by more than
-    1e-12 * max(1, |value|, |lo|, |hi|)."""
+    1e-12 * max(1, |value|, |lo|, |hi|), in units of beta."""
     for value, lo, hi in ((gamma, row.gamma_lo, row.gamma_hi),
                           (alpha, row.alpha_lo, row.alpha_hi)):
         present = [b for b in (lo, hi) if b is not None]
