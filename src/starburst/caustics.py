@@ -28,6 +28,7 @@ from .zernike import WaveAberration
 
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
+MAX_GRID_RESOLUTION = 4096  # largest; analyze peaks at an estimated 0.35 GB
 
 # Verdict constants (see starburst_verdict).
 _PROFILE_BINS = 360  # 1-degree bins of the radial extent profile
@@ -222,8 +223,9 @@ def _clip_polyline_to_disk(points: np.ndarray):
 
 def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     """Marching-squares zero contours of G inside the unit pupil."""
-    if resolution < MIN_GRID_RESOLUTION:
-        raise ValueError(f"resolution must be at least {MIN_GRID_RESOLUTION}")
+    if not MIN_GRID_RESOLUTION <= resolution <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"resolution must be at least {MIN_GRID_RESOLUTION} "
+                         f"and at most {MAX_GRID_RESOLUTION}")
     if field.G.is_zero:
         return ContourSet((), resolution, degenerate=True)
     n = resolution

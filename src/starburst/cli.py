@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .caustics import (
+    MAX_GRID_RESOLUTION,
     MIN_GRID_RESOLUTION,
     extract_contours,
     fertility_report,
@@ -115,8 +116,9 @@ class Scenario:
         grid = _number(raw, "grid_resolution", 512)
         if isinstance(grid, float) and not grid.is_integer():
             raise ValueError(f"grid_resolution must be an integer, got {grid}")
-        if grid < MIN_GRID_RESOLUTION:
-            raise ValueError(f"grid_resolution must be at least {MIN_GRID_RESOLUTION}")
+        if not MIN_GRID_RESOLUTION <= grid <= MAX_GRID_RESOLUTION:
+            raise ValueError(f"grid_resolution must be at least {MIN_GRID_RESOLUTION} "
+                             f"and at most {MAX_GRID_RESOLUTION}")
         threshold = float(_number(raw, "visibility_threshold_arcmin", 1.0))
         if not 0.0 < threshold < math.inf:
             raise ValueError("visibility_threshold_arcmin must be positive and finite")
@@ -524,8 +526,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if args.grid < MIN_GRID_RESOLUTION:
-        print(f"error: --grid must be at least {MIN_GRID_RESOLUTION}", file=sys.stderr)
+    if not MIN_GRID_RESOLUTION <= args.grid <= MAX_GRID_RESOLUTION:
+        print(f"error: --grid must be at least {MIN_GRID_RESOLUTION} "
+              f"and at most {MAX_GRID_RESOLUTION}", file=sys.stderr)
         return 2
     all_ok = True
     t0 = time.perf_counter()

@@ -93,14 +93,14 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
 
 
-def _require_squarable(g_hess: np.ndarray) -> None:
+def _require_squarable(g_hess: np.ndarray, r: float) -> None:
     """ValueError unless the census can square the values of each field of a
-    (G, Gxx, Gxy, Gyy) stack: |G|^2 scales the degeneracy band and
-    det(Hess G) = Gxx Gyy - Gxy^2.  Each polynomial's sum |c_ij| bounds its
-    values on the unit square; twice the square of a field's largest bound
-    must be 0 or a normal float (NaN coefficients fail too)."""
+    (G, Gxx, Gxy, Gyy) stack on the disk of radius r: |G|^2 scales the band,
+    det(Hess G) = Gxx Gyy - Gxy^2.  Each polynomial's sum |c_ij| r^(i+j), the
+    Horner value of |c| at (r, r), bounds its values there; twice the square
+    of a field's largest bound must be 0 or a normal float (NaN fails too)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.abs(g_hess).sum(axis=(0, 1)).max(axis=0)
+        bound = grid_values(np.abs(g_hess), [r], [r])[..., 0, 0].max(axis=0)
         square = 2.0 * bound * bound
     if not np.isfinite(square).all():
         raise ValueError(_OVERFLOW)
@@ -110,12 +110,11 @@ def _require_squarable(g_hess: np.ndarray) -> None:
 
 def build_field(w: WaveAberration) -> HessianField:
     """The full derivative field of a wave aberration; ValueError when it
-    overflows, or as `_require_squarable`."""
+    overflows.  Whether the census can square it is the census's check."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         field = field_from_polynomial(w.to_polynomial())
     if not all(np.isfinite(poly.coeffs).all() for poly in vars(field).values()):
         raise ValueError(_OVERFLOW)
-    _require_squarable(_stack([field], _GROUPS.g_hess))
     return field
 
 
@@ -173,14 +172,12 @@ def _pair_basis(n: int) -> CensusStacks:
 def three_term_stacks(n: int, alpha, beta, gamma) -> CensusStacks:
     """Census stacks of W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n, one field
     per entry of the coefficient arrays, contracted from the cached pair
-    basis; ValueError as `build_field`."""
+    basis; products that overflow are left for the census to reject."""
     c = np.array([alpha, beta, gamma], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         weights = np.array([c[a] * c[b] for a, b in _PAIRS])
-        stacks = CensusStacks(*(np.tensordot(basis, weights, axes=1)
-                                for basis in _pair_basis(n)))
-    _require_squarable(stacks.g_hess)
-    return stacks
+        return CensusStacks(*(np.tensordot(basis, weights, axes=1)
+                              for basis in _pair_basis(n)))
 
 
 # Census constants.
@@ -190,11 +187,11 @@ _DAMPING = 0.5
 _MAX_HALVINGS = 6
 _POLISH_ITERATIONS = 8
 GRADIENT_TOL = 1e-10  # accepted |grad G|, relative to its grid maximum
-DEDUP_RADIUS = 1e-6
-# |det Hess G| below DEGENERACY_REL_THRESHOLD * (max |G| on grid)^2 is
-# classified degenerate.  1e-12 keeps a >1e6 margin over the
-# double-precision evaluation noise while not swallowing the genuinely
-# small determinants of rings close to a merge transition.
+DEDUP_RADIUS = 1e-6  # a fraction of the domain radius R, as every census length
+# |det Hess G| below DEGENERACY_REL_THRESHOLD * (max |G| on grid / R^2)^2, in
+# det Hess G's units, is classified degenerate.  1e-12 keeps a >1e6 margin
+# over the double-precision evaluation noise while not swallowing the
+# genuinely small determinants of rings close to a merge transition.
 DEGENERACY_REL_THRESHOLD = 1e-12
 _BOUNDARY_CLAMP = 1e-9
 _DEGENERATE_POINT_LIMIT = 50
@@ -361,7 +358,7 @@ def _newton_batch(newton, fidx, x, y, domain_radius: float, conv_tol):
         x[moved], y[moved], gn[moved] = nx[progressed], ny[progressed], ngn[progressed]
         v[:, moved] = nv[:, progressed]
         gn_new = gn[idx]
-        stop = ((gn_new <= conv_tol[idx]) | bad | ~progressed | (step <= 1e-15)
+        stop = ((gn_new <= conv_tol[idx]) | bad | ~progressed | (step <= 1e-15 * domain_radius)
                 | ~np.isfinite(gn_new) | (np.hypot(x[idx], y[idx]) > 2.0 * span))
         active[idx[stop]] = False
     return x, y, v
@@ -397,26 +394,26 @@ def _newton_polish(newton, fidx, x, y, v, domain_radius: float):
         gidx = idx[improved]
         best_x[gidx], best_y[gidx], best_gn[gidx] = nx[improved], ny[improved], ngn[improved]
         x[idx], y[idx], v[:, idx] = nx, ny, nv
-        active[idx] = ok & (step > 1e-16)
+        active[idx] = ok & (step > 1e-16 * domain_radius)
     return best_x, best_y, best_gn
 
 
-def _dedup(fidx: np.ndarray, x: np.ndarray, y: np.ndarray, gn: np.ndarray) -> np.ndarray:
+def _dedup(fidx, x, y, gn, radius: float) -> np.ndarray:
     """Indices of the points kept: in order of field, then |grad G|, each
-    unless within DEDUP_RADIUS (np.hypot) of an earlier kept point of its
+    unless within ``radius`` (np.hypot) of an earlier kept point of its
     field.  Resolved in rounds over the close pairs: a point whose earlier
     neighbours are all dropped is kept, and drops its later neighbours."""
     order = np.lexsort((gn, fidx))
     f, px, py = fidx[order], x[order], y[order]
     # candidate pairs: by (field, x), as complex numbers compare, each point
-    # with the later ones of its field at most 2 DEDUP_RADIUS further in x
+    # with the later ones of its field at most 2 radius further in x
     by_x = np.lexsort((px, f))
     key = f[by_x] + 1j * px[by_x]
-    count = np.searchsorted(key, key + 2j * DEDUP_RADIUS, side="right") - np.arange(len(key)) - 1
+    count = np.searchsorted(key, key + 2j * radius, side="right") - np.arange(len(key)) - 1
     a = np.repeat(np.arange(len(key)), count)
     b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
     i, j = np.minimum(by_x[a], by_x[b]), np.maximum(by_x[a], by_x[b])
-    near = np.hypot(px[i] - px[j], py[i] - py[j]) <= DEDUP_RADIUS
+    near = np.hypot(px[i] - px[j], py[i] - py[j]) <= radius
     i, j = i[near], j[near]
     kept = np.zeros(len(order), dtype=bool)
     dropped = np.zeros(len(order), dtype=bool)
@@ -435,7 +432,7 @@ def _locate(x: float, y: float, R: float) -> tuple:
     on_boundary = r >= R * (1.0 - 1e-12)
     if r > R:
         x, y, r = x * R / r, y * R / r, R
-    theta = 0.0 if r < 1e-12 else math.atan2(x, y) % (2.0 * math.pi)
+    theta = 0.0 if r < 1e-12 * R else math.atan2(x, y) % (2.0 * math.pi)
     if 2.0 * math.pi - theta < 1e-9:
         theta = 0.0
     return x, y, r, theta, on_boundary
@@ -468,11 +465,12 @@ def census_from_stacks(
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
-    axially symmetric W).
+    axially symmetric W).  ValueError first as `_require_squarable`.
     """
     if not (domain_radius > 0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
     R = domain_radius
+    _require_squarable(stacks.g_hess, R)
     n_fields = stacks.g_grad.shape[-1]
     if not n_fields:
         return []
@@ -501,11 +499,11 @@ def census_from_stacks(
     # noise-level digits of the points reported
     fidx = fidx[ok]
     x, y, gn = _newton_polish(newton, fidx, x[ok], y[ok], v[:, ok], R)
-    keep = (gn <= accept_tol[fidx]) & (np.hypot(x, y) <= R + _BOUNDARY_CLAMP)
+    keep = (gn <= accept_tol[fidx]) & (np.hypot(x, y) <= R * (1.0 + _BOUNDARY_CLAMP))
     fidx, x, y, gn = fidx[keep], x[keep], y[keep], gn[keep]
 
     # keep the best-converged representative of each cluster
-    kept = _dedup(fidx, x, y, gn)
+    kept = _dedup(fidx, x, y, gn, DEDUP_RADIUS * R)
     n_kept = np.bincount(fidx[kept], minlength=n_fields)
     kept = kept[n_kept[fidx[kept]] <= _DEGENERATE_POINT_LIMIT]
     located = [_locate(float(x[i]), float(y[i]), R) for i in kept]
@@ -517,7 +515,7 @@ def census_from_stacks(
         # b ** 2 of a numpy float is pow(), which can differ from b * b in
         # the last bit; the determinants reported have always used it
         det = float(a * d - b**2)
-        band = DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f]) ** 2
+        band = DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f] / (R * R)) ** 2
         kind = (PointClass.SADDLE if det < -band else
                 PointClass.EXTREMUM if det > band else PointClass.DEGENERATE)
         points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(g), det, on_boundary))

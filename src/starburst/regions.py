@@ -569,6 +569,8 @@ def spherical_equivalent(alpha: float, pupil_radius: float) -> float:
 # Region diagrams
 # --------------------------------------------------------------------------
 
+MAX_REGION_RESOLUTION = 1001  # samples per axis; regions peaks at an estimated 0.3 GB
+
 DEFAULT_WINDOWS = {
     # (gamma_lo, gamma_hi, alpha_lo, alpha_hi) in units of beta
     3: (-20.0, 20.0, -15.0, 120.0),
@@ -639,8 +641,9 @@ def region_diagram(
         raise ValueError("beta must be positive and finite")
     if n not in SUPPORTED_ORDERS:
         raise CapabilityError(f"supported orders are {SUPPORTED_ORDERS}, got n={n}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2 per axis")
+    if not 2 <= resolution <= MAX_REGION_RESOLUTION:
+        raise ValueError(f"resolution must be at least 2 and at most "
+                         f"{MAX_REGION_RESOLUTION} per axis")
     beta = float(beta)
     w = DEFAULT_WINDOWS[n]
     if gamma_range is None:

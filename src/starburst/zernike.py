@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npol
 
 MAX_RADIAL_ORDER = 12
 
@@ -117,7 +116,10 @@ class BivariatePolynomial:
         return not np.any(self.coeffs)
 
     def __call__(self, x, y):
-        return npol.polyval2d(x, y, self.coeffs)
+        """`gathered_values` at the broadcast points (x, y); numpy floats for scalars."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        values = gathered_values(self.coeffs[:, :, None], None, x.ravel(), y.ravel())
+        return values.reshape(x.shape)[()]
 
     def grid(self, xs, ys) -> np.ndarray:
         """Values on the tensor grid xs x ys, shape (len(xs), len(ys));

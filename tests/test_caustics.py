@@ -47,6 +47,8 @@ class TestContourExtraction:
         field = build_field(WaveAberration((ZernikeTerm(2, 0, 0.3),)))
         with pytest.raises(ValueError):
             extract_contours(field, 32)
+        with pytest.raises(ValueError, match="at most 4096"):
+            extract_contours(field, 4097)
 
     def test_vertices_lie_on_zero_level(self, analyses):
         a = analyses["3star"]

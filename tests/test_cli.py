@@ -104,6 +104,22 @@ class TestAnalyzeCommand:
                      "--n", "3", "--grid", "10", "--out", str(tmp_path / "out")]) == 2
         assert "error: grid_resolution must be at least 64" in capsys.readouterr().err
 
+    def test_grid_cap(self, tmp_path, capsys):
+        # one past the cap, in the file and as the flag: rejected before any
+        # grid is built, so no MemoryError
+        want = "error: grid_resolution must be at least 64 and at most 4096"
+        scen = make_scenario_file(
+            tmp_path,
+            {"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3, "grid_resolution": 4097,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert main(["analyze", "--scenario", scen]) == 2
+        assert want in capsys.readouterr().err
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", "--grid", "4097", "--out", str(tmp_path / "out")]) == 2
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_term_coefficient_in_scenario_file_exit_code(self, tmp_path, capsys):
         for value in ("NaN", "Infinity"):
             path = tmp_path / "scenario.json"
@@ -387,6 +403,7 @@ class TestRegionsCommand:
         [
             ["--res", "1"],
             ["--res", "0"],
+            ["--res", "1002"],  # one past the cap; runs before any grid is built
             ["--beta", "0"],
             ["--beta", "-0.2"],
             ["--window=nan,1,0,1"],
@@ -518,6 +535,10 @@ class TestFixturesCommand:
     def test_small_grid_usage_error(self, capsys):
         assert main(["fixtures", "--grid", "10"]) == 2
         assert "error: --grid must be at least 64" in capsys.readouterr().err
+
+    def test_grid_cap_usage_error(self, capsys):
+        assert main(["fixtures", "--grid", "4097"]) == 2
+        assert "error: --grid must be at least 64 and at most 4096" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_signal_out(tmp_path):

@@ -23,7 +23,7 @@ from starburst import (
     saddle_radii,
     spherical_equivalent,
 )
-from starburst.cli import _verification_samples
+from starburst.cli import FIXTURE_SCENARIOS, _verification_samples
 from starburst.hessian import census_from_stacks, three_term_stacks
 from starburst.regions import (
     DEFAULT_WINDOWS,
@@ -152,23 +152,36 @@ class TestSaddleRadii:
 
 
 @functools.cache
-def symbolic_meridians(n):
-    """(G on the even meridian theta = 0, G on the odd one theta = pi/n) as
-    sympy expressions in rho, a, b, g: G = Wxx Wyy - Wxy^2 of
-    W = a Z_2^0 + b Z_4^0 + g Z_n^n, built from the Zernike definitions."""
+def symbolic_g(n):
+    """G = Wxx Wyy - Wxy^2 of W = a Z_2^0 + b Z_4^0 + g Z_n^n as a sympy
+    expression in x, y, a, b, g, built from the Zernike definitions."""
     sp = pytest.importorskip("sympy")
-    x, y, rho = sp.symbols("x y rho", real=True)
-    a, b, g = sp.symbols("a b g", real=True)
+    x, y, a, b, g = sp.symbols("x y a b g", real=True)
     r2 = x**2 + y**2
     w = (a * sp.sqrt(3) * (2 * r2 - 1)
          + b * sp.sqrt(5) * (6 * r2**2 - 6 * r2 + 1)
          + g * sp.sqrt(2 * (n + 1)) * sp.re(sp.expand((y + sp.I * x) ** n)))
-    G = sp.diff(w, x, 2) * sp.diff(w, y, 2) - sp.diff(w, x, y) ** 2
+    return sp.diff(w, x, 2) * sp.diff(w, y, 2) - sp.diff(w, x, y) ** 2
+
+
+@functools.cache
+def symbolic_meridians(n):
+    """(G on the even meridian theta = 0, G on the odd one theta = pi/n) as
+    sympy expressions in rho, a, b, g."""
+    sp = pytest.importorskip("sympy")
+    x, y, rho = sp.symbols("x y rho", real=True)
 
     def meridian(theta):  # polar convention (x, y) = (rho sin, rho cos)
-        return G.subs({x: rho * sp.sin(theta), y: rho * sp.cos(theta)})
+        return symbolic_g(n).subs({x: rho * sp.sin(theta), y: rho * sp.cos(theta)})
 
     return meridian(0), meridian(sp.pi / n)
+
+
+def symbolic_a_minus_b(n):
+    """A - B in rho, a, b, g: dG/drho = 4 rho (A - B) on the even meridian."""
+    sp = pytest.importorskip("sympy")
+    rho = sp.Symbol("rho", real=True)
+    return sp.expand(sp.cancel(sp.diff(symbolic_meridians(n)[0], rho) / (4 * rho)))
 
 
 class TestIndependentDerivation:
@@ -210,7 +223,7 @@ class TestIndependentDerivation:
         # meridian, where dG/drho = 4 rho (A - B); A - B is linear in alpha
         sp = pytest.importorskip("sympy")
         rho, a, b, g = sp.symbols("rho a b g", real=True)
-        a_minus_b = sp.expand(sp.cancel(sp.diff(symbolic_meridians(n)[0], rho) / (4 * rho)))
+        a_minus_b = symbolic_a_minus_b(n)
 
         def alpha_where(expr):  # the alpha at which expr vanishes
             (root,) = sp.solve(expr, a)
@@ -238,6 +251,77 @@ class TestIndependentDerivation:
             for name, expr in want.items():
                 assert got[name] * beta == pytest.approx(float(sp.N(expr.subs(at), 30)),
                                                          rel=1e-12), name
+
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_alpha2_and_gamma1(self, n):
+        # at beta = 1, with alpha = sqrt(15) + u: two rings merge where the
+        # discriminant of A - B in rho (in rho^2 for n = 6, where A - B is
+        # even) vanishes.  Its factor quadratic in u gives the two curves
+        # sqrt(15) + u(gamma), and each touches alpha_1^+ (the ring at
+        # rho = 1) at one gamma, a double root of their gap.
+        sp = pytest.importorskip("sympy")
+        rho, a, b, g = sp.symbols("rho a b g", real=True)
+        u = sp.Symbol("u", real=True)
+        a_minus_b = symbolic_a_minus_b(n).subs(b, 1)
+        f = sp.Poly(a_minus_b.subs(a, sp.sqrt(15) + u), rho)
+        if n == 6:
+            f = sp.Poly(f.as_expr().subs(rho, sp.sqrt(rho)), rho)
+        (factor,) = [p for p, _ in sp.factor_list(sp.discriminant(f), u)[1]
+                     if sp.degree(p, u) == 2]
+        (alpha1_plus,) = sp.solve(a_minus_b.subs(rho, 1), a)
+        derived = []  # (curve sqrt(15) + u, gamma where it touches alpha_1^+)
+        for root in sp.solve(factor, u):
+            gap = sp.Poly(sp.numer(sp.together(alpha1_plus - sp.sqrt(15) - root)), g,
+                          extension=True)
+            touch = sp.gcd(gap, gap.diff(g))
+            assert touch.degree() == 1
+            (where,) = sp.solve(touch.as_expr(), g)
+            derived.append((sp.sqrt(15) + root, float(sp.N(where, 30))))
+        rng = np.random.default_rng(110 + n)
+        g0, g1 = DEFAULT_WINDOWS[n][:2]
+        for t in rng.uniform(g0, g1, 5):
+            nb = _named_bounds(n, float(t))
+            s2p = 1.0 if n == 6 else -1.0  # the table's sign of alpha_2^+
+            table = sorted([(SQRT15 + s2p * nb["alpha2_plus"], -nb["gamma1_plus"]),
+                            (SQRT15 - nb["alpha2_minus"], nb["gamma1_minus"])])
+            want = sorted((float(sp.N(curve.subs(g, sp.Rational(t)), 30)), where)
+                          for curve, where in derived)
+            for (got_curve, got_gamma), (curve, where) in zip(table, want, strict=True):
+                assert got_curve == pytest.approx(curve, rel=1e-12)
+                assert got_gamma == pytest.approx(where, rel=1e-12)
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_ring_determinant(self, n):
+        # det Hess G of the symbolic G on the even meridian (x, y) = (0, rho),
+        # at the real roots in (0, 1) of A - B: no polynomial field is built.
+        # Both signs of gamma: the odd family's rings are the even family's
+        # at -gamma.  The fixtures of order n come first: extremum rings are
+        # rare in the window for n = 3 and 4.
+        sp = pytest.importorskip("sympy")
+        x, y, rho, a, b, g = sp.symbols("x y rho a b g", real=True)
+        G = symbolic_g(n)
+        on_meridian = {x: 0, y: rho}
+        det = sp.expand((sp.diff(G, x, 2) * sp.diff(G, y, 2)
+                         - sp.diff(G, x, y) ** 2).subs(on_meridian))
+        a_minus_b = symbolic_a_minus_b(n)
+        rng = np.random.default_rng(120 + n)
+        g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+        signs = set()
+        fixtures = [ABParams(*v[:4]) for v in FIXTURE_SCENARIOS.values() if v[3] == n]
+        draws = []
+        for k in range(12):
+            beta = float(rng.uniform(0.1, 0.3))
+            draws.append(ABParams(float(rng.uniform(a0, a1)) * beta, beta,
+                                  (-1) ** k * abs(float(rng.uniform(g0, g1))) * beta, n))
+        for p in fixtures + [ABParams(f.alpha, f.beta, -f.gamma, n) for f in fixtures] + draws:
+            at = {a: sp.Rational(p.alpha), b: sp.Rational(p.beta), g: sp.Rational(p.gamma)}
+            roots = sp.Poly(a_minus_b.subs(at), rho).nroots(n=30)
+            for r in (r for r in roots if r.is_real and 0 < r < 1):
+                want = float(sp.N(det.subs(at).subs(rho, r), 30))
+                assert _ring_det_hess_g(p, float(r)) == pytest.approx(want, rel=1e-9)
+                signs.add(want < 0.0)
+        assert signs == {True, False}  # saddle and extremum rings alike
 
 
 class TestPredictSaddles:
@@ -600,6 +684,8 @@ class TestRegionDiagram:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             region_diagram(4, 0.2, resolution=1)
+        with pytest.raises(ValueError, match="at most 1001"):
+            region_diagram(4, 0.2, resolution=1002)
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan])
     def test_non_finite_beta(self, beta):

@@ -386,6 +386,81 @@ class TestStackedHorner:
                 assert np.array_equal(out[m, k].view(np.int64), want.view(np.int64))
 
 
+def _same_bits(got, want):
+    """Equal shapes, NaN where the other is NaN, and equal bits elsewhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    finite = ~np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), ~finite)
+            and np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64)))
+
+
+class TestCall:
+    """`BivariatePolynomial.__call__` runs the census's Horner kernel and
+    gives ``polyval2d``'s bits (the reference) on any broadcastable input."""
+
+    POLY = BivariatePolynomial(np.array([[0.5, -1.25, 0.0, 2.0], [3.0, 0.0, -0.75, 0.0],
+                                         [-2.5, 1.5, 0.0, 0.0], [0.25, 0.0, 0.0, 0.0]]))
+
+    def test_python_scalars(self):
+        for x, y in ((0.3, -0.7), (0, 1), (-0.0, 0.0), (1e-300, -2.0)):
+            got = self.POLY(x, y)
+            assert type(got) is np.float64
+            assert _same_bits(got, npol.polyval2d(x, y, self.POLY.coeffs))
+
+    def test_zero_dimensional_arrays(self):
+        x, y = np.array(0.41), np.array(-0.93)
+        got = self.POLY(x, y)
+        assert type(got) is np.float64
+        assert _same_bits(got, npol.polyval2d(x, y, self.POLY.coeffs))
+
+    def test_lists(self):
+        x, y = [0.1, -0.3, 0.0, 1.2], [0.2, 0.5, -0.0, -1.1]
+        assert _same_bits(self.POLY(x, y), npol.polyval2d(x, y, self.POLY.coeffs))
+
+    def test_broadcasting(self):
+        x = np.linspace(-1.1, 1.1, 9)[:, None]
+        y = np.linspace(-0.9, 1.3, 7)[None, :]
+        got = self.POLY(x, y)
+        assert got.shape == (9, 7)
+        want = npol.polyval2d(*np.broadcast_arrays(x, y), self.POLY.coeffs)
+        assert _same_bits(got, want)
+        # a scalar against an array
+        assert _same_bits(self.POLY(0.25, y), npol.polyval2d(
+            *np.broadcast_arrays(0.25, y), self.POLY.coeffs))
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(8)
+        grid = rng.uniform(-1.3, 1.3, (12, 10))
+        x, y = grid[::3, 1::2], grid.T[1:6, ::3].T
+        assert not (x.flags.c_contiguous or y.flags.c_contiguous)
+        assert _same_bits(self.POLY(x, y), npol.polyval2d(x, y, self.POLY.coeffs))
+
+    def test_negative_zero_coefficients(self):
+        c = np.full((4, 3), -0.0)
+        c[3, 2], c[1, 0], c[0, 2] = 1.5, -2.0, 0.5
+        poly = BivariatePolynomial(c)
+        assert (np.signbit(poly.coeffs) & (poly.coeffs == 0.0)).sum() == 9
+        x = np.array([0.0, -0.0, 0.0, -0.0, 0.7, -0.7, 1e-200, -1e-200])
+        y = np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -1e-200, 0.3])
+        want = npol.polyval2d(x, y, poly.coeffs)
+        assert np.signbit(want).any() and not np.signbit(want).all()
+        assert _same_bits(poly(x, y), want)
+
+    def test_non_finite_points(self):
+        x = np.array([np.inf, -np.inf, np.nan, 0.5, 0.0, np.inf])
+        y = np.array([0.5, 0.0, 0.3, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf
+            got, want = self.POLY(x, y), npol.polyval2d(x, y, self.POLY.coeffs)
+        assert _same_bits(got, want)
+
+    def test_zero_polynomial(self):
+        zero = BivariatePolynomial(np.zeros((3, 4)))
+        x = np.array([0.3, -0.0, -2.0, 0.0])
+        y = np.array([-0.0, -0.0, 5.0, 0.0])
+        assert _same_bits(zero(x, y), npol.polyval2d(x, y, zero.coeffs))
+        assert type(zero(1.0, -1.0)) is np.float64
+
+
 class TestOrthogonalitySmoke:
     def test_defocus_spherical_disk_integral_small(self):
         z20 = ZernikeTerm(2, 0, 1.0).to_polynomial()
