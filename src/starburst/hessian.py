@@ -1,15 +1,16 @@
 """Hessian-determinant field construction and cusp-of-Gauss search.
 
 The Hessian determinant G = Wxx*Wyy - Wxy^2 of a wave aberration W is
-built exactly in the monomial basis together with its first and second
-derivatives.  Critical points of G ("cusps of Gauss") are located with a
-grid-seeded damped Newton iteration on grad G = 0 and classified by the
-sign of det(Hess G): saddle if negative, extremum if positive, degenerate
-inside a scale-normalized threshold band.
+built exactly in the monomial basis.  Critical points of G ("cusps of
+Gauss") are located with a grid-seeded damped Newton iteration on
+grad G = 0 and classified by the sign of det(Hess G): saddle if negative,
+extremum if positive, degenerate inside a scale-normalized threshold band.
 
-For the three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n the
-census's coefficient stacks are contracted from a cached basis of pair
-polynomials instead (`three_term_stacks`); `build_field` serves any W.
+The census takes G alone, as a stack of coefficient arrays, and derives
+G's first and second derivatives itself, once per call.  For the
+three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n that stack is
+contracted from a cached basis of pair polynomials (`three_term_stacks`);
+`build_field` serves any W.
 
 The search is deterministic: seeds come from fixed grids, the Newton
 batch is data-parallel over points and fields, and results are
@@ -28,8 +29,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +38,8 @@ from .zernike import (
     CapabilityError,
     WaveAberration,
     ZernikeTerm,
+    _trim,
+    derivative,
     gathered_values,
     grid_values,
 )
@@ -52,7 +53,7 @@ class PointClass(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HessianField:
-    """W, its derivatives to second order, G, and derivatives of G."""
+    """W, its derivatives to second order, and G = Wxx Wyy - Wxy^2."""
 
     W: BivariatePolynomial
     Wx: BivariatePolynomial
@@ -61,19 +62,6 @@ class HessianField:
     Wxy: BivariatePolynomial
     Wyy: BivariatePolynomial
     G: BivariatePolynomial
-    Gx: BivariatePolynomial
-    Gy: BivariatePolynomial
-    Gxx: BivariatePolynomial
-    Gxy: BivariatePolynomial
-    Gyy: BivariatePolynomial
-
-
-def _g_derivatives(g: BivariatePolynomial) -> dict[str, BivariatePolynomial]:
-    """G and its derivatives to second order, by HessianField name."""
-    gx = g.differentiate("x")
-    gy = g.differentiate("y")
-    return {"G": g, "Gx": gx, "Gy": gy, "Gxx": gx.differentiate("x"),
-            "Gxy": gx.differentiate("y"), "Gyy": gy.differentiate("y")}
 
 
 def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
@@ -87,20 +75,23 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
     wxy = wx.differentiate("y")
     wyy = wy.differentiate("y")
     return HessianField(W=w_poly, Wx=wx, Wy=wy, Wxx=wxx, Wxy=wxy, Wyy=wyy,
-                        **_g_derivatives(wxx * wyy - wxy * wxy))
+                        G=wxx * wyy - wxy * wxy)
 
 
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
 
 
 def _require_squarable(g_hess: np.ndarray, r: float) -> None:
-    """ValueError unless the census can square the values of each field of a
-    (G, Gxx, Gxy, Gyy) stack on the disk of radius r: |G|^2 scales the band,
-    det(Hess G) = Gxx Gyy - Gxy^2.  Each polynomial's sum |c_ij| r^(i+j), the
-    Horner value of |c| at (r, r), bounds its values there; twice the square
-    of a field's largest bound must be 0 or a normal float (NaN fails too)."""
+    """ValueError unless the census can square the values of G and of Hess G
+    of each field of a (G, Gxx, Gxy, Gyy) stack on the disk of radius r:
+    |G|^2 scales the band, det(Hess G) = Gxx Gyy - Gxy^2.  Each polynomial's
+    sum |c_ij| r^(i+j), the Horner value of |c| at (r, r), bounds its values
+    there; twice the square of G's bound, and of the largest of Gxx, Gxy and
+    Gyy's, must each be 0 or a normal float (NaN fails too).  Hess G is R^2
+    smaller than G on a disk of radius R, so neither bound stands for both."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = grid_values(np.abs(g_hess), [r], [r])[..., 0, 0].max(axis=0)
+        bound = grid_values(np.abs(g_hess), [r], [r])[..., 0, 0]
+        bound = np.stack([bound[0], bound[1:].max(axis=0)])
         square = 2.0 * bound * bound
     if not np.isfinite(square).all():
         raise ValueError(_OVERFLOW)
@@ -110,7 +101,7 @@ def _require_squarable(g_hess: np.ndarray, r: float) -> None:
 
 def build_field(w: WaveAberration) -> HessianField:
     """The full derivative field of a wave aberration; ValueError when it
-    overflows.  Whether the census can square it is the census's check."""
+    overflows.  Whether the census can square G is the census's check."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         field = field_from_polynomial(w.to_polynomial())
     if not all(np.isfinite(poly.coeffs).all() for poly in vars(field).values()):
@@ -118,42 +109,27 @@ def build_field(w: WaveAberration) -> HessianField:
     return field
 
 
-class CensusStacks(NamedTuple):
-    """The zero-padded (DX, DY, len(names), fields) coefficient stacks that
-    the census evaluates, each trimmed to its own group of polynomials."""
-
-    g_grad: np.ndarray  # G, Gx, Gy: the zoom-1 seed grid and the scales
-    newton: np.ndarray  # Gx, Gy, Gxx, Gxy, Gyy: seeding (the first two), Newton
-    g_hess: np.ndarray  # G, Gxx, Gxy, Gyy: the located points' values
-
-
-_GROUPS = CensusStacks(("G", "Gx", "Gy"), ("Gx", "Gy", "Gxx", "Gxy", "Gyy"),
-                       ("G", "Gxx", "Gxy", "Gyy"))
-
-
-def _stack(fields, names) -> np.ndarray:
-    """The named polynomials of every field, zero-padded into one
-    (DX, DY, len(names), len(fields)) coefficient stack, (1, 1, ...) for
-    no fields."""
-    coeffs = [[getattr(f, name).coeffs for f in fields] for name in names]
-    dx, dy = np.max([c.shape for row in coeffs for c in row] + [(1, 1)], axis=0)
-    out = np.zeros((dx, dy, len(names), len(fields)))
-    for m, row in enumerate(coeffs):
-        for k, c in enumerate(row):
-            out[: c.shape[0], : c.shape[1], m, k] = c
+def _stack(arrays) -> np.ndarray:
+    """(DX_k, DY_k, ...) coefficient arrays of one trailing shape, zero-padded
+    to the largest (DX, DY) into one (DX, DY, len(arrays), ...) stack;
+    (1, 1, 0) for none."""
+    dx, dy = np.max([a.shape[:2] for a in arrays] + [(1, 1)], axis=0)
+    out = np.zeros((dx, dy, len(arrays)) + (arrays[0].shape[2:] if arrays else ()))
+    for k, a in enumerate(arrays):
+        out[: a.shape[0], : a.shape[1], k] = a
     return out
 
 
 # The three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n: G is
-# quadratic in (alpha, beta, gamma), so G and its derivatives are sums of
-# one pair polynomial per product of two coefficients, in this order.
+# quadratic in (alpha, beta, gamma), so it is a sum of one pair polynomial
+# per product of two coefficients, in this order.
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @functools.cache
-def _pair_basis(n: int) -> CensusStacks:
-    """The census stacks of the three-term family's pair polynomials for
-    order n, one field per entry of _PAIRS."""
+def _pair_basis(n: int) -> np.ndarray:
+    """The (DX, DY, 6) coefficient stack of the three-term family's pair
+    polynomials of G for order n, one per entry of _PAIRS."""
     terms = [field_from_polynomial(ZernikeTerm(k, m, 1.0).to_polynomial())
              for k, m in ((2, 0), (4, 0), (n, n))]
     pairs = []
@@ -162,22 +138,21 @@ def _pair_basis(n: int) -> CensusStacks:
         g = p.Wxx * q.Wyy - p.Wxy * q.Wxy
         if a != b:  # c_a c_b appears twice in G = Wxx Wyy - Wxy^2
             g = g + q.Wxx * p.Wyy - q.Wxy * p.Wxy
-        pairs.append(SimpleNamespace(**_g_derivatives(g)))
-    basis = CensusStacks(*(_stack(pairs, names) for names in _GROUPS))
-    for stack in basis:  # shared by every caller
-        stack.flags.writeable = False
+        pairs.append(g.coeffs)
+    basis = _stack(pairs)
+    basis.flags.writeable = False  # shared by every caller
     return basis
 
 
-def three_term_stacks(n: int, alpha, beta, gamma) -> CensusStacks:
-    """Census stacks of W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n, one field
-    per entry of the coefficient arrays, contracted from the cached pair
-    basis; products that overflow are left for the census to reject."""
+def three_term_stacks(n: int, alpha, beta, gamma) -> np.ndarray:
+    """G's (DX, DY, fields) coefficient stack for W = alpha Z_2^0 + beta Z_4^0
+    + gamma Z_n^n, one field per entry of the coefficient arrays, contracted
+    from the cached pair basis; products that overflow are left for the
+    census to reject."""
     c = np.array([alpha, beta, gamma], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.array([c[a] * c[b] for a, b in _PAIRS])
-        return CensusStacks(*(np.tensordot(basis, weights, axes=1)
-                              for basis in _pair_basis(n)))
+        return np.tensordot(_pair_basis(n), weights, axes=1)
 
 
 # Census constants.
@@ -451,16 +426,15 @@ def find_critical_points_batch(
 ) -> list[CriticalPointSearch]:
     """Census of every field inside the disk of radius ``domain_radius``,
     run as one array program; each result is the field's census alone:
-    `census_from_stacks` of the fields' stacked polynomials."""
-    return census_from_stacks(
-        CensusStacks(*(_stack(fields, names) for names in _GROUPS)), domain_radius)
+    `census_from_stacks` of the fields' stacked G."""
+    return census_from_stacks(_stack([f.G.coeffs for f in fields]), domain_radius)
 
 
-def census_from_stacks(
-    stacks: CensusStacks, domain_radius: float = 1.0
-) -> list[CriticalPointSearch]:
-    """Census of every field of ``stacks`` (its trailing index) inside the
-    disk of radius ``domain_radius``, run as one array program.
+def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[CriticalPointSearch]:
+    """Census of every field of ``g``, a (DX, DY, fields) stack of G's
+    coefficients, inside the disk of radius ``domain_radius``, run as one
+    array program.  G's first and second derivatives are taken here, once,
+    for the whole stack, with `differentiate`'s product.
 
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
@@ -470,20 +444,28 @@ def census_from_stacks(
     if not (domain_radius > 0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
     R = domain_radius
-    _require_squarable(stacks.g_hess, R)
-    n_fields = stacks.g_grad.shape[-1]
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 3:  # a lone polynomial's columns would pass for fields
+        raise ValueError(f"g must be a (DX, DY, fields) coefficient stack, got shape {g.shape}")
+    g = _trim(g)
+    with np.errstate(over="ignore"):  # reported by _require_squarable
+        gx, gy = derivative(g, 0), derivative(g, 1)
+        gxx, gxy, gyy = derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)
+    g_hess = _stack([g, gxx, gxy, gyy])  # the located points' values
+    _require_squarable(g_hess, R)
+    n_fields = g.shape[-1]
     if not n_fields:
         return []
     # the zoom-1 seed grid also sets the gradient and |G| scales
-    xs, ys, (g, gx, gy) = _corner_grid(stacks.g_grad, R, _GRID_SIZE)
-    gscale = np.max(np.hypot(gx, gy), axis=(1, 2))
-    g_abs_scale = np.max(np.abs(g), axis=(1, 2))
-    constant = ~np.any(stacks.g_grad[:, :, 0].reshape(-1, n_fields)[1:], axis=0)
+    xs, ys, grid = _corner_grid(_stack([g, gx, gy]), R, _GRID_SIZE)
+    gscale = np.max(np.hypot(grid[1], grid[2]), axis=(1, 2))
+    g_abs_scale = np.max(np.abs(grid[0]), axis=(1, 2))
+    constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
     conv_tol = 1e-12 * gscale
     accept_tol = GRADIENT_TOL * gscale
-    newton = stacks.newton
+    newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
 
-    fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, (gx, gy)))
+    fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, grid[1:]))
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)
@@ -508,9 +490,9 @@ def census_from_stacks(
     kept = kept[n_kept[fidx[kept]] <= _DEGENERATE_POINT_LIMIT]
     located = [_locate(float(x[i]), float(y[i]), R) for i in kept]
     px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
-    values = gathered_values(stacks.g_hess, fidx[kept], px, py)
+    values = gathered_values(g_hess, fidx[kept], px, py)
     points: list[list[CriticalPoint]] = [[] for _ in range(n_fields)]
-    for (cx, cy, r, theta, on_boundary), f, g, a, b, d in zip(
+    for (cx, cy, r, theta, on_boundary), f, value, a, b, d in zip(
             located, fidx[kept].tolist(), *values):
         # b ** 2 of a numpy float is pow(), which can differ from b * b in
         # the last bit; the determinants reported have always used it
@@ -518,7 +500,7 @@ def census_from_stacks(
         band = DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f] / (R * R)) ** 2
         kind = (PointClass.SADDLE if det < -band else
                 PointClass.EXTREMUM if det > band else PointClass.DEGENERATE)
-        points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(g), det, on_boundary))
+        points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(value), det, on_boundary))
 
     results = []
     for f in range(n_fields):

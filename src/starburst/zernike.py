@@ -36,11 +36,21 @@ class CapabilityError(ValueError):
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop all-zero trailing rows/columns, keeping at least a 1x1 array."""
-    rows, cols = np.nonzero(c)
+    """Drop trailing rows/columns that are zero in every polynomial of the
+    (DX, DY, ...) stack ``c``, keeping at least one of each."""
+    rows, cols = np.nonzero(c)[:2]
     if rows.size == 0:
-        return np.zeros((1, 1))
+        return np.zeros((1, 1) + c.shape[2:])
     return np.array(c[: rows.max() + 1, : cols.max() + 1])
+
+
+def derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Exact partial derivative along axis 0 (x) or 1 (y) of every
+    polynomial of a (DX, DY, ...) coefficient stack: polyder's j * c[j], in
+    one product, trimmed as `_trim`."""
+    c = np.moveaxis(coeffs, axis, 0)
+    j = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return _trim(np.moveaxis(c[1:] * j, 0, axis))
 
 
 def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:
@@ -128,24 +138,26 @@ class BivariatePolynomial:
 
     def differentiate(self, axis: str) -> "BivariatePolynomial":
         """Exact partial derivative along ``axis`` ("x" or "y")."""
-        if axis == "x":
-            ax = 0
-        elif axis == "y":
-            ax = 1
-        else:
+        if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        if self.coeffs.shape[ax] == 1:
-            return BivariatePolynomial(np.zeros((1, 1)))
-        c = np.moveaxis(self.coeffs, ax, 0)  # polyder's j * c[j], in one product
-        return BivariatePolynomial(np.moveaxis(c[1:] * np.arange(1, len(c))[:, None], 0, ax))
+        return BivariatePolynomial(derivative(self.coeffs, "xy".index(axis)))
 
     def rescale_domain(self, factor: float) -> "BivariatePolynomial":
-        """Return q(x, y) = p(x / factor, y / factor)."""
+        """Return q(x, y) = p(x / factor, y / factor); ValueError when a
+        power of the factor overflows or a nonzero coefficient of q is not a
+        normal float."""
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError(f"factor must be positive and finite, got {factor}")
         i = np.arange(self.coeffs.shape[0])[:, None]
         j = np.arange(self.coeffs.shape[1])[None, :]
-        return BivariatePolynomial(self.coeffs / factor ** (i + j))
+        with np.errstate(all="ignore"):  # reported below
+            powers = factor ** (i + j)
+            c = self.coeffs / powers
+        normal = np.finfo(float)
+        scaled = np.abs(c[self.coeffs != 0.0])
+        if np.isinf(powers).any() or not np.all((scaled >= normal.tiny) & (scaled <= normal.max)):
+            raise ValueError(f"factor {factor} takes the coefficients out of the normal range")
+        return BivariatePolynomial(c)
 
     def _binary(self, other, sign: float) -> "BivariatePolynomial":
         a, b = self.coeffs, other.coeffs

@@ -45,8 +45,10 @@ def analyses():
 
 
 def det_hess_g(field, x, y):
-    """det(Hess G) = Gxx Gyy - Gxy^2 at (x, y), from the field's polynomials."""
-    return float(field.Gxx(x, y) * field.Gyy(x, y) - field.Gxy(x, y) ** 2)
+    """det(Hess G) = Gxx Gyy - Gxy^2 at (x, y), from the field's G."""
+    gx, gy = field.G.differentiate("x"), field.G.differentiate("y")
+    gxx, gxy, gyy = gx.differentiate("x"), gx.differentiate("y"), gy.differentiate("y")
+    return float(gxx(x, y) * gyy(x, y) - gxy(x, y) ** 2)
 
 
 def circular_deviation(angles, offsets):

@@ -54,7 +54,8 @@ class TestContourExtraction:
         a = analyses["3star"]
         xs = np.linspace(-1, 1, 512)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        lipschitz = float(np.max(np.hypot(a.field.Gx(X, Y), a.field.Gy(X, Y))))
+        gx, gy = a.field.G.differentiate("x"), a.field.G.differentiate("y")
+        lipschitz = float(np.max(np.hypot(gx(X, Y), gy(X, Y))))
         cell_diag = math.sqrt(2.0) * (xs[1] - xs[0])
         bound = 10.0 * lipschitz * cell_diag
         for poly in a.contours.polylines:

@@ -26,7 +26,6 @@ from starburst import (
 )
 from starburst.cli import FIXTURE_SCENARIOS, _verification_samples
 from starburst.hessian import (
-    _GROUPS,
     _PAIRS,
     DEDUP_RADIUS,
     DEGENERACY_REL_THRESHOLD,
@@ -74,10 +73,11 @@ class TestBuildField:
         x = rng.uniform(-0.7, 0.7, 500)
         y = rng.uniform(-0.7, 0.7, 500)
         h = 1e-6
+        gx = field.G.differentiate("x")
         fd_gx = (field.G(x + h, y) - field.G(x - h, y)) / (2 * h)
-        fd_gxx = (field.Gx(x + h, y) - field.Gx(x - h, y)) / (2 * h)
-        np.testing.assert_allclose(field.Gx(x, y), fd_gx, atol=1e-5)
-        np.testing.assert_allclose(field.Gxx(x, y), fd_gxx, atol=1e-5)
+        fd_gxx = (gx(x + h, y) - gx(x - h, y)) / (2 * h)
+        np.testing.assert_allclose(gx(x, y), fd_gx, atol=1e-5)
+        np.testing.assert_allclose(gx.differentiate("x")(x, y), fd_gxx, atol=1e-5)
 
     def test_degree_overflow_rejected(self):
         with pytest.raises(CapabilityError):
@@ -139,8 +139,9 @@ class TestCriticalPointCensus:
     def test_gradient_tolerance_invariant(self, analyses):
         a = analyses["3star"]
         tol = GRADIENT_TOL * a.search.gradient_scale
+        gx, gy = a.field.G.differentiate("x"), a.field.G.differentiate("y")
         for p in a.search.points:
-            assert math.hypot(a.field.Gx(p.x, p.y), a.field.Gy(p.x, p.y)) <= tol
+            assert math.hypot(gx(p.x, p.y), gy(p.x, p.y)) <= tol
 
     def test_deduplication_distance(self, analyses):
         pts = analyses["5star"].search.points
@@ -287,6 +288,19 @@ class TestRescaleInvariance:
                     for p in scaled] == [(p.x, p.y, p.rho, p.theta, p.kind, p.on_boundary)
                                          for p in base], k
 
+    def test_underflowing_dilation_rejected(self):
+        # on the disk of radius 2^100, G of 3star squares to a normal float
+        # but Hess G, 2^200 smaller, does not
+        with pytest.raises(ValueError, match="underflow the Hessian determinant"):
+            rescale_check(EQ3.to_wavefront(), 2.0**100)
+
+    @pytest.mark.parametrize("factor", [1e100, 1e-100])
+    def test_out_of_range_factor_rejected(self, factor):
+        # a power of the factor overflows, or a coefficient leaves the
+        # normal range, before any census is run
+        with pytest.raises(ValueError, match="normal range"):
+            rescale_check(EQ3.to_wavefront(), factor)
+
     def test_overflowing_dilation_rejected(self):
         # G is finite at the unit pupil, but its values on the disk of
         # radius 0.05 cannot be squared
@@ -340,6 +354,10 @@ class TestCoefficientScale:
         # the full census; below it the census would lose its digits
         census = find_critical_points(build_field(_scaled_fixture("3star", -260).to_wavefront()))
         assert (len(census), len(census.saddles), census.message) == (7, 3, "")
+        # at 2^-262 twice the square of G's bound is subnormal, although
+        # Hess G's larger one is not
+        with pytest.raises(ValueError, match="underflow the Hessian determinant"):
+            find_critical_points(build_field(_scaled_fixture("3star", -262).to_wavefront()))
         tiny = _scaled_fixture("3star", -270)
         with pytest.raises(ValueError, match="underflow the Hessian determinant"):
             find_critical_points(build_field(tiny.to_wavefront()))
@@ -349,15 +367,14 @@ class TestCoefficientScale:
     def test_census_guards_hand_built_stacks(self):
         # every finite coefficient, but twice the square of the bound of G
         # on the unit square overflows
-        stacks = three_term_stacks(3, *_coefficients([EQ3, EQ3]))
-        g_hess = np.array(stacks.g_hess)
-        g_hess[0, 0, 0, 1] = 1e155
-        assert np.isfinite(g_hess).all()
+        g = np.array(three_term_stacks(3, *_coefficients([EQ3, EQ3])))
+        g[0, 0, 1] = 1e155
+        assert np.isfinite(g).all()
         with pytest.raises(ValueError, match="overflow the Hessian determinant"):
-            census_from_stacks(stacks._replace(g_hess=g_hess))
-        g_hess[0, 0, 0, 1] = np.nan
+            census_from_stacks(g)
+        g[0, 0, 1] = np.nan
         with pytest.raises(ValueError, match="overflow the Hessian determinant"):
-            census_from_stacks(stacks._replace(g_hess=g_hess))
+            census_from_stacks(g)
 
     def test_zero_field_is_not_underflow(self):
         # G = 0 (no term, or tilt alone) is constant, not too small to square
@@ -471,6 +488,15 @@ class TestBatchedCensus:
         with pytest.raises(ValueError, match="domain_radius"):
             find_critical_points_batch([field, field], radius)
 
+    def test_padded_g_stack(self):
+        # trailing zero rows and columns of G change no census
+        fields = _mixed_fields(5, 9)
+        g = _stack([f.G.coeffs for f in fields])
+        padded = np.zeros((g.shape[0] + 3, g.shape[1] + 2, g.shape[2]))
+        padded[: g.shape[0], : g.shape[1]] = g
+        assert [repr(r) for r in census_from_stacks(padded)] == [
+            repr(r) for r in census_from_stacks(g)]
+
     def test_det_squares_with_pow(self):
         # G = (A x^2 + 2 B xy + D y^2) / 2 has a saddle at the origin and
         # constant Hess G.  For this B, B ** 2 (pow) and B * B differ in the
@@ -481,12 +507,11 @@ class TestBatchedCensus:
         def poly(c):
             return BivariatePolynomial(np.array(c, dtype=float))
 
+        # the census derives Gx = A x + B y, Gy = B x + D y and Hess G
+        # from G itself
         field = dataclasses.replace(
             build_field(EQ3.to_wavefront()),
             G=poly([[0.0, 0.0, D / 2], [0.0, B, 0.0], [A / 2, 0.0, 0.0]]),
-            Gx=poly([[0.0, B], [A, 0.0]]),
-            Gy=poly([[0.0, D], [B, 0.0]]),
-            Gxx=poly([[A]]), Gxy=poly([[B]]), Gyy=poly([[D]]),
         )
         (p,) = find_critical_points(field).points
         assert p.kind is PointClass.SADDLE
@@ -514,24 +539,22 @@ class TestThreeTermBasis:
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_stacks_match_build_field(self, n):
         params = [ABParams(a, b, g, n) for a, b, g in self.COEFFS]
-        stacks = three_term_stacks(n, *_coefficients(params))
-        fields = [build_field(p.to_wavefront()) for p in params]
-        for got, names in zip(stacks, _GROUPS):
-            want = _stack(fields, names)
-            shape = np.maximum(got.shape, want.shape)
-            got, want = _padded(got, shape), _padded(want, shape)
-            scale = np.max(np.abs(want), axis=(0, 1))
-            assert np.all(scale > 0)
-            assert np.all(np.max(np.abs(got - want), axis=(0, 1)) <= 1e-13 * scale)
+        got = three_term_stacks(n, *_coefficients(params))
+        want = _stack([build_field(p.to_wavefront()).G.coeffs for p in params])
+        shape = np.maximum(got.shape, want.shape)
+        got, want = _padded(got, shape), _padded(want, shape)
+        scale = np.max(np.abs(want), axis=(0, 1))
+        assert np.all(scale > 0)
+        assert np.all(np.max(np.abs(got - want), axis=(0, 1)) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_defocus_and_harmonic_pair_vanishes(self, n):
         # Hess Z_2^0 is a constant multiple of the identity and Z_n^n is
         # harmonic, so the alpha * gamma pair, a multiple of the Laplacian
         # of Z_n^n, is zero
-        for stack in _pair_basis(n):
-            pair = stack[..., _PAIRS.index((0, 2))]
-            assert np.max(np.abs(pair)) <= 1e-13 * np.max(np.abs(stack))
+        basis = _pair_basis(n)
+        pair = basis[..., _PAIRS.index((0, 2))]
+        assert np.max(np.abs(pair)) <= 1e-13 * np.max(np.abs(basis))
 
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_census_matches_build_field(self, n):
@@ -552,6 +575,11 @@ class TestThreeTermBasis:
                 assert sorted(match.tolist()) == list(range(len(b)))
                 assert np.all(dist[np.arange(len(a)), match] <= 1e-10)
                 assert [p.kind for p in got] == [want.points[j].kind for j in match]
+
+    def test_scalar_coefficients_are_not_a_stack(self):
+        # scalars contract to one (DX, DY) polynomial, not a stack of fields
+        with pytest.raises(ValueError, match="coefficient stack"):
+            census_from_stacks(three_term_stacks(3, 0.0, 0.2, 0.2))
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow"):

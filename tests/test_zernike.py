@@ -12,7 +12,8 @@ from starburst import (
     ZernikeTerm,
     build_field,
 )
-from starburst.zernike import _trim, gathered_values, grid_values
+from starburst.hessian import _stack
+from starburst.zernike import _trim, derivative, gathered_values, grid_values
 
 
 def all_valid_terms(max_order):
@@ -151,6 +152,61 @@ class TestDifferentiation:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class TestStackDerivative:
+    """`derivative` of a stack gives every field `differentiate`'s bits,
+    and the stack is trimmed to the largest of them."""
+
+    @staticmethod
+    def _check(stack):
+        for ax, axis in enumerate("xy"):
+            got = derivative(stack, ax)
+            want = [BivariatePolynomial(stack[..., k]).differentiate(axis).coeffs
+                    for k in range(stack.shape[-1])]
+            assert got.shape == tuple(np.max([w.shape for w in want] + [(1, 1)], axis=0)) + (
+                stack.shape[-1],)
+            for k, w in enumerate(want):
+                field = _trim(got[..., k])
+                assert field.shape == w.shape and field.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        fields = [rng.normal(size=tuple(rng.integers(1, 12, 2)))
+                  for _ in range(int(rng.integers(1, 7)))]
+        stack = _stack(fields)
+        # signed zeros inside and past a field's support
+        stack[rng.random(stack.shape) < 0.2] = -0.0
+        self._check(stack)
+
+    def test_negative_zero_coefficients(self):
+        c = np.array([[1.0, 0.0, 5.0], [-0.0, 2.0, -0.0], [3.0, -0.0, -0.0]])
+        stack = _stack([c, -c, np.full((3, 3), -0.0)])
+        self._check(stack)
+        # the only nonzero of the last column is in row 0: gone from d/dx
+        assert derivative(stack, 0).shape == (2, 2, 3)
+
+    def test_one_by_one_stacks(self):
+        for stack in (np.array([[[2.5, -1.0]]]), np.zeros((1, 1, 3))):
+            self._check(stack)
+            assert derivative(stack, 0).shape == (1, 1, stack.shape[-1])
+
+    def test_zero_fields(self):
+        stack = np.zeros((4, 3, 0))
+        for ax in (0, 1):
+            assert derivative(stack, ax).shape == (1, 1, 0)
+
+    def test_trailing_zero_rows_and_columns(self):
+        rng = np.random.default_rng(12)
+        tight = _stack([rng.normal(size=(4, 2)), rng.normal(size=(2, 5)),
+                              np.zeros((1, 1))])
+        padded = np.zeros((9, 8, 3))
+        padded[:4, :5] = tight
+        self._check(padded)
+        for ax in (0, 1):
+            got, want = derivative(padded, ax), derivative(tight, ax)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestPolynomialAlgebra:
     def test_product_against_pointwise(self):
         rng = np.random.default_rng(11)
@@ -165,6 +221,21 @@ class TestPolynomialAlgebra:
         scaled = poly.rescale_domain(2.0)
         x, y = 0.37, -0.81
         assert scaled(2.0 * x, 2.0 * y) == pytest.approx(poly(x, y), rel=1e-13)
+
+    @pytest.mark.parametrize("factor", [1e100, 1e-100])
+    def test_rescale_domain_rejects_overflowing_powers(self, factor):
+        # 1e100^8 overflows, 1e-100^8 underflows to 0
+        with pytest.raises(ValueError, match="normal range"):
+            ZernikeTerm(4, 4, 0.3).to_polynomial().rescale_domain(factor)
+
+    def test_rescale_domain_keeps_coefficients_normal(self):
+        # 2^-1022 is the least normal float
+        poly = BivariatePolynomial(np.array([[0.0, 2.0**-1000], [2.0, 0.0]]))
+        assert poly.rescale_domain(2.0**22).coeffs[0, 1] == 2.0**-1022
+        with pytest.raises(ValueError, match="normal range"):
+            poly.rescale_domain(2.0**23)
+        with pytest.raises(ValueError, match="normal range"):
+            BivariatePolynomial(np.array([[0.0, 1e300]])).rescale_domain(1e-10)
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
     def test_rescale_domain_rejects_invalid_factor(self, factor):
