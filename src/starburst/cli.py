@@ -6,7 +6,9 @@ CSV tables, and SVG figures; `regions` emits a saddle-region diagram;
 census on random samples; `fixtures` reproduces the five reference
 wavefronts and asserts their published cusp/saddle counts and verdicts.
 
-Exit codes: 0 success, 1 verification/fixture failure, 2 usage error.
+Exit codes: 0 success, 1 verification/fixture failure, 2 usage,
+validation or output-write error: `main` prints one `error:` line for any
+ValueError or OSError that a command raises.
 All file outputs are deterministic: sorted JSON keys, floats at 12
 significant digits, no timestamps (timing goes to stdout only).
 """
@@ -34,14 +36,7 @@ from .caustics import (
     starburst_verdict,
 )
 from .hessian import build_field, census_from_stacks, find_critical_points, three_term_stacks
-from .regions import (
-    DEFAULT_WINDOWS,
-    SUPPORTED_ORDERS,
-    ABParams,
-    boundary_slacks,
-    predict_saddles,
-    region_diagram,
-)
+from .regions import DEFAULT_WINDOWS, ABParams, boundary_slacks, predict_saddles, region_diagram
 from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure
 from .zernike import WaveAberration, ZernikeTerm
 
@@ -149,12 +144,7 @@ class Scenario:
             ],
         }
         if self.shorthand is not None:
-            out["shorthand"] = {
-                "alpha": self.shorthand.alpha,
-                "beta": self.shorthand.beta,
-                "gamma": self.shorthand.gamma,
-                "n": self.shorthand.n,
-            }
+            out["shorthand"] = dataclasses.asdict(self.shorthand)
         return out
 
 
@@ -279,6 +269,17 @@ def run_analysis(scenario: Scenario):
     return report, (field, contours, caustics)
 
 
+# critical_points.csv's columns after the index, each a key of a report row
+_POINT_COLUMNS = ("x", "y", "rho", "theta_deg", "class", "on_boundary", "fertile",
+                  "g_value", "hess_g_det", "xi_arcmin", "eta_arcmin")
+
+
+def _point_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
 def _emit_analysis_files(outdir: Path, report, field, contours, caustics) -> None:
     write_report_json(outdir / "report.json", report)
 
@@ -287,29 +288,10 @@ def _emit_analysis_files(outdir: Path, report, field, contours, caustics) -> Non
         _write_csv(outdir / f"contours_{plane}.csv", f"curve,vertex,{axes}",
                    [_contour_rows(curves)])
 
-    rows = [
-        [
-            i,
-            c["x"],
-            c["y"],
-            c["rho"],
-            c["theta_deg"],
-            c["class"],
-            int(c["on_boundary"]),
-            int(c["fertile"]),
-            c["g_value"],
-            c["hess_g_det"],
-            c["xi_arcmin"],
-            c["eta_arcmin"],
-        ]
-        for i, c in enumerate(report["critical_points"])
-    ]
     _write_csv(
-        outdir / "critical_points.csv",
-        "index,x,y,rho,theta_deg,class,on_boundary,fertile,g_value,hess_g_det,"
-        "xi_arcmin,eta_arcmin",
-        (",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\r\n"
-         for row in rows),
+        outdir / "critical_points.csv", ",".join(("index",) + _POINT_COLUMNS),
+        (",".join([str(i)] + [_point_cell(c[key]) for key in _POINT_COLUMNS]) + "\r\n"
+         for i, c in enumerate(report["critical_points"])),
     )
 
     heatmap_figure(heatmap_values(field.W), "wave aberration W (um)",
@@ -337,29 +319,22 @@ _SCENARIO_FLAGS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma", "n": "n",
 def cmd_analyze(args) -> int:
     given = {dest: getattr(args, dest) for dest in _SCENARIO_FLAGS
              if getattr(args, dest) is not None}
-    try:
-        if args.scenario:
-            if given:
-                flags = " ".join("--" + dest.replace("_", "-") for dest in given)
-                raise ValueError(
-                    f"{flags} cannot be combined with --scenario; set them in the file"
-                )
-            scenario = Scenario.from_file(args.scenario)
-        else:
-            if not {"alpha", "beta", "gamma", "n"} <= given.keys():
-                raise ValueError(
-                    "either --scenario FILE or all of --alpha --beta --gamma --n required"
-                )
-            scenario = Scenario.from_dict(
-                {_SCENARIO_FLAGS[dest]: value for dest, value in given.items()})
-        if args.out:
-            scenario.output_dir = args.out
-        t0 = time.perf_counter()
-        report, artifacts = run_analysis(scenario)
-        Path(scenario.output_dir).mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.scenario:
+        if given:
+            flags = " ".join("--" + dest.replace("_", "-") for dest in given)
+            raise ValueError(f"{flags} cannot be combined with --scenario; set them in the file")
+        scenario = Scenario.from_file(args.scenario)
+    else:
+        if not {"alpha", "beta", "gamma", "n"} <= given.keys():
+            raise ValueError(
+                "either --scenario FILE or all of --alpha --beta --gamma --n required")
+        scenario = Scenario.from_dict(
+            {_SCENARIO_FLAGS[dest]: value for dest, value in given.items()})
+    if args.out:
+        scenario.output_dir = args.out
+    t0 = time.perf_counter()
+    report, artifacts = run_analysis(scenario)
+    Path(scenario.output_dir).mkdir(parents=True, exist_ok=True)
     _emit_analysis_files(Path(scenario.output_dir), report, *artifacts)
     elapsed = time.perf_counter() - t0
     counts = report["counts"]
@@ -377,28 +352,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    if args.n not in SUPPORTED_ORDERS:
-        print(f"error: unsupported order n={args.n}", file=sys.stderr)
-        return 2
-    window = None
+    gamma_range = alpha_range = None
     if args.window:
         try:
             g0, g1, a0, a1 = (float(v) for v in args.window.split(","))
         except ValueError:
-            print("error: --window expects G0,G1,A0,A1", file=sys.stderr)
-            return 2
+            raise ValueError("--window expects G0,G1,A0,A1") from None
         gamma_range, alpha_range = (g0, g1), (a0, a1)
-    else:
-        gamma_range = alpha_range = None
-    try:
-        diagram = region_diagram(
-            args.n, args.beta, gamma_range, alpha_range, resolution=args.res
-        )
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    diagram = region_diagram(args.n, args.beta, gamma_range, alpha_range, resolution=args.res)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     # each gamma and alpha is formatted once
     gammas, alphas = ([f"{v:.12g}" for v in values.tolist()]
                       for values in (diagram.gamma_values, diagram.alpha_values))
@@ -466,10 +429,16 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
     band of width _VERIFY_BAND (in units of beta) around every boundary curve,
     censuses the samples _VERIFY_CHUNK at a time, and checks saddle count,
     angular family, and ring radii (to 1e-8).  Returns a result dict.  Any
-    beta > 0 runs whose G can be squared (`three_term_stacks`).
+    beta > 0 runs whose G can be squared (`three_term_stacks`).  Every
+    argument is checked before the first draw.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if not beta > 0.0:
+        raise ValueError("beta must be positive")
+    ABParams(0.0, beta, 0.0, n)  # rejects an unsupported order and an infinite beta
     draws = _verification_samples(n, beta, samples, seed)
     failures = []
     max_dev = 0.0
@@ -495,24 +464,8 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
-    if args.n not in SUPPORTED_ORDERS:
-        print(f"error: unsupported order n={args.n}", file=sys.stderr)
-        return 2
-    if args.beta <= 0.0:
-        print("error: --beta must be positive", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return 2
     t0 = time.perf_counter()
-    try:
-        result = run_verification(args.n, args.beta, args.samples, args.seed)
-    except ValueError as exc:  # G's squared scale overflows or underflows
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_verification(args.n, args.beta, args.samples, args.seed)
     elapsed = time.perf_counter() - t0
     print(
         f"verify n={args.n} beta={args.beta}: {result['passed']}/{args.samples} agree, "
@@ -526,10 +479,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if not MIN_GRID_RESOLUTION <= args.grid <= MAX_GRID_RESOLUTION:
-        print(f"error: --grid must be at least {MIN_GRID_RESOLUTION} "
-              f"and at most {MAX_GRID_RESOLUTION}", file=sys.stderr)
-        return 2
     all_ok = True
     t0 = time.perf_counter()
     for name, (alpha, beta, gamma, n, cusps, saddles, points, kind) in FIXTURE_SCENARIOS.items():
@@ -613,7 +562,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # CapabilityError, json.JSONDecodeError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import starburst
+from starburst import CapabilityError, cli
 from starburst.cli import (
     Scenario,
     _verification_samples,
@@ -178,6 +179,14 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
                      "--grid", "64", "--out", str(tmp_path / "afile" / "sub")]) == 2
         assert "error: " in capsys.readouterr().err
+
+    def test_output_file_collision_exit_code(self, tmp_path, capsys):
+        # a directory where report.json goes: the write fails after the analysis
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
+                     "--grid", "64", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_finite_shorthand_in_scenario_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -394,6 +403,14 @@ class TestRegionsCommand:
                      "--out", str(tmp_path / "afile" / "sub")]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["regions.svg", "regions_grid.csv"])
+    def test_output_file_collision_exit_code(self, name, tmp_path, capsys):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main(["regions", "--n", "3", "--beta", "0.2", "--res", "11",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_window(self, tmp_path):
         assert main(["regions", "--n", "4", "--beta", "0.2", "--window", "1,2",
                      "--out", str(tmp_path)]) == 2
@@ -521,11 +538,23 @@ class TestVerifyCommand:
     def test_negative_seed_usage_error(self, capsys):
         assert main(["verify", "--n", "3", "--beta", "0.2", "--samples", "2",
                      "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
     def test_cli_exit_zero(self):
         assert main(["verify", "--n", "5", "--beta", "0.2", "--samples", "5",
                      "--seed", "3"]) == 0
+
+    def test_unsupported_order_raises_capability_error(self):
+        with pytest.raises(CapabilityError, match=r"got n=7"):
+            run_verification(7, 0.2, 1, 0)
+
+    def test_negative_beta_rejected_before_any_census(self, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("census ran")
+
+        monkeypatch.setattr(cli, "census_from_stacks", no_census)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            run_verification(3, -0.2, 1, 0)
 
 
 class TestFixturesCommand:
@@ -534,11 +563,12 @@ class TestFixturesCommand:
 
     def test_small_grid_usage_error(self, capsys):
         assert main(["fixtures", "--grid", "10"]) == 2
-        assert "error: --grid must be at least 64" in capsys.readouterr().err
+        assert "error: grid_resolution must be at least 64" in capsys.readouterr().err
 
     def test_grid_cap_usage_error(self, capsys):
         assert main(["fixtures", "--grid", "4097"]) == 2
-        assert "error: --grid must be at least 64 and at most 4096" in capsys.readouterr().err
+        want = "error: grid_resolution must be at least 64 and at most 4096"
+        assert want in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_signal_out(tmp_path):
