@@ -588,11 +588,12 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
     Peaks are found on the periodically extended profile; each peak must
     exceed the visibility threshold and protrude by at least
     _PROMINENCE_REL of its own radius above its surroundings.  The tip
-    is the exact vertex of largest radius near the peak bin."""
+    is the exact vertex of largest radius near the peak bin; adjacent peaks
+    that share that vertex give one tip."""
     bins = len(profile)
     ext = np.tile(profile, 3)
     idx, prominences = _find_peaks(ext)
-    tips = []
+    tips = {}  # vertex index -> its tip
     width = 2.0 * math.pi / bins
     for k, pk in enumerate(idx):
         if not (bins <= pk < 2 * bins):
@@ -610,8 +611,8 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
         if not np.any(sel):
             continue
         j = np.nonzero(sel)[0][np.argmax(r[sel])]
-        tips.append(SpikeTip(radius_arcmin=float(r[j]), angle=float(phi[j])))
-    return sorted(tips, key=lambda t: t.angle)
+        tips[int(j)] = SpikeTip(radius_arcmin=float(r[j]), angle=float(phi[j]))
+    return sorted(tips.values(), key=lambda t: t.angle)
 
 
 def _meridian_aligned(tips, p):

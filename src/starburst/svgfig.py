@@ -1,14 +1,18 @@
 """Minimal deterministic SVG 1.1 emitter for the package's figures.
 
-No raster or plotting dependencies: figures are built from rects,
-polylines, circles, and text.  All coordinates are formatted with a fixed
-precision so identical inputs produce byte-identical files.
+No plotting dependencies: figures are built from rects, polylines,
+circles and text, and a heatmap's cells are one embedded PNG written with
+the standard library (stored deflate blocks, so its bytes do not depend on
+the zlib build).  All coordinates are formatted with a fixed precision so
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import functools
+import base64
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -66,6 +70,15 @@ class SvgCanvas:
             self.line(cx, cy, cx + r * math.cos(a), cy + r * math.sin(a),
                       stroke=color, width=1.2)
 
+    def image(self, x, y, w, h, png: bytes):
+        """A PNG scaled to w x h without smoothing, as a base64 data URI."""
+        self.parts.append(
+            f'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="{_f(x)}" '
+            f'y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
+            f'image-rendering="pixelated" xlink:href="data:image/png;base64,'
+            f'{base64.b64encode(png).decode("ascii")}"/>'
+        )
+
     def text(self, x, y, s, size=10, anchor="start", color="black"):
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
@@ -85,19 +98,45 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def diverging_colors(t) -> list[str]:
-    """Blue-white-red map for t in [-1, 1], elementwise over an array.
+def _rgb(t) -> np.ndarray:
+    """Blue-white-red map for t in [-1, 1]: uint8 RGB, shape ``t.shape + (3,)``.
 
-    ``np.rint`` rounds half to even, as ``round`` does.  Only the distinct
-    colors are formatted."""
-    t = np.clip(np.asarray(t, dtype=float).ravel(), -1.0, 1.0)
-    neg = (t < 0)[:, None]
-    u = np.where(neg, 1.0 + t[:, None], 1.0 - t[:, None])
+    ``np.rint`` rounds half to even, as ``round`` does."""
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)[..., None]
+    neg = t < 0
+    u = np.where(neg, 1.0 + t, 1.0 - t)
     end = np.where(neg, [43.0, 131.0, 186.0], [215.0, 25.0, 28.0])
-    rgb = np.rint(end + u * (255.0 - end)).astype(np.int64)
-    keys, index = np.unique(rgb @ [1 << 16, 1 << 8, 1], return_inverse=True)
-    names = [f"rgb({k >> 16},{(k >> 8) & 255},{k & 255})" for k in keys.tolist()]
-    return np.array(names, dtype=object)[index].tolist()
+    return np.rint(end + u * (255.0 - end)).astype(np.uint8)
+
+
+def diverging_colors(t) -> list[str]:
+    """``_rgb`` as SVG color strings, elementwise over an array of any shape."""
+    return [f"rgb({r},{g},{b})" for r, g, b in _rgb(np.ravel(t)).tolist()]
+
+
+def _png_rgba(rgba: np.ndarray) -> bytes:
+    """An (h, w, 4) uint8 array as an 8-bit RGBA PNG (RFC 2083), rows top to
+    bottom, every row with filter 0.  The zlib stream (RFC 1950) holds stored
+    deflate blocks (RFC 1951) of at most 65,535 bytes, so the bytes do not
+    depend on the zlib build."""
+    h, w, _ = rgba.shape
+    raw = np.pad(rgba.reshape(h, 4 * w), ((0, 0), (1, 0))).tobytes()  # filter bytes
+    blocks = [raw[k:k + 65535] for k in range(0, len(raw), 65535)]
+    stream = b"".join(
+        struct.pack("<BHH", k == len(blocks) - 1, len(b), 0xFFFF ^ len(b)) + b
+        for k, b in enumerate(blocks)
+    )
+
+    def chunk(kind: bytes, data: bytes) -> bytes:
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+
+    return b"".join((
+        b"\x89PNG\r\n\x1a\n",
+        chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 6, 0, 0, 0)),
+        chunk(b"IDAT", b"\x78\x01" + stream + struct.pack(">I", zlib.adler32(raw))),
+        chunk(b"IEND", b""),
+    ))
 
 
 class Frame:
@@ -150,45 +189,31 @@ _HEATMAP_SIZE = 520  # pixels per axis of the cell grid
 _HEATMAP_LEFT, _HEATMAP_TOP = 40, 30  # canvas pixels of the cell grid's corner
 _HEATMAP_EDGES = np.linspace(-1.0, 1.0, _HEATMAP_CELLS + 1)
 _HEATMAP_CENTERS = 0.5 * (_HEATMAP_EDGES[:-1] + _HEATMAP_EDGES[1:])
+# [i, j]: cell (x, y) = (centers[i], centers[j]) lies inside the unit disk
+_HEATMAP_INSIDE = _HEATMAP_CENTERS[:, None] ** 2 + _HEATMAP_CENTERS[None, :] ** 2 <= 1.0
+_HEATMAP_INSIDE.flags.writeable = False
 
 
 def heatmap_values(poly) -> np.ndarray:
     """The polynomial ``poly`` at the heatmap's cell centers, the grid
-    ``heatmap_figure`` draws."""
+    ``heatmap_figure`` draws: [i, j] at (centers[i], centers[j])."""
     return poly.grid(_HEATMAP_CENTERS, _HEATMAP_CENTERS)
 
 
-@functools.cache
-def _heatmap_cells() -> tuple[np.ndarray, str]:
-    """(mask of the cells inside the unit disk, their markup with one ``%s``
-    fill slot per cell), built on first use: the layout does not depend on
-    the values drawn."""
-    centers, size = _HEATMAP_CENTERS, _HEATMAP_SIZE
-    cell = size / _HEATMAP_CELLS
-    # SvgCanvas.rect's markup, with the pixel strings formatted once per
-    # column and row; the cells run column by column
-    px = [_f(v) for v in _HEATMAP_LEFT + (centers + 1.0) / 2.0 * size - cell / 2]
-    py = [_f(v) for v in _HEATMAP_TOP + size - (centers + 1.0) / 2.0 * size - cell / 2]
-    wh = f'width="{_f(cell + 0.5)}" height="{_f(cell + 0.5)}"'
-    inside = centers[:, None] ** 2 + centers[None, :] ** 2 <= 1.0
-    inside.flags.writeable = False  # shared by every caller
-    template = "\n".join(
-        f'<rect x="{px[i]}" y="{py[j]}" {wh} fill="%s" stroke="none"/>'
-        for i, j in zip(*(k.tolist() for k in np.nonzero(inside)))
-    )
-    return inside, template
-
-
 def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = None) -> None:
-    """Render ``values = heatmap_values(poly)`` over the unit disk as a colored
-    cell grid with a vertical colorbar; ``clip`` limits the color range to
-    +-clip."""
+    """Render ``values = heatmap_values(poly)`` over the unit disk as one image,
+    a pixel per cell and transparent outside the disk, with a vertical
+    colorbar; ``clip`` limits the color range to +-clip."""
     size = _HEATMAP_SIZE
     canvas = SvgCanvas(size + 110, size + 70, title)
     vmax = float(np.max(np.abs(values))) or 1.0
     crange = min(vmax, clip) if clip else vmax
-    inside, template = _heatmap_cells()
-    canvas.parts.append(template % tuple(diverging_colors(values[inside] / crange)))
+    rgba = np.zeros(values.shape + (4,), np.uint8)
+    rgba[_HEATMAP_INSIDE] = 255
+    rgba[_HEATMAP_INSIDE, :3] = _rgb(values[_HEATMAP_INSIDE] / crange)
+    # image rows run from +y down to -y, columns from -x to +x
+    canvas.image(_HEATMAP_LEFT, _HEATMAP_TOP, size, size,
+                 _png_rgba(rgba.transpose(1, 0, 2)[::-1]))
     canvas.circle(_HEATMAP_LEFT + size / 2, _HEATMAP_TOP + size / 2, size / 2,
                   stroke="black")
     bar_x = _HEATMAP_LEFT + size + 20

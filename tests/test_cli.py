@@ -365,6 +365,22 @@ class TestAnalyzeCommand:
         assert report["starburst"]["point_count"] == 8
         assert report["starburst"]["kind"] == "non_equally_distanced"
 
+    def test_adjacent_peaks_give_one_tip(self, tmp_path):
+        # 6star with a little coma: two adjacent profile peaks share the
+        # vertex (4.05784', 151.5456 deg), which is one tip, listed once
+        out = tmp_path / "coma"
+        scen = make_scenario_file(tmp_path, {
+            "wavefront": [{"n": 4, "m": 0, "coeff_um": 0.2},
+                          {"n": 6, "m": 6, "coeff_um": 0.19},
+                          {"n": 3, "m": 1, "coeff_um": 0.005}],
+            "grid_resolution": 256, "output_dir": str(out)})
+        assert main(["analyze", "--scenario", scen]) == 0
+        starburst = json.loads((out / "report.json").read_text())["starburst"]
+        tips = [(t["radius_arcmin"], t["angle_deg"]) for t in starburst["spike_tips"]]
+        assert len(tips) == len(set(tips)) == 2
+        assert (4.05783581256, 151.545584875) in tips
+        assert not starburst["detail"].startswith("3 tips")
+
     def test_flag_invocation_without_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
@@ -598,16 +614,6 @@ def test_cli_import_builds_no_pair_basis():
     env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
     code = ("import starburst.cli; from starburst.hessian import _pair_basis; "
             "print(_pair_basis.cache_info().currsize)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "0\n"
-
-
-def test_cli_import_builds_no_heatmap_markup():
-    # the heatmap cells' markup is built on first use, so the import stays as cheap
-    env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
-    code = ("import starburst.cli; from starburst.svgfig import _heatmap_cells; "
-            "print(_heatmap_cells.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "0\n"

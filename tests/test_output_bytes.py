@@ -7,10 +7,14 @@ scenario at grid 512, before the heatmap, marching-squares and symmetry
 code ran on whole arrays; highorder/report.json was pinned again when its
 rotation_residual became the exact Hausdorff residual.  The other four
 fixtures' files were pinned at grid 512 before the figures and contour
-tables were formatted from whole arrays.  tests/golden/regions_outputs.sha256 holds the
-hashes of `regions --n n --beta 0.2` (n = 3..6, default resolution) from
-before the region predicates ran on arrays.  Rerunning the commands must
-reproduce every byte.
+tables were formatted from whole arrays.  The three heat maps of all six
+cases (wavefront.svg, hessian_full.svg, hessian_clipped.svg) were pinned
+again when their cells became one embedded PNG instead of one <rect>
+each, with every pixel's color equal to its old cell's.
+tests/golden/regions_outputs.sha256 holds the hashes of
+`regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
+region predicates ran on arrays.  Rerunning the commands must reproduce
+every byte.
 """
 
 import hashlib

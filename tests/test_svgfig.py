@@ -1,9 +1,24 @@
-"""The array paths of svgfig against the per-value formulas they replace."""
+"""The array paths of svgfig against the per-value formulas they replace,
+and the heatmaps' embedded PNG against the cell colors it encodes."""
+
+import base64
+import json
+import struct
+import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
 
-from starburst.svgfig import Frame, SvgCanvas, diverging_colors
+from starburst import cli
+from starburst.svgfig import (
+    Frame,
+    SvgCanvas,
+    diverging_colors,
+    heatmap_figure,
+    heatmap_values,
+)
+from starburst.zernike import ZernikeTerm
 
 
 def channels(t: float) -> list[float]:
@@ -75,3 +90,124 @@ class TestFramePolyline:
         pts = [(0.25, -1.0), (1.0, 0.5)]
         fr.polyline(pts)
         assert f'points="{reference_points(fr, np.array(pts))}"' in fr.c.parts[-1]
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+HEATMAPS = ("wavefront.svg", "hessian_full.svg", "hessian_clipped.svg")
+HIGHORDER = [{"n": 4, "m": 0, "coeff_um": 0.2}, {"n": 12, "m": 12, "coeff_um": 0.02},
+             {"n": 2, "m": 0, "coeff_um": 0.02}]
+
+
+def png_pixels(png: bytes) -> np.ndarray:
+    """The (h, w, 4) pixels of an 8-bit RGBA PNG whose rows all use filter 0,
+    after checking its signature and every chunk's CRC."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, k = [], 8
+    while k < len(png):
+        (length,) = struct.unpack(">I", png[k:k + 4])
+        kind, data = png[k + 4:k + 8], png[k + 8:k + 8 + length]
+        (crc,) = struct.unpack(">I", png[k + 8 + length:k + 12 + length])
+        assert crc == zlib.crc32(kind + data), kind
+        chunks.append((kind, data))
+        k += 12 + length
+    assert k == len(png)
+    assert [chunks[0][0], chunks[-1][0]] == [b"IHDR", b"IEND"]
+    w, h, depth, color, compression, filtering, interlace = struct.unpack(
+        ">IIBBBBB", chunks[0][1])
+    assert (depth, color, compression, filtering, interlace) == (8, 6, 0, 0, 0)
+    raw = zlib.decompress(b"".join(data for kind, data in chunks if kind == b"IDAT"))
+    rows = np.frombuffer(raw, np.uint8).reshape(h, 1 + 4 * w)
+    assert not rows[:, 0].any()  # filter 0 (none) on every row
+    return rows[:, 1:].reshape(h, w, 4)
+
+
+def heatmap_pixels(path) -> np.ndarray:
+    """The pixels of the one image a heatmap SVG holds, checked to cover
+    the cell grid's 520 x 520 pixels at (40, 30)."""
+    (image,) = ET.parse(path).getroot().iter(SVG + "image")
+    assert [image.get(k) for k in ("x", "y", "width", "height", "image-rendering")] == [
+        "40.000", "30.000", "520.000", "520.000", "pixelated"]
+    prefix = "data:image/png;base64,"
+    uri = image.get(XLINK_HREF)
+    assert uri.startswith(prefix)
+    return png_pixels(base64.b64decode(uri[len(prefix):], validate=True))
+
+
+def cell_pixels(values: np.ndarray, clip) -> np.ndarray:
+    """The pixels of ``heatmap_figure(values, ..., clip=clip)``, cell by cell:
+    cell (i, j) at x = centers[i], y = centers[j] is pixel (95 - j, i), its
+    ``diverging_colors`` color and opaque inside the unit disk, and fully
+    transparent outside it."""
+    vmax = float(np.max(np.abs(values))) or 1.0
+    crange = min(vmax, clip) if clip else vmax
+    edges = np.linspace(-1.0, 1.0, 97)
+    centers = (0.5 * (edges[:-1] + edges[1:])).tolist()
+    want = np.zeros((96, 96, 4), np.uint8)
+    for i, j in np.ndindex(96, 96):
+        if centers[i] ** 2 + centers[j] ** 2 <= 1.0:
+            (color,) = diverging_colors(values[i, j] / crange)
+            want[95 - j, i] = [*map(int, color[4:-1].split(",")), 255]
+    return want
+
+
+@pytest.fixture(scope="module")
+def analyze_runs(tmp_path_factory):
+    """{case: (output directory, {file name: (values, clip)})} for `analyze`
+    on 3star and the radial-order-12 wavefront, with the arguments of each
+    heatmap_figure call."""
+    root = tmp_path_factory.mktemp("analyze")
+    scenario = root / "highorder.json"
+    scenario.write_text(json.dumps({"wavefront": HIGHORDER, "grid_resolution": 128}))
+    argv = {"3star": ["--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
+                      "--grid", "128"],
+            "highorder": ["--scenario", str(scenario)]}
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for case, flags in argv.items():
+            calls = {}
+
+            def recording(values, title, path, clip=None, calls=calls):
+                calls[path.name] = (values, clip)
+                heatmap_figure(values, title, path, clip)
+
+            mp.setattr(cli, "heatmap_figure", recording)
+            out = root / case
+            assert cli.main(["analyze", *flags, "--out", str(out)]) == 0
+            runs[case] = (out, calls)
+    return runs
+
+
+class TestHeatmapRaster:
+    @pytest.mark.parametrize("case", ["3star", "highorder"])
+    def test_pixels_are_the_cell_colors(self, analyze_runs, case):
+        out, calls = analyze_runs[case]
+        assert sorted(calls) == sorted(HEATMAPS)
+        assert calls["hessian_clipped.svg"][1] is not None
+        for name, (values, clip) in calls.items():
+            assert (out / name).stat().st_size < 100_000
+            assert np.array_equal(heatmap_pixels(out / name), cell_pixels(values, clip))
+
+    @pytest.mark.parametrize("m, negative_half", [(-1, np.s_[:, :48]), (1, np.s_[48:, :])])
+    def test_orientation(self, tmp_path, m, negative_half):
+        # theta = 0 points along +y, so Z_1^-1 = 2x is blue on the left and
+        # red on the right, and Z_1^1 = 2y blue at the bottom and red on top
+        values = heatmap_values(ZernikeTerm(1, m, 1.0).to_polynomial())
+        heatmap_figure(values, "tilt", tmp_path / "tilt.svg")
+        pixels = heatmap_pixels(tmp_path / "tilt.svg").astype(int)
+        red, blue, opaque = pixels[:, :, 0], pixels[:, :, 2], pixels[:, :, 3] == 255
+        negative = np.zeros((96, 96), bool)
+        negative[negative_half] = True
+        assert (opaque & negative).sum() == (opaque & ~negative).sum() > 3000
+        assert np.all((blue > red)[opaque & negative])
+        assert np.all((red > blue)[opaque & ~negative])
+
+    def test_every_svg_is_well_formed(self, analyze_runs, tmp_path):
+        regions = tmp_path / "regions"
+        assert cli.main(["regions", "--n", "4", "--beta", "0.2", "--res", "31",
+                         "--out", str(regions)]) == 0
+        paths = [p for out, _ in analyze_runs.values() for p in out.glob("*.svg")]
+        paths += regions.glob("*.svg")
+        assert len(paths) >= 9
+        for path in paths:
+            assert ET.parse(path).getroot().tag == SVG + "svg", path
