@@ -166,11 +166,11 @@ def write_report_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
-    """Write preformatted lines, each ending in \\r\\n, under a header:
-    what csv.writer's excel dialect writes for fields that need no quoting."""
+    """Write preformatted lines, each ending in \\r\\n, under a header, as one
+    joined string in one write: what csv.writer's excel dialect writes for
+    fields that need no quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(lines)
+        fh.write("".join(itertools.chain([header + "\r\n"], lines)))
 
 
 def _contour_rows(curves) -> str:
@@ -298,14 +298,8 @@ def _emit_analysis_files(outdir: Path, report, field, contours, caustics) -> Non
                    outdir / "wavefront.svg")
     g_values = heatmap_values(field.G)
     heatmap_figure(g_values, "hessian determinant G", outdir / "hessian_full.svg")
-    axis = np.linspace(-1, 1, 65)
-    gmax = float(np.max(np.abs(field.G.grid(axis, axis))))
-    heatmap_figure(
-        g_values,
-        "hessian determinant G (clipped colorbar)",
-        outdir / "hessian_clipped.svg",
-        clip=0.02 * gmax if gmax > 0 else None,
-    )
+    heatmap_figure(g_values, "hessian determinant G (clipped colorbar)",
+                   outdir / "hessian_clipped.svg", clip=0.02)
     retina_figure(caustics.retina_curves, report["critical_points"],
                   report["starburst"]["spike_tips"], outdir / "retina.svg")
 
@@ -362,17 +356,20 @@ def cmd_regions(args) -> int:
     diagram = region_diagram(args.n, args.beta, gamma_range, alpha_range, resolution=args.res)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    # each gamma and alpha is formatted once
-    gammas, alphas = ([f"{v:.12g}" for v in values.tolist()]
-                      for values in (diagram.gamma_values, diagram.alpha_values))
-    family_names = ("none", "even", "odd", "both")
-    _write_csv(
-        outdir / "regions_grid.csv", "gamma,alpha,count,family",
-        (f"{g},{a},{c},{family_names[k]}\r\n"
-         for a, counts, codes in zip(alphas, diagram.counts.tolist(),
-                                     diagram.family_codes.tolist())
-         for g, c, k in zip(gammas, counts, codes)),
-    )
+    # Each gamma, each alpha and each "count,family" tail is formatted once; a
+    # cell's count follows from its family code.  A row is then one object-
+    # array "+" of its "gamma," and its "alpha,count,family" string.
+    codes = diagram.family_codes
+    count_of = np.zeros(4, int)
+    count_of[codes] = diagram.counts
+    tails = [f"{c},{name}\r\n" for c, name in
+             zip(count_of.tolist(), ("none", "even", "odd", "both"))]
+    gammas = np.array([f"{v:.12g}," for v in diagram.gamma_values.tolist()], dtype=object)
+    alpha_tails = np.array([[f"{v:.12g}," + t for t in tails]
+                            for v in diagram.alpha_values.tolist()], dtype=object)
+    rows = gammas + np.take_along_axis(alpha_tails, codes, axis=1)
+    _write_csv(outdir / "regions_grid.csv", "gamma,alpha,count,family",
+               rows.ravel().tolist())
     regions_figure(diagram, outdir / "regions.svg")
     print(f"region diagram for n={args.n}, beta={args.beta} written to {outdir}")
     return 0

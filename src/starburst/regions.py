@@ -558,13 +558,6 @@ def admissible_gamma_interval(n: int, beta: float, alpha: float) -> tuple[float,
     return (-edge, edge)
 
 
-def spherical_equivalent(alpha: float, pupil_radius: float) -> float:
-    """Defocus coefficient (micrometres) to spherical equivalent (diopters)."""
-    if pupil_radius <= 0.0:
-        raise ValueError("pupil_radius must be positive")
-    return 4.0 * SQRT3 * alpha / pupil_radius**2
-
-
 # --------------------------------------------------------------------------
 # Region diagrams
 # --------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Minimal deterministic SVG 1.1 emitter for the package's figures.
 
 No plotting dependencies: figures are built from rects, polylines,
-circles and text, and a heatmap's cells are one embedded PNG written with
-the standard library (stored deflate blocks, so its bytes do not depend on
-the zlib build).  All coordinates are formatted with a fixed precision so
-identical inputs produce byte-identical files.
+circles and text, and the cells of a heatmap or a region diagram are one
+embedded PNG written with the standard library (stored deflate blocks, so
+its bytes do not depend on the zlib build).  All coordinates are formatted
+with a fixed precision so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -203,14 +203,16 @@ def heatmap_values(poly) -> np.ndarray:
 def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = None) -> None:
     """Render ``values = heatmap_values(poly)`` over the unit disk as one image,
     a pixel per cell and transparent outside the disk, with a vertical
-    colorbar; ``clip`` limits the color range to +-clip."""
+    colorbar.  The color range is the largest |value| of a cell inside the
+    disk; ``clip`` scales it down to that fraction."""
     size = _HEATMAP_SIZE
     canvas = SvgCanvas(size + 110, size + 70, title)
-    vmax = float(np.max(np.abs(values))) or 1.0
-    crange = min(vmax, clip) if clip else vmax
+    inside = values[_HEATMAP_INSIDE]
+    vmax = float(np.max(np.abs(inside)))
+    crange = (clip * vmax if clip else vmax) or 1.0
     rgba = np.zeros(values.shape + (4,), np.uint8)
     rgba[_HEATMAP_INSIDE] = 255
-    rgba[_HEATMAP_INSIDE, :3] = _rgb(values[_HEATMAP_INSIDE] / crange)
+    rgba[_HEATMAP_INSIDE, :3] = _rgb(inside / crange)
     # image rows run from +y down to -y, columns from -x to +x
     canvas.image(_HEATMAP_LEFT, _HEATMAP_TOP, size, size,
                  _png_rgba(rgba.transpose(1, 0, 2)[::-1]))
@@ -223,7 +225,7 @@ def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = No
         canvas.rect(bar_x, _HEATMAP_TOP + k * size / nbar, 18, size / nbar + 0.5, color)
     for frac, val in ((0.0, crange), (0.5, 0.0), (1.0, -crange)):
         canvas.text(bar_x + 24, _HEATMAP_TOP + 4 + frac * size, f"{val:.3g}", size=9)
-    if clip and clip < vmax:
+    if clip and vmax:
         canvas.text(bar_x, _HEATMAP_TOP + size + 24, f"clipped to +-{crange:.3g}", size=8)
     canvas.save(path)
 
@@ -256,27 +258,26 @@ def retina_figure(curves, critical_points, spike_tips, path) -> None:
     canvas.save(path)
 
 
+# RGBA of each family code: 0 none (transparent), 1 even, 2 odd, 3 both
+_FAMILY_RGBA = np.array([(0, 0, 0, 0), (255, 200, 130, 255), (150, 190, 255, 255),
+                         (190, 150, 220, 255)], np.uint8)
+_FAMILY_RGBA.flags.writeable = False
+
+
 def regions_figure(diagram, path) -> None:
-    """A `regions.RegionDiagram`: shaded family codes, the boundary curves
-    inside the alpha window, and the named gamma and alpha thresholds."""
+    """A `regions.RegionDiagram`: shaded family codes as one image, a pixel
+    per sample, under the boundary curves inside the alpha window and the
+    named gamma and alpha thresholds."""
     canvas = SvgCanvas(700, 560, f"saddle regions, n={diagram.n}, beta={diagram.beta}")
     g = diagram.gamma_values
     a = diagram.alpha_values
     fr = Frame(canvas, g[0], g[-1], a[0], a[-1])
-    cw = fr.w / len(g)
-    ch = fr.h / len(a)
-    colors = {1: "rgb(255,200,130)", 2: "rgb(150,190,255)", 3: "rgb(190,150,220)"}
-    # SvgCanvas.rect's markup, with the pixel strings formatted once per
-    # column and row; the shaded cells run row by row
-    px = [_f(v) for v in (fr.px(g) - cw / 2).tolist()]
-    py = [_f(v) for v in (fr.py(a) - ch / 2).tolist()]
-    wh = f'width="{_f(cw + 0.5)}" height="{_f(ch + 0.5)}"'
-    ii, jj = np.nonzero(diagram.family_codes)
-    canvas.parts.extend(
-        f'<rect x="{px[j]}" y="{py[i]}" {wh} fill="{colors[code]}" stroke="none"/>'
-        for i, j, code in zip(ii.tolist(), jj.tolist(),
-                              diagram.family_codes[ii, jj].tolist())
-    )
+    # pixel centres on the samples: image rows run from the last alpha down,
+    # columns from the first gamma
+    sx = fr.w / (len(g) - 1)
+    sy = fr.h / (len(a) - 1)
+    canvas.image(fr.px(g[0]) - sx / 2, fr.py(a[-1]) - sy / 2, len(g) * sx, len(a) * sy,
+                 _png_rgba(_FAMILY_RGBA[diagram.family_codes[::-1]]))
     curve_colors = {
         "alpha1_plus": "rgb(30,80,220)",
         "alpha1_minus": "rgb(110,110,20)",
@@ -306,8 +307,8 @@ def regions_figure(diagram, path) -> None:
             canvas.text(fr.px(gv), y0 + 26, name, size=8, anchor="middle")
     fr.frame_box("gamma (um)", "alpha (um)")
     fr.ticks(np.linspace(g[0], g[-1], 5), np.linspace(a[0], a[-1], 5))
-    legend = [("even family", colors[1]), ("odd family", colors[2]), ("both (2n)", colors[3])]
-    for k, (label, color) in enumerate(legend):
+    for k, label in enumerate(("even family", "odd family", "both (2n)")):
+        color = "rgb({},{},{})".format(*_FAMILY_RGBA[k + 1, :3].tolist())
         canvas.rect(fr.m + 8 + 130 * k, 24, 12, 12, color, stroke="black")
         canvas.text(fr.m + 24 + 130 * k, 34, label, size=9)
     canvas.save(path)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,10 +6,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starburst
-from starburst import CapabilityError, cli
+from starburst import CapabilityError, cli, region_diagram
 from starburst.cli import (
     Scenario,
     _verification_samples,
@@ -469,10 +471,27 @@ class TestRegionsCommand:
 
     def test_negative_window_start(self, tmp_path):
         out = tmp_path / "regions"
-        assert main(["regions", "--n", "5", "--beta", "0.2", "--res", "11",
+        assert main(["regions", "--n", "5", "--beta", "0.2", "--res", "31",
                      "--window=-0.3,0.3,-1,2", "--out", str(out)]) == 0
         grid = (out / "regions_grid.csv").read_text().splitlines()
         assert grid[1].startswith("-0.3,-1,")
+        # every row against the diagram: alpha outer, gamma inner
+        d = region_diagram(5, 0.2, (-0.3, 0.3), (-1.0, 2.0), resolution=31)
+        with open(out / "regions_grid.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["gamma", "alpha", "count", "family"]
+        gamma, alpha, count, family = zip(*rows[1:])
+        shape = d.counts.shape
+        assert len(rows) == 1 + 31 * 31 and shape == (31, 31)
+        np.testing.assert_allclose(np.array(gamma, float).reshape(shape),
+                                   np.broadcast_to(d.gamma_values, shape), rtol=5e-12)
+        np.testing.assert_allclose(np.array(alpha, float).reshape(shape),
+                                   np.broadcast_to(d.alpha_values[:, None], shape),
+                                   rtol=5e-12)
+        assert np.array_equal(np.array(count, int).reshape(shape), d.counts)
+        names = np.array(["none", "even", "odd", "both"])
+        assert np.array_equal(np.array(family).reshape(shape), names[d.family_codes])
+        assert set(family) == {"none", "even", "odd", "both"}
 
 
 class TestVerifyCommand:

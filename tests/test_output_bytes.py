@@ -10,11 +10,16 @@ fixtures' files were pinned at grid 512 before the figures and contour
 tables were formatted from whole arrays.  The three heat maps of all six
 cases (wavefront.svg, hessian_full.svg, hessian_clipped.svg) were pinned
 again when their cells became one embedded PNG instead of one <rect>
-each, with every pixel's color equal to its old cell's.
+each, with every pixel's color equal to its old cell's, and once more
+when their color range came from the cells inside the pupil instead of the
+whole square (and the clipped map's from 2% of that range instead of a
+separate 65 x 65 grid of the square).
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
-region predicates ran on arrays.  Rerunning the commands must reproduce
-every byte.
+region predicates ran on arrays.  The four regions.svg were pinned again
+when their shaded cells became one embedded PNG, a pixel per sample,
+instead of one <rect> per shaded cell; the regions_grid.csv hashes did not
+change.  Rerunning the commands must reproduce every byte.
 """
 
 import hashlib

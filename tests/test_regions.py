@@ -21,7 +21,6 @@ from starburst import (
     predict_saddles,
     region_diagram,
     saddle_radii,
-    spherical_equivalent,
 )
 from starburst.cli import FIXTURE_SCENARIOS, _verification_samples
 from starburst.hessian import census_from_stacks, three_term_stacks
@@ -612,17 +611,6 @@ class TestScaleInvariance:
         want = admissible_gamma_interval(n, 0.2, 0.2 * a)
         got = admissible_gamma_interval(n, scaled[1], scaled[0])
         assert got == (want and tuple(math.ldexp(e, k) for e in want))
-
-
-class TestSphericalEquivalent:
-    def test_values(self):
-        assert spherical_equivalent(0.0, 3.5) == 0.0
-        assert spherical_equivalent(0.2, 3.5) == pytest.approx(0.11311352212694709, rel=1e-12)
-        assert spherical_equivalent(1.0, 3.0) == pytest.approx(0.7698003589195009, rel=1e-12)
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            spherical_equivalent(0.2, 0.0)
 
 
 class TestRegionDiagram:

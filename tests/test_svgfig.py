@@ -1,7 +1,9 @@
 """The array paths of svgfig against the per-value formulas they replace,
-and the heatmaps' embedded PNG against the cell colors it encodes."""
+and the embedded PNGs of the heatmaps and region diagrams against the cell
+colors they encode."""
 
 import base64
+import csv
 import json
 import struct
 import xml.etree.ElementTree as ET
@@ -122,32 +124,46 @@ def png_pixels(png: bytes) -> np.ndarray:
     return rows[:, 1:].reshape(h, w, 4)
 
 
+def image_pixels(image: ET.Element) -> np.ndarray:
+    """The pixels of an ``<image>`` element's PNG data URI."""
+    prefix = "data:image/png;base64,"
+    uri = image.get(XLINK_HREF)
+    assert uri.startswith(prefix)
+    assert image.get("image-rendering") == "pixelated"
+    return png_pixels(base64.b64decode(uri[len(prefix):], validate=True))
+
+
 def heatmap_pixels(path) -> np.ndarray:
     """The pixels of the one image a heatmap SVG holds, checked to cover
     the cell grid's 520 x 520 pixels at (40, 30)."""
     (image,) = ET.parse(path).getroot().iter(SVG + "image")
-    assert [image.get(k) for k in ("x", "y", "width", "height", "image-rendering")] == [
-        "40.000", "30.000", "520.000", "520.000", "pixelated"]
-    prefix = "data:image/png;base64,"
-    uri = image.get(XLINK_HREF)
-    assert uri.startswith(prefix)
-    return png_pixels(base64.b64decode(uri[len(prefix):], validate=True))
+    assert [image.get(k) for k in ("x", "y", "width", "height")] == [
+        "40.000", "30.000", "520.000", "520.000"]
+    return image_pixels(image)
+
+
+def rgb(fill: str) -> tuple[int, ...]:
+    """(r, g, b) of an ``rgb(r,g,b)`` color string."""
+    assert fill.startswith("rgb(") and fill.endswith(")")
+    return tuple(map(int, fill[4:-1].split(",")))
 
 
 def cell_pixels(values: np.ndarray, clip) -> np.ndarray:
     """The pixels of ``heatmap_figure(values, ..., clip=clip)``, cell by cell:
     cell (i, j) at x = centers[i], y = centers[j] is pixel (95 - j, i), its
     ``diverging_colors`` color and opaque inside the unit disk, and fully
-    transparent outside it."""
-    vmax = float(np.max(np.abs(values))) or 1.0
-    crange = min(vmax, clip) if clip else vmax
+    transparent outside it.  The color range is the largest |value| of a
+    cell inside the disk, times ``clip`` when one is given."""
     edges = np.linspace(-1.0, 1.0, 97)
     centers = (0.5 * (edges[:-1] + edges[1:])).tolist()
+    inside = [(i, j) for i, j in np.ndindex(96, 96)
+              if centers[i] ** 2 + centers[j] ** 2 <= 1.0]
+    vmax = max(abs(float(values[i, j])) for i, j in inside)
+    crange = (clip * vmax if clip else vmax) or 1.0
     want = np.zeros((96, 96, 4), np.uint8)
-    for i, j in np.ndindex(96, 96):
-        if centers[i] ** 2 + centers[j] ** 2 <= 1.0:
-            (color,) = diverging_colors(values[i, j] / crange)
-            want[95 - j, i] = [*map(int, color[4:-1].split(",")), 255]
+    for i, j in inside:
+        (color,) = diverging_colors(values[i, j] / crange)
+        want[95 - j, i] = [*rgb(color), 255]
     return want
 
 
@@ -188,6 +204,21 @@ class TestHeatmapRaster:
             assert (out / name).stat().st_size < 100_000
             assert np.array_equal(heatmap_pixels(out / name), cell_pixels(values, clip))
 
+    @pytest.mark.parametrize("case", ["3star", "highorder"])
+    def test_an_end_color_lies_in_the_pupil(self, analyze_runs, case):
+        # the color range is taken inside the pupil, so the largest |value|
+        # there (or, clipped, many cells) gets a colorbar end color
+        out, _ = analyze_runs[case]
+        for name in HEATMAPS:
+            root = ET.parse(out / name).getroot()
+            bar = [r.get("fill") for r in root.iter(SVG + "rect")
+                   if r.get("width") == "18.000"]
+            assert len(bar) == 64
+            ends = {rgb(bar[0]), rgb(bar[-1])}
+            pixels = heatmap_pixels(out / name)
+            drawn = pixels[pixels[:, :, 3] == 255, :3]
+            assert any(tuple(p) in ends for p in drawn.tolist()), (case, name)
+
     @pytest.mark.parametrize("m, negative_half", [(-1, np.s_[:, :48]), (1, np.s_[48:, :])])
     def test_orientation(self, tmp_path, m, negative_half):
         # theta = 0 points along +y, so Z_1^-1 = 2x is blue on the left and
@@ -211,3 +242,53 @@ class TestHeatmapRaster:
         assert len(paths) >= 9
         for path in paths:
             assert ET.parse(path).getroot().tag == SVG + "svg", path
+
+
+@pytest.fixture(scope="module")
+def regions_n4(tmp_path_factory):
+    """The output directory of `regions --n 4 --beta 0.2 --res 31`."""
+    out = tmp_path_factory.mktemp("regions")
+    assert cli.main(["regions", "--n", "4", "--beta", "0.2", "--res", "31",
+                     "--out", str(out)]) == 0
+    return out
+
+
+class TestRegionsRaster:
+    def test_pixels_are_the_cell_families(self, regions_n4):
+        root = ET.parse(regions_n4 / "regions.svg").getroot()
+        # the legend: each 12 x 12 swatch is followed by its label
+        parts = list(root)
+        legend = {parts[k + 1].text: rgb(r.get("fill")) for k, r in enumerate(parts)
+                  if r.tag == SVG + "rect" and r.get("width") == "12.000"}
+        assert list(legend) == ["even family", "odd family", "both (2n)"]
+        colors = {"none": (0, 0, 0, 0)}
+        colors.update((f, (*c, 255)) for f, c in zip(("even", "odd", "both"),
+                                                      legend.values()))
+        with open(regions_n4 / "regions_grid.csv", newline="", encoding="utf-8") as fh:
+            families = [row["family"] for row in csv.DictReader(fh)]
+        assert {"none", "even", "odd"} <= set(families)
+        # CSV rows run from the first alpha up, image rows from the last down;
+        # both run from the first gamma
+        want = np.array([colors[f] for f in families], np.uint8).reshape(31, 31, 4)[::-1]
+        # a flipped image would not pass
+        assert not np.array_equal(want, want[::-1])
+        assert not np.array_equal(want, want[:, ::-1])
+        (image,) = root.iter(SVG + "image")
+        assert np.array_equal(image_pixels(image), want)
+
+    def test_pixel_centres_on_the_samples(self, regions_n4):
+        root = ET.parse(regions_n4 / "regions.svg").getroot()
+        (image,) = root.iter(SVG + "image")
+        x, y, w, h = (float(image.get(k)) for k in ("x", "y", "width", "height"))
+        # the frame spans the window: sample k of 31 sits at k / 30 of it
+        (frame,) = (r for r in root.iter(SVG + "rect") if r.get("fill") == "none")
+        fx, fy, fw, fh = (float(frame.get(k)) for k in ("x", "y", "width", "height"))
+        k = np.arange(31)
+        np.testing.assert_allclose(x + (k + 0.5) * w / 31, fx + k * fw / 30, atol=2e-3)
+        np.testing.assert_allclose(y + (k + 0.5) * h / 31, fy + k * fh / 30, atol=2e-3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_default_resolution_size(self, n, tmp_path):
+        assert cli.main(["regions", "--n", str(n), "--beta", "0.2",
+                         "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "regions.svg").stat().st_size < 150_000
