@@ -146,78 +146,87 @@ def _case_table() -> np.ndarray:
 _CASES = _case_table()
 
 
-def _stitch(nbr):
+def _stitch(nbr: np.ndarray):
     """Chains of node indices through a graph of degree 1 or 2.
 
     ``nbr[k]`` holds the one or two neighbours of node k, -1 padded.  Open
     chains start at their lower-numbered end, loops at their lowest node and
-    run first towards its lower neighbour; a loop repeats its start."""
-    visited = bytearray(len(nbr))
+    run first towards its lower neighbour; a loop repeats its start.  A walk
+    goes on to the neighbour that is not the node it came from, so it costs
+    one comparison per node."""
+    seen = np.zeros(len(nbr), dtype=bool)
+    table = nbr.tolist()
     chains = []
 
     def walk(start):
+        a, b = table[start]
+        prev, current = start, (a if b < 0 or a < b else b)
         chain = [start]
-        visited[start] = 1
-        current = start
-        while True:
-            a, b = nbr[current]
-            nexts = [k for k in (a, b) if k >= 0 and not visited[k]]
-            if not nexts:
-                # close the loop if the start is still reachable
-                if len(chain) > 2 and start in (a, b):
-                    chain.append(start)
-                return chain
-            current = min(nexts)
-            visited[current] = 1
+        while current >= 0 and current != start:
             chain.append(current)
+            a, b = table[current]
+            prev, current = current, (b if a == prev else a)
+        if current == start:
+            chain.append(start)
+        chain = np.array(chain, dtype=np.intp)
+        seen[chain] = True
+        return chain
 
-    open_ends = [k for k, (_, b) in enumerate(nbr) if b < 0]
-    for key in open_ends + list(range(len(nbr))):
-        if not visited[key]:
-            chains.append(walk(key))
+    for end in np.flatnonzero(nbr[:, 1] < 0).tolist():
+        if not seen[end]:
+            chains.append(walk(end))
+    # what is left is loops; each starts at its lowest node
+    start = 0
+    while start < len(nbr):
+        start += int(np.argmin(seen[start:]))
+        if seen[start]:
+            break
+        chains.append(walk(start))
     return chains
 
 
+def _circle_hit(a, b):
+    """The first point of segment a -> b on the unit circle, or None.  The
+    dot products are written out: a BLAS dot may fuse a multiply-add, and
+    its last bit would then depend on the numpy build."""
+    d = b - a
+    aa = d[0] * d[0] + d[1] * d[1]
+    bb = 2.0 * (a[0] * d[0] + a[1] * d[1])
+    cc = a[0] * a[0] + a[1] * a[1] - 1.0
+    disc = bb * bb - 4.0 * aa * cc
+    if disc < 0.0 or aa == 0.0:
+        return None
+    sq = math.sqrt(disc)
+    for t in sorted(((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa))):
+        if 0.0 <= t <= 1.0:
+            return a + t * d
+    return None
+
+
 def _clip_polyline_to_disk(points: np.ndarray):
-    """Split a polyline into pieces inside the closed unit disk, inserting
-    circle-intersection vertices at each crossing."""
+    """Split a polyline into pieces inside the closed unit disk.
+
+    Each run of consecutive inside vertices becomes one piece, with the
+    circle-intersection vertex of its entering and of its leaving segment
+    added at its ends; pieces of fewer than two vertices are dropped."""
     inside = np.hypot(points[:, 0], points[:, 1]) <= 1.0 + 1e-12
     if np.all(inside):
         return [points]
+    bounds = np.flatnonzero(np.diff(inside, prepend=False, append=False))
     pieces = []
-    current: list[np.ndarray] = []
-
-    def circle_hit(a, b):
-        d = b - a
-        aa = d @ d
-        bb = 2.0 * (a @ d)
-        cc = a @ a - 1.0
-        disc = bb * bb - 4.0 * aa * cc
-        if disc < 0.0 or aa == 0.0:
-            return None
-        sq = math.sqrt(disc)
-        for t in sorted(((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa))):
-            if 0.0 <= t <= 1.0:
-                return a + t * d
-        return None
-
-    for k in range(len(points)):
-        if inside[k]:
-            if not current and k > 0 and not inside[k - 1]:
-                hit = circle_hit(points[k - 1], points[k])
-                if hit is not None:
-                    current.append(hit)
-            current.append(points[k])
-        else:
-            if current:
-                hit = circle_hit(points[k - 1], points[k])
-                if hit is not None:
-                    current.append(hit)
-                if len(current) >= 2:
-                    pieces.append(np.array(current))
-                current = []
-    if len(current) >= 2:
-        pieces.append(np.array(current))
+    for s, e in bounds.reshape(-1, 2).tolist():
+        parts = [points[s:e]]
+        if s > 0:
+            hit = _circle_hit(points[s - 1], points[s])
+            if hit is not None:
+                parts.insert(0, hit[None])
+        if e < len(points):
+            hit = _circle_hit(points[e - 1], points[e])
+            if hit is not None:
+                parts.append(hit[None])
+        piece = np.concatenate(parts)
+        if len(piece) >= 2:
+            pieces.append(piece)
     return pieces
 
 
@@ -232,13 +241,15 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     xs = ys = np.linspace(-1.0, 1.0, n)
     values = field.G.grid(xs, ys)
 
-    pos = (values > 0.0).astype(np.uint8)
+    pos = (values > 0.0).view(np.uint8)
     code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-    # mask cells whose closest point to the origin lies outside the disk
+    # the mixed cells (codes 1..14; code 0 wraps to 255), less those whose
+    # closest point to the origin lies outside the disk
+    ci, cj = np.divmod(np.flatnonzero((code - 1) < 14), n - 1)
     cx = np.clip(0.0, xs[:-1], xs[1:])
     cy = np.clip(0.0, ys[:-1], ys[1:])
-    outside = (cx[:, None] ** 2 + cy[None, :] ** 2) > 1.0
-    ci, cj = np.nonzero((code != 0) & (code != 15) & ~outside)
+    near = ~(cx[ci] ** 2 + cy[cj] ** 2 > 1.0)
+    ci, cj = ci[near], cj[near]
     if ci.size == 0:
         return ContourSet((), resolution)
 
@@ -288,11 +299,10 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     points[~h, 1] = ys[j] + t * (ys[j + 1] - ys[j])
 
     polylines = []
-    for chain in _stitch(nbr.tolist()):
+    for chain in _stitch(nbr):
         for piece in _clip_polyline_to_disk(points[chain]):
-            if len(piece) >= 2:
-                piece.flags.writeable = False
-                polylines.append(piece)
+            piece.flags.writeable = False
+            polylines.append(piece)
     return ContourSet(tuple(polylines), resolution)
 
 
@@ -401,8 +411,12 @@ class _PolylineDistance:
             di, dj = np.divmod(_ranges(np.zeros_like(count), count), span[:, 1][seg])
             cell = (c0[:, 0] * (last[1] + 2) + c0[:, 1])[seg] + di * (last[1] + 2) + dj
             order = np.argsort(cell)
-            ids, first, n = np.unique(cell[order], return_index=True, return_counts=True)
-            self.grids[k] = (side, last, ids, first, n, seg[order])
+            cell = cell[order]
+            new = np.ones(len(cell), dtype=bool)
+            new[1:] = cell[1:] != cell[:-1]
+            first = np.flatnonzero(new)
+            n = np.diff(first, append=len(cell))
+            self.grids[k] = (side, last, cell[first], first, n, seg[order])
         return self.grids[k]
 
     def _candidate_nearest(self, k, pts):
@@ -736,32 +750,38 @@ def fertility_report(
 
     A closed polyline snaking past the saddle twice counts as two
     branches: passes are maximal runs of consecutive vertices within the
-    distance, with circular wrap for closed polylines.
+    distance, with circular wrap for closed polylines.  Each saddle is one
+    pass over the vertices of all polylines together.
     """
+    polylines = contours.polylines
+    if not polylines:
+        return tuple(FertilityFlag(s, False, 0, math.inf) for s in saddles)
+    cloud = np.concatenate(polylines)
+    counts = np.array([len(poly) for poly in polylines])
+    firsts = np.cumsum(counts) - counts
+    lasts = firsts + counts - 1
+    closed = np.array([len(poly) > 2 and bool(np.all(poly[0] == poly[-1]))
+                       for poly in polylines])
+    # a run starts at a vertex within the distance whose predecessor in its
+    # polyline is not; the repeated last vertex of a closed one is no vertex
+    body = np.ones(len(cloud), dtype=bool)
+    body[lasts[closed]] = False
+    head = np.zeros(len(cloud), dtype=bool)
+    head[firsts] = True
     flags = []
     for s in saddles:
-        pos = np.array([s.x, s.y])
-        branches = 0
-        best = math.inf
-        for poly in contours.polylines:
-            d = np.hypot(poly[:, 0] - pos[0], poly[:, 1] - pos[1])
-            best = min(best, float(d.min()) if len(d) else math.inf)
-            close = d <= distance
-            if not np.any(close):
-                continue
-            closed = bool(np.all(poly[0] == poly[-1])) and len(poly) > 2
-            body = close[:-1] if closed else close
-            transitions = np.count_nonzero(np.diff(body.astype(int)) == 1)
-            runs = transitions + (1 if body[0] else 0)
-            if closed and body[0] and body[-1] and runs > 1:
-                runs -= 1  # wrap joins the first and last run
-            branches += max(runs, 1 if np.any(close) else 0)
-        flags.append(
-            FertilityFlag(
-                point=s,
-                fertile=branches >= 2,
-                branch_count=branches,
-                min_distance=best,
-            )
-        )
+        d = np.hypot(cloud[:, 0] - s.x, cloud[:, 1] - s.y)
+        close = d <= distance
+        starts = close & body
+        starts[1:] &= ~close[:-1] | head[1:]
+        runs = np.add.reduceat(starts, firsts, dtype=np.intp)
+        # wrap joins the first and last run of a closed polyline
+        runs -= closed & close[firsts] & close[lasts - 1] & (runs > 1)
+        branches = int(runs.sum())
+        flags.append(FertilityFlag(
+            point=s,
+            fertile=branches >= 2,
+            branch_count=branches,
+            min_distance=float(d.min()),
+        ))
     return tuple(flags)

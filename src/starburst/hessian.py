@@ -313,20 +313,26 @@ def _newton_batch(newton, fidx, x, y, domain_radius: float, conv_tol):
         dx, dy, det = _newton_step(*v[:, idx])
         bad = ~np.isfinite(det) | (det == 0.0)
         dx[bad] = dy[bad] = 0.0
-        # damped update: halve the step while the gradient norm grows
-        scale = np.ones_like(dx)
+        # damped update: where the full step grows the gradient norm, take
+        # the first halving that does not, else the last; every halving of
+        # those points is one evaluation
         nx, ny = xi + dx, yi + dy
         nv = gathered_values(newton, fi, nx, ny)
         ngn = np.hypot(nv[0], nv[1])
-        for _ in range(_MAX_HALVINGS):
-            worse = ~(ngn <= gn[idx]) & (scale > _DAMPING**_MAX_HALVINGS)
-            if not np.any(worse):
-                break
-            scale[worse] *= _DAMPING
-            nx[worse] = xi[worse] + scale[worse] * dx[worse]
-            ny[worse] = yi[worse] + scale[worse] * dy[worse]
-            nv[:, worse] = gathered_values(newton, fi[worse], nx[worse], ny[worse])
-            ngn[worse] = np.hypot(nv[0, worse], nv[1, worse])
+        worse = np.flatnonzero(~(ngn <= gn[idx]))
+        if worse.size:
+            scale = np.cumprod(np.full((_MAX_HALVINGS, 1), _DAMPING), axis=0)
+            hx = xi[worse] + scale * dx[worse]
+            hy = yi[worse] + scale * dy[worse]
+            hv = gathered_values(newton, np.tile(fi[worse], _MAX_HALVINGS),
+                                 hx.ravel(), hy.ravel()).reshape(len(nv), _MAX_HALVINGS, -1)
+            hgn = np.hypot(hv[0], hv[1])
+            better = hgn <= gn[idx[worse]]
+            better[-1] = True
+            pick = better.argmax(axis=0)
+            col = np.arange(worse.size)
+            nx[worse], ny[worse] = hx[pick, col], hy[pick, col]
+            nv[:, worse], ngn[worse] = hv[:, pick, col], hgn[pick, col]
         step = np.hypot(nx - xi, ny - yi)
         progressed = ngn < gn[idx]
         moved = idx[progressed]

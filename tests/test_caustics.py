@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -30,6 +31,13 @@ from starburst.caustics import (
 
 
 HIGHORDER_TERMS = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
+# wavefronts without a mirror symmetry whose contours leave the pupil
+ASYMMETRIC_TERMS = {
+    "a": ((5, 5, 0.176), (4, 2, -0.05), (4, -4, 0.083), (6, 2, -0.063), (4, -2, 0.13)),
+    "b": ((6, -2, 0.184), (4, 0, 0.17), (5, 1, 0.077), (4, 4, -0.151), (3, -1, 0.053)),
+    "c": ((4, 2, -0.015), (4, -4, 0.037), (6, 2, 0.107)),
+    "d": ((5, -1, 0.099), (6, 2, 0.05), (5, -5, 0.103), (2, 0, -0.09)),
+}
 
 
 class TestContourExtraction:
@@ -87,6 +95,32 @@ class TestContourExtraction:
         for poly in contours.polylines:
             assert np.all(np.sign(poly[:, 0] * poly[:, 1]) == -np.sign(eps))
             assert len(set(np.sign(poly[:, 0]))) == 1
+
+    @pytest.mark.parametrize("name, grid, digest", [
+        ("a", 64, "d3db3cfce01a67eebdc746243d48bd238d9700153e933bf361ae39d27d190d29"),
+        ("a", 257, "e5bf76bb09227b522827d7dbd4ddef72fb433be6a35ccf70985ef847cc1f2b64"),
+        ("b", 64, "e1fc6a6ae20d622d3bfafdf3021653629af1576cfc35905b280a90a3f6728ffb"),
+        ("b", 257, "f57f0dca3ea0c2953da9afca7a0e2b4d7a6b4ca6c952d74f19e6e97396910b26"),
+        ("c", 64, "7f24c5a7379ae2ceff39e7abbbc10c4339015b32e7406af45f98bcbd248fe601"),
+        ("c", 257, "fadf825932a006d5ae66d2375939a7bfb2f3f2df79f56cb1b1b34ca703f8b435"),
+        ("d", 64, "257ff1e85f9230e919ae1f2431d7d6e2ba406e2c66bf245d72a4aa5885146eaa"),
+        ("d", 257, "a8eac4ea427da841bf9bd1d1113b7eac7e959e425120f9f9e180e36a4b754a7f"),
+    ])
+    def test_asymmetric_contour_bytes_are_pinned(self, name, grid, digest):
+        # sha256 of the polyline lengths (int64) and then every vertex's bytes.
+        # Each wavefront has mixed cells outside the disk and saddle cells
+        # (codes 5 and 10) inside it at both grids.  Pinned before marching
+        # squares, stitching and clipping ran on arrays; b and d at grid 64
+        # were pinned again when the rim intersection took plain products
+        # instead of a BLAS dot, which moved four rim vertices (piece ends)
+        # by 1.1e-16
+        field = build_field(WaveAberration(
+            tuple(ZernikeTerm(*t) for t in ASYMMETRIC_TERMS[name])))
+        contours = extract_contours(field, grid)
+        h = hashlib.sha256(np.array([len(p) for p in contours], dtype=np.int64).tobytes())
+        for poly in contours:
+            h.update(poly.tobytes())
+        assert h.hexdigest() == digest
 
     def test_threefold_symmetric_contours(self, analyses):
         a = analyses["3star"]

@@ -13,7 +13,12 @@ again when their cells became one embedded PNG instead of one <rect>
 each, with every pixel's color equal to its old cell's, and once more
 when their color range came from the cells inside the pupil instead of the
 whole square (and the clipped map's from 2% of that range instead of a
-separate 65 x 65 grid of the square).
+separate 65 x 65 grid of the square).  4star/report.json and
+4star/retina.svg were pinned again when the rim intersection of a
+clipped contour took plain products instead of a BLAS dot: its spike tips
+then come from the other member of each mirror pair of rim ends (angles
+0.2035, 90.2035, 179.7965 and 269.7965 degrees instead of 90.2035,
+180.2035, 269.7965 and 359.7965), with the same count, radius and kind.
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again
