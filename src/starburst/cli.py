@@ -175,14 +175,18 @@ def _write_csv(path: Path, header: str, lines) -> None:
 
 def _contour_rows(curves) -> str:
     """The curve,vertex,a,b rows of every vertex of ``curves``, formatted
-    in one call; ``%d`` prints the float-held indices as integers."""
+    in one call from four typed columns interleaved by extended slices:
+    Python ints for the two indices, Python floats for the coordinates."""
     if not curves:
         return ""
     lengths = [len(poly) for poly in curves]
     points = np.concatenate(curves)
-    curve = np.repeat(np.arange(len(curves)), lengths)
-    vertex = np.arange(len(points)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.column_stack((curve, vertex, points)).ravel().tolist()
+    flat = [0] * (4 * len(points))
+    flat[0::4] = itertools.chain.from_iterable(
+        map(itertools.repeat, range(len(curves)), lengths))
+    flat[1::4] = itertools.chain.from_iterable(map(range, lengths))
+    flat[2::4] = points[:, 0].tolist()
+    flat[3::4] = points[:, 1].tolist()
     return ("%d,%d,%.12g,%.12g\r\n" * len(points)) % tuple(flat)
 
 

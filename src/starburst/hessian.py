@@ -250,15 +250,16 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
 def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
     """(field index, seed) pairs from every zoom pass, grouped by field, each
     field's seeds in pass, then cell offset, then row-major cell order;
-    ``base`` is the zoom-1 corner grid of ``grad``."""
+    ``base`` is the zoom-1 corner grid of ``grad`` and |grad| on it."""
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
-        xs, ys, (gx, gy) = base if zoom == 1.0 else _corner_grid(grad, radius, _GRID_SIZE)
+        xs, ys, (gx, gy) = base[:3] if zoom == 1.0 else _corner_grid(grad, radius, _GRID_SIZE)
+        gnorm = base[3] if zoom == 1.0 else np.hypot(gx, gy)
         f, ci, cj = np.nonzero(_sign_change_cells(gx) & _sign_change_cells(gy))
         h = 2.0 * radius / _GRID_SIZE
         blocks += [(f, xs[ci] + dx * h, ys[cj] + dy * h) for dx, dy in _CELL_OFFSETS]
-        f, mi, mj = np.nonzero(_local_min_mask(np.hypot(gx, gy)))
+        f, mi, mj = np.nonzero(_local_min_mask(gnorm))
         blocks.append((f, xs[mi], ys[mj]))
     f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
     order = np.argsort(f, kind="stable")
@@ -464,14 +465,15 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
         return []
     # the zoom-1 seed grid also sets the gradient and |G| scales
     xs, ys, grid = _corner_grid(_stack([g, gx, gy]), R, _GRID_SIZE)
-    gscale = np.max(np.hypot(grid[1], grid[2]), axis=(1, 2))
+    gnorm = np.hypot(grid[1], grid[2])
+    gscale = np.max(gnorm, axis=(1, 2))
     g_abs_scale = np.max(np.abs(grid[0]), axis=(1, 2))
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
     conv_tol = 1e-12 * gscale
     accept_tol = GRADIENT_TOL * gscale
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
 
-    fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, grid[1:]))
+    fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, grid[1:], gnorm))
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)

@@ -36,10 +36,7 @@ class SvgCanvas:
             self.text(width / 2, 16, title, size=13, anchor="middle")
 
     def rect(self, x, y, w, h, fill, stroke="none"):
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}" stroke="{stroke}"/>'
-        )
+        self.parts.append(_rect(x, y, w, h, fill, stroke))
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=""):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -94,19 +91,26 @@ class SvgCanvas:
             fh.write(self.to_string())
 
 
+def _rect(x, y, w, h, fill, stroke="none") -> str:
+    return (f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
+            f'fill="{fill}" stroke="{stroke}"/>')
+
+
 def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _rgb(t) -> np.ndarray:
-    """Blue-white-red map for t in [-1, 1]: uint8 RGB, shape ``t.shape + (3,)``.
-
-    ``np.rint`` rounds half to even, as ``round`` does."""
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)[..., None]
+    """Blue-white-red map for t in [-1, 1]: uint8 RGB, shape ``t.shape + (3,)``,
+    one pass per channel.  ``np.rint`` rounds half to even, as ``round`` does."""
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
     neg = t < 0
     u = np.where(neg, 1.0 + t, 1.0 - t)
-    end = np.where(neg, [43.0, 131.0, 186.0], [215.0, 25.0, 28.0])
-    return np.rint(end + u * (255.0 - end)).astype(np.uint8)
+    rgb = np.empty(t.shape + (3,), np.uint8)
+    for c, (lo, hi) in enumerate(((43.0, 215.0), (131.0, 25.0), (186.0, 28.0))):
+        end = np.where(neg, lo, hi)
+        rgb[..., c] = np.rint(end + u * (255.0 - end))
+    return rgb
 
 
 def diverging_colors(t) -> list[str]:
@@ -192,6 +196,17 @@ _HEATMAP_CENTERS = 0.5 * (_HEATMAP_EDGES[:-1] + _HEATMAP_EDGES[1:])
 # [i, j]: cell (x, y) = (centers[i], centers[j]) lies inside the unit disk
 _HEATMAP_INSIDE = _HEATMAP_CENTERS[:, None] ** 2 + _HEATMAP_CENTERS[None, :] ** 2 <= 1.0
 _HEATMAP_INSIDE.flags.writeable = False
+# the same in image order (rows from +y down, columns from -x), and as a mask
+# of the RGB and alpha bytes: 255 inside the disk, 0 outside
+_HEATMAP_PUPIL = _HEATMAP_INSIDE.T[::-1]
+_HEATMAP_ALPHA = np.where(_HEATMAP_PUPIL, 255, 0).astype(np.uint8)[..., None]
+_HEATMAP_ALPHA.flags.writeable = False
+_HEATMAP_BAR_X = _HEATMAP_LEFT + _HEATMAP_SIZE + 20
+# the colorbar's 64 rects, red at the top: the same in every heatmap
+_HEATMAP_BAR = tuple(
+    _rect(_HEATMAP_BAR_X, _HEATMAP_TOP + k * _HEATMAP_SIZE / 64, 18,
+          _HEATMAP_SIZE / 64 + 0.5, color)
+    for k, color in enumerate(diverging_colors(1.0 - 2.0 * np.arange(64) / 63)))
 
 
 def heatmap_values(poly) -> np.ndarray:
@@ -204,25 +219,19 @@ def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = No
     """Render ``values = heatmap_values(poly)`` over the unit disk as one image,
     a pixel per cell and transparent outside the disk, with a vertical
     colorbar.  The color range is the largest |value| of a cell inside the
-    disk; ``clip`` scales it down to that fraction."""
+    disk; ``clip`` scales it down to that fraction.  Cells outside the disk
+    are set to 0 before the division, then masked out of the one `_rgb` pass."""
     size = _HEATMAP_SIZE
     canvas = SvgCanvas(size + 110, size + 70, title)
-    inside = values[_HEATMAP_INSIDE]
-    vmax = float(np.max(np.abs(inside)))
+    image = np.where(_HEATMAP_PUPIL, values.T[::-1], 0.0)
+    vmax = float(np.max(np.abs(image)))
     crange = (clip * vmax if clip else vmax) or 1.0
-    rgba = np.zeros(values.shape + (4,), np.uint8)
-    rgba[_HEATMAP_INSIDE] = 255
-    rgba[_HEATMAP_INSIDE, :3] = _rgb(inside / crange)
-    # image rows run from +y down to -y, columns from -x to +x
-    canvas.image(_HEATMAP_LEFT, _HEATMAP_TOP, size, size,
-                 _png_rgba(rgba.transpose(1, 0, 2)[::-1]))
+    rgba = np.concatenate((_rgb(image / crange) & _HEATMAP_ALPHA, _HEATMAP_ALPHA), axis=2)
+    canvas.image(_HEATMAP_LEFT, _HEATMAP_TOP, size, size, _png_rgba(rgba))
     canvas.circle(_HEATMAP_LEFT + size / 2, _HEATMAP_TOP + size / 2, size / 2,
                   stroke="black")
-    bar_x = _HEATMAP_LEFT + size + 20
-    nbar = 64
-    bar = diverging_colors(1.0 - 2.0 * np.arange(nbar) / (nbar - 1))
-    for k, color in enumerate(bar):
-        canvas.rect(bar_x, _HEATMAP_TOP + k * size / nbar, 18, size / nbar + 0.5, color)
+    canvas.parts += _HEATMAP_BAR
+    bar_x = _HEATMAP_BAR_X
     for frac, val in ((0.0, crange), (0.5, 0.0), (1.0, -crange)):
         canvas.text(bar_x + 24, _HEATMAP_TOP + 4 + frac * size, f"{val:.3g}", size=9)
     if clip and vmax:
