@@ -109,7 +109,7 @@ class StarburstSummary:
     visibility_threshold: float
     note: str = VERDICT_NOTE
     detail: str = ""
-    symmetry: SymmetryResult | None = None  # None when there is no caustic
+    symmetry: SymmetryResult | None = None  # None without a caustic or for axial W
 
 
 EQUALLY_DISTANCED = "equally_distanced"
@@ -541,10 +541,7 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
 
 def _wavefront_fold_order(w: WaveAberration) -> int:
     """p-fold symmetry readable from the azimuthal frequencies (0 = axial)."""
-    orders = [abs(t.m) for t in w.terms if t.m != 0 and t.coeff != 0.0]
-    if not orders:
-        return 0
-    return int(np.gcd.reduce(orders))
+    return math.gcd(*(abs(t.m) for t in w.terms if t.coeff != 0.0))
 
 
 def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):
@@ -662,19 +659,22 @@ def starburst_verdict(
     are treated as part of the central pattern rather than starburst
     points.  _RADIUS_SPLIT is the relative gap separating "two distinct
     tip radii" from a single ring of tips.  The p-fold symmetry comes from
-    one ``symmetry_order`` pass and is returned as ``symmetry``.
+    one ``symmetry_order`` pass and is returned as ``symmetry``; an axially
+    symmetric W (no term with m != 0) gets p_fold 0 and no starburst.
     """
     if not 0.0 < threshold_arcmin < math.inf:
         raise ValueError("threshold_arcmin must be positive and finite")
+    p_wavefront = _wavefront_fold_order(caustics.aberration)
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
-    if not curves:
+    if not (p_wavefront and curves):
+        # an axial caustic is rings, which every rotation maps onto themselves
         return StarburstSummary(
-            p_fold=_wavefront_fold_order(caustics.aberration),
+            p_fold=p_wavefront,
             point_count=0,
             kind=NO_STARBURST,
             spike_tips=(),
             visibility_threshold=threshold_arcmin,
-            detail="no caustic curves",
+            detail="no caustic curves" if p_wavefront else "axially symmetric wavefront",
         )
     cloud = np.concatenate(curves, axis=0)
     center = caustics.center

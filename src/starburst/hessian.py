@@ -14,13 +14,13 @@ contracted from a cached basis of pair polynomials (`three_term_stacks`);
 
 The search is deterministic: seeds come from fixed grids, the Newton
 batch is data-parallel over points and fields, and results are
-deduplicated and sorted by (rho, theta).  Each Newton or polish trial is
-one evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the
-next step reuses.  Seeds identical to the bit in (field, x, y), about a
-quarter of them, take identical paths, so each runs once and is counted
-as often as it was collected.  Every converged seed is polished, not one
-per root: deduplication keeps each root's best-polished iterate, and
-which seed that is decides the noise-level digits of the reported point.
+deduplicated and sorted by (rho, theta).  Each zoom pass seeds each grid
+node once, so no two seeds share (field, x, y) and each counts once in
+the unconverged-seed message.  Each Newton or polish trial is one
+evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
+step reuses.  Every converged seed is polished, not one per root:
+deduplication keeps each root's best-polished iterate, and which seed
+that is decides the noise-level digits of the reported point.
 """
 
 from __future__ import annotations
@@ -217,8 +217,6 @@ class CriticalPointSearch:
 # zeros would defeat the sign-change test.
 _GRID_SHIFT_X = (math.sqrt(2.0) - 1.0) / 2.0
 _GRID_SHIFT_Y = (math.sqrt(3.0) - 1.0) / 2.0
-# seeds in a sign-change cell: its center, then its corners, in cell units
-_CELL_OFFSETS = ((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
 
 def _corner_grid(stack: np.ndarray, radius: float, n: int):
@@ -248,38 +246,26 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
 
 
 def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
-    """(field index, seed) pairs from every zoom pass, grouped by field, each
-    field's seeds in pass, then cell offset, then row-major cell order;
-    ``base`` is the zoom-1 corner grid of ``grad`` and |grad| on it."""
+    """(field index, x, y) seeds from every zoom pass, each seeded once: the
+    centre of every cell of the pass's corner grid where both components of
+    ``grad`` change sign, then every node that is a corner of such a cell
+    or a local minimum of |grad|; ``base`` is the zoom-1 corner grid of
+    ``grad`` and |grad| on it."""
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
         xs, ys, (gx, gy) = base[:3] if zoom == 1.0 else _corner_grid(grad, radius, _GRID_SIZE)
         gnorm = base[3] if zoom == 1.0 else np.hypot(gx, gy)
-        f, ci, cj = np.nonzero(_sign_change_cells(gx) & _sign_change_cells(gy))
+        cells = _sign_change_cells(gx) & _sign_change_cells(gy)
+        f, ci, cj = np.nonzero(cells)
         h = 2.0 * radius / _GRID_SIZE
-        blocks += [(f, xs[ci] + dx * h, ys[cj] + dy * h) for dx, dy in _CELL_OFFSETS]
-        f, mi, mj = np.nonzero(_local_min_mask(gnorm))
-        blocks.append((f, xs[mi], ys[mj]))
-    f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
-    order = np.argsort(f, kind="stable")
-    return f[order], x[order], y[order]
-
-
-def _distinct_seeds(fidx: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Indices of the first of each run of seeds identical in (field, x, y),
-    to the bit, in seed order, and how many seeds each stands for."""
-    keys = (fidx, x.view(np.int64), y.view(np.int64))
-    order = np.lexsort(keys[::-1])  # stable: each run starts at its first seed
-    run = np.zeros(len(order) + 1, dtype=bool)
-    run[0] = run[-1] = True
-    for key in keys:
-        key = key[order]
-        run[1:-1] |= key[1:] != key[:-1]
-    starts = np.flatnonzero(run)
-    first, copies = order[starts[:-1]], np.diff(starts)
-    seed_order = np.argsort(first)
-    return first[seed_order], copies[seed_order]
+        blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
+        nodes = _local_min_mask(gnorm)
+        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):  # each such cell's corners
+            nodes[:, di:di + _GRID_SIZE, dj:dj + _GRID_SIZE] |= cells
+        f, i, j = np.nonzero(nodes)
+        blocks.append((f, xs[i], ys[j]))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _newton_step(gx, gy, gxx, gxy, gyy):
@@ -477,13 +463,10 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)
-    # identical seeds take identical paths: run each once, count it as many
-    first, copies = _distinct_seeds(fidx, x, y)
-    fidx = fidx[first]
-    x, y, v = _newton_batch(newton, fidx, x[first], y[first], R, conv_tol[fidx])
+    x, y, v = _newton_batch(newton, fidx, x, y, R, conv_tol[fidx])
     gn = np.hypot(v[0], v[1])
     ok = np.isfinite(gn) & (gn <= accept_tol[fidx])
-    n_unconverged = np.bincount(fidx[~ok], copies[~ok], minlength=n_fields).astype(int)
+    n_unconverged = np.bincount(fidx[~ok], minlength=n_fields)
     # polish every converged seed, not one per root: _dedup keeps the
     # best-polished of each root, and a lone representative would move the
     # noise-level digits of the points reported

@@ -484,6 +484,19 @@ class TestVerdicts:
         assert verdict.point_count == 0
         assert verdict.p_fold == 0  # axially symmetric wavefront
 
+    @pytest.mark.parametrize("terms", [((4, 0, 0.2),), ((6, 0, 0.05), (4, 0, 0.2))])
+    def test_axially_symmetric_verdict(self, terms, monkeypatch):
+        # a ring caustic passes every p: read W's symmetry, search no p
+        w = WaveAberration(tuple(ZernikeTerm(*t) for t in terms))
+        field = build_field(w)
+        ca = map_caustics(w, extract_contours(field, 128), (), field)
+        assert ca.retina_curves
+        monkeypatch.setattr("starburst.caustics.symmetry_order", None)
+        verdict = starburst_verdict(ca)
+        assert (verdict.p_fold, verdict.point_count, verdict.kind) == (0, 0, NO_STARBURST)
+        assert verdict.detail == "axially symmetric wavefront"
+        assert verdict.spike_tips == () and verdict.symmetry is None
+
     def test_fold_signature_fallback(self):
         w = WaveAberration((ZernikeTerm(4, 4, 0.0001), ZernikeTerm(2, 0, 0.3)))
         field = build_field(w)

@@ -88,6 +88,22 @@ class TestAnalyzeCommand:
         assert report["starburst"]["point_count"] == 3
         assert report["saddle_prediction"]["count"] == 3
 
+    @pytest.mark.parametrize("axial", ["gamma", "scenario"])
+    def test_axially_symmetric_wavefront(self, tmp_path, capsys, axial):
+        # gamma = 0, or only m = 0 terms: the ring caustic gets no p-fold verdict
+        out = str(tmp_path / "out")
+        if axial == "gamma":
+            argv = ["--alpha", "0", "--beta", "0.2", "--gamma", "0", "--n", "3", "--grid", "128"]
+        else:
+            argv = ["--scenario", make_scenario_file(tmp_path, {
+                "grid_resolution": 128,
+                "wavefront": [{"n": 6, "m": 0, "coeff_um": 0.05}, {"n": 4, "m": 0, "coeff_um": 0.2}]})]
+        assert main(["analyze", *argv, "--out", out]) == 0
+        assert "verdict: 0 points (none), p=0\n" in capsys.readouterr().out
+        star = json.loads((tmp_path / "out" / "report.json").read_text())["starburst"]
+        assert (star["p_fold"], star["kind"], star["detail"], star["rotation_residual"]) == (
+            0, "none", "axially symmetric wavefront", None)
+
     def test_invalid_scenario_exit_code(self, tmp_path):
         scen = make_scenario_file(tmp_path, {"alpha": 0.1})
         assert main(["analyze", "--scenario", scen]) == 2

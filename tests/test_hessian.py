@@ -30,13 +30,16 @@ from starburst.hessian import (
     DEDUP_RADIUS,
     DEGENERACY_REL_THRESHOLD,
     GRADIENT_TOL,
+    _GRID_SIZE,
+    _ZOOM_FACTORS,
+    _collect_seeds,
+    _corner_grid,
     _dedup,
-    _distinct_seeds,
     _local_min_mask,
     _pair_basis,
     _stack,
 )
-from starburst.zernike import BivariatePolynomial
+from starburst.zernike import BivariatePolynomial, derivative
 
 EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 # perfbench's highorder wavefront: G has degree 20
@@ -175,20 +178,17 @@ class TestCriticalPointCensus:
             assert det == pytest.approx(p.hess_g_det, rel=1e-12)
 
     def test_highorder_census(self):
-        # G of degree 20: a quarter of its seeds are bit-identical copies,
-        # each run once and still counted in the message
-        w = WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 12, 0.02),
-                            ZernikeTerm(2, 0, 0.02)))
-        search = find_critical_points(build_field(w))
+        # G of degree 20: each grid node is seeded once, however many of its
+        # cells change sign, and each seed counts once in the message
+        search = find_critical_points(build_field(HIGHORDER))
         assert (len(search), len(search.saddles)) == (37, 24)
-        assert search.message == "3 of 627 seeds did not converge"
+        assert search.message == "3 of 447 seeds did not converge"
         assert not search.degenerate
 
-    def test_unconverged_copies_counted(self):
-        # 139 seeds do not converge, 45 of them copies of another
+    def test_unconverged_seeds_counted_once(self):
         search = find_critical_points(build_field(WaveAberration((ZernikeTerm(6, -2, 0.08),))))
         assert (len(search), len(search.saddles)) == (21, 12)
-        assert search.message == "139 of 505 seeds did not converge"
+        assert search.message == "94 of 333 seeds did not converge"
 
 
 class TestDegenerateFields:
@@ -699,11 +699,37 @@ class TestSeeding:
                                                [True, False, False]]
         assert _local_min_mask(np.full((1, 2, 2), np.inf)).all()
 
-    def test_distinct_seeds(self):
-        fidx = np.array([0, 0, 0, 1, 1, 0, 1])
-        x = np.array([0.5, 0.5, -0.0, 0.5, 0.5, 0.0, 0.5])
-        y = np.array([0.25, 0.25, 1.0, 0.25, 0.25, 1.0, 0.75])
-        first, copies = _distinct_seeds(fidx, x, y)
-        # -0.0 and 0.0 are different seeds; the first copy stands for all
-        assert first.tolist() == [0, 2, 3, 5, 6]
-        assert copies.tolist() == [2, 1, 2, 1, 1]
+    @pytest.mark.parametrize("g", [
+        build_field(EQ3.to_wavefront()).G.coeffs[..., None],
+        build_field(HIGHORDER).G.coeffs[..., None],
+        three_term_stacks(5, *_coefficients([ABParams(0.2, 0.2, 0.07, 5),
+                                             ABParams(-0.1, 0.2, 0.05, 5),
+                                             ABParams(0.05, 0.2, -0.3, 5)])),
+    ], ids=["3star", "highorder", "three-term batch"])
+    def test_collect_seeds_each_once(self, g):
+        # every pass seeds the centre of each cell where Gx and Gy both
+        # change sign, each corner node of those cells and each local
+        # minimum of |grad G|, and nothing twice
+        def key(f, x, y):
+            return int(f), x.view(np.int64).item(), y.view(np.int64).item()
+
+        grad = _stack([derivative(g, 0), derivative(g, 1)])
+        xs, ys, grid = _corner_grid(grad, 1.0, _GRID_SIZE)
+        seeds = list(map(key, *_collect_seeds(grad, 1.0, (xs, ys, grid, np.hypot(*grid)))))
+        assert len(set(seeds)) == len(seeds)
+        want, n_cells = set(), 0
+        for zoom in _ZOOM_FACTORS:
+            xs, ys, (gx, gy) = _corner_grid(grad, zoom, _GRID_SIZE)
+            h = 2.0 * zoom / _GRID_SIZE
+            cells = np.ones((g.shape[-1], _GRID_SIZE, _GRID_SIZE), dtype=bool)
+            for v in (gx, gy):
+                corners = np.array([v[:, i:i + _GRID_SIZE, j:j + _GRID_SIZE]
+                                    for i in (0, 1) for j in (0, 1)])
+                cells &= (corners.min(axis=0) < 0) & (corners.max(axis=0) > 0)
+            nodes = _eight_neighbour_min_mask(np.hypot(gx, gy))
+            for f, i, j in zip(*np.nonzero(cells)):
+                want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
+                nodes[f, i:i + 2, j:j + 2] = True
+            want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes)))
+            n_cells += np.count_nonzero(cells)
+        assert n_cells and set(seeds) == want

@@ -5,7 +5,10 @@ tests/golden/analyze_outputs.sha256 (sha256sum format) holds the hash of
 each file `analyze` wrote for the 3star fixture and the radial-order-12
 scenario at grid 512, before the heatmap, marching-squares and symmetry
 code ran on whole arrays; highorder/report.json was pinned again when its
-rotation_residual became the exact Hausdorff residual.  The other four
+rotation_residual became the exact Hausdorff residual, and once more when
+the census seeded each grid node once instead of once per sign-change cell
+around it (its solver_note went from "3 of 627" to "3 of 447 seeds did not
+converge", with every other byte unchanged).  The other four
 fixtures' files were pinned at grid 512 before the figures and contour
 tables were formatted from whole arrays.  The three heat maps of all six
 cases (wavefront.svg, hessian_full.svg, hessian_clipped.svg) were pinned
