@@ -361,19 +361,21 @@ def cmd_regions(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # Each gamma, each alpha and each "count,family" tail is formatted once; a
-    # cell's count follows from its family code.  A row is then one object-
-    # array "+" of its "gamma," and its "alpha,count,family" string.
+    # cell's count follows from its family code.  Row by row, the "gamma,"
+    # strings fill the even slots and each cell's "alpha,count,family" tail
+    # the odd ones, and the file is one join of that list.
     codes = diagram.family_codes
     count_of = np.zeros(4, int)
     count_of[codes] = diagram.counts
     tails = [f"{c},{name}\r\n" for c, name in
              zip(count_of.tolist(), ("none", "even", "odd", "both"))]
-    gammas = np.array([f"{v:.12g}," for v in diagram.gamma_values.tolist()], dtype=object)
+    gammas = [f"{v:.12g}," for v in diagram.gamma_values.tolist()]
     alpha_tails = np.array([[f"{v:.12g}," + t for t in tails]
                             for v in diagram.alpha_values.tolist()], dtype=object)
-    rows = gammas + np.take_along_axis(alpha_tails, codes, axis=1)
-    _write_csv(outdir / "regions_grid.csv", "gamma,alpha,count,family",
-               rows.ravel().tolist())
+    cells = [""] * (2 * codes.size)
+    cells[0::2] = gammas * len(alpha_tails)
+    cells[1::2] = np.take_along_axis(alpha_tails, codes, axis=1).ravel().tolist()
+    _write_csv(outdir / "regions_grid.csv", "gamma,alpha,count,family", cells)
     regions_figure(diagram, outdir / "regions.svg")
     print(f"region diagram for n={args.n}, beta={args.beta} written to {outdir}")
     return 0
@@ -557,10 +559,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import and reused by every main() call: parse_args leaves it
+# unchanged, and building it takes 0.6-1 ms, about a tenth of a default
+# `regions` call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

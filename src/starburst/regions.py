@@ -361,29 +361,35 @@ def _row_state(t, a, row: _Row):
     each axis tol = 1e-12 * max(1, |value|, |lo|, |hi|) over the present
     bounds: relative, with beta as the unit, so a diagram at any beta is
     the same diagram scaled.  Strict needs every slack (value - lo,
-    hi - value) above tol, loose above -tol.  Rounding is monotone, so
-    1e-12 * max(...) is the largest of the products 1e-12 * x: "slack > tol"
-    is "slack exceeds every product" and "slack > -tol" is "slack exceeds
-    some negated product".  That needs no elementwise max, and scalars stay
-    Python floats.
+    hi - value) above tol, loose above -tol: one comparison per slack each.
+    Rounding is monotone, so this tol is the largest of the products
+    1e-12 * x over the four factors, and the booleans are those of comparing
+    each slack with every product.  Only an axis with an array operand
+    takes np.maximum, folding in the bounds before |value| so that tol
+    takes the grid's shape once; on scalars it is one builtin max, so they
+    stay Python floats and give Python bools.
     """
     strict = loose = True
     for value, lo, hi in ((t, row.gamma_lo, row.gamma_hi),
                           (a, row.alpha_lo, row.alpha_hi)):
-        tols = [_BOUNDARY_REL_TOL, _BOUNDARY_REL_TOL * abs(value)]
-        slacks = []
+        if (isinstance(value, np.ndarray) or isinstance(lo, np.ndarray)
+                or isinstance(hi, np.ndarray)):
+            scale = 1.0
+            for bound in (lo, hi):
+                if bound is not None:
+                    scale = np.maximum(scale, abs(bound))
+            tol = _BOUNDARY_REL_TOL * np.maximum(scale, abs(value))
+        else:  # an absent bound counts as 0, which the 1 already covers
+            tol = _BOUNDARY_REL_TOL * max(1.0, abs(value), abs(lo or 0.0), abs(hi or 0.0))
+        neg_tol = -tol
         if lo is not None:
-            tols.append(_BOUNDARY_REL_TOL * abs(lo))
-            slacks.append(value - lo)
+            slack = value - lo
+            strict = strict & (slack > tol)
+            loose = loose & (slack > neg_tol)
         if hi is not None:
-            tols.append(_BOUNDARY_REL_TOL * abs(hi))
-            slacks.append(hi - value)
-        for slack in slacks:
-            above = False
-            for tol in tols:
-                strict = strict & (slack > tol)
-                above = above | (slack > -tol)
-            loose = loose & above
+            slack = hi - value
+            strict = strict & (slack > tol)
+            loose = loose & (slack > neg_tol)
     return strict, loose
 
 
@@ -562,7 +568,7 @@ def admissible_gamma_interval(n: int, beta: float, alpha: float) -> tuple[float,
 # Region diagrams
 # --------------------------------------------------------------------------
 
-MAX_REGION_RESOLUTION = 1001  # samples per axis; regions peaks at an estimated 0.3 GB
+MAX_REGION_RESOLUTION = 1001  # samples per axis; regions then peaks at about 110 MB RSS
 
 DEFAULT_WINDOWS = {
     # (gamma_lo, gamma_hi, alpha_lo, alpha_hi) in units of beta

@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import FIXTURE_PARAMS
 from starburst import (
+    ABParams,
     ARCMIN_PER_MRAD,
     BivariatePolynomial,
     EQUALLY_DISTANCED,
@@ -27,6 +29,7 @@ from starburst.caustics import (
     _PolylineDistance,
     _radial_profile,
     _rotate,
+    _wavefront_fold_order,
 )
 
 
@@ -474,6 +477,23 @@ class TestVerdicts:
         assert verdict.point_count == a.expected_points
         assert verdict.kind == a.expected_kind
         assert verdict.p_fold == a.n
+
+    @pytest.mark.parametrize("name", ["3star", "5star", "4star", "6star", "8stars"])
+    def test_tiny_coma_keeps_the_fixture_verdict(self, name):
+        # 1e-5 um of Z_3^1 leaves W's rotation group trivial (gcd |m| = 1)
+        # but changes no visible feature: the verdict keeps the star's own p
+        # and point count.  Reading p off the wavefront's exact symmetry
+        # would report 1 here.  The verdict reads only the contours, so no
+        # census is run.
+        alpha, beta, gamma, n, _, _, points, kind = FIXTURE_PARAMS[name]
+        base = ABParams(alpha, beta, gamma, n).to_wavefront()
+        w = WaveAberration(base.terms + (ZernikeTerm(3, 1, 1e-5),),
+                           pupil_radius=base.pupil_radius)
+        field = build_field(w)
+        verdict = starburst_verdict(
+            map_caustics(w, extract_contours(field, 256), (), field))
+        assert _wavefront_fold_order(w) == 1
+        assert (verdict.p_fold, verdict.point_count, verdict.kind) == (n, points, kind)
 
     def test_empty_caustics_verdict(self):
         w = WaveAberration((ZernikeTerm(2, 0, 0.3),))

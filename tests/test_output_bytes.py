@@ -27,7 +27,11 @@ tests/golden/regions_outputs.sha256 holds the hashes of
 region predicates ran on arrays.  The four regions.svg were pinned again
 when their shaded cells became one embedded PNG, a pixel per sample,
 instead of one <rect> per shaded cell; the regions_grid.csv hashes did not
-change.  Rerunning the commands must reproduce every byte.
+change.  tests/golden/regions_nondefault_outputs.sha256 holds the hashes
+of four non-default `regions` runs (another resolution, a window, another
+beta, and both), pinned before the row predicate compared each slack once
+and the grid CSV became one joined list.  Rerunning the commands must
+reproduce every byte.
 """
 
 import hashlib
@@ -85,6 +89,25 @@ def test_regions_outputs_match_pinned_hashes(n, tmp_path):
     want = pinned_hashes("regions_outputs.sha256")[f"n{n}"]
     out = tmp_path / "out"
     assert main(["regions", "--n", str(n), "--beta", "0.2", "--out", str(out)]) == 0
+    assert file_hashes(out) == want
+
+
+# case in regions_nondefault_outputs.sha256 -> its `regions` flags
+REGIONS_NONDEFAULT = {
+    "n4_res41": ["--n", "4", "--beta", "0.2", "--res", "41"],
+    "n5_window": ["--n", "5", "--beta", "0.2", "--window=-0.3,0.3,-1,2", "--res", "57"],
+    "n3_beta0.35": ["--n", "3", "--beta", "0.35"],
+    "n6_beta0.1_res200": ["--n", "6", "--beta", "0.1", "--res", "200"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGIONS_NONDEFAULT))
+def test_nondefault_regions_outputs_match_pinned_hashes(case, tmp_path):
+    """regions_nondefault_outputs.sha256 was written by the code from before
+    the one-comparison row predicate and the joined grid CSV."""
+    want = pinned_hashes("regions_nondefault_outputs.sha256")[case]
+    out = tmp_path / "out"
+    assert main(["regions", *REGIONS_NONDEFAULT[case], "--out", str(out)]) == 0
     assert file_hashes(out) == want
 
 

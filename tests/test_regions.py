@@ -31,6 +31,8 @@ from starburst.regions import (
     _family_rows,
     _named_bounds,
     _ring_det_hess_g,
+    _Row,
+    _row_state,
     _saddles_exist,
 )
 
@@ -721,3 +723,137 @@ def strictly_inside(gamma: float, alpha: float, row) -> bool:
         if hi is not None and not hi - value > tol:
             return False
     return True
+
+
+def row_state_reference(t, a, row):
+    """The row rule as a loop over tolerances: each slack is compared with
+    every product 1e-12 * x, x in (1, |value|, |lo|, |hi|) over the present
+    bounds.  Strict needs it above all of them, loose above some negated
+    one."""
+    strict = loose = True
+    for value, lo, hi in ((t, row.gamma_lo, row.gamma_hi),
+                          (a, row.alpha_lo, row.alpha_hi)):
+        tols = [1e-12, 1e-12 * abs(value)]
+        slacks = []
+        if lo is not None:
+            tols.append(1e-12 * abs(lo))
+            slacks.append(value - lo)
+        if hi is not None:
+            tols.append(1e-12 * abs(hi))
+            slacks.append(hi - value)
+        for slack in slacks:
+            above = False
+            for tol in tols:
+                strict = strict & (slack > tol)
+                above = above | (slack > -tol)
+            loose = loose & above
+    return strict, loose
+
+
+def near(bound: float) -> list[float]:
+    """``bound`` itself and values within 1e-13 of it, absolutely and
+    relatively, on both sides."""
+    return [bound, bound - 1e-13, bound + 1e-13,
+            bound * (1.0 - 1e-13), bound * (1.0 + 1e-13)]
+
+
+# BIG + 5000 beats BIG by 5000, which is above 1e-12 * BIG but below
+# 1e-12 * (BIG + 5000): a slack that only the |value| factor decides
+BIG = 4999999999999000.0
+# synthetic rows: absent bounds on either side, infinite and zero bounds
+SYNTHETIC_ROWS = [
+    _Row(("", ""), None, 0.0, -1.0, 2.5),
+    _Row(("", ""), 0.5, None, None, 3.0),
+    _Row(("", ""), -2.0, 1e4, 1.0, None),
+    _Row(("", ""), None, None, -math.inf, 1.0),
+    _Row(("", ""), 0.0, 7.0, math.inf, 1.0),
+    _Row(("", ""), -7.0, math.inf, 0.0, 1e13),
+    _Row(("", ""), BIG, None, None, BIG),
+]
+# slacks exactly equal to tol (1e-12 from a zero bound), and decided by |value|
+EXACT_TIES = [1e-12, -1e-12, BIG + 5000.0, BIG - 5000.0]
+
+
+class TestRowState:
+    """`_row_state` makes one comparison per slack with the largest of the
+    tolerances; the booleans are the per-tolerance loop's."""
+
+    @staticmethod
+    def scalar_cases(row):
+        gammas = [-3.0, 0.0, 0.25, 40.0] + EXACT_TIES
+        alphas = [-5.0, 0.0, 3.87, 1e5] + EXACT_TIES
+        for bound in (row.gamma_lo, row.gamma_hi):
+            if bound is not None and math.isfinite(bound):
+                gammas += near(bound)
+        for bound in (row.alpha_lo, row.alpha_hi):
+            if bound is not None and math.isfinite(bound):
+                alphas += near(bound)
+        return [(g, a) for g in gammas for a in alphas]
+
+    def assert_scalar_rows_match(self, row, cases):
+        for t, a in cases:
+            got = _row_state(t, a, row)
+            assert got == row_state_reference(t, a, row), (t, a, row)
+            assert all(type(flag) is bool for flag in got)
+
+    def test_synthetic_rows_scalars(self):
+        for row in SYNTHETIC_ROWS:
+            self.assert_scalar_rows_match(row, self.scalar_cases(row))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_family_rows_scalars(self, n):
+        g0, g1 = DEFAULT_WINDOWS[n][:2]
+        for t in [g0, -1.0, -1e-3, 1e-3, 0.7, g1] + [
+                v for tick in region_diagram(n, 1.0, resolution=2).ticks.values()
+                for v in near(tick)]:
+            if t == 0.0:
+                continue
+            for row in _family_rows(n, t):
+                cases = [(t, a) for _, a in self.scalar_cases(row)]
+                self.assert_scalar_rows_match(row, cases)
+
+    def test_synthetic_rows_broadcast(self):
+        ts = np.array([-8.0, -2.0, -2.0 - 1e-13, 0.0, 1e-13, 0.5, 0.5 + 1e-13, 7.0,
+                       7.0 * (1.0 - 1e-13), 1e4, 1e4 * (1 + 1e-13)] + EXACT_TIES)
+        a = np.array([-1e13, -1.0, -1.0 + 1e-13, 0.0, 1.0, 1.0 - 1e-13, 1.0 + 1e-13,
+                      2.5, 2.5 * (1.0 + 1e-13), 3.0, 1e13, 1e13 * (1.0 - 1e-13)]
+                     + EXACT_TIES)
+        for row in SYNTHETIC_ROWS:
+            got = _row_state(ts, a[:, None], row)
+            want = row_state_reference(ts, a[:, None], row)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_family_rows_arrays(self, n, s):
+        # a grid of alphas against the rows built on an array of gammas, and
+        # alphas on and within 1e-13 of each row's own alpha bounds
+        g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+        t = s * np.linspace(g0, g1, 50)
+        grid = np.linspace(a0, a1, 61)[:, None]
+        for row in _family_rows(n, t):
+            got = _row_state(t, grid, row)
+            want = row_state_reference(t, grid, row)
+            for g, w in zip(got, want):
+                assert g.shape == (61, 50)
+                np.testing.assert_array_equal(g, w)
+            for bound in (row.alpha_lo, row.alpha_hi):
+                on = np.stack(near(np.broadcast_to(bound, t.shape)))
+                for g, w in zip(_row_state(t, on, row), row_state_reference(t, on, row)):
+                    np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_infinite_alpha2_arrays(self, n):
+        # gammas so small that alpha_2 has no float value: its rows carry an
+        # infinite alpha bound, and must still match the reference
+        t = np.array([-1e-170, -1e-300, 1e-300, 1e-170, 5e-324, 0.3])
+        a = np.array([-20.0, 0.0, SQRT15, 3.0, 20.0])[:, None]
+        rows = _family_rows(n, t)
+        bounds = np.concatenate([np.ravel(b) for r in rows
+                                 for b in (r.alpha_lo, r.alpha_hi)])
+        assert np.isinf(bounds).any()
+        for row in rows:
+            for g, w in zip(_row_state(t, a, row), row_state_reference(t, a, row)):
+                np.testing.assert_array_equal(g, w)
