@@ -14,7 +14,7 @@ contracted from a cached basis of pair polynomials (`three_term_stacks`);
 
 The search is deterministic: seeds come from fixed grids, the Newton
 batch is data-parallel over points and fields, and results are
-deduplicated and sorted by (rho, theta).  Each zoom pass seeds each grid
+deduplicated and listed ring by ring (`_ring_order`).  Each zoom pass seeds each grid
 node once, so no two seeds share (field, x, y) and each counts once in
 the unconverged-seed message.  Each Newton or polish trial is one
 evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
@@ -192,7 +192,8 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class CriticalPointSearch:
-    """Deduplicated, (rho, theta)-ordered critical points plus diagnostics."""
+    """Deduplicated critical points in ring order (`_ring_order`) plus
+    diagnostics."""
 
     points: tuple[CriticalPoint, ...]
     degenerate: bool = False
@@ -406,6 +407,19 @@ def _locate(x: float, y: float, R: float) -> tuple:
     return x, y, r, theta, on_boundary
 
 
+def _ring_order(points, R: float) -> tuple:
+    """``points`` by rho, each ring by theta: a point whose rho is within
+    1e-9 R of the previous point's is on its ring.  The members of a ring
+    share rho up to rounding, so (rho, theta) would order them by noise."""
+    rings: list[list[CriticalPoint]] = []
+    for p in sorted(points, key=lambda p: p.rho):
+        if rings and p.rho - rings[-1][-1].rho <= 1e-9 * R:
+            rings[-1].append(p)
+        else:
+            rings.append([p])
+    return tuple(p for ring in rings for p in sorted(ring, key=lambda p: p.theta))
+
+
 def find_critical_points(
     field: HessianField, domain_radius: float = 1.0
 ) -> CriticalPointSearch:
@@ -510,8 +524,7 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
         elif n_unconverged[f]:
             message = f"{n_unconverged[f]} of {n_seeds[f]} seeds did not converge"
         results.append(CriticalPointSearch(
-            tuple(sorted(points[f], key=lambda p: (p.rho, p.theta))),
-            degenerate, message, *scales))
+            _ring_order(points[f], R), degenerate, message, *scales))
     return results
 
 

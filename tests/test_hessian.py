@@ -154,9 +154,22 @@ class TestCriticalPointCensus:
                 assert d > DEDUP_RADIUS
 
     def test_ordering_and_determinism(self, analyses):
+        # ring by ring outward, each ring by theta: its members share rho up
+        # to rounding, and rounding must not decide their order
         a = analyses["6star"]
-        keys = [(p.rho, p.theta) for p in a.search.points]
-        assert keys == sorted(keys)
+        highorder = find_critical_points(build_field(HIGHORDER))
+        for search in (a.search, highorder):
+            rings = [[search.points[0]]]
+            for p in search.points[1:]:
+                if abs(p.rho - rings[-1][-1].rho) <= 1e-9:
+                    rings[-1].append(p)
+                else:
+                    assert p.rho > rings[-1][-1].rho
+                    rings.append([p])
+            for ring in rings:
+                assert [p.theta for p in ring] == sorted({p.theta for p in ring})
+        outer = [p for p in highorder.points if abs(p.rho - 0.79954177574) < 1e-9]
+        assert [round(math.degrees(p.theta)) for p in outer] == list(range(0, 360, 30))
         again = find_critical_points(a.field)
         assert [(p.x, p.y, p.kind) for p in again.points] == [
             (p.x, p.y, p.kind) for p in a.search.points

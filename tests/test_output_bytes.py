@@ -8,7 +8,11 @@ code ran on whole arrays; highorder/report.json was pinned again when its
 rotation_residual became the exact Hausdorff residual, and once more when
 the census seeded each grid node once instead of once per sign-change cell
 around it (its solver_note went from "3 of 627" to "3 of 447 seeds did not
-converge", with every other byte unchanged).  The other four
+converge", with every other byte unchanged), and once more, with its
+critical_points.csv and retina.svg, when the census listed each ring by
+theta instead of by (rho, theta), which had ordered the twelve members of
+its outer saddle ring by the rounding of their rho (the same rows and
+markers, reordered).  The other four
 fixtures' files were pinned at grid 512 before the figures and contour
 tables were formatted from whole arrays.  The three heat maps of all six
 cases (wavefront.svg, hessian_full.svg, hessian_clipped.svg) were pinned
