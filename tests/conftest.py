@@ -8,21 +8,12 @@ from starburst import (
     find_critical_points,
     map_caustics,
 )
-
-# the five reference wavefronts: alpha, beta, gamma, n and their published
-# census (total cusps of Gauss, saddles) and verdict (points, kind)
-FIXTURE_PARAMS = {
-    "3star": (0.0, 0.2, 0.2, 3, 7, 3, 3, "equally_distanced"),
-    "5star": (0.2, 0.2, 0.07, 5, 11, 5, 5, "equally_distanced"),
-    "4star": (0.0, 0.2, 0.15, 4, 9, 4, 4, "equally_distanced"),
-    "6star": (0.0, 0.2, 0.19, 6, 7, 6, 6, "equally_distanced"),
-    "8stars": (0.0, 0.2, 0.09, 4, 9, 4, 8, "non_equally_distanced"),
-}
+from starburst.cli import FIXTURE_SCENARIOS
 
 
 class FixtureAnalysis:
     def __init__(self, name, grid=512):
-        alpha, beta, gamma, n, cusps, saddles, points, kind = FIXTURE_PARAMS[name]
+        alpha, beta, gamma, n, cusps, saddles, points, kind = FIXTURE_SCENARIOS[name]
         self.name = name
         self.params = ABParams(alpha, beta, gamma, n)
         self.n = n
@@ -41,7 +32,7 @@ class FixtureAnalysis:
 
 @pytest.fixture(scope="session")
 def analyses():
-    return {name: FixtureAnalysis(name) for name in FIXTURE_PARAMS}
+    return {name: FixtureAnalysis(name) for name in FIXTURE_SCENARIOS}
 
 
 def det_hess_g(field, x, y):

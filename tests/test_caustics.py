@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_PARAMS
 from starburst import (
     ABParams,
     ARCMIN_PER_MRAD,
@@ -31,6 +30,7 @@ from starburst.caustics import (
     _rotate,
     _wavefront_fold_order,
 )
+from starburst.cli import FIXTURE_SCENARIOS
 
 
 HIGHORDER_TERMS = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
@@ -485,7 +485,7 @@ class TestVerdicts:
         # and point count.  Reading p off the wavefront's exact symmetry
         # would report 1 here.  The verdict reads only the contours, so no
         # census is run.
-        alpha, beta, gamma, n, _, _, points, kind = FIXTURE_PARAMS[name]
+        alpha, beta, gamma, n, _, _, points, kind = FIXTURE_SCENARIOS[name]
         base = ABParams(alpha, beta, gamma, n).to_wavefront()
         w = WaveAberration(base.terms + (ZernikeTerm(3, 1, 1e-5),),
                            pupil_radius=base.pupil_radius)

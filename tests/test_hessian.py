@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,10 @@ EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 # perfbench's highorder wavefront: G has degree 20
 HIGHORDER = WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 12, 0.02),
                             ZernikeTerm(2, 0, 0.02)))
+# 130 isolated critical points (68 saddles, 61 extrema, 1 degenerate), which
+# the census flags as a non-isolated set (ROADMAP item 2)
+DEGREE12 = WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 6, 0.05),
+                           ZernikeTerm(8, -4, 0.05), ZernikeTerm(3, 1, 0.1)))
 
 
 class TestBuildField:
@@ -219,6 +224,17 @@ class TestDegenerateFields:
     def test_zero_aberration_flagged(self):
         res = find_critical_points(build_field(WaveAberration(())))
         assert res.degenerate
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("alpha", [0.0, -0.1])
+    def test_near_axial_flagged_or_complete(self, alpha, n):
+        # alpha Z_2^0 + 0.2 Z_4^0 + 1e-10 Z_n^n has 1 + 2n critical points,
+        # the centre and a ring of n per family; today the point-count limit
+        # flags it, and a census without that limit must still flag it or
+        # find them all (ROADMAP items 2 and 13)
+        (census,) = census_from_stacks(three_term_stacks(
+            n, *_coefficients([ABParams(alpha, 0.2, 1e-10, n)])))
+        assert census.degenerate or len(census) == 1 + 2 * n
 
 
 class TestSaddleBound:
@@ -746,3 +762,43 @@ class TestSeeding:
             want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes)))
             n_cells += np.count_nonzero(cells)
         assert n_cells and set(seeds) == want
+
+
+# one line per census: name, points, saddles, degenerate flag (0 or 1) and
+# each point's class in ring order (s saddle, e extremum, d degenerate; "-"
+# for none).  A change that means to mend a census miss regenerates it with
+# `PYTHONPATH=src python tests/test_hessian.py` and names the lines that moved.
+CENSUS_CORPUS = Path(__file__).parent / "golden" / "census_corpus.txt"
+
+
+def census_corpus_lines() -> list[str]:
+    """The pinned corpus: the five fixtures, highorder, the degree-12
+    wavefront, the wavefronts of TestKnownCensusMisses (from the pair basis)
+    and the first 100 `verify` draws per n = 3..6 at seed 7, censused 16 at
+    a time as `verify` does."""
+    censuses = [(name, find_critical_points(build_field(ABParams(*row[:4]).to_wavefront())))
+                for name, row in FIXTURE_SCENARIOS.items()]
+    censuses += [(name, find_critical_points(build_field(w)))
+                 for name, w in (("highorder", HIGHORDER), ("degree12", DEGREE12))]
+    misses = [pytest.param(RIM_RING, id="rim-ring"), *TestKnownCensusMisses.DROPPED_EXTREMA]
+    for miss in misses:
+        (params,) = miss.values
+        censuses += [(miss.id, *census_from_stacks(
+            three_term_stacks(params.n, *_coefficients([params]))))]
+    for n in (3, 4, 5, 6):
+        draws = list(_verification_samples(n, 0.2, 100, 7))
+        for start in range(0, len(draws), 16):
+            chunk = census_from_stacks(three_term_stacks(n, *_coefficients(draws[start:start + 16])))
+            censuses += [(f"verify-n{n}-{k}", c) for k, c in enumerate(chunk, start)]
+    return [f"{name} {len(c)} {len(c.saddles)} {int(c.degenerate)} "
+            f"{''.join(p.kind.value[0] for p in c) or '-'}" for name, c in censuses]
+
+
+class TestCensusCorpus:
+    def test_counts_classes_and_flags_are_pinned(self):
+        want = CENSUS_CORPUS.read_text(encoding="utf-8").splitlines()
+        assert census_corpus_lines() == want
+
+
+if __name__ == "__main__":
+    CENSUS_CORPUS.write_text("\n".join(census_corpus_lines()) + "\n", encoding="utf-8")
