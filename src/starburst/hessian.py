@@ -12,15 +12,15 @@ three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n that stack is
 contracted from a cached basis of pair polynomials (`three_term_stacks`);
 `build_field` serves any W.
 
-The search is deterministic: seeds come from fixed grids, the Newton
-batch is data-parallel over points and fields, and results are
-deduplicated and listed ring by ring (`_ring_order`).  Each zoom pass seeds each grid
-node once, so no two seeds share (field, x, y) and each counts once in
-the unconverged-seed message.  Each Newton or polish trial is one
+The search is deterministic: seeds come from fixed grids, one Newton
+kernel (`_newton`) runs data-parallel over points and fields, and results
+are deduplicated and listed ring by ring (`_ring_order`).  Each zoom pass
+seeds each grid node once, so no two seeds share (field, x, y) and each
+counts once in the unconverged-seed message.  Each Newton trial is one
 evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
-step reuses.  Every converged seed is polished, not one per root:
-deduplication keeps each root's best-polished iterate, and which seed
-that is decides the noise-level digits of the reported point.
+step reuses.  Every seed runs to its own best iterate, damped and then,
+once converged, undamped: deduplication keeps each root's best, and which
+seed that is decides the noise-level digits of the reported point.
 """
 
 from __future__ import annotations
@@ -272,42 +272,49 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
 def _newton_step(gx, gy, gxx, gxy, gyy):
     """Newton step (dx, dy) for grad G = 0 at a point, given grad G = (gx,
     gy) and Hess G = [[gxx, gxy], [gxy, gyy]] there (the rows of one
-    evaluation of the census's Newton stack), and det(Hess G); the step is
-    not finite where det is 0."""
+    evaluation of the census's Newton stack); not finite where det(Hess G)
+    is 0."""
     det = gxx * gyy - gxy * gxy
     with np.errstate(divide="ignore", invalid="ignore"):
         dx = -(gyy * gx - gxy * gy) / det
         dy = -(-gxy * gx + gxx * gy) / det
-    return dx, dy, det
+    return dx, dy
 
 
-def _newton_batch(newton, fidx, x, y, domain_radius: float, conv_tol):
-    """Damped Newton from every seed at once; point k belongs to field
-    ``fidx[k]`` and stops at |grad G| <= ``conv_tol[k]``.  Every trial point
-    is one evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack ``newton``, so the
-    next step reuses the Hessian of the accepted one.  Returns the final
-    iterates and those five values there."""
+def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
+    """Newton on grad G = 0 from every seed at once; point k belongs to field
+    ``fidx[k]``.  Every trial point is one evaluation of the (Gx, Gy, Gxx,
+    Gxy, Gyy) stack ``newton``, so the next step reuses the Hessian of the
+    last.  A step that does not lower |grad G| is halved, up to
+    _MAX_HALVINGS times.  A point that no halving moves stops, unless its
+    |grad G| is within ``accept_tol[k]``: then it takes up to
+    _POLISH_ITERATIONS full steps of at most 0.05 R, and keeps its best
+    iterate (next to strongly anisotropic saddles |grad G| is not monotone
+    along Newton's direction, and full steps converge there).  A point also
+    stops at |grad G| <= ``floor_tol[k]``.  Returns each seed's best iterate
+    and its |grad G|."""
     x, y = x.copy(), y.copy()
     v = gathered_values(newton, fidx, x, y)
     gn = np.hypot(v[0], v[1])
-    active = np.isfinite(gn) & (gn > conv_tol)
-    span = 2.0 * domain_radius
+    best_x, best_y, best_gn = x.copy(), y.copy(), gn.copy()
+    full = np.full(len(x), -1)  # full steps taken; -1 while damped
+    active = np.isfinite(gn) & (gn > floor_tol)
     for _ in range(_MAX_ITERATIONS):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        fi = fidx[idx]
-        xi, yi = x[idx], y[idx]
-        dx, dy, det = _newton_step(*v[:, idx])
-        bad = ~np.isfinite(det) | (det == 0.0)
-        dx[bad] = dy[bad] = 0.0
-        # damped update: where the full step grows the gradient norm, take
-        # the first halving that does not, else the last; every halving of
-        # those points is one evaluation
+        fi, xi, yi, polish = fidx[idx], x[idx], y[idx], full[idx] >= 0
+        dx, dy = _newton_step(*v[:, idx])
+        step = np.hypot(dx, dy)
+        ok = np.isfinite(step) & ~(polish & (step > 0.05 * domain_radius))
+        dx[~ok] = dy[~ok] = 0.0
         nx, ny = xi + dx, yi + dy
         nv = gathered_values(newton, fi, nx, ny)
         ngn = np.hypot(nv[0], nv[1])
-        worse = np.flatnonzero(~(ngn <= gn[idx]))
+        # where a damped step grows |grad G|, take its first halving that
+        # does not, else the last; every halving of those points is one
+        # evaluation
+        worse = np.flatnonzero(~polish & ~(ngn <= gn[idx]))
         if worse.size:
             scale = np.cumprod(np.full((_MAX_HALVINGS, 1), _DAMPING), axis=0)
             hx = xi[worse] + scale * dx[worse]
@@ -321,49 +328,20 @@ def _newton_batch(newton, fidx, x, y, domain_radius: float, conv_tol):
             col = np.arange(worse.size)
             nx[worse], ny[worse] = hx[pick, col], hy[pick, col]
             nv[:, worse], ngn[worse] = hv[:, pick, col], hgn[pick, col]
-        step = np.hypot(nx - xi, ny - yi)
-        progressed = ngn < gn[idx]
-        moved = idx[progressed]
-        x[moved], y[moved], gn[moved] = nx[progressed], ny[progressed], ngn[progressed]
-        v[:, moved] = nv[:, progressed]
-        gn_new = gn[idx]
-        stop = ((gn_new <= conv_tol[idx]) | bad | ~progressed | (step <= 1e-15 * domain_radius)
-                | ~np.isfinite(gn_new) | (np.hypot(x[idx], y[idx]) > 2.0 * span))
+        improved = ngn < best_gn[idx]
+        b = idx[improved]
+        best_x[b], best_y[b], best_gn[b] = nx[improved], ny[improved], ngn[improved]
+        move = improved | polish  # a damped point moves only downhill
+        m = idx[move]
+        x[m], y[m], gn[m], v[:, m] = nx[move], ny[move], ngn[move], nv[:, move]
+        stalled = ~polish & ~improved
+        full[idx[polish]] += 1
+        full[idx[stalled & (best_gn[idx] <= accept_tol[idx])]] = 0
+        stop = ((stalled & (full[idx] < 0)) | (full[idx] >= _POLISH_ITERATIONS)
+                | (polish & (~ok | (step <= 1e-16 * domain_radius)))
+                | ~(gn[idx] > floor_tol[idx])
+                | (np.hypot(x[idx], y[idx]) > 4.0 * domain_radius))
         active[idx[stop]] = False
-    return x, y, v
-
-
-def _newton_polish(newton, fidx, x, y, v, domain_radius: float):
-    """Undamped Newton refinement of already-located points, given the
-    values ``v`` of the (Gx, Gy, Gxx, Gxy, Gyy) stack ``newton`` at them.
-
-    The damped search can stall a few micro-cells away from strongly
-    anisotropic saddles (the gradient norm is not monotone along Newton's
-    direction there); full steps converge quadratically once inside the
-    basin.  Keeps the best iterate seen per point."""
-    x, y, v = x.copy(), y.copy(), v.copy()
-    best_gn = np.hypot(v[0], v[1])
-    best_x, best_y = x.copy(), y.copy()
-    active = np.ones(len(x), dtype=bool)
-    max_step = 0.05 * domain_radius
-    for _ in range(_POLISH_ITERATIONS):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        fi = fidx[idx]
-        xi, yi = x[idx], y[idx]
-        dx, dy, _ = _newton_step(*v[:, idx])
-        step = np.hypot(dx, dy)
-        ok = np.isfinite(step) & (step <= max_step)
-        nx = np.where(ok, xi + dx, xi)
-        ny = np.where(ok, yi + dy, yi)
-        nv = gathered_values(newton, fi, nx, ny)
-        ngn = np.hypot(nv[0], nv[1])
-        improved = ok & np.isfinite(ngn) & (ngn < best_gn[idx])
-        gidx = idx[improved]
-        best_x[gidx], best_y[gidx], best_gn[gidx] = nx[improved], ny[improved], ngn[improved]
-        x[idx], y[idx], v[:, idx] = nx, ny, nv
-        active[idx] = ok & (step > 1e-16 * domain_radius)
     return best_x, best_y, best_gn
 
 
@@ -469,7 +447,6 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
     gscale = np.max(gnorm, axis=(1, 2))
     g_abs_scale = np.max(np.abs(grid[0]), axis=(1, 2))
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
-    conv_tol = 1e-12 * gscale
     accept_tol = GRADIENT_TOL * gscale
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
 
@@ -477,16 +454,10 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)
-    x, y, v = _newton_batch(newton, fidx, x, y, R, conv_tol[fidx])
-    gn = np.hypot(v[0], v[1])
-    ok = np.isfinite(gn) & (gn <= accept_tol[fidx])
+    x, y, gn = _newton(newton, fidx, x, y, R, accept_tol[fidx], 1e-16 * gscale[fidx])
+    ok = gn <= accept_tol[fidx]
     n_unconverged = np.bincount(fidx[~ok], minlength=n_fields)
-    # polish every converged seed, not one per root: _dedup keeps the
-    # best-polished of each root, and a lone representative would move the
-    # noise-level digits of the points reported
-    fidx = fidx[ok]
-    x, y, gn = _newton_polish(newton, fidx, x[ok], y[ok], v[:, ok], R)
-    keep = (gn <= accept_tol[fidx]) & (np.hypot(x, y) <= R * (1.0 + _BOUNDARY_CLAMP))
+    keep = ok & (np.hypot(x, y) <= R * (1.0 + _BOUNDARY_CLAMP))
     fidx, x, y, gn = fidx[keep], x[keep], y[keep], gn[keep]
 
     # keep the best-converged representative of each cluster

@@ -26,6 +26,10 @@ clipped contour took plain products instead of a BLAS dot: its spike tips
 then come from the other member of each mirror pair of rim ends (angles
 0.2035, 90.2035, 179.7965 and 269.7965 degrees instead of 90.2035,
 180.2035, 269.7965 and 359.7965), with the same count, radius and kind.
+The critical_points.csv and report.json of 3star, 4star, 5star, 8stars
+and highorder were pinned again when one Newton loop replaced the damped
+search and its separate polish: coordinates that are zero up to rounding
+(below 3e-20) took other rounding digits, and every other byte stayed.
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again
