@@ -289,10 +289,9 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
     _MAX_HALVINGS times.  A point that no halving moves stops, unless its
     |grad G| is within ``accept_tol[k]``: then it takes up to
     _POLISH_ITERATIONS full steps of at most 0.05 R, and keeps its best
-    iterate (next to strongly anisotropic saddles |grad G| is not monotone
-    along Newton's direction, and full steps converge there).  A point also
-    stops at |grad G| <= ``floor_tol[k]``.  Returns each seed's best iterate
-    and its |grad G|."""
+    iterate (full steps help where |grad G| is not monotone along Newton's
+    direction, as on near-axial rings).  A point also stops at |grad G| <=
+    ``floor_tol[k]``.  Returns each seed's best iterate and its |grad G|."""
     x, y = x.copy(), y.copy()
     v = gathered_values(newton, fidx, x, y)
     gn = np.hypot(v[0], v[1])

@@ -780,11 +780,10 @@ def census_corpus_lines() -> list[str]:
                 for name, row in FIXTURE_SCENARIOS.items()]
     censuses += [(name, find_critical_points(build_field(w)))
                  for name, w in (("highorder", HIGHORDER), ("degree12", DEGREE12))]
-    misses = [pytest.param(RIM_RING, id="rim-ring"), *TestKnownCensusMisses.DROPPED_EXTREMA]
-    for miss in misses:
-        (params,) = miss.values
-        censuses += [(miss.id, *census_from_stacks(
-            three_term_stacks(params.n, *_coefficients([params]))))]
+    misses = [("rim-ring", RIM_RING)] + [(p.id, *p.values)
+                                         for p in TestKnownCensusMisses.DROPPED_EXTREMA]
+    censuses += [(name, *census_from_stacks(three_term_stacks(p.n, *_coefficients([p]))))
+                 for name, p in misses]
     for n in (3, 4, 5, 6):
         draws = list(_verification_samples(n, 0.2, 100, 7))
         for start in range(0, len(draws), 16):
