@@ -37,7 +37,7 @@ from .caustics import (
 )
 from .hessian import build_field, census_from_stacks, find_critical_points, three_term_stacks
 from .regions import DEFAULT_WINDOWS, ABParams, boundary_slacks, predict_saddles, region_diagram
-from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure
+from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure, write_new_file
 from .zernike import WaveAberration, ZernikeTerm
 
 FIXTURE_SCENARIOS = {
@@ -162,15 +162,14 @@ def _round_floats(obj):
 
 def write_report_json(path: Path, payload: dict) -> None:
     body = json.dumps(_round_floats(payload), sort_keys=True, indent=2)
-    path.write_text(body + "\n", encoding="utf-8")
+    write_new_file(path, body + "\n")
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
     """Write preformatted lines, each ending in \\r\\n, under a header, as one
     joined string in one write: what csv.writer's excel dialect writes for
     fields that need no quoting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(itertools.chain([header + "\r\n"], lines)))
+    write_new_file(path, "".join(itertools.chain([header + "\r\n"], lines)))
 
 
 def _contour_rows(curves) -> str:

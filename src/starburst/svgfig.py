@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import math
+import os
 import struct
 import zlib
 
@@ -87,8 +88,23 @@ class SvgCanvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_string())
+        write_new_file(path, self.to_string())
+
+
+def write_new_file(path, text: str) -> None:
+    """Write ``text`` as UTF-8, byte for byte, to a new file at ``path``.
+
+    A file, symlink or hard link already at ``path`` is unlinked first, not
+    truncated or written through, so a rerun into the same directory creates
+    a new inode: truncating a file the last run wrote can wait for that
+    file's writeback.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "xb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _rect(x, y, w, h, fill, stroke="none") -> str:

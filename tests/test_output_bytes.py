@@ -39,7 +39,8 @@ change.  tests/golden/regions_nondefault_outputs.sha256 holds the hashes
 of four non-default `regions` runs (another resolution, a window, another
 beta, and both), pinned before the row predicate compared each slack once
 and the grid CSV became one joined list.  Rerunning the commands must
-reproduce every byte.
+reproduce every byte, into a fresh directory or over the files of an
+earlier run.
 """
 
 import hashlib
@@ -122,3 +123,56 @@ def test_nondefault_regions_outputs_match_pinned_hashes(case, tmp_path):
 def file_hashes(directory: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in directory.iterdir()}
+
+
+def test_analyze_over_larger_outputs_matches_pinned_hashes(tmp_path):
+    """3star over the order-12 scenario's files at grid 256, whose report.json,
+    critical_points.csv and retina.svg are longer than 3star's."""
+    out = tmp_path / "out"
+    scenario = tmp_path / "order12.json"
+    scenario.write_text(json.dumps({**HIGHORDER, "grid_resolution": 256}), encoding="utf-8")
+    assert main(["analyze", "--scenario", str(scenario), "--out", str(out)]) == 0
+    want = pinned_hashes("analyze_outputs.sha256")["3star"]
+    assert file_hashes(out) != want
+    assert main(analyze_argv("3star", tmp_path) + ["--out", str(out)]) == 0
+    assert file_hashes(out) == want
+
+
+def test_regions_over_larger_outputs_matches_pinned_hashes(tmp_path):
+    out = tmp_path / "out"
+    argv = ["regions", "--n", "5", "--beta", "0.2", "--out", str(out)]
+    assert main(argv + ["--res", "301"]) == 0
+    assert main(argv) == 0
+    assert file_hashes(out) == pinned_hashes("regions_outputs.sha256")["n5"]
+
+
+@pytest.mark.parametrize("command, name", [("analyze", "report.json"),
+                                           ("regions", "regions.svg")])
+def test_directory_at_an_output_path_is_one_error_line(command, name, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = (analyze_argv("3star", tmp_path) if command == "analyze"
+            else ["regions", "--n", "3", "--beta", "0.2"])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_links_at_output_paths_are_replaced_not_written_through(tmp_path):
+    """A symlink at regions.svg and a hard link at regions_grid.csv each
+    become a regular file with the pinned bytes; the symlink's target and
+    the hard link's other name keep their contents."""
+    out = tmp_path / "out"
+    out.mkdir()
+    target, other = tmp_path / "target.svg", tmp_path / "other.csv"
+    target.write_text("target\n", encoding="utf-8")
+    other.write_text("other\n", encoding="utf-8")
+    (out / "regions.svg").symlink_to(target)
+    (out / "regions_grid.csv").hardlink_to(other)
+    assert main(["regions", "--n", "3", "--beta", "0.2", "--out", str(out)]) == 0
+    assert not (out / "regions.svg").is_symlink()
+    assert (out / "regions_grid.csv").stat().st_nlink == 1
+    assert file_hashes(out) == pinned_hashes("regions_outputs.sha256")["n3"]
+    assert target.read_text(encoding="utf-8") == "target\n"
+    assert other.read_text(encoding="utf-8") == "other\n"
