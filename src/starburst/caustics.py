@@ -28,7 +28,7 @@ from .zernike import WaveAberration
 
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
-MAX_GRID_RESOLUTION = 4096  # largest; analyze then peaks at 227-229 MB RSS
+MAX_GRID_RESOLUTION = 4096  # largest; analyze then peaks at 226-229 MB RSS
 
 # Verdict constants (see starburst_verdict).
 _PROFILE_BINS = 360  # 1-degree bins of the radial extent profile
