@@ -16,6 +16,7 @@ significant digits, no timestamps (timing goes to stdout only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -170,6 +171,26 @@ def _write_csv(path: Path, header: str, lines) -> None:
     joined string in one write: what csv.writer's excel dialect writes for
     fields that need no quoting."""
     write_new_file(path, "".join(itertools.chain([header + "\r\n"], lines)))
+
+
+@contextlib.contextmanager
+def _output_dir(path):
+    """Make the directory ``path`` and its missing parents before the
+    computation that fills it, so that an --out that cannot be made fails
+    first.  If the computation raises, the directories made here are
+    removed again, from the deepest up, while they are empty."""
+    path = Path(path)
+    made = [p for p in (path, *path.parents) if not p.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        for p in made:
+            try:
+                p.rmdir()
+            except OSError:
+                break
+        raise
 
 
 def _contour_rows(curves) -> str:
@@ -330,9 +351,9 @@ def cmd_analyze(args) -> int:
     if args.out:
         scenario.output_dir = args.out
     t0 = time.perf_counter()
-    report, artifacts = run_analysis(scenario)
-    Path(scenario.output_dir).mkdir(parents=True, exist_ok=True)
-    _emit_analysis_files(Path(scenario.output_dir), report, *artifacts)
+    with _output_dir(scenario.output_dir) as outdir:
+        report, artifacts = run_analysis(scenario)
+    _emit_analysis_files(outdir, report, *artifacts)
     elapsed = time.perf_counter() - t0
     counts = report["counts"]
     star = report["starburst"]
@@ -356,9 +377,9 @@ def cmd_regions(args) -> int:
         except ValueError:
             raise ValueError("--window expects G0,G1,A0,A1") from None
         gamma_range, alpha_range = (g0, g1), (a0, a1)
-    diagram = region_diagram(args.n, args.beta, gamma_range, alpha_range, resolution=args.res)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _output_dir(args.out) as outdir:
+        diagram = region_diagram(args.n, args.beta, gamma_range, alpha_range,
+                                 resolution=args.res)
     # Each gamma, each alpha and each "count,family" tail is formatted once; a
     # cell's count follows from its family code.  Row by row, the "gamma,"
     # strings fill the even slots and each cell's "alpha,count,family" tail

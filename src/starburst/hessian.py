@@ -16,11 +16,15 @@ The search is deterministic: seeds come from fixed grids, one Newton
 kernel (`_newton`) runs data-parallel over points and fields, and results
 are deduplicated and listed ring by ring (`_ring_order`).  Each zoom pass
 seeds each grid node once, so no two seeds share (field, x, y) and each
-counts once in the unconverged-seed message.  Each Newton trial is one
-evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
-step reuses.  Every seed runs to its own best iterate, damped and then,
-once converged, undamped: deduplication keeps each root's best, and which
-seed that is decides the noise-level digits of the reported point.
+counts once in the unconverged-seed message.  A pass reads the sign
+changes of Gx and Gy from one 4-bit code per node, and the local minima of
+|grad G| from gx^2 + gy^2 scaled by a power of two per field, not from
+np.hypot.  Each Newton trial is one evaluation of the (Gx, Gy, Gxx, Gxy,
+Gyy) stack, whose Hessian the next step reuses; the loop keeps only the
+running seeds' state, compacted, and drops a seed when it stops.  Every
+seed runs to its own best iterate, damped and then, once converged,
+undamped: deduplication keeps each root's best, and which seed that is
+decides the noise-level digits of the reported point.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .zernike import (
     derivative,
     gathered_values,
     grid_values,
+    row_widths,
 )
 
 
@@ -227,10 +232,18 @@ def _corner_grid(stack: np.ndarray, radius: float, n: int):
     return xs, ys, grid_values(stack, xs, ys)
 
 
-def _sign_change_cells(v: np.ndarray) -> np.ndarray:
-    pos, neg = ((s[..., :-1, :-1] | s[..., 1:, :-1] | s[..., :-1, 1:] | s[..., 1:, 1:])
-                for s in (v > 0, v < 0))
-    return pos & neg
+def _sign_change_cells(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Cells of a corner grid where both gx and gy change sign: each node's
+    4-bit code (gx > 0, gx < 0, gy > 0, gy < 0), ORed over the cell's four
+    corners, has every bit set.  A zero, -0.0 or NaN sets no bit."""
+    code = (gx > 0).view(np.uint8)
+    code |= (gx < 0).view(np.uint8) << 1
+    code |= (gy > 0).view(np.uint8) << 2
+    code |= (gy < 0).view(np.uint8) << 3
+    cell = code[..., :-1, :-1] | code[..., 1:, :-1]
+    cell |= code[..., :-1, 1:]
+    cell |= code[..., 1:, 1:]
+    return cell == 15
 
 
 def _local_min_mask(v: np.ndarray) -> np.ndarray:
@@ -247,26 +260,66 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
 
 
 def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
-    """(field index, x, y) seeds from every zoom pass, each seeded once: the
-    centre of every cell of the pass's corner grid where both components of
+    """(field index, x, y) seeds from every zoom pass, each seeded once, and
+    each field's largest |grad G| on the zoom-1 grid.  A pass seeds the
+    centre of every cell of its corner grid where both components of
     ``grad`` change sign, then every node that is a corner of such a cell
-    or a local minimum of |grad|; ``base`` is the zoom-1 corner grid of
-    ``grad`` and |grad| on it."""
+    or a local minimum of |grad G|.  ``base`` is the zoom-1 corner grid
+    (xs, ys, (gx, gy)) of ``grad``; its gx and gy are scaled in place.
+
+    The minima are taken on gx^2 + gy^2, not on np.hypot(gx, gy), after the
+    sign changes are read: each field's gx and gy are scaled by one exact
+    power of two that puts the largest component of its zoom-1 grid in
+    [0.5, 1), so every square there is below 2 at any coefficient scale.
+    The mask can then differ from hypot's only where two neighbouring nodes'
+    |grad G| agree to a few ulps (the square rounds twice, hypot once), or
+    where both are below 2^-511 of the field's largest, whose squares lose
+    bits below the normal range.  The largest |grad G| is still hypot's:
+    hypot is taken only at the nodes whose square is within 1e-12 of the
+    field's largest square, and unscaled exactly."""
+    xs, ys, (gx, gy) = base
+    top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
+    # 2^-e for the largest component's exponent e, kept a normal float
+    power = np.clip(-np.frexp(top)[1], -1022, 1023)
+    scale = np.ldexp(1.0, power)[:, None, None]
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
-        xs, ys, (gx, gy) = base[:3] if zoom == 1.0 else _corner_grid(grad, radius, _GRID_SIZE)
-        gnorm = base[3] if zoom == 1.0 else np.hypot(gx, gy)
-        cells = _sign_change_cells(gx) & _sign_change_cells(gy)
-        f, ci, cj = np.nonzero(cells)
+        if zoom != 1.0:
+            xs, ys, (gx, gy) = _corner_grid(grad, radius, _GRID_SIZE)
+        cells = _sign_change_cells(gx, gy)
+        gx *= scale
+        gy *= scale
+        square = gx * gx
+        square += gy * gy
+        if zoom == 1.0:
+            gscale = _largest_norm(gx, gy, square, scale)
         h = 2.0 * radius / _GRID_SIZE
+        f, ci, cj = np.unravel_index(np.flatnonzero(cells), cells.shape)
         blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
-        nodes = _local_min_mask(gnorm)
+        nodes = _local_min_mask(square)
         for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):  # each such cell's corners
             nodes[:, di:di + _GRID_SIZE, dj:dj + _GRID_SIZE] |= cells
-        f, i, j = np.nonzero(nodes)
+        f, i, j = np.unravel_index(np.flatnonzero(nodes), nodes.shape)
         blocks.append((f, xs[i], ys[j]))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return (*(np.concatenate(parts) for parts in zip(*blocks)), gscale)
+
+
+def _largest_norm(gx, gy, square, scale) -> np.ndarray:
+    """Each field's largest np.hypot of the unscaled (gx, gy), given gx and
+    gy scaled by ``scale`` and ``square`` = gx^2 + gy^2: hypot is taken only
+    where the square is within 1e-12 of the field's largest, which holds
+    hypot's largest.  Dividing by the power of two is exact for those nodes;
+    a component it would round is too small to move hypot.  NaN for a field
+    whose squares hold a NaN."""
+    top = square.max(axis=(1, 2))
+    near = np.flatnonzero(square >= (top * (1.0 - 1e-12))[:, None, None])
+    f = near // square[0].size
+    unscale = scale.ravel()[f]
+    norm = np.hypot(gx.ravel()[near] / unscale, gy.ravel()[near] / unscale)
+    largest = np.where(np.isnan(top), np.nan, 0.0)
+    np.maximum.at(largest, f, norm)
+    return largest
 
 
 def _newton_step(gx, gy, gxx, gxy, gyy):
@@ -291,56 +344,67 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
     _POLISH_ITERATIONS full steps of at most 0.05 R, and keeps its best
     iterate (full steps help where |grad G| is not monotone along Newton's
     direction, as on near-axial rings).  A point also stops at |grad G| <=
-    ``floor_tol[k]``.  Returns each seed's best iterate and its |grad G|."""
-    x, y = x.copy(), y.copy()
-    v = gathered_values(newton, fidx, x, y)
+    ``floor_tol[k]``.  Returns each seed's best iterate and its |grad G|.
+
+    The state of the points still running is kept in compacted arrays, in
+    seed order, and a point leaves them, its best iterate written out, on
+    the iteration it stops; the stack's `row_widths` are taken once."""
+    widths = row_widths(newton)
+    v = gathered_values(newton, fidx, x, y, widths)
     gn = np.hypot(v[0], v[1])
     best_x, best_y, best_gn = x.copy(), y.copy(), gn.copy()
-    full = np.full(len(x), -1)  # full steps taken; -1 while damped
-    active = np.isfinite(gn) & (gn > floor_tol)
+    idx = np.flatnonzero(np.isfinite(gn) & (gn > floor_tol))  # the running seeds
+    fi, x, y, v, gn = fidx[idx], x[idx], y[idx], v[:, idx], gn[idx]
+    accept, floor = accept_tol[idx], floor_tol[idx]
+    bx, by, bgn = x.copy(), y.copy(), gn.copy()
+    full = np.full(idx.size, -1)  # full steps taken; -1 while damped
     for _ in range(_MAX_ITERATIONS):
-        idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        fi, xi, yi, polish = fidx[idx], x[idx], y[idx], full[idx] >= 0
-        dx, dy = _newton_step(*v[:, idx])
+        polish = full >= 0
+        dx, dy = _newton_step(*v)
         step = np.hypot(dx, dy)
         ok = np.isfinite(step) & ~(polish & (step > 0.05 * domain_radius))
         dx[~ok] = dy[~ok] = 0.0
-        nx, ny = xi + dx, yi + dy
-        nv = gathered_values(newton, fi, nx, ny)
+        nx, ny = x + dx, y + dy
+        nv = gathered_values(newton, fi, nx, ny, widths)
         ngn = np.hypot(nv[0], nv[1])
         # where a damped step grows |grad G|, take its first halving that
         # does not, else the last; every halving of those points is one
         # evaluation
-        worse = np.flatnonzero(~polish & ~(ngn <= gn[idx]))
+        worse = np.flatnonzero(~polish & ~(ngn <= gn))
         if worse.size:
             scale = np.cumprod(np.full((_MAX_HALVINGS, 1), _DAMPING), axis=0)
-            hx = xi[worse] + scale * dx[worse]
-            hy = yi[worse] + scale * dy[worse]
+            hx = x[worse] + scale * dx[worse]
+            hy = y[worse] + scale * dy[worse]
             hv = gathered_values(newton, np.tile(fi[worse], _MAX_HALVINGS),
-                                 hx.ravel(), hy.ravel()).reshape(len(nv), _MAX_HALVINGS, -1)
+                                 hx.ravel(), hy.ravel(), widths).reshape(len(nv), _MAX_HALVINGS, -1)
             hgn = np.hypot(hv[0], hv[1])
-            better = hgn <= gn[idx[worse]]
+            better = hgn <= gn[worse]
             better[-1] = True
             pick = better.argmax(axis=0)
             col = np.arange(worse.size)
             nx[worse], ny[worse] = hx[pick, col], hy[pick, col]
             nv[:, worse], ngn[worse] = hv[:, pick, col], hgn[pick, col]
-        improved = ngn < best_gn[idx]
-        b = idx[improved]
-        best_x[b], best_y[b], best_gn[b] = nx[improved], ny[improved], ngn[improved]
+        improved = ngn < bgn
+        bx[improved], by[improved], bgn[improved] = nx[improved], ny[improved], ngn[improved]
         move = improved | polish  # a damped point moves only downhill
-        m = idx[move]
-        x[m], y[m], gn[m], v[:, m] = nx[move], ny[move], ngn[move], nv[:, move]
+        x[move], y[move], gn[move], v[:, move] = nx[move], ny[move], ngn[move], nv[:, move]
         stalled = ~polish & ~improved
-        full[idx[polish]] += 1
-        full[idx[stalled & (best_gn[idx] <= accept_tol[idx])]] = 0
-        stop = ((stalled & (full[idx] < 0)) | (full[idx] >= _POLISH_ITERATIONS)
+        full[polish] += 1
+        full[stalled & (bgn <= accept)] = 0
+        stop = ((stalled & (full < 0)) | (full >= _POLISH_ITERATIONS)
                 | (polish & (~ok | (step <= 1e-16 * domain_radius)))
-                | ~(gn[idx] > floor_tol[idx])
-                | (np.hypot(x[idx], y[idx]) > 4.0 * domain_radius))
-        active[idx[stop]] = False
+                | ~(gn > floor)
+                | (np.hypot(x, y) > 4.0 * domain_radius))
+        if stop.any():
+            done = idx[stop]
+            best_x[done], best_y[done], best_gn[done] = bx[stop], by[stop], bgn[stop]
+            run = ~stop
+            idx, fi, x, y, v, gn = idx[run], fi[run], x[run], y[run], v[:, run], gn[run]
+            accept, floor, bx, by, bgn = accept[run], floor[run], bx[run], by[run], bgn[run]
+            full = full[run]
+    best_x[idx], best_y[idx], best_gn[idx] = bx, by, bgn
     return best_x, best_y, best_gn
 
 
@@ -442,14 +506,11 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
         return []
     # the zoom-1 seed grid also sets the gradient and |G| scales
     xs, ys, grid = _corner_grid(_stack([g, gx, gy]), R, _GRID_SIZE)
-    gnorm = np.hypot(grid[1], grid[2])
-    gscale = np.max(gnorm, axis=(1, 2))
     g_abs_scale = np.max(np.abs(grid[0]), axis=(1, 2))
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
-    accept_tol = GRADIENT_TOL * gscale
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
-
-    fidx, x, y = _collect_seeds(newton[:, :, :2], R, (xs, ys, grid[1:], gnorm))
+    fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, (xs, ys, grid[1:]))
+    accept_tol = GRADIENT_TOL * gscale
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)

@@ -70,23 +70,32 @@ def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:
     return out
 
 
-def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y) -> np.ndarray:
+def row_widths(coeffs: np.ndarray) -> list[int]:
+    """The Horner row widths of a (DX, DY, ...) coefficient stack, as
+    `gathered_values` carries them: row i in x carries the columns up to the
+    last nonzero one of rows i and above in any polynomial of the stack, and
+    at least one.  Only +0.0 counts as zero: it leaves every Horner sum's
+    bits unchanged, a -0.0 coefficient can flip a zero's sign."""
+    nonzero = (coeffs != 0.0) | np.signbit(coeffs)
+    rows = nonzero.reshape(coeffs.shape[0], coeffs.shape[1], -1).any(axis=2)
+    last = (rows * np.arange(1, rows.shape[1] + 1)).max(axis=1)  # 0 for no column
+    return np.maximum(np.maximum.accumulate(last[::-1])[::-1], 1).tolist()
+
+
+def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y, widths=None) -> np.ndarray:
     """Values at each point (x[k], y[k]) of its own polynomials
     coeffs[:, :, ..., index[k]], stacked as in `grid_values`: shape
     coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.
 
     Gathers one Horner row per step, never the whole per-point coefficient
-    block, and only its leading columns: row i in x carries the columns up
-    to the last nonzero one of rows i and above, so the zero triangle above
-    the total degree is skipped.  Only +0.0 counts as zero: it leaves every
-    Horner sum's bits unchanged, a -0.0 coefficient can flip a zero's sign.
-    A skipped column would stay +0.0 at a finite point; at a non-finite one
-    every column is NaN, and at least one is always carried.  A stack of
-    one field broadcasts its rows instead of gathering them."""
-    nonzero = (coeffs != 0.0) | np.signbit(coeffs)
-    rows = nonzero.reshape(coeffs.shape[0], coeffs.shape[1], -1).any(axis=2)
-    last = (rows * np.arange(1, rows.shape[1] + 1)).max(axis=1)  # 0 for no column
-    widths = np.maximum(np.maximum.accumulate(last[::-1])[::-1], 1).tolist()
+    block, and only its leading columns, the stack's `row_widths`, so the
+    zero triangle above the total degree is skipped.  A caller that
+    evaluates one stack many times passes its ``widths`` once; None computes
+    them.  A skipped column would stay +0.0 at a finite point; at a
+    non-finite one every column is NaN, and at least one is always carried.
+    A stack of one field broadcasts its rows instead of gathering them."""
+    if widths is None:
+        widths = row_widths(coeffs)
     field = slice(0, 1) if coeffs.shape[-1] == 1 else index
     c = np.zeros((widths[0],) + coeffs.shape[2:-1] + (len(x),))
     for row, width in zip(coeffs[::-1], widths[::-1]):

@@ -198,6 +198,24 @@ class TestAnalyzeCommand:
                      "--grid", "64", "--out", str(tmp_path / "afile" / "sub")]) == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_unusable_out_fails_before_the_analysis(self, tmp_path, capsys, monkeypatch):
+        # the directory is made first, so an --out under a regular file
+        # fails at once, not after the whole computation
+        calls = []
+        monkeypatch.setattr(cli, "run_analysis", lambda *a: calls.append(a))
+        (tmp_path / "afile").write_text("")
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2", "--n", "3",
+                     "--grid", "4096", "--out", str(tmp_path / "afile" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and calls == []
+
+    def test_failed_analysis_removes_only_the_directories_it_made(self, tmp_path):
+        argv = ["analyze", "--alpha", "0", "--beta", "1e305", "--gamma", "1e300", "--n", "3"]
+        assert main(argv + ["--out", str(tmp_path / "new" / "deeper")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "old").mkdir()
+        assert main(argv + ["--out", str(tmp_path / "old" / "new")]) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["old"]
+
     def test_output_file_collision_exit_code(self, tmp_path, capsys):
         # a directory where report.json goes: the write fails after the analysis
         (tmp_path / "out" / "report.json").mkdir(parents=True)
@@ -436,6 +454,14 @@ class TestRegionsCommand:
         assert main(["regions", "--n", "3", "--beta", "0.2", "--res", "11",
                      "--out", str(tmp_path / "afile" / "sub")]) == 2
         assert "error: " in capsys.readouterr().err
+
+    def test_unusable_out_fails_before_the_diagram(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "region_diagram", lambda *a, **k: calls.append(a))
+        (tmp_path / "afile").write_text("")
+        assert main(["regions", "--n", "5", "--beta", "0.2", "--res", "1001",
+                     "--out", str(tmp_path / "afile" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and calls == []
 
     @pytest.mark.parametrize("name", ["regions.svg", "regions_grid.csv"])
     def test_output_file_collision_exit_code(self, name, tmp_path, capsys):

@@ -19,6 +19,7 @@ from starburst import (
     field_from_polynomial,
     find_critical_points,
     find_critical_points_batch,
+    hessian,
     predict_saddles,
     rescale_check,
     saddle_radii,
@@ -27,7 +28,11 @@ from starburst import (
 )
 from starburst.cli import FIXTURE_SCENARIOS, _verification_samples
 from starburst.hessian import (
+    _DAMPING,
+    _MAX_HALVINGS,
+    _MAX_ITERATIONS,
     _PAIRS,
+    _POLISH_ITERATIONS,
     DEDUP_RADIUS,
     DEGENERACY_REL_THRESHOLD,
     GRADIENT_TOL,
@@ -37,10 +42,13 @@ from starburst.hessian import (
     _corner_grid,
     _dedup,
     _local_min_mask,
+    _newton,
+    _newton_step,
     _pair_basis,
+    _sign_change_cells,
     _stack,
 )
-from starburst.zernike import BivariatePolynomial, derivative
+from starburst.zernike import BivariatePolynomial, derivative, gathered_values
 
 EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 # perfbench's highorder wavefront: G has degree 20
@@ -458,6 +466,33 @@ class TestKnownCensusMisses:
             params.n] * len(radii)
         assert len(census) == 1 + params.n * len(radii)
 
+    # perfbench `verify --seed 2916`, op 79: the closed form puts the even
+    # family's 6 saddles on rho = 0.136891, beside an extremum ring at
+    # rho = 0.137066; the census drops the saddle at theta = 180 degrees
+    SMALL_RING = ABParams(0.7309953181537744, 0.2, -0.006509335436258645, 6)
+
+    def test_small_ring_prediction(self):
+        pred = predict_saddles(self.SMALL_RING)
+        assert (pred.count, pred.families, pred.boundary) == (6, ("even",), False)
+        assert pred.rings[0].rho == pytest.approx(0.136891, abs=1e-6)
+        radii = saddle_radii(self.SMALL_RING)
+        assert radii.odd == (pytest.approx(0.137066, abs=1e-6),)
+
+    @pytest.mark.xfail(strict=True, reason="the census finds 5 of the 6 saddles of a "
+                       "ring beside an extremum ring, with only an unconverged-seed "
+                       "message (ROADMAP items 1 and 4)")
+    @pytest.mark.parametrize("path", ["build_field", "pair_basis"])
+    def test_small_saddle_ring_found(self, path):
+        params = self.SMALL_RING
+        if path == "build_field":
+            census = find_critical_points(build_field(params.to_wavefront()))
+        else:
+            (census,) = census_from_stacks(three_term_stacks(6, *_coefficients([params])))
+        radii = saddle_radii(params)
+        assert [sum(abs(p.rho - r) < 1e-6 for p in census)
+                for r in radii.even + radii.odd] == [6, 6]
+        assert len(census.saddles) == 6 and len(census) == 13
+
 
 def _mixed_fields(seed, count):
     """Three-term fields of mixed order plus mixed-m and degenerate ones."""
@@ -736,32 +771,160 @@ class TestSeeding:
                                              ABParams(0.05, 0.2, -0.3, 5)])),
     ], ids=["3star", "highorder", "three-term batch"])
     def test_collect_seeds_each_once(self, g):
-        # every pass seeds the centre of each cell where Gx and Gy both
-        # change sign, each corner node of those cells and each local
-        # minimum of |grad G|, and nothing twice
-        def key(f, x, y):
-            return int(f), x.view(np.int64).item(), y.view(np.int64).item()
-
         grad = _stack([derivative(g, 0), derivative(g, 1)])
         xs, ys, grid = _corner_grid(grad, 1.0, _GRID_SIZE)
-        seeds = list(map(key, *_collect_seeds(grad, 1.0, (xs, ys, grid, np.hypot(*grid)))))
-        assert len(set(seeds)) == len(seeds)
-        want, n_cells = set(), 0
-        for zoom in _ZOOM_FACTORS:
-            xs, ys, (gx, gy) = _corner_grid(grad, zoom, _GRID_SIZE)
-            h = 2.0 * zoom / _GRID_SIZE
-            cells = np.ones((g.shape[-1], _GRID_SIZE, _GRID_SIZE), dtype=bool)
-            for v in (gx, gy):
-                corners = np.array([v[:, i:i + _GRID_SIZE, j:j + _GRID_SIZE]
-                                    for i in (0, 1) for j in (0, 1)])
-                cells &= (corners.min(axis=0) < 0) & (corners.max(axis=0) > 0)
-            nodes = _eight_neighbour_min_mask(np.hypot(gx, gy))
-            for f, i, j in zip(*np.nonzero(cells)):
-                want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
-                nodes[f, i:i + 2, j:j + 2] = True
-            want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes)))
-            n_cells += np.count_nonzero(cells)
-        assert n_cells and set(seeds) == want
+        _check_seeds(grad, 1.0, _collect_seeds(grad, 1.0, (xs, ys, grid)))
+
+    def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
+        # every seed grid of the pinned corpus, and the fixtures at the
+        # coefficient scales of TestCoefficientScale
+        checked = []
+
+        def spy(grad, radius, base):
+            got = _collect_seeds(grad, radius, base)
+            _check_seeds(grad, radius, got)
+            checked.append(grad.shape[-1])
+            return got
+
+        monkeypatch.setattr(hessian, "_collect_seeds", spy)
+        stacks = corpus_stacks() + scaled_stacks()
+        for _, g in stacks:
+            census_from_stacks(g)
+        assert sum(checked) == sum(len(names) for names, _ in stacks)
+
+    def test_sign_change_cells_match_two_passes(self):
+        # few distinct values, so that cells with zeros, -0.0, NaN and +-inf
+        # corners are common
+        rng = np.random.default_rng(29)
+        values = np.array([-np.inf, -2.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+        for shape in ((1, 2, 2), (3, 9, 7), (2, 65, 65)):
+            gx, gy = values[rng.integers(0, len(values), (2,) + shape)]
+            got = _sign_change_cells(gx, gy)
+            assert got.shape == (shape[0], shape[1] - 1, shape[2] - 1)
+            assert np.array_equal(got, _two_pass_sign_change_cells(gx, gy))
+        assert got.any() and not got.all()
+        z = np.array([[[1.0, -0.0], [0.0, 2.0]]])  # -0.0 is not negative
+        assert not _sign_change_cells(z, -z)[0, 0, 0]
+        assert _sign_change_cells(z - 1.5, 1.5 - z)[0, 0, 0]
+
+    def test_newton_matches_reference(self, monkeypatch):
+        # the compacted loop gives every seed's best iterate and |grad G|
+        # bit for bit as the loop that gathers through the running indices
+        checked = []
+
+        def spy(newton, fidx, x, y, radius, accept_tol, floor_tol):
+            got = _newton(newton, fidx, x, y, radius, accept_tol, floor_tol)
+            want = newton_reference(newton, fidx, x, y, radius, accept_tol, floor_tol)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            checked.append(len(x))
+            return got
+
+        monkeypatch.setattr(hessian, "_newton", spy)
+        stacks = corpus_stacks() + scaled_stacks()
+        for _, g in stacks:
+            census_from_stacks(g)
+        assert len(checked) == len(stacks) and sum(checked) > 20_000
+
+
+def _two_pass_sign_change_cells(gx, gy):
+    """Reference: cells with a positive and a negative corner, in gx and in
+    gy, each sign tested on its own pass."""
+    def changes(v):
+        pos, neg = ((s[..., :-1, :-1] | s[..., 1:, :-1] | s[..., :-1, 1:] | s[..., 1:, 1:])
+                    for s in (v > 0, v < 0))
+        return pos & neg
+    return changes(gx) & changes(gy)
+
+
+def _check_seeds(grad, radius, got):
+    """``got``, the seeds and gradient scales of `_collect_seeds` for the
+    (DX, DY, 2, fields) stack ``grad``, against a reference that takes its
+    minima on np.hypot(gx, gy): every pass seeds the centre of each cell
+    where Gx and Gy both change sign, each corner node of those cells and
+    each local minimum of |grad G|, and nothing twice; the scale is the
+    largest hypot on the zoom-1 grid.  The kernel takes its minima on
+    gx^2 + gy^2, so its mask could differ from this one where two
+    neighbouring nodes' |grad G| agree to a few ulps (or both lie below
+    2^-511 of the largest); no grid checked here holds such a pair."""
+    def key(f, x, y):
+        return int(f), x.view(np.int64).item(), y.view(np.int64).item()
+
+    *seeds, gscale = got
+    seeds = list(map(key, *seeds))
+    assert len(set(seeds)) == len(seeds)
+    want, n_cells = set(), 0
+    for zoom in _ZOOM_FACTORS:
+        xs, ys, (gx, gy) = _corner_grid(grad, radius * zoom, _GRID_SIZE)
+        h = 2.0 * radius * zoom / _GRID_SIZE
+        cells = np.ones((grad.shape[-1], _GRID_SIZE, _GRID_SIZE), dtype=bool)
+        for v in (gx, gy):
+            corners = np.array([v[:, i:i + _GRID_SIZE, j:j + _GRID_SIZE]
+                                for i in (0, 1) for j in (0, 1)])
+            cells &= (corners.min(axis=0) < 0) & (corners.max(axis=0) > 0)
+        norm = np.hypot(gx, gy)
+        if zoom == 1.0:
+            assert np.array_equal(gscale, norm.max(axis=(1, 2)))
+        nodes = _eight_neighbour_min_mask(norm)
+        for f, i, j in zip(*np.nonzero(cells)):
+            want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
+            nodes[f, i:i + 2, j:j + 2] = True
+        want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes)))
+        n_cells += np.count_nonzero(cells)
+    assert n_cells and set(seeds) == want
+
+
+def newton_reference(newton, fidx, x, y, domain_radius, accept_tol, floor_tol):
+    """The census's Newton loop as it was before its state was compacted:
+    every iteration gathers the running points' state through their
+    indices and scatters it back.  `_newton` must match it bit for bit."""
+    x, y = x.copy(), y.copy()
+    v = gathered_values(newton, fidx, x, y)
+    gn = np.hypot(v[0], v[1])
+    best_x, best_y, best_gn = x.copy(), y.copy(), gn.copy()
+    full = np.full(len(x), -1)
+    active = np.isfinite(gn) & (gn > floor_tol)
+    for _ in range(_MAX_ITERATIONS):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        fi, xi, yi, polish = fidx[idx], x[idx], y[idx], full[idx] >= 0
+        dx, dy = _newton_step(*v[:, idx])
+        step = np.hypot(dx, dy)
+        ok = np.isfinite(step) & ~(polish & (step > 0.05 * domain_radius))
+        dx[~ok] = dy[~ok] = 0.0
+        nx, ny = xi + dx, yi + dy
+        nv = gathered_values(newton, fi, nx, ny)
+        ngn = np.hypot(nv[0], nv[1])
+        worse = np.flatnonzero(~polish & ~(ngn <= gn[idx]))
+        if worse.size:
+            scale = np.cumprod(np.full((_MAX_HALVINGS, 1), _DAMPING), axis=0)
+            hx = xi[worse] + scale * dx[worse]
+            hy = yi[worse] + scale * dy[worse]
+            hv = gathered_values(newton, np.tile(fi[worse], _MAX_HALVINGS),
+                                 hx.ravel(), hy.ravel()).reshape(len(nv), _MAX_HALVINGS, -1)
+            hgn = np.hypot(hv[0], hv[1])
+            better = hgn <= gn[idx[worse]]
+            better[-1] = True
+            pick = better.argmax(axis=0)
+            col = np.arange(worse.size)
+            nx[worse], ny[worse] = hx[pick, col], hy[pick, col]
+            nv[:, worse], ngn[worse] = hv[:, pick, col], hgn[pick, col]
+        improved = ngn < best_gn[idx]
+        b = idx[improved]
+        best_x[b], best_y[b], best_gn[b] = nx[improved], ny[improved], ngn[improved]
+        move = improved | polish
+        m = idx[move]
+        x[m], y[m], gn[m], v[:, m] = nx[move], ny[move], ngn[move], nv[:, move]
+        stalled = ~polish & ~improved
+        full[idx[polish]] += 1
+        full[idx[stalled & (best_gn[idx] <= accept_tol[idx])]] = 0
+        stop = ((stalled & (full[idx] < 0)) | (full[idx] >= _POLISH_ITERATIONS)
+                | (polish & (~ok | (step <= 1e-16 * domain_radius)))
+                | ~(gn[idx] > floor_tol[idx])
+                | (np.hypot(x[idx], y[idx]) > 4.0 * domain_radius))
+        active[idx[stop]] = False
+    return best_x, best_y, best_gn
 
 
 # one line per census: name, points, saddles, degenerate flag (0 or 1) and
@@ -771,26 +934,47 @@ class TestSeeding:
 CENSUS_CORPUS = Path(__file__).parent / "golden" / "census_corpus.txt"
 
 
-def census_corpus_lines() -> list[str]:
-    """The pinned corpus: the five fixtures, highorder, the degree-12
-    wavefront, the wavefronts of TestKnownCensusMisses (from the pair basis)
-    and the first 100 `verify` draws per n = 3..6 at seed 7, censused 16 at
-    a time as `verify` does."""
-    censuses = [(name, find_critical_points(build_field(ABParams(*row[:4]).to_wavefront())))
-                for name, row in FIXTURE_SCENARIOS.items()]
-    censuses += [(name, find_critical_points(build_field(w)))
-                 for name, w in (("highorder", HIGHORDER), ("degree12", DEGREE12))]
+def corpus_stacks() -> list[tuple[list[str], np.ndarray]]:
+    """The pinned corpus as (names, G stack) per census call: the five
+    fixtures, highorder, the degree-12 wavefront, the wavefronts of
+    TestKnownCensusMisses (from the pair basis) and the first 100 `verify`
+    draws per n = 3..6 at seed 7, censused 16 at a time as `verify` does."""
+    stacks = [([name], _stack([build_field(ABParams(*row[:4]).to_wavefront()).G.coeffs]))
+              for name, row in FIXTURE_SCENARIOS.items()]
+    stacks += [([name], _stack([build_field(w).G.coeffs]))
+               for name, w in (("highorder", HIGHORDER), ("degree12", DEGREE12))]
     misses = [("rim-ring", RIM_RING)] + [(p.id, *p.values)
                                          for p in TestKnownCensusMisses.DROPPED_EXTREMA]
-    censuses += [(name, *census_from_stacks(three_term_stacks(p.n, *_coefficients([p]))))
-                 for name, p in misses]
+    stacks += [([name], three_term_stacks(p.n, *_coefficients([p]))) for name, p in misses]
     for n in (3, 4, 5, 6):
         draws = list(_verification_samples(n, 0.2, 100, 7))
         for start in range(0, len(draws), 16):
-            chunk = census_from_stacks(three_term_stacks(n, *_coefficients(draws[start:start + 16])))
-            censuses += [(f"verify-n{n}-{k}", c) for k, c in enumerate(chunk, start)]
+            chunk = draws[start:start + 16]
+            stacks.append(([f"verify-n{n}-{k}" for k in range(start, start + len(chunk))],
+                           three_term_stacks(n, *_coefficients(chunk))))
+    return stacks
+
+
+# the scalings 2^k of TestCoefficientScale, from the last at which G can be
+# squared, and 2^246 near the top of that range.  Unscaled, |grad G|^2 would
+# be subnormal on every node of the zoomed grids at 2^-260 and reach 3e305
+# at 2^246.
+SCALINGS = (-260, -200, -150, -64, -23, -1, 1, 17, 40, 246)
+
+
+def scaled_stacks() -> list[tuple[list[str], np.ndarray]]:
+    """Each fixture at every scaling of SCALINGS, one batch per fixture."""
+    return [([f"{name}*2^{k}" for k in SCALINGS],
+             _stack([build_field(_scaled_fixture(name, k).to_wavefront()).G.coeffs
+                     for k in SCALINGS]))
+            for name in FIXTURE_SCENARIOS]
+
+
+def census_corpus_lines() -> list[str]:
+    """One line per census of `corpus_stacks`."""
     return [f"{name} {len(c)} {len(c.saddles)} {int(c.degenerate)} "
-            f"{''.join(p.kind.value[0] for p in c) or '-'}" for name, c in censuses]
+            f"{''.join(p.kind.value[0] for p in c) or '-'}"
+            for names, g in corpus_stacks() for name, c in zip(names, census_from_stacks(g))]
 
 
 class TestCensusCorpus:

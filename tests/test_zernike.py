@@ -13,7 +13,7 @@ from starburst import (
     build_field,
 )
 from starburst.hessian import _stack
-from starburst.zernike import _trim, derivative, gathered_values, grid_values
+from starburst.zernike import _trim, derivative, gathered_values, grid_values, row_widths
 
 
 def all_valid_terms(max_order):
@@ -365,6 +365,9 @@ class TestStackedHorner:
         x[2::5] = -np.abs(x[2::5])
         out = gathered_values(stack, index, x, y)
         assert out.shape == (3, points)
+        # the row widths taken once and passed in give the same bits
+        passed = gathered_values(stack, index, x, y, row_widths(stack))
+        assert np.array_equal(passed.view(np.int64), out.view(np.int64))
         for m, row in enumerate(polys):
             for k, c in enumerate(row):
                 sel = index == k
