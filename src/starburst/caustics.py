@@ -458,16 +458,18 @@ class _PolylineDistance:
         """min(largest distance, cap) of each of ``runs`` equal runs of the
         points.  Every _PROBE_STRIDE-th point is measured first; as distance
         is 1-Lipschitz, the others are measured only where that can raise
-        their run's largest distance, and not at all in a run at the cap."""
-        run = np.arange(len(points)) // (len(points) // runs)
-        probe = np.arange(len(points)) // _PROBE_STRIDE * _PROBE_STRIDE
+        their run's largest distance, and not at all in a run at the cap.  A
+        probe point is measured once: its own bound is its distance."""
+        index = np.arange(len(points))
+        run = index // (len(points) // runs)
+        probe = index // _PROBE_STRIDE * _PROBE_STRIDE
         near = self.distances(points[::_PROBE_STRIDE], cap)
         worst = np.zeros(runs)
         np.maximum.at(worst, run[::_PROBE_STRIDE], near)
         # rounding in a distance scales with the coordinates
         bound = (near[probe // _PROBE_STRIDE] + np.hypot(*(points - points[probe]).T)
                  + 1e-9 * float(np.abs(points).max()))
-        todo = np.flatnonzero((bound > worst[run]) & (worst[run] < cap))
+        todo = np.flatnonzero((probe != index) & (bound > worst[run]) & (worst[run] < cap))
         np.maximum.at(worst, run[todo], self.distances(points[todo], cap))
         return worst
 
@@ -599,31 +601,47 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
     Peaks are found on the periodically extended profile; each peak must
     exceed the visibility threshold and protrude by at least
     _PROMINENCE_REL of its own radius above its surroundings.  The tip
-    is the exact vertex of largest radius near the peak bin; adjacent peaks
-    that share that vertex give one tip."""
+    is the exact vertex of largest radius near the peak bin, the first
+    such vertex on a tie; adjacent peaks that share that vertex give one
+    tip.  Every peak's tip is picked in one pass over (peak, vertex) pairs,
+    each peak paired only with the vertices of its bin and the three on
+    either side: its window spans bins b - 2 to b + 2, and rounding moves
+    a vertex by far less than a bin."""
     bins = len(profile)
-    ext = np.tile(profile, 3)
-    idx, prominences = _find_peaks(ext)
-    tips = {}  # vertex index -> its tip
-    width = 2.0 * math.pi / bins
-    for k, pk in enumerate(idx):
-        if not (bins <= pk < 2 * bins):
-            continue
-        b = pk - bins
-        if not occupied[b]:
-            continue
-        radius = profile[b]
-        if radius < threshold or prominences[k] < _PROMINENCE_REL * radius:
-            continue
-        lo = (b - 2) * width
-        hi = (b + 3) * width
-        dphi = (phi - lo) % (2.0 * math.pi)
-        sel = dphi < (hi - lo)
-        if not np.any(sel):
-            continue
-        j = np.nonzero(sel)[0][np.argmax(r[sel])]
-        tips[int(j)] = SpikeTip(radius_arcmin=float(r[j]), angle=float(phi[j]))
-    return sorted(tips.values(), key=lambda t: t.angle)
+    idx, prominences = _find_peaks(np.tile(profile, 3))
+    middle = (bins <= idx) & (idx < 2 * bins)
+    b, prominences = idx[middle] - bins, prominences[middle]
+    radius = profile[b]
+    b = b[occupied[b] & ~(radius < threshold) & ~(prominences < _PROMINENCE_REL * radius)]
+    width, turn = 2.0 * math.pi / bins, 2.0 * math.pi
+    lo = (b - 2) * width
+    span = (b + 3) * width - lo
+    # the vertices by bin, in index order within a bin
+    q = np.minimum((phi / width).astype(np.intp), bins - 1)
+    order = np.argsort(q, kind="stable")
+    first = np.searchsorted(q[order], np.arange(bins + 1))
+    near = (b[:, None] + np.arange(-3, 4)) % bins
+    count = first[near + 1] - first[near]
+    vertex = order[_ranges(first[near].ravel(), count.ravel())]
+    peak = np.repeat(np.arange(len(b)), count.sum(axis=1))
+    # (phi - lo) % turn, written out: phi is in [0, turn] and lo in
+    # [-2 width, turn), so the difference d is in (-turn, 2 turn), where
+    # fmod is exact and np.remainder gives d + turn below 0, d - turn
+    # (exact) from turn on, and d between
+    d = phi[vertex] - lo[peak]
+    high = d >= turn
+    np.add(d, turn, out=d, where=d < 0.0)
+    np.subtract(d, turn, out=d, where=high)
+    sel = d < span[peak]
+    peak, vertex = peak[sel], vertex[sel]
+    # by peak, then largest radius, then lowest index: each peak's first
+    rank = np.lexsort((vertex, -r[vertex], peak))
+    peak, vertex = peak[rank], vertex[rank]
+    picks = vertex[np.diff(peak, prepend=-1) != 0]
+    # a vertex that tips several peaks is listed once, where it came first
+    tips = [SpikeTip(radius_arcmin=float(r[j]), angle=float(phi[j]))
+            for j in dict.fromkeys(picks.tolist())]
+    return sorted(tips, key=lambda t: t.angle)
 
 
 def _meridian_aligned(tips, p):
@@ -732,6 +750,9 @@ def starburst_verdict(
 # --------------------------------------------------------------------------
 
 
+_SCAN_BUDGET = 1 << 16  # (saddle, vertex) pairs of one fertility_report pass
+
+
 @dataclass(frozen=True)
 class FertilityFlag:
     point: CriticalPoint
@@ -750,8 +771,11 @@ def fertility_report(
 
     A closed polyline snaking past the saddle twice counts as two
     branches: passes are maximal runs of consecutive vertices within the
-    distance, with circular wrap for closed polylines.  Each saddle is one
-    pass over the vertices of all polylines together.
+    distance, with circular wrap for closed polylines.  All saddles are one
+    (saddles x vertices) pass over the vertices of all polylines together,
+    _SCAN_BUDGET pairs at a time.  The distances are np.hypot's, bit for
+    bit, though hypot is taken only where the squared distance is too close
+    to call.
     """
     polylines = contours.polylines
     if not polylines:
@@ -768,20 +792,35 @@ def fertility_report(
     body[lasts[closed]] = False
     head = np.zeros(len(cloud), dtype=bool)
     head[firsts] = True
+    saddles = tuple(saddles)
+    sx = np.array([s.x for s in saddles], dtype=float)[:, None]
+    sy = np.array([s.y for s in saddles], dtype=float)[:, None]
+    # np.hypot rounds once but costs over ten times dx^2 + dy^2, which rounds
+    # three times, so it is taken only where the square cannot settle the
+    # answer: within 1e-12 of the distance's square, and of each saddle's
+    # least square; the slack covers the absolute rounding of squares below
+    # the normal range
+    slack = 64 * np.finfo(float).smallest_subnormal
+    inside = distance * distance * (1.0 - 1e-12) - slack
+    outside = distance * distance * (1.0 + 1e-12) + slack
     flags = []
-    for s in saddles:
-        d = np.hypot(cloud[:, 0] - s.x, cloud[:, 1] - s.y)
-        close = d <= distance
+    step = max(_SCAN_BUDGET // len(cloud), 1)
+    for rows in (slice(k, k + step) for k in range(0, len(saddles), step)):
+        dx, dy = cloud[:, 0] - sx[rows], cloud[:, 1] - sy[rows]
+        square = dx * dx + dy * dy
+        close = square < inside
+        edge = ~close & ~(square > outside)
+        close[edge] = np.hypot(dx[edge], dy[edge]) <= distance
+        least = square <= (square.min(axis=1) * (1.0 + 1e-12) + slack)[:, None]
+        d = np.full(square.shape, np.inf)
+        d[least] = np.hypot(dx[least], dy[least])
         starts = close & body
-        starts[1:] &= ~close[:-1] | head[1:]
-        runs = np.add.reduceat(starts, firsts, dtype=np.intp)
+        starts[:, 1:] &= ~close[:, :-1] | head[1:]
+        runs = np.add.reduceat(starts, firsts, axis=1, dtype=np.intp)
         # wrap joins the first and last run of a closed polyline
-        runs -= closed & close[firsts] & close[lasts - 1] & (runs > 1)
-        branches = int(runs.sum())
-        flags.append(FertilityFlag(
-            point=s,
-            fertile=branches >= 2,
-            branch_count=branches,
-            min_distance=float(d.min()),
-        ))
+        runs -= closed & close[:, firsts] & close[:, lasts - 1] & (runs > 1)
+        flags += [FertilityFlag(point=s, fertile=branches >= 2, branch_count=branches,
+                                min_distance=nearest)
+                  for s, branches, nearest in zip(saddles[rows], runs.sum(axis=1).tolist(),
+                                                  d.min(axis=1).tolist())]
     return tuple(flags)

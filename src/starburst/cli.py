@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -173,15 +175,27 @@ def _write_csv(path: Path, header: str, lines) -> None:
     write_new_file(path, "".join(itertools.chain([header + "\r\n"], lines)))
 
 
+# the files each command writes into its output directory
+ANALYZE_FILES = ("report.json", "contours_pupil.csv", "contours_retina.csv",
+                 "critical_points.csv", "wavefront.svg", "hessian_full.svg",
+                 "hessian_clipped.svg", "retina.svg")
+REGIONS_FILES = ("regions_grid.csv", "regions.svg")
+
+
 @contextlib.contextmanager
-def _output_dir(path):
+def _output_dir(path, names):
     """Make the directory ``path`` and its missing parents before the
-    computation that fills it, so that an --out that cannot be made fails
-    first.  If the computation raises, the directories made here are
-    removed again, from the deepest up, while they are empty."""
+    computation that fills it, and check that no output file ``names`` in it
+    is a directory, so that an --out that cannot be made or written fails
+    first, with nothing written.  If the computation raises, the
+    directories made here are removed again, from the deepest up, while
+    they are empty."""
     path = Path(path)
     made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
+    for name in names:  # a symlink to a directory is replaced like any link
+        if (path / name).is_dir() and not (path / name).is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path / name))
     try:
         yield path
     except BaseException:
@@ -351,7 +365,7 @@ def cmd_analyze(args) -> int:
     if args.out:
         scenario.output_dir = args.out
     t0 = time.perf_counter()
-    with _output_dir(scenario.output_dir) as outdir:
+    with _output_dir(scenario.output_dir, ANALYZE_FILES) as outdir:
         report, artifacts = run_analysis(scenario)
     _emit_analysis_files(outdir, report, *artifacts)
     elapsed = time.perf_counter() - t0
@@ -377,7 +391,7 @@ def cmd_regions(args) -> int:
         except ValueError:
             raise ValueError("--window expects G0,G1,A0,A1") from None
         gamma_range, alpha_range = (g0, g1), (a0, a1)
-    with _output_dir(args.out) as outdir:
+    with _output_dir(args.out, REGIONS_FILES) as outdir:
         diagram = region_diagram(args.n, args.beta, gamma_range, alpha_range,
                                  resolution=args.res)
     # Each gamma, each alpha and each "count,family" tail is formatted once; a

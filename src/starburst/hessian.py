@@ -348,7 +348,11 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
 
     The state of the points still running is kept in compacted arrays, in
     seed order, and a point leaves them, its best iterate written out, on
-    the iteration it stops; the stack's `row_widths` are taken once."""
+    the iteration it stops; the stack's `row_widths` are taken once.  All
+    halvings of the points a step left worse are one evaluation: taken
+    level by level, only where the last level was still worse, they need
+    fewer points but more calls, and on the census's stacks a call's fixed
+    cost outweighs the points saved."""
     widths = row_widths(newton)
     v = gathered_values(newton, fidx, x, y, widths)
     gn = np.hypot(v[0], v[1])

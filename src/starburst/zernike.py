@@ -53,20 +53,39 @@ def derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
     return _trim(np.moveaxis(c[1:] * j, 0, axis))
 
 
+_TILE_BUDGET = 1 << 16  # grid values per tile of grid_values' y-steps, 512 KB
+
+
 def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:
     """Values of sum_{i,j} coeffs[i, j, ...] x^i y^j, one polynomial per
     trailing index of ``coeffs``, on the tensor grid xs x ys: shape
     coeffs.shape[2:] + (len(xs), len(ys)).  ``polyval2d``'s operations in
     the same order, so bit-identical (zero padding too), without its
-    (degree + 1) * len(xs) * len(ys) temporaries."""
+    (degree + 1) * len(xs) * len(ys) temporaries.
+
+    The Horner steps in x give one row of y-coefficients per polynomial and
+    x.  The steps in y then run on tiles of about _TILE_BUDGET values: a
+    tile is consecutive rows of the output, all polynomials' rows taken as
+    one sequence, and each step multiplies it by a contiguous tile of ys
+    (one copy of ys per row, made once) and adds each row's coefficient.  A
+    tile stays in cache through all the steps, and its product is one
+    contiguous loop, not one broadcast of ys per row."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     b = coeffs[-1][..., None] + xs * 0.0
     for row in coeffs[-2::-1]:
         b = row[..., None] + b * xs
-    out = b[-1][..., None] + ys * 0.0
-    for bk in b[-2::-1]:
-        out *= ys
-        out += bk[..., None]
+    out = np.empty(b.shape[1:] + ys.shape)
+    b = b.reshape(len(b), -1)
+    rows = out.reshape(b.shape[1], len(ys))
+    size = max(_TILE_BUDGET // max(len(ys), 1), 1)
+    y_tile = np.broadcast_to(ys, (min(size, len(rows)), len(ys))).copy()
+    zero = ys * 0.0
+    for lo in range(0, len(rows), size):
+        tile, coeff = rows[lo:lo + size], b[:, lo:lo + size, None]
+        np.add(coeff[-1], zero, out=tile)
+        for bk in coeff[-2::-1]:
+            tile *= y_tile[:len(tile)]
+            tile += bk
     return out
 
 

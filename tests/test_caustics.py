@@ -291,6 +291,26 @@ def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
     return SymmetryResult(1, best, tol)
 
 
+@pytest.mark.parametrize("runs", [1, 4])
+def test_farthest_measures_each_point_once(analyses, runs, monkeypatch):
+    """The probe points are measured once, in the first pass; the run
+    maxima are those of every point's exact distance."""
+    caustics = analyses["5star"].caustics
+    curves = [c for c in caustics.retina_curves if len(c) >= 2]
+    geom = _PolylineDistance(curves)
+    points = _rotate(np.unique(np.concatenate(curves), axis=0), 0.3, caustics.center)
+    points = points[: len(points) // runs * runs]
+    want = geom.distances(points).reshape(runs, -1).max(axis=1)
+    measured = []
+    distances = geom.distances
+    monkeypatch.setattr(geom, "distances",
+                        lambda pts, cap=math.inf: measured.append(pts) or distances(pts, cap))
+    assert np.array_equal(geom.farthest(points, math.inf, runs), want)
+    seen = np.concatenate(measured)
+    assert len(measured) == 2 and len(seen) > len(points) // 16
+    assert len(np.unique(seen, axis=0)) == len(seen)
+
+
 def test_polyline_distance_tables():
     # the segment tables run on across polylines; a cell lists every segment
     # whose bounding box touches it or one of its neighbours

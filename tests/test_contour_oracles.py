@@ -6,6 +6,12 @@ code must give the same chains, the same pieces bit for bit and the same
 fertility flags on random graphs, polylines that cross the rim, and
 closed loops whose run of close vertices wraps the seam.
 
+`per_peak_profile_peaks` and `per_saddle_fertility` are the verdict's tip
+pick and `fertility_report` as they were before each became one array
+pass: one scan of every vertex per peak, with np.remainder, and one
+np.hypot of every vertex per saddle.  The tips and flags must match them
+field for field, bit for bit.
+
 The reference clip takes its circle intersection from the package: the
 earlier one computed it with ``@`` on 2-vectors, whose last bit depends on
 the BLAS build (a fused multiply-add or not), so only the piece logic is
@@ -18,15 +24,30 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from starburst import (
+    WaveAberration,
+    ZernikeTerm,
+    build_field,
+    extract_contours,
+    find_critical_points,
+    map_caustics,
+)
 from starburst.caustics import (
+    _PROMINENCE_REL,
     ContourSet,
     FertilityFlag,
+    SpikeTip,
     _circle_hit,
     _clip_polyline_to_disk,
+    _find_peaks,
+    _profile_peaks,
+    _radial_profile,
     _stitch,
     fertility_report,
 )
+from starburst.cli import FIXTURE_SCENARIOS
 from starburst.hessian import PointClass
+from starburst.regions import ABParams
 
 
 def reference_stitch(nbr):
@@ -265,3 +286,191 @@ def test_fixture_fertility_matches_reference(analyses, name):
     a = analyses[name]
     saddles = [p for p in a.search.points if p.kind == PointClass.SADDLE]
     check_fertility(saddles, a.contours.polylines)
+
+
+def per_peak_profile_peaks(profile, occupied, r, phi, threshold):
+    """`_profile_peaks` as it was: every peak scans all vertices for the
+    ones in its five bins, with np.remainder."""
+    bins = len(profile)
+    idx, prominences = _find_peaks(np.tile(profile, 3))
+    tips = {}
+    width = 2.0 * math.pi / bins
+    for k, pk in enumerate(idx):
+        if not (bins <= pk < 2 * bins):
+            continue
+        b = pk - bins
+        if not occupied[b]:
+            continue
+        radius = profile[b]
+        if radius < threshold or prominences[k] < _PROMINENCE_REL * radius:
+            continue
+        lo = (b - 2) * width
+        hi = (b + 3) * width
+        dphi = (phi - lo) % (2.0 * math.pi)
+        sel = dphi < (hi - lo)
+        if not np.any(sel):
+            continue
+        j = np.nonzero(sel)[0][np.argmax(r[sel])]
+        tips[int(j)] = SpikeTip(radius_arcmin=float(r[j]), angle=float(phi[j]))
+    return sorted(tips.values(), key=lambda t: t.angle)
+
+
+def per_saddle_fertility(saddles, contours, distance=0.12):
+    """`fertility_report` as it was: one pass over every vertex per saddle."""
+    polylines = contours.polylines
+    if not polylines:
+        return tuple(FertilityFlag(s, False, 0, math.inf) for s in saddles)
+    cloud = np.concatenate(polylines)
+    counts = np.array([len(poly) for poly in polylines])
+    firsts = np.cumsum(counts) - counts
+    lasts = firsts + counts - 1
+    closed = np.array([len(poly) > 2 and bool(np.all(poly[0] == poly[-1]))
+                       for poly in polylines])
+    body = np.ones(len(cloud), dtype=bool)
+    body[lasts[closed]] = False
+    head = np.zeros(len(cloud), dtype=bool)
+    head[firsts] = True
+    flags = []
+    for s in saddles:
+        d = np.hypot(cloud[:, 0] - s.x, cloud[:, 1] - s.y)
+        close = d <= distance
+        starts = close & body
+        starts[1:] &= ~close[:-1] | head[1:]
+        runs = np.add.reduceat(starts, firsts, dtype=np.intp)
+        runs -= closed & close[firsts] & close[lasts - 1] & (runs > 1)
+        branches = int(runs.sum())
+        flags.append(FertilityFlag(s, branches >= 2, branches, float(d.min())))
+    return tuple(flags)
+
+
+def bits(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+def assert_same_tips(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g.radius_arcmin) is float and type(g.angle) is float
+        assert (bits(g.radius_arcmin), bits(g.angle)) == (bits(w.radius_arcmin), bits(w.angle))
+
+
+def assert_same_flags(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.point is w.point
+        assert type(g.fertile) is bool and type(g.branch_count) is int
+        assert (g.fertile, g.branch_count) == (w.fertile, w.branch_count)
+        assert bits(g.min_distance) == bits(w.min_distance)
+
+
+def _terms(*terms):
+    return tuple(ZernikeTerm(*t) for t in terms)
+
+
+def _plus_coma(name):
+    """A fixture's wavefront plus 0.005 um of Z_3^1."""
+    w = ABParams(*FIXTURE_SCENARIOS[name][:4]).to_wavefront()
+    return WaveAberration(w.terms + _terms((3, 1, 0.005)))
+
+
+VERDICT_WAVEFRONTS = {
+    **{name: ABParams(*row[:4]).to_wavefront() for name, row in FIXTURE_SCENARIOS.items()},
+    "highorder": WaveAberration(_terms((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))),
+    "3star+coma": _plus_coma("3star"),
+    "6star+coma": _plus_coma("6star"),
+    # p = 1, with 9 saddles: 0.2 Z_4^0 + 0.05 Z_5^5 + 0.03 Z_6^2 + 0.04 Z_3^-1
+    "mixed": WaveAberration(_terms((4, 0, 0.2), (5, 5, 0.05), (6, 2, 0.03), (3, -1, 0.04))),
+}
+
+
+@pytest.fixture(scope="module")
+def verdict_inputs():
+    out = {}
+    for name, w in VERDICT_WAVEFRONTS.items():
+        field = build_field(w)
+        search = find_critical_points(field)
+        contours = extract_contours(field, 512)
+        caustics = map_caustics(w, contours, search.points, field)
+        cloud = np.concatenate([c for c in caustics.retina_curves if len(c) >= 2])
+        out[name] = (search, contours, _radial_profile(cloud, caustics.center))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_WAVEFRONTS))
+def test_profile_peaks_match_per_peak_reference(verdict_inputs, name):
+    profile = verdict_inputs[name][2]
+    checked = 0
+    for threshold in (1.0, 0.1, 1e-9):
+        want = per_peak_profile_peaks(*profile, threshold)
+        assert_same_tips(_profile_peaks(*profile, threshold), want)
+        checked += len(want)
+    assert checked
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_WAVEFRONTS))
+def test_fertility_matches_per_saddle_reference(verdict_inputs, name):
+    search, contours, _ = verdict_inputs[name]
+    assert search.saddles
+    for distance in (0.12, 0.01, 0.5):
+        assert_same_flags(fertility_report(search.saddles, contours, distance),
+                          per_saddle_fertility(search.saddles, contours, distance))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_profile_peaks_match_per_peak_reference_on_random_clouds(seed):
+    # spiky clouds, with vertices at angle 0, just below 2 pi and (about
+    # the origin) at exactly 2 pi after the remainder, so peak windows wrap
+    # both ends of the profile
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(50, 3000))
+    t = rng.uniform(0.0, 2.0 * math.pi, count)
+    t[:3] = [0.0, np.nextafter(2.0 * math.pi, 0.0), -1e-300]
+    spikes = rng.integers(1, 13)
+    radius = 1.0 + rng.uniform(0.1, 2.0) * np.cos(spikes * t + rng.uniform(0, 6)) ** 8
+    radius += rng.normal(0.0, 0.01, count)
+    center = rng.uniform(-1.0, 1.0, 2) if seed % 2 else np.zeros(2)
+    cloud = center + np.column_stack([radius * np.sin(t), radius * np.cos(t)])
+    profile = _radial_profile(cloud, center)
+    assert seed % 2 or profile[3][2] == 2.0 * math.pi
+    for threshold in (0.5, 1.5):
+        assert_same_tips(_profile_peaks(*profile, threshold),
+                         per_peak_profile_peaks(*profile, threshold))
+
+
+@pytest.mark.parametrize("distance", [0.0, 1e-170, 1e-155, 2.5e-150, 0.05, 0.5, 1e300])
+def test_fertility_at_the_distance_and_below_the_normal_range(distance):
+    # vertices at, just inside and just outside the distance from each
+    # saddle, and offsets too small to square in the normal range, where
+    # the squared distance alone cannot decide
+    rng = np.random.default_rng(17)
+    saddles = [SimpleNamespace(x=float(x), y=float(y)) for x, y in rng.uniform(-0.5, 0.5, (5, 2))]
+    polylines = []
+    for s in saddles:
+        t = rng.uniform(0.0, 2.0 * math.pi, 12)
+        radius = distance * np.array([1.0, 1.0, 1.0, 1.0 - 1e-16, 1.0 + 1e-16, 1.0 + 1e-12,
+                                      1.0 - 1e-12, 0.5, 2.0, 0.0, 1e-300, 3.0])
+        pts = np.column_stack([s.x + radius * np.cos(t), s.y + radius * np.sin(t)])
+        tiny = np.array([[s.x + 1e-170, s.y], [s.x, s.y - 3e-160], [s.x + 2e-155, s.y + 2e-155]])
+        polylines += [pts, np.vstack([tiny, tiny[:1]]), rng.uniform(-1, 1, (20, 2))]
+    contours = ContourSet(tuple(polylines), 64)
+    with np.errstate(over="ignore"):
+        got = fertility_report(saddles, contours, distance)
+        want = per_saddle_fertility(saddles, contours, distance)
+    assert_same_flags(got, want)
+
+
+@pytest.mark.parametrize("radii", [
+    {358: 3.0, 359: 1.0, 0: 2.0, 1: 1.0},   # peak 0's window wraps back past 2 pi
+    {358: 1.0, 359: 2.0, 0: 1.0, 1: 3.0},   # peak 359's window wraps on past 0
+])
+def test_tip_of_a_window_that_wraps(radii):
+    # a peak next to the seam whose tallest vertex lies two bins away,
+    # across the seam: the pick must follow the window round
+    width = 2.0 * math.pi / 360
+    angles = np.array([(b + 0.5) * width for b in range(360)])
+    r = np.array([radii.get(b, 0.5) for b in range(360)])
+    cloud = np.column_stack([r * np.sin(angles), r * np.cos(angles)])
+    profile = _radial_profile(cloud, np.zeros(2))
+    want = per_peak_profile_peaks(*profile, 0.1)
+    assert any(t.radius_arcmin == 3.0 for t in want)
+    assert_same_tips(_profile_peaks(*profile, 0.1), want)

@@ -50,7 +50,7 @@ from pathlib import Path
 
 import pytest
 
-from starburst.cli import FIXTURE_SCENARIOS, main
+from starburst.cli import ANALYZE_FILES, FIXTURE_SCENARIOS, REGIONS_FILES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,8 +147,12 @@ def test_regions_over_larger_outputs_matches_pinned_hashes(tmp_path):
 
 
 @pytest.mark.parametrize("command, name", [("analyze", "report.json"),
+                                           ("analyze", "hessian_full.svg"),
                                            ("regions", "regions.svg")])
 def test_directory_at_an_output_path_is_one_error_line(command, name, tmp_path, capsys):
+    """Every output path is checked before the first file is written, so a
+    directory at any of them, the first or a later one, leaves nothing
+    else in --out."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     argv = (analyze_argv("3star", tmp_path) if command == "analyze"
@@ -156,7 +160,30 @@ def test_directory_at_an_output_path_is_one_error_line(command, name, tmp_path, 
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and name in err
+    assert [p.name for p in out.iterdir()] == [name]
+    assert not any((out / name).iterdir())
+
+
+@pytest.mark.parametrize("command, names", [("analyze", ANALYZE_FILES),
+                                            ("regions", REGIONS_FILES)])
+def test_each_command_writes_the_files_it_checks(command, names, tmp_path):
+    out = tmp_path / "out"
+    argv = (analyze_argv("3star", tmp_path) if command == "analyze"
+            else ["regions", "--n", "3", "--beta", "0.2"])
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+def test_symlink_to_a_directory_at_an_output_path_is_replaced(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target"
+    target.mkdir()
+    (out / "regions.svg").symlink_to(target, target_is_directory=True)
+    assert main(["regions", "--n", "3", "--beta", "0.2", "--out", str(out)]) == 0
+    assert file_hashes(out) == pinned_hashes("regions_outputs.sha256")["n3"]
+    assert target.is_dir() and not any(target.iterdir())
 
 
 def test_links_at_output_paths_are_replaced_not_written_through(tmp_path):

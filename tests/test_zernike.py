@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from starburst import (
     WaveAberration,
     ZernikeTerm,
     build_field,
+    zernike,
 )
 from starburst.hessian import _stack
 from starburst.zernike import _trim, derivative, gathered_values, grid_values, row_widths
@@ -458,6 +460,78 @@ class TestStackedHorner:
             for k, c in enumerate(row):
                 want = npol.polyval2d(*np.meshgrid(xs, ys, indexing="ij"), c)
                 assert np.array_equal(out[m, k].view(np.int64), want.view(np.int64))
+
+
+class TestGridTiles:
+    """grid_values runs its y-steps on row tiles of about _TILE_BUDGET
+    values; every tiling gives ``polyval2d``'s bits."""
+
+    @staticmethod
+    def _assert_grid_bits(stack, xs, ys):
+        out = grid_values(stack, xs, ys)
+        assert out.shape == stack.shape[2:] + (len(xs), len(ys))
+        mesh = np.meshgrid(xs, ys, indexing="ij")
+        for k in np.ndindex(*stack.shape[2:]):
+            want = npol.polyval2d(*mesh, stack[(slice(None), slice(None)) + k])
+            assert np.array_equal(out[k].view(np.uint64), want.view(np.uint64))
+
+    def test_several_tiles_with_a_ragged_last_one(self):
+        # 700 x 500: tiles of 131 rows, the last of 45
+        rng = np.random.default_rng(31)
+        _, stack = _random_stack(rng, 1, 1)
+        xs = np.linspace(-1.0, 1.0, 700)
+        ys = np.concatenate([[0.0, -0.0], np.linspace(-1.2, 0.9, 498)])
+        assert 700 % (zernike._TILE_BUDGET // 500) != 0
+        self._assert_grid_bits(stack, xs, ys)
+
+    def test_stacked_fields_span_tiles(self):
+        # 2 x 3 polynomials of 90 rows each, 540 rows in all: a tile ends
+        # inside a polynomial's rows
+        rng = np.random.default_rng(32)
+        _, stack = _random_stack(rng, 3, 2)
+        xs = np.linspace(-1.1, 1.0, 90)
+        ys = np.linspace(-1.0, 1.3, 400)
+        assert (zernike._TILE_BUDGET // 400) % 90 != 0
+        self._assert_grid_bits(stack, xs, ys)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+    def test_any_budget(self, budget, monkeypatch):
+        # down to one row per tile, with zeros of both signs and non-finite
+        # nodes on each axis
+        monkeypatch.setattr(zernike, "_TILE_BUDGET", budget)
+        rng = np.random.default_rng(33)
+        _, stack = _random_stack(rng, 2, 3)
+        stack[0, 0, 1] = -0.0
+        xs = np.concatenate([[0.0, -0.0, np.inf], rng.uniform(-1.3, 1.3, 30)])
+        ys = np.concatenate([[-0.0, np.nan], rng.uniform(-1.3, 1.3, 11)])
+        with np.errstate(invalid="ignore"):
+            out = grid_values(stack, xs, ys)
+            mesh = np.meshgrid(xs, ys, indexing="ij")
+            for m, k in np.ndindex(3, 2):
+                want = npol.polyval2d(*mesh, stack[:, :, m, k])
+                assert np.array_equal(np.isnan(out[m, k]), np.isnan(want))
+                fin = ~np.isnan(want)
+                assert np.array_equal(out[m, k][fin].view(np.uint64), want[fin].view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1, 257), (300, 1), (1, 1)])
+    def test_one_row_or_column(self, shape):
+        rng = np.random.default_rng(34)
+        _, stack = _random_stack(rng, 2, 1)
+        xs, ys = (np.linspace(-1.0, 0.8, n) for n in shape)
+        self._assert_grid_bits(stack, xs, ys)
+
+    def test_no_temporary_of_the_whole_grid(self):
+        # at its peak a 2000 x 1000 grid holds the output, a tile of ys and
+        # the x-steps' rows, and nothing near a second grid
+        stack = np.random.default_rng(35).normal(size=(9, 9, 1))
+        xs, ys = np.linspace(-1, 1, 2000), np.linspace(-1, 1, 1000)
+        tracemalloc.start()
+        try:
+            out = grid_values(stack, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * zernike._TILE_BUDGET + 400_000
 
 
 def _same_bits(got, want):
