@@ -613,7 +613,7 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
     b, prominences = idx[middle] - bins, prominences[middle]
     radius = profile[b]
     b = b[occupied[b] & ~(radius < threshold) & ~(prominences < _PROMINENCE_REL * radius)]
-    width, turn = 2.0 * math.pi / bins, 2.0 * math.pi
+    width = 2.0 * math.pi / bins
     lo = (b - 2) * width
     span = (b + 3) * width - lo
     # the vertices by bin, in index order within a bin
@@ -624,15 +624,7 @@ def _profile_peaks(profile, occupied, r, phi, threshold):
     count = first[near + 1] - first[near]
     vertex = order[_ranges(first[near].ravel(), count.ravel())]
     peak = np.repeat(np.arange(len(b)), count.sum(axis=1))
-    # (phi - lo) % turn, written out: phi is in [0, turn] and lo in
-    # [-2 width, turn), so the difference d is in (-turn, 2 turn), where
-    # fmod is exact and np.remainder gives d + turn below 0, d - turn
-    # (exact) from turn on, and d between
-    d = phi[vertex] - lo[peak]
-    high = d >= turn
-    np.add(d, turn, out=d, where=d < 0.0)
-    np.subtract(d, turn, out=d, where=high)
-    sel = d < span[peak]
+    sel = np.remainder(phi[vertex] - lo[peak], 2.0 * math.pi) < span[peak]
     peak, vertex = peak[sel], vertex[sel]
     # by peak, then largest radius, then lowest index: each peak's first
     rank = np.lexsort((vertex, -r[vertex], peak))
@@ -773,9 +765,7 @@ def fertility_report(
     branches: passes are maximal runs of consecutive vertices within the
     distance, with circular wrap for closed polylines.  All saddles are one
     (saddles x vertices) pass over the vertices of all polylines together,
-    _SCAN_BUDGET pairs at a time.  The distances are np.hypot's, bit for
-    bit, though hypot is taken only where the squared distance is too close
-    to call.
+    _SCAN_BUDGET pairs at a time.
     """
     polylines = contours.polylines
     if not polylines:
@@ -795,25 +785,11 @@ def fertility_report(
     saddles = tuple(saddles)
     sx = np.array([s.x for s in saddles], dtype=float)[:, None]
     sy = np.array([s.y for s in saddles], dtype=float)[:, None]
-    # np.hypot rounds once but costs over ten times dx^2 + dy^2, which rounds
-    # three times, so it is taken only where the square cannot settle the
-    # answer: within 1e-12 of the distance's square, and of each saddle's
-    # least square; the slack covers the absolute rounding of squares below
-    # the normal range
-    slack = 64 * np.finfo(float).smallest_subnormal
-    inside = distance * distance * (1.0 - 1e-12) - slack
-    outside = distance * distance * (1.0 + 1e-12) + slack
     flags = []
     step = max(_SCAN_BUDGET // len(cloud), 1)
     for rows in (slice(k, k + step) for k in range(0, len(saddles), step)):
-        dx, dy = cloud[:, 0] - sx[rows], cloud[:, 1] - sy[rows]
-        square = dx * dx + dy * dy
-        close = square < inside
-        edge = ~close & ~(square > outside)
-        close[edge] = np.hypot(dx[edge], dy[edge]) <= distance
-        least = square <= (square.min(axis=1) * (1.0 + 1e-12) + slack)[:, None]
-        d = np.full(square.shape, np.inf)
-        d[least] = np.hypot(dx[least], dy[least])
+        d = np.hypot(cloud[:, 0] - sx[rows], cloud[:, 1] - sy[rows])
+        close = d <= distance
         starts = close & body
         starts[:, 1:] &= ~close[:, :-1] | head[1:]
         runs = np.add.reduceat(starts, firsts, axis=1, dtype=np.intp)

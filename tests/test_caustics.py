@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -580,6 +581,54 @@ class TestVerdicts:
         assert (max(radii) - min(radii)) / max(radii) < 0.01
 
 
+# ROADMAP item 19: alpha Z_2^0 + 0.2 Z_4^0 + gamma Z_n^n is exactly n-fold,
+# so the verdict's tips must map onto themselves under a 2 pi / n rotation
+# about the caustic's centre.  A turned tip matches a tip within the longest
+# segment of the mapped caustic, the grid's quantisation on the retina.  The
+# wavefronts that break this are pinned; the list shrinks when the verdict
+# mends them (item 10), never by loosening the match.  A change that means
+# to move it regenerates it with `PYTHONPATH=src python tests/test_caustics.py`.
+TIP_ORBIT_FAILURES = Path(__file__).parent / "golden" / "tip_orbit_failures.txt"
+
+
+def tip_orbit_sweep(count=20, seed=2026):
+    """Three-term wavefronts, n = 3..6, with alpha and gamma uniform in
+    +-0.3, |gamma| >= 0.02 and beta = 0.2."""
+    rng = np.random.default_rng(seed)
+    sweep = []
+    while len(sweep) < count:
+        n = int(rng.integers(3, 7))
+        alpha, gamma = rng.uniform(-0.3, 0.3, 2)
+        if abs(gamma) >= 0.02:
+            sweep.append(ABParams(float(alpha), 0.2, float(gamma), n))
+    return sweep
+
+
+def tip_orbit_failure_lines(grid):
+    """"grid n alpha gamma" for each wavefront of the sweep whose tips the
+    n-fold rotation does not map onto themselves."""
+    lines = []
+    for params in tip_orbit_sweep():
+        w = params.to_wavefront()
+        field = build_field(w)
+        caustics = map_caustics(w, extract_contours(field, grid), (), field)
+        tips = starburst_verdict(caustics).spike_tips
+        z = np.array([t.radius_arcmin * np.exp(1j * t.angle) for t in tips])
+        turned = z * np.exp(2j * math.pi / params.n)
+        quantum = max(float(np.abs(np.diff(c[:, 0] + 1j * c[:, 1])).max())
+                      for c in caustics.retina_curves if len(c) >= 2)
+        if (np.abs(turned[:, None] - z).min(axis=1, initial=np.inf) > quantum).any():
+            lines.append(f"{grid} {params.n} {params.alpha!r} {params.gamma!r}")
+    return lines
+
+
+@pytest.mark.parametrize("grid", [256, 512])
+def test_tip_sets_map_onto_themselves(grid):
+    pinned = TIP_ORBIT_FAILURES.read_text(encoding="utf-8").splitlines()
+    assert tip_orbit_failure_lines(grid) == [line for line in pinned
+                                             if line.startswith(f"{grid} ")]
+
+
 class TestFertility:
     @pytest.mark.parametrize("name", ["3star", "5star", "4star", "6star", "8stars"])
     def test_all_fixture_saddles_fertile(self, analyses, name):
@@ -619,3 +668,9 @@ class TestFertility:
                 allowed = max(flag.min_distance, 2.0 * h) * stretch * 2.0
                 d = float(geom.distances(np.array([[proj.xi, proj.eta]]))[0])
                 assert d <= allowed
+
+
+if __name__ == "__main__":
+    TIP_ORBIT_FAILURES.write_text("".join(f"{line}\n" for grid in (256, 512)
+                                          for line in tip_orbit_failure_lines(grid)),
+                                  encoding="utf-8")

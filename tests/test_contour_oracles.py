@@ -440,8 +440,7 @@ def test_profile_peaks_match_per_peak_reference_on_random_clouds(seed):
 @pytest.mark.parametrize("distance", [0.0, 1e-170, 1e-155, 2.5e-150, 0.05, 0.5, 1e300])
 def test_fertility_at_the_distance_and_below_the_normal_range(distance):
     # vertices at, just inside and just outside the distance from each
-    # saddle, and offsets too small to square in the normal range, where
-    # the squared distance alone cannot decide
+    # saddle, and offsets too small to square in the normal range
     rng = np.random.default_rng(17)
     saddles = [SimpleNamespace(x=float(x), y=float(y)) for x, y in rng.uniform(-0.5, 0.5, (5, 2))]
     polylines = []
@@ -452,11 +451,22 @@ def test_fertility_at_the_distance_and_below_the_normal_range(distance):
         pts = np.column_stack([s.x + radius * np.cos(t), s.y + radius * np.sin(t)])
         tiny = np.array([[s.x + 1e-170, s.y], [s.x, s.y - 3e-160], [s.x + 2e-155, s.y + 2e-155]])
         polylines += [pts, np.vstack([tiny, tiny[:1]]), rng.uniform(-1, 1, (20, 2))]
+    # saddles on x = 0 with branches along their own row, so each distance
+    # is |x| exactly: one branch starts at the distance, one a step inside
+    # it and one a step outside; two more start at the distance on either
+    # side, their nearest vertices tied
+    probe, tie = SimpleNamespace(x=0.0, y=0.25), SimpleNamespace(x=0.0, y=-0.375)
+    steps = (distance, -np.nextafter(distance, 0.0), np.nextafter(distance, math.inf))
+    probes = tuple(np.array([[x, probe.y], [2.0 * x, probe.y]]) for x in steps)
+    ties = tuple(np.array([[x, tie.y], [2.0 * x, tie.y]]) for x in (distance, -distance))
+    for s, own, nearest in ((probe, probes, np.nextafter(distance, 0.0)), (tie, ties, distance)):
+        flag, = fertility_report([s], ContourSet(own, 64), distance)
+        assert (flag.branch_count, flag.min_distance) == (2, nearest)
+    saddles += [probe, tie]
+    polylines += [*probes, *ties]
     contours = ContourSet(tuple(polylines), 64)
-    with np.errstate(over="ignore"):
-        got = fertility_report(saddles, contours, distance)
-        want = per_saddle_fertility(saddles, contours, distance)
-    assert_same_flags(got, want)
+    assert_same_flags(fertility_report(saddles, contours, distance),
+                      per_saddle_fertility(saddles, contours, distance))
 
 
 @pytest.mark.parametrize("radii", [
