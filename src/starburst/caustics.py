@@ -654,6 +654,27 @@ def _meridian_aligned(tips, p):
     return kept
 
 
+def _tip_pattern(radii, p):
+    """(kind, detail) of the verdict for tips of these radii, listed by
+    angle, on a caustic of p-fold symmetry: p tips at one radius, or 2p tips
+    alternating between two radii, make a starburst.  Radii that differ by
+    more than _RADIUS_SPLIT of the largest are two radii."""
+    if not radii:
+        return NO_STARBURST, "no resolvable meridian-aligned tips above the threshold"
+    radii, count = np.array(radii), len(radii)
+    spread = (radii.max() - radii.min()) / radii.max()
+    if count == p and spread <= _RADIUS_SPLIT:
+        return EQUALLY_DISTANCED, f"{p} tips at a single radius"
+    if count != 2 * p:
+        return NO_STARBURST, f"{count} tips inconsistent with {p}-fold symmetry"
+    if spread > _RADIUS_SPLIT:
+        long_tip = radii >= 0.5 * (radii.max() + radii.min())
+        if np.all(long_tip != np.roll(long_tip, 1)):
+            return NON_EQUALLY_DISTANCED, f"{count} tips alternating between two radii"
+        return NO_STARBURST, "tip radii do not alternate with the symmetry"
+    return NON_EQUALLY_DISTANCED, f"{count} tips, marginal radius split"
+
+
 def starburst_verdict(
     caustics: CausticSet,
     *,
@@ -667,65 +688,29 @@ def starburst_verdict(
     (within _MERIDIAN_TOL radians), and (iv) reach at least
     _SECONDARY_RATIO of the dominant tip radius -- shorter protrusions
     are treated as part of the central pattern rather than starburst
-    points.  _RADIUS_SPLIT is the relative gap separating "two distinct
-    tip radii" from a single ring of tips.  The p-fold symmetry comes from
-    one ``symmetry_order`` pass and is returned as ``symmetry``; an axially
-    symmetric W (no term with m != 0) gets p_fold 0 and no starburst.
+    points.  ``_tip_pattern`` classifies the tips.  The p-fold symmetry
+    comes from one ``symmetry_order`` pass and is returned as ``symmetry``;
+    an axially symmetric W (no term with m != 0) gets p_fold 0 and no
+    starburst.
     """
     if not 0.0 < threshold_arcmin < math.inf:
         raise ValueError("threshold_arcmin must be positive and finite")
-    p_wavefront = _wavefront_fold_order(caustics.aberration)
+    p, symmetry, tips = _wavefront_fold_order(caustics.aberration), None, []
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
-    if not (p_wavefront and curves):
+    if not p:
         # an axial caustic is rings, which every rotation maps onto themselves
-        return StarburstSummary(
-            p_fold=p_wavefront,
-            point_count=0,
-            kind=NO_STARBURST,
-            spike_tips=(),
-            visibility_threshold=threshold_arcmin,
-            detail="no caustic curves" if p_wavefront else "axially symmetric wavefront",
-        )
-    cloud = np.concatenate(curves, axis=0)
-    center = caustics.center
-    profile, occupied, r, phi = _radial_profile(cloud, center)
-    tips = _profile_peaks(profile, occupied, r, phi, threshold_arcmin)
-    symmetry = symmetry_order(caustics)
-    p = symmetry.p
-    tips = _meridian_aligned(tips, p)
-    if tips:
-        r_max = max(t.radius_arcmin for t in tips)
-        tips = [t for t in tips if t.radius_arcmin >= _SECONDARY_RATIO * r_max]
-    if not tips:
-        return StarburstSummary(
-            p_fold=p,
-            point_count=0,
-            kind=NO_STARBURST,
-            spike_tips=(),
-            visibility_threshold=threshold_arcmin,
-            detail="no resolvable meridian-aligned tips above the threshold",
-            symmetry=symmetry,
-        )
-    radii = np.array([t.radius_arcmin for t in tips])
-    spread = float((radii.max() - radii.min()) / radii.max())
-    if len(tips) == p and spread <= _RADIUS_SPLIT:
-        kind, detail = EQUALLY_DISTANCED, f"{p} tips at a single radius"
-    elif len(tips) == 2 * p and spread > _RADIUS_SPLIT:
-        long_short = radii >= 0.5 * (radii.max() + radii.min())
-        alternating = all(
-            long_short[i] != long_short[(i + 1) % len(tips)] for i in range(len(tips))
-        )
-        if alternating:
-            kind = NON_EQUALLY_DISTANCED
-            detail = f"{len(tips)} tips alternating between two radii"
-        else:
-            kind = NO_STARBURST
-            detail = "tip radii do not alternate with the symmetry"
-    elif len(tips) == 2 * p:
-        kind, detail = NON_EQUALLY_DISTANCED, f"{len(tips)} tips, marginal radius split"
+        kind, detail = NO_STARBURST, "axially symmetric wavefront"
+    elif not curves:
+        kind, detail = NO_STARBURST, "no caustic curves"
     else:
-        kind = NO_STARBURST
-        detail = f"{len(tips)} tips inconsistent with {p}-fold symmetry"
+        profile = _radial_profile(np.concatenate(curves), caustics.center)
+        tips = _profile_peaks(*profile, threshold_arcmin)
+        symmetry = symmetry_order(caustics)
+        p = symmetry.p
+        tips = _meridian_aligned(tips, p)
+        r_max = max((t.radius_arcmin for t in tips), default=0.0)
+        tips = [t for t in tips if t.radius_arcmin >= _SECONDARY_RATIO * r_max]
+        kind, detail = _tip_pattern([t.radius_arcmin for t in tips], p)
     return StarburstSummary(
         p_fold=p,
         point_count=len(tips) if kind != NO_STARBURST else 0,

@@ -212,15 +212,15 @@ def _real_roots(coeffs: list[float]) -> list[float]:
 
 
 def saddle_radii(p: ABParams) -> RadiiResult:
-    """Candidate ring radii per angle family (roots of A -+ B in (0, 1))."""
+    """Candidate ring radii per angle family (roots of A -+ B in (0, 1)),
+    solved in units of beta as ``predict_saddles`` solves them."""
     _require_positive_beta(p)
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
         # of critical points instead of isolated rings.
-        circle = _roots_in_unit_interval(p)
+        circle = _roots_in_unit_interval(_in_beta_units(p))
         return RadiiResult(even=(), odd=(), degenerate_circle=circle, non_generic=True)
-    even, odd = (_roots_in_unit_interval(ABParams(p.alpha, p.beta, s * p.gamma, p.n))
-                 for _, s in _FAMILIES)
+    even, odd = (_roots_in_unit_interval(_in_beta_units(p, s)) for _, s in _FAMILIES)
     return RadiiResult(even=even, odd=odd)
 
 

@@ -77,11 +77,11 @@ class SvgCanvas:
             f'{base64.b64encode(png).decode("ascii")}"/>'
         )
 
-    def text(self, x, y, s, size=10, anchor="start", color="black"):
+    def text(self, x, y, s, size=10, anchor="start"):
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
             f'font-family="Helvetica,Arial,sans-serif" text-anchor="{anchor}" '
-            f'fill="{color}">{_escape(s)}</text>'
+            f'fill="black">{_escape(s)}</text>'
         )
 
     def to_string(self) -> str:
@@ -181,27 +181,25 @@ class Frame:
         xy = np.asarray(xy, dtype=float)
         self.c.polyline(np.column_stack((self.px(xy[:, 0]), self.py(xy[:, 1]))), **kw)
 
-    def frame_box(self, xlabel="", ylabel=""):
+    def frame_box(self, xlabel, ylabel):
         self.c.parts.append(
             f'<rect x="{_f(self.m)}" y="{_f(self.c.height - self.m - self.h)}" '
             f'width="{_f(self.w)}" height="{_f(self.h)}" fill="none" stroke="black"/>'
         )
-        if xlabel:
-            self.c.text(self.m + self.w / 2, self.c.height - 10, xlabel, anchor="middle")
-        if ylabel:
-            self.c.text(12, self.c.height - self.m - self.h / 2, ylabel, anchor="middle")
+        self.c.text(self.m + self.w / 2, self.c.height - 10, xlabel, anchor="middle")
+        self.c.text(12, self.c.height - self.m - self.h / 2, ylabel, anchor="middle")
 
-    def ticks(self, xticks=(), yticks=(), fmt="{:.3g}"):
+    def ticks(self, xticks, yticks):
         for t in xticks:
             x = self.px(t)
             y = self.py(self.y0)
             self.c.line(x, y, x, y + 4)
-            self.c.text(x, y + 15, fmt.format(t), size=8, anchor="middle")
+            self.c.text(x, y + 15, f"{t:.3g}", size=8, anchor="middle")
         for t in yticks:
             x = self.px(self.x0)
             y = self.py(t)
             self.c.line(x - 4, y, x, y)
-            self.c.text(x - 6, y + 3, fmt.format(t), size=8, anchor="end")
+            self.c.text(x - 6, y + 3, f"{t:.3g}", size=8, anchor="end")
 
 
 _HEATMAP_CELLS = 96  # cells per axis over [-1, 1]

@@ -200,19 +200,12 @@ class BivariatePolynomial:
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self._binary(other, -1.0)
 
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return BivariatePolynomial(self.coeffs * float(other))
+    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         a, b = self.coeffs, other.coeffs
         out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
         for i, j in zip(*np.nonzero(a)):
             out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
         return BivariatePolynomial(out)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from starburst.caustics import (
     _PolylineDistance,
     _radial_profile,
     _rotate,
+    _tip_pattern,
     _wavefront_fold_order,
 )
 from starburst.cli import FIXTURE_SCENARIOS
@@ -579,6 +580,36 @@ class TestVerdicts:
         assert verdict.kind == EQUALLY_DISTANCED
         radii = [t.radius_arcmin for t in verdict.spike_tips]
         assert (max(radii) - min(radii)) / max(radii) < 0.01
+
+
+class TestTipPattern:
+    # every (kind, detail) the tip-pattern rule returns, from tip radii
+    # listed by angle and the symmetry order p; radii 10 and 9 are exactly
+    # _RADIUS_SPLIT apart, which is still one radius
+    @pytest.mark.parametrize("radii,p,kind,detail", [
+        ([], 3, NO_STARBURST, "no resolvable meridian-aligned tips above the threshold"),
+        ([5.0, 5.2, 5.1], 3, EQUALLY_DISTANCED, "3 tips at a single radius"),
+        ([10.0, 9.0, 10.0], 3, EQUALLY_DISTANCED, "3 tips at a single radius"),
+        ([5.0, 3.0] * 4, 4, NON_EQUALLY_DISTANCED, "8 tips alternating between two radii"),
+        ([3.0, 5.0], 1, NON_EQUALLY_DISTANCED, "2 tips alternating between two radii"),
+        ([5.0, 5.0, 3.0, 3.0] * 2, 4, NO_STARBURST,
+         "tip radii do not alternate with the symmetry"),
+        ([5.0, 4.8] * 4, 4, NON_EQUALLY_DISTANCED, "8 tips, marginal radius split"),
+        ([10.0, 9.0] * 3, 3, NON_EQUALLY_DISTANCED, "6 tips, marginal radius split"),
+        ([5.0, 3.0, 5.0], 3, NO_STARBURST, "3 tips inconsistent with 3-fold symmetry"),
+        ([5.0] * 5, 4, NO_STARBURST, "5 tips inconsistent with 4-fold symmetry"),
+    ])
+    def test_outcomes(self, radii, p, kind, detail):
+        assert _tip_pattern(radii, p) == (kind, detail)
+
+    def test_verdict_keeps_tips_that_do_not_alternate(self, analyses, monkeypatch):
+        # a pattern the rule rejects keeps its tips but counts no points
+        monkeypatch.setattr("starburst.caustics._tip_pattern", lambda radii, p: (
+            NO_STARBURST, "tip radii do not alternate with the symmetry"))
+        verdict = starburst_verdict(analyses["8stars"].caustics)
+        assert (verdict.p_fold, verdict.point_count, verdict.kind) == (4, 0, NO_STARBURST)
+        assert verdict.detail == "tip radii do not alternate with the symmetry"
+        assert len(verdict.spike_tips) == 8 and verdict.symmetry.p == 4
 
 
 # ROADMAP item 19: alpha Z_2^0 + 0.2 Z_4^0 + gamma Z_n^n is exactly n-fold,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,20 @@ import numpy as np
 import pytest
 
 import starburst
-from starburst import CapabilityError, cli, region_diagram
+from starburst import (
+    ABParams,
+    CapabilityError,
+    CriticalPoint,
+    CriticalPointSearch,
+    PointClass,
+    cli,
+    predict_saddles,
+    region_diagram,
+)
 from starburst.cli import (
     Scenario,
     _verification_samples,
+    _verify_sample,
     build_parser,
     main,
     run_verification,
@@ -632,6 +643,45 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "census_from_stacks", no_census)
         with pytest.raises(ValueError, match="beta must be positive"):
             run_verification(3, -0.2, 1, 0)
+
+
+class TestVerifySample:
+    # hand-made censuses around the one predicted ring of 3star's
+    # parameters: three odd-family saddles at rho = 0.517810
+    PARAMS = ABParams(0.0, 0.2, 0.2, 3)
+
+    def census(self, moves=(), extra=(), degenerate=False):
+        """The predicted ring's saddles, the k-th moved by moves[k] = (drho,
+        dtheta), with ``extra`` (rho, theta) saddles appended."""
+        (ring,) = predict_saddles(self.PARAMS).rings
+        spots = [(ring.rho + dr, t + dt) for (t, (dr, dt))
+                 in zip(ring.theta_offsets, list(moves) + [(0.0, 0.0)] * 3)]
+        points = tuple(CriticalPoint(rho * math.sin(t), rho * math.cos(t), rho, t,
+                                     PointClass.SADDLE, 0.0, -1.0)
+                       for rho, t in spots + list(extra))
+        return CriticalPointSearch(points, degenerate=degenerate)
+
+    def test_exact_ring_agrees(self):
+        assert _verify_sample(self.PARAMS, self.census()) == (0.0, "")
+
+    def test_count(self):
+        assert _verify_sample(self.PARAMS, self.census(extra=[(0.2, 0.0)])) == (
+            0.0, "count: predicted 3, census 4")
+        assert _verify_sample(self.PARAMS, self.census(degenerate=True)) == (
+            0.0, "count: predicted 3, census degenerate")
+
+    def test_ring_members(self):
+        # a saddle 1e-5 off the ring is no member; the count still matches
+        assert _verify_sample(self.PARAMS, self.census(moves=[(1e-5, 0.0)])) == (
+            0.0, "ring at rho=0.517810: 2 members")
+
+    @pytest.mark.parametrize("move,reason", [
+        ((1e-7, 0.0), "deviation rho=1.00e-07 angle=0.00e+00"),
+        ((0.0, -2e-8), "deviation rho=0.00e+00 angle=2.00e-08"),
+    ])
+    def test_deviation(self, move, reason):
+        dev, got = _verify_sample(self.PARAMS, self.census(moves=[move]))
+        assert got == reason and dev == pytest.approx(max(map(abs, move)), rel=1e-6)
 
 
 class TestFixturesCommand:

@@ -216,6 +216,19 @@ class TestCriticalPointCensus:
         assert (len(search), len(search.saddles)) == (21, 12)
         assert search.message == "94 of 333 seeds did not converge"
 
+    @pytest.mark.parametrize("R", [1.0, 2.5])
+    def test_locate_clamps_onto_the_rim(self, R):
+        # a point that Newton left just outside the disk is put on its rim,
+        # at its own angle; one just inside stays, flagged on the boundary
+        x, y, rho, theta, on_boundary = hessian._locate(0.6 * R, 0.8 * R * (1 + 1e-13), R)
+        assert (rho, on_boundary) == (R, True)
+        assert math.hypot(x, y) == pytest.approx(R, rel=1e-15)
+        assert theta == pytest.approx(math.atan2(0.6, 0.8 * (1 + 1e-13)), rel=1e-15)
+        inside = (0.6 * R, 0.8 * R * (1 - 1e-13))
+        assert hessian._locate(*inside, R)[:3] == (*inside, math.hypot(*inside))
+        assert hessian._locate(*inside, R)[4]
+        assert not hessian._locate(0.6 * R, 0.7 * R, R)[4]
+
 
 class TestDegenerateFields:
     def test_pure_defocus_flagged(self):

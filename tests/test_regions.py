@@ -127,6 +127,24 @@ class TestSaddleRadii:
         else:
             predict_saddles(ABParams(0.0, beta, gamma, n))
 
+    @pytest.mark.parametrize("beta", [1e-200, 1e-160, 0.2, 1e150, 1e200])
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_predicted_rings_are_radii(self, n, beta):
+        # saddle_radii solves in units of beta, as predict_saddles does, so
+        # every predicted ring is one of its family's radii, bit for bit
+        rng = np.random.default_rng(70 + n)
+        g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+        draws = [ABParams(0.0, beta, beta, n)] + [
+            ABParams(float(rng.uniform(a0, a1)) * beta, beta,
+                     float(rng.uniform(g0, g1)) * beta, n) for _ in range(50)]
+        families = set()
+        for p in draws:
+            radii = saddle_radii(p)
+            for ring in predict_saddles(p).rings:
+                assert ring.rho in radii.for_family(ring.family), (p, ring)
+                families.add(ring.family)
+        assert families == {EVEN_FAMILY, ODD_FAMILY}
+
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_no_root_dropped(self, n):
         # as many radii as sign changes of A -+ B on a fine grid of [0, 1];
