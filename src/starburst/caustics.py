@@ -106,8 +106,6 @@ class StarburstSummary:
     point_count: int
     kind: str  # "equally_distanced" | "non_equally_distanced" | "none"
     spike_tips: tuple[SpikeTip, ...]
-    visibility_threshold: float
-    note: str = VERDICT_NOTE
     detail: str = ""
     symmetry: SymmetryResult | None = None  # None without a caustic or for axial W
 
@@ -716,7 +714,6 @@ def starburst_verdict(
         point_count=len(tips) if kind != NO_STARBURST else 0,
         kind=kind,
         spike_tips=tuple(tips),
-        visibility_threshold=threshold_arcmin,
         detail=detail,
         symmetry=symmetry,
     )

@@ -33,6 +33,7 @@ from . import __version__
 from .caustics import (
     MAX_GRID_RESOLUTION,
     MIN_GRID_RESOLUTION,
+    VERDICT_NOTE,
     extract_contours,
     fertility_report,
     map_caustics,
@@ -63,15 +64,16 @@ def _number(raw: dict, key: str, default=None):
     return value
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Scenario:
+    """One analysis's inputs; `from_dict` holds the defaults."""
+
     wavefront: WaveAberration
     shorthand: ABParams | None
-    pupil_radius_mm: float = 3.5
-    grid_resolution: int = 512
-    visibility_threshold_arcmin: float = 1.0
-    fertility_distance: float = 0.12
-    output_dir: str = "starburst_out"
+    grid_resolution: int
+    visibility_threshold_arcmin: float
+    fertility_distance: float
+    output_dir: str
 
     @staticmethod
     def from_file(path: str) -> "Scenario":
@@ -126,19 +128,13 @@ class Scenario:
         output_dir = raw.get("output_dir", "starburst_out")
         if not isinstance(output_dir, str):
             raise ValueError("output_dir must be a string")
-        return Scenario(
-            wavefront=wavefront,
-            shorthand=shorthand,
-            pupil_radius_mm=pupil,
-            grid_resolution=int(grid),
-            visibility_threshold_arcmin=threshold,
-            fertility_distance=fertility,
-            output_dir=output_dir,
-        )
+        return Scenario(wavefront=wavefront, shorthand=shorthand, grid_resolution=int(grid),
+                        visibility_threshold_arcmin=threshold, fertility_distance=fertility,
+                        output_dir=output_dir)
 
     def echo(self) -> dict:
         out = {
-            "pupil_radius_mm": self.pupil_radius_mm,
+            "pupil_radius_mm": self.wavefront.pupil_radius,
             "grid_resolution": self.grid_resolution,
             "visibility_threshold_arcmin": self.visibility_threshold_arcmin,
             "fertility_distance": self.fertility_distance,
@@ -175,7 +171,7 @@ def _write_csv(path: Path, header: str, lines) -> None:
     write_new_file(path, "".join(itertools.chain([header + "\r\n"], lines)))
 
 
-# the files each command writes into its output directory
+# the files each command writes into its output directory, in the order it writes them
 ANALYZE_FILES = ("report.json", "contours_pupil.csv", "contours_retina.csv",
                  "critical_points.csv", "wavefront.svg", "hessian_full.svg",
                  "hessian_clipped.svg", "retina.svg")
@@ -226,7 +222,7 @@ def _contour_rows(curves) -> str:
 
 def run_analysis(scenario: Scenario):
     """Full pipeline for one scenario; returns the report dict and the
-    (field, contours, caustics) that `_emit_analysis_files` draws."""
+    (field, contours, caustics, verdict) that `_emit_analysis_files` draws."""
     w = scenario.wavefront
     field = build_field(w)
     search = find_critical_points(field)
@@ -236,7 +232,7 @@ def run_analysis(scenario: Scenario):
     if scenario.shorthand is not None and scenario.shorthand.beta > 0:
         prediction = predict_saddles(scenario.shorthand)
     fert = fertility_report(search.saddles, contours, scenario.fertility_distance)
-    fertile_ids = {id(f.point) for f in fert if f.fertile}
+    fertile = {f.point for f in fert if f.fertile}
     verdict = starburst_verdict(
         caustics, threshold_arcmin=scenario.visibility_threshold_arcmin
     )
@@ -254,7 +250,7 @@ def run_analysis(scenario: Scenario):
                 "g_value": pt.g_value,
                 "hess_g_det": pt.hess_g_det,
                 "on_boundary": pt.on_boundary,
-                "fertile": id(pt) in fertile_ids,
+                "fertile": pt in fertile,
                 "xi_arcmin": proj.xi,
                 "eta_arcmin": proj.eta,
             }
@@ -267,7 +263,7 @@ def run_analysis(scenario: Scenario):
         "counts": {
             "critical_points": len(search.points),
             "saddles": len(search.saddles),
-            "fertile": len(fertile_ids),
+            "fertile": len(fertile),
             "contour_polylines": len(contours.polylines),
         },
         "critical_points": cusp_rows,
@@ -276,12 +272,12 @@ def run_analysis(scenario: Scenario):
             "p_fold": verdict.p_fold,
             "point_count": verdict.point_count,
             "kind": verdict.kind,
-            "visibility_threshold_arcmin": verdict.visibility_threshold,
+            "visibility_threshold_arcmin": scenario.visibility_threshold_arcmin,
             "spike_tips": [
                 {"radius_arcmin": t.radius_arcmin, "angle_deg": math.degrees(t.angle)}
                 for t in verdict.spike_tips
             ],
-            "note": verdict.note,
+            "note": VERDICT_NOTE,
             "detail": verdict.detail,
             "rotation_residual": (
                 verdict.symmetry.residual if verdict.symmetry else None
@@ -304,7 +300,7 @@ def run_analysis(scenario: Scenario):
                 for r in prediction.rings
             ],
         }
-    return report, (field, contours, caustics)
+    return report, (field, contours, caustics, verdict)
 
 
 # critical_points.csv's columns after the index, each a key of a report row
@@ -318,28 +314,26 @@ def _point_cell(value) -> str:
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _emit_analysis_files(outdir: Path, report, field, contours, caustics) -> None:
-    write_report_json(outdir / "report.json", report)
+def _emit_analysis_files(outdir: Path, report, field, contours, caustics, verdict) -> None:
+    (report_json, pupil_csv, retina_csv, points_csv,
+     wavefront_svg, full_svg, clipped_svg, retina_svg) = (outdir / name for name in ANALYZE_FILES)
+    write_report_json(report_json, report)
 
-    for plane, curves, axes in (("pupil", contours.polylines, "x,y"),
-                                ("retina", caustics.retina_curves, "xi_arcmin,eta_arcmin")):
-        _write_csv(outdir / f"contours_{plane}.csv", f"curve,vertex,{axes}",
-                   [_contour_rows(curves)])
+    for path, curves, axes in ((pupil_csv, contours.polylines, "x,y"),
+                               (retina_csv, caustics.retina_curves, "xi_arcmin,eta_arcmin")):
+        _write_csv(path, f"curve,vertex,{axes}", [_contour_rows(curves)])
 
     _write_csv(
-        outdir / "critical_points.csv", ",".join(("index",) + _POINT_COLUMNS),
+        points_csv, ",".join(("index",) + _POINT_COLUMNS),
         (",".join([str(i)] + [_point_cell(c[key]) for key in _POINT_COLUMNS]) + "\r\n"
          for i, c in enumerate(report["critical_points"])),
     )
 
-    heatmap_figure(heatmap_values(field.W), "wave aberration W (um)",
-                   outdir / "wavefront.svg")
+    heatmap_figure(heatmap_values(field.W), "wave aberration W (um)", wavefront_svg)
     g_values = heatmap_values(field.G)
-    heatmap_figure(g_values, "hessian determinant G", outdir / "hessian_full.svg")
-    heatmap_figure(g_values, "hessian determinant G (clipped colorbar)",
-                   outdir / "hessian_clipped.svg", clip=0.02)
-    retina_figure(caustics.retina_curves, report["critical_points"],
-                  report["starburst"]["spike_tips"], outdir / "retina.svg")
+    heatmap_figure(g_values, "hessian determinant G", full_svg)
+    heatmap_figure(g_values, "hessian determinant G (clipped colorbar)", clipped_svg, clip=0.02)
+    retina_figure(caustics, verdict.spike_tips, retina_svg)
 
 
 # analyze's scenario flags: argparse dest -> the scenario key it sets
@@ -362,10 +356,9 @@ def cmd_analyze(args) -> int:
                 "either --scenario FILE or all of --alpha --beta --gamma --n required")
         scenario = Scenario.from_dict(
             {_SCENARIO_FLAGS[dest]: value for dest, value in given.items()})
-    if args.out:
-        scenario.output_dir = args.out
+    out = args.out or scenario.output_dir
     t0 = time.perf_counter()
-    with _output_dir(scenario.output_dir, ANALYZE_FILES) as outdir:
+    with _output_dir(out, ANALYZE_FILES) as outdir:
         report, artifacts = run_analysis(scenario)
     _emit_analysis_files(outdir, report, *artifacts)
     elapsed = time.perf_counter() - t0
@@ -379,7 +372,7 @@ def cmd_analyze(args) -> int:
     )
     if report["degenerate"]:
         print(f"degenerate field: {report['degenerate_reason']}")
-    print(f"outputs in {scenario.output_dir} ({elapsed:.2f}s)")
+    print(f"outputs in {out} ({elapsed:.2f}s)")
     return 0
 
 
@@ -409,8 +402,9 @@ def cmd_regions(args) -> int:
     cells = [""] * (2 * codes.size)
     cells[0::2] = gammas * len(alpha_tails)
     cells[1::2] = np.take_along_axis(alpha_tails, codes, axis=1).ravel().tolist()
-    _write_csv(outdir / "regions_grid.csv", "gamma,alpha,count,family", cells)
-    regions_figure(diagram, outdir / "regions.svg")
+    grid_csv, figure_svg = (outdir / name for name in REGIONS_FILES)
+    _write_csv(grid_csv, "gamma,alpha,count,family", cells)
+    regions_figure(diagram, figure_svg)
     print(f"region diagram for n={args.n}, beta={args.beta} written to {outdir}")
     return 0
 

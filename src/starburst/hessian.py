@@ -58,15 +58,20 @@ class PointClass(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HessianField:
-    """W, its derivatives to second order, and G = Wxx Wyy - Wxy^2."""
+    """The four polynomials the pipeline reads: W, its gradient (Wx, Wy)
+    and G = Wxx Wyy - Wxy^2."""
 
     W: BivariatePolynomial
     Wx: BivariatePolynomial
     Wy: BivariatePolynomial
-    Wxx: BivariatePolynomial
-    Wxy: BivariatePolynomial
-    Wyy: BivariatePolynomial
     G: BivariatePolynomial
+
+
+def _derivatives(w_poly: BivariatePolynomial):
+    """(Wx, Wy, Wxx, Wxy, Wyy) of the polynomial W."""
+    wx = w_poly.differentiate("x")
+    wy = w_poly.differentiate("y")
+    return wx, wy, wx.differentiate("x"), wx.differentiate("y"), wy.differentiate("y")
 
 
 def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
@@ -74,13 +79,8 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
         raise CapabilityError(
             f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
         )
-    wx = w_poly.differentiate("x")
-    wy = w_poly.differentiate("y")
-    wxx = wx.differentiate("x")
-    wxy = wx.differentiate("y")
-    wyy = wy.differentiate("y")
-    return HessianField(W=w_poly, Wx=wx, Wy=wy, Wxx=wxx, Wxy=wxy, Wyy=wyy,
-                        G=wxx * wyy - wxy * wxy)
+    wx, wy, wxx, wxy, wyy = _derivatives(w_poly)
+    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=wxx * wyy - wxy * wxy)
 
 
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
@@ -135,14 +135,14 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 def _pair_basis(n: int) -> np.ndarray:
     """The (DX, DY, 6) coefficient stack of the three-term family's pair
     polynomials of G for order n, one per entry of _PAIRS."""
-    terms = [field_from_polynomial(ZernikeTerm(k, m, 1.0).to_polynomial())
-             for k, m in ((2, 0), (4, 0), (n, n))]
+    hessians = [_derivatives(ZernikeTerm(k, m, 1.0).to_polynomial())[2:]
+                for k, m in ((2, 0), (4, 0), (n, n))]
     pairs = []
     for a, b in _PAIRS:
-        p, q = terms[a], terms[b]
-        g = p.Wxx * q.Wyy - p.Wxy * q.Wxy
+        (pxx, pxy, pyy), (qxx, qxy, qyy) = hessians[a], hessians[b]
+        g = pxx * qyy - pxy * qxy
         if a != b:  # c_a c_b appears twice in G = Wxx Wyy - Wxy^2
-            g = g + q.Wxx * p.Wyy - q.Wxy * p.Wxy
+            g = g + qxx * pyy - qxy * pxy
         pairs.append(g.coeffs)
     basis = _stack(pairs)
     basis.flags.writeable = False  # shared by every caller

@@ -85,15 +85,19 @@ class ABParams:
         return WaveAberration(tuple(terms), pupil_radius=pupil_radius)
 
 
-def _require_positive_beta(p: ABParams) -> None:
-    # The inequality tables are stated for beta > 0; flipping the sign of
-    # beta is not silently canonicalized because that would desynchronize
-    # the reported angle families.
+def _require_closed_form(p: ABParams) -> None:
+    """ValueError unless the closed forms can solve p: beta > 0 (the tables
+    are stated for it; flipping the sign of beta would desynchronize the
+    reported angle families) and every coefficient of A -+ B is finite in
+    units of beta.  A's gamma^2 coefficient outgrows alpha_1^+, so
+    `_named_bounds` cannot overflow once this check passes."""
     if p.beta <= 0.0:
         raise ValueError(
             "closed-form region predicates require beta > 0; "
             "re-express the aberration with positive spherical coefficient"
         )
+    if not all(map(math.isfinite, _ab_coefficients(_in_beta_units(p)))):
+        raise ValueError(_OVERFLOW)
 
 
 def _ab_coefficients(p: ABParams):
@@ -214,7 +218,7 @@ def _real_roots(coeffs: list[float]) -> list[float]:
 def saddle_radii(p: ABParams) -> RadiiResult:
     """Candidate ring radii per angle family (roots of A -+ B in (0, 1)),
     solved in units of beta as ``predict_saddles`` solves them."""
-    _require_positive_beta(p)
+    _require_closed_form(p)
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
         # of critical points instead of isolated rings.
@@ -449,7 +453,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     with ``boundary=True`` rather than resolved either way.  Solved in
     units of beta, so the prediction at c * p is the prediction at p.
     """
-    _require_positive_beta(p)
+    _require_closed_form(p)
     if p.gamma == 0.0:
         return SaddlePrediction(
             count=0,

@@ -17,6 +17,8 @@ import zlib
 
 import numpy as np
 
+from .hessian import PointClass
+
 
 def _f(v: float) -> str:
     return f"{v:.3f}"
@@ -253,9 +255,10 @@ def heatmap_figure(values: np.ndarray, title: str, path, clip: float | None = No
     canvas.save(path)
 
 
-def retina_figure(curves, critical_points, spike_tips, path) -> None:
-    """Caustic curves at the retina plane (arcmin) with the projected cusps
-    (``critical_points`` rows of report.json) and the spike tips."""
+def retina_figure(caustics, spike_tips, path) -> None:
+    """A `caustics.CausticSet` at the retina plane (arcmin): its curves, its
+    projected cusps of Gauss and the verdict's ``spike_tips``."""
+    curves = caustics.retina_curves
     canvas = SvgCanvas(620, 620, "caustics at the retina plane (arcmin)")
     pts = np.concatenate(curves) if curves else np.zeros((1, 2))
     lim = max(1.0, float(np.max(np.abs(pts))) * 1.1)
@@ -266,17 +269,16 @@ def retina_figure(curves, critical_points, spike_tips, path) -> None:
     fr.ticks(ticks, ticks)
     for poly in curves:
         fr.polyline(poly, stroke="rgb(120,30,140)", width=1.0)
-    for c in critical_points:
-        x, y = fr.px(c["xi_arcmin"]), fr.py(c["eta_arcmin"])
-        if c["class"] == "saddle":
+    for proj in caustics.projected_cusps:
+        x, y = fr.px(proj.xi), fr.py(proj.eta)
+        if proj.point.kind is PointClass.SADDLE:
             canvas.circle(x, y, 3.0, fill="rgb(30,150,60)", stroke="black")
             canvas.circle(x, y, 6.0, stroke="black")
         else:
             canvas.marker_star(x, y, 5.0, "rgb(30,150,60)")
     for t in spike_tips:
-        a = math.radians(t["angle_deg"])
-        x = fr.px(t["radius_arcmin"] * math.sin(a))
-        y = fr.py(t["radius_arcmin"] * math.cos(a))
+        x = fr.px(t.radius_arcmin * math.sin(t.angle))
+        y = fr.py(t.radius_arcmin * math.cos(t.angle))
         canvas.circle(x, y, 4.0, stroke="rgb(200,120,0)", width=1.5)
     canvas.save(path)
 

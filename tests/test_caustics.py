@@ -556,7 +556,7 @@ class TestVerdicts:
         for a in analyses.values():
             verdict = starburst_verdict(a.caustics)
             for tip in verdict.spike_tips:
-                assert tip.radius_arcmin >= verdict.visibility_threshold
+                assert tip.radius_arcmin >= 1.0  # the default threshold
 
     def test_long_short_alternation(self, analyses):
         a = analyses["8stars"]

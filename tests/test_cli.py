@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,11 +23,14 @@ from starburst import (
     region_diagram,
 )
 from starburst.cli import (
+    ANALYZE_FILES,
     Scenario,
+    _output_dir,
     _verification_samples,
     _verify_sample,
     build_parser,
     main,
+    run_analysis,
     run_verification,
     write_report_json,
 )
@@ -46,7 +50,7 @@ class TestScenarioParsing:
     def test_shorthand_expansion(self):
         s = Scenario.from_dict({"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3})
         assert {(t.n, t.m) for t in s.wavefront.terms} == {(4, 0), (3, 3)}
-        assert s.pupil_radius_mm == 3.5
+        assert s.wavefront.pupil_radius == 3.5
 
     def test_explicit_terms(self):
         s = Scenario.from_dict(
@@ -67,6 +71,27 @@ class TestScenarioParsing:
     def test_missing_wavefront(self):
         with pytest.raises(ValueError):
             Scenario.from_dict({"pupil_radius_mm": 3.5})
+
+    def test_scenario_is_frozen_without_defaults(self):
+        s = Scenario.from_dict({"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.output_dir = "elsewhere"
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(Scenario))
+
+    def test_pupil_radius_is_the_wavefronts(self):
+        # the echo and the retina map read the one pupil radius; retina
+        # angles scale as 1 / pupil radius
+        reports = {}
+        for pupil in (3.0, 3.5):
+            scenario = Scenario.from_dict({"alpha": 0.0, "beta": 0.2, "gamma": 0.2, "n": 3,
+                                           "grid_resolution": 64, "pupil_radius_mm": pupil})
+            report, (_, _, caustics, _) = run_analysis(scenario)
+            assert caustics.aberration.pupil_radius == pupil
+            reports[pupil] = report
+        assert reports[3.0]["scenario"]["pupil_radius_mm"] == 3.0
+        for at_3, at_35 in zip(reports[3.0]["critical_points"], reports[3.5]["critical_points"]):
+            for key in ("xi_arcmin", "eta_arcmin"):
+                assert at_3[key] == pytest.approx(at_35[key] * 3.5 / 3.0, rel=1e-12, abs=1e-12)
 
     def test_incomplete_shorthand(self):
         with pytest.raises(ValueError):
@@ -226,6 +251,14 @@ class TestAnalyzeCommand:
         (tmp_path / "old").mkdir()
         assert main(argv + ["--out", str(tmp_path / "old" / "new")]) == 2
         assert [p.name for p in tmp_path.rglob("*")] == ["old"]
+
+    def test_failed_analysis_keeps_a_directory_another_writer_filled(self, tmp_path):
+        out = tmp_path / "new" / "out"
+        with pytest.raises(RuntimeError):
+            with _output_dir(out, ANALYZE_FILES):
+                (out / "other.txt").write_text("kept")
+                raise RuntimeError
+        assert (out / "other.txt").read_text() == "kept"
 
     def test_output_file_collision_exit_code(self, tmp_path, capsys):
         # a directory where report.json goes: the write fails after the analysis

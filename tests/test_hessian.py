@@ -11,6 +11,7 @@ from starburst import (
     SUPPORTED_ORDERS,
     ABParams,
     CapabilityError,
+    HessianField,
     PointClass,
     WaveAberration,
     ZernikeTerm,
@@ -79,9 +80,21 @@ class TestBuildField:
             (ZernikeTerm(2, 0, 0.1), ZernikeTerm(4, 0, 0.2), ZernikeTerm(5, 5, 0.07))
         )
         field = build_field(w)
-        product = field.Wxx * field.Wyy - field.Wxy * field.Wxy
+        wxx, wxy, wyy = (field.W.differentiate(u).differentiate(v) for u, v in ("xx", "xy", "yy"))
+        product = wxx * wyy - wxy * wxy
         diff = field.G - product
         assert diff.is_zero
+
+    def test_field_holds_the_four_polynomials_the_pipeline_reads(self):
+        assert tuple(f.name for f in dataclasses.fields(HessianField)) == ("W", "Wx", "Wy", "G")
+        field = build_field(EQ3.to_wavefront())
+        assert np.array_equal(field.Wx.coeffs, field.W.differentiate("x").coeffs)
+        assert np.array_equal(field.Wy.coeffs, field.W.differentiate("y").coeffs)
+
+    def test_degree_above_the_supported_maximum_rejected(self):
+        poly = BivariatePolynomial(np.eye(14)[::-1])  # x^13 + ... + y^13
+        with pytest.raises(CapabilityError, match="degree 13 exceeds supported maximum 12"):
+            field_from_polynomial(poly)
 
     def test_gradient_and_hessian_of_g_are_consistent(self):
         field = build_field(EQ3.to_wavefront())
@@ -369,6 +382,43 @@ class TestRescaleInvariance:
     def test_negative_or_non_finite_factor(self, factor):
         with pytest.raises(ValueError, match="factor"):
             rescale_check(EQ3.to_wavefront(), factor)
+
+    @staticmethod
+    def _check_with_scaled_census(monkeypatch, edit):
+        """rescale_check of 3star at factor 2 with ``edit`` applied to the
+        census of the dilated field."""
+        census = hessian.find_critical_points
+
+        def edited(field, domain_radius=1.0):
+            result = census(field, domain_radius)
+            return edit(result) if domain_radius != 1.0 else result
+
+        monkeypatch.setattr(hessian, "find_critical_points", edited)
+        return rescale_check(EQ3.to_wavefront(), 2.0)
+
+    def test_degeneracy_flags_disagree(self, monkeypatch):
+        report = self._check_with_scaled_census(
+            monkeypatch, lambda r: dataclasses.replace(r, degenerate=True))
+        assert report == hessian.RescaleReport(2.0, False, math.inf, 0, True,
+                                               "degeneracy flags disagree")
+
+    def test_count_mismatch(self, monkeypatch):
+        report = self._check_with_scaled_census(
+            monkeypatch, lambda r: dataclasses.replace(r, points=r.points[1:]))
+        assert report == hessian.RescaleReport(2.0, False, math.inf, 7, False,
+                                               "count mismatch: 7 vs 6")
+
+    def test_class_mismatch(self, monkeypatch):
+        def flip_first(r):
+            first = r.points[0]
+            other = (PointClass.EXTREMUM if first.kind is PointClass.SADDLE
+                     else PointClass.SADDLE)
+            return dataclasses.replace(
+                r, points=(dataclasses.replace(first, kind=other),) + r.points[1:])
+
+        report = self._check_with_scaled_census(monkeypatch, flip_first)
+        assert report == hessian.RescaleReport(2.0, False, math.inf, 7, False,
+                                               "class mismatch")
 
 
 def _census_key(result):

@@ -119,13 +119,24 @@ class TestSaddleRadii:
     def test_negligible_leading_coefficient(self, n, beta, gamma):
         # a leading coefficient of A -+ B below the rounding of the others
         # (beta^2 or gamma^2) would overflow the companion matrix
-        radii = saddle_radii(ABParams(0.0, beta, gamma, n))
-        assert all(0.0 < r < 1.0 for r in radii.even + radii.odd)
-        if gamma / beta > 1e154:  # predict_saddles works on gamma / beta
-            with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
-                predict_saddles(ABParams(0.0, beta, gamma, n))
+        p = ABParams(0.0, beta, gamma, n)
+        if gamma / beta > 1e154:  # the closed forms work on gamma / beta
+            for closed_form in (saddle_radii, predict_saddles):
+                with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
+                    closed_form(p)
         else:
-            predict_saddles(ABParams(0.0, beta, gamma, n))
+            radii = saddle_radii(p)
+            assert all(0.0 < r < 1.0 for r in radii.even + radii.odd)
+            predict_saddles(p)
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_overflowing_gamma_squared_coefficient_rejected(self, n):
+        # A's gamma^2 coefficient overflows, alpha_1^+ does not: saddle_radii
+        # returned no radii here, and predict_saddles at n = 4 a count of 4
+        # with no ring
+        for closed_form in (saddle_radii, predict_saddles):
+            with pytest.raises(ValueError, match="overflow the closed-form region bounds"):
+                closed_form(ABParams(0.0, 1.0, 2e153, n))
 
     @pytest.mark.parametrize("beta", [1e-200, 1e-160, 0.2, 1e150, 1e200])
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
@@ -379,6 +390,13 @@ class TestPredictSaddles:
         pred = predict_saddles(ABParams(0.1, 0.2, 0.0, 4))
         assert pred.count == 0 and pred.non_generic
 
+    def test_alpha2_left_out_at_gamma_zero(self):
+        # alpha_2 is proportional to 1/gamma^2 for n = 5 and 1/gamma for n = 6
+        for n in (5, 6):
+            bounds = _named_bounds(n, 0.0)
+            assert "alpha1_plus" in bounds
+            assert not {"alpha2_plus", "alpha2_minus"} & bounds.keys()
+
     def test_gamma_squared_underflow(self):
         # alpha_2 (proportional to 1/gamma^2) has no float value, but the
         # rows it bounds need |gamma| > gamma_1: as for any tiny gamma
@@ -532,6 +550,11 @@ class TestGammaIntervals:
         lo, hi = admissible_gamma_interval(n, 0.2, 0.0)
         assert hi == pytest.approx(endpoint, abs=tol)
         assert lo == pytest.approx(-endpoint, abs=tol)
+
+    def test_no_admissible_gamma(self):
+        # n = 3 with alpha above alpha_1^+ and alpha_3 at every scanned gamma
+        assert admissible_gamma_interval(3, 0.2, 80.0) is None
+        assert predict_saddles(ABParams(80.0, 0.2, 6.0, 3)).count == 0
 
     def test_closed_forms_for_endpoints(self):
         # at alpha = 0 the n=3 and n=4 endpoints have closed forms
