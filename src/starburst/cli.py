@@ -40,6 +40,7 @@ from .caustics import (
     starburst_verdict,
 )
 from .hessian import build_field, census_from_stacks, find_critical_points, three_term_stacks
+# boundary_slacks is unused here, but perfbench traces it under this name (ROADMAP item 8)
 from .regions import DEFAULT_WINDOWS, ABParams, boundary_slacks, predict_saddles, region_diagram
 from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure, write_new_file
 from .zernike import WaveAberration, ZernikeTerm
@@ -95,7 +96,7 @@ class Scenario:
             )
         if not has_short and not has_terms:
             raise ValueError("scenario lacks a wavefront definition")
-        pupil = float(_number(raw, "pupil_radius_mm", 3.5))
+        pupil = float(_number(raw, "pupil_radius_mm", WaveAberration.pupil_radius))
         shorthand = None
         if has_short:
             missing = shorthand_keys - raw.keys()
@@ -414,9 +415,9 @@ _VERIFY_BAND = 5e-3  # smallest boundary slack of a verification sample, in beta
 _VERIFY_CHUNK = 16
 
 
-def _verify_sample(params: ABParams, census) -> tuple[float, str]:
-    """(largest ring deviation checked, failure reason or "") of one sample."""
-    pred = predict_saddles(params)
+def _verify_sample(pred, census) -> tuple[float, str]:
+    """(largest ring deviation checked, failure reason or "") of a census
+    against its prediction."""
     saddles = census.saddles
     if census.degenerate or pred.count != len(saddles):
         return 0.0, (f"count: predicted {pred.count}, census "
@@ -424,7 +425,7 @@ def _verify_sample(params: ABParams, census) -> tuple[float, str]:
     max_dev = 0.0
     for ring in pred.rings:
         members = [s for s in saddles if abs(s.rho - ring.rho) < 1e-6]
-        if len(members) != params.n:
+        if len(members) != pred.n:
             return max_dev, f"ring at rho={ring.rho:.6f}: {len(members)} members"
         rdev = max(abs(s.rho - ring.rho) for s in members)
         adev = max(min(abs((s.theta - t + math.pi) % (2 * math.pi) - math.pi)
@@ -436,10 +437,11 @@ def _verify_sample(params: ABParams, census) -> tuple[float, str]:
 
 
 def _verification_samples(n: int, beta: float, samples: int, seed: int):
-    """Yield ``samples`` ABParams drawn in the region-diagram window, outside
-    a band of width _VERIFY_BAND around every boundary curve.  The band is
-    in units of beta (`boundary_slacks`), so it covers the same share of
-    the window at every beta.
+    """Yield ``samples`` (ABParams, prediction) pairs drawn in the
+    region-diagram window, outside a band of width _VERIFY_BAND around every
+    boundary curve.  The band is in units of beta (the prediction's
+    ``boundary_slack``), so it covers the same share of the window at every
+    beta.
     """
     rng = np.random.default_rng(seed)
     g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
@@ -448,9 +450,10 @@ def _verification_samples(n: int, beta: float, samples: int, seed: int):
         gamma = float(rng.uniform(g0, g1)) * beta
         alpha = float(rng.uniform(a0, a1)) * beta
         params = ABParams(alpha, beta, gamma, n)
-        if min(boundary_slacks(params)) >= _VERIFY_BAND:
+        pred = predict_saddles(params)
+        if pred.boundary_slack >= _VERIFY_BAND:
             done += 1
-            yield params
+            yield params, pred
 
 
 def run_verification(n: int, beta: float, samples: int, seed: int):
@@ -474,10 +477,10 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
     failures = []
     max_dev = 0.0
     while chunk := list(itertools.islice(draws, _VERIFY_CHUNK)):
-        coeffs = np.array([(p.alpha, p.beta, p.gamma) for p in chunk]).T
+        coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in chunk]).T
         censuses = census_from_stacks(three_term_stacks(n, *coeffs))
-        for params, census in zip(chunk, censuses):
-            dev, reason = _verify_sample(params, census)
+        for (params, pred), census in zip(chunk, censuses):
+            dev, reason = _verify_sample(pred, census)
             max_dev = max(max_dev, dev)
             if reason:
                 failures.append(

@@ -74,7 +74,7 @@ class ABParams:
         if self.beta == 0.0:
             raise ValueError("beta must be nonzero")
 
-    def to_wavefront(self, pupil_radius: float = 3.5) -> WaveAberration:
+    def to_wavefront(self, pupil_radius: float = WaveAberration.pupil_radius) -> WaveAberration:
         terms = []
         if self.alpha != 0.0:
             terms.append(ZernikeTerm(2, 0, self.alpha))
@@ -415,6 +415,9 @@ class SaddlePrediction:
     boundary: bool = False
     non_generic: bool = False
     warnings: tuple[str, ...] = ()
+    # distance of (gamma, alpha) to the nearest table inequality or to
+    # gamma = 0, in units of beta and relative to bounds above 1
+    boundary_slack: float = 0.0
 
     @property
     def families(self) -> tuple[str, ...]:
@@ -450,8 +453,11 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     """Closed-form saddle census: count in {0, n, 2n}, rings, region label.
 
     Boundary equalities within the relative tolerance 1e-12 are reported
-    with ``boundary=True`` rather than resolved either way.  Solved in
-    units of beta, so the prediction at c * p is the prediction at p.
+    with ``boundary=True`` rather than resolved either way.  The same walk
+    of the table gives ``boundary_slack``, which ``verify`` uses to keep its
+    samples away from the boundaries, where the strict inequalities (and
+    the numerical census) become ill-conditioned.  Solved in units of
+    beta, so the prediction at c * p is the prediction at p.
     """
     _require_closed_form(p)
     if p.gamma == 0.0:
@@ -466,10 +472,16 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     labels: list[str] = []
     warnings: list[str] = []
     boundary = False
+    slack = abs(p.gamma / p.beta)
     for k, (family, s) in enumerate(_FAMILIES):
         q = _in_beta_units(p, s)  # the family, as even
         strict_rows, loose_rows = [], []
         for row in _family_rows(q.n, q.gamma):
+            for value, lo, hi in ((q.gamma, row.gamma_lo, row.gamma_hi),
+                                  (q.alpha, row.alpha_lo, row.alpha_hi)):
+                for bound in (lo, hi):
+                    if bound is not None and math.isfinite(bound):
+                        slack = min(slack, abs(value - bound) / max(1.0, abs(bound)))
             strict, loose = _row_state(q.gamma, q.alpha, row)
             if strict:
                 strict_rows.append(row)
@@ -498,28 +510,13 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
         n=p.n,
         boundary=boundary,
         warnings=tuple(warnings),
+        boundary_slack=slack,
     )
 
 
 def boundary_slacks(p: ABParams) -> list[float]:
-    """Distances of (gamma, alpha) to every table inequality, in units of
-    beta and relative to bounds above 1.
-
-    Used to exclude samples too close to a region boundary, where the
-    strict inequalities (and the numerical census) become ill-conditioned.
-    Includes the gamma = 0 axis.
-    """
-    q = _in_beta_units(p)
-    out = [abs(q.gamma)]
-    for _, s in _FAMILIES:
-        t = s * q.gamma
-        for row in _family_rows(p.n, t):
-            for value, lo, hi in ((t, row.gamma_lo, row.gamma_hi),
-                                  (q.alpha, row.alpha_lo, row.alpha_hi)):
-                for bound in (lo, hi):
-                    if bound is not None and math.isfinite(bound):
-                        out.append(abs(value - bound) / max(1.0, abs(bound)))
-    return out
+    """[predict_saddles(p).boundary_slack], as ``min(boundary_slacks(p))`` reads it."""
+    return [predict_saddles(p).boundary_slack]
 
 
 def _saddles_exist(n: int, a: float, t):

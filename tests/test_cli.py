@@ -641,7 +641,7 @@ class TestVerifyCommand:
         assert main(["verify", "--n", "3", "--beta", "1e-8", "--samples", "1",
                      "--seed", "2"]) == 1
         (line,) = [s for s in capsys.readouterr().out.splitlines() if "FAIL" in s]
-        (want,) = _verification_samples(3, 1e-8, 1, 2)
+        ((want, _),) = _verification_samples(3, 1e-8, 1, 2)
         assert line == (f"  FAIL gamma={want.gamma:.6g} alpha={want.alpha:.6g}: "
                         "count: predicted 3, census 1")
         gamma, alpha = (float(w.split("=")[1].rstrip(":")) for w in line.split()[1:3])
@@ -681,12 +681,12 @@ class TestVerifyCommand:
 class TestVerifySample:
     # hand-made censuses around the one predicted ring of 3star's
     # parameters: three odd-family saddles at rho = 0.517810
-    PARAMS = ABParams(0.0, 0.2, 0.2, 3)
+    PRED = predict_saddles(ABParams(0.0, 0.2, 0.2, 3))
 
     def census(self, moves=(), extra=(), degenerate=False):
         """The predicted ring's saddles, the k-th moved by moves[k] = (drho,
         dtheta), with ``extra`` (rho, theta) saddles appended."""
-        (ring,) = predict_saddles(self.PARAMS).rings
+        (ring,) = self.PRED.rings
         spots = [(ring.rho + dr, t + dt) for (t, (dr, dt))
                  in zip(ring.theta_offsets, list(moves) + [(0.0, 0.0)] * 3)]
         points = tuple(CriticalPoint(rho * math.sin(t), rho * math.cos(t), rho, t,
@@ -695,17 +695,17 @@ class TestVerifySample:
         return CriticalPointSearch(points, degenerate=degenerate)
 
     def test_exact_ring_agrees(self):
-        assert _verify_sample(self.PARAMS, self.census()) == (0.0, "")
+        assert _verify_sample(self.PRED, self.census()) == (0.0, "")
 
     def test_count(self):
-        assert _verify_sample(self.PARAMS, self.census(extra=[(0.2, 0.0)])) == (
+        assert _verify_sample(self.PRED, self.census(extra=[(0.2, 0.0)])) == (
             0.0, "count: predicted 3, census 4")
-        assert _verify_sample(self.PARAMS, self.census(degenerate=True)) == (
+        assert _verify_sample(self.PRED, self.census(degenerate=True)) == (
             0.0, "count: predicted 3, census degenerate")
 
     def test_ring_members(self):
         # a saddle 1e-5 off the ring is no member; the count still matches
-        assert _verify_sample(self.PARAMS, self.census(moves=[(1e-5, 0.0)])) == (
+        assert _verify_sample(self.PRED, self.census(moves=[(1e-5, 0.0)])) == (
             0.0, "ring at rho=0.517810: 2 members")
 
     @pytest.mark.parametrize("move,reason", [
@@ -713,7 +713,7 @@ class TestVerifySample:
         ((0.0, -2e-8), "deviation rho=0.00e+00 angle=2.00e-08"),
     ])
     def test_deviation(self, move, reason):
-        dev, got = _verify_sample(self.PARAMS, self.census(moves=[move]))
+        dev, got = _verify_sample(self.PRED, self.census(moves=[move]))
         assert got == reason and dev == pytest.approx(max(map(abs, move)), rel=1e-6)
 
 

@@ -15,7 +15,6 @@ from starburst import (
     ODD_FAMILY,
     ab_functions,
     admissible_gamma_interval,
-    boundary_slacks,
     build_field,
     find_critical_points,
     predict_saddles,
@@ -34,6 +33,7 @@ from starburst.regions import (
     _Row,
     _row_state,
     _saddles_exist,
+    boundary_slacks,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -389,6 +389,27 @@ class TestPredictSaddles:
     def test_gamma_zero_non_generic(self):
         pred = predict_saddles(ABParams(0.1, 0.2, 0.0, 4))
         assert pred.count == 0 and pred.non_generic
+        assert pred.boundary_slack == 0.0
+
+    def test_boundary_slack_of_3star(self):
+        # at beta = 1 3star is (gamma, alpha) = (1, 0): every alpha bound
+        # of either family exceeds 1 in size, so its relative slack is 1, as
+        # is gamma's to 0; the nearest bound is 4 sqrt(10), the gamma
+        # threshold of the even family's second and third rows
+        gamma_star = 4.0 * SQRT10
+        assert _named_bounds(3, 1.0)["gamma_star"] == gamma_star
+        pred = predict_saddles(ABParams(0.0, 0.2, 0.2, 3))
+        assert pred.boundary_slack == (gamma_star - 1.0) / gamma_star
+        assert boundary_slacks(ABParams(0.0, 0.2, 0.2, 3)) == [pred.boundary_slack]
+
+    @pytest.mark.parametrize("params", [
+        ABParams(0.0, 1.0, SQRT2, 4),  # gamma = sqrt(2) beta
+        ABParams(SQRT15, 1.0, 0.5, 5),  # alpha = sqrt(15) beta
+        ABParams(_named_bounds(3, 0.5)["alpha1_plus"], 1.0, 0.5, 3),
+        ABParams(_named_bounds(6, 0.5)["alpha1_plus"], 1.0, -0.5, 6),  # alpha1-
+    ], ids=["n4-gamma", "n5-sqrt15", "n3-alpha1+", "n6-alpha1-"])
+    def test_boundary_slack_zero_on_a_boundary(self, params):
+        assert predict_saddles(params).boundary_slack == 0.0
 
     def test_alpha2_left_out_at_gamma_zero(self):
         # alpha_2 is proportional to 1/gamma^2 for n = 5 and 1/gamma for n = 6
@@ -504,7 +525,7 @@ class TestCensusMirror:
         # the symmetry the single table rests on, checked without the
         # closed forms: the census at -gamma is the census at gamma turned
         # by pi/n, (x, y) = (rho sin theta, rho cos theta) -> theta + pi/n
-        samples = list(_verification_samples(n, 0.2, 50, seed=n))
+        samples = [p for p, _ in _verification_samples(n, 0.2, 50, seed=n)]
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p in samples]).T
         at_gamma = census_from_stacks(three_term_stacks(n, *coeffs))
         at_minus = census_from_stacks(three_term_stacks(n, *(coeffs * [[1], [1], [-1]])))
