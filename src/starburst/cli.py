@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import inspect
 import itertools
 import json
 import math
@@ -55,6 +56,11 @@ FIXTURE_SCENARIOS = {
 }
 
 
+def _default(func, name: str):
+    """``func``'s default for ``name``, read through functools.wraps wrappers."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _number(raw: dict, key: str, default=None):
     """raw[key] (or a given default for an absent key), if a JSON number."""
     if key not in raw and default is None:
@@ -67,7 +73,7 @@ def _number(raw: dict, key: str, default=None):
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """One analysis's inputs; `from_dict` holds the defaults."""
+    """One analysis's inputs; `from_dict` fills in its callees' defaults."""
 
     wavefront: WaveAberration
     shorthand: ABParams | None
@@ -114,16 +120,18 @@ class Scenario:
                       for t in terms),
                 pupil_radius=pupil,
             )
-        grid = _number(raw, "grid_resolution", 512)
+        grid = _number(raw, "grid_resolution", _default(extract_contours, "resolution"))
         if isinstance(grid, float) and not grid.is_integer():
             raise ValueError(f"grid_resolution must be an integer, got {grid}")
         if not MIN_GRID_RESOLUTION <= grid <= MAX_GRID_RESOLUTION:
             raise ValueError(f"grid_resolution must be at least {MIN_GRID_RESOLUTION} "
                              f"and at most {MAX_GRID_RESOLUTION}")
-        threshold = float(_number(raw, "visibility_threshold_arcmin", 1.0))
+        threshold = float(_number(raw, "visibility_threshold_arcmin",
+                                  _default(starburst_verdict, "threshold_arcmin")))
         if not 0.0 < threshold < math.inf:
             raise ValueError("visibility_threshold_arcmin must be positive and finite")
-        fertility = float(_number(raw, "fertility_distance", 0.12))
+        fertility = float(_number(raw, "fertility_distance",
+                                  _default(fertility_report, "distance")))
         if not 0.0 <= fertility < math.inf:
             raise ValueError("fertility_distance must be non-negative and finite")
         output_dir = raw.get("output_dir", "starburst_out")
@@ -165,11 +173,11 @@ def write_report_json(path: Path, payload: dict) -> None:
     write_new_file(path, body + "\n")
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    """Write preformatted lines, each ending in \\r\\n, under a header, as one
-    joined string in one write: what csv.writer's excel dialect writes for
-    fields that need no quoting."""
-    write_new_file(path, "".join(itertools.chain([header + "\r\n"], lines)))
+def _write_csv(path: Path, header: str, parts) -> None:
+    """Write preformatted parts, each one or more whole lines ending in
+    \\r\\n, under a header, as one joined string in one write: what
+    csv.writer's excel dialect writes for fields that need no quoting."""
+    write_new_file(path, "".join(itertools.chain([header + "\r\n"], parts)))
 
 
 # the files each command writes into its output directory, in the order it writes them
@@ -389,22 +397,25 @@ def cmd_regions(args) -> int:
         diagram = region_diagram(args.n, args.beta, gamma_range, alpha_range,
                                  resolution=args.res)
     # Each gamma, each alpha and each "count,family" tail is formatted once; a
-    # cell's count follows from its family code.  Row by row, the "gamma,"
-    # strings fill the even slots and each cell's "alpha,count,family" tail
-    # the odd ones, and the file is one join of that list.
+    # cell's count follows from its family code.  A run of one code within
+    # one alpha row (a row changes code a few times at most) shares the tail
+    # "alpha,count,family\r\n", so each run is one join of its "gamma,"
+    # strings, and the file is one join of the runs.
     codes = diagram.family_codes
     count_of = np.zeros(4, int)
     count_of[codes] = diagram.counts
     tails = [f"{c},{name}\r\n" for c, name in
              zip(count_of.tolist(), ("none", "even", "odd", "both"))]
     gammas = [f"{v:.12g}," for v in diagram.gamma_values.tolist()]
-    alpha_tails = np.array([[f"{v:.12g}," + t for t in tails]
-                            for v in diagram.alpha_values.tolist()], dtype=object)
-    cells = [""] * (2 * codes.size)
-    cells[0::2] = gammas * len(alpha_tails)
-    cells[1::2] = np.take_along_axis(alpha_tails, codes, axis=1).ravel().tolist()
+    alphas = [f"{v:.12g}," for v in diagram.alpha_values.tolist()]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))  # each row start and code change
+    row, j0 = np.divmod(first, codes.shape[1])
+    run_tails = [alphas[i] + tails[c] for i, c in zip(row.tolist(), codes.flat[first].tolist())]
+    # a generator: the runs are freed once joined, before the file is encoded
+    runs = (t.join(gammas[j:j + k]) + t for t, j, k in
+            zip(run_tails, j0.tolist(), np.diff(first, append=codes.size).tolist()))
     grid_csv, figure_svg = (outdir / name for name in REGIONS_FILES)
-    _write_csv(grid_csv, "gamma,alpha,count,family", cells)
+    _write_csv(grid_csv, "gamma,alpha,count,family", runs)
     regions_figure(diagram, figure_svg)
     print(f"region diagram for n={args.n}, beta={args.beta} written to {outdir}")
     return 0
@@ -573,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--window", default="",
                     help="G0,G1,A0,A1 (um), finite with G0<G1 and A0<A1; write "
                     "--window=G0,G1,A0,A1 when G0 is negative")
-    pr.add_argument("--res", type=int, default=121, help="samples per axis")
+    pr.add_argument("--res", type=int, default=_default(region_diagram, "resolution"),
+                    help="samples per axis")
     pr.add_argument("--out", default="starburst_regions")
     pr.set_defaults(func=cmd_regions)
 
@@ -585,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("fixtures", help="reproduce the five reference starbursts")
-    pf.add_argument("--grid", type=int, default=512)
+    pf.add_argument("--grid", type=int, default=_default(extract_contours, "resolution"))
     pf.set_defaults(func=cmd_fixtures)
     return parser
 

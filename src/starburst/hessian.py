@@ -80,10 +80,26 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
             f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
         )
     wx, wy, wxx, wxy, wyy = _derivatives(w_poly)
+    xx, xy, yy = (np.abs(p.coeffs).max(initial=0.0) for p in (wxx, wxy, wyy))
+    _require_normal_products(np.array([xx, xy]), np.array([yy, xy]))
     return HessianField(W=w_poly, Wx=wx, Wy=wy, G=wxx * wyy - wxy * wxy)
 
 
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
+_UNDERFLOW = "wavefront coefficients underflow the Hessian determinant"
+
+
+def _require_normal_products(left, right) -> None:
+    """ValueError when some pair of a field's Hessian factors, paired along
+    axis 0 (each a coefficient, or a polynomial's largest |coefficient|), is
+    nonzero in both, but every pair's product is below the smallest normal
+    float: G, the sum of those products, is then 0 or subnormal, and the
+    census would take it for a constant G.  Overflowing products are left
+    for the overflow checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.max(np.abs(left * right), axis=0) < np.finfo(float).tiny
+    if np.any(small & np.any((left != 0.0) & (right != 0.0), axis=0)):
+        raise ValueError(_UNDERFLOW)
 
 
 def _require_squarable(g_hess: np.ndarray, r: float) -> None:
@@ -101,7 +117,7 @@ def _require_squarable(g_hess: np.ndarray, r: float) -> None:
     if not np.isfinite(square).all():
         raise ValueError(_OVERFLOW)
     if np.any((bound != 0.0) & (square < np.finfo(float).tiny)):
-        raise ValueError("wavefront coefficients underflow the Hessian determinant")
+        raise ValueError(_UNDERFLOW)
 
 
 def build_field(w: WaveAberration) -> HessianField:
@@ -153,11 +169,13 @@ def three_term_stacks(n: int, alpha, beta, gamma) -> np.ndarray:
     """G's (DX, DY, fields) coefficient stack for W = alpha Z_2^0 + beta Z_4^0
     + gamma Z_n^n, one field per entry of the coefficient arrays, contracted
     from the cached pair basis; products that overflow are left for the
-    census to reject."""
+    census to reject; ValueError when they underflow
+    (`_require_normal_products`)."""
     c = np.array([alpha, beta, gamma], dtype=float)
+    left, right = c[[a for a, _ in _PAIRS]], c[[b for _, b in _PAIRS]]
+    _require_normal_products(left, right)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.array([c[a] * c[b] for a, b in _PAIRS])
-        return np.tensordot(_pair_basis(n), weights, axes=1)
+        return np.tensordot(_pair_basis(n), left * right, axes=1)
 
 
 # Census constants.

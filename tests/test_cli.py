@@ -1,15 +1,19 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import starburst
 from starburst import (
@@ -34,6 +38,7 @@ from starburst.cli import (
     run_verification,
     write_report_json,
 )
+from starburst.regions import DEFAULT_WINDOWS
 
 
 # a valid 3star shorthand scenario, left open for more keys
@@ -216,12 +221,15 @@ class TestAnalyzeCommand:
 
     def test_underflowing_coefficient_flags_exit_code(self, tmp_path, capsys):
         # G (about 1e-180) is too small to square: the census would lose its
-        # digits, not report a short or empty one
-        assert main(["analyze", "--alpha", "0", "--beta", "1e-90", "--gamma", "1e-90",
-                     "--n", "3", "--grid", "64", "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: wavefront coefficients underflow the Hessian determinant\n")
-        assert not (tmp_path / "out").exists()
+        # digits, not report a short or empty one; below about 1e-162 the
+        # products of G round to 0, which is no constant G either
+        for coeff in ("1e-90", "1e-170", "1e-300"):
+            out = tmp_path / coeff
+            assert main(["analyze", "--alpha", "0", "--beta", coeff, "--gamma", coeff,
+                         "--n", "3", "--grid", "64", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: wavefront coefficients underflow the Hessian determinant\n")
+            assert not out.exists()
 
     def test_small_coefficient_flags_full_census(self, tmp_path, capsys):
         assert main(["analyze", "--alpha", "0", "--beta", "1e-20", "--gamma", "1e-20",
@@ -470,6 +478,56 @@ class TestAnalyzeCommand:
         assert "outputs in starburst_out (" in capsys.readouterr().out
 
 
+@st.composite
+def regions_cases(draw):
+    """(n, res, window) of a `regions --beta 0.2` run: window is None for
+    the default one, else a random part of it in micrometres, starting at
+    gamma = 0 for one draw in three."""
+    n = draw(st.sampled_from(sorted(DEFAULT_WINDOWS)))
+    res = draw(st.integers(2, 41))
+    kind = draw(st.sampled_from(["default", "part", "gamma0"]))
+    if kind == "default":
+        return n, res, None
+    g0, g1, a0, a1 = (0.2 * v for v in DEFAULT_WINDOWS[n])
+    window = []
+    for lo, hi in ((g0, g1), (a0, a1)):
+        f0, f1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                                      unique=True)))
+        window += [lo + (hi - lo) * f0, lo + (hi - lo) * f1]
+    if kind == "gamma0":
+        window[0] = 0.0
+    if not (window[0] < window[1] and window[2] < window[3]):  # closed by rounding
+        window = [0.0, 0.1, 0.0, 0.1]
+    return n, res, tuple(window)
+
+
+def per_cell_grid(d) -> bytes:
+    """regions_grid.csv of diagram ``d`` as csv.writer writes it, one row
+    per cell, alpha outer and gamma inner, axes at 12 significant digits."""
+    out = io.StringIO()
+    writer = csv.writer(out)  # the excel dialect: "\r\n" line ends
+    writer.writerow(["gamma", "alpha", "count", "family"])
+    names = ("none", "even", "odd", "both")
+    for i, alpha in enumerate(d.alpha_values):
+        for j, gamma in enumerate(d.gamma_values):
+            writer.writerow(["%.12g" % gamma, "%.12g" % alpha, d.counts[i, j],
+                             names[d.family_codes[i, j]]])
+    return out.getvalue().encode()
+
+
+def case_diagram(n, res, window):
+    """The region diagram of a (n, res, window) case at beta = 0.2."""
+    ranges = () if window is None else (window[:2], window[2:])
+    return region_diagram(n, 0.2, *ranges, resolution=res)
+
+
+# (n, res, window) cases run by every test_grid_matches_per_cell_writer,
+# each checked for what it stands for in test_run_walk_cases_cover_their_edges
+GAMMA0_CASE = (3, 41, (0.0, 4.0, -3.0, 24.0))  # gamma = 0 is the first sample
+ONE_REGION_CASE = (4, 17, (-0.38, -0.27, -2.16, -1.1))  # every cell "even"
+BOTH_CASES = ((5, 41, None), (6, 41, None))  # "both" family cells among others
+
+
 class TestRegionsCommand:
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "regions")
@@ -579,6 +637,28 @@ class TestRegionsCommand:
         assert np.array_equal(np.array(family).reshape(shape), names[d.family_codes])
         assert set(family) == {"none", "even", "odd", "both"}
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(regions_cases())
+    @example(GAMMA0_CASE)
+    @example(ONE_REGION_CASE)
+    @example(BOTH_CASES[0])
+    @example(BOTH_CASES[1])
+    def test_grid_matches_per_cell_writer(self, case):
+        # the grid is written as runs of one family code per alpha row
+        n, res, window = case
+        flags = [] if window is None else ["--window=" + ",".join(map(repr, window))]
+        with tempfile.TemporaryDirectory() as out:
+            assert main(["regions", "--n", str(n), "--beta", "0.2", "--res", str(res),
+                         *flags, "--out", out]) == 0
+            got = (Path(out) / "regions_grid.csv").read_bytes()
+        assert got == per_cell_grid(case_diagram(*case))
+
+    def test_run_walk_cases_cover_their_edges(self):
+        assert case_diagram(*GAMMA0_CASE).gamma_values[0] == 0.0
+        assert np.unique(case_diagram(*ONE_REGION_CASE).family_codes).tolist() == [1]
+        for case in BOTH_CASES:
+            assert np.unique(case_diagram(*case).family_codes).tolist() == [0, 1, 2, 3]
+
 
 class TestVerifyCommand:
     def test_small_run_agrees(self):
@@ -620,9 +700,12 @@ class TestVerifyCommand:
             "error: wavefront coefficients overflow the Hessian determinant\n")
 
     def test_underflowing_beta_usage_error(self, capsys):
-        assert main(["verify", "--n", "5", "--beta", "1e-90", "--samples", "20"]) == 2
-        assert capsys.readouterr().err == (
-            "error: wavefront coefficients underflow the Hessian determinant\n")
+        # below beta ~ 1e-162 the pair weights of G round to 0: no census
+        # may read that as a constant G
+        for beta in ("1e-90", "1e-170", "1e-300"):
+            assert main(["verify", "--n", "5", "--beta", beta, "--samples", "20"]) == 2
+            assert capsys.readouterr().err == (
+                "error: wavefront coefficients underflow the Hessian determinant\n")
 
     @pytest.mark.parametrize("beta", ["1e-5", "1e-4", "1e-20"])
     def test_tiny_beta_agrees(self, beta, capsys):

@@ -512,6 +512,18 @@ class TestCoefficientScale:
             census = find_critical_points(build_field(w))
             assert census.degenerate and census.message == "hessian determinant is constant"
 
+    def test_small_factor_beside_a_zero_one_is_not_underflow(self):
+        # W = 1e-300 x^2 has Wxx = 2e-300 but Wyy = Wxy = 0: its G is 0 in
+        # exact arithmetic too, and no product of nonzero factors underflows
+        coeffs = np.zeros((3, 1))
+        coeffs[2, 0] = 1e-300
+        census = find_critical_points(field_from_polynomial(BivariatePolynomial(coeffs)))
+        assert census.degenerate and census.message == "hessian determinant is constant"
+        # a pair weight that underflows beside normal ones leaves G normal
+        (census,) = census_from_stacks(three_term_stacks(3, *_coefficients(
+            [ABParams(1e-300, 0.2, 0.2, 3)])))
+        assert (len(census), len(census.saddles)) == (7, 3)
+
 
 # verify --n 4 --beta 0.2 --samples 1000 --seed 4: the closed form puts the
 # even family's 4 saddles on a ring at rho = 0.987838, next to the rim
