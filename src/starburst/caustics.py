@@ -539,11 +539,6 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
         cap *= _CAP_GROWTH
 
 
-def _wavefront_fold_order(w: WaveAberration) -> int:
-    """p-fold symmetry readable from the azimuthal frequencies (0 = axial)."""
-    return math.gcd(*(abs(t.m) for t in w.terms if t.coeff != 0.0))
-
-
 def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):
     rel = cloud - centroid
     r = np.hypot(rel[:, 0], rel[:, 1])
@@ -693,7 +688,7 @@ def starburst_verdict(
     """
     if not 0.0 < threshold_arcmin < math.inf:
         raise ValueError("threshold_arcmin must be positive and finite")
-    p, symmetry, tips = _wavefront_fold_order(caustics.aberration), None, []
+    p, symmetry, tips = caustics.aberration.fold_order(), None, []
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not p:
         # an axial caustic is rings, which every rotation maps onto themselves

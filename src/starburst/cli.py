@@ -489,7 +489,7 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
     max_dev = 0.0
     while chunk := list(itertools.islice(draws, _VERIFY_CHUNK)):
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in chunk]).T
-        censuses = census_from_stacks(three_term_stacks(n, *coeffs))
+        censuses = census_from_stacks(three_term_stacks(n, *coeffs), n)
         for (params, pred), census in zip(chunk, censuses):
             dev, reason = _verify_sample(pred, census)
             max_dev = max(max_dev, dev)

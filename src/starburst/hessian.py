@@ -14,9 +14,13 @@ contracted from a cached basis of pair polynomials (`three_term_stacks`);
 
 The search is deterministic: seeds come from fixed grids, one Newton
 kernel (`_newton`) runs data-parallel over points and fields, and results
-are deduplicated and listed ring by ring (`_ring_order`).  Each zoom pass
-seeds each grid node once, so no two seeds share (field, x, y) and each
-counts once in the unconverged-seed message.  A pass reads the sign
+are deduplicated and listed ring by ring (`_ring_order`).  A field whose W
+is g-fold (g >= 2; `WaveAberration.fold_order`) is solved from the seeds
+of one sector of angle 2 pi / g and the centre, and its roots are turned
+into the other sectors and polished by the same kernel
+(`_complete_orbits`).  Each zoom pass seeds each grid node once, so no two
+seeds share (field, x, y) and each counts once in the unconverged-seed
+message.  A pass reads the sign
 changes of Gx and Gy from one 4-bit code per node, and the local minima of
 |grad G| from gx^2 + gy^2 scaled by a power of two per field, not from
 np.hypot.  Each Newton trial is one evaluation of the (Gx, Gy, Gxx, Gxy,
@@ -59,12 +63,15 @@ class PointClass(str, enum.Enum):
 @dataclass(frozen=True)
 class HessianField:
     """The four polynomials the pipeline reads: W, its gradient (Wx, Wy)
-    and G = Wxx Wyy - Wxy^2."""
+    and G = Wxx Wyy - Wxy^2; and ``fold``, the order g of a rotation
+    symmetry of W (`WaveAberration.fold_order`), which the census exploits
+    when g >= 2."""
 
     W: BivariatePolynomial
     Wx: BivariatePolynomial
     Wy: BivariatePolynomial
     G: BivariatePolynomial
+    fold: int
 
 
 def _derivatives(w_poly: BivariatePolynomial):
@@ -74,7 +81,9 @@ def _derivatives(w_poly: BivariatePolynomial):
     return wx, wy, wx.differentiate("x"), wx.differentiate("y"), wy.differentiate("y")
 
 
-def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
+def field_from_polynomial(w_poly: BivariatePolynomial, fold: int) -> HessianField:
+    """The field of W given as a polynomial, with ``fold`` the order of its
+    rotation symmetry (1 assumes none)."""
     if w_poly.degree > MAX_RADIAL_ORDER:
         raise CapabilityError(
             f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
@@ -82,7 +91,7 @@ def field_from_polynomial(w_poly: BivariatePolynomial) -> HessianField:
     wx, wy, wxx, wxy, wyy = _derivatives(w_poly)
     xx, xy, yy = (np.abs(p.coeffs).max(initial=0.0) for p in (wxx, wxy, wyy))
     _require_normal_products(np.array([xx, xy]), np.array([yy, xy]))
-    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=wxx * wyy - wxy * wxy)
+    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=wxx * wyy - wxy * wxy, fold=fold)
 
 
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
@@ -124,8 +133,8 @@ def build_field(w: WaveAberration) -> HessianField:
     """The full derivative field of a wave aberration; ValueError when it
     overflows.  Whether the census can square G is the census's check."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        field = field_from_polynomial(w.to_polynomial())
-    if not all(np.isfinite(poly.coeffs).all() for poly in vars(field).values()):
+        field = field_from_polynomial(w.to_polynomial(), w.fold_order())
+    if not all(np.isfinite(p.coeffs).all() for p in (field.W, field.Wx, field.Wy, field.G)):
         raise ValueError(_OVERFLOW)
     return field
 
@@ -243,11 +252,26 @@ _GRID_SHIFT_X = (math.sqrt(2.0) - 1.0) / 2.0
 _GRID_SHIFT_Y = (math.sqrt(3.0) - 1.0) / 2.0
 
 
-def _corner_grid(stack: np.ndarray, radius: float, n: int):
-    h = 2.0 * radius / n
-    xs = np.linspace(-radius, radius, n + 1) + _GRID_SHIFT_X * h
-    ys = np.linspace(-radius, radius, n + 1) + _GRID_SHIFT_Y * h
-    return xs, ys, grid_values(stack, xs, ys)
+def _grid_axes(radius: float, least: int = 1):
+    """The node coordinates (xs, ys) of the corner grid of _GRID_SIZE cells
+    per axis on the square of half-side ``radius``, cropped to what seeding
+    a stack whose smallest fold is ``least`` reads (whole for least <= 1):
+    for least >= 2 every field's sector 0 <= theta < 2 pi / g lies in
+    x >= 0, and for least >= 4 in y >= 0 too, so the nodes from -2h on, h
+    the cell size, are kept on those axes.  The first kept node's mask has
+    lost neighbours, but it lies in no sector."""
+    h = 2.0 * radius / _GRID_SIZE
+    xs = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_X * h
+    ys = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_Y * h
+    return (xs[xs >= -2.0 * h] if least >= 2 else xs,
+            ys[ys >= -2.0 * h] if least >= 4 else ys)
+
+
+def _in_sector(x, y, fold) -> np.ndarray:
+    """Whether each point lies in its field's sector 0 <= theta < 2 pi / g,
+    theta = atan2(x, y), for the field's fold g; every point when g <= 1."""
+    theta = np.arctan2(x, y) % (2.0 * math.pi)
+    return (fold <= 1) | (theta < 2.0 * math.pi / np.maximum(fold, 1))
 
 
 def _sign_change_cells(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -277,13 +301,17 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
     return v <= least
 
 
-def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
+def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarray):
     """(field index, x, y) seeds from every zoom pass, each seeded once, and
-    each field's largest |grad G| on the zoom-1 grid.  A pass seeds the
-    centre of every cell of its corner grid where both components of
+    each field's largest |grad G| on the whole zoom-1 grid.  A pass seeds
+    the centre of every cell of its corner grid where both components of
     ``grad`` change sign, then every node that is a corner of such a cell
-    or a local minimum of |grad G|.  ``base`` is the zoom-1 corner grid
-    (xs, ys, (gx, gy)) of ``grad``; its gx and gy are scaled in place.
+    or a local minimum of |grad G|.  ``base`` is the whole zoom-1 corner
+    grid (gx, gy) of ``grad``, scaled in place.  A field of fold g >= 2
+    keeps only the seeds in its sector 0 <= theta < 2 pi / g, plus one at
+    the centre, which its symmetry fixes; each pass reads only the part of
+    its grid that holds the sectors of the stack's smallest fold
+    (`_grid_axes`), so the kept seeds are those of the whole grid.
 
     The minima are taken on gx^2 + gy^2, not on np.hypot(gx, gy), after the
     sign changes are read: each field's gx and gy are scaled by one exact
@@ -295,17 +323,21 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
     bits below the normal range.  The largest |grad G| is still hypot's:
     hypot is taken only at the nodes whose square is within 1e-12 of the
     field's largest square, and unscaled exactly."""
-    xs, ys, (gx, gy) = base
+    gx, gy = base
     top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
     # 2^-e for the largest component's exponent e, kept a normal float
     power = np.clip(-np.frexp(top)[1], -1022, 1023)
     scale = np.ldexp(1.0, power)[:, None, None]
+    least = int(fold.min())
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
+        xs, ys = _grid_axes(radius, least)
         if zoom != 1.0:
-            xs, ys, (gx, gy) = _corner_grid(grad, radius, _GRID_SIZE)
-        cells = _sign_change_cells(gx, gy)
+            gx, gy = grid_values(grad, xs, ys)
+        # zoom 1's grid is whole: its masks are read where xs and ys start
+        i, j = gx.shape[1] - xs.size, gx.shape[2] - ys.size
+        cells = _sign_change_cells(gx[:, i:, j:], gy[:, i:, j:])
         gx *= scale
         gy *= scale
         square = gx * gx
@@ -315,12 +347,17 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base):
         h = 2.0 * radius / _GRID_SIZE
         f, ci, cj = np.unravel_index(np.flatnonzero(cells), cells.shape)
         blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
-        nodes = _local_min_mask(square)
+        nodes = _local_min_mask(square[:, i:, j:])
+        rows, cols = cells.shape[1:]
         for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):  # each such cell's corners
-            nodes[:, di:di + _GRID_SIZE, dj:dj + _GRID_SIZE] |= cells
+            nodes[:, di:di + rows, dj:dj + cols] |= cells
         f, i, j = np.unravel_index(np.flatnonzero(nodes), nodes.shape)
         blocks.append((f, xs[i], ys[j]))
-    return (*(np.concatenate(parts) for parts in zip(*blocks)), gscale)
+    centre = np.flatnonzero(fold >= 2)
+    blocks.append((centre, np.zeros(centre.size), np.zeros(centre.size)))
+    f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
+    keep = _in_sector(x, y, fold[f])
+    return f[keep], x[keep], y[keep], gscale
 
 
 def _largest_norm(gx, gy, square, scale) -> np.ndarray:
@@ -457,6 +494,44 @@ def _dedup(fidx, x, y, gn, radius: float) -> np.ndarray:
     return order[kept]
 
 
+def _unmatched(fidx, x, y, cf, cx, cy, rank, radius: float) -> np.ndarray:
+    """Indices, in order, of the points (cf, cx, cy) that `_dedup` keeps
+    beside the deduplicated points (fidx, x, y), which rank first and so
+    are all kept: each point is dropped within ``radius`` of a point of
+    either set that ranks before it (lower ``rank``)."""
+    n = fidx.size
+    kept = _dedup(np.concatenate([fidx, cf]), np.concatenate([x, cx]),
+                  np.concatenate([y, cy]), np.concatenate([np.full(n, -1.0), rank]), radius)
+    return np.sort(kept[kept >= n]) - n
+
+
+def _complete_orbits(newton, fidx, x, y, fold, R: float, accept_tol, floor_tol):
+    """The copies, as (fidx, x, y), that complete the orbits of the
+    deduplicated points (fidx, x, y).  Each point off the centre of a field
+    of fold g >= 2 is turned by 2 pi k / g for k = 1..g-1; a copy within
+    DEDUP_RADIUS R of a point already found is dropped, the rest are
+    polished by `_newton`, and a copy is added if it converges inside the
+    disk onto no point already found.  A field with more than
+    _DEGENERATE_POINT_LIMIT points, which is flagged non-isolated either
+    way, is not completed."""
+    small = np.bincount(fidx, minlength=fold.size) <= _DEGENERATE_POINT_LIMIT
+    src = np.flatnonzero((fold[fidx] >= 2) & small[fidx]
+                         & (np.hypot(x, y) > DEDUP_RADIUS * R))
+    turns = fold[fidx[src]] - 1
+    at = np.repeat(src, turns)
+    k = np.arange(at.size) - np.repeat(np.cumsum(turns) - turns, turns) + 1
+    phi = 2.0 * math.pi * k / fold[fidx[at]]
+    c, s = np.cos(phi), np.sin(phi)
+    cf, cx, cy = fidx[at], x[at] * c + y[at] * s, y[at] * c - x[at] * s
+    new = _unmatched(fidx, x, y, cf, cx, cy, np.zeros(at.size), DEDUP_RADIUS * R)
+    cf, cx, cy = cf[new], cx[new], cy[new]
+    cx, cy, gn = _newton(newton, cf, cx, cy, R, accept_tol[cf], floor_tol[cf])
+    ok = (gn <= accept_tol[cf]) & (np.hypot(cx, cy) <= R * (1.0 + _BOUNDARY_CLAMP))
+    cf, cx, cy, gn = cf[ok], cx[ok], cy[ok], gn[ok]
+    new = _unmatched(fidx, x, y, cf, cx, cy, gn, DEDUP_RADIUS * R)
+    return cf[new], cx[new], cy[new]
+
+
 def _locate(x: float, y: float, R: float) -> tuple:
     """(x, y, rho, theta, on_boundary) of a located point, clamped onto the
     rim of the disk of radius R when just outside it."""
@@ -496,20 +571,32 @@ def find_critical_points_batch(
 ) -> list[CriticalPointSearch]:
     """Census of every field inside the disk of radius ``domain_radius``,
     run as one array program; each result is the field's census alone:
-    `census_from_stacks` of the fields' stacked G."""
-    return census_from_stacks(_stack([f.G.coeffs for f in fields]), domain_radius)
+    `census_from_stacks` of the fields' stacked G and folds."""
+    return census_from_stacks(_stack([f.G.coeffs for f in fields]),
+                              [f.fold for f in fields], domain_radius)
 
 
-def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[CriticalPointSearch]:
+def census_from_stacks(
+    g: np.ndarray, folds, domain_radius: float = 1.0
+) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of G's
     coefficients, inside the disk of radius ``domain_radius``, run as one
     array program.  G's first and second derivatives are taken here, once,
     for the whole stack, with `differentiate`'s product.
 
+    ``folds`` gives each field's fold g (one int for all, or one per
+    field): G is unchanged by a turn of 2 pi / g, as it is when W is (for
+    g <= 1 nothing is assumed).  For g >= 2 only the seeds of one sector
+    of angle 2 pi / g and the centre are solved (`_collect_seeds`), and the
+    roots found are turned into the other sectors (`_complete_orbits`).
+    Every off-centre critical point then has an orbit of g points, and a
+    census whose off-centre count is not a multiple of g says so.
+
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
-    axially symmetric W).  ValueError first as `_require_squarable`.
+    axially symmetric W).  ValueError first as `_require_squarable`, or
+    when ``folds`` is not one non-negative integer per field.
     """
     if not (domain_radius > 0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
@@ -517,26 +604,31 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
     g = np.asarray(g, dtype=float)
     if g.ndim != 3:  # a lone polynomial's columns would pass for fields
         raise ValueError(f"g must be a (DX, DY, fields) coefficient stack, got shape {g.shape}")
+    n_fields = g.shape[-1]
+    fold = np.asarray(folds)
+    if fold.ndim > 1 or fold.size not in (1, n_fields) or fold.size and (
+            fold.dtype.kind not in "iu" or fold.min() < 0):
+        raise ValueError(f"folds must be one non-negative integer per field, got {folds!r}")
+    fold = np.broadcast_to(fold, (n_fields,))
     g = _trim(g)
     with np.errstate(over="ignore"):  # reported by _require_squarable
         gx, gy = derivative(g, 0), derivative(g, 1)
         gxx, gxy, gyy = derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)
     g_hess = _stack([g, gxx, gxy, gyy])  # the located points' values
     _require_squarable(g_hess, R)
-    n_fields = g.shape[-1]
     if not n_fields:
         return []
     # the zoom-1 seed grid also sets the gradient and |G| scales
-    xs, ys, grid = _corner_grid(_stack([g, gx, gy]), R, _GRID_SIZE)
+    grid = grid_values(_stack([g, gx, gy]), *_grid_axes(R))
     g_abs_scale = np.max(np.abs(grid[0]), axis=(1, 2))
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
-    fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, (xs, ys, grid[1:]))
-    accept_tol = GRADIENT_TOL * gscale
+    fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, grid[1:], fold)
+    accept_tol, floor_tol = GRADIENT_TOL * gscale, 1e-16 * gscale
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
     n_seeds = np.bincount(fidx, minlength=n_fields)
-    x, y, gn = _newton(newton, fidx, x, y, R, accept_tol[fidx], 1e-16 * gscale[fidx])
+    x, y, gn = _newton(newton, fidx, x, y, R, accept_tol[fidx], floor_tol[fidx])
     ok = gn <= accept_tol[fidx]
     n_unconverged = np.bincount(fidx[~ok], minlength=n_fields)
     keep = ok & (np.hypot(x, y) <= R * (1.0 + _BOUNDARY_CLAMP))
@@ -544,14 +636,19 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
 
     # keep the best-converged representative of each cluster
     kept = _dedup(fidx, x, y, gn, DEDUP_RADIUS * R)
-    n_kept = np.bincount(fidx[kept], minlength=n_fields)
-    kept = kept[n_kept[fidx[kept]] <= _DEGENERATE_POINT_LIMIT]
-    located = [_locate(float(x[i]), float(y[i]), R) for i in kept]
+    fidx, x, y = fidx[kept], x[kept], y[kept]
+    copies = _complete_orbits(newton, fidx, x, y, fold, R, accept_tol, floor_tol)
+    fidx, x, y = (np.concatenate(pair) for pair in zip((fidx, x, y), copies))
+    n_kept = np.bincount(fidx, minlength=n_fields)
+    kept = n_kept[fidx] <= _DEGENERATE_POINT_LIMIT
+    fidx, x, y = fidx[kept], x[kept], y[kept]
+    n_off = np.bincount(fidx[np.hypot(x, y) > DEDUP_RADIUS * R], minlength=n_fields)
+    located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
     px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
-    values = gathered_values(g_hess, fidx[kept], px, py)
+    values = gathered_values(g_hess, fidx, px, py)
     points: list[list[CriticalPoint]] = [[] for _ in range(n_fields)]
     for (cx, cy, r, theta, on_boundary), f, value, a, b, d in zip(
-            located, fidx[kept].tolist(), *values):
+            located, fidx.tolist(), *values):
         # b ** 2 of a numpy float is pow(), which can differ from b * b in
         # the last bit; the determinants reported have always used it
         det = float(a * d - b**2)
@@ -563,21 +660,25 @@ def census_from_stacks(g: np.ndarray, domain_radius: float = 1.0) -> list[Critic
     results = []
     for f in range(n_fields):
         scales = (float(g_abs_scale[f]), float(gscale[f]))
-        degenerate, message = False, ""
+        degenerate, notes = False, []
         if constant[f]:
-            degenerate, message, scales = True, "hessian determinant is constant", (0.0, 0.0)
+            degenerate, notes, scales = True, ["hessian determinant is constant"], (0.0, 0.0)
         elif gscale[f] == 0.0:
             degenerate, scales = True, (0.0, 0.0)
-            message = "gradient of G vanishes on the sample grid"
+            notes = ["gradient of G vanishes on the sample grid"]
         elif n_seeds[f] == 0:
-            message = "no seeds"
+            notes = ["no seeds"]
         elif n_kept[f] > _DEGENERATE_POINT_LIMIT:
             degenerate = True
-            message = f"non-isolated critical set ({n_kept[f]} deduplicated points)"
-        elif n_unconverged[f]:
-            message = f"{n_unconverged[f]} of {n_seeds[f]} seeds did not converge"
+            notes = [f"non-isolated critical set ({n_kept[f]} deduplicated points)"]
+        else:
+            if n_unconverged[f]:
+                notes.append(f"{n_unconverged[f]} of {n_seeds[f]} seeds did not converge")
+            if fold[f] >= 2 and n_off[f] % fold[f]:
+                notes.append(f"off-centre count {n_off[f]} is not a multiple of "
+                             f"the {fold[f]}-fold symmetry")
         results.append(CriticalPointSearch(
-            _ring_order(points[f], R), degenerate, message, *scales))
+            _ring_order(points[f], R), degenerate, "; ".join(notes), *scales))
     return results
 
 
@@ -610,7 +711,8 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
     if not (factor > 0 and math.isfinite(factor)):
         raise ValueError(f"factor must be positive and finite, got {factor}")
     base = find_critical_points(build_field(w))
-    scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor))
+    scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor),
+                                         w.fold_order())
     scaled = find_critical_points(scaled_field, domain_radius=factor)
     if base.degenerate and scaled.degenerate:
         return RescaleReport(factor, True, 0.0, 0, True, "degenerate in both domains")

@@ -321,6 +321,12 @@ class WaveAberration:
         """Maximum radial order over the terms (0 for the empty aberration)."""
         return max((t.n for t in self.terms), default=0)
 
+    def fold_order(self) -> int:
+        """The order g of W's rotation symmetry readable from its azimuthal
+        frequencies, gcd |m| over the nonzero terms: W is unchanged by a
+        turn of 2 pi / g.  0 when no nonzero term has m != 0 (axial W)."""
+        return math.gcd(*(abs(t.m) for t in self.terms if t.coeff != 0.0))
+
     def to_polynomial(self) -> BivariatePolynomial:
         acc = BivariatePolynomial(np.zeros((1, 1)))
         for t in self.terms:

@@ -30,7 +30,6 @@ from starburst.caustics import (
     _radial_profile,
     _rotate,
     _tip_pattern,
-    _wavefront_fold_order,
 )
 from starburst.cli import FIXTURE_SCENARIOS
 
@@ -514,7 +513,7 @@ class TestVerdicts:
         field = build_field(w)
         verdict = starburst_verdict(
             map_caustics(w, extract_contours(field, 256), (), field))
-        assert _wavefront_fold_order(w) == 1
+        assert w.fold_order() == 1
         assert (verdict.p_fold, verdict.point_count, verdict.kind) == (n, points, kind)
 
     def test_empty_caustics_verdict(self):

@@ -40,7 +40,7 @@ from starburst.hessian import (
     _GRID_SIZE,
     _ZOOM_FACTORS,
     _collect_seeds,
-    _corner_grid,
+    _grid_axes,
     _dedup,
     _local_min_mask,
     _newton,
@@ -49,7 +49,7 @@ from starburst.hessian import (
     _sign_change_cells,
     _stack,
 )
-from starburst.zernike import BivariatePolynomial, derivative, gathered_values
+from starburst.zernike import BivariatePolynomial, derivative, gathered_values, grid_values
 
 EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 # perfbench's highorder wavefront: G has degree 20
@@ -86,15 +86,17 @@ class TestBuildField:
         assert diff.is_zero
 
     def test_field_holds_the_four_polynomials_the_pipeline_reads(self):
-        assert tuple(f.name for f in dataclasses.fields(HessianField)) == ("W", "Wx", "Wy", "G")
+        assert tuple(f.name for f in dataclasses.fields(HessianField)) == (
+            "W", "Wx", "Wy", "G", "fold")
         field = build_field(EQ3.to_wavefront())
+        assert field.fold == 3
         assert np.array_equal(field.Wx.coeffs, field.W.differentiate("x").coeffs)
         assert np.array_equal(field.Wy.coeffs, field.W.differentiate("y").coeffs)
 
     def test_degree_above_the_supported_maximum_rejected(self):
         poly = BivariatePolynomial(np.eye(14)[::-1])  # x^13 + ... + y^13
         with pytest.raises(CapabilityError, match="degree 13 exceeds supported maximum 12"):
-            field_from_polynomial(poly)
+            field_from_polynomial(poly, 1)
 
     def test_gradient_and_hessian_of_g_are_consistent(self):
         field = build_field(EQ3.to_wavefront())
@@ -218,16 +220,43 @@ class TestCriticalPointCensus:
 
     def test_highorder_census(self):
         # G of degree 20: each grid node is seeded once, however many of its
-        # cells change sign, and each seed counts once in the message
-        search = find_critical_points(build_field(HIGHORDER))
-        assert (len(search), len(search.saddles)) == (37, 24)
-        assert search.message == "3 of 447 seeds did not converge"
-        assert not search.degenerate
+        # cells change sign, and each seed counts once in the message.  The
+        # 12-fold census solves one sector's seeds, which all converge.
+        field = build_field(HIGHORDER)
+        for fold, message in ((12, ""), (1, "3 of 447 seeds did not converge")):
+            search = find_critical_points(dataclasses.replace(field, fold=fold))
+            assert (len(search), len(search.saddles)) == (37, 24)
+            assert search.message == message
+            assert not search.degenerate
 
     def test_unconverged_seeds_counted_once(self):
-        search = find_critical_points(build_field(WaveAberration((ZernikeTerm(6, -2, 0.08),))))
-        assert (len(search), len(search.saddles)) == (21, 12)
-        assert search.message == "94 of 333 seeds did not converge"
+        # Z_6^-2 is 2-fold: the half-plane's seeds, and the whole grid's
+        field = build_field(WaveAberration((ZernikeTerm(6, -2, 0.08),)))
+        for fold, message in ((2, "54 of 162 seeds did not converge"),
+                              (1, "94 of 333 seeds did not converge")):
+            search = find_critical_points(dataclasses.replace(field, fold=fold))
+            assert (len(search), len(search.saddles)) == (21, 12)
+            assert search.message == message
+
+    @pytest.mark.parametrize("name", ["5star", "4star", "6star", "8stars"])
+    def test_incomplete_orbit_reported(self, monkeypatch, name):
+        # with the turned copies withheld, the sector's roots alone are not
+        # whole orbits, and the census says so (3star's sector happens to
+        # hold a whole orbit's worth)
+        monkeypatch.setattr(hessian, "_complete_orbits", lambda newton, fidx, *_: (fidx[:0],) * 3)
+        n = FIXTURE_SCENARIOS[name][3]
+        census = find_critical_points(build_field(ABParams(*FIXTURE_SCENARIOS[name][:4])
+                                                  .to_wavefront()))
+        off = len(census) - 1
+        assert off % n and not census.degenerate
+        assert census.message == (
+            f"off-centre count {off} is not a multiple of the {n}-fold symmetry")
+
+    @pytest.mark.parametrize("folds", [-1, 2.0, [3, 3], [[3]], True])
+    def test_folds_checked(self, folds):
+        g = build_field(EQ3.to_wavefront()).G.coeffs[..., None]
+        with pytest.raises(ValueError, match="folds must be one non-negative integer per field"):
+            census_from_stacks(g, folds)
 
     @pytest.mark.parametrize("R", [1.0, 2.5])
     def test_locate_clamps_onto_the_rim(self, R):
@@ -267,25 +296,24 @@ class TestDegenerateFields:
         # flags it, and a census without that limit must still flag it or
         # find them all (ROADMAP items 2 and 13)
         (census,) = census_from_stacks(three_term_stacks(
-            n, *_coefficients([ABParams(alpha, 0.2, 1e-10, n)])))
+            n, *_coefficients([ABParams(alpha, 0.2, 1e-10, n)])), n)
         assert census.degenerate or len(census) == 1 + 2 * n
 
 
 # (n, alpha, gamma) of W = alpha Z_2^0 + 0.2 Z_4^0 + gamma Z_n^n on which the
 # census returns a wrong count today, with the count it returns
 NEAR_AXIAL_MISSES = {
-    (3, 0.0, 1e-9): 25, (3, -0.1, 1e-9): 23, (4, 0.0, 1e-9): 13,
-    (4, -0.1, 1e-9): 12, (6, 0.0, 1e-9): 9, (6, -0.1, 1e-9): 8,
-    (3, 0.0, 1e-7): 5, (3, -0.1, 1e-7): 3, (4, 0.0, 1e-7): 4, (4, -0.1, 1e-7): 5,
-    (5, 0.0, 1e-7): 6, (5, -0.1, 1e-7): 7, (6, 0.0, 1e-7): 8, (6, -0.1, 1e-7): 9,
-    (3, -0.1, 1e-5): 6,
+    (3, 0.0, 1e-9): 14, (3, -0.1, 1e-9): 23, (4, 0.0, 1e-9): 5, (6, 0.0, 1e-9): 7,
+    (3, -0.1, 1e-7): 1, (4, 0.0, 1e-7): 5, (4, -0.1, 1e-7): 5, (5, 0.0, 1e-7): 6,
+    (6, 0.0, 1e-7): 7,
 }
 
 
 def _near_axial_case(n, alpha, gamma):
     got = NEAR_AXIAL_MISSES.get((n, alpha, gamma))
     marks = () if got is None else pytest.mark.xfail(
-        strict=True, reason=f"the census returns {got} points, with no flag (ROADMAP item 13)")
+        strict=True, reason=f"the census returns {got} points, with no degenerate flag "
+        "(ROADMAP item 13)")
     return pytest.param(n, alpha, gamma, id=f"n{n}-a{alpha}-g{gamma}", marks=marks)
 
 
@@ -376,7 +404,7 @@ class TestRescaleInvariance:
             # angles, centre and rim flags too
             r = math.ldexp(1.0, k)
             scaled = find_critical_points(
-                field_from_polynomial(w.to_polynomial().rescale_domain(r)), r)
+                field_from_polynomial(w.to_polynomial().rescale_domain(r), w.fold_order()), r)
             assert [(p.x / r, p.y / r, p.rho / r, p.theta, p.kind, p.on_boundary)
                     for p in scaled] == [(p.x, p.y, p.rho, p.theta, p.kind, p.on_boundary)
                                          for p in base], k
@@ -492,7 +520,7 @@ class TestCoefficientScale:
         with pytest.raises(ValueError, match="underflow the Hessian determinant"):
             find_critical_points(build_field(tiny.to_wavefront()))
         with pytest.raises(ValueError, match="underflow the Hessian determinant"):
-            census_from_stacks(three_term_stacks(3, *_coefficients([EQ3, tiny])))
+            census_from_stacks(three_term_stacks(3, *_coefficients([EQ3, tiny])), 3)
 
     def test_census_guards_hand_built_stacks(self):
         # every finite coefficient, but twice the square of the bound of G
@@ -501,10 +529,10 @@ class TestCoefficientScale:
         g[0, 0, 1] = 1e155
         assert np.isfinite(g).all()
         with pytest.raises(ValueError, match="overflow the Hessian determinant"):
-            census_from_stacks(g)
+            census_from_stacks(g, 3)
         g[0, 0, 1] = np.nan
         with pytest.raises(ValueError, match="overflow the Hessian determinant"):
-            census_from_stacks(g)
+            census_from_stacks(g, 3)
 
     def test_zero_field_is_not_underflow(self):
         # G = 0 (no term, or tilt alone) is constant, not too small to square
@@ -517,11 +545,11 @@ class TestCoefficientScale:
         # exact arithmetic too, and no product of nonzero factors underflows
         coeffs = np.zeros((3, 1))
         coeffs[2, 0] = 1e-300
-        census = find_critical_points(field_from_polynomial(BivariatePolynomial(coeffs)))
+        census = find_critical_points(field_from_polynomial(BivariatePolynomial(coeffs), 1))
         assert census.degenerate and census.message == "hessian determinant is constant"
         # a pair weight that underflows beside normal ones leaves G normal
         (census,) = census_from_stacks(three_term_stacks(3, *_coefficients(
-            [ABParams(1e-300, 0.2, 0.2, 3)])))
+            [ABParams(1e-300, 0.2, 0.2, 3)])), 3)
         assert (len(census), len(census.saddles)) == (7, 3)
 
 
@@ -535,7 +563,8 @@ def _census(params, path):
     pair basis."""
     if path == "build_field":
         return find_critical_points(build_field(params.to_wavefront()))
-    (census,) = census_from_stacks(three_term_stacks(params.n, *_coefficients([params])))
+    (census,) = census_from_stacks(three_term_stacks(params.n, *_coefficients([params])),
+                                   params.n)
     return census
 
 
@@ -545,17 +574,16 @@ class TestKnownCensusMisses:
         assert (pred.count, pred.families, pred.boundary) == (4, ("even",), False)
         assert pred.rings[0].rho == pytest.approx(0.987838, abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="the census finds 2 of the 4 saddles of "
-                       "the rim ring, with no message (ROADMAP items 1 and 4)")
     def test_rim_ring_saddles_found(self):
-        (census,) = census_from_stacks(three_term_stacks(4, *_coefficients([RIM_RING])))
+        # the whole grid's seeds found 2 of the 4
+        (census,) = census_from_stacks(three_term_stacks(4, *_coefficients([RIM_RING])), 4)
         rho = predict_saddles(RIM_RING).rings[0].rho
         assert len([p for p in census.saddles if abs(p.rho - rho) < 1e-6]) == 4
 
     # perfbench `verify --seed 3505`, op 81 (`verify --n 6 --beta 0.2
     # --samples 5 --seed 2696365098`): the closed form puts the odd family's
-    # 6 saddles on rho = 0.998278, next to the rim; the census drops the one
-    # at theta = 270 degrees
+    # 6 saddles on rho = 0.998278, next to the rim; the whole grid's seeds
+    # missed the one at theta = 270 degrees
     NEAR_RIM_RING = ABParams(-0.30218954234154227, 0.2, -0.04013986277772599, 6)
 
     def test_near_rim_ring_prediction(self):
@@ -563,8 +591,6 @@ class TestKnownCensusMisses:
         assert (pred.count, pred.families, pred.boundary) == (12, ("even", "odd"), False)
         assert pred.rings[1].rho == pytest.approx(0.998278, abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="the census finds 5 of the 6 saddles of "
-                       "a ring next to the rim, with no message (ROADMAP items 1 and 4)")
     @pytest.mark.parametrize("path", ["build_field", "pair_basis"])
     def test_near_rim_ring_saddles_found(self, path):
         params = self.NEAR_RIM_RING
@@ -573,6 +599,26 @@ class TestKnownCensusMisses:
         assert census.message == ""
         assert len([p for p in census.saddles if abs(p.rho - rho) < 1e-6]) == 6
 
+    # perfbench `verify --seed 3518`, op 93 (`verify --n 5 --beta 0.2
+    # --samples 5 --seed 1989566610`): 5 even saddles on rho = 0.517370 and
+    # 5 odd on rho = 0.989766, next to the rim; the whole grid's seeds
+    # missed one of the odd ring
+    NEAR_RIM_RING_5 = ABParams(0.021869934943762815, 0.2, -0.09274610535398642, 5)
+
+    def test_near_rim_ring_5_prediction(self):
+        pred = predict_saddles(self.NEAR_RIM_RING_5)
+        assert (pred.count, pred.families, pred.boundary) == (10, ("even", "odd"), False)
+        assert [r.rho for r in pred.rings] == [pytest.approx(0.517370, abs=1e-6),
+                                               pytest.approx(0.989766, abs=1e-6)]
+
+    @pytest.mark.parametrize("path", ["build_field", "pair_basis"])
+    def test_near_rim_ring_5_saddles_found(self, path):
+        params = self.NEAR_RIM_RING_5
+        census = _census(params, path)
+        assert census.message == "" and not census.degenerate
+        assert [sum(abs(p.rho - r.rho) < 1e-6 for p in census.saddles)
+                for r in predict_saddles(params).rings] == [5, 5]
+        assert (len(census), len(census.saddles)) == (16, 10)
 
     # ROADMAP item 1: an extremum ring just outside a saddle ring, past a
     # fold, loses members (the rounded draws reproduce it)
@@ -583,9 +629,6 @@ class TestKnownCensusMisses:
         pytest.param(ABParams(-0.302252, 0.2, 0.315349, 6), id="n6-odd-4of6-at-0.655229"),
     ]
 
-    @pytest.mark.xfail(strict=True, reason="the census drops members of an extremum "
-                       "ring next to a saddle ring, with no message (ROADMAP items 1, 2 "
-                       "and 4)")
     @pytest.mark.parametrize("path", ["build_field", "pair_basis"])
     @pytest.mark.parametrize("params", DROPPED_EXTREMA)
     def test_extremum_rings_found(self, params, path):
@@ -599,7 +642,8 @@ class TestKnownCensusMisses:
 
     # perfbench `verify --seed 2916`, op 79: the closed form puts the even
     # family's 6 saddles on rho = 0.136891, beside an extremum ring at
-    # rho = 0.137066; the census drops the saddle at theta = 180 degrees
+    # rho = 0.137066; the whole grid's seeds missed the saddle at theta =
+    # 180 degrees
     SMALL_RING = ABParams(0.7309953181537744, 0.2, -0.006509335436258645, 6)
 
     def test_small_ring_prediction(self):
@@ -609,9 +653,6 @@ class TestKnownCensusMisses:
         radii = saddle_radii(self.SMALL_RING)
         assert radii.odd == (pytest.approx(0.137066, abs=1e-6),)
 
-    @pytest.mark.xfail(strict=True, reason="the census finds 5 of the 6 saddles of a "
-                       "ring beside an extremum ring, with only an unconverged-seed "
-                       "message (ROADMAP items 1 and 4)")
     @pytest.mark.parametrize("path", ["build_field", "pair_basis"])
     def test_small_saddle_ring_found(self, path):
         params = self.SMALL_RING
@@ -628,15 +669,15 @@ class TestKnownCensusMisses:
     SMALL_CENTRAL_RINGS = {
         "n5-odd-at-0.002933": (
             ABParams(0.7745766692414834, 0.2, 0.04000000000000001, 5), (("odd", 0.002933),),
-            "the census returns 29 points, none a saddle, with no message "
-            "(ROADMAP items 1, 2 and 4)"),
+            "the census returns 20 points, none a saddle, and reports an incomplete "
+            "orbit (ROADMAP items 1, 2 and 4)"),
         "n5-two-rings": (
             ABParams(0.7745766692414834, 0.2, 0.2, 5), (("odd", 0.002929), ("even", 0.625974)),
-            "the census returns 12 saddles against 10, with no message "
-            "(ROADMAP items 1, 2 and 4)"),
+            "the census returns the 10 saddles but 17 points, and reports an "
+            "incomplete orbit (ROADMAP items 1, 2 and 4)"),
         "n6-odd-at-0.009277": (
             ABParams(0.7743966692414834, 0.2, 0.04000000000000001, 6), (("odd", 0.009277),),
-            "the census flags the isolated set as non-isolated (174 deduplicated "
+            "the census flags the isolated set as non-isolated (81 deduplicated "
             "points; ROADMAP item 2)"),
     }
 
@@ -726,10 +767,11 @@ class TestBatchedCensus:
         # trailing zero rows and columns of G change no census
         fields = _mixed_fields(5, 9)
         g = _stack([f.G.coeffs for f in fields])
+        folds = [f.fold for f in fields]
         padded = np.zeros((g.shape[0] + 3, g.shape[1] + 2, g.shape[2]))
         padded[: g.shape[0], : g.shape[1]] = g
-        assert [repr(r) for r in census_from_stacks(padded)] == [
-            repr(r) for r in census_from_stacks(g)]
+        assert [repr(r) for r in census_from_stacks(padded, folds)] == [
+            repr(r) for r in census_from_stacks(g, folds)]
 
     def test_det_squares_with_pow(self):
         # G = (A x^2 + 2 B xy + D y^2) / 2 has a saddle at the origin and
@@ -745,11 +787,61 @@ class TestBatchedCensus:
         # from G itself
         field = dataclasses.replace(
             build_field(EQ3.to_wavefront()),
-            G=poly([[0.0, 0.0, D / 2], [0.0, B, 0.0], [A / 2, 0.0, 0.0]]),
+            G=poly([[0.0, 0.0, D / 2], [0.0, B, 0.0], [A / 2, 0.0, 0.0]]), fold=1,
         )
         (p,) = find_critical_points(field).points
         assert p.kind is PointClass.SADDLE
         assert p.hess_g_det == det_hess_g(field, p.x, p.y) == A * D - np.float64(B) ** 2
+
+
+def _symmetric_wavefronts(seed, count):
+    """``count`` wavefronts of fold g >= 2 drawn from ``seed``, alternately
+    three-term ones of n = 3..6, and 0.2 Z_4^0 plus defocus and two or three
+    cos and sin terms whose |m| are multiples of g = 2..6 (so their fold is
+    g or a multiple of it)."""
+    rng = np.random.default_rng(seed)
+    ws = []
+    while len(ws) < count:
+        if len(ws) % 2:
+            n = int(rng.integers(3, 7))
+            ws.append(ABParams(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.05, 0.4)),
+                               float(rng.uniform(-0.5, 0.5)), n).to_wavefront())
+            continue
+        g = int(rng.integers(2, 7))
+        terms = {(4, 0): 0.2, (2, 0): float(rng.uniform(-0.3, 0.3))}
+        size = len(terms) + int(rng.integers(2, 4))
+        while len(terms) < size:
+            m = g * int(rng.integers(1, 12 // g + 1)) * int(rng.choice([-1, 1]))
+            n = abs(m) + 2 * int(rng.integers(0, (12 - abs(m)) // 2 + 1))
+            terms[n, m] = float(rng.uniform(-0.1, 0.1))
+        ws.append(WaveAberration(tuple(ZernikeTerm(n, m, c) for (n, m), c in terms.items())))
+    return ws
+
+
+class TestSectorCensus:
+    """A g-fold census solves one sector's seeds and turns its roots into
+    the other sectors: it finds every point the whole grid's census finds,
+    and its points are whole orbits."""
+
+    def test_sector_census_loses_no_point(self):
+        fields = [build_field(w) for w in _symmetric_wavefronts(20261019, 60)]
+        folds = [f.fold for f in fields]
+        assert min(folds) >= 2 and set(folds) >= {2, 3, 4, 5, 6}
+        g = _stack([f.G.coeffs for f in fields])
+        matched = 0
+        for whole, sector, fold in zip(census_from_stacks(g, 1), census_from_stacks(g, folds),
+                                       folds, strict=True):
+            assert whole.degenerate <= sector.degenerate
+            if sector.degenerate:
+                continue
+            xy = np.array([(p.x, p.y) for p in sector]).reshape(-1, 2)
+            for p in whole:
+                assert np.min(np.hypot(*(xy - (p.x, p.y)).T)) <= DEDUP_RADIUS
+                matched += 1
+            c, s = math.cos(2.0 * math.pi / fold), math.sin(2.0 * math.pi / fold)
+            for x, y in xy:
+                assert np.min(np.hypot(*(xy - (x * c + y * s, y * c - x * s)).T)) <= 1e-9
+        assert matched > 500
 
 
 def _coefficients(params):
@@ -795,7 +887,7 @@ class TestThreeTermBasis:
         params = [p for p, _ in _verification_samples(n, 0.2, 200, seed=70 + n)]
         for start in range(0, len(params), 50):
             chunk = params[start : start + 50]
-            basis = census_from_stacks(three_term_stacks(n, *_coefficients(chunk)))
+            basis = census_from_stacks(three_term_stacks(n, *_coefficients(chunk)), n)
             fields = find_critical_points_batch([build_field(p.to_wavefront()) for p in chunk])
             for got, want in zip(basis, fields, strict=True):
                 assert got.degenerate == want.degenerate
@@ -813,11 +905,11 @@ class TestThreeTermBasis:
     def test_scalar_coefficients_are_not_a_stack(self):
         # scalars contract to one (DX, DY) polynomial, not a stack of fields
         with pytest.raises(ValueError, match="coefficient stack"):
-            census_from_stacks(three_term_stacks(3, 0.0, 0.2, 0.2))
+            census_from_stacks(three_term_stacks(3, 0.0, 0.2, 0.2), 3)
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
-            census_from_stacks(three_term_stacks(3, [0.0], [1e150], [1e150]))
+            census_from_stacks(three_term_stacks(3, [0.0], [1e150], [1e150]), 3)
         with pytest.raises(ValueError, match="overflow"):
             find_critical_points(build_field(ABParams(0.0, 1e150, 1e150, 3).to_wavefront()))
 
@@ -933,34 +1025,42 @@ class TestSeeding:
                                                [True, False, False]]
         assert _local_min_mask(np.full((1, 2, 2), np.inf)).all()
 
-    @pytest.mark.parametrize("g", [
-        build_field(EQ3.to_wavefront()).G.coeffs[..., None],
-        build_field(HIGHORDER).G.coeffs[..., None],
-        three_term_stacks(5, *_coefficients([ABParams(0.2, 0.2, 0.07, 5),
-                                             ABParams(-0.1, 0.2, 0.05, 5),
-                                             ABParams(0.05, 0.2, -0.3, 5)])),
-    ], ids=["3star", "highorder", "three-term batch"])
-    def test_collect_seeds_each_once(self, g):
+    @pytest.mark.parametrize("g,folds", [
+        (build_field(EQ3.to_wavefront()).G.coeffs[..., None], [3]),
+        (build_field(HIGHORDER).G.coeffs[..., None], [12]),
+        (three_term_stacks(5, *_coefficients([ABParams(0.2, 0.2, 0.07, 5),
+                                              ABParams(-0.1, 0.2, 0.05, 5),
+                                              ABParams(0.05, 0.2, -0.3, 5)])), [5, 5, 5]),
+        # a 6-fold field is 2- and 3-fold too: the grids hold the half-plane
+        # of the smallest fold, each field keeps its own sector
+        (three_term_stacks(6, *_coefficients([ABParams(0.0, 0.2, 0.19, 6),
+                                              ABParams(-0.1, 0.2, 0.05, 6),
+                                              ABParams(0.3, 0.2, -0.2, 6)])), [6, 3, 2]),
+    ], ids=["3star", "highorder", "three-term batch", "mixed folds"])
+    def test_collect_seeds_each_once(self, g, folds):
         grad = _stack([derivative(g, 0), derivative(g, 1)])
-        xs, ys, grid = _corner_grid(grad, 1.0, _GRID_SIZE)
-        _check_seeds(grad, 1.0, _collect_seeds(grad, 1.0, (xs, ys, grid)))
+        for fold in (np.array(folds), np.ones(len(folds), dtype=int)):
+            grid = grid_values(grad, *_grid_axes(1.0))
+            _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, grid, fold))
 
     def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
         # every seed grid of the pinned corpus, and the fixtures at the
-        # coefficient scales of TestCoefficientScale
+        # coefficient scales of TestCoefficientScale, with each field's own
+        # fold and with none
         checked = []
 
-        def spy(grad, radius, base):
-            got = _collect_seeds(grad, radius, base)
-            _check_seeds(grad, radius, got)
+        def spy(grad, radius, base, fold):
+            got = _collect_seeds(grad, radius, base, fold)
+            _check_seeds(grad, radius, fold, got)
             checked.append(grad.shape[-1])
             return got
 
         monkeypatch.setattr(hessian, "_collect_seeds", spy)
         stacks = corpus_stacks() + scaled_stacks()
-        for _, g in stacks:
-            census_from_stacks(g)
-        assert sum(checked) == sum(len(names) for names, _ in stacks)
+        for _, g, folds in stacks:
+            census_from_stacks(g, folds)
+            census_from_stacks(g, 1)
+        assert sum(checked) == 2 * sum(len(names) for names, _, _ in stacks)
 
     def test_sign_change_cells_match_two_passes(self):
         # few distinct values, so that cells with zeros, -0.0, NaN and +-inf
@@ -979,7 +1079,8 @@ class TestSeeding:
 
     def test_newton_matches_reference(self, monkeypatch):
         # the compacted loop gives every seed's best iterate and |grad G|
-        # bit for bit as the loop that gathers through the running indices
+        # bit for bit as the loop that gathers through the running indices,
+        # on the seeds and on the turned copies of the orbit completion
         checked = []
 
         def spy(newton, fidx, x, y, radius, accept_tol, floor_tol):
@@ -992,9 +1093,14 @@ class TestSeeding:
 
         monkeypatch.setattr(hessian, "_newton", spy)
         stacks = corpus_stacks() + scaled_stacks()
-        for _, g in stacks:
-            census_from_stacks(g)
-        assert len(checked) == len(stacks) and sum(checked) > 20_000
+        for _, g, folds in stacks:
+            census_from_stacks(g, 1)
+            census_from_stacks(g, folds)
+        # per stack: the whole grid's seeds, its (no) copies, the sector's
+        # seeds and its copies
+        seeds, _, sector, copies = (checked[k::4] for k in range(4))
+        assert len(checked) == 4 * len(stacks)
+        assert sum(seeds) > 20_000 and sum(sector) > 5_000 and sum(copies) > 1_000
 
 
 def _two_pass_sign_change_cells(gx, gy):
@@ -1007,25 +1113,33 @@ def _two_pass_sign_change_cells(gx, gy):
     return changes(gx) & changes(gy)
 
 
-def _check_seeds(grad, radius, got):
+def _check_seeds(grad, radius, fold, got):
     """``got``, the seeds and gradient scales of `_collect_seeds` for the
-    (DX, DY, 2, fields) stack ``grad``, against a reference that takes its
-    minima on np.hypot(gx, gy): every pass seeds the centre of each cell
-    where Gx and Gy both change sign, each corner node of those cells and
-    each local minimum of |grad G|, and nothing twice; the scale is the
-    largest hypot on the zoom-1 grid.  The kernel takes its minima on
-    gx^2 + gy^2, so its mask could differ from this one where two
+    (DX, DY, 2, fields) stack ``grad`` and the fields' folds, against a
+    reference that takes its minima on np.hypot(gx, gy) over each pass's
+    whole grid: every pass seeds the centre of each cell where Gx and Gy
+    both change sign, each corner node of those cells and each local
+    minimum of |grad G|, and nothing twice; a field of fold g >= 2 keeps
+    the seeds with 0 <= atan2(x, y) < 2 pi / g and one at the centre; the
+    scale is the largest hypot on the zoom-1 grid.  The kernel takes its
+    minima on gx^2 + gy^2, so its mask could differ from this one where two
     neighbouring nodes' |grad G| agree to a few ulps (or both lie below
     2^-511 of the largest); no grid checked here holds such a pair."""
     def key(f, x, y):
         return int(f), x.view(np.int64).item(), y.view(np.int64).item()
 
+    def in_sector(f, x, y):
+        g = int(fold[f])
+        return g <= 1 or math.atan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / g
+
     *seeds, gscale = got
     seeds = list(map(key, *seeds))
     assert len(set(seeds)) == len(seeds)
-    want, n_cells = set(), 0
+    want = {key(f, np.float64(0.0), np.float64(0.0)) for f in np.flatnonzero(fold >= 2)}
+    n_cells = 0
     for zoom in _ZOOM_FACTORS:
-        xs, ys, (gx, gy) = _corner_grid(grad, radius * zoom, _GRID_SIZE)
+        xs, ys = _grid_axes(radius * zoom)
+        gx, gy = grid_values(grad, xs, ys)
         h = 2.0 * radius * zoom / _GRID_SIZE
         cells = np.ones((grad.shape[-1], _GRID_SIZE, _GRID_SIZE), dtype=bool)
         for v in (gx, gy):
@@ -1037,9 +1151,11 @@ def _check_seeds(grad, radius, got):
             assert np.array_equal(gscale, norm.max(axis=(1, 2)))
         nodes = _eight_neighbour_min_mask(norm)
         for f, i, j in zip(*np.nonzero(cells)):
-            want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
+            if in_sector(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h):
+                want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
             nodes[f, i:i + 2, j:j + 2] = True
-        want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes)))
+        want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes))
+                    if in_sector(f, xs[i], ys[j]))
         n_cells += np.count_nonzero(cells)
     assert n_cells and set(seeds) == want
 
@@ -1104,24 +1220,31 @@ def newton_reference(newton, fidx, x, y, domain_radius, accept_tol, floor_tol):
 CENSUS_CORPUS = Path(__file__).parent / "golden" / "census_corpus.txt"
 
 
-def corpus_stacks() -> list[tuple[list[str], np.ndarray]]:
-    """The pinned corpus as (names, G stack) per census call: the five
-    fixtures, highorder, the degree-12 wavefront, the wavefronts of
+def _field_stack(names, ws):
+    """(names, G stack, folds) of `build_field` of each wavefront."""
+    fields = [build_field(w) for w in ws]
+    return names, _stack([f.G.coeffs for f in fields]), [f.fold for f in fields]
+
+
+def corpus_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
+    """The pinned corpus as (names, G stack, folds) per census call: the
+    five fixtures, highorder, the degree-12 wavefront, the wavefronts of
     TestKnownCensusMisses (from the pair basis) and the first 100 `verify`
     draws per n = 3..6 at seed 7, censused 16 at a time as `verify` does."""
-    stacks = [([name], _stack([build_field(ABParams(*row[:4]).to_wavefront()).G.coeffs]))
+    stacks = [_field_stack([name], [ABParams(*row[:4]).to_wavefront()])
               for name, row in FIXTURE_SCENARIOS.items()]
-    stacks += [([name], _stack([build_field(w).G.coeffs]))
+    stacks += [_field_stack([name], [w])
                for name, w in (("highorder", HIGHORDER), ("degree12", DEGREE12))]
     misses = [("rim-ring", RIM_RING)] + [(p.id, *p.values)
                                          for p in TestKnownCensusMisses.DROPPED_EXTREMA]
-    stacks += [([name], three_term_stacks(p.n, *_coefficients([p]))) for name, p in misses]
+    stacks += [([name], three_term_stacks(p.n, *_coefficients([p])), [p.n])
+               for name, p in misses]
     for n in (3, 4, 5, 6):
         draws = [p for p, _ in _verification_samples(n, 0.2, 100, 7)]
         for start in range(0, len(draws), 16):
             chunk = draws[start:start + 16]
             stacks.append(([f"verify-n{n}-{k}" for k in range(start, start + len(chunk))],
-                           three_term_stacks(n, *_coefficients(chunk))))
+                           three_term_stacks(n, *_coefficients(chunk)), [n] * len(chunk)))
     return stacks
 
 
@@ -1132,11 +1255,10 @@ def corpus_stacks() -> list[tuple[list[str], np.ndarray]]:
 SCALINGS = (-260, -200, -150, -64, -23, -1, 1, 17, 40, 246)
 
 
-def scaled_stacks() -> list[tuple[list[str], np.ndarray]]:
+def scaled_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
     """Each fixture at every scaling of SCALINGS, one batch per fixture."""
-    return [([f"{name}*2^{k}" for k in SCALINGS],
-             _stack([build_field(_scaled_fixture(name, k).to_wavefront()).G.coeffs
-                     for k in SCALINGS]))
+    return [_field_stack([f"{name}*2^{k}" for k in SCALINGS],
+                         [_scaled_fixture(name, k).to_wavefront() for k in SCALINGS])
             for name in FIXTURE_SCENARIOS]
 
 
@@ -1144,7 +1266,8 @@ def census_corpus_lines() -> list[str]:
     """One line per census of `corpus_stacks`."""
     return [f"{name} {len(c)} {len(c.saddles)} {int(c.degenerate)} "
             f"{''.join(p.kind.value[0] for p in c) or '-'}"
-            for names, g in corpus_stacks() for name, c in zip(names, census_from_stacks(g))]
+            for names, g, folds in corpus_stacks()
+            for name, c in zip(names, census_from_stacks(g, folds))]
 
 
 class TestCensusCorpus:

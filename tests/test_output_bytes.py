@@ -30,6 +30,11 @@ The critical_points.csv and report.json of 3star, 4star, 5star, 8stars
 and highorder were pinned again when one Newton loop replaced the damped
 search and its separate polish: coordinates that are zero up to rounding
 (below 3e-20) took other rounding digits, and every other byte stayed.
+The critical_points.csv and report.json of all six cases were pinned again
+when the census of a g-fold wavefront solved one 2 pi / g sector's seeds
+and turned its roots into the other sectors: coordinates that are zero up
+to rounding (1e-31 to 1e-20) became 0 or up to about 4e-16, and
+highorder's solver_note went from "3 of 447 seeds did not converge" to "".
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again

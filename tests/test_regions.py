@@ -527,8 +527,8 @@ class TestCensusMirror:
         # by pi/n, (x, y) = (rho sin theta, rho cos theta) -> theta + pi/n
         samples = [p for p, _ in _verification_samples(n, 0.2, 50, seed=n)]
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p in samples]).T
-        at_gamma = census_from_stacks(three_term_stacks(n, *coeffs))
-        at_minus = census_from_stacks(three_term_stacks(n, *(coeffs * [[1], [1], [-1]])))
+        at_gamma = census_from_stacks(three_term_stacks(n, *coeffs), n)
+        at_minus = census_from_stacks(three_term_stacks(n, *(coeffs * [[1], [1], [-1]])), n)
         c, s = math.cos(math.pi / n), math.sin(math.pi / n)
         # equal counts and distinct points make the nearest match one to one
         for there, here in zip(at_gamma, at_minus):
