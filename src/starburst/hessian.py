@@ -18,17 +18,20 @@ are deduplicated and listed ring by ring (`_ring_order`).  A field whose W
 is g-fold (g >= 2; `WaveAberration.fold_order`) is solved from the seeds
 of one sector of angle 2 pi / g and the centre, and its roots are turned
 into the other sectors and polished by the same kernel
-(`_complete_orbits`).  Each zoom pass seeds each grid node once, so no two
-seeds share (field, x, y) and each counts once in the unconverged-seed
-message.  A pass reads the sign
-changes of Gx and Gy from one 4-bit code per node, and the local minima of
-|grad G| from gx^2 + gy^2 scaled by a power of two per field, not from
-np.hypot.  Each Newton trial is one evaluation of the (Gx, Gy, Gxx, Gxy,
-Gyy) stack, whose Hessian the next step reuses; the loop keeps only the
-running seeds' state, compacted, and drops a seed when it stops.  Every
-seed runs to its own best iterate, damped and then, once converged,
-undamped: deduplication keeps each root's best, and which seed that is
-decides the noise-level digits of the reported point.
+(`_complete_orbits`); every zoom pass evaluates its seed grid only on the
+half-plane or quadrant that holds the sectors (`_grid_axes`), and each
+field reads its |G| and |grad G| scales on its own fold's crop of the
+zoom-1 grid (`_own_crop`).  Each zoom pass seeds each grid node once, so no
+two seeds share (field, x, y) and each counts once in the unconverged-seed
+message.  A pass reads the sign changes of Gx and Gy from one 4-bit code
+per node, and the local minima of |grad G| from gx^2 + gy^2 scaled by a
+power of two per field, not from np.hypot.  Each Newton trial is one
+evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
+step reuses; the loop keeps only the running seeds' state, compacted, and
+drops a seed when it stops.  Every seed runs to its own best iterate,
+damped and then, once converged, undamped: deduplication keeps each root's
+best, and which seed that is decides the noise-level digits of the
+reported point.
 """
 
 from __future__ import annotations
@@ -225,7 +228,12 @@ class CriticalPoint:
 @dataclass(frozen=True)
 class CriticalPointSearch:
     """Deduplicated critical points in ring order (`_ring_order`) plus
-    diagnostics."""
+    diagnostics: ``g_scale`` and ``gradient_scale`` are the largest |G| and
+    |grad G| on the nodes of the zoom-1 seed grid in the field's own crop
+    (`_own_crop`: the whole square for fold g <= 1, x >= -2h for g = 2 and
+    3, x, y >= -2h for g >= 4, h the cell size), which set the degeneracy
+    band and the Newton tolerances; both 0 when G is constant or its
+    gradient vanishes there."""
 
     points: tuple[CriticalPoint, ...]
     degenerate: bool = False
@@ -259,12 +267,27 @@ def _grid_axes(radius: float, least: int = 1):
     for least >= 2 every field's sector 0 <= theta < 2 pi / g lies in
     x >= 0, and for least >= 4 in y >= 0 too, so the nodes from -2h on, h
     the cell size, are kept on those axes.  The first kept node's mask has
-    lost neighbours, but it lies in no sector."""
+    lost neighbours, but it lies in no sector.  Every zoom pass, zoom 1
+    included, evaluates its grid on this crop; each field reads its scales
+    on its own fold's crop of it (`_own_crop`)."""
     h = 2.0 * radius / _GRID_SIZE
     xs = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_X * h
     ys = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_Y * h
     return (xs[xs >= -2.0 * h] if least >= 2 else xs,
             ys[ys >= -2.0 * h] if least >= 4 else ys)
+
+
+def _own_crop(xs, ys, fold, radius: float) -> np.ndarray:
+    """The (fields, len(xs), len(ys)) mask of the nodes of a grid from
+    `_grid_axes` on the square of half-side ``radius`` that lie in each
+    field's own crop, the one `_grid_axes` keeps for the field's fold g
+    alone: x >= -2h for g >= 2, and y >= -2h too for g >= 4.  A field's
+    scales are read there, so they do not depend on the folds of the other
+    fields of its stack."""
+    h = 2.0 * radius / _GRID_SIZE
+    in_x = (fold < 2)[:, None] | (xs >= -2.0 * h)
+    in_y = (fold < 4)[:, None] | (ys >= -2.0 * h)
+    return in_x[:, :, None] & in_y[:, None, :]
 
 
 def _in_sector(x, y, fold) -> np.ndarray:
@@ -303,51 +326,53 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
 
 def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarray):
     """(field index, x, y) seeds from every zoom pass, each seeded once, and
-    each field's largest |grad G| on the whole zoom-1 grid.  A pass seeds
-    the centre of every cell of its corner grid where both components of
-    ``grad`` change sign, then every node that is a corner of such a cell
-    or a local minimum of |grad G|.  ``base`` is the whole zoom-1 corner
-    grid (gx, gy) of ``grad``, scaled in place.  A field of fold g >= 2
-    keeps only the seeds in its sector 0 <= theta < 2 pi / g, plus one at
-    the centre, which its symmetry fixes; each pass reads only the part of
-    its grid that holds the sectors of the stack's smallest fold
-    (`_grid_axes`), so the kept seeds are those of the whole grid.
+    each field's largest |grad G| on its own crop of the zoom-1 grid
+    (`_own_crop`).  A pass seeds the centre of every cell of its corner grid
+    where both components of ``grad`` change sign, then every node that is
+    a corner of such a cell or a local minimum of |grad G|.  Each pass reads
+    only the part of its grid that holds the sectors of the stack's
+    smallest fold (`_grid_axes`); ``base`` is the zoom-1 grid (gx, gy) of
+    ``grad`` on that crop, scaled in place.  A field of fold g >= 2 keeps
+    only the seeds in its sector 0 <= theta < 2 pi / g, plus one at the
+    centre, which its symmetry fixes, so the kept seeds are those of the
+    whole grid.
 
     The minima are taken on gx^2 + gy^2, not on np.hypot(gx, gy), after the
     sign changes are read: each field's gx and gy are scaled by one exact
-    power of two that puts the largest component of its zoom-1 grid in
-    [0.5, 1), so every square there is below 2 at any coefficient scale.
-    The mask can then differ from hypot's only where two neighbouring nodes'
-    |grad G| agree to a few ulps (the square rounds twice, hypot once), or
-    where both are below 2^-511 of the field's largest, whose squares lose
-    bits below the normal range.  The largest |grad G| is still hypot's:
-    hypot is taken only at the nodes whose square is within 1e-12 of the
-    field's largest square, and unscaled exactly."""
+    power of two that puts the largest component on its own crop of the
+    zoom-1 grid in [0.5, 1), so every square read for its scale is below 2
+    at any coefficient scale.  The mask can then differ from hypot's only
+    where two neighbouring nodes' |grad G| agree to a few ulps (the square
+    rounds twice, hypot once), or where both are below 2^-511 of the
+    field's largest, whose squares lose bits below the normal range.  The
+    largest |grad G| is still hypot's: hypot is taken only at the nodes
+    whose square is within 1e-12 of the field's largest square, and
+    unscaled exactly."""
     gx, gy = base
-    top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
+    least = int(fold.min())
+    inside = _own_crop(*_grid_axes(domain_radius, least), fold, domain_radius)
+    top = np.maximum(np.abs(gx).max(axis=(1, 2), where=inside, initial=0.0),
+                     np.abs(gy).max(axis=(1, 2), where=inside, initial=0.0))
     # 2^-e for the largest component's exponent e, kept a normal float
     power = np.clip(-np.frexp(top)[1], -1022, 1023)
     scale = np.ldexp(1.0, power)[:, None, None]
-    least = int(fold.min())
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
         xs, ys = _grid_axes(radius, least)
         if zoom != 1.0:
             gx, gy = grid_values(grad, xs, ys)
-        # zoom 1's grid is whole: its masks are read where xs and ys start
-        i, j = gx.shape[1] - xs.size, gx.shape[2] - ys.size
-        cells = _sign_change_cells(gx[:, i:, j:], gy[:, i:, j:])
+        cells = _sign_change_cells(gx, gy)
         gx *= scale
         gy *= scale
         square = gx * gx
         square += gy * gy
         if zoom == 1.0:
-            gscale = _largest_norm(gx, gy, square, scale)
+            gscale = _largest_norm(gx, gy, square, scale, inside)
         h = 2.0 * radius / _GRID_SIZE
         f, ci, cj = np.unravel_index(np.flatnonzero(cells), cells.shape)
         blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
-        nodes = _local_min_mask(square[:, i:, j:])
+        nodes = _local_min_mask(square)
         rows, cols = cells.shape[1:]
         for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):  # each such cell's corners
             nodes[:, di:di + rows, dj:dj + cols] |= cells
@@ -360,15 +385,16 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarra
     return f[keep], x[keep], y[keep], gscale
 
 
-def _largest_norm(gx, gy, square, scale) -> np.ndarray:
-    """Each field's largest np.hypot of the unscaled (gx, gy), given gx and
-    gy scaled by ``scale`` and ``square`` = gx^2 + gy^2: hypot is taken only
-    where the square is within 1e-12 of the field's largest, which holds
-    hypot's largest.  Dividing by the power of two is exact for those nodes;
-    a component it would round is too small to move hypot.  NaN for a field
-    whose squares hold a NaN."""
-    top = square.max(axis=(1, 2))
-    near = np.flatnonzero(square >= (top * (1.0 - 1e-12))[:, None, None])
+def _largest_norm(gx, gy, square, scale, inside) -> np.ndarray:
+    """Each field's largest np.hypot of the unscaled (gx, gy) over the nodes
+    ``inside`` it, given gx and gy scaled by ``scale`` and ``square`` = gx^2
+    + gy^2: hypot is taken only where the square is within 1e-12 of the
+    field's largest there, which holds hypot's largest.  Dividing by the
+    power of two is exact for those nodes; a component it would round is
+    too small to move hypot.  NaN for a field whose squares there hold a
+    NaN."""
+    top = square.max(axis=(1, 2), where=inside, initial=0.0)
+    near = np.flatnonzero(inside & (square >= (top * (1.0 - 1e-12))[:, None, None]))
     f = near // square[0].size
     unscale = scale.ravel()[f]
     norm = np.hypot(gx.ravel()[near] / unscale, gy.ravel()[near] / unscale)
@@ -618,9 +644,12 @@ def census_from_stacks(
     _require_squarable(g_hess, R)
     if not n_fields:
         return []
-    # the zoom-1 seed grid also sets the gradient and |G| scales
-    grid = grid_values(_stack([g, gx, gy]), *_grid_axes(R))
-    g_abs_scale = np.max(np.abs(grid[0]), axis=(1, 2))
+    # the zoom-1 seed grid, on the crop of the smallest fold, also sets each
+    # field's gradient and |G| scales, read on the field's own crop
+    axes = _grid_axes(R, int(fold.min()))
+    grid = grid_values(_stack([g, gx, gy]), *axes)
+    g_abs_scale = np.abs(grid[0]).max(axis=(1, 2), where=_own_crop(*axes, fold, R),
+                                      initial=0.0)
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
     fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, grid[1:], fold)

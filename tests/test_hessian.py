@@ -673,8 +673,8 @@ class TestKnownCensusMisses:
             "orbit (ROADMAP items 1, 2 and 4)"),
         "n5-two-rings": (
             ABParams(0.7745766692414834, 0.2, 0.2, 5), (("odd", 0.002929), ("even", 0.625974)),
-            "the census returns the 10 saddles but 17 points, and reports an "
-            "incomplete orbit (ROADMAP items 1, 2 and 4)"),
+            "the census returns the closed form's 16 points, but reports that 1 "
+            "of 41 seeds did not converge (ROADMAP items 1, 2 and 4)"),
         "n6-odd-at-0.009277": (
             ABParams(0.7743966692414834, 0.2, 0.04000000000000001, 6), (("odd", 0.009277),),
             "the census flags the isolated set as non-isolated (81 deduplicated "
@@ -1040,7 +1040,7 @@ class TestSeeding:
     def test_collect_seeds_each_once(self, g, folds):
         grad = _stack([derivative(g, 0), derivative(g, 1)])
         for fold in (np.array(folds), np.ones(len(folds), dtype=int)):
-            grid = grid_values(grad, *_grid_axes(1.0))
+            grid = grid_values(grad, *_grid_axes(1.0, int(fold.min())))
             _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, grid, fold))
 
     def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
@@ -1061,6 +1061,30 @@ class TestSeeding:
             census_from_stacks(g, folds)
             census_from_stacks(g, 1)
         assert sum(checked) == 2 * sum(len(names) for names, _, _ in stacks)
+
+    def test_scales_read_on_each_fields_own_crop(self):
+        # a stack of folds 6, 3, 2 and 1 evaluates its zoom-1 grid whole;
+        # each field reads its |G| and |grad G| scales on its own fold's crop
+        ws = [ABParams(0.0, 0.2, 0.19, 6).to_wavefront(),
+              WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(3, -3, 0.1))),
+              WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(2, 2, 0.1),
+                              ZernikeTerm(6, -2, 0.05))),
+              DEGREE12]
+        fields = [build_field(w) for w in ws]
+        assert [f.fold for f in fields] == [6, 3, 2, 1]
+        g = _stack([f.G.coeffs for f in fields])
+        xs, ys = _grid_axes(1.0)
+        gv, gx, gy = grid_values(_stack([g, derivative(g, 0), derivative(g, 1)]), xs, ys)
+        crops = _own_crop_reference(xs, ys, [f.fold for f in fields], 1.0)
+        censuses = find_critical_points_batch(fields)
+        assert [c.g_scale for c in censuses] == [np.abs(v[c]).max() for v, c in zip(gv, crops)]
+        assert [c.gradient_scale for c in censuses] == [
+            np.hypot(a, b)[c].max() for a, b, c in zip(gx, gy, crops)]
+        # the 3-fold field's crop misses the whole square's largest |G| and
+        # |grad G|, and no field's census depends on its batch-mates
+        assert censuses[1].g_scale < np.abs(gv[1]).max()
+        assert censuses[1].gradient_scale < np.hypot(gx[1], gy[1]).max()
+        assert [repr(c) for c in censuses] == [repr(find_critical_points(f)) for f in fields]
 
     def test_sign_change_cells_match_two_passes(self):
         # few distinct values, so that cells with zeros, -0.0, NaN and +-inf
@@ -1121,7 +1145,8 @@ def _check_seeds(grad, radius, fold, got):
     both change sign, each corner node of those cells and each local
     minimum of |grad G|, and nothing twice; a field of fold g >= 2 keeps
     the seeds with 0 <= atan2(x, y) < 2 pi / g and one at the centre; the
-    scale is the largest hypot on the zoom-1 grid.  The kernel takes its
+    scale is the largest hypot on the field's own crop of the zoom-1 grid
+    (`_own_crop_reference`).  The kernel takes its
     minima on gx^2 + gy^2, so its mask could differ from this one where two
     neighbouring nodes' |grad G| agree to a few ulps (or both lie below
     2^-511 of the largest); no grid checked here holds such a pair."""
@@ -1148,7 +1173,8 @@ def _check_seeds(grad, radius, fold, got):
             cells &= (corners.min(axis=0) < 0) & (corners.max(axis=0) > 0)
         norm = np.hypot(gx, gy)
         if zoom == 1.0:
-            assert np.array_equal(gscale, norm.max(axis=(1, 2)))
+            crop = _own_crop_reference(xs, ys, fold, radius)
+            assert np.array_equal(gscale, [v[c].max() for v, c in zip(norm, crop)])
         nodes = _eight_neighbour_min_mask(norm)
         for f, i, j in zip(*np.nonzero(cells)):
             if in_sector(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h):
@@ -1158,6 +1184,18 @@ def _check_seeds(grad, radius, fold, got):
                     if in_sector(f, xs[i], ys[j]))
         n_cells += np.count_nonzero(cells)
     assert n_cells and set(seeds) == want
+
+
+def _own_crop_reference(xs, ys, fold, radius):
+    """Each field's mask of the nodes of the whole corner grid (xs, ys) on
+    the square of half-side ``radius`` where its scales are read: the nodes
+    from -2h on (h the cell size) in x for fold g >= 2, and in y too for
+    g >= 4, which hold the sector 0 <= atan2(x, y) < 2 pi / g; every node
+    for g <= 1."""
+    h = 2.0 * radius / _GRID_SIZE
+    return [np.outer(xs >= -2.0 * h if g >= 2 else np.ones(xs.size, dtype=bool),
+                     ys >= -2.0 * h if g >= 4 else np.ones(ys.size, dtype=bool))
+            for g in fold]
 
 
 def newton_reference(newton, fidx, x, y, domain_radius, accept_tol, floor_tol):

@@ -1,0 +1,83 @@
+"""The near-centre sweep: three-term wavefronts whose closed form puts a
+saddle ring within rho = 0.03 of the pupil centre, where the census is
+known to miscount (README "Known census failures"; ROADMAP items 1, 2 and
+4).  alpha runs to either side of ALPHA0, 2e-5 below sqrt(15) beta, the
+alpha of `TestKnownCensusMisses`' small central rings, for beta = 0.2 and
+a few gammas; each n is censused as one batch through the pair basis.
+
+One line of the golden per case: n, alpha, gamma, the smallest
+closed-form saddle ring's rho, the closed-form saddle count, then the
+census's points, saddles and degenerate flag (0 or 1).  A change that
+means to move a census regenerates it with
+`PYTHONPATH=src python tests/test_near_centre_sweep.py` and names the
+lines that moved.
+"""
+
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from starburst import ABParams, census_from_stacks, predict_saddles, three_term_stacks
+
+SWEEP = Path(__file__).parent / "golden" / "near_centre_sweep.txt"
+ALPHA0 = 0.7745766692414834
+BETA = 0.2
+GAMMAS = (0.02, 0.05, 0.1, 0.2, -0.1)
+RING_RHO = 0.03  # the cases kept: the smallest saddle ring lies inside this
+SMALL_RHO = 0.004  # the band split of the wrong counts
+
+
+def sweep_cases(n: int) -> list:
+    """(params, prediction) of every case of order n, alpha below ALPHA0
+    first, each alpha's gammas in GAMMAS order."""
+    deltas = np.geomspace(1e-7, 3e-2, 40)
+    cases = []
+    for alpha in np.concatenate([ALPHA0 - deltas, ALPHA0 + deltas]).tolist():
+        for gamma in GAMMAS:
+            params = ABParams(alpha, BETA, gamma, n)
+            pred = predict_saddles(params)
+            if pred.rings and min(r.rho for r in pred.rings) < RING_RHO:
+                cases.append((params, pred))
+    return cases
+
+
+def sweep_lines() -> list[str]:
+    """One line per case of `sweep_cases` for n = 3..6."""
+    lines = []
+    for n in (3, 4, 5, 6):
+        cases = sweep_cases(n)
+        coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in cases]).T
+        for (p, pred), c in zip(cases, census_from_stacks(three_term_stacks(n, *coeffs), n)):
+            rho = min(r.rho for r in pred.rings)
+            lines.append(f"{n} {p.alpha!r} {p.gamma!r} {rho:.6e} {pred.count} "
+                         f"{len(c)} {len(c.saddles)} {int(c.degenerate)}")
+    return lines
+
+
+def test_sweep_is_pinned():
+    want = SWEEP.read_text(encoding="utf-8").splitlines()
+    assert sweep_lines() == want
+
+
+def test_wrong_saddle_counts_per_band():
+    # (n, rho < SMALL_RHO): [wrong, cases], a wrong case having a census
+    # flagged degenerate or with another saddle count than the closed form
+    tally = Counter()
+    for line in SWEEP.read_text(encoding="utf-8").splitlines():
+        n, _, _, rho, count, _, saddles, degenerate = line.split()
+        key = (int(n), float(rho) < SMALL_RHO)
+        tally[key + ("cases",)] += 1
+        tally[key + ("wrong",)] += degenerate == "1" or saddles != count
+    got = {(n, small): [tally[n, small, "wrong"], tally[n, small, "cases"]]
+           for n in (3, 4, 5, 6) for small in (True, False)}
+    assert got == {
+        (3, True): [0, 4], (3, False): [0, 133],
+        (4, True): [2, 171], (4, False): [0, 73],
+        (5, True): [110, 165], (5, False): [4, 75],
+        (6, True): [165, 165], (6, False): [53, 75],
+    }
+
+
+if __name__ == "__main__":
+    SWEEP.write_text("\n".join(sweep_lines()) + "\n", encoding="utf-8")
