@@ -6,11 +6,12 @@ Gauss") are located with a grid-seeded damped Newton iteration on
 grad G = 0 and classified by the sign of det(Hess G): saddle if negative,
 extremum if positive, degenerate inside a scale-normalized threshold band.
 
-The census takes G alone, as a stack of coefficient arrays, and derives
-G's first and second derivatives itself, once per call.  For the
-three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n that stack is
-contracted from a cached basis of pair polynomials (`three_term_stacks`);
-`build_field` serves any W.
+G is built in one place, `_determinant_stack`, on a stack of W's
+coefficients (`wavefront_stack`): `build_field` stacks one W of any
+terms, `three_term_stacks` one W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n
+per entry of its coefficient arrays, so both give the same bits for the
+same W.  The census takes G alone, as a stack of coefficient arrays, and
+derives G's first and second derivatives itself, once per call.
 
 The search is deterministic: seeds come from fixed grids, one Newton
 kernel (`_newton`) runs data-parallel over points and fields, and results
@@ -37,7 +38,6 @@ reported point.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,12 +48,13 @@ from .zernike import (
     BivariatePolynomial,
     CapabilityError,
     WaveAberration,
-    ZernikeTerm,
     _trim,
     derivative,
     gathered_values,
     grid_values,
+    product,
     row_widths,
+    wavefront_stack,
 )
 
 
@@ -77,41 +78,42 @@ class HessianField:
     fold: int
 
 
-def _derivatives(w_poly: BivariatePolynomial):
-    """(Wx, Wy, Wxx, Wxy, Wyy) of the polynomial W."""
-    wx = w_poly.differentiate("x")
-    wy = w_poly.differentiate("y")
-    return wx, wy, wx.differentiate("x"), wx.differentiate("y"), wy.differentiate("y")
-
-
-def field_from_polynomial(w_poly: BivariatePolynomial, fold: int) -> HessianField:
-    """The field of W given as a polynomial, with ``fold`` the order of its
-    rotation symmetry (1 assumes none)."""
-    if w_poly.degree > MAX_RADIAL_ORDER:
-        raise CapabilityError(
-            f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
-        )
-    wx, wy, wxx, wxy, wyy = _derivatives(w_poly)
-    xx, xy, yy = (np.abs(p.coeffs).max(initial=0.0) for p in (wxx, wxy, wyy))
-    _require_normal_products(np.array([xx, xy]), np.array([yy, xy]))
-    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=wxx * wyy - wxy * wxy, fold=fold)
-
-
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
 _UNDERFLOW = "wavefront coefficients underflow the Hessian determinant"
 
 
-def _require_normal_products(left, right) -> None:
-    """ValueError when some pair of a field's Hessian factors, paired along
-    axis 0 (each a coefficient, or a polynomial's largest |coefficient|), is
-    nonzero in both, but every pair's product is below the smallest normal
-    float: G, the sum of those products, is then 0 or subnormal, and the
-    census would take it for a constant G.  Overflowing products are left
-    for the overflow checks."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        small = np.max(np.abs(left * right), axis=0) < np.finfo(float).tiny
-    if np.any(small & np.any((left != 0.0) & (right != 0.0), axis=0)):
-        raise ValueError(_UNDERFLOW)
+def _determinant_stack(w: np.ndarray):
+    """(Wx, Wy, G) of every polynomial of a (DX, DY, ...) stack of W's
+    coefficients, G = Wxx Wyy - Wxy^2 with `product`, trimmed as `_trim`.
+    ValueError when a coefficient of W, Wx, Wy or G is not finite, or when
+    a field's factors Wxx and Wyy, or Wxy, are nonzero but both products of
+    their largest |coefficients| are below the smallest normal float: G is
+    then 0 or subnormal, and the census would take it for a constant G."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        wx, wy = derivative(w, 0), derivative(w, 1)
+        wxx, wxy, wyy = derivative(wx, 0), derivative(wx, 1), derivative(wy, 1)
+        xx, xy, yy = (np.abs(p).max(axis=(0, 1)) for p in (wxx, wxy, wyy))
+        if np.any((np.maximum(xx * yy, xy * xy) < np.finfo(float).tiny)
+                  & ((xx != 0.0) & (yy != 0.0) | (xy != 0.0))):
+            raise ValueError(_UNDERFLOW)
+        first, second = product(wxx, wyy), product(wxy, wxy)
+        g = np.zeros(np.maximum(first.shape, second.shape))
+        g[: first.shape[0], : first.shape[1]] = first
+        g[: second.shape[0], : second.shape[1]] -= second
+    if not all(np.isfinite(p).all() for p in (w, wx, wy, g)):
+        raise ValueError(_OVERFLOW)
+    return wx, wy, _trim(g)
+
+
+def field_from_polynomial(w_poly: BivariatePolynomial, fold: int) -> HessianField:
+    """The field of W given as a polynomial, with ``fold`` the order of its
+    rotation symmetry (1 assumes none); ValueError as `_determinant_stack`."""
+    if w_poly.degree > MAX_RADIAL_ORDER:
+        raise CapabilityError(
+            f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
+        )
+    wx, wy, g = (BivariatePolynomial(p) for p in _determinant_stack(w_poly.coeffs))
+    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=g, fold=fold)
 
 
 def _require_squarable(g_hess: np.ndarray, r: float) -> None:
@@ -134,12 +136,9 @@ def _require_squarable(g_hess: np.ndarray, r: float) -> None:
 
 def build_field(w: WaveAberration) -> HessianField:
     """The full derivative field of a wave aberration; ValueError when it
-    overflows.  Whether the census can square G is the census's check."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        field = field_from_polynomial(w.to_polynomial(), w.fold_order())
-    if not all(np.isfinite(p.coeffs).all() for p in (field.W, field.Wx, field.Wy, field.G)):
-        raise ValueError(_OVERFLOW)
-    return field
+    overflows or underflows (`_determinant_stack`).  Whether the census can
+    square G is the census's check."""
+    return field_from_polynomial(w.to_polynomial(), w.fold_order())
 
 
 def _stack(arrays) -> np.ndarray:
@@ -153,41 +152,13 @@ def _stack(arrays) -> np.ndarray:
     return out
 
 
-# The three-term family W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n: G is
-# quadratic in (alpha, beta, gamma), so it is a sum of one pair polynomial
-# per product of two coefficients, in this order.
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-@functools.cache
-def _pair_basis(n: int) -> np.ndarray:
-    """The (DX, DY, 6) coefficient stack of the three-term family's pair
-    polynomials of G for order n, one per entry of _PAIRS."""
-    hessians = [_derivatives(ZernikeTerm(k, m, 1.0).to_polynomial())[2:]
-                for k, m in ((2, 0), (4, 0), (n, n))]
-    pairs = []
-    for a, b in _PAIRS:
-        (pxx, pxy, pyy), (qxx, qxy, qyy) = hessians[a], hessians[b]
-        g = pxx * qyy - pxy * qxy
-        if a != b:  # c_a c_b appears twice in G = Wxx Wyy - Wxy^2
-            g = g + qxx * pyy - qxy * pxy
-        pairs.append(g.coeffs)
-    basis = _stack(pairs)
-    basis.flags.writeable = False  # shared by every caller
-    return basis
-
-
 def three_term_stacks(n: int, alpha, beta, gamma) -> np.ndarray:
     """G's (DX, DY, fields) coefficient stack for W = alpha Z_2^0 + beta Z_4^0
-    + gamma Z_n^n, one field per entry of the coefficient arrays, contracted
-    from the cached pair basis; products that overflow are left for the
-    census to reject; ValueError when they underflow
-    (`_require_normal_products`)."""
-    c = np.array([alpha, beta, gamma], dtype=float)
-    left, right = c[[a for a, _ in _PAIRS]], c[[b for _, b in _PAIRS]]
-    _require_normal_products(left, right)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.tensordot(_pair_basis(n), left * right, axes=1)
+    + gamma Z_n^n, one field per entry of the coefficient arrays, with the
+    bits of `build_field`'s G of the same W; ValueError as
+    `_determinant_stack`."""
+    return _determinant_stack(wavefront_stack(((2, 0), (4, 0), (n, n)),
+                                              [alpha, beta, gamma]))[2]
 
 
 # Census constants.

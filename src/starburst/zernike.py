@@ -23,6 +23,7 @@ square-root normalization factor, evaluated once in double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,9 +49,21 @@ def derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
     """Exact partial derivative along axis 0 (x) or 1 (y) of every
     polynomial of a (DX, DY, ...) coefficient stack: polyder's j * c[j], in
     one product, trimmed as `_trim`."""
-    c = np.moveaxis(coeffs, axis, 0)
-    j = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-    return _trim(np.moveaxis(c[1:] * j, 0, axis))
+    j = np.arange(1, coeffs.shape[axis]).reshape((-1,) + (1,) * (coeffs.ndim - 1 - axis))
+    return _trim(coeffs[(slice(None),) * axis + (slice(1, None),)] * j)
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a[..., k] * b[..., k] for every polynomial k of two
+    (DX, DY, ...) stacks of one trailing shape: b shifted by (i, j) times
+    a[i, j], added in row-major order over the (i, j) where some polynomial
+    of ``a`` is nonzero.  A polynomial's own zero terms add only zeros to
+    sums that are never -0.0, so each product has the bits of multiplying
+    its pair alone."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1) + a.shape[2:])
+    for i, j in zip(*np.nonzero(np.any(a != 0.0, axis=tuple(range(2, a.ndim))))):
+        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+    return out
 
 
 _TILE_BUDGET = 1 << 16  # grid values per tile of grid_values' y-steps, 512 KB
@@ -172,40 +185,20 @@ class BivariatePolynomial:
 
     def rescale_domain(self, factor: float) -> "BivariatePolynomial":
         """Return q(x, y) = p(x / factor, y / factor); ValueError when a
-        power of the factor overflows or a nonzero coefficient of q is not a
-        normal float."""
+        nonzero coefficient of q is not a normal float.  The powers of the
+        factor are taken only at p's nonzero coefficients, so a power that
+        overflows or underflows at a structural zero is never read."""
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError(f"factor must be positive and finite, got {factor}")
-        i = np.arange(self.coeffs.shape[0])[:, None]
-        j = np.arange(self.coeffs.shape[1])[None, :]
+        i, j = np.nonzero(self.coeffs)
+        c = np.array(self.coeffs)
         with np.errstate(all="ignore"):  # reported below
-            powers = factor ** (i + j)
-            c = self.coeffs / powers
+            c[i, j] /= factor ** (i + j)
         normal = np.finfo(float)
-        scaled = np.abs(c[self.coeffs != 0.0])
-        if np.isinf(powers).any() or not np.all((scaled >= normal.tiny) & (scaled <= normal.max)):
+        scaled = np.abs(c[i, j])
+        if not np.all((scaled >= normal.tiny) & (scaled <= normal.max)):
             raise ValueError(f"factor {factor} takes the coefficients out of the normal range")
         return BivariatePolynomial(c)
-
-    def _binary(self, other, sign: float) -> "BivariatePolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])))
-        out[: a.shape[0], : a.shape[1]] = a
-        out[: b.shape[0], : b.shape[1]] += sign * b
-        return BivariatePolynomial(out)
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self._binary(other, -1.0)
-
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-        for i, j in zip(*np.nonzero(a)):
-            out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-        return BivariatePolynomial(out)
 
 
 @dataclass(frozen=True)
@@ -240,18 +233,11 @@ class ZernikeTerm:
 
     @property
     def normalization(self) -> float:
-        return math.sqrt(2.0 * (self.n + 1) / (2.0 if self.m == 0 else 1.0))
+        return _normalization(self.n, self.m)
 
     def to_polynomial(self) -> BivariatePolynomial:
         """Exact Cartesian polynomial of total degree n for this term."""
-        m_abs = abs(self.m)
-        harmonic = BivariatePolynomial(_harmonic_matrix(m_abs, use_sin=self.m < 0))
-        acc = np.zeros((self.n + 1, self.n + 1))
-        for power, c_rad in _radial_coefficients(self.n, m_abs).items():
-            s = (power - m_abs) // 2
-            block = (BivariatePolynomial(_disk_power_matrix(s)) * harmonic).coeffs
-            acc[: block.shape[0], : block.shape[1]] += c_rad * block
-        return BivariatePolynomial(acc * (self.coeff * self.normalization))
+        return BivariatePolynomial(wavefront_stack([(self.n, self.m)], [self.coeff]))
 
     def radial_polynomial(self, rho):
         """R_n^{|m|}(rho), without normalization (used by validation tests)."""
@@ -299,6 +285,40 @@ def _disk_power_matrix(s: int) -> np.ndarray:
     return out
 
 
+def _normalization(n: int, m: int) -> float:
+    return math.sqrt(2.0 * (n + 1) / (2.0 if m == 0 else 1.0))
+
+
+@functools.cache
+def _monomials(n: int, m: int) -> np.ndarray:
+    """The (n + 1, n + 1) integer monomial matrix of Z_n^m without its
+    normalization: each radial power rho^(|m| + 2s) as (x^2 + y^2)^s times
+    the harmonic.  Read-only, shared by every caller."""
+    m_abs = abs(m)
+    harmonic = _harmonic_matrix(m_abs, use_sin=m < 0)
+    out = np.zeros((n + 1, n + 1))
+    for power, c_rad in _radial_coefficients(n, m_abs).items():
+        block = product(_disk_power_matrix((power - m_abs) // 2), harmonic)
+        out[: block.shape[0], : block.shape[1]] += c_rad * block
+    out.flags.writeable = False
+    return out
+
+
+def wavefront_stack(modes, coeffs) -> np.ndarray:
+    """The (DX, DY, ...) coefficient stack of W = sum_k coeffs[k] Z_n^m over
+    the (n, m) pairs of ``modes``, one polynomial per trailing index of the
+    coefficient arrays: each mode's `_monomials` times (coefficient *
+    normalization), added onto zeros in mode order.  A coefficient that
+    overflows is left non-finite, for the caller to reject."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    size = max((n for n, _ in modes), default=0) + 1
+    out = np.zeros((size, size) + coeffs.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (n, m), c in zip(modes, coeffs):
+            out[: n + 1, : n + 1] += np.multiply.outer(_monomials(n, m), c * _normalization(n, m))
+    return out
+
+
 @dataclass(frozen=True)
 class WaveAberration:
     """Wave aberration W as a list of Zernike terms plus pupil radius [mm]."""
@@ -328,7 +348,5 @@ class WaveAberration:
         return math.gcd(*(abs(t.m) for t in self.terms if t.coeff != 0.0))
 
     def to_polynomial(self) -> BivariatePolynomial:
-        acc = BivariatePolynomial(np.zeros((1, 1)))
-        for t in self.terms:
-            acc = acc + t.to_polynomial()
-        return acc
+        return BivariatePolynomial(wavefront_stack([(t.n, t.m) for t in self.terms],
+                                                   [t.coeff for t in self.terms]))

@@ -24,8 +24,10 @@ from starburst import (
     symmetry_order,
 )
 from starburst.caustics import (
+    SpikeTip,
     SymmetryResult,
     _find_peaks,
+    _meridian_aligned,
     _PolylineDistance,
     _radial_profile,
     _rotate,
@@ -609,6 +611,27 @@ class TestTipPattern:
         assert (verdict.p_fold, verdict.point_count, verdict.kind) == (4, 0, NO_STARBURST)
         assert verdict.detail == "tip radii do not alternate with the symmetry"
         assert len(verdict.spike_tips) == 8 and verdict.symmetry.p == 4
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the meridian fan is anchored at the largest tip, so an ulp between a "
+    "mirror pair of tips decides which tips are kept (ROADMAP item 22)"))
+def test_meridian_fan_ignores_an_ulp_tie():
+    # four of the profile tips of (n, alpha, gamma) = (3, 0.04630650269771952,
+    # -0.05023761420452022) at grid 256, a case of
+    # test_tip_sets_map_onto_themselves; the mirror pair at 120.4364 and
+    # 239.5636 degrees ties to an ulp.  Today the larger radius at 120.4364
+    # keeps 3 tips, at 239.5636 4
+    large = 1.3757425904509704
+    small = float(np.nextafter(large, 0.0))
+
+    def kept(r120, r240):
+        tips = [SpikeTip(r, math.radians(deg)) for deg, r in (
+            (120.4364, r120), (177.9791, 1.2447198300752276),
+            (239.5636, r240), (359.535, 1.3757393081505354))]
+        return [t.angle for t in _meridian_aligned(tips, 3)]
+
+    assert kept(large, small) == kept(small, large)
 
 
 # ROADMAP item 19: alpha Z_2^0 + 0.2 Z_4^0 + gamma Z_n^n is exactly n-fold,

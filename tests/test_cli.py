@@ -700,8 +700,8 @@ class TestVerifyCommand:
             "error: wavefront coefficients overflow the Hessian determinant\n")
 
     def test_underflowing_beta_usage_error(self, capsys):
-        # below beta ~ 1e-162 the pair weights of G round to 0: no census
-        # may read that as a constant G
+        # below beta ~ 1e-162 the products Wxx Wyy and Wxy^2 round to 0: no
+        # census may read that as a constant G
         for beta in ("1e-90", "1e-170", "1e-300"):
             assert main(["verify", "--n", "5", "--beta", beta, "--samples", "20"]) == 2
             assert capsys.readouterr().err == (
@@ -836,11 +836,12 @@ def test_cli_import_leaves_scipy_signal_out(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_cli_import_builds_no_pair_basis():
-    # verify's pair basis is built on first use, so the import stays as cheap
+def test_cli_import_builds_no_monomial_matrix():
+    # the Zernike modes' monomial matrices are built on first use, so the
+    # import stays as cheap
     env = dict(os.environ, PYTHONPATH=str(Path(starburst.__file__).parents[1]))
-    code = ("import starburst.cli; from starburst.hessian import _pair_basis; "
-            "print(_pair_basis.cache_info().currsize)")
+    code = ("import starburst.cli; from starburst.zernike import _monomials; "
+            "print(_monomials.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "0\n"

@@ -3,7 +3,7 @@ saddle ring within rho = 0.03 of the pupil centre, where the census is
 known to miscount (README "Known census failures"; ROADMAP items 1, 2 and
 4).  alpha runs to either side of ALPHA0, 2e-5 below sqrt(15) beta, the
 alpha of `TestKnownCensusMisses`' small central rings, for beta = 0.2 and
-a few gammas; each n is censused as one batch through the pair basis.
+a few gammas; each n is censused as one batch, as `verify` builds it.
 
 One line of the golden per case: n, alpha, gamma, the smallest
 closed-form saddle ring's rho, the closed-form saddle count, then the

@@ -15,7 +15,7 @@ from starburst import (
     zernike,
 )
 from starburst.hessian import _stack
-from starburst.zernike import _trim, derivative, gathered_values, grid_values, row_widths
+from starburst.zernike import _trim, derivative, gathered_values, grid_values, product, row_widths
 
 
 def all_valid_terms(max_order):
@@ -216,7 +216,8 @@ class TestPolynomialAlgebra:
         b = BivariatePolynomial(rng.normal(size=(3, 5)))
         x = rng.uniform(-1, 1, 50)
         y = rng.uniform(-1, 1, 50)
-        np.testing.assert_allclose((a * b)(x, y), a(x, y) * b(x, y), rtol=1e-12)
+        ab = BivariatePolynomial(product(a.coeffs, b.coeffs))
+        np.testing.assert_allclose(ab(x, y), a(x, y) * b(x, y), rtol=1e-12)
 
     def test_rescale_domain(self):
         poly = ZernikeTerm(4, 4, 0.3).to_polynomial()
@@ -226,7 +227,8 @@ class TestPolynomialAlgebra:
 
     @pytest.mark.parametrize("factor", [1e100, 1e-100])
     def test_rescale_domain_rejects_overflowing_powers(self, factor):
-        # 1e100^8 overflows, 1e-100^8 underflows to 0
+        # Z_4^4 is homogeneous: at its nonzero coefficients 1e100^4
+        # overflows and 1e-100^4 underflows to 0
         with pytest.raises(ValueError, match="normal range"):
             ZernikeTerm(4, 4, 0.3).to_polynomial().rescale_domain(factor)
 
@@ -238,6 +240,15 @@ class TestPolynomialAlgebra:
             poly.rescale_domain(2.0**23)
         with pytest.raises(ValueError, match="normal range"):
             BivariatePolynomial(np.array([[0.0, 1e300]])).rescale_domain(1e-10)
+
+    @pytest.mark.parametrize("k", [-46, 44])
+    def test_rescale_domain_skips_structural_zeros(self, k):
+        # 2^(24 k) at x^12 y^12, above the total degree, underflows (0 / 0 =
+        # NaN there) or overflows (rejecting the dilation); it is not taken
+        poly = ZernikeTerm(12, 12, 0.02).to_polynomial()
+        i, j = np.indices(poly.coeffs.shape)
+        assert np.array_equal(poly.rescale_domain(2.0**k).coeffs,
+                              np.ldexp(poly.coeffs, -k * (i + j)))
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
     def test_rescale_domain_rejects_invalid_factor(self, factor):
