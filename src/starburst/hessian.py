@@ -20,13 +20,14 @@ is g-fold (g >= 2; `WaveAberration.fold_order`) is solved from the seeds
 of one sector of angle 2 pi / g and the centre, and its roots are turned
 into the other sectors and polished by the same kernel
 (`_complete_orbits`); every zoom pass evaluates its seed grid only on the
-half-plane or quadrant that holds the sectors (`_grid_axes`), and each
-field reads its |G| and |grad G| scales on its own fold's crop of the
-zoom-1 grid (`_own_crop`).  Each zoom pass seeds each grid node once, so no
-two seeds share (field, x, y) and each counts once in the unconverged-seed
-message.  A pass reads the sign changes of Gx and Gy from one 4-bit code
-per node, and the local minima of |grad G| from gx^2 + gy^2 scaled by a
-power of two per field, not from np.hypot.  Each Newton trial is one
+half-plane or quadrant that holds the sectors (`_grid_axes`), and the
+zoom-1 grid sets each field's |G| and |grad G| scales.  A stack is
+censused one fold at a time, each fold's fields as their own stack, so
+the crop is every field's.  Each zoom pass seeds each grid node once, so
+no two seeds share (field, x, y) and each counts once in the
+unconverged-seed message.  A pass reads the sign changes of Gx and Gy
+from one 4-bit code per node, and the local minima of |grad G| from
+gx^2 + gy^2 scaled by a power of two per field, not from np.hypot.  Each Newton trial is one
 evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
 step reuses; the loop keeps only the running seeds' state, compacted, and
 drops a seed when it stops.  Every seed runs to its own best iterate,
@@ -200,8 +201,8 @@ class CriticalPoint:
 class CriticalPointSearch:
     """Deduplicated critical points in ring order (`_ring_order`) plus
     diagnostics: ``g_scale`` and ``gradient_scale`` are the largest |G| and
-    |grad G| on the nodes of the zoom-1 seed grid in the field's own crop
-    (`_own_crop`: the whole square for fold g <= 1, x >= -2h for g = 2 and
+    |grad G| on the nodes of the zoom-1 seed grid of the field's fold
+    (`_grid_axes`: the whole square for fold g <= 1, x >= -2h for g = 2 and
     3, x, y >= -2h for g >= 4, h the cell size), which set the degeneracy
     band and the Newton tolerances; both 0 when G is constant or its
     gradient vanishes there."""
@@ -231,41 +232,20 @@ _GRID_SHIFT_X = (math.sqrt(2.0) - 1.0) / 2.0
 _GRID_SHIFT_Y = (math.sqrt(3.0) - 1.0) / 2.0
 
 
-def _grid_axes(radius: float, least: int = 1):
+def _grid_axes(radius: float, fold: int = 1):
     """The node coordinates (xs, ys) of the corner grid of _GRID_SIZE cells
     per axis on the square of half-side ``radius``, cropped to what seeding
-    a stack whose smallest fold is ``least`` reads (whole for least <= 1):
-    for least >= 2 every field's sector 0 <= theta < 2 pi / g lies in
-    x >= 0, and for least >= 4 in y >= 0 too, so the nodes from -2h on, h
-    the cell size, are kept on those axes.  The first kept node's mask has
-    lost neighbours, but it lies in no sector.  Every zoom pass, zoom 1
-    included, evaluates its grid on this crop; each field reads its scales
-    on its own fold's crop of it (`_own_crop`)."""
+    a field of fold g = ``fold`` reads (whole for g <= 1): for g >= 2 its
+    sector 0 <= theta < 2 pi / g lies in x >= 0, and for g >= 4 in y >= 0
+    too, so the nodes from -2h on, h the cell size, are kept on those axes.
+    The first kept node's mask has lost neighbours, but it lies in no
+    sector.  Every zoom pass, zoom 1 included, evaluates its grid on this
+    crop, and the zoom-1 grid's nodes set the field's scales."""
     h = 2.0 * radius / _GRID_SIZE
     xs = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_X * h
     ys = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_Y * h
-    return (xs[xs >= -2.0 * h] if least >= 2 else xs,
-            ys[ys >= -2.0 * h] if least >= 4 else ys)
-
-
-def _own_crop(xs, ys, fold, radius: float) -> np.ndarray:
-    """The (fields, len(xs), len(ys)) mask of the nodes of a grid from
-    `_grid_axes` on the square of half-side ``radius`` that lie in each
-    field's own crop, the one `_grid_axes` keeps for the field's fold g
-    alone: x >= -2h for g >= 2, and y >= -2h too for g >= 4.  A field's
-    scales are read there, so they do not depend on the folds of the other
-    fields of its stack."""
-    h = 2.0 * radius / _GRID_SIZE
-    in_x = (fold < 2)[:, None] | (xs >= -2.0 * h)
-    in_y = (fold < 4)[:, None] | (ys >= -2.0 * h)
-    return in_x[:, :, None] & in_y[:, None, :]
-
-
-def _in_sector(x, y, fold) -> np.ndarray:
-    """Whether each point lies in its field's sector 0 <= theta < 2 pi / g,
-    theta = atan2(x, y), for the field's fold g; every point when g <= 1."""
-    theta = np.arctan2(x, y) % (2.0 * math.pi)
-    return (fold <= 1) | (theta < 2.0 * math.pi / np.maximum(fold, 1))
+    return (xs[xs >= -2.0 * h] if fold >= 2 else xs,
+            ys[ys >= -2.0 * h] if fold >= 4 else ys)
 
 
 def _sign_change_cells(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -295,24 +275,24 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
     return v <= least
 
 
-def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarray):
+def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: int):
     """(field index, x, y) seeds from every zoom pass, each seeded once, and
-    each field's largest |grad G| on its own crop of the zoom-1 grid
-    (`_own_crop`).  A pass seeds the centre of every cell of its corner grid
-    where both components of ``grad`` change sign, then every node that is
-    a corner of such a cell or a local minimum of |grad G|.  Each pass reads
-    only the part of its grid that holds the sectors of the stack's
-    smallest fold (`_grid_axes`); ``base`` is the zoom-1 grid (gx, gy) of
-    ``grad`` on that crop, scaled in place.  A field of fold g >= 2 keeps
-    only the seeds in its sector 0 <= theta < 2 pi / g, plus one at the
-    centre, which its symmetry fixes, so the kept seeds are those of the
-    whole grid.
+    each field's largest |grad G| on the zoom-1 grid, for a stack whose
+    fields share the fold g = ``fold``.  A pass seeds the centre of every
+    cell of its corner grid where both components of ``grad`` change sign,
+    then every node that is a corner of such a cell or a local minimum of
+    |grad G|.  Each pass reads only the part of its grid that holds the
+    sector (`_grid_axes`); ``base`` is the zoom-1 grid (gx, gy) of
+    ``grad`` on that crop, scaled in place.  For g >= 2 only the seeds in
+    the sector 0 <= theta < 2 pi / g are kept, plus one at the centre of
+    each field, which its symmetry fixes, so the kept seeds are those of
+    the whole grid.
 
     The minima are taken on gx^2 + gy^2, not on np.hypot(gx, gy), after the
     sign changes are read: each field's gx and gy are scaled by one exact
-    power of two that puts the largest component on its own crop of the
-    zoom-1 grid in [0.5, 1), so every square read for its scale is below 2
-    at any coefficient scale.  The mask can then differ from hypot's only
+    power of two that puts the largest component on the zoom-1 grid in
+    [0.5, 1), so every square read for its scale is below 2 at any
+    coefficient scale.  The mask can then differ from hypot's only
     where two neighbouring nodes' |grad G| agree to a few ulps (the square
     rounds twice, hypot once), or where both are below 2^-511 of the
     field's largest, whose squares lose bits below the normal range.  The
@@ -320,17 +300,14 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarra
     whose square is within 1e-12 of the field's largest square, and
     unscaled exactly."""
     gx, gy = base
-    least = int(fold.min())
-    inside = _own_crop(*_grid_axes(domain_radius, least), fold, domain_radius)
-    top = np.maximum(np.abs(gx).max(axis=(1, 2), where=inside, initial=0.0),
-                     np.abs(gy).max(axis=(1, 2), where=inside, initial=0.0))
+    top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
     # 2^-e for the largest component's exponent e, kept a normal float
     power = np.clip(-np.frexp(top)[1], -1022, 1023)
     scale = np.ldexp(1.0, power)[:, None, None]
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
-        xs, ys = _grid_axes(radius, least)
+        xs, ys = _grid_axes(radius, fold)
         if zoom != 1.0:
             gx, gy = grid_values(grad, xs, ys)
         cells = _sign_change_cells(gx, gy)
@@ -339,7 +316,7 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarra
         square = gx * gx
         square += gy * gy
         if zoom == 1.0:
-            gscale = _largest_norm(gx, gy, square, scale, inside)
+            gscale = _largest_norm(gx, gy, square, scale)
         h = 2.0 * radius / _GRID_SIZE
         f, ci, cj = np.unravel_index(np.flatnonzero(cells), cells.shape)
         blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
@@ -349,23 +326,22 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: np.ndarra
             nodes[:, di:di + rows, dj:dj + cols] |= cells
         f, i, j = np.unravel_index(np.flatnonzero(nodes), nodes.shape)
         blocks.append((f, xs[i], ys[j]))
-    centre = np.flatnonzero(fold >= 2)
+    centre = np.arange(grad.shape[-1] if fold >= 2 else 0)
     blocks.append((centre, np.zeros(centre.size), np.zeros(centre.size)))
     f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
-    keep = _in_sector(x, y, fold[f])
+    keep = (fold <= 1) | (np.arctan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / max(fold, 1))
     return f[keep], x[keep], y[keep], gscale
 
 
-def _largest_norm(gx, gy, square, scale, inside) -> np.ndarray:
-    """Each field's largest np.hypot of the unscaled (gx, gy) over the nodes
-    ``inside`` it, given gx and gy scaled by ``scale`` and ``square`` = gx^2
-    + gy^2: hypot is taken only where the square is within 1e-12 of the
-    field's largest there, which holds hypot's largest.  Dividing by the
-    power of two is exact for those nodes; a component it would round is
-    too small to move hypot.  NaN for a field whose squares there hold a
-    NaN."""
-    top = square.max(axis=(1, 2), where=inside, initial=0.0)
-    near = np.flatnonzero(inside & (square >= (top * (1.0 - 1e-12))[:, None, None]))
+def _largest_norm(gx, gy, square, scale) -> np.ndarray:
+    """Each field's largest np.hypot of the unscaled (gx, gy), given gx and
+    gy scaled by ``scale`` and ``square`` = gx^2 + gy^2: hypot is taken
+    only where the square is within 1e-12 of the field's largest, which
+    holds hypot's largest.  Dividing by the power of two is exact for those
+    nodes; a component it would round is too small to move hypot.  NaN for
+    a field whose squares hold a NaN."""
+    top = square.max(axis=(1, 2))
+    near = np.flatnonzero(square >= (top * (1.0 - 1e-12))[:, None, None])
     f = near // square[0].size
     unscale = scale.ravel()[f]
     norm = np.hypot(gx.ravel()[near] / unscale, gy.ravel()[near] / unscale)
@@ -502,22 +478,20 @@ def _unmatched(fidx, x, y, cf, cx, cy, rank, radius: float) -> np.ndarray:
     return np.sort(kept[kept >= n]) - n
 
 
-def _complete_orbits(newton, fidx, x, y, fold, R: float, accept_tol, floor_tol):
+def _complete_orbits(newton, fidx, x, y, fold: int, R: float, accept_tol, floor_tol):
     """The copies, as (fidx, x, y), that complete the orbits of the
-    deduplicated points (fidx, x, y).  Each point off the centre of a field
-    of fold g >= 2 is turned by 2 pi k / g for k = 1..g-1; a copy within
-    DEDUP_RADIUS R of a point already found is dropped, the rest are
-    polished by `_newton`, and a copy is added if it converges inside the
-    disk onto no point already found.  A field with more than
-    _DEGENERATE_POINT_LIMIT points, which is flagged non-isolated either
-    way, is not completed."""
-    small = np.bincount(fidx, minlength=fold.size) <= _DEGENERATE_POINT_LIMIT
-    src = np.flatnonzero((fold[fidx] >= 2) & small[fidx]
-                         & (np.hypot(x, y) > DEDUP_RADIUS * R))
-    turns = fold[fidx[src]] - 1
-    at = np.repeat(src, turns)
-    k = np.arange(at.size) - np.repeat(np.cumsum(turns) - turns, turns) + 1
-    phi = 2.0 * math.pi * k / fold[fidx[at]]
+    deduplicated points (fidx, x, y) of a stack whose fields share the fold
+    g = ``fold``.  Each point off the centre is turned by 2 pi k / g for
+    k = 1..g-1 (no turn for g < 2); a copy within DEDUP_RADIUS R of a point
+    already found is dropped, the rest are polished by `_newton`, and a
+    copy is added if it converges inside the disk onto no point already
+    found.  A field with more than _DEGENERATE_POINT_LIMIT points, which is
+    flagged non-isolated either way, is not completed."""
+    small = np.bincount(fidx) <= _DEGENERATE_POINT_LIMIT
+    src = np.flatnonzero(small[fidx] & (np.hypot(x, y) > DEDUP_RADIUS * R))
+    turns = np.arange(1, fold)
+    at = np.repeat(src, turns.size)
+    phi = 2.0 * math.pi * np.tile(turns, src.size) / fold
     c, s = np.cos(phi), np.sin(phi)
     cf, cx, cy = fidx[at], x[at] * c + y[at] * s, y[at] * c - x[at] * s
     new = _unmatched(fidx, x, y, cf, cx, cy, np.zeros(at.size), DEDUP_RADIUS * R)
@@ -567,7 +541,7 @@ def find_critical_points_batch(
     fields, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field inside the disk of radius ``domain_radius``,
-    run as one array program; each result is the field's census alone:
+    one array program per fold; each result is the field's census alone:
     `census_from_stacks` of the fields' stacked G and folds."""
     return census_from_stacks(_stack([f.G.coeffs for f in fields]),
                               [f.fold for f in fields], domain_radius)
@@ -577,23 +551,26 @@ def census_from_stacks(
     g: np.ndarray, folds, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of G's
-    coefficients, inside the disk of radius ``domain_radius``, run as one
-    array program.  G's first and second derivatives are taken here, once,
-    for the whole stack, with `differentiate`'s product.
+    coefficients, inside the disk of radius ``domain_radius``.  G's first
+    and second derivatives are taken here, once per fold, with
+    `differentiate`'s product.
 
     ``folds`` gives each field's fold g (one int for all, or one per
     field): G is unchanged by a turn of 2 pi / g, as it is when W is (for
-    g <= 1 nothing is assumed).  For g >= 2 only the seeds of one sector
-    of angle 2 pi / g and the centre are solved (`_collect_seeds`), and the
-    roots found are turned into the other sectors (`_complete_orbits`).
+    g <= 1 nothing is assumed).  Each fold's fields are censused as their
+    own stack, one array program per fold, and the results returned in
+    input order.  For g >= 2 only the seeds of one sector of angle
+    2 pi / g and the centre are solved (`_collect_seeds`), and the roots
+    found are turned into the other sectors (`_complete_orbits`).
     Every off-centre critical point then has an orbit of g points, and a
     census whose off-centre count is not a multiple of g says so.
 
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
-    axially symmetric W).  ValueError first as `_require_squarable`, or
-    when ``folds`` is not one non-negative integer per field.
+    axially symmetric W).  ValueError as `_require_squarable`, before the
+    census of the failing field's fold, or when ``folds`` is not one
+    non-negative integer per field.
     """
     if not (domain_radius > 0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
@@ -607,6 +584,11 @@ def census_from_stacks(
             fold.dtype.kind not in "iu" or fold.min() < 0):
         raise ValueError(f"folds must be one non-negative integer per field, got {folds!r}")
     fold = np.broadcast_to(fold, (n_fields,))
+    if np.any(fold != fold[:1]):  # each fold's fields as their own stack
+        censuses = {value: iter(census_from_stacks(g[..., fold == value], value, R))
+                    for value in np.unique(fold).tolist()}
+        return [next(censuses[value]) for value in fold.tolist()]
+    fold = int(fold[0]) if n_fields else 1
     g = _trim(g)
     with np.errstate(over="ignore"):  # reported by _require_squarable
         gx, gy = derivative(g, 0), derivative(g, 1)
@@ -615,12 +597,10 @@ def census_from_stacks(
     _require_squarable(g_hess, R)
     if not n_fields:
         return []
-    # the zoom-1 seed grid, on the crop of the smallest fold, also sets each
-    # field's gradient and |G| scales, read on the field's own crop
-    axes = _grid_axes(R, int(fold.min()))
-    grid = grid_values(_stack([g, gx, gy]), *axes)
-    g_abs_scale = np.abs(grid[0]).max(axis=(1, 2), where=_own_crop(*axes, fold, R),
-                                      initial=0.0)
+    # the zoom-1 seed grid, on the fold's crop, also sets each field's
+    # gradient and |G| scales
+    grid = grid_values(_stack([g, gx, gy]), *_grid_axes(R, fold))
+    g_abs_scale = np.abs(grid[0]).max(axis=(1, 2))
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
     fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, grid[1:], fold)
@@ -674,9 +654,9 @@ def census_from_stacks(
         else:
             if n_unconverged[f]:
                 notes.append(f"{n_unconverged[f]} of {n_seeds[f]} seeds did not converge")
-            if fold[f] >= 2 and n_off[f] % fold[f]:
+            if fold >= 2 and n_off[f] % fold:
                 notes.append(f"off-centre count {n_off[f]} is not a multiple of "
-                             f"the {fold[f]}-fold symmetry")
+                             f"the {fold}-fold symmetry")
         results.append(CriticalPointSearch(
             _ring_order(points[f], R), degenerate, "; ".join(notes), *scales))
     return results
@@ -706,29 +686,34 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
     """Verify that critical points of W(x/r, y/r) are the r-scaled points of W.
 
     Positions are compared in normalized (unit-pupil) coordinates; classes
-    must agree and the correspondence must be a bijection.
+    must agree and the correspondence must be a bijection.  A failed check
+    says why, and names the coefficients of the dilated G that underflowed.
     """
     if not (factor > 0 and math.isfinite(factor)):
         raise ValueError(f"factor must be positive and finite, got {factor}")
-    base = find_critical_points(build_field(w))
+    base_field = build_field(w)
+    base = find_critical_points(base_field)
     scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor),
                                          w.fold_order())
     scaled = find_critical_points(scaled_field, domain_radius=factor)
+
+    def failed(count, degenerate, message, error=math.inf):
+        # name the coefficients of the dilated G that are subnormal, and the
+        # nonzero ones of the undilated G that are 0 in it
+        g, dilated = np.moveaxis(_stack([base_field.G.coeffs, scaled_field.G.coeffs]), 2, 0)
+        subnormal = np.count_nonzero((dilated != 0.0) & (np.abs(dilated) < np.finfo(float).tiny))
+        lost = np.count_nonzero((g != 0.0) & (dilated == 0.0))
+        if subnormal or lost:
+            message += (f"; underflow in the dilated G: {subnormal} subnormal coefficients, "
+                        f"{lost} of the undilated G's {np.count_nonzero(g)} nonzero ones lost")
+        return RescaleReport(factor, False, error, count, degenerate, message)
+
     if base.degenerate and scaled.degenerate:
         return RescaleReport(factor, True, 0.0, 0, True, "degenerate in both domains")
     if base.degenerate != scaled.degenerate:
-        return RescaleReport(
-            factor, False, math.inf, 0, True, "degeneracy flags disagree"
-        )
+        return failed(0, True, "degeneracy flags disagree")
     if len(base) != len(scaled):
-        return RescaleReport(
-            factor,
-            False,
-            math.inf,
-            len(base),
-            False,
-            f"count mismatch: {len(base)} vs {len(scaled)}",
-        )
+        return failed(len(base), False, f"count mismatch: {len(base)} vs {len(scaled)}")
     used = set()
     max_err = 0.0
     for p in base.points:
@@ -740,9 +725,9 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
             if d < best_d:
                 best_j, best_d = j, d
         if best_j < 0 or scaled.points[best_j].kind is not p.kind:
-            return RescaleReport(
-                factor, False, math.inf, len(base), False, "class mismatch"
-            )
+            return failed(len(base), False, "class mismatch")
         used.add(best_j)
         max_err = max(max_err, best_d)
-    return RescaleReport(factor, max_err < 1e-8, max_err, len(base), False)
+    if max_err >= 1e-8:
+        return failed(len(base), False, f"position error {max_err:.3g}", max_err)
+    return RescaleReport(factor, True, max_err, len(base), False)

@@ -430,12 +430,23 @@ class TestRescaleInvariance:
     def test_highorder_dilations_near_the_limits(self):
         # Wxx Wyy of highorder dilated by 2^-44 overflows: a ValueError, not
         # numpy's warning, and at 2^-46 not the degree 24 of a NaN that 0 / 0
-        # put above the total degree; at 2^44 only the powers there overflow
+        # put above the total degree; at 2^44 only the powers there overflow,
+        # and the 11 subnormal coefficients of G still pass
         for k in (-46, -44):
             with pytest.raises(ValueError, match="overflow the Hessian determinant"):
                 rescale_check(HIGHORDER, 2.0**k)
         report = rescale_check(HIGHORDER, 2.0**44)
         assert (report.passed, report.count, report.message) == (True, 37, "")
+        # at 2^45 those 11 move the points by 1e-3, and at 2^46 they are 0:
+        # G is trimmed from 21 x 21 to 13 x 13 coefficients
+        for k, subnormal, lost, error in ((45, 11, 0, 9.8e-4), (46, 0, 11, 0.0216)):
+            report = rescale_check(HIGHORDER, 2.0**k)
+            assert (report.passed, report.count) == (False, 37)
+            assert report.max_position_error == pytest.approx(error, rel=0.01)
+            assert report.message == (
+                f"position error {report.max_position_error:.3g}; underflow in the dilated G: "
+                f"{subnormal} subnormal coefficients, {lost} of the undilated G's 26 nonzero "
+                "ones lost")
 
     def test_pure_defocus_vacuous(self):
         report = rescale_check(WaveAberration((ZernikeTerm(2, 0, 0.3),)), 2.0)
@@ -754,6 +765,25 @@ class TestBatchedCensus:
     def test_empty_batch(self):
         assert find_critical_points_batch([]) == []
 
+    def test_one_census_per_fold(self, monkeypatch):
+        # a shuffled batch of many folds is seeded once per fold, and each
+        # field gets its census alone
+        fields = [build_field(w) for w in mixed_fold_wavefronts()]
+        folds = [f.fold for f in fields]
+        assert sorted(set(folds)) == [0, 1, 2, 3, 4, 6, 12] and len(folds) == 9
+        seeded = []
+
+        def spy(grad, radius, base, fold):
+            seeded.append((fold, grad.shape[-1]))
+            return _collect_seeds(grad, radius, base, fold)
+
+        monkeypatch.setattr(hessian, "_collect_seeds", spy)
+        batched = find_critical_points_batch(fields)
+        assert sorted(seeded) == [(0, 1), (1, 1), (2, 1), (3, 2), (4, 1), (6, 2), (12, 1)]
+        single = [find_critical_points(f) for f in fields]
+        assert [repr(r) for r in batched] == [repr(r) for r in single]
+        assert any(r.degenerate for r in single) and any(r.saddles for r in single)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_invalid_domain_radius(self, radius):
         field = build_field(EQ3.to_wavefront())
@@ -991,17 +1021,20 @@ class TestSeeding:
         (three_term_stacks(5, *_coefficients([ABParams(0.2, 0.2, 0.07, 5),
                                               ABParams(-0.1, 0.2, 0.05, 5),
                                               ABParams(0.05, 0.2, -0.3, 5)])), [5, 5, 5]),
-        # a 6-fold field is 2- and 3-fold too: the grids hold the half-plane
-        # of the smallest fold, each field keeps its own sector
+        # a 6-fold field is 2- and 3-fold too: each fold's fields are
+        # seeded as their own stack, on their own fold's crop
         (three_term_stacks(6, *_coefficients([ABParams(0.0, 0.2, 0.19, 6),
                                               ABParams(-0.1, 0.2, 0.05, 6),
                                               ABParams(0.3, 0.2, -0.2, 6)])), [6, 3, 2]),
     ], ids=["3star", "highorder", "three-term batch", "mixed folds"])
     def test_collect_seeds_each_once(self, g, folds):
+        # each fold's fields, then the whole stack with no fold
         grad = _stack([derivative(g, 0), derivative(g, 1)])
-        for fold in (np.array(folds), np.ones(len(folds), dtype=int)):
-            grid = grid_values(grad, *_grid_axes(1.0, int(fold.min())))
-            _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, grid, fold))
+        folds = np.array(folds)
+        runs = [(grad[..., folds == fold], fold) for fold in np.unique(folds).tolist()]
+        for part, fold in runs + [(grad, 1)]:
+            grid = grid_values(part, *_grid_axes(1.0, fold))
+            _check_seeds(part, 1.0, fold, _collect_seeds(part, 1.0, grid, fold))
 
     def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
         # every seed grid of the pinned corpus, and the fixtures at the
@@ -1023,7 +1056,7 @@ class TestSeeding:
         assert sum(checked) == 2 * sum(len(names) for names, _, _ in stacks)
 
     def test_scales_read_on_each_fields_own_crop(self):
-        # a stack of folds 6, 3, 2 and 1 evaluates its zoom-1 grid whole;
+        # a stack of folds 6, 3, 2 and 1 is censused one fold at a time;
         # each field reads its |G| and |grad G| scales on its own fold's crop
         ws = [ABParams(0.0, 0.2, 0.19, 6).to_wavefront(),
               WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(3, -3, 0.1))),
@@ -1064,7 +1097,8 @@ class TestSeeding:
     def test_newton_matches_reference(self, monkeypatch):
         # the compacted loop gives every seed's best iterate and |grad G|
         # bit for bit as the loop that gathers through the running indices,
-        # on the seeds and on the turned copies of the orbit completion
+        # on the seeds and on the turned copies of the orbit completion, of
+        # single-fold stacks and of a mixed-fold one
         checked = []
 
         def spy(newton, fidx, x, y, radius, accept_tol, floor_tol):
@@ -1076,14 +1110,17 @@ class TestSeeding:
             return got
 
         monkeypatch.setattr(hessian, "_newton", spy)
-        stacks = corpus_stacks() + scaled_stacks()
+        stacks = corpus_stacks() + scaled_stacks() + [mixed_fold_stack()]
+        tally = {"whole": [], "sector": []}
         for _, g, folds in stacks:
-            census_from_stacks(g, 1)
-            census_from_stacks(g, folds)
-        # per stack: the whole grid's seeds, its (no) copies, the sector's
-        # seeds and its copies
-        seeds, _, sector, copies = (checked[k::4] for k in range(4))
-        assert len(checked) == 4 * len(stacks)
+            for name, fold in (("whole", 1), ("sector", folds)):
+                checked.clear()
+                census_from_stacks(g, fold)
+                # one seed call and one copy call per fold group
+                assert len(checked) == 2 * np.unique(fold).size
+                tally[name] += checked
+        seeds, no_copies, sector, copies = (tally[name][k::2] for name in tally for k in (0, 1))
+        assert not any(no_copies)
         assert sum(seeds) > 20_000 and sum(sector) > 5_000 and sum(copies) > 1_000
 
 
@@ -1099,19 +1136,21 @@ def _two_pass_sign_change_cells(gx, gy):
 
 def _check_seeds(grad, radius, fold, got):
     """``got``, the seeds and gradient scales of `_collect_seeds` for the
-    (DX, DY, 2, fields) stack ``grad`` and the fields' folds, against a
-    reference that takes its minima on np.hypot(gx, gy) over each pass's
-    whole grid: every pass seeds the centre of each cell where Gx and Gy
-    both change sign, each corner node of those cells and each local
-    minimum of |grad G|, and nothing twice; a field of fold g >= 2 keeps
-    the seeds with 0 <= atan2(x, y) < 2 pi / g and one at the centre; the
-    scale is the largest hypot on the field's own crop of the zoom-1 grid
-    (`_own_crop_reference`).  The kernel takes its
-    minima on gx^2 + gy^2, so its mask could differ from this one where two
+    (DX, DY, 2, fields) stack ``grad`` whose fields share the fold
+    ``fold``, against a reference that takes its minima on np.hypot(gx, gy)
+    over each pass's whole grid: every pass seeds the centre of each cell
+    where Gx and Gy both change sign, each corner node of those cells and
+    each local minimum of |grad G|, and nothing twice; a field of fold
+    g >= 2 keeps the seeds with 0 <= atan2(x, y) < 2 pi / g and one at the
+    centre; the scale is the largest hypot on the field's own crop of the
+    zoom-1 grid (`_own_crop_reference`).  The kernel takes its minima on
+    gx^2 + gy^2, so its mask could differ from this one where two
     neighbouring nodes' |grad G| agree to a few ulps (or both lie below
     2^-511 of the largest); no grid checked here holds such a pair."""
     def key(f, x, y):
         return int(f), x.view(np.int64).item(), y.view(np.int64).item()
+
+    fold = np.full(grad.shape[-1], fold)
 
     def in_sector(f, x, y):
         g = int(fold[f])
@@ -1251,6 +1290,24 @@ def corpus_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
 # be subnormal on every node of the zoomed grids at 2^-260 and reach 3e305
 # at 2^246.
 SCALINGS = (-260, -200, -150, -64, -23, -1, 1, 17, 40, 246)
+
+
+def mixed_fold_wavefronts() -> list[WaveAberration]:
+    """Shuffled wavefronts of folds 0 (axial), 1 (degree 12), 2, 3, 4, 6
+    and 12, two of fold 3 and two of fold 6."""
+    ws = [WaveAberration((ZernikeTerm(2, 0, 0.1), ZernikeTerm(4, 0, 0.2))), DEGREE12,
+          WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(2, 2, 0.1),
+                          ZernikeTerm(6, -2, 0.05))),
+          EQ3.to_wavefront(), ABParams(0.3, 0.2, -0.1, 3).to_wavefront(),
+          ABParams(-0.1, 0.2, 0.05, 4).to_wavefront(), ABParams(0.0, 0.2, 0.19, 6).to_wavefront(),
+          ABParams(0.3, 0.2, -0.2, 6).to_wavefront(), HIGHORDER]
+    return [ws[k] for k in np.random.default_rng(39).permutation(len(ws))]
+
+
+def mixed_fold_stack() -> tuple[list[str], np.ndarray, list[int]]:
+    """`mixed_fold_wavefronts` as one (names, G stack, folds)."""
+    ws = mixed_fold_wavefronts()
+    return _field_stack([f"mixed-{k}" for k in range(len(ws))], ws)
 
 
 def scaled_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
