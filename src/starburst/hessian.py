@@ -21,19 +21,18 @@ of one sector of angle 2 pi / g and the centre, and its roots are turned
 into the other sectors and polished by the same kernel
 (`_complete_orbits`); every zoom pass evaluates its seed grid only on the
 half-plane or quadrant that holds the sectors (`_grid_axes`), and the
-zoom-1 grid sets each field's |G| and |grad G| scales.  A stack is
-censused one fold at a time, each fold's fields as their own stack, so
-the crop is every field's.  Each zoom pass seeds each grid node once, so
-no two seeds share (field, x, y) and each counts once in the
-unconverged-seed message.  A pass reads the sign changes of Gx and Gy
-from one 4-bit code per node, and the local minima of |grad G| from
-gx^2 + gy^2 scaled by a power of two per field, not from np.hypot.  Each Newton trial is one
-evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next
-step reuses; the loop keeps only the running seeds' state, compacted, and
-drops a seed when it stops.  Every seed runs to its own best iterate,
-damped and then, once converged, undamped: deduplication keeps each root's
-best, and which seed that is decides the noise-level digits of the
-reported point.
+zoom-1 grid sets each field's |G| and |grad G| scales.  The fields of a
+stack share one fold, so the crop is every field's.  Each zoom pass
+seeds each grid node once, so no two seeds share (field, x, y) and each
+counts once in the unconverged-seed message.  A pass reads the sign
+changes of Gx and Gy from one 4-bit code per node, and the local minima
+of |grad G| from gx^2 + gy^2 scaled by a power of two per field, not
+from np.hypot.  Each Newton trial is one evaluation of the (Gx, Gy, Gxx,
+Gxy, Gyy) stack, whose Hessian the next step reuses; the loop keeps only
+the running seeds' state, compacted, and drops a seed when it stops.
+Every seed runs to its own best iterate, damped and then, once
+converged, undamped: deduplication keeps each root's best, and which
+seed that is decides the noise-level digits of the reported point.
 """
 
 from __future__ import annotations
@@ -533,44 +532,33 @@ def find_critical_points(
     field: HessianField, domain_radius: float = 1.0
 ) -> CriticalPointSearch:
     """Locate all cusps of Gauss inside the disk of radius ``domain_radius``
-    (the unit pupil, or a dilated one): `find_critical_points_batch` of one."""
-    return find_critical_points_batch([field], domain_radius)[0]
-
-
-def find_critical_points_batch(
-    fields, domain_radius: float = 1.0
-) -> list[CriticalPointSearch]:
-    """Census of every field inside the disk of radius ``domain_radius``,
-    one array program per fold; each result is the field's census alone:
-    `census_from_stacks` of the fields' stacked G and folds."""
-    return census_from_stacks(_stack([f.G.coeffs for f in fields]),
-                              [f.fold for f in fields], domain_radius)
+    (the unit pupil, or a dilated one): `census_from_stacks` of one."""
+    return census_from_stacks(field.G.coeffs[:, :, None], field.fold, domain_radius)[0]
 
 
 def census_from_stacks(
-    g: np.ndarray, folds, domain_radius: float = 1.0
+    g: np.ndarray, fold: int, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of G's
     coefficients, inside the disk of radius ``domain_radius``.  G's first
-    and second derivatives are taken here, once per fold, with
-    `differentiate`'s product.
+    and second derivatives are taken here, once per call, with
+    `zernike.derivative`.
 
-    ``folds`` gives each field's fold g (one int for all, or one per
-    field): G is unchanged by a turn of 2 pi / g, as it is when W is (for
-    g <= 1 nothing is assumed).  Each fold's fields are censused as their
-    own stack, one array program per fold, and the results returned in
-    input order.  For g >= 2 only the seeds of one sector of angle
-    2 pi / g and the centre are solved (`_collect_seeds`), and the roots
-    found are turned into the other sectors (`_complete_orbits`).
-    Every off-centre critical point then has an orbit of g points, and a
-    census whose off-centre count is not a multiple of g says so.
+    ``fold`` is the fold g every field of the stack shares: G is unchanged
+    by a turn of 2 pi / g, as it is when W is (for g <= 1 nothing is
+    assumed).  For g >= 2 only the seeds of one sector of angle 2 pi / g
+    and the centre are solved (`_collect_seeds`), and the roots found are
+    turned into the other sectors (`_complete_orbits`).  Every off-centre
+    critical point then has an orbit of g points, and a census whose
+    off-centre count is not a multiple of g says so.  Each result is the
+    field's census alone: it does not depend on the other fields of the
+    stack.
 
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
-    axially symmetric W).  ValueError as `_require_squarable`, before the
-    census of the failing field's fold, or when ``folds`` is not one
-    non-negative integer per field.
+    axially symmetric W).  ValueError as `_require_squarable`, or when
+    ``fold`` is not a non-negative integer.
     """
     if not (domain_radius > 0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
@@ -578,17 +566,9 @@ def census_from_stacks(
     g = np.asarray(g, dtype=float)
     if g.ndim != 3:  # a lone polynomial's columns would pass for fields
         raise ValueError(f"g must be a (DX, DY, fields) coefficient stack, got shape {g.shape}")
+    if isinstance(fold, bool) or not isinstance(fold, int) or fold < 0:
+        raise ValueError(f"fold must be a non-negative integer, got {fold!r}")
     n_fields = g.shape[-1]
-    fold = np.asarray(folds)
-    if fold.ndim > 1 or fold.size not in (1, n_fields) or fold.size and (
-            fold.dtype.kind not in "iu" or fold.min() < 0):
-        raise ValueError(f"folds must be one non-negative integer per field, got {folds!r}")
-    fold = np.broadcast_to(fold, (n_fields,))
-    if np.any(fold != fold[:1]):  # each fold's fields as their own stack
-        censuses = {value: iter(census_from_stacks(g[..., fold == value], value, R))
-                    for value in np.unique(fold).tolist()}
-        return [next(censuses[value]) for value in fold.tolist()]
-    fold = int(fold[0]) if n_fields else 1
     g = _trim(g)
     with np.errstate(over="ignore"):  # reported by _require_squarable
         gx, gy = derivative(g, 0), derivative(g, 1)

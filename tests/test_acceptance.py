@@ -16,11 +16,12 @@ from starburst import (
     ABParams,
     admissible_gamma_interval,
     build_field,
+    census_from_stacks,
     find_critical_points,
-    find_critical_points_batch,
     rescale_check,
     saddle_upper_bound,
     starburst_verdict,
+    three_term_stacks,
 )
 from starburst.caustics import _PolylineDistance, _rotate
 from starburst.cli import run_verification
@@ -115,8 +116,9 @@ def test_criterion_3_gamma_interval_endpoints():
 def test_criterion_4_saddle_count_bound():
     """1000 random non-degenerate samples never exceed (n-2)(2n-5).
 
-    The samples are drawn in one stream and censused 32 at a time; draws
-    after the 1000th non-degenerate sample are left unchecked."""
+    The samples are drawn in one stream, 32 at a time, and each batch is
+    censused one stack per n, as `verify` does; draws after the 1000th
+    non-degenerate sample are left unchecked."""
     rng = np.random.default_rng(404)
     checked = 0
     worst = 0.0
@@ -132,13 +134,17 @@ def test_criterion_4_saddle_count_bound():
                 gamma,
                 n,
             )
-            batch.append(p.to_wavefront())
-        censuses = find_critical_points_batch([build_field(w) for w in batch])
-        for w, res in zip(batch, censuses):
+            batch.append(p)
+        censuses = {}
+        for n in {p.n for p in batch}:
+            at = [k for k, p in enumerate(batch) if p.n == n]
+            coeffs = np.array([(batch[k].alpha, batch[k].beta, batch[k].gamma) for k in at]).T
+            censuses.update(zip(at, census_from_stacks(three_term_stacks(n, *coeffs), n)))
+        for k, res in sorted(censuses.items()):
             if res.degenerate or checked == 1000:
                 continue
             checked += 1
-            bound = saddle_upper_bound(w)
+            bound = saddle_upper_bound(batch[k].to_wavefront())
             worst = max(worst, len(res.saddles) / bound)
             ok &= len(res.saddles) <= bound
     _report(

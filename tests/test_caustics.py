@@ -33,7 +33,7 @@ from starburst.caustics import (
     _rotate,
     _tip_pattern,
 )
-from starburst.cli import FIXTURE_SCENARIOS
+from starburst.cli import FIXTURE_SCENARIOS, Scenario, run_analysis
 
 
 HIGHORDER_TERMS = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
@@ -680,6 +680,30 @@ def test_tip_sets_map_onto_themselves(grid):
     pinned = TIP_ORBIT_FAILURES.read_text(encoding="utf-8").splitlines()
     assert tip_orbit_failure_lines(grid) == [line for line in pinned
                                              if line.startswith(f"{grid} ")]
+
+
+# An exactly g-fold W has a g-fold caustic, so the verdict's p must be a
+# multiple of g.  On near-axial alpha Z_2^0 + 0.2 Z_4^0 + gamma Z_n^n the
+# caustic is nearly a ring, and the symmetry search keeps an order the ring
+# passes (ROADMAP items 3 and 14).
+@pytest.mark.parametrize("raw", [
+    *(pytest.param(dict(zip(("alpha", "beta", "gamma", "n"), row[:4])), id=name)
+      for name, row in FIXTURE_SCENARIOS.items()),
+    pytest.param({"wavefront": [{"n": n, "m": m, "coeff_um": c} for n, m, c in HIGHORDER_TERMS]},
+                 id="highorder"),
+    *(pytest.param({"alpha": alpha, "beta": 0.2, "gamma": gamma, "n": n, "grid_resolution": grid},
+                   id=f"n{n}-{alpha}-{gamma}-grid{grid}", marks=pytest.mark.xfail(
+                       strict=True, raises=AssertionError, reason=f"the verdict reports {got}"))
+      for n, alpha, gamma, grid, got in [
+          (5, 0.0, 1e-12, 256, "p = 12, 12 points, equally_distanced, '12 tips at a single radius'"),
+          (5, 0.1, 1e-7, 256, "p = 12, 12 points, equally_distanced, '12 tips at a single radius'"),
+          (5, 0.0, 1e-12, 512, "p = 12 with no starburst"),
+          (6, 0.1, 1e-310, 64, "p = 9 with no starburst")]),
+])
+def test_p_is_a_multiple_of_the_fold(raw):
+    scenario = Scenario.from_dict(raw)
+    _, (_, _, _, verdict) = run_analysis(scenario)
+    assert verdict.p_fold % scenario.wavefront.fold_order() == 0
 
 
 class TestFertility:

@@ -18,7 +18,6 @@ from starburst import (
     census_from_stacks,
     field_from_polynomial,
     find_critical_points,
-    find_critical_points_batch,
     hessian,
     predict_saddles,
     rescale_check,
@@ -251,10 +250,10 @@ class TestCriticalPointCensus:
         assert census.message == (
             f"off-centre count {off} is not a multiple of the {n}-fold symmetry")
 
-    @pytest.mark.parametrize("folds", [-1, 2.0, [3, 3], [[3]], True])
+    @pytest.mark.parametrize("folds", [-1, 2.0, [3], np.array([3]), True])
     def test_folds_checked(self, folds):
         g = build_field(EQ3.to_wavefront()).G.coeffs[..., None]
-        with pytest.raises(ValueError, match="folds must be one non-negative integer per field"):
+        with pytest.raises(ValueError, match="fold must be a non-negative integer"):
             census_from_stacks(g, folds)
 
     @pytest.mark.parametrize("R", [1.0, 2.5])
@@ -519,7 +518,7 @@ class TestCoefficientScale:
     @pytest.mark.parametrize("name", sorted(FIXTURE_SCENARIOS))
     def test_power_of_two_scaling_is_bit_identical(self, name):
         ks = (0, -200, -150, -64, -23, -1, 1, 17, 40)
-        base, *scaled = find_critical_points_batch(
+        base, *scaled = _census_fields(
             [build_field(_scaled_fixture(name, k).to_wavefront()) for k in ks])
         for k, got in zip(ks[1:], scaled):
             assert _census_key(got) == _census_key(base), k
@@ -732,18 +731,29 @@ def _mixed_fields(seed, count):
     return [build_field(w) for w in ws]
 
 
+def _census_fields(fields, domain_radius=1.0):
+    """`census_from_stacks` of ``fields``, which share one fold, as one stack."""
+    (fold,) = {f.fold for f in fields}
+    return census_from_stacks(_stack([f.G.coeffs for f in fields]), fold, domain_radius)
+
+
+def _fold_groups(fields):
+    """``fields`` as lists of one fold each, in order of fold."""
+    return [[f for f in fields if f.fold == fold] for fold in sorted({f.fold for f in fields})]
+
+
 class TestBatchedCensus:
-    """A batch gives each field its own census, to the last bit."""
+    """A batch of one fold gives each field its own census, to the last bit."""
 
     @pytest.mark.parametrize("batch", [2, 7, 32])
     def test_batch_repr_equals_single(self, batch):
         fields = _mixed_fields(batch, 40)
         order = np.random.default_rng(batch + 1).permutation(len(fields))
-        shuffled = [fields[k] for k in order]
-        batched = []
-        for start in range(0, len(shuffled), batch):
-            batched += find_critical_points_batch(shuffled[start : start + batch])
-        single = [find_critical_points(f) for f in shuffled]
+        batched, single = [], []
+        for group in _fold_groups([fields[k] for k in order]):
+            for start in range(0, len(group), batch):
+                batched += _census_fields(group[start : start + batch])
+            single += [find_critical_points(f) for f in group]
         assert [repr(r) for r in batched] == [repr(r) for r in single]
         assert any(r.degenerate for r in single) and any(r.saddles for r in single)
 
@@ -751,38 +761,19 @@ class TestBatchedCensus:
         # the same field twice gives the same seeds in two fields: each is
         # run, counted and deduplicated in its own field
         f, g = _mixed_fields(11, 7)[5:7]
-        batched = find_critical_points_batch([f, f, g, f])
+        batched = _census_fields([f, f, g, f])
         single = [find_critical_points(h) for h in (f, f, g, f)]
         assert [repr(r) for r in batched] == [repr(r) for r in single]
         assert len(batched[0]) > 0
 
     def test_dilated_domain(self):
-        fields = _mixed_fields(3, 9)
-        batched = find_critical_points_batch(fields, domain_radius=2.5)
-        single = [find_critical_points(f, domain_radius=2.5) for f in fields]
-        assert [repr(r) for r in batched] == [repr(r) for r in single]
+        for group in _fold_groups(_mixed_fields(3, 9)):
+            batched = _census_fields(group, domain_radius=2.5)
+            single = [find_critical_points(f, domain_radius=2.5) for f in group]
+            assert [repr(r) for r in batched] == [repr(r) for r in single]
 
     def test_empty_batch(self):
-        assert find_critical_points_batch([]) == []
-
-    def test_one_census_per_fold(self, monkeypatch):
-        # a shuffled batch of many folds is seeded once per fold, and each
-        # field gets its census alone
-        fields = [build_field(w) for w in mixed_fold_wavefronts()]
-        folds = [f.fold for f in fields]
-        assert sorted(set(folds)) == [0, 1, 2, 3, 4, 6, 12] and len(folds) == 9
-        seeded = []
-
-        def spy(grad, radius, base, fold):
-            seeded.append((fold, grad.shape[-1]))
-            return _collect_seeds(grad, radius, base, fold)
-
-        monkeypatch.setattr(hessian, "_collect_seeds", spy)
-        batched = find_critical_points_batch(fields)
-        assert sorted(seeded) == [(0, 1), (1, 1), (2, 1), (3, 2), (4, 1), (6, 2), (12, 1)]
-        single = [find_critical_points(f) for f in fields]
-        assert [repr(r) for r in batched] == [repr(r) for r in single]
-        assert any(r.degenerate for r in single) and any(r.saddles for r in single)
+        assert census_from_stacks(_stack([]), 3) == []
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_invalid_domain_radius(self, radius):
@@ -790,17 +781,16 @@ class TestBatchedCensus:
         with pytest.raises(ValueError, match="domain_radius"):
             find_critical_points(field, radius)
         with pytest.raises(ValueError, match="domain_radius"):
-            find_critical_points_batch([field, field], radius)
+            _census_fields([field, field], radius)
 
     def test_padded_g_stack(self):
         # trailing zero rows and columns of G change no census
-        fields = _mixed_fields(5, 9)
-        g = _stack([f.G.coeffs for f in fields])
-        folds = [f.fold for f in fields]
-        padded = np.zeros((g.shape[0] + 3, g.shape[1] + 2, g.shape[2]))
-        padded[: g.shape[0], : g.shape[1]] = g
-        assert [repr(r) for r in census_from_stacks(padded, folds)] == [
-            repr(r) for r in census_from_stacks(g, folds)]
+        for group in _fold_groups(_mixed_fields(5, 9)):
+            g = _stack([f.G.coeffs for f in group])
+            padded = np.zeros((g.shape[0] + 3, g.shape[1] + 2, g.shape[2]))
+            padded[: g.shape[0], : g.shape[1]] = g
+            assert [repr(r) for r in census_from_stacks(padded, group[0].fold)] == [
+                repr(r) for r in _census_fields(group)]
 
     def test_det_squares_with_pow(self):
         # G = (A x^2 + 2 B xy + D y^2) / 2 has a saddle at the origin and
@@ -853,13 +843,14 @@ class TestSectorCensus:
     and its points are whole orbits."""
 
     def test_sector_census_loses_no_point(self):
-        fields = [build_field(w) for w in _symmetric_wavefronts(20261019, 60)]
-        folds = [f.fold for f in fields]
+        groups = _fold_groups([build_field(w) for w in _symmetric_wavefronts(20261019, 60)])
+        stacks = [(_stack([f.G.coeffs for f in group]), group[0].fold) for group in groups]
+        folds = [fold for _, fold in stacks]
         assert min(folds) >= 2 and set(folds) >= {2, 3, 4, 5, 6}
-        g = _stack([f.G.coeffs for f in fields])
+        pairs = [(whole, sector, fold) for g, fold in stacks for whole, sector in
+                 zip(census_from_stacks(g, 1), census_from_stacks(g, fold), strict=True)]
         matched = 0
-        for whole, sector, fold in zip(census_from_stacks(g, 1), census_from_stacks(g, folds),
-                                       folds, strict=True):
+        for whole, sector, fold in pairs:
             assert whole.degenerate <= sector.degenerate
             if sector.degenerate:
                 continue
@@ -1020,21 +1011,19 @@ class TestSeeding:
         (build_field(HIGHORDER).G.coeffs[..., None], [12]),
         (three_term_stacks(5, *_coefficients([ABParams(0.2, 0.2, 0.07, 5),
                                               ABParams(-0.1, 0.2, 0.05, 5),
-                                              ABParams(0.05, 0.2, -0.3, 5)])), [5, 5, 5]),
-        # a 6-fold field is 2- and 3-fold too: each fold's fields are
-        # seeded as their own stack, on their own fold's crop
+                                              ABParams(0.05, 0.2, -0.3, 5)])), [5]),
+        # a 6-fold field is 2- and 3-fold too, and is seeded on each of
+        # those folds' crops
         (three_term_stacks(6, *_coefficients([ABParams(0.0, 0.2, 0.19, 6),
                                               ABParams(-0.1, 0.2, 0.05, 6),
                                               ABParams(0.3, 0.2, -0.2, 6)])), [6, 3, 2]),
     ], ids=["3star", "highorder", "three-term batch", "mixed folds"])
     def test_collect_seeds_each_once(self, g, folds):
-        # each fold's fields, then the whole stack with no fold
+        # the stack at each of its folds, then with no fold
         grad = _stack([derivative(g, 0), derivative(g, 1)])
-        folds = np.array(folds)
-        runs = [(grad[..., folds == fold], fold) for fold in np.unique(folds).tolist()]
-        for part, fold in runs + [(grad, 1)]:
-            grid = grid_values(part, *_grid_axes(1.0, fold))
-            _check_seeds(part, 1.0, fold, _collect_seeds(part, 1.0, grid, fold))
+        for fold in folds + [1]:
+            grid = grid_values(grad, *_grid_axes(1.0, fold))
+            _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, grid, fold))
 
     def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
         # every seed grid of the pinned corpus, and the fixtures at the
@@ -1050,14 +1039,14 @@ class TestSeeding:
 
         monkeypatch.setattr(hessian, "_collect_seeds", spy)
         stacks = corpus_stacks() + scaled_stacks()
-        for _, g, folds in stacks:
-            census_from_stacks(g, folds)
+        for _, g, fold in stacks:
+            census_from_stacks(g, fold)
             census_from_stacks(g, 1)
         assert sum(checked) == 2 * sum(len(names) for names, _, _ in stacks)
 
     def test_scales_read_on_each_fields_own_crop(self):
-        # a stack of folds 6, 3, 2 and 1 is censused one fold at a time;
-        # each field reads its |G| and |grad G| scales on its own fold's crop
+        # fields of folds 6, 3, 2 and 1 read their |G| and |grad G| scales
+        # on their own fold's crop
         ws = [ABParams(0.0, 0.2, 0.19, 6).to_wavefront(),
               WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(3, -3, 0.1))),
               WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(2, 2, 0.1),
@@ -1068,16 +1057,15 @@ class TestSeeding:
         g = _stack([f.G.coeffs for f in fields])
         xs, ys = _grid_axes(1.0)
         gv, gx, gy = grid_values(_stack([g, derivative(g, 0), derivative(g, 1)]), xs, ys)
-        crops = _own_crop_reference(xs, ys, [f.fold for f in fields], 1.0)
-        censuses = find_critical_points_batch(fields)
+        crops = [_own_crop_reference(xs, ys, f.fold, 1.0) for f in fields]
+        censuses = [find_critical_points(f) for f in fields]
         assert [c.g_scale for c in censuses] == [np.abs(v[c]).max() for v, c in zip(gv, crops)]
         assert [c.gradient_scale for c in censuses] == [
             np.hypot(a, b)[c].max() for a, b, c in zip(gx, gy, crops)]
         # the 3-fold field's crop misses the whole square's largest |G| and
-        # |grad G|, and no field's census depends on its batch-mates
+        # |grad G|
         assert censuses[1].g_scale < np.abs(gv[1]).max()
         assert censuses[1].gradient_scale < np.hypot(gx[1], gy[1]).max()
-        assert [repr(c) for c in censuses] == [repr(find_critical_points(f)) for f in fields]
 
     def test_sign_change_cells_match_two_passes(self):
         # few distinct values, so that cells with zeros, -0.0, NaN and +-inf
@@ -1097,8 +1085,7 @@ class TestSeeding:
     def test_newton_matches_reference(self, monkeypatch):
         # the compacted loop gives every seed's best iterate and |grad G|
         # bit for bit as the loop that gathers through the running indices,
-        # on the seeds and on the turned copies of the orbit completion, of
-        # single-fold stacks and of a mixed-fold one
+        # on the seeds and on the turned copies of the orbit completion
         checked = []
 
         def spy(newton, fidx, x, y, radius, accept_tol, floor_tol):
@@ -1110,14 +1097,14 @@ class TestSeeding:
             return got
 
         monkeypatch.setattr(hessian, "_newton", spy)
-        stacks = corpus_stacks() + scaled_stacks() + [mixed_fold_stack()]
+        stacks = corpus_stacks() + scaled_stacks()
         tally = {"whole": [], "sector": []}
-        for _, g, folds in stacks:
-            for name, fold in (("whole", 1), ("sector", folds)):
+        for _, g, sector_fold in stacks:
+            for name, fold in (("whole", 1), ("sector", sector_fold)):
                 checked.clear()
                 census_from_stacks(g, fold)
-                # one seed call and one copy call per fold group
-                assert len(checked) == 2 * np.unique(fold).size
+                # one seed call and one copy call per census
+                assert len(checked) == 2
                 tally[name] += checked
         seeds, no_copies, sector, copies = (tally[name][k::2] for name in tally for k in (0, 1))
         assert not any(no_copies)
@@ -1150,16 +1137,14 @@ def _check_seeds(grad, radius, fold, got):
     def key(f, x, y):
         return int(f), x.view(np.int64).item(), y.view(np.int64).item()
 
-    fold = np.full(grad.shape[-1], fold)
-
-    def in_sector(f, x, y):
-        g = int(fold[f])
-        return g <= 1 or math.atan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / g
+    def in_sector(x, y):
+        return fold <= 1 or math.atan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / fold
 
     *seeds, gscale = got
     seeds = list(map(key, *seeds))
     assert len(set(seeds)) == len(seeds)
-    want = {key(f, np.float64(0.0), np.float64(0.0)) for f in np.flatnonzero(fold >= 2)}
+    want = {key(f, np.float64(0.0), np.float64(0.0))
+            for f in range(grad.shape[-1] if fold >= 2 else 0)}
     n_cells = 0
     for zoom in _ZOOM_FACTORS:
         xs, ys = _grid_axes(radius * zoom)
@@ -1173,28 +1158,27 @@ def _check_seeds(grad, radius, fold, got):
         norm = np.hypot(gx, gy)
         if zoom == 1.0:
             crop = _own_crop_reference(xs, ys, fold, radius)
-            assert np.array_equal(gscale, [v[c].max() for v, c in zip(norm, crop)])
+            assert np.array_equal(gscale, [v[crop].max() for v in norm])
         nodes = _eight_neighbour_min_mask(norm)
         for f, i, j in zip(*np.nonzero(cells)):
-            if in_sector(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h):
+            if in_sector(xs[i] + 0.5 * h, ys[j] + 0.5 * h):
                 want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
             nodes[f, i:i + 2, j:j + 2] = True
         want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes))
-                    if in_sector(f, xs[i], ys[j]))
+                    if in_sector(xs[i], ys[j]))
         n_cells += np.count_nonzero(cells)
     assert n_cells and set(seeds) == want
 
 
 def _own_crop_reference(xs, ys, fold, radius):
-    """Each field's mask of the nodes of the whole corner grid (xs, ys) on
-    the square of half-side ``radius`` where its scales are read: the nodes
-    from -2h on (h the cell size) in x for fold g >= 2, and in y too for
-    g >= 4, which hold the sector 0 <= atan2(x, y) < 2 pi / g; every node
-    for g <= 1."""
+    """The mask of the nodes of the whole corner grid (xs, ys) on the square
+    of half-side ``radius`` where a field of fold g = ``fold`` reads its
+    scales: the nodes from -2h on (h the cell size) in x for g >= 2, and in
+    y too for g >= 4, which hold the sector 0 <= atan2(x, y) < 2 pi / g;
+    every node for g <= 1."""
     h = 2.0 * radius / _GRID_SIZE
-    return [np.outer(xs >= -2.0 * h if g >= 2 else np.ones(xs.size, dtype=bool),
-                     ys >= -2.0 * h if g >= 4 else np.ones(ys.size, dtype=bool))
-            for g in fold]
+    return np.outer(xs >= -2.0 * h if fold >= 2 else np.ones(xs.size, dtype=bool),
+                    ys >= -2.0 * h if fold >= 4 else np.ones(ys.size, dtype=bool))
 
 
 def newton_reference(newton, fidx, x, y, domain_radius, accept_tol, floor_tol):
@@ -1258,13 +1242,14 @@ CENSUS_CORPUS = Path(__file__).parent / "golden" / "census_corpus.txt"
 
 
 def _field_stack(names, ws):
-    """(names, G stack, folds) of `build_field` of each wavefront."""
+    """(names, G stack, fold) of `build_field` of wavefronts of one fold."""
     fields = [build_field(w) for w in ws]
-    return names, _stack([f.G.coeffs for f in fields]), [f.fold for f in fields]
+    (fold,) = {f.fold for f in fields}
+    return names, _stack([f.G.coeffs for f in fields]), fold
 
 
-def corpus_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
-    """The pinned corpus as (names, G stack, folds) per census call: the
+def corpus_stacks() -> list[tuple[list[str], np.ndarray, int]]:
+    """The pinned corpus as (names, G stack, fold) per census call: the
     five fixtures, highorder, the degree-12 wavefront, the wavefronts of
     TestKnownCensusMisses (as `verify` builds them) and the first 100 `verify`
     draws per n = 3..6 at seed 7, censused 16 at a time as `verify` does."""
@@ -1274,14 +1259,14 @@ def corpus_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
                for name, w in (("highorder", HIGHORDER), ("degree12", DEGREE12))]
     misses = [("rim-ring", RIM_RING)] + [(p.id, *p.values)
                                          for p in TestKnownCensusMisses.DROPPED_EXTREMA]
-    stacks += [([name], three_term_stacks(p.n, *_coefficients([p])), [p.n])
+    stacks += [([name], three_term_stacks(p.n, *_coefficients([p])), p.n)
                for name, p in misses]
     for n in (3, 4, 5, 6):
         draws = [p for p, _ in _verification_samples(n, 0.2, 100, 7)]
         for start in range(0, len(draws), 16):
             chunk = draws[start:start + 16]
             stacks.append(([f"verify-n{n}-{k}" for k in range(start, start + len(chunk))],
-                           three_term_stacks(n, *_coefficients(chunk)), [n] * len(chunk)))
+                           three_term_stacks(n, *_coefficients(chunk)), n))
     return stacks
 
 
@@ -1292,25 +1277,7 @@ def corpus_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
 SCALINGS = (-260, -200, -150, -64, -23, -1, 1, 17, 40, 246)
 
 
-def mixed_fold_wavefronts() -> list[WaveAberration]:
-    """Shuffled wavefronts of folds 0 (axial), 1 (degree 12), 2, 3, 4, 6
-    and 12, two of fold 3 and two of fold 6."""
-    ws = [WaveAberration((ZernikeTerm(2, 0, 0.1), ZernikeTerm(4, 0, 0.2))), DEGREE12,
-          WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(2, 2, 0.1),
-                          ZernikeTerm(6, -2, 0.05))),
-          EQ3.to_wavefront(), ABParams(0.3, 0.2, -0.1, 3).to_wavefront(),
-          ABParams(-0.1, 0.2, 0.05, 4).to_wavefront(), ABParams(0.0, 0.2, 0.19, 6).to_wavefront(),
-          ABParams(0.3, 0.2, -0.2, 6).to_wavefront(), HIGHORDER]
-    return [ws[k] for k in np.random.default_rng(39).permutation(len(ws))]
-
-
-def mixed_fold_stack() -> tuple[list[str], np.ndarray, list[int]]:
-    """`mixed_fold_wavefronts` as one (names, G stack, folds)."""
-    ws = mixed_fold_wavefronts()
-    return _field_stack([f"mixed-{k}" for k in range(len(ws))], ws)
-
-
-def scaled_stacks() -> list[tuple[list[str], np.ndarray, list[int]]]:
+def scaled_stacks() -> list[tuple[list[str], np.ndarray, int]]:
     """Each fixture at every scaling of SCALINGS, one batch per fixture."""
     return [_field_stack([f"{name}*2^{k}" for k in SCALINGS],
                          [_scaled_fixture(name, k).to_wavefront() for k in SCALINGS])
@@ -1321,8 +1288,8 @@ def census_corpus_lines() -> list[str]:
     """One line per census of `corpus_stacks`."""
     return [f"{name} {len(c)} {len(c.saddles)} {int(c.degenerate)} "
             f"{''.join(p.kind.value[0] for p in c) or '-'}"
-            for names, g, folds in corpus_stacks()
-            for name, c in zip(names, census_from_stacks(g, folds))]
+            for names, g, fold in corpus_stacks()
+            for name, c in zip(names, census_from_stacks(g, fold))]
 
 
 class TestCensusCorpus:
