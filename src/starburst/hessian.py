@@ -4,7 +4,7 @@ The Hessian determinant G = Wxx*Wyy - Wxy^2 of a wave aberration W is
 built exactly in the monomial basis.  Critical points of G ("cusps of
 Gauss") are located with a grid-seeded damped Newton iteration on
 grad G = 0 and classified by the sign of det(Hess G): saddle if negative,
-extremum if positive, degenerate inside a scale-normalized threshold band.
+extremum if positive, degenerate inside its rounding bound (`_det_rounding_bound`).
 
 G is built in one place, `_determinant_stack`, on a stack of W's
 coefficients (`wavefront_stack`): `build_field` stacks one W of any
@@ -21,7 +21,7 @@ of one sector of angle 2 pi / g and the centre, and its roots are turned
 into the other sectors and polished by the same kernel
 (`_complete_orbits`); every zoom pass evaluates its seed grid only on the
 half-plane or quadrant that holds the sectors (`_grid_axes`), and the
-zoom-1 grid sets each field's |G| and |grad G| scales.  The fields of a
+zoom-1 grid sets each field's |grad G| scale.  The fields of a
 stack share one fold, so the crop is every field's.  Each zoom pass
 seeds each grid node once, so no two seeds share (field, x, y) and each
 counts once in the unconverged-seed message.  A pass reads the sign
@@ -117,9 +117,9 @@ def field_from_polynomial(w_poly: BivariatePolynomial, fold: int) -> HessianFiel
 
 
 def _require_squarable(g_hess: np.ndarray, r: float) -> None:
-    """ValueError unless the census can square the values of G and of Hess G
-    of each field of a (G, Gxx, Gxy, Gyy) stack on the disk of radius r:
-    |G|^2 scales the band, det(Hess G) = Gxx Gyy - Gxy^2.  Each polynomial's
+    """ValueError unless the values of G and of Hess G of each field of a
+    (G, Gxx, Gxy, Gyy) stack on the disk of radius r can be squared, as
+    det(Hess G) = Gxx Gyy - Gxy^2 squares Hess G's.  Each polynomial's
     sum |c_ij| r^(i+j), the Horner value of |c| at (r, r), bounds its values
     there; twice the square of G's bound, and of the largest of Gxx, Gxy and
     Gyy's, must each be 0 or a normal float (NaN fails too).  Hess G is R^2
@@ -169,11 +169,6 @@ _MAX_HALVINGS = 6
 _POLISH_ITERATIONS = 8
 GRADIENT_TOL = 1e-10  # accepted |grad G|, relative to its grid maximum
 DEDUP_RADIUS = 1e-6  # a fraction of the domain radius R, as every census length
-# |det Hess G| below DEGENERACY_REL_THRESHOLD * (max |G| on grid / R^2)^2, in
-# det Hess G's units, is classified degenerate.  1e-12 keeps a >1e6 margin
-# over the double-precision evaluation noise while not swallowing the
-# genuinely small determinants of rings close to a merge transition.
-DEGENERACY_REL_THRESHOLD = 1e-12
 _BOUNDARY_CLAMP = 1e-9
 _DEGENERATE_POINT_LIMIT = 50
 # Extra zoomed seeding passes around the origin: saddle rings shrink
@@ -199,17 +194,14 @@ class CriticalPoint:
 @dataclass(frozen=True)
 class CriticalPointSearch:
     """Deduplicated critical points in ring order (`_ring_order`) plus
-    diagnostics: ``g_scale`` and ``gradient_scale`` are the largest |G| and
-    |grad G| on the nodes of the zoom-1 seed grid of the field's fold
-    (`_grid_axes`: the whole square for fold g <= 1, x >= -2h for g = 2 and
-    3, x, y >= -2h for g >= 4, h the cell size), which set the degeneracy
-    band and the Newton tolerances; both 0 when G is constant or its
-    gradient vanishes there."""
+    diagnostics: ``gradient_scale`` is the largest |grad G| on the nodes of
+    the zoom-1 seed grid, cropped to the field's fold (`_grid_axes`), which
+    sets the Newton tolerances; 0 when G is constant or its gradient
+    vanishes there."""
 
     points: tuple[CriticalPoint, ...]
     degenerate: bool = False
     message: str = ""
-    g_scale: float = 0.0
     gradient_scale: float = 0.0
 
     def __iter__(self):
@@ -239,7 +231,7 @@ def _grid_axes(radius: float, fold: int = 1):
     too, so the nodes from -2h on, h the cell size, are kept on those axes.
     The first kept node's mask has lost neighbours, but it lies in no
     sector.  Every zoom pass, zoom 1 included, evaluates its grid on this
-    crop, and the zoom-1 grid's nodes set the field's scales."""
+    crop, and the zoom-1 grid's nodes set the field's |grad G| scale."""
     h = 2.0 * radius / _GRID_SIZE
     xs = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_X * h
     ys = np.linspace(-radius, radius, _GRID_SIZE + 1) + _GRID_SHIFT_Y * h
@@ -274,18 +266,16 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
     return v <= least
 
 
-def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: int):
+def _collect_seeds(grad: np.ndarray, domain_radius: float, fold: int):
     """(field index, x, y) seeds from every zoom pass, each seeded once, and
     each field's largest |grad G| on the zoom-1 grid, for a stack whose
     fields share the fold g = ``fold``.  A pass seeds the centre of every
     cell of its corner grid where both components of ``grad`` change sign,
     then every node that is a corner of such a cell or a local minimum of
     |grad G|.  Each pass reads only the part of its grid that holds the
-    sector (`_grid_axes`); ``base`` is the zoom-1 grid (gx, gy) of
-    ``grad`` on that crop, scaled in place.  For g >= 2 only the seeds in
-    the sector 0 <= theta < 2 pi / g are kept, plus one at the centre of
-    each field, which its symmetry fixes, so the kept seeds are those of
-    the whole grid.
+    sector (`_grid_axes`).  For g >= 2 only the seeds in the sector 0 <=
+    theta < 2 pi / g are kept, plus one at the centre of each field, which
+    its symmetry fixes, so the kept seeds are those of the whole grid.
 
     The minima are taken on gx^2 + gy^2, not on np.hypot(gx, gy), after the
     sign changes are read: each field's gx and gy are scaled by one exact
@@ -298,17 +288,16 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, base, fold: int):
     largest |grad G| is still hypot's: hypot is taken only at the nodes
     whose square is within 1e-12 of the field's largest square, and
     unscaled exactly."""
-    gx, gy = base
-    top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
-    # 2^-e for the largest component's exponent e, kept a normal float
-    power = np.clip(-np.frexp(top)[1], -1022, 1023)
-    scale = np.ldexp(1.0, power)[:, None, None]
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
         xs, ys = _grid_axes(radius, fold)
-        if zoom != 1.0:
-            gx, gy = grid_values(grad, xs, ys)
+        gx, gy = grid_values(grad, xs, ys)
+        if zoom == 1.0:
+            top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
+            # 2^-e for the largest component's exponent e, kept a normal float
+            power = np.clip(-np.frexp(top)[1], -1022, 1023)
+            scale = np.ldexp(1.0, power)[:, None, None]
         cells = _sign_change_cells(gx, gy)
         gx *= scale
         gy *= scale
@@ -502,6 +491,20 @@ def _complete_orbits(newton, fidx, x, y, fold: int, R: float, accept_tol, floor_
     return cf[new], cx[new], cy[new]
 
 
+def _det_rounding_bound(hess, size, n) -> np.ndarray:
+    """A bound on the rounding error of det(Hess G) = a d - b^2 computed from
+    (a, b, d) = ``hess``, (Gxx, Gxy, Gyy) at each point.  Each is within
+    gamma_n = n u / (1 - n u) of its ``size``, its |coefficient| polynomial
+    at (|x|, |y|) (Higham 2002, eq. 5.3): Horner in x and y rounds a term
+    c_ij x^i y^j 2 (i + j) + 2 times, the derivatives its coefficient twice,
+    so n = 2 deg G.  a d - b^2 adds 4u (|a d| + b^2) to the errors carried."""
+    a, b, d = hess
+    u = np.finfo(float).eps / 2.0  # the unit roundoff
+    ea, eb, ed = n * u / (1.0 - n * u) * size
+    return (abs(a) * ed + abs(d) * ea + ea * ed + (2.0 * abs(b) + eb) * eb
+            + 4.0 * u * (abs(a * d) + b * b))
+
+
 def _locate(x: float, y: float, R: float) -> tuple:
     """(x, y, rho, theta, on_boundary) of a located point, clamped onto the
     rim of the disk of radius R when just outside it."""
@@ -577,13 +580,9 @@ def census_from_stacks(
     _require_squarable(g_hess, R)
     if not n_fields:
         return []
-    # the zoom-1 seed grid, on the fold's crop, also sets each field's
-    # gradient and |G| scales
-    grid = grid_values(_stack([g, gx, gy]), *_grid_axes(R, fold))
-    g_abs_scale = np.abs(grid[0]).max(axis=(1, 2))
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
     newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
-    fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, grid[1:], fold)
+    fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, fold)
     accept_tol, floor_tol = GRADIENT_TOL * gscale, 1e-16 * gscale
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
     fidx, x, y = fidx[live], x[live], y[live]
@@ -606,26 +605,26 @@ def census_from_stacks(
     located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
     px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
     values = gathered_values(g_hess, fidx, px, py)
+    size = gathered_values(np.abs(g_hess[:, :, 1:]), fidx, np.abs(px), np.abs(py))
+    degree = np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
+    bound = _det_rounding_bound(values[1:], size, 2 * degree[fidx])
     points: list[list[CriticalPoint]] = [[] for _ in range(n_fields)]
-    for (cx, cy, r, theta, on_boundary), f, value, a, b, d in zip(
-            located, fidx.tolist(), *values):
+    for (cx, cy, r, theta, on_boundary), f, value, a, b, d, e in zip(
+            located, fidx.tolist(), *values, bound):
         # b ** 2 of a numpy float is pow(), which can differ from b * b in
         # the last bit; the determinants reported have always used it
         det = float(a * d - b**2)
-        band = DEGENERACY_REL_THRESHOLD * float(g_abs_scale[f] / (R * R)) ** 2
-        kind = (PointClass.SADDLE if det < -band else
-                PointClass.EXTREMUM if det > band else PointClass.DEGENERATE)
+        kind = (PointClass.SADDLE if det < -e else
+                PointClass.EXTREMUM if det > e else PointClass.DEGENERATE)
         points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(value), det, on_boundary))
 
     results = []
     for f in range(n_fields):
-        scales = (float(g_abs_scale[f]), float(gscale[f]))
         degenerate, notes = False, []
         if constant[f]:
-            degenerate, notes, scales = True, ["hessian determinant is constant"], (0.0, 0.0)
+            degenerate, notes = True, ["hessian determinant is constant"]
         elif gscale[f] == 0.0:
-            degenerate, scales = True, (0.0, 0.0)
-            notes = ["gradient of G vanishes on the sample grid"]
+            degenerate, notes = True, ["gradient of G vanishes on the sample grid"]
         elif n_seeds[f] == 0:
             notes = ["no seeds"]
         elif n_kept[f] > _DEGENERATE_POINT_LIMIT:
@@ -638,7 +637,7 @@ def census_from_stacks(
                 notes.append(f"off-centre count {n_off[f]} is not a multiple of "
                              f"the {fold}-fold symmetry")
         results.append(CriticalPointSearch(
-            _ring_order(points[f], R), degenerate, "; ".join(notes), *scales))
+            _ring_order(points[f], R), degenerate, "; ".join(notes), float(gscale[f])))
     return results
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from starburst.hessian import (
     _MAX_ITERATIONS,
     _POLISH_ITERATIONS,
     DEDUP_RADIUS,
-    DEGENERACY_REL_THRESHOLD,
     GRADIENT_TOL,
     _GRID_SIZE,
     _ZOOM_FACTORS,
@@ -51,7 +51,7 @@ EQ3 = ABParams(0.0, 0.2, 0.2, 3)
 # perfbench's highorder wavefront: G has degree 20
 HIGHORDER = WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 12, 0.02),
                             ZernikeTerm(2, 0, 0.02)))
-# 130 isolated critical points (68 saddles, 61 extrema, 1 degenerate), which
+# 130 isolated critical points (68 saddles and 62 extrema), which
 # the census flags as a non-isolated set (ROADMAP item 2)
 DEGREE12 = WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(12, 6, 0.05),
                            ZernikeTerm(8, -4, 0.05), ZernikeTerm(3, 1, 0.1)))
@@ -134,6 +134,42 @@ EQ3_SADDLE_RHO = 0.517809877811457
 EQ3_EXTREMUM_RHO = 0.675923760819876
 
 
+# alpha 1.8e-5 above sqrt(15) beta: the closed form puts 4 saddles on
+# rho = 0.00098, where det Hess G is -7.0e-7 and its rounding bound 1.5e-20
+N4_CENTRAL_RING = ABParams(0.7745943305999154, 0.2, 0.02, 4)
+
+
+def _det_and_rounding_bound(G, x, y):
+    """det(Hess G) = a d - b^2 at (x, y) as the census computes it, from
+    (a, b, d) = (Gxx, Gxy, Gyy), and the bound on its rounding error that
+    decides the class: each of a, b, d is within gamma_n times its
+    |coefficient| polynomial at (|x|, |y|), gamma_n = n u / (1 - n u) for
+    n = 2 deg G and u = 2^-53, and its errors e reach the determinant as
+    |a| e_d + |d| e_a + e_a e_d + (2 |b| + e_b) e_b, plus 4u (|a d| + b^2)
+    for a d - b^2's own operations."""
+    gx, gy = G.differentiate("x"), G.differentiate("y")
+    polys = (gx.differentiate("x"), gx.differentiate("y"), gy.differentiate("y"))
+    a, b, d = (q(x, y) for q in polys)
+    u, n = 2.0**-53, 2 * G.degree
+    ea, eb, ed = (n * u / (1.0 - n * u) * BivariatePolynomial(np.abs(q.coeffs))(abs(x), abs(y))
+                  for q in polys)
+    bound = (abs(a) * ed + abs(d) * ea + ea * ed + (2.0 * abs(b) + eb) * eb
+             + 4.0 * u * (abs(a * d) + b * b))
+    return float(a * d - b**2), bound
+
+
+def _exact_det_hess(G, x, y):
+    """det(Hess G) at (x, y) in rational arithmetic, from G's coefficients."""
+    c = {(i, j): Fraction(float(v)) for (i, j), v in np.ndenumerate(G.coeffs) if v}
+    x, y = Fraction(x), Fraction(y)
+
+    def d2(p, q):  # the value of d^2 G / (dx^p dy^q) with p + q = 2
+        return sum(v * math.perm(i, p) * math.perm(j, q) * x ** (i - p) * y ** (j - q)
+                   for (i, j), v in c.items() if i >= p and j >= q)
+
+    return d2(2, 0) * d2(0, 2) - d2(1, 1) ** 2
+
+
 class TestCriticalPointCensus:
     @pytest.mark.parametrize(
         "name", ["3star", "5star", "4star", "6star", "8stars"]
@@ -207,14 +243,39 @@ class TestCriticalPointCensus:
                 assert p.rho <= 1.0 + 1e-12
 
     def test_classify_matches_reported_kind(self, analyses):
-        a = analyses["4star"]
-        threshold = DEGENERACY_REL_THRESHOLD * a.search.g_scale**2
-        for p in a.search.points:
-            det = det_hess_g(a.field, p.x, p.y)
-            kind = (PointClass.SADDLE if det < -threshold else
-                    PointClass.EXTREMUM if det > threshold else PointClass.DEGENERATE)
-            assert kind is p.kind
-            assert det == pytest.approx(p.hess_g_det, rel=1e-12)
+        # a point is a saddle or an extremum by the sign of det(Hess G) when
+        # |det| exceeds its rounding bound, and degenerate inside it
+        for a in analyses.values():
+            for p in a.search.points:
+                det, bound = _det_and_rounding_bound(a.field.G, p.x, p.y)
+                kind = (PointClass.SADDLE if det < -bound else
+                        PointClass.EXTREMUM if det > bound else PointClass.DEGENERATE)
+                assert kind is p.kind
+                assert det == det_hess_g(a.field, p.x, p.y) == p.hess_g_det
+
+    def test_rounding_bound_holds(self, analyses):
+        # the exact det(Hess G) of the G given, in rational arithmetic at the
+        # reported point, lies within the rounding bound of the computed
+        # one, so a saddle's is negative and an extremum's positive; the
+        # order-12 wavefront's G has degree 20
+        fields = [a.field for a in analyses.values()] + [
+            build_field(w) for w in (N4_CENTRAL_RING.to_wavefront(), HIGHORDER)]
+        for field in fields:
+            for p in find_critical_points(field).points:
+                det, bound = _det_and_rounding_bound(field.G, p.x, p.y)
+                exact = _exact_det_hess(field.G, p.x, p.y)
+                assert abs(Fraction(det) - exact) <= bound
+                if p.kind is not PointClass.DEGENERATE:
+                    assert (exact < 0) == (p.kind is PointClass.SADDLE)
+
+    def test_small_central_ring_classed(self):
+        # det Hess G on the saddle ring is below 1e-12 (max |G| / R^2)^2 =
+        # 2.2e-6, so no disk-wide band can class this census's points
+        census = _census(N4_CENTRAL_RING)
+        pred = predict_saddles(N4_CENTRAL_RING)
+        assert (len(census), len(census.saddles), pred.count) == (9, 4, 4)
+        assert all(p.kind is not PointClass.DEGENERATE for p in census)
+        assert [abs(p.rho - pred.rings[0].rho) < 1e-6 for p in census.saddles] == [True] * 4
 
     def test_highorder_census(self):
         # G of degree 20: each grid node is seeded once, however many of its
@@ -286,15 +347,17 @@ class TestDegenerateFields:
         res = find_critical_points(build_field(WaveAberration(())))
         assert res.degenerate
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    @pytest.mark.parametrize("alpha", [0.0, -0.1])
-    def test_near_axial_flagged_or_complete(self, alpha, n):
-        # alpha Z_2^0 + 0.2 Z_4^0 + 1e-10 Z_n^n has 1 + 2n critical points,
+    @pytest.mark.parametrize("n,alpha,gamma", [
+        # ids alpha-n for gamma = 1e-10, alpha-n-g<gamma> for the others
+        pytest.param(n, alpha, gamma, id=f"{alpha}-{n}" + ("" if gamma == 1e-10 else f"-g{gamma}"))
+        for gamma in (1e-13, 1e-12, 1e-11, 1e-10) for alpha in (0.0, -0.1) for n in (3, 4, 5, 6)])
+    def test_near_axial_flagged_or_complete(self, n, alpha, gamma):
+        # alpha Z_2^0 + 0.2 Z_4^0 + gamma Z_n^n has 1 + 2n critical points,
         # the centre and a ring of n per family; today the point-count limit
         # flags it, and a census without that limit must still flag it or
         # find them all (ROADMAP items 2 and 13)
         (census,) = census_from_stacks(three_term_stacks(
-            n, *_coefficients([ABParams(alpha, 0.2, 1e-10, n)])), n)
+            n, *_coefficients([ABParams(alpha, 0.2, gamma, n)])), n)
         assert census.degenerate or len(census) == 1 + 2 * n
 
 
@@ -679,8 +742,8 @@ class TestKnownCensusMisses:
     SMALL_CENTRAL_RINGS = {
         "n5-odd-at-0.002933": (
             ABParams(0.7745766692414834, 0.2, 0.04000000000000001, 5), (("odd", 0.002933),),
-            "the census returns 20 points, none a saddle, and reports an incomplete "
-            "orbit (ROADMAP items 1, 2 and 4)"),
+            "the census returns 20 points, 6 of them saddles (the closed form's 5 and "
+            "a straggler), and reports an incomplete orbit (ROADMAP items 1, 2 and 4)"),
         "n5-two-rings": (
             ABParams(0.7745766692414834, 0.2, 0.2, 5), (("odd", 0.002929), ("even", 0.625974)),
             "the census returns the closed form's 16 points, but reports that 1 "
@@ -1022,8 +1085,7 @@ class TestSeeding:
         # the stack at each of its folds, then with no fold
         grad = _stack([derivative(g, 0), derivative(g, 1)])
         for fold in folds + [1]:
-            grid = grid_values(grad, *_grid_axes(1.0, fold))
-            _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, grid, fold))
+            _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, fold))
 
     def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
         # every seed grid of the pinned corpus, and the fixtures at the
@@ -1031,8 +1093,8 @@ class TestSeeding:
         # fold and with none
         checked = []
 
-        def spy(grad, radius, base, fold):
-            got = _collect_seeds(grad, radius, base, fold)
+        def spy(grad, radius, fold):
+            got = _collect_seeds(grad, radius, fold)
             _check_seeds(grad, radius, fold, got)
             checked.append(grad.shape[-1])
             return got
@@ -1045,8 +1107,8 @@ class TestSeeding:
         assert sum(checked) == 2 * sum(len(names) for names, _, _ in stacks)
 
     def test_scales_read_on_each_fields_own_crop(self):
-        # fields of folds 6, 3, 2 and 1 read their |G| and |grad G| scales
-        # on their own fold's crop
+        # fields of folds 6, 3, 2 and 1 read their |grad G| scales on their
+        # own fold's crop
         ws = [ABParams(0.0, 0.2, 0.19, 6).to_wavefront(),
               WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(3, -3, 0.1))),
               WaveAberration((ZernikeTerm(4, 0, 0.2), ZernikeTerm(2, 2, 0.1),
@@ -1056,15 +1118,12 @@ class TestSeeding:
         assert [f.fold for f in fields] == [6, 3, 2, 1]
         g = _stack([f.G.coeffs for f in fields])
         xs, ys = _grid_axes(1.0)
-        gv, gx, gy = grid_values(_stack([g, derivative(g, 0), derivative(g, 1)]), xs, ys)
+        gx, gy = grid_values(_stack([derivative(g, 0), derivative(g, 1)]), xs, ys)
         crops = [_own_crop_reference(xs, ys, f.fold, 1.0) for f in fields]
         censuses = [find_critical_points(f) for f in fields]
-        assert [c.g_scale for c in censuses] == [np.abs(v[c]).max() for v, c in zip(gv, crops)]
         assert [c.gradient_scale for c in censuses] == [
             np.hypot(a, b)[c].max() for a, b, c in zip(gx, gy, crops)]
-        # the 3-fold field's crop misses the whole square's largest |G| and
-        # |grad G|
-        assert censuses[1].g_scale < np.abs(gv[1]).max()
+        # the 3-fold field's crop misses the whole square's largest |grad G|
         assert censuses[1].gradient_scale < np.hypot(gx[1], gy[1]).max()
 
     def test_sign_change_cells_match_two_passes(self):

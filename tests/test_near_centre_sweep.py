@@ -73,9 +73,9 @@ def test_wrong_saddle_counts_per_band():
            for n in (3, 4, 5, 6) for small in (True, False)}
     assert got == {
         (3, True): [0, 4], (3, False): [0, 133],
-        (4, True): [2, 171], (4, False): [0, 73],
-        (5, True): [110, 165], (5, False): [4, 75],
-        (6, True): [165, 165], (6, False): [53, 75],
+        (4, True): [0, 171], (4, False): [0, 73],
+        (5, True): [100, 165], (5, False): [7, 75],
+        (6, True): [163, 165], (6, False): [53, 75],
     }
 
 
