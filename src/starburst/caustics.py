@@ -95,8 +95,11 @@ class SpikeTip:
 
 @dataclass(frozen=True)
 class SymmetryResult:
+    """symmetry_order's p, the exact residual of its rotation (None for
+    p = 1) and the tolerance it was held to."""
+
     p: int
-    residual: float
+    residual: float | None
     tolerance: float
 
 
@@ -107,7 +110,8 @@ class StarburstSummary:
     kind: str  # "equally_distanced" | "non_equally_distanced" | "none"
     spike_tips: tuple[SpikeTip, ...]
     detail: str = ""
-    symmetry: SymmetryResult | None = None  # None without a caustic or for axial W
+    # symmetry_order's result; None without a caustic or for axial W
+    symmetry: SymmetryResult | None = None
 
 
 EQUALLY_DISTANCED = "equally_distanced"
@@ -369,7 +373,6 @@ def map_caustics(
 
 _PAIR_BUDGET = 1 << 14  # (point, segment) pairs evaluated at once, about 2 MB
 _EXACT_REACH = 1.0 - 1e-9  # of a cell side: margin for rounding in the cell index
-_PROBE_STRIDE = 16  # _PolylineDistance.farthest measures every this many points first
 
 
 class _PolylineDistance:
@@ -454,22 +457,8 @@ class _PolylineDistance:
 
     def farthest(self, points: np.ndarray, cap: float, runs: int = 1) -> np.ndarray:
         """min(largest distance, cap) of each of ``runs`` equal runs of the
-        points.  Every _PROBE_STRIDE-th point is measured first; as distance
-        is 1-Lipschitz, the others are measured only where that can raise
-        their run's largest distance, and not at all in a run at the cap.  A
-        probe point is measured once: its own bound is its distance."""
-        index = np.arange(len(points))
-        run = index // (len(points) // runs)
-        probe = index // _PROBE_STRIDE * _PROBE_STRIDE
-        near = self.distances(points[::_PROBE_STRIDE], cap)
-        worst = np.zeros(runs)
-        np.maximum.at(worst, run[::_PROBE_STRIDE], near)
-        # rounding in a distance scales with the coordinates
-        bound = (near[probe // _PROBE_STRIDE] + np.hypot(*(points - points[probe]).T)
-                 + 1e-9 * float(np.abs(points).max()))
-        todo = np.flatnonzero((probe != index) & (bound > worst[run]) & (worst[run] < cap))
-        np.maximum.at(worst, run[todo], self.distances(points[todo], cap))
-        return worst
+        points, from one ``distances`` call."""
+        return self.distances(points, cap).reshape(runs, -1).max(axis=1)
 
 
 def _ranges(first, count):
@@ -486,20 +475,19 @@ def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
 
 
 _SCREEN_STRIDE = 16  # every how many vertices symmetry_order screens a p on
-_CAP_GROWTH = 8.0  # the p = 1 search's distance cap grows by this each round
 
 
 def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     """Largest p in {2.._P_MAX} whose 2 pi / p rotation maps the retina
-    vertex cloud onto itself within a Hausdorff tolerance; p=1 if none.
+    vertex cloud onto itself within a Hausdorff tolerance; p=1, with no
+    residual, if none does.
 
     A p's residual is the largest exact distance from the cloud, rotated
-    both ways, to the caustic polylines, found only up to a cap.  Each p is
-    first screened on every _SCREEN_STRIDE-th vertex, rotated one way: a
-    subset's largest distance is a lower bound on the whole cloud's, so
-    only the p that pass are checked in full.  When no p holds, the
-    residual is the smallest one, found under a cap that grows from the
-    tolerance until some p comes in under it.  Every residual is exact."""
+    both ways, to the caustic polylines, found only up to the tolerance.
+    Each p is first screened on every _SCREEN_STRIDE-th vertex, rotated one
+    way: a subset's largest distance is a lower bound on the whole cloud's,
+    so only the p that pass are checked in full.  The residual reported is
+    exact."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not curves:
         raise ValueError("empty caustic set")
@@ -516,27 +504,15 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     geom = _PolylineDistance(curves)
 
     orders, sample = range(_P_MAX, 1, -1), cloud[::_SCREEN_STRIDE]
-
-    def screen(cap):
-        rotated = np.concatenate([_rotate(sample, 2.0 * math.pi / p, center) for p in orders])
-        return dict(zip(orders, geom.farthest(rotated, cap, len(orders))))
-
-    def residual(p, cap):
-        angle = 2.0 * math.pi / p
-        both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
-        return float(geom.farthest(both, cap)[0])
-
-    cap = tol  # every residual is at most the diameter, so the cap outgrows them
-    while True:
-        bounds, best = screen(cap), cap
-        for p in orders:
-            if bounds[p] < best:
-                best = residual(p, best)
-                if best < tol:
-                    return SymmetryResult(p, best, tol)
-        if best < cap:
-            return SymmetryResult(1, best, tol)
-        cap *= _CAP_GROWTH
+    rotated = np.concatenate([_rotate(sample, 2.0 * math.pi / p, center) for p in orders])
+    for p, bound in zip(orders, geom.farthest(rotated, tol, len(orders))):
+        if bound < tol:
+            angle = 2.0 * math.pi / p
+            both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
+            residual = float(geom.farthest(both, tol)[0])
+            if residual < tol:
+                return SymmetryResult(p, residual, tol)
+    return SymmetryResult(1, None, tol)
 
 
 def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):

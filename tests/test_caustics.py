@@ -253,6 +253,25 @@ class TestSymmetryOrder:
         cloud = sum(len(c) for c in caustics.retina_curves)
         assert calls == [(11 * len(range(0, cloud, 16)), 11), (2 * cloud, 1)]
 
+    @pytest.mark.parametrize("name,extra,p", [("3star", (), 3), ("6star", ((3, 1, 0.02),), 1)])
+    def test_every_distance_is_capped_at_the_tolerance(self, name, extra, p, monkeypatch):
+        # the screen and the full checks ask for distances up to the
+        # tolerance only; when no p holds, no residual is searched for
+        caps = []
+        distances = _PolylineDistance.distances
+        monkeypatch.setattr(_PolylineDistance, "distances",
+                            lambda self, pts, cap=math.inf: caps.append(cap)
+                            or distances(self, pts, cap))
+        base = ABParams(*FIXTURE_SCENARIOS[name][:4]).to_wavefront()
+        w = WaveAberration(base.terms + tuple(ZernikeTerm(*t) for t in extra),
+                           pupil_radius=base.pupil_radius)
+        field = build_field(w)
+        result = symmetry_order(map_caustics(w, extract_contours(field, 512), (), field))
+        assert caps and set(caps) == {result.tolerance}
+        assert result.p == p
+        if p == 1:
+            assert result == SymmetryResult(1, None, result.tolerance)
+
     def test_verdict_carries_symmetry(self, analyses):
         caustics = analyses["5star"].caustics
         assert starburst_verdict(caustics).symmetry == symmetry_order(caustics)
@@ -271,8 +290,8 @@ def screened_order_matching_full_scan(terms, grid):
 
 def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
     """Every p from p_max down on the whole vertex cloud, no screening: the
-    first p under the tolerance, else the smallest residual; a residual is
-    only needed up to the tolerance, then up to the smallest one so far."""
+    first p under the tolerance, else p = 1 with no residual; a residual is
+    only needed up to the tolerance."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     cloud = np.concatenate(curves)
     center = caustics.center
@@ -288,30 +307,7 @@ def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
         full = residual(p, tol)
         if full < tol:
             return SymmetryResult(p, full, tol)
-    best = math.inf
-    for p in range(p_max, 1, -1):
-        best = min(best, residual(p, best))
-    return SymmetryResult(1, best, tol)
-
-
-@pytest.mark.parametrize("runs", [1, 4])
-def test_farthest_measures_each_point_once(analyses, runs, monkeypatch):
-    """The probe points are measured once, in the first pass; the run
-    maxima are those of every point's exact distance."""
-    caustics = analyses["5star"].caustics
-    curves = [c for c in caustics.retina_curves if len(c) >= 2]
-    geom = _PolylineDistance(curves)
-    points = _rotate(np.unique(np.concatenate(curves), axis=0), 0.3, caustics.center)
-    points = points[: len(points) // runs * runs]
-    want = geom.distances(points).reshape(runs, -1).max(axis=1)
-    measured = []
-    distances = geom.distances
-    monkeypatch.setattr(geom, "distances",
-                        lambda pts, cap=math.inf: measured.append(pts) or distances(pts, cap))
-    assert np.array_equal(geom.farthest(points, math.inf, runs), want)
-    seen = np.concatenate(measured)
-    assert len(measured) == 2 and len(seen) > len(points) // 16
-    assert len(np.unique(seen, axis=0)) == len(seen)
+    return SymmetryResult(1, None, tol)
 
 
 def test_polyline_distance_tables():
@@ -402,8 +398,8 @@ class TestExactDistances:
             np.testing.assert_array_equal(geom.distances(pts), brute_distances(polylines, pts))
 
     def test_farthest_is_the_capped_largest_distance(self, analyses):
-        # per run of points, the largest of the per-point distances, capped;
-        # the probing and the Lipschitz bounds leave it exact
+        # per run of points, the largest of the per-point distances, capped,
+        # to the bit
         caustics = analyses["3star"].caustics
         curves = list(caustics.retina_curves)
         cloud = np.concatenate(curves)

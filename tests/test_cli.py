@@ -469,6 +469,19 @@ class TestAnalyzeCommand:
         assert (4.05783581256, 151.545584875) in tips
         assert not starburst["detail"].startswith("3 tips")
 
+    def test_no_fold_writes_no_residual(self, tmp_path):
+        # 6star with 0.02 um of coma: no p in 2..12 holds, and the residual
+        # field, which is the reported p's, stays null
+        out = tmp_path / "coma"
+        scen = make_scenario_file(tmp_path, {
+            "wavefront": [{"n": 4, "m": 0, "coeff_um": 0.2},
+                          {"n": 6, "m": 6, "coeff_um": 0.19},
+                          {"n": 3, "m": 1, "coeff_um": 0.02}],
+            "output_dir": str(out)})
+        assert main(["analyze", "--scenario", scen]) == 0
+        starburst = json.loads((out / "report.json").read_text())["starburst"]
+        assert (starburst["p_fold"], starburst["rotation_residual"]) == (1, None)
+
     def test_flag_invocation_without_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",

@@ -347,6 +347,26 @@ class TestDegenerateFields:
         res = find_critical_points(build_field(WaveAberration(())))
         assert res.degenerate
 
+    # G of alpha Z_2^0 + beta Z_4^0 is radial, with critical points at the
+    # centre and on a ring at rho^2 = 1/3 - alpha / (3 sqrt(15) beta) if that
+    # lies in (0, 1), that is if -2 sqrt(15) beta < alpha < sqrt(15) beta;
+    # an axial W is not always a non-isolated critical set (ROADMAP item 2)
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    def test_axial_without_a_ring_is_the_centre(self, alpha):
+        w = WaveAberration((ZernikeTerm(2, 0, alpha), ZernikeTerm(4, 0, 0.2)))
+        res = find_critical_points(build_field(w))
+        assert not res.degenerate
+        assert [(p.x, p.y, p.kind) for p in res.points] == [(0.0, 0.0, PointClass.EXTREMUM)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "at alpha = sqrt(15) beta, G = 345.6 rho^4 - 3.8e-14 rho^2 + 7.9e-31 has the "
+        "centre and a ring at rho ~ 7.4e-9; the census returns 6 points at "
+        "rho = 4.5-6.1e-6, all extremum, with no flag (ROADMAP items 24 and 2)"))
+    def test_axial_at_the_ring_threshold(self):
+        w = WaveAberration((ZernikeTerm(2, 0, 0.7745966692414834), ZernikeTerm(4, 0, 0.2)))
+        census = find_critical_points(build_field(w))
+        assert census.degenerate or len(census) == 1
+
     @pytest.mark.parametrize("n,alpha,gamma", [
         # ids alpha-n for gamma = 1e-10, alpha-n-g<gamma> for the others
         pytest.param(n, alpha, gamma, id=f"{alpha}-{n}" + ("" if gamma == 1e-10 else f"-g{gamma}"))
