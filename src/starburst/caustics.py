@@ -376,64 +376,61 @@ _EXACT_REACH = 1.0 - 1e-9  # of a cell side: margin for rounding in the cell ind
 
 
 class _PolylineDistance:
-    """Exact nearest-segment distances from points to a family of polylines.
+    """Nearest-segment distances from points to a family of polylines,
+    exact below a cap.
 
-    The segments are bucketed on uniform grids (Bentley & Friedman, ACM
-    Comput. Surv. 1979), grid k with cells 2**k base sides wide, built when
-    first needed.  A cell lists every segment whose bounding box touches it
-    or one of its 8 neighbours, so a point's candidates hold every segment
-    within one cell side of it: when the nearest candidate is that close,
-    the distance is exact.  The points left go on to the next grid.
+    The segments are bucketed on one uniform grid (Bentley & Friedman, ACM
+    Comput. Surv. 1979).  A cell lists every segment whose bounding box
+    touches it or one of its 8 neighbours, so a point's candidates hold
+    every segment within one cell side of it.  The side reaches the cap: a
+    point with no candidate within it is at least the cap from every
+    segment, and any other point's nearest candidate is its nearest segment.
     """
 
-    def __init__(self, polylines):
+    def __init__(self, polylines, cap: float):
         starts = np.concatenate([poly[:-1] for poly in polylines])
         ends = np.concatenate([poly[1:] for poly in polylines])
         self.ax, self.ay = starts.T
         self.dx, self.dy = (ends - starts).T
         den = self.dx * self.dx + self.dy * self.dy
         self.den = np.where(den > 0, den, 1.0)
-        self.lo, self.hi = np.minimum(starts, ends), np.maximum(starts, ends)
-        self.origin = self.lo.min(axis=0)
-        length = np.sqrt(den[den > 0])  # base side: >= 1/16 of the longest
-        self.side = max(float(np.median(length)), float(length.max()) / 16) if length.size else 1.0
-        self.grids = {}
+        lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+        self.origin, self.cap = lo.min(axis=0), cap
+        length = np.sqrt(den[den > 0])  # side: >= 1/16 of the longest
+        side = max(float(np.median(length)), float(length.max()) / 16) if length.size else 1.0
+        # one step up from cap / _EXACT_REACH makes side * _EXACT_REACH >= cap
+        self.side = max(side, float(np.nextafter(cap / _EXACT_REACH, math.inf)))
+        # cell (i, j), from (-1, -1) on, has id (i + 1) * (last[1] + 2) + j + 1;
+        # ids lists the listing cells, first and count their slots in segs,
+        # the segment ids sorted by cell
+        c0, c1 = (np.floor((v - self.origin) / self.side).astype(np.intp) for v in (lo, hi))
+        span, self.last = c1 - c0 + 3, c1.max(axis=0) + 1
+        count = span[:, 0] * span[:, 1]
+        seg = np.repeat(np.arange(len(count)), count)
+        di, dj = np.divmod(_ranges(np.zeros_like(count), count), span[:, 1][seg])
+        cell = (c0[:, 0] * (self.last[1] + 2) + c0[:, 1])[seg] + di * (self.last[1] + 2) + dj
+        order = np.argsort(cell)
+        cell = cell[order]
+        new = np.ones(len(cell), dtype=bool)
+        new[1:] = cell[1:] != cell[:-1]
+        self.first = np.flatnonzero(new)
+        self.ids, self.count = cell[self.first], np.diff(self.first, append=len(cell))
+        self.segs = seg[order]
 
-    def _grid(self, k):
-        """(cell side, last cell, listing cells' ids, and their first slots and
-        counts in the segment ids sorted by cell) of grid k; cell (i, j), from
-        (-1, -1) on, has id (i + 1) * (last[1] + 2) + j + 1."""
-        if k not in self.grids:
-            side = self.side * 2.0**k
-            c0, c1 = (np.floor((v - self.origin) / side).astype(np.intp) for v in (self.lo, self.hi))
-            span, last = c1 - c0 + 3, c1.max(axis=0) + 1
-            count = span[:, 0] * span[:, 1]
-            seg = np.repeat(np.arange(len(count)), count)
-            di, dj = np.divmod(_ranges(np.zeros_like(count), count), span[:, 1][seg])
-            cell = (c0[:, 0] * (last[1] + 2) + c0[:, 1])[seg] + di * (last[1] + 2) + dj
-            order = np.argsort(cell)
-            cell = cell[order]
-            new = np.ones(len(cell), dtype=bool)
-            new[1:] = cell[1:] != cell[:-1]
-            first = np.flatnonzero(new)
-            n = np.diff(first, append=len(cell))
-            self.grids[k] = (side, last, cell[first], first, n, seg[order])
-        return self.grids[k]
-
-    def _candidate_nearest(self, k, pts):
-        """Distance from each point to its nearest candidate on grid k (inf
-        if it has none), _PAIR_BUDGET pairs at a time."""
-        side, last, ids, first, count, segs = self._grid(k)
-        c = np.clip(np.floor((pts - self.origin) / side), -1, last).astype(np.intp) + 1
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        """min(distance to the nearest segment, cap) for each point, exact,
+        from its candidates, _PAIR_BUDGET pairs at a time."""
+        last, ids = self.last, self.ids
+        c = np.clip(np.floor((pts - self.origin) / self.side), -1, last).astype(np.intp) + 1
         cells = c[:, 0] * (last[1] + 2) + c[:, 1]
         pos = np.minimum(np.searchsorted(ids, cells), len(ids) - 1)
-        n, first = np.where(ids[pos] == cells, count[pos], 0), first[pos]
+        n, first = np.where(ids[pos] == cells, self.count[pos], 0), self.first[pos]
         best = np.full(len(pts), np.inf)
         cuts = np.searchsorted(np.cumsum(n), np.arange(_PAIR_BUDGET, n.sum(), _PAIR_BUDGET))
         for lo, hi in zip((0, *cuts), (*cuts, len(pts))):
             nn, has = n[lo:hi], n[lo:hi] > 0
             if has.any():
-                seg = segs[_ranges(first[lo:hi], nn)]
+                seg = self.segs[_ranges(first[lo:hi], nn)]
                 who = np.repeat(np.arange(lo, hi), nn)
                 px, py = pts[:, 0][who], pts[:, 1][who]
                 ax, ay, dx, dy = self.ax[seg], self.ay[seg], self.dx[seg], self.dy[seg]
@@ -441,24 +438,12 @@ class _PolylineDistance:
                 ex, ey = px - (ax + t * dx), py - (ay + t * dy)
                 best[lo:hi][has] = np.minimum.reduceat(np.sqrt(ex * ex + ey * ey),
                                                        (np.cumsum(nn) - nn)[has])
-        return best
+        return np.minimum(best, self.cap)
 
-    def distances(self, pts: np.ndarray, cap: float = math.inf) -> np.ndarray:
-        """min(distance to the nearest segment, cap) for each point, exact."""
-        best = np.full(len(pts), np.inf)
-        todo, k = np.arange(len(pts)), 0
-        while todo.size:
-            best[todo] = np.minimum(best[todo], self._candidate_nearest(k, pts[todo]))
-            reach = self.side * 2.0**k * _EXACT_REACH
-            todo, k = todo[best[todo] > reach], k + 1
-            if reach >= cap:
-                break
-        return np.minimum(best, cap)
-
-    def farthest(self, points: np.ndarray, cap: float, runs: int = 1) -> np.ndarray:
+    def farthest(self, points: np.ndarray, runs: int = 1) -> np.ndarray:
         """min(largest distance, cap) of each of ``runs`` equal runs of the
         points, from one ``distances`` call."""
-        return self.distances(points, cap).reshape(runs, -1).max(axis=1)
+        return self.distances(points).reshape(runs, -1).max(axis=1)
 
 
 def _ranges(first, count):
@@ -501,15 +486,15 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
         raise ValueError("retina caustic overflows the distance arithmetic at pupil "
                          f"radius {caustics.aberration.pupil_radius:g} mm")
     tol = _SYMMETRY_TOL_REL * diameter
-    geom = _PolylineDistance(curves)
+    geom = _PolylineDistance(curves, tol)
 
     orders, sample = range(_P_MAX, 1, -1), cloud[::_SCREEN_STRIDE]
     rotated = np.concatenate([_rotate(sample, 2.0 * math.pi / p, center) for p in orders])
-    for p, bound in zip(orders, geom.farthest(rotated, tol, len(orders))):
+    for p, bound in zip(orders, geom.farthest(rotated, len(orders))):
         if bound < tol:
             angle = 2.0 * math.pi / p
             both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
-            residual = float(geom.farthest(both, tol)[0])
+            residual = float(geom.farthest(both)[0])
             if residual < tol:
                 return SymmetryResult(p, residual, tol)
     return SymmetryResult(1, None, tol)

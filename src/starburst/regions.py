@@ -637,8 +637,8 @@ def region_diagram(
     for the odd family), and every row is tested on the whole grid at once;
     the gamma = 0 column stays 0.  Only the axes, curves and ticks carry beta.
     """
-    if not 0.0 < beta < math.inf:
-        raise ValueError("beta must be positive and finite")
+    if not np.finfo(float).tiny <= beta < math.inf:  # below, gamma / beta loses bits
+        raise ValueError(f"beta must be finite and at least {np.finfo(float).tiny:g}")
     if n not in SUPPORTED_ORDERS:
         raise CapabilityError(f"supported orders are {SUPPORTED_ORDERS}, got n={n}")
     if not 2 <= resolution <= MAX_REGION_RESOLUTION:
@@ -651,9 +651,10 @@ def region_diagram(
     if alpha_range is None:
         alpha_range = (w[2] * beta, w[3] * beta)
     for name, (lo, hi) in (("gamma", gamma_range), ("alpha", alpha_range)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (lo < hi and all(map(math.isfinite, (lo, hi, hi - lo, lo / beta, hi / beta)))):
             raise ValueError(
-                f"the {name} window must be finite and increasing, got {lo}, {hi}"
+                f"the {name} window must be finite and increasing, in micrometres "
+                f"and in units of beta, got {lo}, {hi}"
             )
     gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
     alphas = np.linspace(alpha_range[0], alpha_range[1], resolution)

@@ -225,7 +225,7 @@ def test_criterion_7_retina_symmetry(analyses):
         cloud = np.concatenate(curves)
         center = a.caustics.center
         diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
-        geom = _PolylineDistance(curves)
+        geom = _PolylineDistance(curves, 1e-3 * diameter)  # exact below the bound
         angle = 2.0 * math.pi / a.n
         residual = max(
             float(geom.distances(_rotate(cloud, angle, center)).max()),

@@ -26,6 +26,7 @@ from starburst import (
 from starburst.caustics import (
     SpikeTip,
     SymmetryResult,
+    _EXACT_REACH,
     _find_peaks,
     _meridian_aligned,
     _PolylineDistance,
@@ -44,6 +45,27 @@ ASYMMETRIC_TERMS = {
     "c": ((4, 2, -0.015), (4, -4, 0.037), (6, 2, 0.107)),
     "d": ((5, -1, 0.099), (6, 2, 0.05), (5, -5, 0.103), (2, 0, -0.09)),
 }
+# wavefronts whose symmetry tolerance at grid 512 is wider than the median
+# retina segment, so the tolerance sets the distance grid's cell side
+WIDE_TOL = {name: WaveAberration(tuple(ZernikeTerm(*t) for t in terms)) for name, terms in {
+    "Z4^2": ((4, 0, 0.2), (4, 2, -0.0132)),
+    "Z7^1": ((4, 0, 0.2), (7, 1, -0.0212)),
+    "Z6^-2": ((4, 0, 0.2), (6, -2, 0.11)),
+    "Z10^-6": ((4, 0, 0.2), (10, -6, 0.017)),
+}.items()}
+
+
+def caustic_at(w, grid):
+    """The retina caustic of the wavefront ``w`` at contour grid ``grid``."""
+    field = build_field(w)
+    return map_caustics(w, extract_contours(field, grid), (), field)
+
+
+def fixture_plus(name, extra):
+    """The fixture ``name``'s wavefront with the terms ``extra`` added."""
+    base = ABParams(*FIXTURE_SCENARIOS[name][:4]).to_wavefront()
+    return WaveAberration(base.terms + tuple(ZernikeTerm(*t) for t in extra),
+                          pupil_radius=base.pupil_radius)
 
 
 class TestContourExtraction:
@@ -85,7 +107,7 @@ class TestContourExtraction:
         coarse = extract_contours(a.field, 256)
         fine = a.contours  # 512
         fine_cell_diag = math.sqrt(2.0) * 2.0 / 511
-        geom = _PolylineDistance(list(fine.polylines))
+        geom = _PolylineDistance(list(fine.polylines), fine_cell_diag)
         for poly in coarse.polylines:
             d = geom.distances(poly)
             assert np.max(d) < fine_cell_diag
@@ -136,7 +158,7 @@ class TestContourExtraction:
         rotated = np.column_stack(
             [c * cloud[:, 0] - s * cloud[:, 1], s * cloud[:, 0] + c * cloud[:, 1]]
         )
-        geom = _PolylineDistance(list(a.contours.polylines))
+        geom = _PolylineDistance(list(a.contours.polylines), 5e-3)
         assert np.max(geom.distances(rotated)) < 5e-3
 
 
@@ -246,8 +268,8 @@ class TestSymmetryOrder:
         calls = []
         farthest = _PolylineDistance.farthest
         monkeypatch.setattr(_PolylineDistance, "farthest",
-                            lambda self, pts, cap, runs=1: calls.append((len(pts), runs))
-                            or farthest(self, pts, cap, runs))
+                            lambda self, pts, runs=1: calls.append((len(pts), runs))
+                            or farthest(self, pts, runs))
         caustics = analyses["3star"].caustics
         assert symmetry_order(caustics).p == 3
         cloud = sum(len(c) for c in caustics.retina_curves)
@@ -255,22 +277,42 @@ class TestSymmetryOrder:
 
     @pytest.mark.parametrize("name,extra,p", [("3star", (), 3), ("6star", ((3, 1, 0.02),), 1)])
     def test_every_distance_is_capped_at_the_tolerance(self, name, extra, p, monkeypatch):
-        # the screen and the full checks ask for distances up to the
-        # tolerance only; when no p holds, no residual is searched for
+        # the screen and the full checks ask one structure for distances up
+        # to the tolerance only; when no p holds, no residual is searched for
         caps = []
-        distances = _PolylineDistance.distances
-        monkeypatch.setattr(_PolylineDistance, "distances",
-                            lambda self, pts, cap=math.inf: caps.append(cap)
-                            or distances(self, pts, cap))
-        base = ABParams(*FIXTURE_SCENARIOS[name][:4]).to_wavefront()
-        w = WaveAberration(base.terms + tuple(ZernikeTerm(*t) for t in extra),
-                           pupil_radius=base.pupil_radius)
-        field = build_field(w)
-        result = symmetry_order(map_caustics(w, extract_contours(field, 512), (), field))
-        assert caps and set(caps) == {result.tolerance}
+        init = _PolylineDistance.__init__
+        monkeypatch.setattr(_PolylineDistance, "__init__",
+                            lambda self, polylines, cap: caps.append(cap)
+                            or init(self, polylines, cap))
+        result = symmetry_order(caustic_at(fixture_plus(name, extra), 512))
+        assert caps == [result.tolerance]
         assert result.p == p
         if p == 1:
             assert result == SymmetryResult(1, None, result.tolerance)
+
+    @pytest.mark.parametrize("w, grid, p, residual, tol", [
+        *(pytest.param(WIDE_TOL[name], 512, *pin, id=name) for name, pin in [
+            ("Z4^2", (2, "0x1.7002be65cf96cp-50", "0x1.86bba90b9f9ddp-9")),
+            ("Z7^1", (1, None, "0x1.b1b25ad6541c0p-8")),
+            ("Z6^-2", (2, "0x1.061f4288378ebp-47", "0x1.c4e677e260bafp-7")),
+            ("Z10^-6", (6, "0x1.e16c6e5384da0p-10", "0x1.b73a5fccc088ep-7"))]),
+        pytest.param(fixture_plus("6star", ((3, 1, 0.02),)), 512, 1, None,
+                     "0x1.26201403e9f7ep-7", id="6star+Z3^1"),
+        *(pytest.param(ABParams(alpha, 0.2, gamma, n).to_wavefront(), grid, *pin,
+                       id=f"n{n}-{alpha}-{gamma}-grid{grid}") for n, alpha, gamma, grid, pin in [
+            (5, 0.0, 1e-12, 256, (12, "0x1.b430340b62180p-13", "0x1.7813586b77a25p-9")),
+            (5, 0.1, 1e-7, 256, (12, "0x1.8aa2f255fea19p-13", "0x1.31a70bb810460p-9")),
+            (5, 0.0, 1e-12, 512, (12, "0x1.abe9671ff377fp-15", "0x1.7813586b78431p-9")),
+            (6, 0.1, 1e-310, 64, (9, "0x1.2db188f16b994p-9", "0x1.31a70b1a1c113p-9"))]),
+    ])
+    def test_results_are_pinned(self, w, grid, p, residual, tol):
+        # (p, residual, tolerance) to the bit, written from the search over
+        # a ladder of coarser distance grids that one grid replaced: the
+        # tolerance-wide caustics, a p = 1 caustic and the near-axial ones of
+        # test_p_is_a_multiple_of_the_fold
+        result = symmetry_order(caustic_at(w, grid))
+        assert (result.p, result.residual and result.residual.hex(), result.tolerance.hex()) \
+            == (p, residual, tol)
 
     def test_verdict_carries_symmetry(self, analyses):
         caustics = analyses["5star"].caustics
@@ -296,15 +338,15 @@ def full_scan_symmetry_order(caustics, tol_rel=1e-3, p_max=12):
     cloud = np.concatenate(curves)
     center = caustics.center
     tol = tol_rel * 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
-    geom = _PolylineDistance(curves)
+    geom = _PolylineDistance(curves, tol)
 
-    def residual(p, cap):
+    def residual(p):
         angle = 2.0 * math.pi / p
         both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
-        return float(geom.farthest(both, cap)[0])
+        return float(geom.farthest(both)[0])
 
     for p in range(p_max, 1, -1):
-        full = residual(p, tol)
+        full = residual(p)
         if full < tol:
             return SymmetryResult(p, full, tol)
     return SymmetryResult(1, None, tol)
@@ -316,26 +358,24 @@ def test_polyline_distance_tables():
     polylines = [np.array([[0.0, 0.0], [1.0, 0.0]]),
                  np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]),
                  np.array([[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]])]
-    geom = _PolylineDistance(polylines)
+    geom = _PolylineDistance(polylines, 0.75)
     starts = np.concatenate([p[:-1] for p in polylines])
     ends = np.concatenate([p[1:] for p in polylines])
     np.testing.assert_array_equal(np.column_stack([geom.ax, geom.ay]), starts)
     np.testing.assert_array_equal(np.column_stack([geom.dx, geom.dy]), ends - starts)
-    assert geom.side == 1.0  # the median segment length
+    assert geom.side == 1.0  # the median segment length, above the cap
 
     def listed(i, j):
-        _, top, ids, first, count, segs = geom._grid(0)
-        pos = np.searchsorted(ids, (i + 1) * (top[1] + 2) + j + 1)
-        return sorted(segs[first[pos] : first[pos] + count[pos]].tolist())
+        pos = np.searchsorted(geom.ids, (i + 1) * (geom.last[1] + 2) + j + 1)
+        return sorted(geom.segs[geom.first[pos] : geom.first[pos] + geom.count[pos]].tolist())
 
     assert listed(2, 1) == [0, 1, 2, 3]
     assert listed(4, 4) == [4]
     assert listed(-1, -1) == [0]
     assert geom.distances(np.array([[2.5, 1.5]]))[0] == pytest.approx(0.5)
-    assert geom.distances(np.array([[2.5, 1.5]]), 0.25)[0] == 0.25
-    # no segment within 8 cells: the point is resolved on grid 4
-    assert geom.distances(np.array([[20.0, 0.0]]))[0] == math.hypot(14.0, 5.0)
-    assert sorted(geom.grids) == [0, 1, 2, 3, 4]
+    assert _PolylineDistance(polylines, 0.25).distances(np.array([[2.5, 1.5]]))[0] == 0.25
+    # no candidate: the point is at least the cap from every segment
+    assert geom.distances(np.array([[20.0, 0.0]]))[0] == 0.75
 
 
 def brute_distances(polylines, pts):
@@ -371,20 +411,20 @@ class TestExactDistances:
         caustics = analyses[name].caustics
         curves = list(caustics.retina_curves)
         cloud = np.concatenate(curves)
-        geom = _PolylineDistance(curves)
         n = analyses[name].n
         # the symmetry rotation keeps every point close; a 2 pi / 5 turn of
         # an n != 5 cloud sends many far; every 4th point keeps this quick
         for angle in (2.0 * math.pi / n, -2.0 * math.pi / 5):
             pts = _rotate(cloud, angle, caustics.center)[::4]
             want = brute_distances(curves, pts)
-            np.testing.assert_array_equal(geom.distances(pts), want)
-            for cap in (1e-3, 0.1, 1.0):
-                np.testing.assert_array_equal(geom.distances(pts, cap), np.minimum(want, cap))
+            # the last cap is beyond every point: no distance is capped
+            for cap in (1e-3, 0.1, 1.0, 2.0 * float(want.max())):
+                geom = _PolylineDistance(curves, cap)
+                np.testing.assert_array_equal(geom.distances(pts), np.minimum(want, cap))
 
     def test_random_polylines_with_long_segments(self):
         # the nearest segment's endpoints can both be far from a point near
-        # its middle
+        # its middle; the last two caps are beyond every point
         rng = np.random.default_rng(7)
         for _ in range(40):
             polylines = [np.cumsum(rng.normal(size=(int(rng.integers(2, 25)), 2))
@@ -394,8 +434,10 @@ class TestExactDistances:
             ends = np.concatenate([p[1:] for p in polylines])
             pts = np.concatenate([0.5 * (starts + ends) + rng.normal(scale=0.01, size=starts.shape),
                                   rng.uniform(-30.0, 30.0, (40, 2))])
-            geom = _PolylineDistance(polylines)
-            np.testing.assert_array_equal(geom.distances(pts), brute_distances(polylines, pts))
+            want = brute_distances(polylines, pts)
+            for cap in (0.01, 1.0, 10.0, 1e3, 1e6):
+                geom = _PolylineDistance(polylines, cap)
+                np.testing.assert_array_equal(geom.distances(pts), np.minimum(want, cap))
 
     def test_farthest_is_the_capped_largest_distance(self, analyses):
         # per run of points, the largest of the per-point distances, capped,
@@ -403,28 +445,50 @@ class TestExactDistances:
         caustics = analyses["3star"].caustics
         curves = list(caustics.retina_curves)
         cloud = np.concatenate(curves)
-        geom = _PolylineDistance(curves)
-        for p in (3, 5, 12):
-            runs = [_rotate(cloud, s * 2.0 * math.pi / p, caustics.center) for s in (1.0, -1.0)]
-            points = np.concatenate(runs)
-            for cap in (1e-4, 0.05, 1.0):
-                want = [geom.distances(r, cap).max() for r in runs]
-                np.testing.assert_array_equal(geom.farthest(points, cap, 2), want)
-                assert geom.farthest(points, cap)[0] == max(want)
+        for cap in (1e-4, 0.05, 1.0):
+            geom = _PolylineDistance(curves, cap)
+            for p in (3, 5, 12):
+                runs = [_rotate(cloud, s * 2.0 * math.pi / p, caustics.center)
+                        for s in (1.0, -1.0)]
+                points = np.concatenate(runs)
+                want = [geom.distances(r).max() for r in runs]
+                np.testing.assert_array_equal(geom.farthest(points, 2), want)
+                assert geom.farthest(points)[0] == max(want)
+
+    @pytest.mark.parametrize("name", list(WIDE_TOL))
+    def test_tolerance_wide_cells(self, name):
+        # at the tolerance: the screen sample, rotated one way for each p,
+        # and the whole cloud, rotated both ways by the p found (2 if none)
+        caustics = caustic_at(WIDE_TOL[name], 512)
+        result = symmetry_order(caustics)
+        curves = list(caustics.retina_curves)
+        cloud = np.concatenate(curves)
+        geom = _PolylineDistance(curves, result.tolerance)
+        lengths = np.hypot(*np.concatenate([np.diff(c, axis=0) for c in curves]).T)
+        assert geom.side > np.median(lengths)
+        assert geom.side * _EXACT_REACH >= result.tolerance
+        angle = 2.0 * math.pi / max(result.p, 2)
+        for pts in (np.concatenate([_rotate(cloud[::16], 2.0 * math.pi / p, caustics.center)
+                                    for p in range(12, 1, -1)]),
+                    np.concatenate([_rotate(cloud, s * angle, caustics.center)
+                                    for s in (1.0, -1.0)])):
+            np.testing.assert_array_equal(
+                geom.distances(pts), np.minimum(brute_distances(curves, pts), result.tolerance))
 
     def test_highorder_residual_is_exact(self, highorder_caustics):
         # the whole cloud, both ways: the exact residual is about 6.7 times
-        # below what a nearest-vertex heuristic found
+        # below what a nearest-vertex heuristic found, and every distance is
+        # below the tolerance
         curves = list(highorder_caustics.retina_curves)
         cloud = np.concatenate(curves)
-        geom = _PolylineDistance(curves)
+        result = symmetry_order(highorder_caustics)
+        geom = _PolylineDistance(curves, result.tolerance)
         want = 0.0
         for s in (1.0, -1.0):
             pts = _rotate(cloud, s * 2.0 * math.pi / 12, highorder_caustics.center)
             exact = brute_distances(curves, pts)
             np.testing.assert_array_equal(geom.distances(pts), exact)
             want = max(want, exact.max())
-        result = symmetry_order(highorder_caustics)
         assert (result.p, result.residual) == (12, want)
         assert result.residual == pytest.approx(2.98852e-4, rel=1e-5)
 
@@ -725,7 +789,7 @@ class TestFertility:
         # the saddle image must fall within the mapped image of its
         # fertility neighborhood (pupil gap times the local stretch)
         for a in analyses.values():
-            geom = _PolylineDistance(list(a.caustics.retina_curves))
+            curves = list(a.caustics.retina_curves)
             flags = fertility_report(a.search.saddles, a.contours)
             h = 2.0 / (a.contours.grid_resolution - 1)
             for flag, proj in zip(
@@ -739,7 +803,7 @@ class TestFertility:
                     float(np.hypot(*(img[2] - img[0]))),
                 ) / h
                 allowed = max(flag.min_distance, 2.0 * h) * stretch * 2.0
-                d = float(geom.distances(np.array([[proj.xi, proj.eta]]))[0])
+                d = float(brute_distances(curves, np.array([[proj.xi, proj.eta]]))[0])
                 assert d <= allowed
 
 

@@ -612,6 +612,22 @@ class TestRegionsCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "4", "--beta", "1e-320"],  # subnormal: gamma / beta loses bits
+        # a span, then an end in units of beta, that overflows on either axis
+        ["--n", "3", "--beta", "0.2", "--window=-1.7e308,1.7e308,0,1"],
+        ["--n", "3", "--beta", "0.2", "--window=1e308,1.7e308,0,1"],
+        ["--n", "3", "--beta", "0.2", "--window=0,1,-1.7e308,1.7e308"],
+        ["--n", "3", "--beta", "0.2", "--window=0,1,1e308,1.7e308"],
+    ])
+    def test_beta_or_window_out_of_range(self, flags, tmp_path, capsys):
+        # one error line and no numpy warning, which would raise here
+        out = tmp_path / "regions"
+        assert main(["regions", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("n,beta", [("5", "1e110"), ("3", "1e160"), ("4", "1e-200")])
     def test_extreme_beta_is_scaled_diagram(self, n, beta, tmp_path):
         # the cells are read in units of beta: bounds computed in

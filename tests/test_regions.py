@@ -744,6 +744,20 @@ class TestRegionDiagram:
         with pytest.raises(ValueError):
             region_diagram(4, beta, resolution=5)
 
+    @pytest.mark.parametrize("beta", [1e-320, 5e-324])
+    def test_subnormal_beta_rejected(self, beta):
+        # below the normal range the window in micrometres, and then
+        # gamma / beta, lose bits: at 1e-320 the default diagrams drew
+        # another family in 24-138 cells
+        with pytest.raises(ValueError, match="beta must be finite and at least 2.22507e-308"):
+            region_diagram(4, beta)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_smallest_normal_beta_is_scaled_diagram(self, n):
+        want = region_diagram(n, 0.2)
+        got = region_diagram(n, 2.2250738585072014e-308)
+        np.testing.assert_array_equal(got.family_codes, want.family_codes)
+
     def test_underflowing_gamma_window_is_quiet(self):
         # (gamma / beta)^2 underflows in n = 5's alpha_2: its rows get an
         # infinite bound, with no numpy warning on the command line
