@@ -212,8 +212,6 @@ def _clip_polyline_to_disk(points: np.ndarray):
     circle-intersection vertex of its entering and of its leaving segment
     added at its ends; pieces of fewer than two vertices are dropped."""
     inside = np.hypot(points[:, 0], points[:, 1]) <= 1.0 + 1e-12
-    if np.all(inside):
-        return [points]
     bounds = np.flatnonzero(np.diff(inside, prepend=False, append=False))
     pieces = []
     for s, e in bounds.reshape(-1, 2).tolist():
@@ -248,9 +246,8 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     # the mixed cells (codes 1..14; code 0 wraps to 255), less those whose
     # closest point to the origin lies outside the disk
     ci, cj = np.divmod(np.flatnonzero((code - 1) < 14), n - 1)
-    cx = np.clip(0.0, xs[:-1], xs[1:])
-    cy = np.clip(0.0, ys[:-1], ys[1:])
-    near = ~(cx[ci] ** 2 + cy[cj] ** 2 > 1.0)
+    side = np.clip(0.0, xs[:-1], xs[1:])  # xs and ys are one array
+    near = ~(side[ci] ** 2 + side[cj] ** 2 > 1.0)
     ci, cj = ci[near], cj[near]
     if ci.size == 0:
         return ContourSet((), resolution)
@@ -286,19 +283,14 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     nbr = np.full((len(nodes), 2), -1, dtype=np.intp)
     nbr[src, second.astype(np.intp)] = dst
 
-    # linear interpolation of the zero crossing along each edge
-    points = np.empty((len(nodes), 2))
+    # linear interpolation of the zero crossing along each edge (i, j) to
+    # (i1, j1); no node is -0.0, so adding t * 0.0 keeps the fixed axis
     h = nodes < h_count
-    i, j = np.divmod(nodes[h], n)
-    v0, v1 = values[i, j], values[i + 1, j]
+    i, j = np.divmod(np.where(h, nodes, nodes - h_count), np.where(h, n, n - 1))
+    i1, j1 = i + h, j + ~h
+    v0, v1 = values[i, j], values[i1, j1]
     t = v0 / (v0 - v1)
-    points[h, 0] = xs[i] + t * (xs[i + 1] - xs[i])
-    points[h, 1] = ys[j]
-    i, j = np.divmod(nodes[~h] - h_count, n - 1)
-    v0, v1 = values[i, j], values[i, j + 1]
-    t = v0 / (v0 - v1)
-    points[~h, 0] = xs[i]
-    points[~h, 1] = ys[j] + t * (ys[j + 1] - ys[j])
+    points = np.column_stack([xs[i] + t * (xs[i1] - xs[i]), ys[j] + t * (ys[j1] - ys[j])])
 
     polylines = []
     for chain in _stitch(nbr):
@@ -501,6 +493,8 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
 
 
 def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):
+    """(profile, bins, r, phi): each vertex's radius, angle in [0, 2 pi] and
+    angle bin about the centre, and each bin's largest radius (0 if empty)."""
     rel = cloud - centroid
     r = np.hypot(rel[:, 0], rel[:, 1])
     phi = np.arctan2(rel[:, 0], rel[:, 1]) % (2.0 * math.pi)
@@ -508,9 +502,7 @@ def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):
                      _PROFILE_BINS - 1)
     profile = np.zeros(_PROFILE_BINS)
     np.maximum.at(profile, idx, r)
-    occupied = np.zeros(_PROFILE_BINS, dtype=bool)
-    occupied[idx] = True
-    return profile, occupied, r, phi
+    return profile, idx, r, phi
 
 
 def _find_peaks(x: np.ndarray):
@@ -549,29 +541,28 @@ def _find_peaks(x: np.ndarray):
     return peaks[keep], prominences[keep]
 
 
-def _profile_peaks(profile, occupied, r, phi, threshold):
-    """Circular local maxima of the radial-extent profile.
+def _profile_peaks(profile, q, r, phi, threshold):
+    """Circular local maxima of `_radial_profile`'s profile, q its bins.
 
     Peaks are found on the periodically extended profile; each peak must
     exceed the visibility threshold and protrude by at least
     _PROMINENCE_REL of its own radius above its surroundings.  The tip
-    is the exact vertex of largest radius near the peak bin, the first
-    such vertex on a tie; adjacent peaks that share that vertex give one
-    tip.  Every peak's tip is picked in one pass over (peak, vertex) pairs,
-    each peak paired only with the vertices of its bin and the three on
-    either side: its window spans bins b - 2 to b + 2, and rounding moves
-    a vertex by far less than a bin."""
+    is the exact vertex of largest radius in bins b - 2 to b + 2 about the
+    peak bin b, the first such vertex on a tie; adjacent peaks that share
+    that vertex give one tip.  Every peak's tip is picked in one pass over
+    (peak, vertex) pairs, each peak paired only with the vertices in its
+    bin and the three on either side: a vertex's bin is at most one off
+    the bin its angle lies in."""
     bins = len(profile)
     idx, prominences = _find_peaks(np.tile(profile, 3))
     middle = (bins <= idx) & (idx < 2 * bins)
     b, prominences = idx[middle] - bins, prominences[middle]
-    radius = profile[b]
-    b = b[occupied[b] & ~(radius < threshold) & ~(prominences < _PROMINENCE_REL * radius)]
+    radius = profile[b]  # > 0 over a profile >= 0, so b holds a vertex
+    b = b[~(radius < threshold) & ~(prominences < _PROMINENCE_REL * radius)]
     width = 2.0 * math.pi / bins
     lo = (b - 2) * width
     span = (b + 3) * width - lo
     # the vertices by bin, in index order within a bin
-    q = np.minimum((phi / width).astype(np.intp), bins - 1)
     order = np.argsort(q, kind="stable")
     first = np.searchsorted(q[order], np.arange(bins + 1))
     near = (b[:, None] + np.arange(-3, 4)) % bins

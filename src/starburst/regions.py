@@ -603,7 +603,10 @@ def _curve_samples(n: int, beta: float, gammas: np.ndarray) -> dict[str, np.ndar
     if n in (5, 6):
         curves["sqrt15_beta-alpha2_plus"] = nb["sqrt15_beta"] - nb["alpha2_plus"]
         curves["sqrt15_beta-alpha2_minus"] = nb["sqrt15_beta"] - nb["alpha2_minus"]
-    return {k: np.column_stack([g, beta * a]) for k, a in curves.items()}
+    # an alpha beyond the float range becomes +-inf, which the figure leaves
+    # out with every point outside its alpha window; nothing else reads these
+    with np.errstate(over="ignore"):
+        return {k: np.column_stack([g, beta * a]) for k, a in curves.items()}
 
 
 def _tick_values(n: int, beta: float) -> dict[str, float]:

@@ -127,21 +127,27 @@ class TestContourExtraction:
     @pytest.mark.parametrize("name, grid, digest", [
         ("a", 64, "d3db3cfce01a67eebdc746243d48bd238d9700153e933bf361ae39d27d190d29"),
         ("a", 257, "e5bf76bb09227b522827d7dbd4ddef72fb433be6a35ccf70985ef847cc1f2b64"),
+        ("a", 1025, "4dbf72bbab88ac5676c167baeaa469137ba00e9044a87f1cb3100b216a729528"),
         ("b", 64, "e1fc6a6ae20d622d3bfafdf3021653629af1576cfc35905b280a90a3f6728ffb"),
         ("b", 257, "f57f0dca3ea0c2953da9afca7a0e2b4d7a6b4ca6c952d74f19e6e97396910b26"),
+        ("b", 1025, "2f54be3ed1af7f7b59bd35110b21ba5b160fe47d55e90654d549d1db10c74729"),
         ("c", 64, "7f24c5a7379ae2ceff39e7abbbc10c4339015b32e7406af45f98bcbd248fe601"),
         ("c", 257, "fadf825932a006d5ae66d2375939a7bfb2f3f2df79f56cb1b1b34ca703f8b435"),
+        ("c", 1025, "f1646ab091565dc767bc37402ef87a55dd261790b474123d3d3ecf07fe5f5ef6"),
         ("d", 64, "257ff1e85f9230e919ae1f2431d7d6e2ba406e2c66bf245d72a4aa5885146eaa"),
         ("d", 257, "a8eac4ea427da841bf9bd1d1113b7eac7e959e425120f9f9e180e36a4b754a7f"),
+        ("d", 1025, "828fe7035bbd6403f37e9194aa197aee576c6deba5af3e188ecb027fe57d8a36"),
     ])
     def test_asymmetric_contour_bytes_are_pinned(self, name, grid, digest):
         # sha256 of the polyline lengths (int64) and then every vertex's bytes.
         # Each wavefront has mixed cells outside the disk and saddle cells
-        # (codes 5 and 10) inside it at both grids.  Pinned before marching
+        # (codes 5 and 10) inside it at grids 64 and 257.  Pinned before marching
         # squares, stitching and clipping ran on arrays; b and d at grid 64
         # were pinned again when the rim intersection took plain products
         # instead of a BLAS dot, which moved four rim vertices (piece ends)
-        # by 1.1e-16
+        # by 1.1e-16.  Grid 1025 was pinned when one interpolation served
+        # both edge kinds: an odd grid has a node at exactly 0.0, and the
+        # digest includes the sign of every zero (9 to 12 vertices each)
         field = build_field(WaveAberration(
             tuple(ZernikeTerm(*t) for t in ASYMMETRIC_TERMS[name])))
         contours = extract_contours(field, grid)

@@ -628,6 +628,16 @@ class TestRegionsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["1e307,1.6e307,0,1", "-1e307,1e307,-1e307,1e307"])
+    def test_window_whose_curves_overflow(self, window, tmp_path, capsys):
+        # the window passes the checks, but the boundary curves' alpha
+        # overflows in micrometres at this beta: a numpy warning would raise
+        out = tmp_path / "regions"
+        assert main(["regions", "--n", "5", "--beta", "1e300", f"--window={window}",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((out / "regions_grid.csv").read_text().splitlines()) == 121 * 121 + 1
+
     @pytest.mark.parametrize("n,beta", [("5", "1e110"), ("3", "1e160"), ("4", "1e-200")])
     def test_extreme_beta_is_scaled_diagram(self, n, beta, tmp_path):
         # the cells are read in units of beta: bounds computed in

@@ -9,8 +9,11 @@ closed loops whose run of close vertices wraps the seam.
 `per_peak_profile_peaks` and `per_saddle_fertility` are the verdict's tip
 pick and `fertility_report` as they were before each became one array
 pass: one scan of every vertex per peak, with np.remainder, and one
-np.hypot of every vertex per saddle.  The tips and flags must match them
-field for field, bit for bit.
+np.hypot of every vertex per saddle.  The reference still skips a peak
+whose bin holds no vertex, counting the occupancy from the profile's
+vertex bins; the package reads its pairing bins from the same vertex
+bins, which can differ by one from floor(phi / width) on a bin edge.
+The tips and flags must match them field for field, bit for bit.
 
 The reference clip takes its circle intersection from the package: the
 earlier one computed it with ``@`` on 2-vectors, whose last bit depends on
@@ -288,10 +291,11 @@ def test_fixture_fertility_matches_reference(analyses, name):
     check_fertility(saddles, a.contours.polylines)
 
 
-def per_peak_profile_peaks(profile, occupied, r, phi, threshold):
-    """`_profile_peaks` as it was: every peak scans all vertices for the
-    ones in its five bins, with np.remainder."""
+def per_peak_profile_peaks(profile, vertex_bins, r, phi, threshold):
+    """`_profile_peaks` as it was: every peak with an occupied bin scans
+    all vertices for the ones in its five bins, with np.remainder."""
     bins = len(profile)
+    occupied = np.bincount(vertex_bins, minlength=bins) > 0
     idx, prominences = _find_peaks(np.tile(profile, 3))
     tips = {}
     width = 2.0 * math.pi / bins
@@ -420,11 +424,14 @@ def test_fertility_matches_per_saddle_reference(verdict_inputs, name):
 def test_profile_peaks_match_per_peak_reference_on_random_clouds(seed):
     # spiky clouds, with vertices at angle 0, just below 2 pi and (about
     # the origin) at exactly 2 pi after the remainder, so peak windows wrap
-    # both ends of the profile
+    # both ends of the profile; and one at each k 2 pi / 360, on the bin
+    # edges, where the profile's bin and floor(phi / width) can differ
     rng = np.random.default_rng(seed)
     count = int(rng.integers(50, 3000))
     t = rng.uniform(0.0, 2.0 * math.pi, count)
     t[:3] = [0.0, np.nextafter(2.0 * math.pi, 0.0), -1e-300]
+    t = np.concatenate([t, np.arange(360) * (2.0 * math.pi / 360)])
+    count = len(t)
     spikes = rng.integers(1, 13)
     radius = 1.0 + rng.uniform(0.1, 2.0) * np.cos(spikes * t + rng.uniform(0, 6)) ** 8
     radius += rng.normal(0.0, 0.01, count)
@@ -432,6 +439,8 @@ def test_profile_peaks_match_per_peak_reference_on_random_clouds(seed):
     cloud = center + np.column_stack([radius * np.sin(t), radius * np.cos(t)])
     profile = _radial_profile(cloud, center)
     assert seed % 2 or profile[3][2] == 2.0 * math.pi
+    floor_bins = np.minimum((profile[3] / (2.0 * math.pi / 360)).astype(np.intp), 359)
+    assert seed % 2 or np.any(profile[1] != floor_bins)
     for threshold in (0.5, 1.5):
         assert_same_tips(_profile_peaks(*profile, threshold),
                          per_peak_profile_peaks(*profile, threshold))
