@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import CriticalPoint, HessianField
-from .zernike import WaveAberration
+from .zernike import WaveAberration, _ranges
 
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
@@ -54,7 +54,6 @@ class ContourSet:
 
     polylines: tuple[np.ndarray, ...]
     grid_resolution: int
-    degenerate: bool = False
 
     def __iter__(self):
         return iter(self.polylines)
@@ -235,8 +234,6 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     if not MIN_GRID_RESOLUTION <= resolution <= MAX_GRID_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_GRID_RESOLUTION} "
                          f"and at most {MAX_GRID_RESOLUTION}")
-    if field.G.is_zero:
-        return ContourSet((), resolution, degenerate=True)
     n = resolution
     xs = ys = np.linspace(-1.0, 1.0, n)
     values = field.G.grid(xs, ys)
@@ -436,11 +433,6 @@ class _PolylineDistance:
         """min(largest distance, cap) of each of ``runs`` equal runs of the
         points, from one ``distances`` call."""
         return self.distances(points).reshape(runs, -1).max(axis=1)
-
-
-def _ranges(first, count):
-    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for every i, in turn."""
-    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from .zernike import (
     BivariatePolynomial,
     CapabilityError,
     WaveAberration,
+    _ranges,
     _trim,
     derivative,
     gathered_values,
@@ -441,7 +442,7 @@ def _dedup(fidx, x, y, gn, radius: float) -> np.ndarray:
     key = f[by_x] + 1j * px[by_x]
     count = np.searchsorted(key, key + 2j * radius, side="right") - np.arange(len(key)) - 1
     a = np.repeat(np.arange(len(key)), count)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    b = _ranges(np.arange(1, len(key) + 1), count)
     i, j = np.minimum(by_x[a], by_x[b]), np.maximum(by_x[a], by_x[b])
     near = np.hypot(px[i] - px[j], py[i] - py[j]) <= radius
     i, j = i[near], j[near]
@@ -625,8 +626,6 @@ def census_from_stacks(
             degenerate, notes = True, ["hessian determinant is constant"]
         elif gscale[f] == 0.0:
             degenerate, notes = True, ["gradient of G vanishes on the sample grid"]
-        elif n_seeds[f] == 0:
-            notes = ["no seeds"]
         elif n_kept[f] > _DEGENERATE_POINT_LIMIT:
             degenerate = True
             notes = [f"non-isolated critical set ({n_kept[f]} deduplicated points)"]

@@ -16,11 +16,13 @@ table in the (gamma, alpha) plane decides whether the even family's ring
 consists of saddles, with boundary curves alpha_1^+, alpha_2(^{+/-}),
 alpha_3 and gamma thresholds depending on n.  Every bound is beta times a
 function of gamma / beta, and G is homogeneous in (a, b, g), so both are
-solved at beta = 1: for any beta > 0 with |gamma / beta| below ~1e153.
+solved at beta = 1 (`_closed_form` scales and checks p once per call):
+for any beta > 0 with |gamma / beta| below ~1e153.
 
 Of a family's candidate radii, the saddle ring is the one where
-det(Hess G) < 0.  On a ring that determinant is a closed form in A' and B'
-(`_ring_det_hess_g`), so no polynomial field is built to choose it.
+det(Hess G) < 0.  On a ring that determinant is a closed form in A' - B',
+read from the slope that polished the root (`_family_rings`), so no
+polynomial field is built to choose it.
 
 Angle-family bookkeeping follows the package-wide polar convention
 (x, y) = (rho sin theta, rho cos theta).
@@ -78,26 +80,31 @@ class ABParams:
         terms = []
         if self.alpha != 0.0:
             terms.append(ZernikeTerm(2, 0, self.alpha))
-        if self.beta != 0.0:
-            terms.append(ZernikeTerm(4, 0, self.beta))
+        terms.append(ZernikeTerm(4, 0, self.beta))
         if self.gamma != 0.0:
             terms.append(ZernikeTerm(self.n, self.n, self.gamma))
         return WaveAberration(tuple(terms), pupil_radius=pupil_radius)
 
 
-def _require_closed_form(p: ABParams) -> None:
-    """ValueError unless the closed forms can solve p: beta > 0 (the tables
-    are stated for it; flipping the sign of beta would desynchronize the
-    reported angle families) and every coefficient of A -+ B is finite in
-    units of beta.  A's gamma^2 coefficient outgrows alpha_1^+, so
-    `_named_bounds` cannot overflow once this check passes."""
+def _closed_form(p: ABParams) -> ABParams:
+    """p in units of beta, (alpha / beta, 1, gamma / beta, n); its odd family
+    is the same at -gamma / beta.  ValueError unless the closed forms can
+    solve p: beta > 0 (the tables are stated for it; flipping the sign of
+    beta would desynchronize the reported angle families) and every ratio
+    and coefficient of A -+ B is finite.  A's gamma^2 coefficient outgrows
+    alpha_1^+, so `_named_bounds` cannot overflow once this check passes."""
     if p.beta <= 0.0:
         raise ValueError(
             "closed-form region predicates require beta > 0; "
             "re-express the aberration with positive spherical coefficient"
         )
-    if not all(map(math.isfinite, _ab_coefficients(_in_beta_units(p)))):
+    a, t = p.alpha / p.beta, p.gamma / p.beta
+    if not (math.isfinite(a) and math.isfinite(t)):
         raise ValueError(_OVERFLOW)
+    q = ABParams(a, 1.0, t, p.n)
+    if not all(map(math.isfinite, _ab_coefficients(q))):
+        raise ValueError(_OVERFLOW)
+    return q
 
 
 def _ab_coefficients(p: ABParams):
@@ -166,10 +173,22 @@ class RadiiResult:
         return self.even if family == EVEN_FAMILY else self.odd
 
 
-def _roots_in_unit_interval(p: ABParams) -> tuple[float, ...]:
-    """All roots of A - B in (0, 1), each polished by up to two guarded
-    Newton steps."""
-    c = _ab_polynomial(p, -1.0)
+def _family_rings(q: ABParams) -> list[tuple[float, float]]:
+    """(rho, det Hess G) of every root rho of A - B in (0, 1), in increasing
+    rho: the even family's candidate rings.  Each root is polished by up to
+    two guarded Newton steps, and its det is read from the slope the polish
+    ends on.
+
+    Z_n^n is harmonic, so G = P(rho) + Q(rho) cos(n theta) with
+    Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the even
+    meridians, where cos(n theta) = 1, dG/drho = 4 rho (A - B) and
+    dG/dtheta = d2G/drho dtheta = 0.  At a root of A - B the Hessian is
+    therefore diagonal in polar coordinates: G_rhorho = 4 rho (A' - B') and
+    G_thetatheta / rho^2 = 4 n c_b rho^(n-2), whose product is
+    16 n c_b rho^(n-1) (A' - B')(rho).
+    """
+    n, c_b = q.n, _ab_coefficients(q)[3]
+    c = _ab_polynomial(q, -1.0)
     if any(c[1::2]):
         roots = _real_roots(c)
     else:  # a polynomial in t = rho^2
@@ -188,8 +207,8 @@ def _roots_in_unit_interval(p: ABParams) -> tuple[float, ...]:
                 break
             rho, val, slope = cand, cand_val, cand_slope
         if 0.0 < rho < 1.0:
-            out.append(rho)
-    return tuple(sorted(out))
+            out.append((rho, 16.0 * n * c_b * rho ** (n - 1) * slope))
+    return sorted(out)
 
 
 _IMAG_TOL = 1e-10  # |imag| of a real root, relative to max(1, largest |root|)
@@ -217,14 +236,14 @@ def _real_roots(coeffs: list[float]) -> list[float]:
 
 def saddle_radii(p: ABParams) -> RadiiResult:
     """Candidate ring radii per angle family (roots of A -+ B in (0, 1)),
-    solved in units of beta as ``predict_saddles`` solves them."""
-    _require_closed_form(p)
+    the rings ``predict_saddles`` chooses among."""
+    q = _closed_form(p)
+    even, odd = (tuple(rho for rho, _ in _family_rings(ABParams(q.alpha, 1.0, s * q.gamma, q.n)))
+                 for _, s in _FAMILIES)
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
         # of critical points instead of isolated rings.
-        circle = _roots_in_unit_interval(_in_beta_units(p))
-        return RadiiResult(even=(), odd=(), degenerate_circle=circle, non_generic=True)
-    even, odd = (_roots_in_unit_interval(_in_beta_units(p, s)) for _, s in _FAMILIES)
+        return RadiiResult(even=(), odd=(), degenerate_circle=even, non_generic=True)
     return RadiiResult(even=even, odd=odd)
 
 
@@ -424,31 +443,6 @@ class SaddlePrediction:
         return tuple(r.family for r in self.rings)
 
 
-def _ring_det_hess_g(p: ABParams, rho: float) -> float:
-    """det(Hess G) on the even-family ring of radius rho, a root of A - B.
-
-    Z_n^n is harmonic, so G = P(rho) + Q(rho) cos(n theta) with
-    Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the even
-    meridians, where cos(n theta) = 1, dG/drho = 4 rho (A - B) and
-    dG/dtheta = d2G/drho dtheta = 0.  At a root of A - B the Hessian is
-    therefore diagonal in polar coordinates: G_rhorho = 4 rho (A' - B') and
-    G_thetatheta / rho^2 = 4 n c_b rho^(n-2), whose product is
-    16 n c_b rho^(n-1) (A' - B')(rho).
-    """
-    c_b = _ab_coefficients(p)[3]
-    slope = _horner(_ab_polynomial(p, -1.0), rho)[1]
-    return float(16.0 * p.n * c_b * rho ** (p.n - 1) * slope)
-
-
-def _in_beta_units(p: ABParams, sign: float = 1.0) -> ABParams:
-    """(alpha / beta, 1, sign * gamma / beta, n): the table and the ring radii
-    at beta = 1.  ValueError when a ratio overflows."""
-    a, t = p.alpha / p.beta, sign * p.gamma / p.beta
-    if not (math.isfinite(a) and math.isfinite(t)):
-        raise ValueError(_OVERFLOW)
-    return ABParams(a, 1.0, t, p.n)
-
-
 def predict_saddles(p: ABParams) -> SaddlePrediction:
     """Closed-form saddle census: count in {0, n, 2n}, rings, region label.
 
@@ -459,7 +453,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     the numerical census) become ill-conditioned.  Solved in units of
     beta, so the prediction at c * p is the prediction at p.
     """
-    _require_closed_form(p)
+    q = _closed_form(p)
     if p.gamma == 0.0:
         return SaddlePrediction(
             count=0,
@@ -472,17 +466,17 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     labels: list[str] = []
     warnings: list[str] = []
     boundary = False
-    slack = abs(p.gamma / p.beta)
+    slack = abs(q.gamma)
     for k, (family, s) in enumerate(_FAMILIES):
-        q = _in_beta_units(p, s)  # the family, as even
+        f = ABParams(q.alpha, 1.0, s * q.gamma, q.n)  # the family, as even
         strict_rows, loose_rows = [], []
-        for row in _family_rows(q.n, q.gamma):
-            for value, lo, hi in ((q.gamma, row.gamma_lo, row.gamma_hi),
-                                  (q.alpha, row.alpha_lo, row.alpha_hi)):
+        for row in _family_rows(f.n, f.gamma):
+            for value, lo, hi in ((f.gamma, row.gamma_lo, row.gamma_hi),
+                                  (f.alpha, row.alpha_lo, row.alpha_hi)):
                 for bound in (lo, hi):
                     if bound is not None and math.isfinite(bound):
                         slack = min(slack, abs(value - bound) / max(1.0, abs(bound)))
-            strict, loose = _row_state(q.gamma, q.alpha, row)
+            strict, loose = _row_state(f.gamma, f.alpha, row)
             if strict:
                 strict_rows.append(row)
             elif loose:
@@ -491,14 +485,13 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
             continue
         boundary = boundary or not strict_rows
         labels.append(f"{family}: " + (strict_rows or loose_rows)[0].labels[k])
-        candidates = _roots_in_unit_interval(q)
+        candidates = _family_rings(f)
         angles = tuple((2.0 * j + k) * math.pi / p.n for j in range(p.n))
-        chosen = [Ring(rho, family, angles) for rho in candidates
-                  if _ring_det_hess_g(q, rho) < 0.0]
+        chosen = [Ring(rho, family, angles) for rho, det in candidates if det < 0.0]
         if len(chosen) != 1:
             warnings.append(
                 f"{family} family: expected exactly one saddle ring, found "
-                f"{len(chosen)} among radii {candidates}"
+                f"{len(chosen)} among radii {tuple(rho for rho, _ in candidates)}"
             )
         rings.extend(chosen)
     if len(rings) != len(labels):
@@ -545,7 +538,9 @@ def admissible_gamma_interval(n: int, beta: float, alpha: float) -> tuple[float,
         raise ValueError("beta must be positive")
     # checks n and the finiteness of alpha, beta and the cap
     p = ABParams(alpha, beta, _GAMMA_CAP_FACTOR * beta, n)
-    a = _in_beta_units(p).alpha
+    a = p.alpha / p.beta
+    if not math.isfinite(a):
+        raise ValueError(_OVERFLOW)
     m = 2048
     ts = np.linspace(_GAMMA_CAP_FACTOR / m, _GAMMA_CAP_FACTOR, m)
     flags = _saddles_exist(p.n, a, ts)

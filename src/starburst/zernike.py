@@ -45,6 +45,11 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return np.array(c[: rows.max() + 1, : cols.max() + 1])
 
 
+def _ranges(first, count):
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for every i, in turn."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 def derivative(coeffs: np.ndarray, axis: int) -> np.ndarray:
     """Exact partial derivative along axis 0 (x) or 1 (y) of every
     polynomial of a (DX, DY, ...) coefficient stack: polyder's j * c[j], in

@@ -73,11 +73,10 @@ class TestContourExtraction:
         field = build_field(WaveAberration((ZernikeTerm(2, 0, 0.3),)))
         contours = extract_contours(field, 128)
         assert len(contours) == 0
-        assert not contours.degenerate
 
-    def test_zero_g_flagged_degenerate(self):
+    def test_zero_g_yields_empty_set(self):
         contours = extract_contours(build_field(WaveAberration(())), 128)
-        assert contours.degenerate
+        assert len(contours) == 0
 
     def test_resolution_validation(self):
         field = build_field(WaveAberration((ZernikeTerm(2, 0, 0.3),)))

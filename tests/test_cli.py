@@ -619,6 +619,8 @@ class TestRegionsCommand:
         ["--n", "3", "--beta", "0.2", "--window=1e308,1.7e308,0,1"],
         ["--n", "3", "--beta", "0.2", "--window=0,1,-1.7e308,1.7e308"],
         ["--n", "3", "--beta", "0.2", "--window=0,1,1e308,1.7e308"],
+        # a finite window whose (gamma / beta)^2 overflows the boundary curves
+        ["--n", "3", "--beta", "0.2", "--window=1e200,2e200,0,1"],
     ])
     def test_beta_or_window_out_of_range(self, flags, tmp_path, capsys):
         # one error line and no numpy warning, which would raise here

@@ -28,8 +28,8 @@ from starburst.regions import (
     SUPPORTED_ORDERS,
     _ab_polynomial,
     _family_rows,
+    _family_rings,
     _named_bounds,
-    _ring_det_hess_g,
     _Row,
     _row_state,
     _saddles_exist,
@@ -179,6 +179,18 @@ class TestSaddleRadii:
                 assert len(radii.for_family(family)) == changes, (p, family)
                 checked += 1
         assert checked >= 790
+
+
+def pin_draw(n: int, k: int) -> ABParams:
+    """The k-th draw (from 0) of a seeded run over the order-n diagram
+    window, beta uniform in [0.1, 0.3)."""
+    rng = np.random.default_rng(450 + n)
+    g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
+    for _ in range(k + 1):
+        beta = float(rng.uniform(0.1, 0.3))
+        p = ABParams(float(rng.uniform(a0, a1)) * beta, beta,
+                     float(rng.uniform(g0, g1)) * beta, n)
+    return p
 
 
 @functools.cache
@@ -347,9 +359,11 @@ class TestIndependentDerivation:
         for p in fixtures + [ABParams(f.alpha, f.beta, -f.gamma, n) for f in fixtures] + draws:
             at = {a: sp.Rational(p.alpha), b: sp.Rational(p.beta), g: sp.Rational(p.gamma)}
             roots = sp.Poly(a_minus_b.subs(at), rho).nroots(n=30)
-            for r in (r for r in roots if r.is_real and 0 < r < 1):
+            roots = sorted(r for r in roots if r.is_real and 0 < r < 1)
+            for r, (got_rho, got_det) in zip(roots, _family_rings(p), strict=True):
                 want = float(sp.N(det.subs(at).subs(rho, r), 30))
-                assert _ring_det_hess_g(p, float(r)) == pytest.approx(want, rel=1e-9)
+                assert got_rho == pytest.approx(float(r), abs=1e-13)
+                assert got_det == pytest.approx(want, rel=1e-9)
                 signs.add(want < 0.0)
         assert signs == {True, False}  # saddle and extremum rings alike
 
@@ -492,6 +506,108 @@ class TestPredictSaddles:
         pred = predict_saddles(ABParams(SQRT15 * 0.2, 0.2, 0.15, 4))
         assert pred.boundary
 
+    @pytest.mark.parametrize("p, pin", [
+        *(pytest.param(pin_draw(n, k), tuple(pin), id=f"n{n}-draw{k}") for n, k, *pin in [
+            (3, 0, 0, "outside all saddle regions",
+                False, (), "0x1.b8756e53c7f09p-1",
+                (),
+                ((), (), ())),
+            (3, 1, 3, "even: gamma<0, alpha1+<alpha<alpha2",
+                False, (), "0x1.4410cf3dfa562p-3",
+                (("0x1.e58d7b287da15p-1", "even"),),
+                (("0x1.e58d7b287da15p-1",), (), ())),
+            (3, 112, 3, "odd: gamma>0, alpha1-<alpha<alpha2",
+                False, (), "0x1.4ac66beef65d9p-4",
+                (("0x1.1b01c3ab2a956p-4", "odd"),),
+                (("0x1.76a84bf3ff9e5p-1",), ("0x1.1b01c3ab2a956p-4",), ())),
+            (4, 0, 0, "outside all saddle regions",
+                False, (), "0x1.ae862a1d3b275p-2",
+                (),
+                ((), (), ())),
+            (4, 1, 4, "even: -3*sqrt(2)*beta<gamma<0, alpha1+<alpha<sqrt(15)*beta",
+                False, (), "0x1.3f76bc93e76a6p-2",
+                (("0x1.75b21fcd91ce2p-2", "even"),),
+                (("0x1.75b21fcd91ce2p-2",), (), ())),
+            (4, 60, 4, "even: -3*sqrt(2)*beta<gamma<0, alpha1+<alpha<sqrt(15)*beta",
+                False, (), "0x1.9137605bcbc80p-3",
+                (("0x1.c5261a6134bdap-2", "even"),),
+                (("0x1.c5261a6134bdap-2",), ("0x1.f16b99f231215p-2",), ())),
+            (5, 0, 5, "odd: gamma<-gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1-",
+                False, (), "0x1.3be31b99a2855p-2",
+                (("0x1.1b88a1f403ba4p-1", "odd"),),
+                (("0x1.e4c1358fad60ap-1",), ("0x1.1b88a1f403ba4p-1",), ())),
+            (5, 3, 5, "odd: gamma>gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
+                False, (), "0x1.893defc86c044p-4",
+                (("0x1.3cd0866d36cb0p-1", "odd"),),
+                ((), ("0x1.3cd0866d36cb0p-1",), ())),
+            (5, 11, 0, "outside all saddle regions",
+                False, (), "0x1.35b8f29629e5bp-1",
+                (),
+                ((), (), ())),
+            (5, 103, 10, "even: -gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta; "
+                "odd: gamma<-gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1-",
+                False, (), "0x1.815380c508454p-3",
+                (("0x1.524f2455a68d5p-2", "even"), ("0x1.968db689b5432p-1", "odd")),
+                (("0x1.524f2455a68d5p-2",), ("0x1.e49190378db6ap-2", "0x1.968db689b5432p-1"), ())),
+            (5, 1057, 10, "even: gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+; "
+                "odd: gamma>gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
+                False, (), "0x1.d7491dcac8d81p-7",
+                (("0x1.b5e1ebea0a034p-4", "odd"), ("0x1.1532a21ce6618p-2", "even")),
+                (("0x1.31e6a8b7b0e1ap-3", "0x1.1532a21ce6618p-2"),
+                 ("0x1.b5e1ebea0a034p-4", "0x1.eeb1d1237e099p-1"), ())),
+            (6, 0, 0, "outside all saddle regions",
+                False, (), "0x1.dd760855bc510p-2",
+                (),
+                ((), (), ())),
+            (6, 1, 6, "odd: gamma<-gamma1-, sqrt(15)*beta+alpha2-<alpha<alpha1-",
+                False, (), "0x1.a8aab1d4f2f6bp-1",
+                (("0x1.3d005224946f1p-1", "odd"),),
+                (("0x1.9c3089697d9fbp-1",), ("0x1.3d005224946f1p-1",), ())),
+            (6, 2, 6, "odd: gamma<-gamma1-, sqrt(15)*beta+alpha2-<alpha<alpha1-",
+                False, (), "0x1.44b01166aa672p-3",
+                (("0x1.e9f6b8fe3f0a9p-1", "odd"),),
+                ((), ("0x1.e9f6b8fe3f0a9p-1",), ())),
+            (6, 110, 12, "even: gamma>gamma1-, sqrt(15)*beta-alpha2-<alpha<alpha1+; "
+                "odd: gamma>=gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
+                False, (), "0x1.983525bc917dbp-4",
+                (("0x1.6824deccc84aap-3", "odd"), ("0x1.f77b6f13c65ecp-2", "even")),
+                (("0x1.894e42bbcc776p-3", "0x1.f77b6f13c65ecp-2"),
+                 ("0x1.6824deccc84aap-3", "0x1.d95f910f94828p-1"), ())),
+            (6, 129, 12, "even: -gamma1+<gamma<0, alpha1+<alpha<sqrt(15)*beta; "
+                "odd: gamma<-gamma1-, sqrt(15)*beta+alpha2-<alpha<alpha1-",
+                False, (), "0x1.0fac6dc7507c0p-4",
+                (("0x1.4178c94bf8ddep-2", "even"), ("0x1.57b363482f71dp-1", "odd")),
+                (("0x1.4178c94bf8ddep-2",), ("0x1.76c705d49f5ddp-2", "0x1.57b363482f71dp-1"), ())),
+        ]),
+        pytest.param(ABParams(0.1, 0.2, 0.0, 4),
+                     (0, "gamma=0: axially symmetric, no isolated saddles",
+                      False, (), "0x0.0p+0",
+                      (),
+                      ((), (), ("0x1.13dcf454d5607p-1",))), id="gamma-zero"),
+        pytest.param(ABParams(SQRT15 * 0.2, 0.2, 0.15, 4),
+                     (4, "odd: 0<gamma<3*sqrt(2)*beta, alpha1-<alpha<sqrt(15)*beta",
+                      True, ("odd family: expected exactly one saddle ring, found 0 among radii ()",
+                             "ring selection and inequality table disagree"), "0x0.0p+0",
+                      (),
+                      ((), (), ())), id="boundary"),
+        pytest.param(ABParams(0.3e160, 1e160, 1.5e160, 5),
+                     (5, "odd: gamma>gamma1+, sqrt(15)*beta-alpha2+<alpha<sqrt(15)*beta",
+                      False, (), "0x1.2c385dc76e5d1p-4",
+                      (("0x1.ea05b3a399113p-2", "odd"),),
+                      ((), ("0x1.ea05b3a399113p-2",), ())), id="huge-beta"),
+    ])
+    def test_results_are_pinned(self, p, pin):
+        # (count, label, boundary, warnings, slack, rings, (even, odd,
+        # circle) radii) to the bit: the first seeded draw per n of each
+        # kind, by saddle rings and candidate radii, then the gamma = 0, the
+        # boundary and the huge-beta cases
+        pred, radii = predict_saddles(p), saddle_radii(p)
+        got = (pred.count, pred.region_label, pred.boundary, pred.warnings,
+               pred.boundary_slack.hex(), tuple((r.rho.hex(), r.family) for r in pred.rings),
+               tuple(tuple(rho.hex() for rho in rs)
+                     for rs in (radii.even, radii.odd, radii.degenerate_circle)))
+        assert got == pin
+
 
 class TestRingDeterminant:
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
@@ -509,9 +625,11 @@ class TestRingDeterminant:
             radii = saddle_radii(p)
             for family, s in ((EVEN_FAMILY, 1.0), (ODD_FAMILY, -1.0)):
                 theta = 0.0 if family == EVEN_FAMILY else math.pi / n
-                as_even = ABParams(p.alpha, p.beta, s * p.gamma, n)
-                for rho in radii.for_family(family):
-                    det = _ring_det_hess_g(as_even, rho)
+                rings = _family_rings(ABParams(p.alpha, p.beta, s * p.gamma, n))
+                # solved in micrometres here and in units of beta by saddle_radii
+                assert [rho for rho, _ in rings] == pytest.approx(radii.for_family(family),
+                                                                  abs=1e-13)
+                for rho, det in rings:
                     want = det_hess_g(field, rho * math.sin(theta), rho * math.cos(theta))
                     assert (det < 0.0) == (want < 0.0)
                     assert det == pytest.approx(want, rel=1e-9)
