@@ -13,6 +13,12 @@ per entry of its coefficient arrays, so both give the same bits for the
 same W.  The census takes G alone, as a stack of coefficient arrays, and
 derives G's first and second derivatives itself, once per call.
 
+A W whose terms `mirror_order` accepts (alpha Z_2^0 + beta Z_4^0 + gamma
+Z_n^n, and a constant) has every critical point of G on its 2n mirror
+meridians; `mirror_census` finds them as the certified roots of G's
+restriction to two of them, and `find_critical_points` runs it for such a
+field.  The 2-D seeded search below is the census of every other W.
+
 The search is deterministic: seeds come from fixed grids, one Newton
 kernel (`_newton`) runs data-parallel over points and fields, and results
 are deduplicated and listed ring by ring (`_ring_order`).  A field whose W
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regions import _horner, _real_roots
 from .zernike import (
     MAX_RADIAL_ORDER,
     BivariatePolynomial,
@@ -68,15 +75,18 @@ class PointClass(str, enum.Enum):
 @dataclass(frozen=True)
 class HessianField:
     """The four polynomials the pipeline reads: W, its gradient (Wx, Wy)
-    and G = Wxx Wyy - Wxy^2; and ``fold``, the order g of a rotation
-    symmetry of W (`WaveAberration.fold_order`), which the census exploits
-    when g >= 2."""
+    and G = Wxx Wyy - Wxy^2; ``fold``, the order g of a rotation symmetry
+    of W (`WaveAberration.fold_order`), which the census exploits when
+    g >= 2; and ``mirror``, for a W that `mirror_order` accepts, the G of W
+    turned by pi / g, else None: `find_critical_points` then runs
+    `mirror_census`."""
 
     W: BivariatePolynomial
     Wx: BivariatePolynomial
     Wy: BivariatePolynomial
     G: BivariatePolynomial
     fold: int
+    mirror: BivariatePolynomial | None = None
 
 
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
@@ -106,40 +116,82 @@ def _determinant_stack(w: np.ndarray):
     return wx, wy, _trim(g)
 
 
-def field_from_polynomial(w_poly: BivariatePolynomial, fold: int) -> HessianField:
+def field_from_polynomial(w_poly: BivariatePolynomial, fold: int,
+                          turned: BivariatePolynomial | None = None) -> HessianField:
     """The field of W given as a polynomial, with ``fold`` the order of its
-    rotation symmetry (1 assumes none); ValueError as `_determinant_stack`."""
+    rotation symmetry (1 assumes none) and ``turned`` the polynomial of W
+    turned by pi / fold when `mirror_order` accepts W (its ``mirror`` is
+    that W's G); ValueError as `_determinant_stack`."""
     if w_poly.degree > MAX_RADIAL_ORDER:
         raise CapabilityError(
             f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
         )
     wx, wy, g = (BivariatePolynomial(p) for p in _determinant_stack(w_poly.coeffs))
-    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=g, fold=fold)
+    mirror = None if turned is None else BivariatePolynomial(_determinant_stack(turned.coeffs)[2])
+    return HessianField(W=w_poly, Wx=wx, Wy=wy, G=g, fold=fold, mirror=mirror)
 
 
-def _require_squarable(g_hess: np.ndarray, r: float) -> None:
-    """ValueError unless the values of G and of Hess G of each field of a
-    (G, Gxx, Gxy, Gyy) stack on the disk of radius r can be squared, as
-    det(Hess G) = Gxx Gyy - Gxy^2 squares Hess G's.  Each polynomial's
+def _require_squarable(g: np.ndarray, hess: np.ndarray, r: float) -> None:
+    """ValueError unless every coefficient of the stack ``g`` is finite and
+    the values of Hess G of each field of the (Gxx, Gxy, Gyy) stack
+    ``hess`` on the disk of radius r can be squared, as det(Hess G) = Gxx
+    Gyy - Gxy^2 squares them; nothing squares G itself.  Each polynomial's
     sum |c_ij| r^(i+j), the Horner value of |c| at (r, r), bounds its values
-    there; twice the square of G's bound, and of the largest of Gxx, Gxy and
-    Gyy's, must each be 0 or a normal float (NaN fails too).  Hess G is R^2
-    smaller than G on a disk of radius R, so neither bound stands for both."""
+    there; twice the square of the largest of the three bounds must be 0 or
+    a normal float (NaN fails too)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = grid_values(np.abs(g_hess), [r], [r])[..., 0, 0]
-        bound = np.stack([bound[0], bound[1:].max(axis=0)])
+        bound = grid_values(np.abs(hess), [r], [r])[..., 0, 0].max(axis=0)
         square = 2.0 * bound * bound
-    if not np.isfinite(square).all():
+    if not (np.isfinite(square).all() and np.isfinite(g).all()):
         raise ValueError(_OVERFLOW)
     if np.any((bound != 0.0) & (square < np.finfo(float).tiny)):
         raise ValueError(_UNDERFLOW)
 
 
+def mirror_order(modes, coeffs) -> int:
+    """n when every W = sum_k coeffs[k] Z(modes[k]) of the coefficient
+    arrays has its mirror census: its nonzero terms lie in {Z_0^0, Z_2^0,
+    Z_4^0, Z_n^n} with Z_4^0 and Z_n^n nonzero and 2 <= n <= 12; else 0.
+
+    Such a G is P(rho) + Q(rho) cos(n theta) with Q = -k_n beta gamma rho^n,
+    k_n > 0, so dG/dtheta = 0 forces sin(n theta) = 0 off the centre: every
+    critical point lies on one of the 2n mirror meridians theta = k pi / n.
+    This is the one place that picks the census of a W."""
+    nonzero = {mode: c for mode, c in zip(modes, np.asarray(coeffs, dtype=float))
+               if np.any(c != 0.0)}
+    harmonic = set(nonzero) - {(0, 0), (2, 0), (4, 0)}
+    if len(harmonic) != 1 or (4, 0) not in nonzero:
+        return 0
+    ((n, m),) = harmonic
+    return n if (m == n and 2 <= n <= MAX_RADIAL_ORDER and np.all(nonzero[4, 0] != 0.0)
+                 and np.all(nonzero[n, n] != 0.0)) else 0
+
+
+def _turned(w: WaveAberration) -> BivariatePolynomial | None:
+    """The polynomial of W turned by pi / n, its Z_n^n coefficient negated,
+    when `mirror_order` accepts W; else None.  Built from W's coefficients:
+    turning G itself by pi / n would not be exact."""
+    modes, coeffs = [(t.n, t.m) for t in w.terms], [t.coeff for t in w.terms]
+    n = mirror_order(modes, coeffs)
+    return BivariatePolynomial(wavefront_stack(modes, [
+        -c if mode == (n, n) else c for mode, c in zip(modes, coeffs)])) if n else None
+
+
 def build_field(w: WaveAberration) -> HessianField:
-    """The full derivative field of a wave aberration; ValueError when it
-    overflows or underflows (`_determinant_stack`).  Whether the census can
-    square G is the census's check."""
-    return field_from_polynomial(w.to_polynomial(), w.fold_order())
+    """The full derivative field of a wave aberration, with its ``mirror``
+    when `mirror_order` accepts W; ValueError when it overflows or
+    underflows (`_determinant_stack`).  Whether the census can square Hess G
+    is the census's check."""
+    return field_from_polynomial(w.to_polynomial(), w.fold_order(), _turned(w))
+
+
+def dilated_field(w: WaveAberration, factor: float) -> HessianField:
+    """The field of W(x / factor, y / factor), with its ``mirror`` when
+    `mirror_order` accepts W; ValueError as
+    `BivariatePolynomial.rescale_domain` and `_determinant_stack`."""
+    turned = _turned(w)
+    return field_from_polynomial(w.to_polynomial().rescale_domain(factor), w.fold_order(),
+                                 None if turned is None else turned.rescale_domain(factor))
 
 
 def _stack(arrays) -> np.ndarray:
@@ -156,8 +208,8 @@ def _stack(arrays) -> np.ndarray:
 def three_term_stacks(n: int, alpha, beta, gamma) -> np.ndarray:
     """G's (DX, DY, fields) coefficient stack for W = alpha Z_2^0 + beta Z_4^0
     + gamma Z_n^n, one field per entry of the coefficient arrays, with the
-    bits of `build_field`'s G of the same W; ValueError as
-    `_determinant_stack`."""
+    bits of `build_field`'s G of the same W (at -gamma, of its ``mirror``);
+    ValueError as `_determinant_stack`."""
     return _determinant_stack(wavefront_stack(((2, 0), (4, 0), (n, n)),
                                               [alpha, beta, gamma]))[2]
 
@@ -195,10 +247,11 @@ class CriticalPoint:
 @dataclass(frozen=True)
 class CriticalPointSearch:
     """Deduplicated critical points in ring order (`_ring_order`) plus
-    diagnostics: ``gradient_scale`` is the largest |grad G| on the nodes of
-    the zoom-1 seed grid, cropped to the field's fold (`_grid_axes`), which
-    sets the Newton tolerances; 0 when G is constant or its gradient
-    vanishes there."""
+    diagnostics: ``gradient_scale`` is, for `census_from_stacks`, the
+    largest |grad G| on the nodes of the zoom-1 seed grid, cropped to the
+    field's fold (`_grid_axes`), which sets the Newton tolerances (0 when G
+    is constant or its gradient vanishes there); for `mirror_census`, the
+    bound of |dG/dy| on its mirror segments."""
 
     points: tuple[CriticalPoint, ...]
     degenerate: bool = False
@@ -536,17 +589,66 @@ def find_critical_points(
     field: HessianField, domain_radius: float = 1.0
 ) -> CriticalPointSearch:
     """Locate all cusps of Gauss inside the disk of radius ``domain_radius``
-    (the unit pupil, or a dilated one): `census_from_stacks` of one."""
+    (the unit pupil, or a dilated one): `mirror_census` of one when the
+    field carries its ``mirror``, else `census_from_stacks` of one."""
+    if field.mirror is not None:
+        return mirror_census(field.G.coeffs[:, :, None], field.mirror.coeffs[:, :, None],
+                             field.fold, domain_radius)[0]
     return census_from_stacks(field.G.coeffs[:, :, None], field.fold, domain_radius)[0]
+
+
+def _prepared(g, fold, domain_radius):
+    """(G trimmed, the (G, Gxx, Gxy, Gyy) stack, (Gx, Gy, Gxx, Gxy, Gyy))
+    for a census of the (DX, DY, fields) stack ``g``; ValueError for a
+    domain radius that is not positive and finite, a ``g`` that is not a
+    stack, a ``fold`` that is not a non-negative integer, or as
+    `_require_squarable`."""
+    if not (domain_radius > 0 and math.isfinite(domain_radius)):
+        raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 3:  # a lone polynomial's columns would pass for fields
+        raise ValueError(f"g must be a (DX, DY, fields) coefficient stack, got shape {g.shape}")
+    if isinstance(fold, bool) or not isinstance(fold, int) or fold < 0:
+        raise ValueError(f"fold must be a non-negative integer, got {fold!r}")
+    g = _trim(g)
+    with np.errstate(over="ignore"):  # reported by _require_squarable
+        gx, gy = derivative(g, 0), derivative(g, 1)
+        gxx, gxy, gyy = derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)
+    g_hess = _stack([g, gxx, gxy, gyy])  # the located points' values
+    _require_squarable(g, g_hess[:, :, 1:], domain_radius)
+    return g, g_hess, (gx, gy, gxx, gxy, gyy)
+
+
+def _classed_points(g, g_hess, fidx, x, y, R: float) -> list[tuple]:
+    """Each field's points (fidx, x, y), located (`_locate`), with G and
+    det Hess G from the (G, Gxx, Gxy, Gyy) stack ``g_hess`` and classed by
+    the sign of det Hess G outside its rounding bound
+    (`_det_rounding_bound`), in ring order (`_ring_order`)."""
+    located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
+    px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
+    values = gathered_values(g_hess, fidx, px, py)
+    size = gathered_values(np.abs(g_hess[:, :, 1:]), fidx, np.abs(px), np.abs(py))
+    degree = np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
+    bound = _det_rounding_bound(values[1:], size, 2 * degree[fidx])
+    points: list[list[CriticalPoint]] = [[] for _ in range(g.shape[-1])]
+    for (cx, cy, r, theta, on_boundary), f, value, a, b, d, e in zip(
+            located, fidx.tolist(), *values, bound):
+        # b ** 2 of a numpy float is pow(), which can differ from b * b in
+        # the last bit; the determinants reported have always used it
+        det = float(a * d - b**2)
+        kind = (PointClass.SADDLE if det < -e else
+                PointClass.EXTREMUM if det > e else PointClass.DEGENERATE)
+        points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(value), det, on_boundary))
+    return [_ring_order(p, R) for p in points]
 
 
 def census_from_stacks(
     g: np.ndarray, fold: int, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of G's
-    coefficients, inside the disk of radius ``domain_radius``.  G's first
-    and second derivatives are taken here, once per call, with
-    `zernike.derivative`.
+    coefficients, inside the disk of radius ``domain_radius``, by the 2-D
+    seeded Newton search.  G's first and second derivatives are taken here,
+    once per call, with `zernike.derivative`.
 
     ``fold`` is the fold g every field of the stack shares: G is unchanged
     by a turn of 2 pi / g, as it is when W is (for g <= 1 nothing is
@@ -561,28 +663,15 @@ def census_from_stacks(
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
-    axially symmetric W).  ValueError as `_require_squarable`, or when
-    ``fold`` is not a non-negative integer.
+    axially symmetric W).  ValueError as `_prepared`.
     """
-    if not (domain_radius > 0 and math.isfinite(domain_radius)):
-        raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
     R = domain_radius
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 3:  # a lone polynomial's columns would pass for fields
-        raise ValueError(f"g must be a (DX, DY, fields) coefficient stack, got shape {g.shape}")
-    if isinstance(fold, bool) or not isinstance(fold, int) or fold < 0:
-        raise ValueError(f"fold must be a non-negative integer, got {fold!r}")
+    g, g_hess, derivatives = _prepared(g, fold, R)
     n_fields = g.shape[-1]
-    g = _trim(g)
-    with np.errstate(over="ignore"):  # reported by _require_squarable
-        gx, gy = derivative(g, 0), derivative(g, 1)
-        gxx, gxy, gyy = derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)
-    g_hess = _stack([g, gxx, gxy, gyy])  # the located points' values
-    _require_squarable(g_hess, R)
     if not n_fields:
         return []
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
-    newton = _stack([gx, gy, gxx, gxy, gyy])  # seeding (the first two), Newton
+    newton = _stack(derivatives)  # seeding (the first two), Newton
     fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, fold)
     accept_tol, floor_tol = GRADIENT_TOL * gscale, 1e-16 * gscale
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
@@ -603,21 +692,7 @@ def census_from_stacks(
     kept = n_kept[fidx] <= _DEGENERATE_POINT_LIMIT
     fidx, x, y = fidx[kept], x[kept], y[kept]
     n_off = np.bincount(fidx[np.hypot(x, y) > DEDUP_RADIUS * R], minlength=n_fields)
-    located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
-    px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
-    values = gathered_values(g_hess, fidx, px, py)
-    size = gathered_values(np.abs(g_hess[:, :, 1:]), fidx, np.abs(px), np.abs(py))
-    degree = np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
-    bound = _det_rounding_bound(values[1:], size, 2 * degree[fidx])
-    points: list[list[CriticalPoint]] = [[] for _ in range(n_fields)]
-    for (cx, cy, r, theta, on_boundary), f, value, a, b, d, e in zip(
-            located, fidx.tolist(), *values, bound):
-        # b ** 2 of a numpy float is pow(), which can differ from b * b in
-        # the last bit; the determinants reported have always used it
-        det = float(a * d - b**2)
-        kind = (PointClass.SADDLE if det < -e else
-                PointClass.EXTREMUM if det > e else PointClass.DEGENERATE)
-        points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(value), det, on_boundary))
+    points = _classed_points(g, g_hess, fidx, x, y, R)
 
     results = []
     for f in range(n_fields):
@@ -636,7 +711,149 @@ def census_from_stacks(
                 notes.append(f"off-centre count {n_off[f]} is not a multiple of "
                              f"the {fold}-fold symmetry")
         results.append(CriticalPointSearch(
-            _ring_order(points[f], R), degenerate, "; ".join(notes), float(gscale[f])))
+            points[f], degenerate, "; ".join(notes), float(gscale[f])))
+    return results
+
+
+def _polish(c, x):
+    """Each root x of the polynomials c (as `regions._horner` reads them)
+    after up to two guarded Newton steps, the polish of
+    `regions._family_rings` on arrays: a step is taken where it lowers
+    |value|, so a zero slope, or a step whose value overflows, is refused,
+    and a root that refuses a step refuses the next."""
+    value, slope = _horner(c, x)
+    for _ in range(2):
+        with np.errstate(all="ignore"):
+            cand = x - value / slope
+            cand_value, cand_slope = _horner(c, cand)
+        take = abs(cand_value) < abs(value)
+        x, value, slope = (np.where(take, new, old) for new, old in
+                           ((cand, x), (cand_value, value), (cand_slope, slope)))
+    return x
+
+
+def _root_count(coeffs: list[float]) -> int | None:
+    """The number of distinct real roots in (0, 1) of the polynomial P of
+    ascending float coefficients, by Descartes' rule of signs on dyadic
+    halvings of (0, 1) (Collins & Akritas, 1976): the sign variations of
+    (1 + x)^d P(1 / (1 + x)) bound P's roots in (0, 1) and share their
+    parity, and P_L(x) = 2^d P(x / 2), P_R(x) = P_L(x + 1) move the halves
+    onto (0, 1).  Floats are dyadic rationals, so the coefficients, scaled to
+    integers, are transformed exactly.  None when a halving point is a root,
+    or an interval narrower than DEDUP_RADIUS still has two variations or
+    more (a double root, or two roots that close)."""
+    def shifted(p):  # p(x + 1), by repeated synthetic division
+        p = list(p)
+        for i in range(len(p) - 1):
+            for j in range(len(p) - 2, i - 1, -1):
+                p[j] += p[j + 1]
+        return p
+
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = max(m for _, m in ratios)
+    d, count, todo = len(coeffs) - 1, 0, [([n * (den // m) for n, m in ratios], 1.0)]
+    while todo:
+        p, width = todo.pop()
+        signs = [c > 0 for c in shifted(p[::-1]) if c]
+        variations = sum(a != b for a, b in zip(signs, signs[1:]))
+        if variations <= 1:
+            count += variations
+            continue
+        left = [c << (d - k) for k, c in enumerate(p)]
+        right = shifted(left)
+        if width < DEDUP_RADIUS or not right[0]:
+            return None
+        todo += [(left, width / 2.0), (right, width / 2.0)]
+    return count
+
+
+def mirror_census(
+    g: np.ndarray, turned: np.ndarray, fold: int, domain_radius: float = 1.0
+) -> list[CriticalPointSearch]:
+    """Census of every field of ``g``, a (DX, DY, fields) stack of the G of
+    wavefronts of order n = ``fold`` that `mirror_order` accepts, inside the
+    disk of radius R = ``domain_radius``, from the roots of G on its mirror
+    lines; ``turned`` stacks the G of the same W turned by pi / n (Z_n^n
+    negated), which puts the mirror theta = pi / n on +y exactly.
+
+    W is even in x, so on +y Gx = 0, and the critical points there are the
+    roots of p(y) = dG/dy(0, y), whose coefficients are j c[0, j]; y = 0 is
+    the centre.  q = p / y is solved in u = y / R for every field and mirror
+    at once (`regions._real_roots`, then `_polish`), a root within
+    d = DEDUP_RADIUS of another is dropped, and each root in
+    (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points, valued and
+    classed as `census_from_stacks` classes its points.  A root is certified
+    when q changes sign across [u - d, u + d] (from 0 when u < d), an
+    interval that meets no other root's, and |q| exceeds Horner's a-priori
+    rounding bound gamma_m sum |a_k| |u|^k at both ends (Higham 2002, §5.1),
+    with m = 2 deg G as in `_det_rounding_bound`.  The roots in (0, 1) are
+    complete when their number certified equals `_root_count` of q; then any
+    other candidate in (0, 1) is no root, and is dropped.  Each failed check
+    is named in the field's message.
+    ``gradient_scale`` is the larger of the mirrors' bounds
+    sum |j c[0, j]| R^(j-1) of |dG/dy| on [0, R].  ValueError as `_prepared`,
+    and unless ``turned`` is a finite stack of g's fields and the fold >= 2."""
+    R = domain_radius
+    g, g_hess, _ = _prepared(g, fold, R)
+    turned = np.asarray(turned, dtype=float)
+    if turned.shape[2:] != g.shape[2:] or fold < 2 or not np.isfinite(turned).all():
+        raise ValueError("turned must be a finite stack of the fields of g, and the fold "
+                         f"at least 2; got shape {turned.shape} for g's {g.shape}, fold {fold}")
+    n_fields = g.shape[2]
+    if not n_fields:
+        return []
+    # q of each mirror and field (column mirror * n_fields + field), in u
+    dy = max(g.shape[1], turned.shape[1], 3)
+    rows = np.zeros((dy, 2, n_fields))
+    rows[: g.shape[1], 0], rows[: turned.shape[1], 1] = g[0], turned[0]
+    k = np.arange(dy - 2)[:, None]
+    m, e = math.frexp(R)  # R^k = 2^(k (e - 1)) (2 m)^k: no power overflows,
+    with np.errstate(over="ignore"):  # and no subnormal c loses a bit
+        a = np.ldexp((rows[2:] * (k + 2)[:, None]).reshape(dy - 2, -1), k * (e - 1)) * (2 * m)**k
+    col, u = _real_roots(a)
+    inside = (0.0 < u) & (u <= 1.0 + _BOUNDARY_CLAMP)
+    col, u = col[inside], _polish(a[:, col[inside]], u[inside])
+    order = np.lexsort((u, col))
+    col, u = col[order], u[order]
+    keep = (0.0 < u) & (u <= 1.0 + _BOUNDARY_CLAMP)
+    keep[1:] &= (np.diff(col) != 0) | (np.diff(u) > DEDUP_RADIUS)
+    col, u = col[keep], u[keep]
+    ends = np.stack([np.maximum(u - DEDUP_RADIUS, 0.0), u + DEDUP_RADIUS])
+    value = _horner(a[:, col], ends)[0]
+    rounds = 2 * np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max()
+    unit = np.finfo(float).eps / 2.0
+    bound = rounds * unit / (1.0 - rounds * unit) * _horner(np.abs(a[:, col]), ends)[0]
+    overlap = (np.diff(col) == 0) & (np.diff(u) <= 2.0 * DEDUP_RADIUS)
+    certified = ((value[0] < 0.0) != (value[1] < 0.0)) & (np.abs(value) > bound).all(axis=0)
+    certified[1:] &= ~overlap  # disjoint intervals prove distinct roots
+    certified[:-1] &= ~overlap
+    found = np.bincount(col[certified & (u < 1.0)], minlength=2 * n_fields)
+    counts = [_root_count(column) for column in a.T.tolist()]
+    # where Descartes' count is the number certified, the rest in (0, 1) are no roots
+    settled = np.array([-1 if c is None else c for c in counts]) == found
+    col, u, certified = (v[certified | (u >= 1.0) | ~settled[col]] for v in (col, u, certified))
+    unproven = np.bincount(col[~certified], minlength=2 * n_fields)
+
+    # the centre of each field, then each root's orbit
+    phi = (2.0 * np.arange(fold) + col[:, None] // n_fields) * math.pi / fold
+    fidx = np.concatenate([np.arange(n_fields), np.repeat(col % n_fields, fold)])
+    x = np.concatenate([np.zeros(n_fields), (R * u[:, None] * np.sin(phi)).ravel()])
+    y = np.concatenate([np.zeros(n_fields), (R * u[:, None] * np.cos(phi)).ravel()])
+    points = _classed_points(g, g_hess, fidx, x, y, R)
+    scale = R * _horner(np.abs(a), 1.0)[0].reshape(2, n_fields).max(axis=0)
+    results = []
+    for f in range(n_fields):
+        notes = []
+        for c, name in ((f, "0"), (n_fields + f, f"pi/{fold}")):
+            if unproven[c]:
+                notes.append(f"no sign change of their own certifies {unproven[c]} root(s) "
+                             f"on the theta = {name} mirror")
+            if counts[c] != found[c]:
+                notes.append(f"the theta = {name} mirror has {found[c]} certified roots inside "
+                             "the disk, and Descartes' rule " + (
+                                 "cannot isolate its roots" if counts[c] is None
+                                 else f"counts {counts[c]}"))
+        results.append(CriticalPointSearch(points[f], False, "; ".join(notes), float(scale[f])))
     return results
 
 
@@ -671,8 +888,7 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
         raise ValueError(f"factor must be positive and finite, got {factor}")
     base_field = build_field(w)
     base = find_critical_points(base_field)
-    scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor),
-                                         w.fold_order())
+    scaled_field = dilated_field(w, factor)
     scaled = find_critical_points(scaled_field, domain_radius=factor)
 
     def failed(count, degenerate, message, error=math.inf):

@@ -86,9 +86,10 @@ class ABParams:
         return WaveAberration(tuple(terms), pupil_radius=pupil_radius)
 
 
-def _closed_form(p: ABParams) -> ABParams:
-    """p in units of beta, (alpha / beta, 1, gamma / beta, n); its odd family
-    is the same at -gamma / beta.  ValueError unless the closed forms can
+def _closed_form(p: ABParams) -> tuple[ABParams, tuple]:
+    """p in units of beta, (alpha / beta, 1, gamma / beta, n), and its even
+    family's `_ab_coefficients` (the odd family's are these with c_b
+    negated, as at -gamma / beta).  ValueError unless the closed forms can
     solve p: beta > 0 (the tables are stated for it; flipping the sign of
     beta would desynchronize the reported angle families) and every ratio
     and coefficient of A -+ B is finite.  A's gamma^2 coefficient outgrows
@@ -102,9 +103,10 @@ def _closed_form(p: ABParams) -> ABParams:
     if not (math.isfinite(a) and math.isfinite(t)):
         raise ValueError(_OVERFLOW)
     q = ABParams(a, 1.0, t, p.n)
-    if not all(map(math.isfinite, _ab_coefficients(q))):
+    coeffs = _ab_coefficients(q)
+    if not all(map(math.isfinite, coeffs)):
         raise ValueError(_OVERFLOW)
-    return q
+    return q, coeffs
 
 
 def _ab_coefficients(p: ABParams):
@@ -119,11 +121,11 @@ def _ab_coefficients(p: ABParams):
     )
 
 
-def _ab_polynomial(p: ABParams, sign: float) -> list[float]:
-    """Ascending rho-coefficients of A + sign*B: sign = -1 for the even
-    family, +1 for the odd family, 0 for A alone."""
-    n = p.n
-    c_a0, c_a2, c_ahi, c_b = _ab_coefficients(p)
+def _ab_polynomial(n: int, coeffs, sign: float) -> list[float]:
+    """Ascending rho-coefficients of A + sign*B of order n, from A and B's
+    `_ab_coefficients`: sign = -1 for the even family, +1 for the odd
+    family, 0 for A alone."""
+    c_a0, c_a2, c_ahi, c_b = coeffs
     c = [0.0] * (max(2, 2 * n - 6) + 1)
     c[0] = c_a0
     c[2] += c_a2
@@ -132,8 +134,10 @@ def _ab_polynomial(p: ABParams, sign: float) -> list[float]:
     return c
 
 
-def _horner(c: list[float], x):
-    """(value, derivative) at x of the polynomial with ascending coefficients c."""
+def _horner(c, x):
+    """(value, derivative) at x of the polynomial with ascending coefficients
+    c; each c[k] broadcasts against x, so a (degree + 1, k) array c holds k
+    polynomials, one per column, each evaluated at its own entry of x."""
     value = slope = 0.0
     for ck in reversed(c):
         slope = slope * x + value
@@ -143,8 +147,9 @@ def _horner(c: list[float], x):
 
 def ab_functions(p: ABParams):
     """Radial factors (A, B) of grad G = 0; callables accepting scalars/arrays."""
-    a = _ab_polynomial(p, 0.0)
-    b = [ab - ak for ab, ak in zip(_ab_polynomial(p, 1.0), a)]
+    coeffs = _ab_coefficients(p)
+    a = _ab_polynomial(p.n, coeffs, 0.0)
+    b = [ab - ak for ab, ak in zip(_ab_polynomial(p.n, coeffs, 1.0), a)]
 
     def A(rho):
         return _horner(a, np.asarray(rho, dtype=float))[0]
@@ -173,11 +178,12 @@ class RadiiResult:
         return self.even if family == EVEN_FAMILY else self.odd
 
 
-def _family_rings(q: ABParams) -> list[tuple[float, float]]:
+def _family_rings(n: int, coeffs) -> list[tuple[float, float]]:
     """(rho, det Hess G) of every root rho of A - B in (0, 1), in increasing
-    rho: the even family's candidate rings.  Each root is polished by up to
-    two guarded Newton steps, and its det is read from the slope the polish
-    ends on.
+    rho: the candidate rings of order n of the family whose
+    `_ab_coefficients` are ``coeffs``, as the even family.  Each root is
+    polished by up to two guarded Newton steps, and its det is read from
+    the slope the polish ends on.
 
     Z_n^n is harmonic, so G = P(rho) + Q(rho) cos(n theta) with
     Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the even
@@ -187,12 +193,13 @@ def _family_rings(q: ABParams) -> list[tuple[float, float]]:
     G_thetatheta / rho^2 = 4 n c_b rho^(n-2), whose product is
     16 n c_b rho^(n-1) (A' - B')(rho).
     """
-    n, c_b = q.n, _ab_coefficients(q)[3]
-    c = _ab_polynomial(q, -1.0)
+    c_b = coeffs[3]
+    c = _ab_polynomial(n, coeffs, -1.0)
     if any(c[1::2]):
-        roots = _real_roots(c)
+        roots = _real_roots(np.array(c)[:, None])[1].tolist()
     else:  # a polynomial in t = rho^2
-        roots = [math.sqrt(t) for t in _real_roots(c[::2]) if t > 0.0]
+        roots = [math.sqrt(t) for t in _real_roots(np.array(c[::2])[:, None])[1].tolist()
+                 if t > 0.0]
     out = []
     for rho in roots:
         if not 0.0 < rho < 1.0:
@@ -214,31 +221,36 @@ def _family_rings(q: ABParams) -> list[tuple[float, float]]:
 _IMAG_TOL = 1e-10  # |imag| of a real root, relative to max(1, largest |root|)
 
 
-def _real_roots(coeffs: list[float]) -> list[float]:
-    """Real roots of a polynomial (ascending coefficients): the real
-    eigenvalues of its companion matrix, rotated as numpy's polyroots
-    rotates it.  Leading coefficients up to eps times the largest are
-    dropped first: on (0, 1) such a term is below the rounding of the
-    others, and dividing by it could overflow."""
-    c = list(coeffs)
-    tiny = np.finfo(float).eps * max(map(abs, c))
-    while c and abs(c[-1]) <= tiny:
-        c.pop()
-    d = len(c) - 1
-    if d < 1:
-        return []
-    m = np.eye(d, k=1)
-    m[:, 0] = np.divide(c[-2::-1], -c[-1])
-    rts = m[0] if d == 1 else np.linalg.eigvals(m)  # 1 x 1: its own eigenvalue
-    scale = max(1.0, *map(abs, rts))
-    return [float(r.real) for r in rts if abs(r.imag) <= _IMAG_TOL * scale]
+def _real_roots(coeffs: np.ndarray):
+    """(column, root) arrays of the real roots of each polynomial of a
+    (degree + 1, k) stack of ascending coefficients, one per column: the
+    real eigenvalues of its companion matrix, rotated as numpy's polyroots
+    rotates it, the polynomials of one degree solved in one
+    np.linalg.eigvals.  Leading coefficients up to eps times a polynomial's
+    largest are dropped first: on (0, 1) such a term is below the rounding
+    of the others, and dividing by it could overflow."""
+    c = np.asarray(coeffs, dtype=float)
+    size = np.abs(c)
+    big = size > np.finfo(float).eps * size.max(axis=0)
+    degree = (len(c) - 1 - big[::-1].argmax(axis=0)) * big.any(axis=0)
+    columns, roots = [np.empty(0, dtype=int)], [np.empty(0)]
+    for d in sorted(set(degree.tolist()) - {0}):
+        k = np.flatnonzero(degree == d)
+        m = np.repeat(np.eye(d, k=1)[None], k.size, axis=0)
+        m[:, :, 0] = np.divide(c[d - 1::-1, k], -c[d, k]).T
+        rts = m[:, 0] if d == 1 else np.linalg.eigvals(m)  # 1 x 1: its own eigenvalue
+        scale = np.maximum(1.0, abs(rts).max(axis=1))
+        i, j = np.nonzero(abs(rts.imag) <= _IMAG_TOL * scale[:, None])
+        columns.append(k[i])
+        roots.append(rts.real[i, j])
+    return np.concatenate(columns), np.concatenate(roots)
 
 
 def saddle_radii(p: ABParams) -> RadiiResult:
     """Candidate ring radii per angle family (roots of A -+ B in (0, 1)),
     the rings ``predict_saddles`` chooses among."""
-    q = _closed_form(p)
-    even, odd = (tuple(rho for rho, _ in _family_rings(ABParams(q.alpha, 1.0, s * q.gamma, q.n)))
+    q, coeffs = _closed_form(p)
+    even, odd = (tuple(rho for rho, _ in _family_rings(q.n, (*coeffs[:3], s * coeffs[3])))
                  for _, s in _FAMILIES)
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
@@ -453,7 +465,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     the numerical census) become ill-conditioned.  Solved in units of
     beta, so the prediction at c * p is the prediction at p.
     """
-    q = _closed_form(p)
+    q, coeffs = _closed_form(p)
     if p.gamma == 0.0:
         return SaddlePrediction(
             count=0,
@@ -485,7 +497,7 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
             continue
         boundary = boundary or not strict_rows
         labels.append(f"{family}: " + (strict_rows or loose_rows)[0].labels[k])
-        candidates = _family_rings(f)
+        candidates = _family_rings(q.n, (*coeffs[:3], s * coeffs[3]))
         angles = tuple((2.0 * j + k) * math.pi / p.n for j in range(p.n))
         chosen = [Ring(rho, family, angles) for rho, det in candidates if det < 0.0]
         if len(chosen) != 1:

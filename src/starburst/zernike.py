@@ -167,10 +167,6 @@ class BivariatePolynomial:
             return -1
         return int(np.max(ii + jj))
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
     def __call__(self, x, y):
         """`gathered_values` at the broadcast points (x, y); numpy floats for scalars."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))

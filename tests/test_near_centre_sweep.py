@@ -7,8 +7,11 @@ a few gammas; each n is censused as one batch, as `verify` builds it.
 
 One line of the golden per case: n, alpha, gamma, the smallest
 closed-form saddle ring's rho, the closed-form saddle count, then the
-census's points, saddles and degenerate flag (0 or 1).  A change that
-means to move a census regenerates it with
+census's points, saddles and degenerate flag (0 or 1).
+near_centre_sweep.txt pins the 2-D census (`census_from_stacks`), and
+near_centre_sweep_mirror.txt the mirror census that `verify` runs, which
+gets every case right with an empty message.  A change that means to
+move a census regenerates both with
 `PYTHONPATH=src python tests/test_near_centre_sweep.py` and names the
 lines that moved.
 """
@@ -18,9 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from starburst import ABParams, census_from_stacks, predict_saddles, three_term_stacks
+from starburst import (
+    ABParams,
+    census_from_stacks,
+    mirror_census,
+    predict_saddles,
+    three_term_stacks,
+)
 
 SWEEP = Path(__file__).parent / "golden" / "near_centre_sweep.txt"
+MIRROR_SWEEP = Path(__file__).parent / "golden" / "near_centre_sweep_mirror.txt"
 ALPHA0 = 0.7745766692414834
 BETA = 0.2
 GAMMAS = (0.02, 0.05, 0.1, 0.2, -0.1)
@@ -42,22 +52,34 @@ def sweep_cases(n: int) -> list:
     return cases
 
 
-def sweep_lines() -> list[str]:
-    """One line per case of `sweep_cases` for n = 3..6."""
-    lines = []
+def sweep_censuses(mirror: bool) -> list:
+    """(params, prediction, census) of every case of `sweep_cases` for
+    n = 3..6, each n censused as one stack by the 2-D census or, with
+    ``mirror``, by the mirror census."""
+    out = []
     for n in (3, 4, 5, 6):
         cases = sweep_cases(n)
-        coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in cases]).T
-        for (p, pred), c in zip(cases, census_from_stacks(three_term_stacks(n, *coeffs), n)):
-            rho = min(r.rho for r in pred.rings)
-            lines.append(f"{n} {p.alpha!r} {p.gamma!r} {rho:.6e} {pred.count} "
-                         f"{len(c)} {len(c.saddles)} {int(c.degenerate)}")
+        alpha, beta, gamma = np.array([(p.alpha, p.beta, p.gamma) for p, _ in cases]).T
+        g = three_term_stacks(n, alpha, beta, gamma)
+        censuses = (mirror_census(g, three_term_stacks(n, alpha, beta, -gamma), n) if mirror
+                    else census_from_stacks(g, n))
+        out += [(p, pred, c) for (p, pred), c in zip(cases, censuses)]
+    return out
+
+
+def sweep_lines(censuses) -> list[str]:
+    """One line per case of `sweep_censuses`."""
+    lines = []
+    for p, pred, c in censuses:
+        rho = min(r.rho for r in pred.rings)
+        lines.append(f"{p.n} {p.alpha!r} {p.gamma!r} {rho:.6e} {pred.count} "
+                     f"{len(c)} {len(c.saddles)} {int(c.degenerate)}")
     return lines
 
 
 def test_sweep_is_pinned():
     want = SWEEP.read_text(encoding="utf-8").splitlines()
-    assert sweep_lines() == want
+    assert sweep_lines(sweep_censuses(mirror=False)) == want
 
 
 def test_wrong_saddle_counts_per_band():
@@ -79,5 +101,16 @@ def test_wrong_saddle_counts_per_band():
     }
 
 
+def test_mirror_sweep_is_pinned_and_right():
+    # every case gets the closed form's saddle count, unflagged, and every
+    # mirror root is certified and complete (an empty message)
+    censuses = sweep_censuses(mirror=True)
+    assert [c.message for _, _, c in censuses] == [""] * 861
+    lines = MIRROR_SWEEP.read_text(encoding="utf-8").splitlines()
+    assert sweep_lines(censuses) == lines
+    assert all(line.split()[4] == line.split()[6] and line.endswith(" 0") for line in lines)
+
+
 if __name__ == "__main__":
-    SWEEP.write_text("\n".join(sweep_lines()) + "\n", encoding="utf-8")
+    for path, mirror in ((SWEEP, False), (MIRROR_SWEEP, True)):
+        path.write_text("\n".join(sweep_lines(sweep_censuses(mirror))) + "\n", encoding="utf-8")

@@ -35,6 +35,12 @@ when the census of a g-fold wavefront solved one 2 pi / g sector's seeds
 and turned its roots into the other sectors: coordinates that are zero up
 to rounding (1e-31 to 1e-20) became 0 or up to about 4e-16, and
 highorder's solver_note went from "3 of 447 seeds did not converge" to "".
+The critical_points.csv and report.json of all six cases were pinned
+again when the mirror census took over W = alpha Z_2^0 + beta Z_4^0 +
+gamma Z_n^n: values that are zero up to rounding (x, y, theta_deg,
+xi_arcmin and eta_arcmin, all below 4e-16) took other rounding digits or
+became exactly 0, as the x of a point on the +y axis, and every other byte
+stayed.
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again

@@ -26,6 +26,7 @@ from starburst.hessian import census_from_stacks, three_term_stacks
 from starburst.regions import (
     DEFAULT_WINDOWS,
     SUPPORTED_ORDERS,
+    _ab_coefficients,
     _ab_polynomial,
     _family_rows,
     _family_rings,
@@ -252,7 +253,7 @@ class TestIndependentDerivation:
             p_prime, q_prime = ascending(dP), ascending(dQ)
             for s in (-1.0, 1.0):
                 want = (p_prime - s * q_prime) / 4.0
-                got = _ab_polynomial(p, s)
+                got = _ab_polynomial(n, _ab_coefficients(p), s)
                 scale = np.max(np.abs(want))
                 assert abs(want[0]) <= 1e-12 * scale  # divisible by rho
                 np.testing.assert_allclose(want[1:len(got) + 1], got, rtol=0,
@@ -360,7 +361,8 @@ class TestIndependentDerivation:
             at = {a: sp.Rational(p.alpha), b: sp.Rational(p.beta), g: sp.Rational(p.gamma)}
             roots = sp.Poly(a_minus_b.subs(at), rho).nroots(n=30)
             roots = sorted(r for r in roots if r.is_real and 0 < r < 1)
-            for r, (got_rho, got_det) in zip(roots, _family_rings(p), strict=True):
+            rings = _family_rings(n, _ab_coefficients(p))
+            for r, (got_rho, got_det) in zip(roots, rings, strict=True):
                 want = float(sp.N(det.subs(at).subs(rho, r), 30))
                 assert got_rho == pytest.approx(float(r), abs=1e-13)
                 assert got_det == pytest.approx(want, rel=1e-9)
@@ -625,7 +627,8 @@ class TestRingDeterminant:
             radii = saddle_radii(p)
             for family, s in ((EVEN_FAMILY, 1.0), (ODD_FAMILY, -1.0)):
                 theta = 0.0 if family == EVEN_FAMILY else math.pi / n
-                rings = _family_rings(ABParams(p.alpha, p.beta, s * p.gamma, n))
+                f = ABParams(p.alpha, p.beta, s * p.gamma, n)
+                rings = _family_rings(n, _ab_coefficients(f))
                 # solved in micrometres here and in units of beta by saddle_radii
                 assert [rho for rho, _ in rings] == pytest.approx(radii.for_family(family),
                                                                   abs=1e-13)
