@@ -40,8 +40,7 @@ from .caustics import (
     map_caustics,
     starburst_verdict,
 )
-from .hessian import (build_field, census_from_stacks, find_critical_points, mirror_census,
-                      mirror_order, three_term_stacks)
+from .hessian import build_field, find_critical_points, mirror_census, three_term_stacks
 # boundary_slacks is unused here, but perfbench traces it under this name (ROADMAP item 8)
 from .regions import DEFAULT_WINDOWS, ABParams, boundary_slacks, predict_saddles, region_diagram
 from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure, write_new_file
@@ -490,12 +489,11 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
     max_dev = 0.0
     while chunk := list(itertools.islice(draws, _VERIFY_CHUNK)):
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in chunk]).T
-        if mirror_order(((2, 0), (4, 0), (n, n)), coeffs):
-            # each W, then each W turned by pi / n (gamma negated), in one stack
-            g = three_term_stacks(n, *np.hstack([coeffs, coeffs * [[1.0], [1.0], [-1.0]]]))
-            censuses = mirror_census(g[..., :len(chunk)], g[..., len(chunk):], n)
-        else:
-            censuses = census_from_stacks(three_term_stacks(n, *coeffs), n)
+        # every draw has the mirror census (beta > 0, and the band about the
+        # gamma = 0 boundary keeps gamma != 0): each W, then each W turned by
+        # pi / n (gamma negated), in one stack
+        g = three_term_stacks(n, *np.hstack([coeffs, coeffs * [[1.0], [1.0], [-1.0]]]))
+        censuses = mirror_census(g[..., :len(chunk)], g[..., len(chunk):], n)
         for (params, pred), census in zip(chunk, censuses):
             dev, reason = _verify_sample(pred, census)
             max_dev = max(max_dev, dev)

@@ -13,7 +13,7 @@ per entry of its coefficient arrays, so both give the same bits for the
 same W.  The census takes G alone, as a stack of coefficient arrays, and
 derives G's first and second derivatives itself, once per call.
 
-A W whose terms `mirror_order` accepts (alpha Z_2^0 + beta Z_4^0 + gamma
+A W that has the mirror census (`_turned`: alpha Z_2^0 + beta Z_4^0 + gamma
 Z_n^n, and a constant) has every critical point of G on its 2n mirror
 meridians; `mirror_census` finds them as the certified roots of G's
 restriction to two of them, and `find_critical_points` runs it for such a
@@ -77,7 +77,7 @@ class HessianField:
     """The four polynomials the pipeline reads: W, its gradient (Wx, Wy)
     and G = Wxx Wyy - Wxy^2; ``fold``, the order g of a rotation symmetry
     of W (`WaveAberration.fold_order`), which the census exploits when
-    g >= 2; and ``mirror``, for a W that `mirror_order` accepts, the G of W
+    g >= 2; and ``mirror``, for a W that has the mirror census, the G of W
     turned by pi / g, else None: `find_critical_points` then runs
     `mirror_census`."""
 
@@ -120,7 +120,7 @@ def field_from_polynomial(w_poly: BivariatePolynomial, fold: int,
                           turned: BivariatePolynomial | None = None) -> HessianField:
     """The field of W given as a polynomial, with ``fold`` the order of its
     rotation symmetry (1 assumes none) and ``turned`` the polynomial of W
-    turned by pi / fold when `mirror_order` accepts W (its ``mirror`` is
+    turned by pi / fold when W has the mirror census (`_turned`; its ``mirror`` is
     that W's G); ValueError as `_determinant_stack`."""
     if w_poly.degree > MAX_RADIAL_ORDER:
         raise CapabilityError(
@@ -148,50 +148,35 @@ def _require_squarable(g: np.ndarray, hess: np.ndarray, r: float) -> None:
         raise ValueError(_UNDERFLOW)
 
 
-def mirror_order(modes, coeffs) -> int:
-    """n when every W = sum_k coeffs[k] Z(modes[k]) of the coefficient
-    arrays has its mirror census: its nonzero terms lie in {Z_0^0, Z_2^0,
-    Z_4^0, Z_n^n} with Z_4^0 and Z_n^n nonzero and 2 <= n <= 12; else 0.
+def _turned(w: WaveAberration) -> BivariatePolynomial | None:
+    """The polynomial of W turned by pi / n when W has the mirror census:
+    its nonzero terms lie in {Z_0^0, Z_2^0, Z_4^0, Z_n^n} with Z_4^0 and
+    Z_n^n nonzero and 2 <= n <= 12; else None.  This is the one place that
+    picks the census of a W.
 
     Such a G is P(rho) + Q(rho) cos(n theta) with Q = -k_n beta gamma rho^n,
     k_n > 0, so dG/dtheta = 0 forces sin(n theta) = 0 off the centre: every
     critical point lies on one of the 2n mirror meridians theta = k pi / n.
-    This is the one place that picks the census of a W."""
-    nonzero = {mode: c for mode, c in zip(modes, np.asarray(coeffs, dtype=float))
-               if np.any(c != 0.0)}
-    harmonic = set(nonzero) - {(0, 0), (2, 0), (4, 0)}
-    if len(harmonic) != 1 or (4, 0) not in nonzero:
-        return 0
-    ((n, m),) = harmonic
-    return n if (m == n and 2 <= n <= MAX_RADIAL_ORDER and np.all(nonzero[4, 0] != 0.0)
-                 and np.all(nonzero[n, n] != 0.0)) else 0
-
-
-def _turned(w: WaveAberration) -> BivariatePolynomial | None:
-    """The polynomial of W turned by pi / n, its Z_n^n coefficient negated,
-    when `mirror_order` accepts W; else None.  Built from W's coefficients:
-    turning G itself by pi / n would not be exact."""
+    The turned W is built from W's coefficients, Z_n^n negated: turning G
+    itself by pi / n would not be exact."""
     modes, coeffs = [(t.n, t.m) for t in w.terms], [t.coeff for t in w.terms]
-    n = mirror_order(modes, coeffs)
+    nonzero = {mode for mode, c in zip(modes, coeffs) if c != 0.0}
+    harmonic = nonzero - {(0, 0), (2, 0), (4, 0)}
+    if len(harmonic) != 1 or (4, 0) not in nonzero:
+        return None
+    ((n, m),) = harmonic
+    if m != n or not 2 <= n <= MAX_RADIAL_ORDER:
+        return None
     return BivariatePolynomial(wavefront_stack(modes, [
-        -c if mode == (n, n) else c for mode, c in zip(modes, coeffs)])) if n else None
+        -c if mode == (n, n) else c for mode, c in zip(modes, coeffs)]))
 
 
 def build_field(w: WaveAberration) -> HessianField:
     """The full derivative field of a wave aberration, with its ``mirror``
-    when `mirror_order` accepts W; ValueError when it overflows or
+    when W has the mirror census (`_turned`); ValueError when it overflows or
     underflows (`_determinant_stack`).  Whether the census can square Hess G
     is the census's check."""
     return field_from_polynomial(w.to_polynomial(), w.fold_order(), _turned(w))
-
-
-def dilated_field(w: WaveAberration, factor: float) -> HessianField:
-    """The field of W(x / factor, y / factor), with its ``mirror`` when
-    `mirror_order` accepts W; ValueError as
-    `BivariatePolynomial.rescale_domain` and `_determinant_stack`."""
-    turned = _turned(w)
-    return field_from_polynomial(w.to_polynomial().rescale_domain(factor), w.fold_order(),
-                                 None if turned is None else turned.rescale_domain(factor))
 
 
 def _stack(arrays) -> np.ndarray:
@@ -771,7 +756,7 @@ def mirror_census(
     g: np.ndarray, turned: np.ndarray, fold: int, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of the G of
-    wavefronts of order n = ``fold`` that `mirror_order` accepts, inside the
+    wavefronts of order n = ``fold`` that have it (`_turned`), inside the
     disk of radius R = ``domain_radius``, from the roots of G on its mirror
     lines; ``turned`` stacks the G of the same W turned by pi / n (Z_n^n
     negated), which puts the mirror theta = pi / n on +y exactly.
@@ -786,7 +771,7 @@ def mirror_census(
     when q changes sign across [u - d, u + d] (from 0 when u < d), an
     interval that meets no other root's, and |q| exceeds Horner's a-priori
     rounding bound gamma_m sum |a_k| |u|^k at both ends (Higham 2002, §5.1),
-    with m = 2 deg G as in `_det_rounding_bound`.  The roots in (0, 1) are
+    with m = 2 deg G of the field, as in `_det_rounding_bound`.  The roots in (0, 1) are
     complete when their number certified equals `_root_count` of q; then any
     other candidate in (0, 1) is no root, and is dropped.  Each failed check
     is named in the field's message.
@@ -820,7 +805,8 @@ def mirror_census(
     col, u = col[keep], u[keep]
     ends = np.stack([np.maximum(u - DEDUP_RADIUS, 0.0), u + DEDUP_RADIUS])
     value = _horner(a[:, col], ends)[0]
-    rounds = 2 * np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max()
+    degree = np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
+    rounds = 2 * degree[col % n_fields]  # each field's own, as `_classed_points`
     unit = np.finfo(float).eps / 2.0
     bound = rounds * unit / (1.0 - rounds * unit) * _horner(np.abs(a[:, col]), ends)[0]
     overlap = (np.diff(col) == 0) & (np.diff(u) <= 2.0 * DEDUP_RADIUS)
@@ -888,7 +874,9 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
         raise ValueError(f"factor must be positive and finite, got {factor}")
     base_field = build_field(w)
     base = find_critical_points(base_field)
-    scaled_field = dilated_field(w, factor)
+    turned = _turned(w)
+    scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor), w.fold_order(),
+                                         None if turned is None else turned.rescale_domain(factor))
     scaled = find_critical_points(scaled_field, domain_radius=factor)
 
     def failed(count, degenerate, message, error=math.inf):

@@ -797,7 +797,6 @@ class TestVerifyCommand:
         def no_census(*args, **kwargs):
             raise AssertionError("census ran")
 
-        monkeypatch.setattr(cli, "census_from_stacks", no_census)
         monkeypatch.setattr(cli, "mirror_census", no_census)
         with pytest.raises(ValueError, match="beta must be positive"):
             run_verification(3, -0.2, 1, 0)

@@ -18,12 +18,9 @@ from starburst import (
     ZernikeTerm,
     build_field,
     census_from_stacks,
-    dilated_field,
     field_from_polynomial,
     find_critical_points,
     hessian,
-    mirror_census,
-    mirror_order,
     predict_saddles,
     rescale_check,
     saddle_radii,
@@ -48,6 +45,7 @@ from starburst.hessian import (
     _newton_step,
     _sign_change_cells,
     _stack,
+    mirror_census,
 )
 from starburst.regions import _ab_coefficients
 from starburst.zernike import BivariatePolynomial, derivative, gathered_values, grid_values, product
@@ -498,31 +496,45 @@ class TestRingStructure:
                 assert match < 1e-8
 
 
+def _both_censuses(monkeypatch):
+    """Yield "mirror", then "2-D" while every W takes the 2-D census, as a
+    W without the mirror census does (`hessian._turned` of none)."""
+    yield "mirror"
+    with monkeypatch.context() as patched:
+        patched.setattr(hessian, "_turned", lambda w: None)
+        yield "2-D"
+
+
 class TestRescaleInvariance:
     @pytest.mark.parametrize("factor", [0.5, 2.0, 3.5])
-    def test_fixture_rescaling(self, factor):
-        report = rescale_check(EQ3.to_wavefront(), factor)
-        assert report.passed
-        assert report.count == 7
-        assert report.max_position_error < 1e-8
+    def test_fixture_rescaling(self, factor, monkeypatch):
+        for census in _both_censuses(monkeypatch):
+            report = rescale_check(EQ3.to_wavefront(), factor)
+            assert report.passed, census
+            assert report.count == 7
+            assert report.max_position_error < 1e-8
 
     @pytest.mark.parametrize("name", [*sorted(FIXTURE_SCENARIOS), "highorder"])
-    def test_power_of_two_dilation_is_exact(self, name):
+    def test_power_of_two_dilation_is_exact(self, name, monkeypatch):
         # every census length is a fraction of the domain radius, so the
         # census on the disk of radius 2^k is the unit census times 2^k
         w = HIGHORDER if name == "highorder" else ABParams(
             *FIXTURE_SCENARIOS[name][:4]).to_wavefront()
-        base = find_critical_points(build_field(w))
-        for k in (-30, -20, 12, 20, 30):
-            report = rescale_check(w, math.ldexp(1.0, k))
-            assert (report.passed, report.max_position_error, report.message) == (
-                True, 0.0, ""), k
-            # angles, centre and rim flags too
-            r = math.ldexp(1.0, k)
-            scaled = find_critical_points(dilated_field(w, r), r)
-            assert [(p.x / r, p.y / r, p.rho / r, p.theta, p.kind, p.on_boundary)
-                    for p in scaled] == [(p.x, p.y, p.rho, p.theta, p.kind, p.on_boundary)
-                                         for p in base], k
+        for census in _both_censuses(monkeypatch):
+            base = find_critical_points(build_field(w))
+            for k in (-30, -20, 12, 20, 30):
+                report = rescale_check(w, math.ldexp(1.0, k))
+                assert (report.passed, report.max_position_error, report.message) == (
+                    True, 0.0, ""), (census, k)
+                # angles, centre and rim flags too
+                r = math.ldexp(1.0, k)
+                turned = hessian._turned(w)
+                scaled = find_critical_points(field_from_polynomial(
+                    w.to_polynomial().rescale_domain(r), w.fold_order(),
+                    None if turned is None else turned.rescale_domain(r)), r)
+                assert [(p.x / r, p.y / r, p.rho / r, p.theta, p.kind, p.on_boundary)
+                        for p in scaled] == [(p.x, p.y, p.rho, p.theta, p.kind, p.on_boundary)
+                                             for p in base], (census, k)
 
     def test_underflowing_dilation_rejected(self):
         # on the disk of radius 2^100, G of 3star squares to a normal float
@@ -543,26 +555,27 @@ class TestRescaleInvariance:
         with pytest.raises(ValueError, match="overflow the Hessian determinant"):
             rescale_check(ABParams(0.0, 1e74, 1e74, 3).to_wavefront(), 0.05)
 
-    def test_highorder_dilations_near_the_limits(self):
+    def test_highorder_dilations_near_the_limits(self, monkeypatch):
         # Wxx Wyy of highorder dilated by 2^-44 overflows: a ValueError, not
         # numpy's warning, and at 2^-46 not the degree 24 of a NaN that 0 / 0
         # put above the total degree; at 2^44 only the powers there overflow,
         # and the 11 subnormal coefficients of G still pass
-        for k in (-46, -44):
-            with pytest.raises(ValueError, match="overflow the Hessian determinant"):
-                rescale_check(HIGHORDER, 2.0**k)
-        report = rescale_check(HIGHORDER, 2.0**44)
-        assert (report.passed, report.count, report.message) == (True, 37, "")
-        # at 2^45 those 11 move the points by 1e-3, and at 2^46 they are 0:
-        # G is trimmed from 21 x 21 to 13 x 13 coefficients
-        for k, subnormal, lost, error in ((45, 11, 0, 9.8e-4), (46, 0, 11, 0.0216)):
-            report = rescale_check(HIGHORDER, 2.0**k)
-            assert (report.passed, report.count) == (False, 37)
-            assert report.max_position_error == pytest.approx(error, rel=0.01)
-            assert report.message == (
-                f"position error {report.max_position_error:.3g}; underflow in the dilated G: "
-                f"{subnormal} subnormal coefficients, {lost} of the undilated G's 26 nonzero "
-                "ones lost")
+        for census in _both_censuses(monkeypatch):
+            for k in (-46, -44):
+                with pytest.raises(ValueError, match="overflow the Hessian determinant"):
+                    rescale_check(HIGHORDER, 2.0**k)
+            report = rescale_check(HIGHORDER, 2.0**44)
+            assert (report.passed, report.count, report.message) == (True, 37, ""), census
+            # at 2^45 those 11 move the points by 1e-3, and at 2^46 they are
+            # 0: G is trimmed from 21 x 21 to 13 x 13 coefficients
+            for k, subnormal, lost, error in ((45, 11, 0, 9.8e-4), (46, 0, 11, 0.0216)):
+                report = rescale_check(HIGHORDER, 2.0**k)
+                assert (report.passed, report.count) == (False, 37), (census, k)
+                assert report.max_position_error == pytest.approx(error, rel=0.01)
+                assert report.message == (
+                    f"position error {report.max_position_error:.3g}; underflow in the dilated "
+                    f"G: {subnormal} subnormal coefficients, {lost} of the undilated G's 26 "
+                    "nonzero ones lost")
 
     def test_pure_defocus_vacuous(self):
         report = rescale_check(WaveAberration((ZernikeTerm(2, 0, 0.3),)), 2.0)
@@ -925,15 +938,18 @@ class TestMirrorCensus:
         assert [repr(r) for r in batched] == [repr(_census(p)) for p in draws]
         assert any(r.saddles for r in batched) and not any(r.message for r in batched)
         assert mirror_census(_stack([]), _stack([]), 5) == []
-
-    def test_power_of_two_dilation_is_exact(self):
-        for w in (EQ3.to_wavefront(), HIGHORDER):
-            base = find_critical_points(build_field(w))
-            for k in (-20, 20):
-                r = math.ldexp(1.0, k)
-                assert [(p.x / r, p.y / r, p.kind) for p in
-                        find_critical_points(dilated_field(w, r), r)] == [
-                    (p.x, p.y, p.kind) for p in base]
+        # each field's certificate rounds at its own degree: a hand-built G
+        # of degree 8 whose q = (u - 0.96) (1 - u)^5 on both mirrors changes
+        # sign beyond Horner's bound for degree 8, but not for degree 20, so
+        # a G of degree 20 beside it must not loosen its bound
+        q = np.polynomial.polynomial.polymul([-0.96, 1.0], [1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
+        g = np.zeros((1, 9))
+        g[0, 2:] = q / np.arange(2, 9)
+        high = np.zeros((21, 21))
+        high[0, 20] = high[20, 0] = 1.0
+        alone = mirror_census(g[..., None], g[..., None], 3)[0]
+        assert (len(alone), alone.message) == (7, "")
+        assert repr(mirror_census(_stack([g, high]), _stack([g, high]), 3)[0]) == repr(alone)
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_SCENARIOS))
     def test_power_of_two_scaling_is_bit_identical(self, name):
@@ -995,13 +1011,14 @@ class TestMirrorCensus:
                    for g in (field.G, field.mirror))
         assert find_critical_points(field).gradient_scale == pytest.approx(want, rel=1e-15)
 
-    def test_mirror_order(self):
-        def order(*terms):
-            return mirror_order([(n, m) for n, m, _ in terms], [c for _, _, c in terms])
+    def test_which_w_has_the_mirror_census(self):
+        def mirrored(*terms):
+            return build_field(WaveAberration(tuple(ZernikeTerm(*t) for t in terms))).mirror
 
-        assert order((2, 0, 0.1), (4, 0, 0.2), (5, 5, 0.07)) == 5
-        assert order((0, 0, 1.0), (4, 0, 0.2), (2, 2, 0.1)) == 2
-        assert order((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.0), (3, 1, 0.0)) == 12
+        for terms in (((2, 0, 0.1), (4, 0, 0.2), (5, 5, 0.07)),
+                      ((0, 0, 1.0), (4, 0, 0.2), (2, 2, 0.1)),
+                      ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.0), (3, 1, 0.0))):
+            assert mirrored(*terms) is not None, terms
         for terms in (((2, 0, 0.1), (5, 5, 0.07)),                # no Z_4^0
                       ((4, 0, 0.2), (2, 0, 0.1)),                 # axial
                       ((4, 0, 0.2), (5, -5, 0.07)),               # a sine term
@@ -1009,11 +1026,7 @@ class TestMirrorCensus:
                       ((4, 0, 0.2), (7, 5, 0.07)),                # m != n
                       ((4, 0, 0.2), (1, 1, 0.07)),                # n < 2
                       ((4, 0, 0.2), (6, 0, 0.07), (3, 3, 0.1))):  # another radial term
-            assert order(*terms) == 0, terms
-        # a stack qualifies when every field does
-        assert mirror_order([(4, 0), (3, 3)], [[0.2, 0.2], [0.1, 0.3]]) == 3
-        assert mirror_order([(4, 0), (3, 3)], [[0.2, 0.2], [0.1, 0.0]]) == 0
-        assert build_field(WaveAberration((ZernikeTerm(4, 0, 0.2),))).mirror is None
+            assert mirrored(*terms) is None, terms
 
     def test_turned_stack_checked(self):
         g = three_term_stacks(3, *_coefficients([EQ3, EQ3]))

@@ -21,13 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from starburst import (
-    ABParams,
-    census_from_stacks,
-    mirror_census,
-    predict_saddles,
-    three_term_stacks,
-)
+from starburst import ABParams, census_from_stacks, predict_saddles, three_term_stacks
+from starburst.hessian import mirror_census
 
 SWEEP = Path(__file__).parent / "golden" / "near_centre_sweep.txt"
 MIRROR_SWEEP = Path(__file__).parent / "golden" / "near_centre_sweep_mirror.txt"
