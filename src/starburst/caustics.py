@@ -464,12 +464,14 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     center = caustics.center
     with np.errstate(over="ignore"):  # reported below
         diameter = 2.0 * float(np.max(np.linalg.norm(cloud - center, axis=1)))
-    if diameter == 0.0:
+    if not np.any(cloud != center):
         raise ValueError("caustic cloud has zero extent")
+    where = f"the distance arithmetic at pupil radius {caustics.aberration.pupil_radius:g} mm"
     if not math.isfinite(diameter * diameter):  # squared in the distance queries
-        raise ValueError("retina caustic overflows the distance arithmetic at pupil "
-                         f"radius {caustics.aberration.pupil_radius:g} mm")
+        raise ValueError(f"retina caustic overflows {where}")
     tol = _SYMMETRY_TOL_REL * diameter
+    if tol * tol < np.finfo(float).tiny:  # a subnormal square loses the residual's digits
+        raise ValueError(f"retina caustic underflows {where}")
     geom = _PolylineDistance(curves, tol)
 
     orders, sample = range(_P_MAX, 1, -1), cloud[::_SCREEN_STRIDE]

@@ -10,8 +10,9 @@ G is built in one place, `_determinant_stack`, on a stack of W's
 coefficients (`wavefront_stack`): `build_field` stacks one W of any
 terms, `three_term_stacks` one W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n
 per entry of its coefficient arrays, so both give the same bits for the
-same W.  The census takes G alone, as a stack of coefficient arrays, and
-derives G's first and second derivatives itself, once per call.
+same W.  Each census takes G alone, as a stack of coefficient arrays: the
+2-D census derives G's first and second derivatives itself, once per call,
+and the mirror census reads two rows of G's coefficients.
 
 A W that has the mirror census (`_turned`: alpha Z_2^0 + beta Z_4^0 + gamma
 Z_n^n, and a constant) has every critical point of G on its 2n mirror
@@ -129,23 +130,6 @@ def field_from_polynomial(w_poly: BivariatePolynomial, fold: int,
     wx, wy, g = (BivariatePolynomial(p) for p in _determinant_stack(w_poly.coeffs))
     mirror = None if turned is None else BivariatePolynomial(_determinant_stack(turned.coeffs)[2])
     return HessianField(W=w_poly, Wx=wx, Wy=wy, G=g, fold=fold, mirror=mirror)
-
-
-def _require_squarable(g: np.ndarray, hess: np.ndarray, r: float) -> None:
-    """ValueError unless every coefficient of the stack ``g`` is finite and
-    the values of Hess G of each field of the (Gxx, Gxy, Gyy) stack
-    ``hess`` on the disk of radius r can be squared, as det(Hess G) = Gxx
-    Gyy - Gxy^2 squares them; nothing squares G itself.  Each polynomial's
-    sum |c_ij| r^(i+j), the Horner value of |c| at (r, r), bounds its values
-    there; twice the square of the largest of the three bounds must be 0 or
-    a normal float (NaN fails too)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = grid_values(np.abs(hess), [r], [r])[..., 0, 0].max(axis=0)
-        square = 2.0 * bound * bound
-    if not (np.isfinite(square).all() and np.isfinite(g).all()):
-        raise ValueError(_OVERFLOW)
-    if np.any((bound != 0.0) & (square < np.finfo(float).tiny)):
-        raise ValueError(_UNDERFLOW)
 
 
 def _turned(w: WaveAberration) -> BivariatePolynomial | None:
@@ -582,48 +566,52 @@ def find_critical_points(
     return census_from_stacks(field.G.coeffs[:, :, None], field.fold, domain_radius)[0]
 
 
-def _prepared(g, fold, domain_radius):
-    """(G trimmed, the (G, Gxx, Gxy, Gyy) stack, (Gx, Gy, Gxx, Gxy, Gyy))
-    for a census of the (DX, DY, fields) stack ``g``; ValueError for a
-    domain radius that is not positive and finite, a ``g`` that is not a
-    stack, a ``fold`` that is not a non-negative integer, or as
-    `_require_squarable`."""
-    if not (domain_radius > 0 and math.isfinite(domain_radius)):
-        raise ValueError(f"domain_radius must be positive and finite, got {domain_radius}")
+def _checked(g, fold, domain_radius):
+    """(G trimmed, each field's degree) for a census of the (DX, DY, fields)
+    stack ``g`` on the disk of radius R = ``domain_radius``; ValueError for
+    an R that is not positive and finite, a ``g`` that is not a stack, a
+    ``fold`` that is not a non-negative integer, and unless every coefficient
+    of G is finite and each field's Hess G on the disk can be squared, as
+    det(Hess G) = Gxx Gyy - Gxy^2 squares it (nothing squares G): twice the
+    square of the largest of its bounds sum |c_ij| R^(i+j) of Gxx, Gxy and
+    Gyy, Horner's values of |c| at (R, R), must be 0 or a normal float (NaN
+    fails too).  |c| and the Horner steps are `derivative`'s and
+    `grid_values`', so the bounds keep their bits."""
+    R = domain_radius
+    if not (R > 0 and math.isfinite(R)):
+        raise ValueError(f"domain_radius must be positive and finite, got {R}")
     g = np.asarray(g, dtype=float)
     if g.ndim != 3:  # a lone polynomial's columns would pass for fields
         raise ValueError(f"g must be a (DX, DY, fields) coefficient stack, got shape {g.shape}")
     if isinstance(fold, bool) or not isinstance(fold, int) or fold < 0:
         raise ValueError(f"fold must be a non-negative integer, got {fold!r}")
     g = _trim(g)
-    with np.errstate(over="ignore"):  # reported by _require_squarable
-        gx, gy = derivative(g, 0), derivative(g, 1)
-        gxx, gxy, gyy = derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)
-    g_hess = _stack([g, gxx, gxy, gyy])  # the located points' values
-    _require_squarable(g, g_hess[:, :, 1:], domain_radius)
-    return g, g_hess, (gx, gy, gxx, gxy, gyy)
+    a = np.abs(g)
+    i, j = np.arange(a.shape[0])[:, None, None], np.arange(a.shape[1])[:, None]
+    hess = np.zeros(a.shape[:2] + (3,) + a.shape[2:])  # |Gxx|, |Gxy|, |Gyy|, zero-padded
+    with np.errstate(over="ignore", invalid="ignore"):
+        hess[:-2, :, 0] = a[2:] * i[2:] * i[1:-1]
+        hess[:-1, :-1, 1] = a[1:, 1:] * i[1:] * j[1:]
+        hess[:, :-2, 2] = a[:, 2:] * j[2:] * j[1:-1]
+        bound = np.polyval(np.polyval(hess[::-1], R)[::-1], R).max(axis=0)  # Horner in x, then y
+        square = 2.0 * bound * bound
+    if not (np.isfinite(square).all() and np.isfinite(g).all()):
+        raise ValueError(_OVERFLOW)
+    if np.any((bound != 0.0) & (square < np.finfo(float).tiny)):
+        raise ValueError(_UNDERFLOW)
+    return g, np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
 
 
-def _classed_points(g, g_hess, fidx, x, y, R: float) -> list[tuple]:
-    """Each field's points (fidx, x, y), located (`_locate`), with G and
-    det Hess G from the (G, Gxx, Gxy, Gyy) stack ``g_hess`` and classed by
-    the sign of det Hess G outside its rounding bound
-    (`_det_rounding_bound`), in ring order (`_ring_order`)."""
-    located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
-    px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
-    values = gathered_values(g_hess, fidx, px, py)
-    size = gathered_values(np.abs(g_hess[:, :, 1:]), fidx, np.abs(px), np.abs(py))
-    degree = np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
-    bound = _det_rounding_bound(values[1:], size, 2 * degree[fidx])
-    points: list[list[CriticalPoint]] = [[] for _ in range(g.shape[-1])]
-    for (cx, cy, r, theta, on_boundary), f, value, a, b, d, e in zip(
-            located, fidx.tolist(), *values, bound):
-        # b ** 2 of a numpy float is pow(), which can differ from b * b in
-        # the last bit; the determinants reported have always used it
-        det = float(a * d - b**2)
-        kind = (PointClass.SADDLE if det < -e else
-                PointClass.EXTREMUM if det > e else PointClass.DEGENERATE)
-        points[f].append(CriticalPoint(cx, cy, r, theta, kind, float(value), det, on_boundary))
+def _classed_points(n_fields: int, fidx, located, g_value, det, bound, R: float) -> list[tuple]:
+    """Each field's points in ring order (`_ring_order`): point k of field
+    ``fidx[k]`` at ``located[k]`` (`_locate`), with G ``g_value[k]`` and det
+    Hess G ``det[k]``, classed by its sign outside ``bound[k]``."""
+    points: list[list[CriticalPoint]] = [[] for _ in range(n_fields)]
+    for (x, y, r, theta, on_boundary), f, value, d, e in zip(
+            located, fidx.tolist(), g_value, det, bound):
+        kind = (PointClass.SADDLE if d < -e else
+                PointClass.EXTREMUM if d > e else PointClass.DEGENERATE)
+        points[f].append(CriticalPoint(x, y, r, theta, kind, float(value), float(d), on_boundary))
     return [_ring_order(p, R) for p in points]
 
 
@@ -648,15 +636,17 @@ def census_from_stacks(
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
-    axially symmetric W).  ValueError as `_prepared`.
+    axially symmetric W).  ValueError as `_checked`.
     """
     R = domain_radius
-    g, g_hess, derivatives = _prepared(g, fold, R)
+    g, degree = _checked(g, fold, R)
     n_fields = g.shape[-1]
     if not n_fields:
         return []
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
-    newton = _stack(derivatives)  # seeding (the first two), Newton
+    gx, gy = derivative(g, 0), derivative(g, 1)
+    # (Gx, Gy, Gxx, Gxy, Gyy): seeding (the first two), Newton, the points' Hess G
+    newton = _stack([gx, gy, derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)])
     fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, fold)
     accept_tol, floor_tol = GRADIENT_TOL * gscale, 1e-16 * gscale
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
@@ -677,7 +667,17 @@ def census_from_stacks(
     kept = n_kept[fidx] <= _DEGENERATE_POINT_LIMIT
     fidx, x, y = fidx[kept], x[kept], y[kept]
     n_off = np.bincount(fidx[np.hypot(x, y) > DEDUP_RADIUS * R], minlength=n_fields)
-    points = _classed_points(g, g_hess, fidx, x, y, R)
+    # each point located, then valued
+    located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
+    px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
+    value = gathered_values(g, fidx, px, py)
+    hess = gathered_values(newton[:, :, 2:], fidx, px, py)
+    size = gathered_values(np.abs(newton[:, :, 2:]), fidx, np.abs(px), np.abs(py))
+    bound = _det_rounding_bound(hess, size, 2 * degree[fidx])
+    # b ** 2 of a numpy float is pow(), which can differ from b * b in the
+    # last bit; the determinants reported have always used it
+    det = [a * d - b**2 for a, b, d in zip(*hess)]
+    points = _classed_points(n_fields, fidx, located, value, det, bound, R)
 
     results = []
     for f in range(n_fields):
@@ -766,20 +766,22 @@ def mirror_census(
     the centre.  q = p / y is solved in u = y / R for every field and mirror
     at once (`regions._real_roots`, then `_polish`), a root within
     d = DEDUP_RADIUS of another is dropped, and each root in
-    (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points, valued and
-    classed as `census_from_stacks` classes its points.  A root is certified
+    (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points.  A root is certified
     when q changes sign across [u - d, u + d] (from 0 when u < d), an
     interval that meets no other root's, and |q| exceeds Horner's a-priori
     rounding bound gamma_m sum |a_k| |u|^k at both ends (Higham 2002, §5.1),
     with m = 2 deg G of the field, as in `_det_rounding_bound`.  The roots in (0, 1) are
     complete when their number certified equals `_root_count` of q; then any
     other candidate in (0, 1) is no root, and is dropped.  Each failed check
-    is named in the field's message.
+    is named in the field's message.  Each orbit, and the centre, is valued
+    and classed once at (0, R u) of its own mirror's G (located, `_locate`)
+    from two rows: Gxy = 0, Gxx = 2 sum c[2, j] y^j, Gyy = sum j (j - 1)
+    c[0, j] y^(j-2); its n points, turned exactly, carry those values.
     ``gradient_scale`` is the larger of the mirrors' bounds
-    sum |j c[0, j]| R^(j-1) of |dG/dy| on [0, R].  ValueError as `_prepared`,
+    sum |j c[0, j]| R^(j-1) of |dG/dy| on [0, R].  ValueError as `_checked`,
     and unless ``turned`` is a finite stack of g's fields and the fold >= 2."""
     R = domain_radius
-    g, g_hess, _ = _prepared(g, fold, R)
+    g, degree = _checked(g, fold, R)
     turned = np.asarray(turned, dtype=float)
     if turned.shape[2:] != g.shape[2:] or fold < 2 or not np.isfinite(turned).all():
         raise ValueError("turned must be a finite stack of the fields of g, and the fold "
@@ -787,14 +789,18 @@ def mirror_census(
     n_fields = g.shape[2]
     if not n_fields:
         return []
-    # q of each mirror and field (column mirror * n_fields + field), in u
+    # the x^0 and x^2 rows of each mirror's G (column mirror * n_fields + field)
     dy = max(g.shape[1], turned.shape[1], 3)
-    rows = np.zeros((dy, 2, n_fields))
-    rows[: g.shape[1], 0], rows[: turned.shape[1], 1] = g[0], turned[0]
+    rows = np.zeros((2, dy, 2, n_fields))
+    for mirror, c in enumerate((g, turned)):
+        rows[: len(c[:3:2]), : c.shape[1], mirror] = c[:3:2]
+    row0, row2 = rows.reshape(2, dy, -1)
+    # q = sum j c[0, j] y^(j-2) of each mirror and field, in u
     k = np.arange(dy - 2)[:, None]
+    dq = row0[2:] * (k + 2)
     m, e = math.frexp(R)  # R^k = 2^(k (e - 1)) (2 m)^k: no power overflows,
     with np.errstate(over="ignore"):  # and no subnormal c loses a bit
-        a = np.ldexp((rows[2:] * (k + 2)[:, None]).reshape(dy - 2, -1), k * (e - 1)) * (2 * m)**k
+        a = np.ldexp(dq, k * (e - 1)) * (2 * m)**k
     col, u = _real_roots(a)
     inside = (0.0 < u) & (u <= 1.0 + _BOUNDARY_CLAMP)
     col, u = col[inside], _polish(a[:, col[inside]], u[inside])
@@ -805,8 +811,7 @@ def mirror_census(
     col, u = col[keep], u[keep]
     ends = np.stack([np.maximum(u - DEDUP_RADIUS, 0.0), u + DEDUP_RADIUS])
     value = _horner(a[:, col], ends)[0]
-    degree = np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
-    rounds = 2 * degree[col % n_fields]  # each field's own, as `_classed_points`
+    rounds = 2 * degree[col % n_fields]  # each field's own, as the class's bound
     unit = np.finfo(float).eps / 2.0
     bound = rounds * unit / (1.0 - rounds * unit) * _horner(np.abs(a[:, col]), ends)[0]
     overlap = (np.diff(col) == 0) & (np.diff(u) <= 2.0 * DEDUP_RADIUS)
@@ -820,12 +825,24 @@ def mirror_census(
     col, u, certified = (v[certified | (u >= 1.0) | ~settled[col]] for v in (col, u, certified))
     unproven = np.bincount(col[~certified], minlength=2 * n_fields)
 
-    # the centre of each field, then each root's orbit
+    # the centre of each field, then each root: G and Hess G at (0, y) of
+    # its column's rows, and the |coefficient| sums of Hess G at y >= 0
+    at = np.concatenate([np.arange(n_fields), col])
+    ys = np.array([0.0] * n_fields + [_locate(0.0, r, R)[1] for r in (R * u).tolist()])
+    polys = np.zeros((dy, 7, at.size))  # G, Gxx, Gxy, Gyy, |Gxx|, |Gxy|, |Gyy|
+    polys[:, 0], polys[:, 1], polys[:-2, 3] = row0[:, at], 2.0 * row2[:, at], dq[:, at] * (k + 1)
+    polys[:, 4:] = np.abs(polys[:, 1:4])
+    g_value, *hess = np.polyval(polys[::-1], ys)
+    det = hess[0] * hess[2]  # Gxy = 0
+    det_bound = _det_rounding_bound(hess[:3], hess[3:], 2 * degree[at % n_fields])
+    # each orbit's n points, turned exactly, with its values
+    orbit = np.concatenate([np.arange(n_fields), n_fields + np.repeat(np.arange(col.size), fold)])
     phi = (2.0 * np.arange(fold) + col[:, None] // n_fields) * math.pi / fold
-    fidx = np.concatenate([np.arange(n_fields), np.repeat(col % n_fields, fold)])
     x = np.concatenate([np.zeros(n_fields), (R * u[:, None] * np.sin(phi)).ravel()])
     y = np.concatenate([np.zeros(n_fields), (R * u[:, None] * np.cos(phi)).ravel()])
-    points = _classed_points(g, g_hess, fidx, x, y, R)
+    located = [_locate(px, py, R) for px, py in zip(x.tolist(), y.tolist())]
+    points = _classed_points(n_fields, at[orbit] % n_fields, located,
+                             g_value[orbit], det[orbit], det_bound[orbit], R)
     scale = R * _horner(np.abs(a), 1.0)[0].reshape(2, n_fields).max(axis=0)
     results = []
     for f in range(n_fields):

@@ -409,6 +409,32 @@ class TestAnalyzeCommand:
                      "--n", "3", "--grid", "64", "--pupil-radius=1e-100",
                      "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("radius", ["1e158", "1e170"])
+    def test_huge_pupil_radius_exit_code(self, tmp_path, capsys, radius):
+        # the retina caustic shrinks as 1 / radius: squared at its tolerance,
+        # its distances would be subnormal, and the rotation residual noise
+        # (at 1e170 the caustic cloud's norms underflow to 0)
+        assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                     "--n", "3", "--grid", "64", f"--pupil-radius={radius}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: retina caustic underflows the distance arithmetic at pupil radius "
+            f"{float(radius):g} mm\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_large_pupil_radius_scales_the_residual(self, tmp_path):
+        # the retina caustic at radius P is the unit pupil's scaled by 1 / P
+        residuals = {}
+        for radius in (1.0, 1e100):
+            out = tmp_path / f"out{radius:g}"
+            assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
+                         "--n", "3", "--grid", "64", f"--pupil-radius={radius:g}",
+                         "--out", str(out)]) == 0
+            star = json.loads((out / "report.json").read_text())["starburst"]
+            assert star["p_fold"] == 3
+            residuals[radius] = star["rotation_residual"]
+        assert residuals[1e100] * 1e100 == pytest.approx(residuals[1.0], rel=1e-9)
+
     def test_missing_flags_exit_code(self):
         assert main(["analyze", "--alpha", "0.1"]) == 2
 

@@ -164,6 +164,29 @@ def _det_and_rounding_bound(G, x, y):
     return float(a * d - b**2), bound
 
 
+def _kind(det, bound):
+    return (PointClass.SADDLE if det < -bound else
+            PointClass.EXTREMUM if det > bound else PointClass.DEGENERATE)
+
+
+def _ring_mirror_points(field, census):
+    """For each point of the mirror census of ``field``, its ring's point
+    (0, y) on the mirror theta = 0 of the field that holds it there: the
+    field for the centre and the theta = 0 family, and for the theta = pi / n
+    family the turned field (G and ``mirror`` swapped), whose census finds
+    that family's roots on theta = 0, from the same row of coefficients."""
+    n = field.fold
+    turned = dataclasses.replace(field, G=field.mirror, mirror=field.G)
+    axis = [[(f, q) for q in find_critical_points(f).points if q.x == 0.0 and q.y >= 0.0]
+            for f in (field, turned)]
+    out = []
+    for p in census.points:
+        family = round(p.theta * n / math.pi) % 2
+        (f, q), = [(f, q) for f, q in axis[family] if abs(q.rho - p.rho) <= 1e-9]
+        out.append((f, q.y))
+    return out
+
+
 def _exact_det_hess(G, x, y):
     """det(Hess G) at (x, y) in rational arithmetic, from G's coefficients."""
     c = {(i, j): Fraction(float(v)) for (i, j), v in np.ndenumerate(G.coeffs) if v}
@@ -250,14 +273,19 @@ class TestCriticalPointCensus:
 
     def test_classify_matches_reported_kind(self, analyses):
         # a point is a saddle or an extremum by the sign of det(Hess G) when
-        # |det| exceeds its rounding bound, and degenerate inside it
+        # |det| exceeds its rounding bound, and degenerate inside it.  The
+        # mirror census values each ring at its point on its own mirror:
+        # there det(Hess G) is the reported one, bit for bit; each member's
+        # own lies within its bound plus the ring's, of the same class
         for a in analyses.values():
-            for p in a.search.points:
-                det, bound = _det_and_rounding_bound(a.field.G, p.x, p.y)
-                kind = (PointClass.SADDLE if det < -bound else
-                        PointClass.EXTREMUM if det > bound else PointClass.DEGENERATE)
-                assert kind is p.kind
-                assert det == det_hess_g(a.field, p.x, p.y) == p.hess_g_det
+            for p, (field, y) in zip(a.search.points, _ring_mirror_points(a.field, a.search)):
+                det, bound = _det_and_rounding_bound(field.G, 0.0, y)
+                assert _kind(det, bound) is p.kind
+                assert det == det_hess_g(field, 0.0, y) == p.hess_g_det
+                assert p.g_value == field.G(0.0, y)
+                own, own_bound = _det_and_rounding_bound(a.field.G, p.x, p.y)
+                assert abs(own - det) <= own_bound + bound
+                assert _kind(own, own_bound) is p.kind
 
     def test_rounding_bound_holds(self, analyses):
         # the exact det(Hess G) of the G given, in rational arithmetic at the
@@ -950,6 +978,32 @@ class TestMirrorCensus:
         alone = mirror_census(g[..., None], g[..., None], 3)[0]
         assert (len(alone), alone.message) == (7, "")
         assert repr(mirror_census(_stack([g, high]), _stack([g, high]), 3)[0]) == repr(alone)
+
+    @pytest.mark.parametrize("name", [*sorted(FIXTURE_SCENARIOS), "highorder", "draws"])
+    def test_each_ring_shares_its_values(self, name):
+        # each orbit is valued and classed once, so every point of a ring
+        # carries its G, det(Hess G) and class; on the draws, the census
+        # corpus's 400 seed-7 draws, 16 per stack
+        if name == "draws":
+            censuses = []
+            for n in SUPPORTED_ORDERS:
+                draws = [p for p, _ in _verification_samples(n, 0.2, 100, 7)]
+                censuses += [(c, n) for start in range(0, len(draws), 16)
+                             for c in _mirror_censuses(draws[start:start + 16])]
+        else:
+            field = build_field(HIGHORDER if name == "highorder" else ABParams(
+                *FIXTURE_SCENARIOS[name][:4]).to_wavefront())
+            censuses = [(find_critical_points(field), field.fold)]
+        for census, n in censuses:
+            rings = [[census.points[0]]]
+            for p in census.points[1:]:
+                if p.rho - rings[-1][-1].rho <= 1e-9:
+                    rings[-1].append(p)
+                else:
+                    rings.append([p])
+            for ring in rings:
+                assert len(ring) == (1 if ring[0].rho == 0.0 else n)
+                assert len({(p.g_value, p.hess_g_det, p.kind) for p in ring}) == 1
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_SCENARIOS))
     def test_power_of_two_scaling_is_bit_identical(self, name):
