@@ -42,7 +42,8 @@ from .caustics import (
 )
 from .hessian import build_field, find_critical_points, mirror_census, three_term_stacks
 # boundary_slacks is unused here, but perfbench traces it under this name (ROADMAP item 8)
-from .regions import DEFAULT_WINDOWS, ABParams, boundary_slacks, predict_saddles, region_diagram
+from .regions import (DEFAULT_WINDOWS, ABParams, _table_walk, _with_rings, boundary_slacks,
+                      predict_saddles, region_diagram)
 from .svgfig import heatmap_figure, heatmap_values, regions_figure, retina_figure, write_new_file
 from .zernike import WaveAberration, ZernikeTerm
 
@@ -450,21 +451,20 @@ def _verify_sample(pred, census) -> tuple[float, str]:
 def _verification_samples(n: int, beta: float, samples: int, seed: int):
     """Yield ``samples`` (ABParams, prediction) pairs drawn in the
     region-diagram window, outside a band of width _VERIFY_BAND around every
-    boundary curve.  The band is in units of beta (the prediction's
-    ``boundary_slack``), so it covers the same share of the window at every
-    beta.
+    boundary curve.  The band is in units of beta (the ``boundary_slack`` of
+    each draw's table walk), so it covers the same share of the window at
+    every beta.  Each _VERIFY_CHUNK of draws has its rings solved at once.
     """
     rng = np.random.default_rng(seed)
     g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
-    done = 0
-    while done < samples:
-        gamma = float(rng.uniform(g0, g1)) * beta
-        alpha = float(rng.uniform(a0, a1)) * beta
-        params = ABParams(alpha, beta, gamma, n)
-        pred = predict_saddles(params)
-        if pred.boundary_slack >= _VERIFY_BAND:
-            done += 1
-            yield params, pred
+    for done in range(0, samples, _VERIFY_CHUNK):
+        draws = []
+        while len(draws) < min(_VERIFY_CHUNK, samples - done):
+            gamma = float(rng.uniform(g0, g1)) * beta  # gamma is drawn first
+            params = ABParams(float(rng.uniform(a0, a1)) * beta, beta, gamma, n)
+            if (walk := _table_walk(params))[0]["boundary_slack"] >= _VERIFY_BAND:
+                draws.append((params, walk))
+        yield from zip([p for p, _ in draws], _with_rings([w for _, w in draws]))
 
 
 def run_verification(n: int, beta: float, samples: int, seed: int):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import _horner, _real_roots
+from .regions import _horner, _polish, _real_roots
 from .zernike import (
     MAX_RADIAL_ORDER,
     BivariatePolynomial,
@@ -700,23 +700,6 @@ def census_from_stacks(
     return results
 
 
-def _polish(c, x):
-    """Each root x of the polynomials c (as `regions._horner` reads them)
-    after up to two guarded Newton steps, the polish of
-    `regions._family_rings` on arrays: a step is taken where it lowers
-    |value|, so a zero slope, or a step whose value overflows, is refused,
-    and a root that refuses a step refuses the next."""
-    value, slope = _horner(c, x)
-    for _ in range(2):
-        with np.errstate(all="ignore"):
-            cand = x - value / slope
-            cand_value, cand_slope = _horner(c, cand)
-        take = abs(cand_value) < abs(value)
-        x, value, slope = (np.where(take, new, old) for new, old in
-                           ((cand, x), (cand_value, value), (cand_slope, slope)))
-    return x
-
-
 def _root_count(coeffs: list[float]) -> int | None:
     """The number of distinct real roots in (0, 1) of the polynomial P of
     ascending float coefficients, by Descartes' rule of signs on dyadic
@@ -764,7 +747,7 @@ def mirror_census(
     W is even in x, so on +y Gx = 0, and the critical points there are the
     roots of p(y) = dG/dy(0, y), whose coefficients are j c[0, j]; y = 0 is
     the centre.  q = p / y is solved in u = y / R for every field and mirror
-    at once (`regions._real_roots`, then `_polish`), a root within
+    at once (`regions._real_roots`, then `regions._polish`), a root within
     d = DEDUP_RADIUS of another is dropped, and each root in
     (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points.  A root is certified
     when q changes sign across [u - d, u + d] (from 0 when u < d), an
@@ -803,7 +786,7 @@ def mirror_census(
         a = np.ldexp(dq, k * (e - 1)) * (2 * m)**k
     col, u = _real_roots(a)
     inside = (0.0 < u) & (u <= 1.0 + _BOUNDARY_CLAMP)
-    col, u = col[inside], _polish(a[:, col[inside]], u[inside])
+    col, u = col[inside], _polish(a[:, col[inside]], u[inside])[0]
     order = np.lexsort((u, col))
     col, u = col[order], u[order]
     keep = (0.0 < u) & (u <= 1.0 + _BOUNDARY_CLAMP)

@@ -19,9 +19,11 @@ function of gamma / beta, and G is homogeneous in (a, b, g), so both are
 solved at beta = 1 (`_closed_form` scales and checks p once per call):
 for any beta > 0 with |gamma / beta| below ~1e153.
 
-Of a family's candidate radii, the saddle ring is the one where
-det(Hess G) < 0.  On a ring that determinant is a closed form in A' - B',
-read from the slope that polished the root (`_family_rings`), so no
+A prediction walks the table on Python floats (`_table_walk`); a ring
+step (`_with_rings`) then solves the candidate radii of every active
+family of many walks in one `_family_rings` call.  Of a family's
+candidates, the saddle ring is the one where det(Hess G) < 0, a closed
+form in A' - B' read from the slope that `_polish` ends on, so no
 polynomial field is built to choose it.
 
 Angle-family bookkeeping follows the package-wide polar convention
@@ -30,8 +32,10 @@ Angle-family bookkeeping follows the package-wide polar convention
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,12 +125,13 @@ def _ab_coefficients(p: ABParams):
     )
 
 
-def _ab_polynomial(n: int, coeffs, sign: float) -> list[float]:
+def _ab_polynomial(n: int, coeffs, sign: float) -> np.ndarray:
     """Ascending rho-coefficients of A + sign*B of order n, from A and B's
     `_ab_coefficients`: sign = -1 for the even family, +1 for the odd
-    family, 0 for A alone."""
+    family, 0 for A alone.  Coefficients that are arrays give a stack, one
+    polynomial per column."""
     c_a0, c_a2, c_ahi, c_b = coeffs
-    c = [0.0] * (max(2, 2 * n - 6) + 1)
+    c = np.zeros((max(2, 2 * n - 6) + 1, *np.shape(c_a0)))
     c[0] = c_a0
     c[2] += c_a2
     c[2 * n - 6] -= c_ahi
@@ -149,15 +154,8 @@ def ab_functions(p: ABParams):
     """Radial factors (A, B) of grad G = 0; callables accepting scalars/arrays."""
     coeffs = _ab_coefficients(p)
     a = _ab_polynomial(p.n, coeffs, 0.0)
-    b = [ab - ak for ab, ak in zip(_ab_polynomial(p.n, coeffs, 1.0), a)]
-
-    def A(rho):
-        return _horner(a, np.asarray(rho, dtype=float))[0]
-
-    def B(rho):
-        return _horner(b, np.asarray(rho, dtype=float))[0]
-
-    return A, B
+    b = _ab_polynomial(p.n, coeffs, 1.0) - a
+    return tuple(lambda rho, c=c: _horner(c, np.asarray(rho, dtype=float))[0] for c in (a, b))
 
 
 @dataclass(frozen=True)
@@ -178,12 +176,13 @@ class RadiiResult:
         return self.even if family == EVEN_FAMILY else self.odd
 
 
-def _family_rings(n: int, coeffs) -> list[tuple[float, float]]:
-    """(rho, det Hess G) of every root rho of A - B in (0, 1), in increasing
-    rho: the candidate rings of order n of the family whose
-    `_ab_coefficients` are ``coeffs``, as the even family.  Each root is
-    polished by up to two guarded Newton steps, and its det is read from
-    the slope the polish ends on.
+def _family_rings(n: int, coeffs):
+    """(column, rho, det Hess G) arrays of every root rho in (0, 1) of A - B,
+    by column, then rho: the candidate rings of order n of each family
+    whose `_ab_coefficients` are a column of ``coeffs`` (a (4, k) stack, or
+    one family's four), as the even family.  Columns with no odd power of
+    rho (gamma = 0, or n even) are solved in t = rho^2, all in one
+    `_real_roots` call, then `_polish`, whose last slope gives the det.
 
     Z_n^n is harmonic, so G = P(rho) + Q(rho) cos(n theta) with
     Q = -(4 c_b / n) rho^n, c_b being B's coefficient.  On the even
@@ -193,32 +192,37 @@ def _family_rings(n: int, coeffs) -> list[tuple[float, float]]:
     G_thetatheta / rho^2 = 4 n c_b rho^(n-2), whose product is
     16 n c_b rho^(n-1) (A' - B')(rho).
     """
-    c_b = coeffs[3]
+    coeffs = np.asarray(coeffs, dtype=float).reshape(4, -1)
     c = _ab_polynomial(n, coeffs, -1.0)
-    if any(c[1::2]):
-        roots = _real_roots(np.array(c)[:, None])[1].tolist()
-    else:  # a polynomial in t = rho^2
-        roots = [math.sqrt(t) for t in _real_roots(np.array(c[::2])[:, None])[1].tolist()
-                 if t > 0.0]
-    out = []
-    for rho in roots:
-        if not 0.0 < rho < 1.0:
-            continue
-        val, slope = _horner(c, rho)
+    in_t = ~c[1::2].any(axis=0)  # a polynomial in t = rho^2
+    col, rho = _real_roots(np.where(in_t, np.concatenate([c[::2], 0.0 * c[1::2]]), c))
+    np.sqrt(np.maximum(rho, 0.0), out=rho, where=in_t[col])
+    inside = (0.0 < rho) & (rho < 1.0)
+    col, (rho, slope) = col[inside], _polish(c[:, col[inside]], rho[inside])
+    inside = (0.0 < rho) & (rho < 1.0)
+    order = np.lexsort((rho[inside], col[inside]))
+    col, rho, slope = (v[inside][order] for v in (col, rho, slope))
+    return col, rho, 16.0 * n * coeffs[3, col] * rho ** (n - 1) * slope
+
+
+def _polish(c, x):
+    """(root, slope) of each root x of the polynomials c (as `_horner` reads
+    them) after up to two Newton steps, each taken only where it lowers
+    |value|: a zero slope, or a step whose value overflows, is refused, and
+    a root that refuses a step refuses the next."""
+    value, slope = _horner(c, x)
+    with np.errstate(all="ignore"):
         for _ in range(2):
-            if slope == 0.0:
-                break
-            cand = rho - val / slope
-            cand_val, cand_slope = _horner(c, cand)
-            if abs(cand_val) >= abs(val):
-                break
-            rho, val, slope = cand, cand_val, cand_slope
-        if 0.0 < rho < 1.0:
-            out.append((rho, 16.0 * n * c_b * rho ** (n - 1) * slope))
-    return sorted(out)
+            cand = x - value / slope
+            cand_value, cand_slope = _horner(c, cand)
+            take = abs(cand_value) < abs(value)
+            x, value, slope = (np.where(take, new, old) for new, old in
+                               ((cand, x), (cand_value, value), (cand_slope, slope)))
+    return x, slope
 
 
 _IMAG_TOL = 1e-10  # |imag| of a real root, relative to max(1, largest |root|)
+_EPS = np.finfo(float).eps
 
 
 def _real_roots(coeffs: np.ndarray):
@@ -231,7 +235,7 @@ def _real_roots(coeffs: np.ndarray):
     of the others, and dividing by it could overflow."""
     c = np.asarray(coeffs, dtype=float)
     size = np.abs(c)
-    big = size > np.finfo(float).eps * size.max(axis=0)
+    big = size > _EPS * size.max(axis=0)
     degree = (len(c) - 1 - big[::-1].argmax(axis=0)) * big.any(axis=0)
     columns, roots = [np.empty(0, dtype=int)], [np.empty(0)]
     for d in sorted(set(degree.tolist()) - {0}):
@@ -250,8 +254,8 @@ def saddle_radii(p: ABParams) -> RadiiResult:
     """Candidate ring radii per angle family (roots of A -+ B in (0, 1)),
     the rings ``predict_saddles`` chooses among."""
     q, coeffs = _closed_form(p)
-    even, odd = (tuple(rho for rho, _ in _family_rings(q.n, (*coeffs[:3], s * coeffs[3])))
-                 for _, s in _FAMILIES)
+    col, rho, _ = _family_rings(q.n, np.array([coeffs, (*coeffs[:3], -coeffs[3])]).T)
+    even, odd = (tuple(rho[col == k].tolist()) for k in range(2))
     if p.gamma == 0.0:
         # B == 0: the families coincide and A = 0 describes a full circle
         # of critical points instead of isolated rings.
@@ -264,8 +268,7 @@ def saddle_radii(p: ABParams) -> RadiiResult:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     """lo < value < hi on both axes; None is an absent bound.  The alpha
     bounds are arrays when the rows were built for an array of gammas.
     ``labels`` names the row in each family, in _FAMILIES order."""
@@ -280,47 +283,49 @@ class _Row:
 _OVERFLOW = "wavefront coefficients overflow the closed-form region bounds"
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # reported below
 def _named_bounds(n: int, t) -> dict:
     """Boundary values of the inequality table at beta = 1 and gamma = t:
     every bound is beta times a function of gamma / beta.  None reads
     alpha.  ``t`` may be an array of nonzero values: the bounds that depend
     on it are then arrays, each element computed by the scalar operations in
-    the same order.  Where alpha_2 (proportional to a power of 1/t) has no
-    float value, at t = 0 or when t * t underflows, it is left out (inf in
-    an array).
+    the same order, under np.errstate.  Where alpha_2 (a power of 1/t) has
+    no float value, at t = 0 or when t * t underflows, it is left out (inf
+    in an array).
     ValueError when alpha_1^+ overflows, as t * t does for |t| above ~1e153
     (every caller also reads -t, where it is alpha_1^-).
     """
-    out = {"sqrt15_beta": SQRT15}
-    if n == 3:
-        out["alpha1_plus"] = (-120.0 + 9.0 * SQRT10 * t + 3.0 * t * t) / (4.0 * SQRT15)
-        out["alpha2"] = (60.0 + 3.0 * t * t) / (4.0 * SQRT15)
-        out["alpha3"] = (480.0 + 33.0 * t * t) / (32.0 * SQRT15)
-        out["gamma_star"] = 4.0 * SQRT10
-    elif n == 4:
-        out["alpha1_plus"] = (-60.0 + 30.0 * SQRT2 * t + 15.0 * t * t) / (2.0 * SQRT15)
-        out["sqrt2_beta"] = SQRT2
-        out["3sqrt2_beta"] = 3.0 * SQRT2
-    elif n == 5:
-        out["alpha1_plus"] = (-60.0 + 25.0 * SQRT15 * t + 75.0 * t * t) / (2.0 * SQRT15)
-        try:
-            out["alpha2_plus"] = 9.0 * (4561.0 + 445.0 * SQRT89) / (1024.0 * SQRT15 * t * t)
-            out["alpha2_minus"] = 9.0 * (4561.0 - 445.0 * SQRT89) / (1024.0 * SQRT15 * t * t)
-        except ZeroDivisionError:  # t = 0, or t * t underflows
-            pass
-        out["gamma1_plus"] = SQRT15 * (SQRT89 + 5.0) / 40.0
-        out["gamma1_minus"] = SQRT15 * (SQRT89 - 5.0) / 40.0
-    else:  # n == 6
-        out["alpha1_plus"] = (-120.0 + 45.0 * SQRT70 * t + 525.0 * t * t) / (4.0 * SQRT15)
-        try:  # signed: proportional to 1/t
-            out["alpha2_plus"] = math.sqrt(2.0 / 7.0) * (9.0 + 4.0 * SQRT3) / t
-            out["alpha2_minus"] = math.sqrt(2.0 / 7.0) * (9.0 - 4.0 * SQRT3) / t
-        except ZeroDivisionError:  # t = 0
-            pass
-        out["gamma1_plus"] = (SQRT210 + SQRT70) / 35.0
-        out["gamma1_minus"] = (SQRT210 - SQRT70) / 35.0
-    if not np.isfinite(out["alpha1_plus"]).all():
+    array = isinstance(t, np.ndarray)
+    with (np.errstate(over="ignore", invalid="ignore", divide="ignore") if array
+          else contextlib.nullcontext()):  # reported below
+        out = {"sqrt15_beta": SQRT15}
+        if n == 3:
+            out["alpha1_plus"] = (-120.0 + 9.0 * SQRT10 * t + 3.0 * t * t) / (4.0 * SQRT15)
+            out["alpha2"] = (60.0 + 3.0 * t * t) / (4.0 * SQRT15)
+            out["alpha3"] = (480.0 + 33.0 * t * t) / (32.0 * SQRT15)
+            out["gamma_star"] = 4.0 * SQRT10
+        elif n == 4:
+            out["alpha1_plus"] = (-60.0 + 30.0 * SQRT2 * t + 15.0 * t * t) / (2.0 * SQRT15)
+            out["sqrt2_beta"] = SQRT2
+            out["3sqrt2_beta"] = 3.0 * SQRT2
+        elif n == 5:
+            out["alpha1_plus"] = (-60.0 + 25.0 * SQRT15 * t + 75.0 * t * t) / (2.0 * SQRT15)
+            try:
+                out["alpha2_plus"] = 9.0 * (4561.0 + 445.0 * SQRT89) / (1024.0 * SQRT15 * t * t)
+                out["alpha2_minus"] = 9.0 * (4561.0 - 445.0 * SQRT89) / (1024.0 * SQRT15 * t * t)
+            except ZeroDivisionError:  # t = 0, or t * t underflows
+                pass
+            out["gamma1_plus"] = SQRT15 * (SQRT89 + 5.0) / 40.0
+            out["gamma1_minus"] = SQRT15 * (SQRT89 - 5.0) / 40.0
+        else:  # n == 6
+            out["alpha1_plus"] = (-120.0 + 45.0 * SQRT70 * t + 525.0 * t * t) / (4.0 * SQRT15)
+            try:  # signed: proportional to 1/t
+                out["alpha2_plus"] = math.sqrt(2.0 / 7.0) * (9.0 + 4.0 * SQRT3) / t
+                out["alpha2_minus"] = math.sqrt(2.0 / 7.0) * (9.0 - 4.0 * SQRT3) / t
+            except ZeroDivisionError:  # t = 0
+                pass
+            out["gamma1_plus"] = (SQRT210 + SQRT70) / 35.0
+            out["gamma1_minus"] = (SQRT210 - SQRT70) / 35.0
+    if not (np.isfinite(out["alpha1_plus"]).all() if array else math.isfinite(out["alpha1_plus"])):
         raise ValueError(_OVERFLOW)
     return out
 
@@ -463,60 +468,72 @@ def predict_saddles(p: ABParams) -> SaddlePrediction:
     of the table gives ``boundary_slack``, which ``verify`` uses to keep its
     samples away from the boundaries, where the strict inequalities (and
     the numerical census) become ill-conditioned.  Solved in units of
-    beta, so the prediction at c * p is the prediction at p.
+    beta, so the prediction at c * p is the prediction at p.  ``verify``
+    runs the same table walk and ring step on many draws at once.
     """
+    return _with_rings([_table_walk(p)])[0]
+
+
+def _table_walk(p: ABParams):
+    """(fields, coefficients, families): `predict_saddles` of p before its
+    ring step, as the prediction's keyword arguments but rings and warnings,
+    its even family's `_ab_coefficients` in units of beta and the (index,
+    name, sign of gamma, label) of each family active in the table."""
     q, coeffs = _closed_form(p)
     if p.gamma == 0.0:
-        return SaddlePrediction(
-            count=0,
-            rings=(),
-            region_label="gamma=0: axially symmetric, no isolated saddles",
-            n=p.n,
-            non_generic=True,
-        )
-    rings: list[Ring] = []
-    labels: list[str] = []
-    warnings: list[str] = []
-    boundary = False
-    slack = abs(q.gamma)
+        return dict(count=0, region_label="gamma=0: axially symmetric, no isolated saddles",
+                    n=p.n, non_generic=True, boundary_slack=0.0), coeffs, []
+    a, families, boundary, slack = q.alpha, [], False, abs(q.gamma)
     for k, (family, s) in enumerate(_FAMILIES):
-        f = ABParams(q.alpha, 1.0, s * q.gamma, q.n)  # the family, as even
+        t = s * q.gamma  # the family, as even
         strict_rows, loose_rows = [], []
-        for row in _family_rows(f.n, f.gamma):
-            for value, lo, hi in ((f.gamma, row.gamma_lo, row.gamma_hi),
-                                  (f.alpha, row.alpha_lo, row.alpha_hi)):
-                for bound in (lo, hi):
-                    if bound is not None and math.isfinite(bound):
-                        slack = min(slack, abs(value - bound) / max(1.0, abs(bound)))
-            strict, loose = _row_state(f.gamma, f.alpha, row)
+        for row in _family_rows(q.n, t):
+            for value, bound in zip((t, t, a, a), row[1:]):
+                if bound is not None and math.isfinite(bound):
+                    slack = min(slack, abs(value - bound) / max(1.0, abs(bound)))
+            strict, loose = _row_state(t, a, row)
             if strict:
                 strict_rows.append(row)
             elif loose:
                 loose_rows.append(row)
-        if not (strict_rows or loose_rows):
-            continue
-        boundary = boundary or not strict_rows
-        labels.append(f"{family}: " + (strict_rows or loose_rows)[0].labels[k])
-        candidates = _family_rings(q.n, (*coeffs[:3], s * coeffs[3]))
-        angles = tuple((2.0 * j + k) * math.pi / p.n for j in range(p.n))
-        chosen = [Ring(rho, family, angles) for rho, det in candidates if det < 0.0]
-        if len(chosen) != 1:
-            warnings.append(
-                f"{family} family: expected exactly one saddle ring, found "
-                f"{len(chosen)} among radii {tuple(rho for rho, _ in candidates)}"
-            )
-        rings.extend(chosen)
-    if len(rings) != len(labels):
-        warnings.append("ring selection and inequality table disagree")
-    return SaddlePrediction(
-        count=p.n * len(labels),
-        rings=tuple(sorted(rings, key=lambda r: r.rho)),
-        region_label="; ".join(labels) if labels else "outside all saddle regions",
-        n=p.n,
-        boundary=boundary,
-        warnings=tuple(warnings),
-        boundary_slack=slack,
-    )
+        if strict_rows or loose_rows:
+            boundary = boundary or not strict_rows
+            label = f"{family}: " + (strict_rows or loose_rows)[0].labels[k]
+            families.append((k, family, s, label))
+    return dict(count=p.n * len(families),
+                region_label="; ".join(f[3] for f in families) or "outside all saddle regions",
+                n=p.n, boundary=boundary, boundary_slack=slack), coeffs, families
+
+
+def _with_rings(walks) -> list[SaddlePrediction]:
+    """The predictions of `_table_walk`s of one order n: the candidate rings
+    of all their active families in one `_family_rings` call, and of each
+    family's candidates, the one with det Hess G < 0 as its saddle ring."""
+    n = walks[0][0]["n"]
+    stack = [(*coeffs[:3], s * coeffs[3]) for _, coeffs, families in walks
+             for _, _, s, _ in families]
+    candidates = [[] for _ in stack]
+    if stack:
+        for c, rho, det in zip(*(v.tolist() for v in _family_rings(n, np.array(stack).T))):
+            candidates[c].append((rho, det))
+    out, candidates = [], iter(candidates)
+    angles = [tuple((2.0 * j + k) * math.pi / n for j in range(n)) for k in range(2)]
+    for fields, _, families in walks:
+        rings, warnings = [], []
+        for k, family, _, _ in families:
+            found = next(candidates)
+            chosen = [Ring(rho, family, angles[k]) for rho, det in found if det < 0.0]
+            if len(chosen) != 1:
+                warnings.append(
+                    f"{family} family: expected exactly one saddle ring, found "
+                    f"{len(chosen)} among radii {tuple(rho for rho, _ in found)}"
+                )
+            rings.extend(chosen)
+        if len(rings) != len(families):
+            warnings.append("ring selection and inequality table disagree")
+        out.append(SaddlePrediction(**fields, rings=tuple(sorted(rings, key=lambda r: r.rho)),
+                                    warnings=tuple(warnings)))
+    return out
 
 
 def boundary_slacks(p: ABParams) -> list[float]:

@@ -423,9 +423,11 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "out").exists()
 
     def test_large_pupil_radius_scales_the_residual(self, tmp_path):
-        # the retina caustic at radius P is the unit pupil's scaled by 1 / P
+        # the retina caustic at radius P is the unit pupil's scaled by 1 / P;
+        # residual * P drifts with the residual's conditioning (1.8e-11 at
+        # P = 1e150 for 3star at grid 512), not from a subnormal distance
         residuals = {}
-        for radius in (1.0, 1e100):
+        for radius in (1.0, 1e100, 1e140, 1e150):
             out = tmp_path / f"out{radius:g}"
             assert main(["analyze", "--alpha", "0", "--beta", "0.2", "--gamma", "0.2",
                          "--n", "3", "--grid", "64", f"--pupil-radius={radius:g}",
@@ -433,7 +435,8 @@ class TestAnalyzeCommand:
             star = json.loads((out / "report.json").read_text())["starburst"]
             assert star["p_fold"] == 3
             residuals[radius] = star["rotation_residual"]
-        assert residuals[1e100] * 1e100 == pytest.approx(residuals[1.0], rel=1e-9)
+        for radius in (1e100, 1e140, 1e150):
+            assert residuals[radius] * radius == pytest.approx(residuals[1.0], rel=1e-9)
 
     def test_missing_flags_exit_code(self):
         assert main(["analyze", "--alpha", "0.1"]) == 2

@@ -361,8 +361,8 @@ class TestIndependentDerivation:
             at = {a: sp.Rational(p.alpha), b: sp.Rational(p.beta), g: sp.Rational(p.gamma)}
             roots = sp.Poly(a_minus_b.subs(at), rho).nroots(n=30)
             roots = sorted(r for r in roots if r.is_real and 0 < r < 1)
-            rings = _family_rings(n, _ab_coefficients(p))
-            for r, (got_rho, got_det) in zip(roots, rings, strict=True):
+            _, *rings = _family_rings(n, _ab_coefficients(p))
+            for r, got_rho, got_det in zip(roots, *rings, strict=True):
                 want = float(sp.N(det.subs(at).subs(rho, r), 30))
                 assert got_rho == pytest.approx(float(r), abs=1e-13)
                 assert got_det == pytest.approx(want, rel=1e-9)
@@ -628,16 +628,55 @@ class TestRingDeterminant:
             for family, s in ((EVEN_FAMILY, 1.0), (ODD_FAMILY, -1.0)):
                 theta = 0.0 if family == EVEN_FAMILY else math.pi / n
                 f = ABParams(p.alpha, p.beta, s * p.gamma, n)
-                rings = _family_rings(n, _ab_coefficients(f))
+                _, rhos, dets = _family_rings(n, _ab_coefficients(f))
                 # solved in micrometres here and in units of beta by saddle_radii
-                assert [rho for rho, _ in rings] == pytest.approx(radii.for_family(family),
-                                                                  abs=1e-13)
-                for rho, det in rings:
+                assert rhos.tolist() == pytest.approx(radii.for_family(family), abs=1e-13)
+                for rho, det in zip(rhos.tolist(), dets.tolist()):
                     want = det_hess_g(field, rho * math.sin(theta), rho * math.cos(theta))
                     assert (det < 0.0) == (want < 0.0)
                     assert det == pytest.approx(want, rel=1e-9)
                     saddle_seen.add(det < 0.0)
         assert saddle_seen == {True, False}  # saddle and extremum rings alike
+
+
+def prediction_bits(pred) -> tuple:
+    """Every field of a prediction, its floats as hex."""
+    return (pred.count, pred.n, pred.region_label, pred.boundary, pred.non_generic,
+            pred.warnings, pred.boundary_slack.hex(),
+            tuple((r.rho.hex(), r.family, tuple(t.hex() for t in r.theta_offsets))
+                  for r in pred.rings))
+
+
+class TestRingStep:
+    """`verify` solves a chunk's rings in one `_family_rings` call; the
+    predictions must be those of one draw at a time, to the bit."""
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_chunk_equals_single_draws(self, n):
+        pairs = list(_verification_samples(n, 0.2, 400, 7))
+        assert len(pairs) == 400
+        for params, pred in pairs:
+            assert prediction_bits(pred) == prediction_bits(predict_saddles(params))
+        assert sum(len(pred.rings) for _, pred in pairs) > 100
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_mixed_stack_equals_its_columns(self, n):
+        # gamma = 0 leaves A - B with no odd power of rho, which is solved in
+        # t = rho^2, with a ring for alpha < sqrt(15) beta; the other columns
+        # are solved in rho, in the same call
+        rng = np.random.default_rng(60 + n)
+        draws = [ABParams(float(rng.uniform(-3.0, 3.8)), 1.0,
+                          float(rng.uniform(-3.0, 3.0)) if k % 3 else 0.0, n)
+                 for k in range(24)]
+        stack = np.array([_ab_coefficients(p) for p in draws]).T
+        col, rho, det = _family_rings(n, stack)
+        in_t = 0
+        for k, p in enumerate(draws):
+            _, want_rho, want_det = _family_rings(n, _ab_coefficients(p))
+            assert [v.hex() for v in rho[col == k]] == [v.hex() for v in want_rho]
+            assert [v.hex() for v in det[col == k]] == [v.hex() for v in want_det]
+            in_t += p.gamma == 0.0 and want_rho.size > 0
+        assert in_t >= 4 and np.count_nonzero(col % 3) >= 4  # rings of both kinds
 
 
 class TestCensusMirror:
