@@ -127,9 +127,8 @@ def _ab_coefficients(p: ABParams):
 
 def _ab_polynomial(n: int, coeffs, sign: float) -> np.ndarray:
     """Ascending rho-coefficients of A + sign*B of order n, from A and B's
-    `_ab_coefficients`: sign = -1 for the even family, +1 for the odd
-    family, 0 for A alone.  Coefficients that are arrays give a stack, one
-    polynomial per column."""
+    `_ab_coefficients` (arrays of them give a stack, one column each):
+    sign = -1 for the even family, +1 for the odd family, 0 for A alone."""
     c_a0, c_a2, c_ahi, c_b = coeffs
     c = np.zeros((max(2, 2 * n - 6) + 1, *np.shape(c_a0)))
     c[0] = c_a0
@@ -207,17 +206,19 @@ def _family_rings(n: int, coeffs):
 
 def _polish(c, x):
     """(root, slope) of each root x of the polynomials c (as `_horner` reads
-    them) after up to two Newton steps, each taken only where it lowers
-    |value|: a zero slope, or a step whose value overflows, is refused, and
-    a root that refuses a step refuses the next."""
+    them) after up to two Newton steps, each taken where it lowers |value|
+    (not at a zero slope or on overflow); a root refusing one refuses both."""
+    x = np.array(x, dtype=float)
     value, slope = _horner(c, x)
     with np.errstate(all="ignore"):
         for _ in range(2):
             cand = x - value / slope
             cand_value, cand_slope = _horner(c, cand)
             take = abs(cand_value) < abs(value)
-            x, value, slope = (np.where(take, new, old) for new, old in
-                               ((cand, x), (cand_value, value), (cand_slope, slope)))
+            if not take.any():  # every root refuses this step, and so the next
+                break
+            for old, new in ((x, cand), (value, cand_value), (slope, cand_slope)):
+                np.copyto(old, new, where=take)
     return x, slope
 
 
@@ -257,8 +258,7 @@ def saddle_radii(p: ABParams) -> RadiiResult:
     col, rho, _ = _family_rings(q.n, np.array([coeffs, (*coeffs[:3], -coeffs[3])]).T)
     even, odd = (tuple(rho[col == k].tolist()) for k in range(2))
     if p.gamma == 0.0:
-        # B == 0: the families coincide and A = 0 describes a full circle
-        # of critical points instead of isolated rings.
+        # B == 0: the families coincide, and A = 0 is a circle of critical points
         return RadiiResult(even=(), odd=(), degenerate_circle=even, non_generic=True)
     return RadiiResult(even=even, odd=odd)
 

@@ -19,6 +19,7 @@ from starburst import (
     find_critical_points,
     predict_saddles,
     region_diagram,
+    regions,
     saddle_radii,
 )
 from starburst.cli import FIXTURE_SCENARIOS, _verification_samples
@@ -658,6 +659,20 @@ class TestRingStep:
         for params, pred in pairs:
             assert prediction_bits(pred) == prediction_bits(predict_saddles(params))
         assert sum(len(pred.rings) for _, pred in pairs) > 100
+
+    def test_one_root_solve_per_chunk(self, monkeypatch):
+        # 40 samples are three chunks of at most _VERIFY_CHUNK = 16 draws
+        # (the census imports its own name of `_real_roots`)
+        calls = []
+
+        def counted(coeffs):
+            calls.append(np.shape(coeffs)[1])
+            return real_roots(coeffs)
+
+        real_roots = regions._real_roots
+        monkeypatch.setattr(regions, "_real_roots", counted)
+        assert len(list(_verification_samples(5, 0.2, 40, 1))) == 40
+        assert len(calls) == 3 and sum(calls) > 20  # each call solves many families
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_mixed_stack_equals_its_columns(self, n):
