@@ -662,7 +662,6 @@ class TestRingStep:
 
     def test_one_root_solve_per_chunk(self, monkeypatch):
         # 40 samples are three chunks of at most _VERIFY_CHUNK = 16 draws
-        # (the census imports its own name of `_real_roots`)
         calls = []
 
         def counted(coeffs):
