@@ -33,10 +33,10 @@ stack share one fold, so the crop is every field's.  Each zoom pass
 seeds each grid node once, so no two seeds share (field, x, y) and each
 counts once in the unconverged-seed message.  A pass reads the sign
 changes of Gx and Gy from one 4-bit code per node, and the local minima
-of |grad G| from gx^2 + gy^2 scaled by a power of two per field, not
-from np.hypot.  Each Newton trial is one evaluation of the (Gx, Gy, Gxx,
-Gxy, Gyy) stack, whose Hessian the next step reuses; the loop keeps only
-the running seeds' state, compacted, and drops a seed when it stops.
+of |grad G| = np.hypot(Gx, Gy).  Each Newton trial is one evaluation of
+the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next step reuses;
+the loop keeps only the running seeds' state, compacted, and drops a seed
+when it stops.
 Every seed runs to its own best iterate, damped and then, once
 converged, undamped: deduplication keeps each root's best, and which
 seed that is decides the noise-level digits of the reported point.
@@ -299,39 +299,20 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, fold: int):
     sector (`_grid_axes`).  For g >= 2 only the seeds in the sector 0 <=
     theta < 2 pi / g are kept, plus one at the centre of each field, which
     its symmetry fixes, so the kept seeds are those of the whole grid.
-
-    The minima are taken on gx^2 + gy^2, not on np.hypot(gx, gy), after the
-    sign changes are read: each field's gx and gy are scaled by one exact
-    power of two that puts the largest component on the zoom-1 grid in
-    [0.5, 1), so every square read for its scale is below 2 at any
-    coefficient scale.  The mask can then differ from hypot's only
-    where two neighbouring nodes' |grad G| agree to a few ulps (the square
-    rounds twice, hypot once), or where both are below 2^-511 of the
-    field's largest, whose squares lose bits below the normal range.  The
-    largest |grad G| is still hypot's: hypot is taken only at the nodes
-    whose square is within 1e-12 of the field's largest square, and
-    unscaled exactly."""
+    |grad G| is np.hypot(gx, gy)."""
     blocks = []
     for zoom in _ZOOM_FACTORS:
         radius = domain_radius * zoom
         xs, ys = _grid_axes(radius, fold)
         gx, gy = grid_values(grad, xs, ys)
-        if zoom == 1.0:
-            top = np.maximum(np.abs(gx).max(axis=(1, 2)), np.abs(gy).max(axis=(1, 2)))
-            # 2^-e for the largest component's exponent e, kept a normal float
-            power = np.clip(-np.frexp(top)[1], -1022, 1023)
-            scale = np.ldexp(1.0, power)[:, None, None]
         cells = _sign_change_cells(gx, gy)
-        gx *= scale
-        gy *= scale
-        square = gx * gx
-        square += gy * gy
+        norm = np.hypot(gx, gy)
         if zoom == 1.0:
-            gscale = _largest_norm(gx, gy, square, scale)
+            gscale = norm.max(axis=(1, 2))
         h = 2.0 * radius / _GRID_SIZE
         f, ci, cj = np.unravel_index(np.flatnonzero(cells), cells.shape)
         blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
-        nodes = _local_min_mask(square)
+        nodes = _local_min_mask(norm)
         rows, cols = cells.shape[1:]
         for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):  # each such cell's corners
             nodes[:, di:di + rows, dj:dj + cols] |= cells
@@ -342,23 +323,6 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, fold: int):
     f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
     keep = (fold <= 1) | (np.arctan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / max(fold, 1))
     return f[keep], x[keep], y[keep], gscale
-
-
-def _largest_norm(gx, gy, square, scale) -> np.ndarray:
-    """Each field's largest np.hypot of the unscaled (gx, gy), given gx and
-    gy scaled by ``scale`` and ``square`` = gx^2 + gy^2: hypot is taken
-    only where the square is within 1e-12 of the field's largest, which
-    holds hypot's largest.  Dividing by the power of two is exact for those
-    nodes; a component it would round is too small to move hypot.  NaN for
-    a field whose squares hold a NaN."""
-    top = square.max(axis=(1, 2))
-    near = np.flatnonzero(square >= (top * (1.0 - 1e-12))[:, None, None])
-    f = near // square[0].size
-    unscale = scale.ravel()[f]
-    norm = np.hypot(gx.ravel()[near] / unscale, gy.ravel()[near] / unscale)
-    largest = np.where(np.isnan(top), np.nan, 0.0)
-    np.maximum.at(largest, f, norm)
-    return largest
 
 
 def _newton_step(gx, gy, gxx, gxy, gyy):

@@ -1091,6 +1091,66 @@ class TestMirrorCensus:
                 mirror_census(g, bad, fold)
 
 
+def _with_roots(*roots, factor=(1.0,)):
+    """Ascending float coefficients of ``factor`` times prod (x - r)."""
+    c = np.array(factor)
+    for r in roots:
+        c = np.convolve(c, [-r, 1.0])
+    return c.tolist()
+
+
+def _exact_root_count(coeffs):
+    """The number of distinct real roots in (0, 1) of the polynomial of
+    ascending float coefficients, in exact rational arithmetic."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    p = sp.Poly([sp.Rational(*c.as_integer_ratio()) for c in coeffs[::-1]], x)
+    return sum(1 for r in p.sqf_part().real_roots() if 0 < r < 1)
+
+
+class TestRootCount:
+    """`hessian._root_count`, the completeness check of the mirror census,
+    against exact arithmetic."""
+
+    THREE = _with_roots(0.1, 0.45, 0.9, factor=(0.5, -1.0, 1.0))  # and a complex pair
+
+    @pytest.mark.parametrize("coeffs, count", [
+        (_with_roots(factor=(1.0, 0.0, 1.0)), 0),
+        (_with_roots(-0.5, 1.5, 3.0), 0),
+        (_with_roots(0.3, 2.0), 1),
+        (_with_roots(0.2, 0.7, -1.0), 2),
+        (THREE, 3),
+        (_with_roots(1e-9, 0.6), 2),
+        (_with_roots(1.0 - 1e-9, 0.6), 2),
+        (_with_roots(1e-9, 1.0 - 1e-9), 2),
+    ], ids=["none", "outside", "one", "two", "three", "at 1e-9", "at 1 - 1e-9", "both ends"])
+    def test_counts_distinct_roots_in_the_unit_interval(self, coeffs, count):
+        assert hessian._root_count(coeffs) == _exact_root_count(coeffs) == count
+
+    @pytest.mark.parametrize("k", [900, -900])
+    def test_power_of_two_scaling_keeps_the_count(self, k):
+        assert hessian._root_count([math.ldexp(c, k) for c in self.THREE]) == 3
+
+    @pytest.mark.parametrize("constant, count", [(5e-324, 2), (-5e-324, 3)])
+    def test_subnormal_coefficient_is_exact(self, constant, count):
+        # x (x - 0.2) (x - 0.7) plus the smallest subnormal: the root at 0
+        # moves to -+3.5e-323, out of (0, 1) or into it
+        coeffs = [constant] + _with_roots(0.0, 0.2, 0.7)[1:]
+        assert hessian._root_count(coeffs) == _exact_root_count(coeffs) == count
+
+    def test_unresolved_roots_give_none(self):
+        # two roots 5e-7 apart in one dyadic cell of width 2^-20, below
+        # DEDUP_RADIUS
+        a = 314572.1 / 2**20
+        close = _with_roots(a, a + 5e-7)
+        assert _exact_root_count(close) == 2
+        assert hessian._root_count(close) is None
+        # (x^2 - 1/2)^2: a double root at 1 / sqrt(2), which no halving hits
+        assert hessian._root_count([0.25, 0.0, -1.0, 0.0, 1.0]) is None
+        # (2x - 1)(5x - 1): the first halving point 1/2 is a root
+        assert hessian._root_count([1.0, -7.0, 10.0]) is None
+
+
 def _mixed_fields(seed, count):
     """Three-term fields of mixed order plus mixed-m and degenerate ones."""
     rng = np.random.default_rng(seed)
@@ -1503,10 +1563,7 @@ def _check_seeds(grad, radius, fold, got):
     each local minimum of |grad G|, and nothing twice; a field of fold
     g >= 2 keeps the seeds with 0 <= atan2(x, y) < 2 pi / g and one at the
     centre; the scale is the largest hypot on the field's own crop of the
-    zoom-1 grid (`_own_crop_reference`).  The kernel takes its minima on
-    gx^2 + gy^2, so its mask could differ from this one where two
-    neighbouring nodes' |grad G| agree to a few ulps (or both lie below
-    2^-511 of the largest); no grid checked here holds such a pair."""
+    zoom-1 grid (`_own_crop_reference`)."""
     def key(f, x, y):
         return int(f), x.view(np.int64).item(), y.view(np.int64).item()
 
@@ -1644,9 +1701,7 @@ def corpus_stacks() -> list[tuple[list[str], np.ndarray, int]]:
 
 
 # the scalings 2^k of TestCoefficientScale, from the last at which G can be
-# squared, and 2^246 near the top of that range.  Unscaled, |grad G|^2 would
-# be subnormal on every node of the zoomed grids at 2^-260 and reach 3e305
-# at 2^246.
+# squared, and 2^246 near the top of that range.
 SCALINGS = (-260, -200, -150, -64, -23, -1, 1, 17, 40, 246)
 
 
