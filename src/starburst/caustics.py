@@ -2,7 +2,9 @@
 
 The zero-level set of the Hessian determinant G is traced over the pupil
 with marching squares (linear edge interpolation, ambiguous cells resolved
-by the cell-center value) and optically mapped to retina angular
+by the cell-center value) on a polar mesh that keeps W's symmetry: one
+wedge of a W with a mirror, completed by its exact reflection and turns,
+or the whole periodic disk.  It is optically mapped to retina angular
 coordinates through xi = -dW/dx, eta = -dW/dy, taken with respect to the
 physical pupil coordinate so the result is in milliradians, reported in
 arcminutes.
@@ -28,7 +30,9 @@ from .zernike import WaveAberration, _ranges
 
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
-MAX_GRID_RESOLUTION = 4096  # largest; analyze then peaks at 226-229 MB RSS
+# largest; analyze then peaks at 48 MB RSS on the order-12 wedge and 109 MB on
+# a W with no mirror (the whole periodic mesh, evaluated a tile at a time)
+MAX_GRID_RESOLUTION = 4096
 
 # Verdict constants (see starburst_verdict).
 _PROFILE_BINS = 360  # 1-degree bins of the radial extent profile
@@ -54,6 +58,10 @@ class ContourSet:
 
     polylines: tuple[np.ndarray, ...]
     grid_resolution: int
+    # the meshed wedge's vertices, and how the polylines complete them;
+    # None only for polylines built by hand for fertility_report
+    wedge: np.ndarray | None = None
+    completion: Completion | None = None
 
     def __iter__(self):
         return iter(self.polylines)
@@ -84,6 +92,9 @@ class CausticSet:
     # The vertex-cloud centroid is biased by the direction-dependent vertex
     # density of the extracted contours, so it is not used.
     center: np.ndarray
+    # the (g, vertices, 2) turned copies of the wedge's image when the
+    # curves complete a mirror W's wedge by g >= 2 turns, else None
+    sectors: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -186,115 +197,258 @@ def _stitch(nbr: np.ndarray):
     return chains
 
 
-def _circle_hit(a, b):
-    """The first point of segment a -> b on the unit circle, or None.  The
-    dot products are written out: a BLAS dot may fuse a multiply-add, and
-    its last bit would then depend on the numpy build."""
-    d = b - a
-    aa = d[0] * d[0] + d[1] * d[1]
-    bb = 2.0 * (a[0] * d[0] + a[1] * d[1])
-    cc = a[0] * a[0] + a[1] * a[1] - 1.0
-    disc = bb * bb - 4.0 * aa * cc
-    if disc < 0.0 or aa == 0.0:
-        return None
-    sq = math.sqrt(disc)
-    for t in sorted(((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa))):
-        if 0.0 <= t <= 1.0:
-            return a + t * d
-    return None
+_TILE_BUDGET = 1 << 17  # mesh values evaluated at once, 1 MB
 
 
-def _clip_polyline_to_disk(points: np.ndarray):
-    """Split a polyline into pieces inside the closed unit disk.
+@dataclass(frozen=True)
+class Completion:
+    """How a contour or caustic set is assembled from the vertices of one
+    meshed wedge: ``turns`` copies of the wedge turned by 2 pi k / turns,
+    each with its reflection x -> -x when ``mirror``, copy 2k the turned
+    copy and 2k + 1 the reflection of copy 2(-k) (without ``mirror`` only
+    copy 0, the wedge itself).  Vertex v of the concatenated curves is
+    vertex ``source[v]`` of copy ``copy[v]``; at each position of
+    ``joins`` it is instead the mean of that copy's and copy ``other``'s
+    vertex, a vertex on a mirror line shared by two copies."""
 
-    Each run of consecutive inside vertices becomes one piece, with the
-    circle-intersection vertex of its entering and of its leaving segment
-    added at its ends; pieces of fewer than two vertices are dropped."""
-    inside = np.hypot(points[:, 0], points[:, 1]) <= 1.0 + 1e-12
-    bounds = np.flatnonzero(np.diff(inside, prepend=False, append=False))
-    pieces = []
-    for s, e in bounds.reshape(-1, 2).tolist():
-        parts = [points[s:e]]
-        if s > 0:
-            hit = _circle_hit(points[s - 1], points[s])
-            if hit is not None:
-                parts.insert(0, hit[None])
-        if e < len(points):
-            hit = _circle_hit(points[e - 1], points[e])
-            if hit is not None:
-                parts.append(hit[None])
-        piece = np.concatenate(parts)
-        if len(piece) >= 2:
-            pieces.append(piece)
-    return pieces
+    turns: int
+    mirror: bool
+    copy: np.ndarray
+    source: np.ndarray
+    joins: np.ndarray
+    other: np.ndarray
+    lengths: tuple[int, ...]
+
+    def copies(self, points: np.ndarray) -> np.ndarray:
+        """The (copies, len(points), 2) turned and reflected copies of the
+        wedge's ``points``, about the origin; copy 0 is ``points``."""
+        k = np.arange(self.turns)
+        angle = 2.0 * math.pi * np.minimum(k, self.turns - k) / self.turns
+        # a turn by -a is the turn by a with sin negated, so copy 2(-k) + 1
+        # is the exact reflection of copy 2k; a zero up to rounding is 0
+        c = np.where(np.abs(np.cos(angle)) < 1e-15, 0.0, np.cos(angle))
+        s = np.where(np.abs(np.sin(angle)) < 1e-15, 0.0, np.sin(angle))
+        s = np.where(k > self.turns - k, -s, s)[:, None]
+        x, y = points[:, 0], points[:, 1]
+        turned = np.stack([x * c[:, None] + y * s, y * c[:, None] - x * s], axis=-1)
+        turned[0] = points
+        if not self.mirror:
+            return turned
+        out = np.empty((2 * self.turns,) + points.shape)
+        out[0::2] = turned
+        out[1::2] = turned[(-k) % self.turns] * [-1.0, 1.0]
+        return out
+
+    def curves(self, copies: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The curves, read-only, from `copies` of the wedge's vertices."""
+        flat = copies[self.copy, self.source]
+        flat[self.joins] = (0.5 * flat[self.joins]
+                            + 0.5 * copies[self.other, self.source[self.joins]])
+        flat.flags.writeable = False
+        return tuple(np.split(flat, np.cumsum(self.lengths)[:-1])) if self.lengths else ()
+
+
+def _wedge_pieces(chains, kind, turns):
+    """The curves of the completed caustic as lists of (chain, copy,
+    forward) pieces, for the wedge's chains of node indices whose end
+    nodes have ``kind`` 0 (a mirror end on t = 0), 1 (on the wedge's other
+    mirror line) or 2 (the rim, or a loop).  Each completed curve is copies
+    of one chain: a mirror end meets the same node of the copy across that
+    mirror line, copy 2k + 1 across t = 0 and copy 2k + 3 across the other
+    line (copy 2k - 2 from copy 2k + 1), taken mod 2 turns."""
+    def across(c, end):
+        k = c // 2
+        if c % 2 == 0:
+            return 2 * (k + end) % (2 * turns) + 1
+        return 2 * (k - end) % (2 * turns)
+
+    curves = []
+    for q, chain in enumerate(chains):
+        a, b = int(kind[chain[0]]), int(kind[chain[-1]])
+        if chain[0] == chain[-1] or a == b == 2:
+            curves += [[(q, c, True)] for c in range(2 * turns)]
+            continue
+        forward = not (b == 2 or (a, b) == (1, 0))
+        first = b if not forward else a
+        last = a if not forward else b
+        if first == 2:  # rim to mirror: one copy and the copy across
+            curves += [[(q, c, forward), (q, across(c, last), not forward)]
+                       for c in range(0, 2 * turns, 2)]
+        elif first == last:  # a loop through two copies
+            curves += [[(q, c, forward), (q, across(c, last), not forward), None]
+                       for c in range(0, 2 * turns, 2)]
+        else:  # a loop about the centre through every copy
+            c, loop = 0, []
+            for _ in range(turns):
+                loop += [(q, c, forward), (q, across(c, 1), not forward)]
+                c = across(across(c, 1), 0)
+            curves.append(loop + [None])
+    return curves
+
+
+def _layout(chains, kind, turns, mirror):
+    """The `Completion` of the chains of wedge nodes: pieces as
+    `_wedge_pieces` lists them when ``mirror``, else each chain once."""
+    if not mirror:
+        pieces = [[(q, 0, True)] for q in range(len(chains))]
+    else:
+        pieces = _wedge_pieces(chains, kind, turns)
+    copy, source, joins, other, lengths = [], [], [], [], []
+    for curve in pieces:
+        closed = curve[-1] is None
+        curve = curve[:-1] if closed else curve
+        start = len(copy)
+        for n, (q, c, forward) in enumerate(curve):
+            nodes = chains[q] if forward else chains[q][::-1]
+            if n:  # the junction with the previous piece, on a mirror line
+                joins.append(len(copy) - 1)
+                other.append(c)
+                nodes = nodes[1:]
+            copy += [c] * len(nodes)
+            source += nodes.tolist()
+        if closed:  # the last vertex is the first, on the line of both
+            joins.append(start)
+            other.append(copy[-1])
+            copy[-1:], source[-1:] = [copy[start]], [source[start]]
+            joins.append(len(copy) - 1)
+            other.append(other[-1])
+        lengths.append(len(copy) - start)
+    as_int = [np.array(v, dtype=np.intp) for v in (copy, source, joins, other)]
+    return Completion(turns, mirror, *as_int, tuple(lengths))
+
+
+def _mesh(field, resolution):
+    """(rho, t, sin t, cos t, turns, mirror) of the polar mesh of W's
+    symmetry: rho uniform on [0, 1]; t on the wedge [0, pi / turns] when W
+    has a mirror at t = 0 (no odd power of x), else periodic on [0, 2 pi],
+    its last column the first's.  Both steps are at most 2 / (resolution -
+    1), the rho step and the rim arc step."""
+    h = 2.0 / (resolution - 1)
+    m = math.ceil(1.0 / h - 1e-9)
+    rho = np.arange(m + 1) / m
+    mirror = not np.any(field.W.coeffs[1::2])
+    turns = max(field.fold, 1) if mirror else 1
+    span = math.pi / turns if mirror else 2.0 * math.pi
+    t = np.linspace(0.0, span, math.ceil(span / h - 1e-9) + 1)
+    sin, cos = np.sin(t), np.cos(t)
+    if not mirror:
+        sin[-1], cos[-1] = sin[0], cos[0]
+    return rho, t, sin, cos, turns, mirror
+
+
+def _ray_coefficients(g: np.ndarray, sin, cos) -> np.ndarray:
+    """G's coefficients g on the rays at (sin t, cos t) as a polynomial in
+    rho, shape (deg + 1, len(sin)): a_k(t) = sum_{i+j=k} c_ij sin^i t cos^j t."""
+    deg = g.shape[0] + g.shape[1] - 2
+    a = np.zeros((deg + 1, len(sin)))
+    sin_pow = [sin ** i for i in range(g.shape[0])]
+    cos_pow = [cos ** j for j in range(g.shape[1])]
+    for i, j in zip(*np.nonzero(g)):
+        a[i + j] += g[i, j] * (sin_pow[i] * cos_pow[j])
+    return a
+
+
+def _ray_values(a: np.ndarray, rho) -> np.ndarray:
+    """G at the radii rho on the rays of `_ray_coefficients` a, shape
+    (len(rho), a.shape[1]): Horner in rho, each step a product with a
+    contiguous copy of rho per ray, not a broadcast."""
+    r = np.repeat(np.asarray(rho, dtype=float)[:, None], a.shape[1], axis=1)
+    out = np.empty(r.shape)
+    out[:] = a[-1]
+    for ak in a[-2::-1]:
+        out *= r
+        out += ak
+    return out
 
 
 def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
-    """Marching-squares zero contours of G inside the unit pupil."""
+    """Marching-squares zero contours of G inside the unit pupil, on the
+    polar (rho, t) index mesh of `_mesh`, completed by W's reflection and
+    turns (`Completion`).
+
+    The mesh is evaluated a tile of t columns at a time.  Cells are (i, j)
+    to (i + 1, j + 1) in (rho, t) index; a saddle cell is paired by the sign
+    of G at its centre.  Crossings are interpolated linearly in rho along a
+    ray and in t along an arc, so a rim vertex lies on rho = 1.  A vertex on
+    a mirror line is its own image; the periodic mesh's last column is its
+    first, so a curve crosses t = 0 with no seam vertex."""
     if not MIN_GRID_RESOLUTION <= resolution <= MAX_GRID_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_GRID_RESOLUTION} "
                          f"and at most {MAX_GRID_RESOLUTION}")
-    n = resolution
-    xs = ys = np.linspace(-1.0, 1.0, n)
-    values = field.G.grid(xs, ys)
+    rho, t, sin, cos, turns, mirror = _mesh(field, resolution)
+    ni, nj = len(rho), len(t)
+    a = _ray_coefficients(field.G.coeffs, sin, cos)
+    cells, corners = [], []
+    width = max(_TILE_BUDGET // ni, 2)
+    for j0 in range(0, nj - 1, width - 1):
+        values = _ray_values(a[:, j0:j0 + width], rho)
+        pos = (values > 0.0).view(np.uint8)
+        code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+        # the mixed cells: codes 1..14 (code 0 wraps to 255)
+        ci, cj = np.divmod(np.flatnonzero((code - 1) < 14), code.shape[1])
+        cells.append(np.column_stack([ci, cj + j0, code[ci, cj]]))
+        corners.append(np.column_stack([values[ci, cj], values[ci + 1, cj],
+                                        values[ci + 1, cj + 1], values[ci, cj + 1]]))
+    ci, cj, case = np.concatenate(cells).T
+    v = np.concatenate(corners)
 
-    pos = (values > 0.0).view(np.uint8)
-    code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-    # the mixed cells (codes 1..14; code 0 wraps to 255), less those whose
-    # closest point to the origin lies outside the disk
-    ci, cj = np.divmod(np.flatnonzero((code - 1) < 14), n - 1)
-    side = np.clip(0.0, xs[:-1], xs[1:])  # xs and ys are one array
-    near = ~(side[ci] ** 2 + side[cj] ** 2 > 1.0)
-    ci, cj = ci[near], cj[near]
-    if ci.size == 0:
-        return ContourSet((), resolution)
-
-    # saddle cells: decide the pairing by the sign of G at the cell center
-    case = code[ci, cj]
+    # saddle cells: decide the pairing by the sign of G at the cell centre
     saddle = np.flatnonzero((case == 5) | (case == 10))
-    half = 0.5 * (xs[1] - xs[0])
-    center = field.G(xs[ci[saddle]] + half, ys[cj[saddle]] + half)
-    case[saddle[~(center > 0.0)]] ^= 15
+    rc = 0.5 * (rho[ci[saddle]] + rho[ci[saddle] + 1])
+    tc = 0.5 * (t[cj[saddle]] + t[cj[saddle] + 1])
+    centre = field.G(rc * np.sin(tc), rc * np.cos(tc))
+    case[saddle[~(centre > 0.0)]] ^= 15
 
-    # edge ids keep the (kind, i, j) order, "h" before "v": the horizontal
-    # edge (i, j)-(i+1, j) is i*n + j, the vertical (i, j)-(i, j+1) is
-    # h_count + i*(n-1) + j
-    h_count = (n - 1) * n
+    # edge ids keep the (kind, i, j) order, radial before angular: the
+    # radial edge (i, j)-(i+1, j) is i*nj + j, the angular (i, j)-(i, j+1)
+    # is radial + i*(nj-1) + j; the periodic mesh's last radial column is
+    # its first
+    radial = (ni - 1) * nj
     edges = np.column_stack([
-        ci * n + cj,                           # bottom
-        h_count + (ci + 1) * (n - 1) + cj,     # right
-        ci * n + cj + 1,                       # top
-        h_count + ci * (n - 1) + cj,           # left
+        ci * nj + cj,                          # (i, j)-(i+1, j)
+        radial + (ci + 1) * (nj - 1) + cj,     # (i+1, j)-(i+1, j+1)
+        ci * nj + cj + 1,                      # (i, j+1)-(i+1, j+1)
+        radial + ci * (nj - 1) + cj,           # (i, j)-(i, j+1)
     ])
+    if not mirror:
+        edges[:, 2] -= np.where(cj + 1 == nj - 1, nj - 1, 0)
+    ends = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])  # each edge's corners
     slots = _CASES[case]
     used = slots[:, :, 0] >= 0
-    pairs = edges[np.nonzero(used)[0][:, None], slots[used]]
+    cell = np.nonzero(used)[0][:, None]
+    pairs = edges[cell, slots[used]]
 
     # neighbour table over the crossed edges; an edge lies in at most two
     # cells and is used once by each, so every node has one or two
-    nodes, ends = np.unique(pairs, return_inverse=True)
-    ends = ends.reshape(-1, 2)
-    order = np.argsort(ends.ravel(), kind="stable")
-    src, dst = ends.ravel()[order], ends[:, ::-1].ravel()[order]
+    nodes, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1, 2)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    src, dst = inverse.ravel()[order], inverse[:, ::-1].ravel()[order]
     second = np.concatenate([[False], src[1:] == src[:-1]])
     nbr = np.full((len(nodes), 2), -1, dtype=np.intp)
     nbr[src, second.astype(np.intp)] = dst
 
-    # linear interpolation of the zero crossing along each edge (i, j) to
-    # (i1, j1); no node is -0.0, so adding t * 0.0 keeps the fixed axis
-    h = nodes < h_count
-    i, j = np.divmod(np.where(h, nodes, nodes - h_count), np.where(h, n, n - 1))
-    i1, j1 = i + h, j + ~h
-    v0, v1 = values[i, j], values[i1, j1]
-    t = v0 / (v0 - v1)
-    points = np.column_stack([xs[i] + t * (xs[i1] - xs[i]), ys[j] + t * (ys[j1] - ys[j])])
+    # linear interpolation of the zero crossing along each edge, from the
+    # corner values of a cell that holds it: in rho along a ray, in t along
+    # an arc
+    host, slot = cell.repeat(2, axis=1).ravel()[first], slots[used].ravel()[first]
+    v0, v1 = (v[host, ends[slot, k]] for k in (0, 1))
+    s = v0 / (v0 - v1)
+    is_radial = nodes < radial
+    i, j = np.divmod(np.where(is_radial, nodes, nodes - radial),
+                     np.where(is_radial, nj, nj - 1))
+    r = np.where(is_radial, rho[i] + s * (rho[np.minimum(i + 1, ni - 1)] - rho[i]), rho[i])
+    ta = t[j] + s * (t[np.minimum(j + 1, nj - 1)] - t[j])
+    sn = np.where(is_radial, sin[j], np.sin(ta))
+    cs = np.where(is_radial, cos[j], np.cos(ta))
+    wedge = np.column_stack([r * sn, r * cs])
+    wedge.flags.writeable = False
 
-    polylines = []
-    for chain in _stitch(nbr):
-        for piece in _clip_polyline_to_disk(points[chain]):
-            piece.flags.writeable = False
-            polylines.append(piece)
-    return ContourSet(tuple(polylines), resolution)
+    # end kinds: 0 on t = 0, 1 on the wedge's other mirror line, 2 the rim
+    kind = np.where(is_radial, np.where(j == 0, 0, 1), 2)
+    completion = _layout(_stitch(nbr), kind, turns, mirror)
+    return ContourSet(completion.curves(completion.copies(wedge)), resolution,
+                      wedge, completion)
 
 
 # --------------------------------------------------------------------------
@@ -335,23 +489,28 @@ def map_caustics(
 ) -> CausticSet:
     """Retina images (as in map_to_retina) of the contour vertices, the
     critical points and the pupil center, mapped in one evaluation of the
-    built field's Wx and Wy."""
-    polylines = contours.polylines
+    built field's Wx and Wy.  Contours completed from a wedge are mapped at
+    the wedge's vertices and completed by the same reflection and turns: W
+    is unchanged by them, so its gradient turns and reflects with the
+    pupil, about the origin, where a W of g >= 2 turns has grad W = 0."""
+    done = contours.completion
     cusps = np.array([(p.x, p.y) for p in critical_points], dtype=float).reshape(-1, 2)
-    pts = np.concatenate([*polylines, cusps, [(0.0, 0.0)]])
+    pts = np.concatenate([contours.wedge, cusps, [(0.0, 0.0)]])
     img = _retina_image(pts, field.Wx, field.Wy, w.pupil_radius)
     img.flags.writeable = False
-    cuts = np.cumsum([len(poly) for poly in polylines] + [len(cusps)])
-    *retina, cusp_img, center = np.split(img, cuts)
+    wedge, cusp_img, center = np.split(img, np.cumsum([len(contours.wedge), len(cusps)]))
+    copies = done.copies(wedge)
+    sectors = copies[0::2] if done.mirror and done.turns >= 2 else None
     projected = [
         ProjectedCusp(pt, float(xi), float(eta))
         for pt, (xi, eta) in zip(critical_points, cusp_img)
     ]
     return CausticSet(
-        retina_curves=tuple(retina),
+        retina_curves=done.curves(copies),
         projected_cusps=tuple(projected),
         aberration=w,
         center=center[0],
+        sectors=sectors,
     )
 
 
@@ -406,18 +565,23 @@ class _PolylineDistance:
         self.ids, self.count = cell[self.first], np.diff(self.first, append=len(cell))
         self.segs = seg[order]
 
-    def distances(self, pts: np.ndarray) -> np.ndarray:
-        """min(distance to the nearest segment, cap) for each point, exact,
-        from its candidates, _PAIR_BUDGET pairs at a time."""
+    def _cells(self, pts: np.ndarray):
+        """(n, first): each point's number of candidate segments and the
+        slot of the first in segs."""
         last, ids = self.last, self.ids
         c = np.clip(np.floor((pts - self.origin) / self.side), -1, last).astype(np.intp) + 1
         cells = c[:, 0] * (last[1] + 2) + c[:, 1]
         pos = np.minimum(np.searchsorted(ids, cells), len(ids) - 1)
-        n, first = np.where(ids[pos] == cells, self.count[pos], 0), self.first[pos]
-        best = np.full(len(pts), np.inf)
+        return np.where(ids[pos] == cells, self.count[pos], 0), self.first[pos]
+
+    def _runs(self, pts: np.ndarray, n: np.ndarray, first: np.ndarray):
+        """(lo, hi, nearest): the exact distance from each of the points lo
+        to hi to its nearest candidate segment, inf with no candidate, for
+        runs of about _PAIR_BUDGET (point, segment) pairs."""
         cuts = np.searchsorted(np.cumsum(n), np.arange(_PAIR_BUDGET, n.sum(), _PAIR_BUDGET))
         for lo, hi in zip((0, *cuts), (*cuts, len(pts))):
             nn, has = n[lo:hi], n[lo:hi] > 0
+            best = np.full(hi - lo, np.inf)
             if has.any():
                 seg = self.segs[_ranges(first[lo:hi], nn)]
                 who = np.repeat(np.arange(lo, hi), nn)
@@ -425,14 +589,31 @@ class _PolylineDistance:
                 ax, ay, dx, dy = self.ax[seg], self.ay[seg], self.dx[seg], self.dy[seg]
                 t = np.clip(((px - ax) * dx + (py - ay) * dy) / self.den[seg], 0.0, 1.0)
                 ex, ey = px - (ax + t * dx), py - (ay + t * dy)
-                best[lo:hi][has] = np.minimum.reduceat(np.sqrt(ex * ex + ey * ey),
-                                                       (np.cumsum(nn) - nn)[has])
+                best[has] = np.minimum.reduceat(np.sqrt(ex * ex + ey * ey),
+                                                (np.cumsum(nn) - nn)[has])
+            yield lo, hi, best
+
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        """min(distance to the nearest segment, cap) for each point, exact,
+        from its candidates."""
+        best = np.empty(len(pts))
+        for lo, hi, nearest in self._runs(pts, *self._cells(pts)):
+            best[lo:hi] = nearest
         return np.minimum(best, self.cap)
 
-    def farthest(self, points: np.ndarray, runs: int = 1) -> np.ndarray:
-        """min(largest distance, cap) of each of ``runs`` equal runs of the
-        points, from one ``distances`` call."""
-        return self.distances(points).reshape(runs, -1).max(axis=1)
+    def farthest(self, points: np.ndarray) -> float:
+        """min(largest distance of the points, cap), found run by run: a
+        point with no candidate segment, or the first run that holds a
+        point at the cap, gives the cap with no further pairs."""
+        n, first = self._cells(points)
+        if not n.all():
+            return self.cap
+        largest = 0.0
+        for _, _, nearest in self._runs(points, n, first):
+            largest = float(nearest.max(initial=largest))
+            if largest >= self.cap:
+                return self.cap
+        return largest
 
 
 def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
@@ -443,20 +624,26 @@ def _rotate(points: np.ndarray, angle: float, center: np.ndarray) -> np.ndarray:
     ) + center
 
 
-_SCREEN_STRIDE = 16  # every how many vertices symmetry_order screens a p on
+def _candidates(w: WaveAberration) -> list[int]:
+    """The p in {_P_MAX, ..., 2}, largest first, that divide the |m| of some
+    nonzero term of W with m != 0: a turn by 2 pi / p leaves a term of
+    frequency m unchanged only when p divides m."""
+    ms = {abs(t.m) for t in w.terms if t.coeff != 0.0 and t.m != 0}
+    return [p for p in range(_P_MAX, 1, -1) if any(m % p == 0 for m in ms)]
 
 
 def symmetry_order(caustics: CausticSet) -> SymmetryResult:
-    """Largest p in {2.._P_MAX} whose 2 pi / p rotation maps the retina
-    vertex cloud onto itself within a Hausdorff tolerance; p=1, with no
-    residual, if none does.
+    """Largest candidate p (`_candidates`) whose 2 pi / p rotation
+    maps the retina vertex cloud onto itself within a Hausdorff tolerance;
+    p=1, with no residual, if none does.
 
-    A p's residual is the largest exact distance from the cloud, rotated
-    both ways, to the caustic polylines, found only up to the tolerance.
-    Each p is first screened on every _SCREEN_STRIDE-th vertex, rotated one
-    way: a subset's largest distance is a lower bound on the whole cloud's,
-    so only the p that pass are checked in full.  The residual reported is
-    exact."""
+    A caustic completed from a mirror W's wedge by g >= 2 turns is g-fold by
+    construction: only the candidates that are proper multiples of g are
+    searched, and p = g otherwise, its residual the largest distance between
+    a vertex of either neighbouring sector turned back by 2 pi / g and the
+    same vertex of the first sector: the rounding of the turns.  A searched
+    p's residual is the largest exact distance from the whole cloud, rotated
+    both ways, to the caustic polylines, found only up to the tolerance."""
     curves = [c for c in caustics.retina_curves if len(c) >= 2]
     if not curves:
         raise ValueError("empty caustic set")
@@ -472,18 +659,25 @@ def symmetry_order(caustics: CausticSet) -> SymmetryResult:
     tol = _SYMMETRY_TOL_REL * diameter
     if tol * tol < np.finfo(float).tiny:  # a subnormal square loses the residual's digits
         raise ValueError(f"retina caustic underflows {where}")
-    geom = _PolylineDistance(curves, tol)
-
-    orders, sample = range(_P_MAX, 1, -1), cloud[::_SCREEN_STRIDE]
-    rotated = np.concatenate([_rotate(sample, 2.0 * math.pi / p, center) for p in orders])
-    for p, bound in zip(orders, geom.farthest(rotated, len(orders))):
-        if bound < tol:
+    sectors = caustics.sectors
+    g = 1 if sectors is None else len(sectors)
+    orders = [p for p in _candidates(caustics.aberration) if p > g and p % g == 0]
+    if orders:
+        geom = _PolylineDistance(curves, tol)
+        for p in orders:
             angle = 2.0 * math.pi / p
             both = np.concatenate([_rotate(cloud, s * angle, center) for s in (1.0, -1.0)])
-            residual = float(geom.farthest(both)[0])
+            residual = geom.farthest(both)
             if residual < tol:
                 return SymmetryResult(p, residual, tol)
-    return SymmetryResult(1, None, tol)
+    if g == 1:
+        return SymmetryResult(1, None, tol)
+    # sector 1 lies 2 pi / g on in t, so _rotate turns it back by +2 pi / g
+    origin = np.zeros(2)
+    residual = max(float(np.max(np.hypot(*(_rotate(sectors[k], k * 2.0 * math.pi / g, origin)
+                                             - sectors[0]).T)))
+                   for k in (1, -1))
+    return SymmetryResult(g, residual, tol)
 
 
 def _radial_profile(cloud: np.ndarray, centroid: np.ndarray):

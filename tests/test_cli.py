@@ -484,7 +484,7 @@ class TestAnalyzeCommand:
 
     def test_adjacent_peaks_give_one_tip(self, tmp_path):
         # 6star with a little coma: two adjacent profile peaks share the
-        # vertex (4.05784', 151.5456 deg), which is one tip, listed once
+        # vertex (4.05925', 151.5453 deg), which is one tip, listed once
         out = tmp_path / "coma"
         scen = make_scenario_file(tmp_path, {
             "wavefront": [{"n": 4, "m": 0, "coeff_um": 0.2},
@@ -495,7 +495,7 @@ class TestAnalyzeCommand:
         starburst = json.loads((out / "report.json").read_text())["starburst"]
         tips = [(t["radius_arcmin"], t["angle_deg"]) for t in starburst["spike_tips"]]
         assert len(tips) == len(set(tips)) == 2
-        assert (4.05783581256, 151.545584875) in tips
+        assert (4.05924967626, 151.545345127) in tips
         assert not starburst["detail"].startswith("3 tips")
 
     def test_no_fold_writes_no_residual(self, tmp_path):

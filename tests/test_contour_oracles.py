@@ -1,10 +1,9 @@
 """The array-speed contour path against the per-vertex code it replaced.
 
-The references below are the earlier `_stitch`, `_clip_polyline_to_disk`
-and `fertility_report`, walked one vertex at a time in Python.  The new
-code must give the same chains, the same pieces bit for bit and the same
-fertility flags on random graphs, polylines that cross the rim, and
-closed loops whose run of close vertices wraps the seam.
+The references below are the earlier `_stitch` and `fertility_report`,
+walked one vertex at a time in Python.  The new code must give the same
+chains and the same fertility flags on random graphs and on closed loops
+whose run of close vertices wraps the seam.
 
 `per_peak_profile_peaks` and `per_saddle_fertility` are the verdict's tip
 pick and `fertility_report` as they were before each became one array
@@ -15,10 +14,12 @@ vertex bins; the package reads its pairing bins from the same vertex
 bins, which can differ by one from floor(phi / width) on a bin edge.
 The tips and flags must match them field for field, bit for bit.
 
-The reference clip takes its circle intersection from the package: the
-earlier one computed it with ``@`` on 2-vectors, whose last bit depends on
-the BLAS build (a fused multiply-add or not), so only the piece logic is
-compared here and `_circle_hit` is checked on its own.
+The contours' clip to the pupil is the polar mesh's last ring, on
+rho = 1.  `reference_rim_crossings` finds where G's zero meets the rim one
+arc at a time, from G at the mesh's rim nodes as the package evaluates it,
+and completes them by W's reflection and turns; the contours must meet the
+rim there and only there, on random W of either mesh and on lines placed
+at the rim's edge cases.
 """
 
 import math
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from starburst import (
+    BivariatePolynomial,
     WaveAberration,
     ZernikeTerm,
     build_field,
@@ -40,11 +42,12 @@ from starburst.caustics import (
     ContourSet,
     FertilityFlag,
     SpikeTip,
-    _circle_hit,
-    _clip_polyline_to_disk,
     _find_peaks,
+    _mesh,
     _profile_peaks,
     _radial_profile,
+    _ray_coefficients,
+    _ray_values,
     _stitch,
     fertility_report,
 )
@@ -79,30 +82,22 @@ def reference_stitch(nbr):
     return chains
 
 
-def reference_clip(points):
-    inside = np.hypot(points[:, 0], points[:, 1]) <= 1.0 + 1e-12
-    if np.all(inside):
-        return [points]
-    pieces = []
-    current = []
-    for k in range(len(points)):
-        if inside[k]:
-            if not current and k > 0 and not inside[k - 1]:
-                hit = _circle_hit(points[k - 1], points[k])
-                if hit is not None:
-                    current.append(hit)
-            current.append(points[k])
-        else:
-            if current:
-                hit = _circle_hit(points[k - 1], points[k])
-                if hit is not None:
-                    current.append(hit)
-                if len(current) >= 2:
-                    pieces.append(np.array(current))
-                current = []
-    if len(current) >= 2:
-        pieces.append(np.array(current))
-    return pieces
+def reference_rim_crossings(field, resolution):
+    """Where G's zero meets the rim, found one arc at a time between the
+    wedge's rim nodes by linear interpolation in t, and completed by W's
+    reflection and turns as angles."""
+    _, t, sin, cos, turns, mirror = _mesh(field, resolution)
+    values = _ray_values(_ray_coefficients(field.G.coeffs, sin, cos), np.ones(1))[0].tolist()
+    t = t.tolist()
+    angles = []
+    for k in range(len(t) - 1):
+        if (values[k] > 0.0) != (values[k + 1] > 0.0):
+            s = values[k] / (values[k] - values[k + 1])
+            angles.append(t[k] + s * (t[k + 1] - t[k]))
+    if mirror:
+        angles = [a + 2.0 * math.pi * q / turns
+                  for a in angles + [-a for a in angles] for q in range(turns)]
+    return np.array([(math.sin(a), math.cos(a)) for a in angles]).reshape(-1, 2)
 
 
 def reference_fertility(saddles, polylines, distance=0.12):
@@ -163,68 +158,95 @@ def test_stitch_loop_starts_at_lowest_node_towards_lower_neighbour():
     assert [c.tolist() for c in _stitch(nbr)] == [[0, 2, 1, 3, 4, 0]]
 
 
-def assert_same_pieces(got, want):
+def random_rim_field(seed):
+    """A W, and a contour grid, whose G meets the rim: defocus plus one to
+    three terms whose |m| are multiples of a random g; even seeds have a
+    mirror at t = 0 (no m < 0), odd ones a sine term.  A draw whose G does
+    not change sign on the rim is drawn again."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = int(rng.integers(1, 7))
+        terms = {(2, 0): float(rng.uniform(-0.3, 0.3))}
+        for k in range(int(rng.integers(1, 4))):
+            m = g * int(rng.integers(1 if k == 0 else 0, 3))
+            n = min(max(m + 2 * int(rng.integers(0, 3)), 3 if m % 2 else 4), 12)
+            sign = -1 if seed % 2 and k == 0 else 1
+            terms[n, sign * m] = float(rng.uniform(-0.2, 0.2))
+        w = WaveAberration(tuple(ZernikeTerm(*nm, c) for nm, c in terms.items()))
+        field, grid = build_field(w), int(rng.choice([64, 97, 128, 257]))
+        if len(reference_rim_crossings(field, grid)):
+            return field, grid
+
+
+def check_rim_crossings(field, resolution):
+    """The completed contours stay in the closed disk and meet the rim on
+    rho = 1 exactly where `reference_rim_crossings` does, one vertex each."""
+    contours = extract_contours(field, resolution)
+    cloud = np.concatenate([*contours, np.empty((0, 2))])
+    r = np.hypot(cloud[:, 0], cloud[:, 1])
+    assert np.all(r <= 1.0 + 1e-15)
+    got = cloud[r >= 1.0 - 1e-12]
+    want = reference_rim_crossings(field, resolution)
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-
-
-def wavy_polyline(rng, closed):
-    """A polyline winding about the unit circle, crossing it many times."""
-    count = int(rng.integers(5, 200))
-    t = np.sort(rng.uniform(0.0, 2.0 * math.pi, count))
-    r = 1.0 + rng.uniform(0.02, 0.3) * np.sin(rng.integers(1, 9) * t + rng.uniform(0, 6))
-    r += rng.normal(0.0, 0.05, count)
-    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    return np.vstack([pts, pts[:1]]) if closed else pts
+    if len(got):
+        gap = np.hypot(*(got[:, None, :] - want[None, :, :]).transpose(2, 0, 1))
+        assert gap.min(axis=0).max() < 1e-12 and gap.min(axis=1).max() < 1e-12
+    return contours, got
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_clip_matches_reference_on_rim_crossings(seed):
-    rng = np.random.default_rng(seed)
-    points = wavy_polyline(rng, closed=bool(seed % 2))
-    assert_same_pieces(_clip_polyline_to_disk(points), reference_clip(points))
+    # the polar mesh clips the contours to the pupil by construction: its
+    # last ring is the rim, so a contour ends where it crosses a rim arc
+    check_rim_crossings(*random_rim_field(seed))
 
 
 @pytest.mark.parametrize("points", [
-    [(-0.5, 1.0), (0.0, 1.0), (0.5, 1.0)],           # touches the rim at a vertex
-    [(-0.5, 1.0), (0.5, 1.0)],                       # tangent segment, no vertex in
-    [(1.5, 0.0), (0.0, 0.0), (0.2, 0.1), (0.0, 1.5)],  # starts and ends outside
-    [(0.0, 0.0), (2.0, 0.0), (0.0, 0.5)],            # single vertex runs
-    [(0.0, 0.0), (0.5, 0.0), (0.9, 0.0)],            # all inside
-    [(2.0, 0.0), (0.0, 2.0)],                        # all outside
-    [(1.0, 0.0), (1.0 + 1e-13, 0.0), (1.0 + 1e-11, 0.0)],  # on the rim tolerance
+    [(-0.5, 1.0), (0.5, 1.0)],                     # tangent at the rim node t = 0
+    [(-0.5, 0.45), (0.0, 0.45), (0.5, 0.45)],      # the same line twice: no sign change
+    [(-1.0, 0.0), (1.0, 0.0)],                     # a diameter across the mirror line
+    [(0.0, -1.0), (0.0, 1.0)],                     # along the rays t = 0 and t = pi
+    [(1.5, 0.0), (0.0, 0.0), (0.2, 0.1), (0.0, 1.5)],  # three lines, one through the centre
+    [(2.0, 0.0), (0.0, 2.0)],                      # wholly outside
+    [(1.0 - 1e-13, -1.0), (1.0 - 1e-13, 1.0)],     # a chord just inside the rim
 ])
 def test_clip_matches_reference_on_edge_cases(points):
-    points = np.array(points, dtype=float)
-    assert_same_pieces(_clip_polyline_to_disk(points), reference_clip(points))
+    # G vanishes on the lines through each pair of consecutive points; the
+    # mesh is chosen from W = G, so a line with no x term is marched on the
+    # half-disk wedge and completed by the reflection x -> -x
+    c = np.ones((1, 1))
+    for (ax, ay), (bx, by) in zip(points[:-1], points[1:]):
+        # (b - a) x (q - a) = (bx - ax)(y - ay) - (by - ay)(x - ax)
+        line = np.array([[(by - ay) * ax - (bx - ax) * ay, bx - ax], [ay - by, 0.0]])
+        product = np.zeros((len(c) + 1, len(c) + 1))
+        for (i, j), coeff in np.ndenumerate(line):
+            product[i:i + len(c), j:j + len(c)] += coeff * c
+        c = product
+    G = BivariatePolynomial(c)
+    check_rim_crossings(SimpleNamespace(G=G, W=G, fold=1), 64)
 
 
 def test_circle_hit_takes_plain_products():
-    # the hit of a segment is the same bits as pure-Python float arithmetic,
-    # whatever BLAS numpy uses
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        a, b = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2)
-        hit = _circle_hit(a, b)
-        ax, ay = a.tolist()
-        dx, dy = (b - a).tolist()
-        aa = dx * dx + dy * dy
-        bb = 2.0 * (ax * dx + ay * dy)
-        cc = ax * ax + ay * ay - 1.0
-        disc = bb * bb - 4.0 * aa * cc
-        if disc < 0.0:
-            assert hit is None
-            continue
-        sq = math.sqrt(disc)
-        ts = [t for t in sorted(((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)))
-              if 0.0 <= t <= 1.0]
-        if not ts:
-            assert hit is None
-        else:
-            assert hit.tolist() == [ax + ts[0] * dx, ay + ts[0] * dy]
-            assert abs(math.hypot(*hit) - 1.0) < 1e-15
+    # a contour's hit on the unit circle, a rim vertex of the meshed wedge,
+    # is the same bits as scalar float arithmetic on its arc's two node
+    # values, whatever BLAS numpy uses: numpy's sin and cos of the
+    # interpolated t, times rho = 1
+    for seed in range(20):
+        field, grid = random_rim_field(seed)
+        _, t, sin, cos, _, _ = _mesh(field, grid)
+        values = _ray_values(_ray_coefficients(field.G.coeffs, sin, cos), np.ones(1))[0].tolist()
+        t = t.tolist()
+        angles = []
+        for k in range(len(t) - 1):
+            if (values[k] > 0.0) != (values[k + 1] > 0.0):
+                s = values[k] / (values[k] - values[k + 1])
+                angles.append(t[k] + s * (t[k + 1] - t[k]))
+        want = np.column_stack([np.sin(angles), np.cos(angles)]).tolist()
+        wedge = extract_contours(field, grid).wedge
+        # rim vertices come last in the wedge, in t order
+        got = wedge[np.hypot(wedge[:, 0], wedge[:, 1]) >= 1.0 - 1e-12]
+        assert got.tolist() == want
+        assert np.all(np.abs(np.hypot(got[:, 0], got[:, 1]) - 1.0) < 1e-15)
 
 
 def random_contours(rng):

@@ -1,11 +1,19 @@
 """Golden-output regression: `run_analysis` against committed report.json files.
 
-Each file in tests/golden/ is a report.json written by `analyze` for one
-scenario (the five reference starbursts and a radial-order-12 wavefront,
-all at grid 512).  The scenario is rebuilt from the file's own echo, the
-analysis is rerun, and the fresh report is compared with the golden one:
-counts, classes, flags and verdicts exactly, floats to 1e-9 relative (with
-a 1e-12 absolute floor for values that are zero up to rounding).
+Each file in tests/golden/polar/ is a report.json written by `analyze` for
+one scenario (the five reference starbursts and a radial-order-12
+wavefront, all at grid 512) on the polar contour mesh.  The scenario is
+rebuilt from the file's own echo, the analysis is rerun, and the fresh
+report is compared with the golden one: counts, classes, flags and verdicts
+exactly, floats to 1e-9 relative (with a 1e-12 absolute floor for values
+that are zero up to rounding).
+
+The files in tests/golden/ itself were written on the Cartesian grid that
+the polar mesh replaced.  They stay as a cross-mesh check: every value
+agrees as above except the spike tips, whose count must agree and whose
+radii, in order, must lie within 1e-3 arcmin (a tip may move to its mirror
+partner, so its angle is not compared), and the rotation residual, which
+must be at rounding level where the Cartesian grid had left up to 3.0e-4.
 """
 
 import json
@@ -18,8 +26,10 @@ from starburst.cli import Scenario, run_analysis, write_report_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+POLAR_FILES = sorted((GOLDEN_DIR / "polar").glob("*.json"))
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+TIP_RADIUS_TOL = 1e-3  # arcmin, between the Cartesian and the polar mesh
 
 
 def scenario_from_echo(echo: dict) -> Scenario:
@@ -54,18 +64,36 @@ def differences(got, want, path="report"):
 
 
 def test_golden_set_is_complete():
-    names = {p.stem for p in GOLDEN_FILES}
-    assert names == {"3star", "4star", "5star", "6star", "8stars", "highorder"}
+    names = {"3star", "4star", "5star", "6star", "8stars", "highorder"}
+    assert {p.stem for p in GOLDEN_FILES} == {p.stem for p in POLAR_FILES} == names
+
+
+def fresh_report(golden: Path, tmp_path: Path) -> tuple[dict, dict]:
+    """(fresh report, golden report) for the golden file's scenario, the
+    fresh one serialized as `analyze` writes it."""
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    report, _ = run_analysis(scenario_from_echo(want["scenario"]))
+    write_report_json(tmp_path / "report.json", report)
+    return json.loads((tmp_path / "report.json").read_text(encoding="utf-8")), want
+
+
+@pytest.mark.parametrize("golden", POLAR_FILES, ids=lambda p: p.stem)
+def test_report_matches_golden(golden, tmp_path):
+    got, want = fresh_report(golden, tmp_path)
+    assert differences(got, want) == []
 
 
 @pytest.mark.parametrize("golden", GOLDEN_FILES, ids=lambda p: p.stem)
-def test_report_matches_golden(golden, tmp_path):
-    want = json.loads(golden.read_text(encoding="utf-8"))
-    report, _ = run_analysis(scenario_from_echo(want["scenario"]))
-    # serialize as `analyze` does, so the comparison sees the written report
-    write_report_json(tmp_path / "report.json", report)
-    got = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+def test_report_is_near_the_cartesian_golden(golden, tmp_path):
+    got, want = fresh_report(golden, tmp_path)
+    tips, old_tips = (r["starburst"].pop("spike_tips") for r in (got, want))
+    residual, old_residual = (r["starburst"].pop("rotation_residual") for r in (got, want))
     assert differences(got, want) == []
+    assert len(tips) == len(old_tips)
+    for tip, old in zip(tips, old_tips):
+        assert abs(tip["radius_arcmin"] - old["radius_arcmin"]) < TIP_RADIUS_TOL
+    assert old_residual is not None
+    assert residual < 1e-12 * max(t["radius_arcmin"] for t in tips)
 
 
 def test_comparator_flags_changes():

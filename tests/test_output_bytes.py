@@ -41,6 +41,11 @@ gamma Z_n^n: values that are zero up to rounding (x, y, theta_deg,
 xi_arcmin and eta_arcmin, all below 4e-16) took other rounding digits or
 became exactly 0, as the x of a point on the +y axis, and every other byte
 stayed.
+tests/golden/analyze_outputs_polar.sha256 holds the same six cases' files
+from when the polar contour mesh and its completion by reflection and turns
+replaced the Cartesian grid: contours_pupil.csv, contours_retina.csv,
+report.json (spike tips and rotation residual) and retina.svg moved, and
+the other four files of every case keep their analyze_outputs.sha256 pins.
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again
@@ -98,10 +103,23 @@ def analyze_argv(case: str, tmp_path: Path) -> list[str]:
 @pytest.mark.parametrize("case", ["3star", "4star", "5star", "6star", "8stars",
                                   "highorder"])
 def test_analyze_outputs_match_pinned_hashes(case, tmp_path):
-    want = pinned_hashes("analyze_outputs.sha256")[case]
+    want = pinned_hashes("analyze_outputs_polar.sha256")[case]
     out = tmp_path / "out"
     assert main(analyze_argv(case, tmp_path) + ["--out", str(out)]) == 0
     assert file_hashes(out) == want
+
+
+# the files whose bytes do not depend on the contour mesh
+MESH_FREE = ("critical_points.csv", "hessian_clipped.svg", "hessian_full.svg", "wavefront.svg")
+
+
+def test_the_contour_mesh_moves_only_its_own_files():
+    old, new = (pinned_hashes(name) for name in ("analyze_outputs.sha256",
+                                                 "analyze_outputs_polar.sha256"))
+    assert old.keys() == new.keys()
+    for case in old:
+        assert old[case].keys() == new[case].keys() == set(ANALYZE_FILES)
+        assert {k for k in old[case] if old[case][k] == new[case][k]} == set(MESH_FREE)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -143,7 +161,7 @@ def test_analyze_over_larger_outputs_matches_pinned_hashes(tmp_path):
     scenario = tmp_path / "order12.json"
     scenario.write_text(json.dumps({**HIGHORDER, "grid_resolution": 256}), encoding="utf-8")
     assert main(["analyze", "--scenario", str(scenario), "--out", str(out)]) == 0
-    want = pinned_hashes("analyze_outputs.sha256")["3star"]
+    want = pinned_hashes("analyze_outputs_polar.sha256")["3star"]
     assert file_hashes(out) != want
     assert main(analyze_argv("3star", tmp_path) + ["--out", str(out)]) == 0
     assert file_hashes(out) == want
