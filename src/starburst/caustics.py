@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import CriticalPoint, HessianField
-from .zernike import WaveAberration, _ranges
+from .zernike import WaveAberration, _ranges, ray_coefficients
 
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
@@ -336,20 +336,8 @@ def _mesh(field, resolution):
     return rho, t, sin, cos, turns, mirror
 
 
-def _ray_coefficients(g: np.ndarray, sin, cos) -> np.ndarray:
-    """G's coefficients g on the rays at (sin t, cos t) as a polynomial in
-    rho, shape (deg + 1, len(sin)): a_k(t) = sum_{i+j=k} c_ij sin^i t cos^j t."""
-    deg = g.shape[0] + g.shape[1] - 2
-    a = np.zeros((deg + 1, len(sin)))
-    sin_pow = [sin ** i for i in range(g.shape[0])]
-    cos_pow = [cos ** j for j in range(g.shape[1])]
-    for i, j in zip(*np.nonzero(g)):
-        a[i + j] += g[i, j] * (sin_pow[i] * cos_pow[j])
-    return a
-
-
 def _ray_values(a: np.ndarray, rho) -> np.ndarray:
-    """G at the radii rho on the rays of `_ray_coefficients` a, shape
+    """G at the radii rho on the rays of `zernike.ray_coefficients` a, shape
     (len(rho), a.shape[1]): Horner in rho, each step a product with a
     contiguous copy of rho per ray, not a broadcast."""
     r = np.repeat(np.asarray(rho, dtype=float)[:, None], a.shape[1], axis=1)
@@ -377,7 +365,7 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
                          f"and at most {MAX_GRID_RESOLUTION}")
     rho, t, sin, cos, turns, mirror = _mesh(field, resolution)
     ni, nj = len(rho), len(t)
-    a = _ray_coefficients(field.G.coeffs, sin, cos)
+    a = ray_coefficients(field.G.coeffs, sin, cos)
     cells, corners = [], []
     width = max(_TILE_BUDGET // ni, 2)
     for j0 in range(0, nj - 1, width - 1):

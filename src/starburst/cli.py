@@ -490,10 +490,8 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
     while chunk := list(itertools.islice(draws, _VERIFY_CHUNK)):
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in chunk]).T
         # every draw has the mirror census (beta > 0, and the band about the
-        # gamma = 0 boundary keeps gamma != 0): each W, then each W turned by
-        # pi / n (gamma negated), in one stack
-        g = three_term_stacks(n, *np.hstack([coeffs, coeffs * [[1.0], [1.0], [-1.0]]]))
-        censuses = mirror_census(g[..., :len(chunk)], g[..., len(chunk):], n)
+        # gamma = 0 boundary keeps gamma != 0)
+        censuses = mirror_census(three_term_stacks(n, *coeffs), n)
         for (params, pred), census in zip(chunk, censuses):
             dev, reason = _verify_sample(pred, census)
             max_dev = max(max_dev, dev)

@@ -10,15 +10,14 @@ G is built in one place, `_determinant_stack`, on a stack of W's
 coefficients (`wavefront_stack`): `build_field` stacks one W of any
 terms, `three_term_stacks` one W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n
 per entry of its coefficient arrays, so both give the same bits for the
-same W.  Each census takes G alone, as a stack of coefficient arrays: the
-2-D census derives G's first and second derivatives itself, once per call,
-and the mirror census reads two rows of G's coefficients.
+same W.  Each census takes G alone, as a stack of coefficient arrays, and
+derives G's first and second derivatives itself, once per call.
 
-A W that has the mirror census (`_turned`: alpha Z_2^0 + beta Z_4^0 + gamma
-Z_n^n, and a constant) has every critical point of G on its 2n mirror
-meridians; `mirror_census` finds them as the certified roots of G's
-restriction to two of them, and `find_critical_points` runs it for such a
-field.  The 2-D seeded search below is the census of every other W.
+A W that has the mirror census (`_has_mirror_census`: alpha Z_2^0 + beta
+Z_4^0 + gamma Z_n^n, and a constant) has every critical point of G on its
+2n mirror meridians; `mirror_census` finds them as the certified roots of
+G's restriction to two of them, and `find_critical_points` runs it for
+such a field.  The 2-D seeded search below is the census of every other W.
 
 The search is deterministic: seeds come from fixed grids, one Newton
 kernel (`_newton`) runs data-parallel over points and fields, and results
@@ -62,6 +61,7 @@ from .zernike import (
     gathered_values,
     grid_values,
     product,
+    ray_coefficients,
     row_widths,
     wavefront_stack,
 )
@@ -78,16 +78,15 @@ class HessianField:
     """The four polynomials the pipeline reads: W, its gradient (Wx, Wy)
     and G = Wxx Wyy - Wxy^2; ``fold``, the order g of a rotation symmetry
     of W (`WaveAberration.fold_order`), which the census exploits when
-    g >= 2; and ``mirror``, for a W that has the mirror census, the G of W
-    turned by pi / g, else None: `find_critical_points` then runs
-    `mirror_census`."""
+    g >= 2; and ``mirror``, whether W has the mirror census
+    (`_has_mirror_census`), which `find_critical_points` then runs."""
 
     W: BivariatePolynomial
     Wx: BivariatePolynomial
     Wy: BivariatePolynomial
     G: BivariatePolynomial
     fold: int
-    mirror: BivariatePolynomial | None = None
+    mirror: bool = False
 
 
 _OVERFLOW = "wavefront coefficients overflow the Hessian determinant"
@@ -118,49 +117,39 @@ def _determinant_stack(w: np.ndarray):
 
 
 def field_from_polynomial(w_poly: BivariatePolynomial, fold: int,
-                          turned: BivariatePolynomial | None = None) -> HessianField:
+                          mirror: bool = False) -> HessianField:
     """The field of W given as a polynomial, with ``fold`` the order of its
-    rotation symmetry (1 assumes none) and ``turned`` the polynomial of W
-    turned by pi / fold when W has the mirror census (`_turned`; its ``mirror`` is
-    that W's G); ValueError as `_determinant_stack`."""
+    rotation symmetry (1 assumes none) and ``mirror`` whether W has the
+    mirror census; ValueError as `_determinant_stack`."""
     if w_poly.degree > MAX_RADIAL_ORDER:
         raise CapabilityError(
             f"wavefront degree {w_poly.degree} exceeds supported maximum {MAX_RADIAL_ORDER}"
         )
     wx, wy, g = (BivariatePolynomial(p) for p in _determinant_stack(w_poly.coeffs))
-    mirror = None if turned is None else BivariatePolynomial(_determinant_stack(turned.coeffs)[2])
     return HessianField(W=w_poly, Wx=wx, Wy=wy, G=g, fold=fold, mirror=mirror)
 
 
-def _turned(w: WaveAberration) -> BivariatePolynomial | None:
-    """The polynomial of W turned by pi / n when W has the mirror census:
-    its nonzero terms lie in {Z_0^0, Z_2^0, Z_4^0, Z_n^n} with Z_4^0 and
-    Z_n^n nonzero and 2 <= n <= 12; else None.  This is the one place that
-    picks the census of a W.
+def _has_mirror_census(w: WaveAberration) -> bool:
+    """Whether W has the mirror census: its nonzero terms lie in {Z_0^0,
+    Z_2^0, Z_4^0, Z_n^n} with Z_4^0 and Z_n^n nonzero and 2 <= n <= 12.
+    This is the one place that picks the census of a W.
 
     Such a G is P(rho) + Q(rho) cos(n theta) with Q = -k_n beta gamma rho^n,
     k_n > 0, so dG/dtheta = 0 forces sin(n theta) = 0 off the centre: every
-    critical point lies on one of the 2n mirror meridians theta = k pi / n.
-    The turned W is built from W's coefficients, Z_n^n negated: turning G
-    itself by pi / n would not be exact."""
-    modes, coeffs = [(t.n, t.m) for t in w.terms], [t.coeff for t in w.terms]
-    nonzero = {mode for mode, c in zip(modes, coeffs) if c != 0.0}
+    critical point lies on one of the 2n mirror meridians theta = k pi / n."""
+    nonzero = {(t.n, t.m) for t in w.terms if t.coeff != 0.0}
     harmonic = nonzero - {(0, 0), (2, 0), (4, 0)}
     if len(harmonic) != 1 or (4, 0) not in nonzero:
-        return None
+        return False
     ((n, m),) = harmonic
-    if m != n or not 2 <= n <= MAX_RADIAL_ORDER:
-        return None
-    return BivariatePolynomial(wavefront_stack(modes, [
-        -c if mode == (n, n) else c for mode, c in zip(modes, coeffs)]))
+    return m == n and 2 <= n <= MAX_RADIAL_ORDER
 
 
 def build_field(w: WaveAberration) -> HessianField:
-    """The full derivative field of a wave aberration, with its ``mirror``
-    when W has the mirror census (`_turned`); ValueError when it overflows or
-    underflows (`_determinant_stack`).  Whether the census can square Hess G
-    is the census's check."""
-    return field_from_polynomial(w.to_polynomial(), w.fold_order(), _turned(w))
+    """The full derivative field of a wave aberration, ``mirror`` set when W
+    has the mirror census (`_has_mirror_census`); ValueError when it overflows
+    or underflows (`_determinant_stack`); the census checks Hess G squares."""
+    return field_from_polynomial(w.to_polynomial(), w.fold_order(), _has_mirror_census(w))
 
 
 def _stack(arrays) -> np.ndarray:
@@ -177,8 +166,7 @@ def _stack(arrays) -> np.ndarray:
 def three_term_stacks(n: int, alpha, beta, gamma) -> np.ndarray:
     """G's (DX, DY, fields) coefficient stack for W = alpha Z_2^0 + beta Z_4^0
     + gamma Z_n^n, one field per entry of the coefficient arrays, with the
-    bits of `build_field`'s G of the same W (at -gamma, of its ``mirror``);
-    ValueError as `_determinant_stack`."""
+    bits of `build_field`'s G of the same W; ValueError as `_determinant_stack`."""
     return _determinant_stack(wavefront_stack(((2, 0), (4, 0), (n, n)),
                                               [alpha, beta, gamma]))[2]
 
@@ -197,6 +185,10 @@ _DEGENERATE_POINT_LIMIT = 50
 # toward the pupil center close to region boundaries, below the cell
 # size of the base grid.
 _ZOOM_FACTORS = (1.0, 0.125, 0.015625)
+# Unit roundoffs u per (deg G + 3) that G restricted to t = pi / n adds (`mirror_census`):
+# sin t and cos t are within 6u of exact, relative to themselves, each power 2u more, so
+# a_k is within (7k + 6)u of exact, relative to the |c| restriction; G_nn's weights add 16u.
+_RAY_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -487,7 +479,7 @@ def _det_rounding_bound(hess, size, n) -> np.ndarray:
     so n = 2 deg G.  a d - b^2 adds 4u (|a d| + b^2) to the errors carried."""
     a, b, d = hess
     u = np.finfo(float).eps / 2.0  # the unit roundoff
-    ea, eb, ed = n * u / (1.0 - n * u) * size
+    ea, eb, ed = (n * u / (1.0 - n * u) * s for s in size)
     return (abs(a) * ed + abs(d) * ea + ea * ed + (2.0 * abs(b) + eb) * eb
             + 4.0 * u * (abs(a * d) + b * b))
 
@@ -522,25 +514,23 @@ def find_critical_points(
     field: HessianField, domain_radius: float = 1.0
 ) -> CriticalPointSearch:
     """Locate all cusps of Gauss inside the disk of radius ``domain_radius``
-    (the unit pupil, or a dilated one): `mirror_census` of one when the
-    field carries its ``mirror``, else `census_from_stacks` of one."""
-    if field.mirror is not None:
-        return mirror_census(field.G.coeffs[:, :, None], field.mirror.coeffs[:, :, None],
-                             field.fold, domain_radius)[0]
-    return census_from_stacks(field.G.coeffs[:, :, None], field.fold, domain_radius)[0]
+    (the unit pupil, or a dilated one): `mirror_census` of one when W has
+    it (``mirror``), else `census_from_stacks` of one."""
+    census = mirror_census if field.mirror else census_from_stacks
+    return census(field.G.coeffs[:, :, None], field.fold, domain_radius)[0]
 
 
 def _checked(g, fold, domain_radius):
-    """(G trimmed, each field's degree) for a census of the (DX, DY, fields)
-    stack ``g`` on the disk of radius R = ``domain_radius``; ValueError for
-    an R that is not positive and finite, a ``g`` that is not a stack, a
-    ``fold`` that is not a non-negative integer, and unless every coefficient
-    of G is finite and each field's Hess G on the disk can be squared, as
-    det(Hess G) = Gxx Gyy - Gxy^2 squares it (nothing squares G): twice the
-    square of the largest of its bounds sum |c_ij| R^(i+j) of Gxx, Gxy and
-    Gyy, Horner's values of |c| at (R, R), must be 0 or a normal float (NaN
-    fails too).  |c| and the Horner steps are `derivative`'s and
-    `grid_values`', so the bounds keep their bits."""
+    """(G trimmed, each field's degree, its (Gxx, Gxy, Gyy) as a (DX, DY, 3,
+    fields) stack) for a census of the stack ``g`` on the disk of radius R =
+    ``domain_radius``; ValueError for an R that is not positive and finite,
+    a ``g`` that is not a stack, a ``fold`` that is not a non-negative
+    integer, and unless every coefficient of G is finite and each field's
+    Hess G on the disk can be squared, as det(Hess G) = Gxx Gyy - Gxy^2
+    squares it (nothing squares G): twice the square of the largest of its
+    bounds sum |c_ij| R^(i+j), Horner's values of |c| at (R, R), must be 0
+    or a normal float (NaN fails too).  The products and the Horner steps
+    are `derivative`'s and `grid_values`', so all of it keeps its bits."""
     R = domain_radius
     if not (R > 0 and math.isfinite(R)):
         raise ValueError(f"domain_radius must be positive and finite, got {R}")
@@ -550,20 +540,20 @@ def _checked(g, fold, domain_radius):
     if isinstance(fold, bool) or not isinstance(fold, int) or fold < 0:
         raise ValueError(f"fold must be a non-negative integer, got {fold!r}")
     g = _trim(g)
-    a = np.abs(g)
-    i, j = np.arange(a.shape[0])[:, None, None], np.arange(a.shape[1])[:, None]
-    hess = np.zeros(a.shape[:2] + (3,) + a.shape[2:])  # |Gxx|, |Gxy|, |Gyy|, zero-padded
+    i, j = np.arange(g.shape[0])[:, None, None], np.arange(g.shape[1])[:, None]
+    hess = np.zeros(g.shape[:2] + (3,) + g.shape[2:])  # Gxx, Gxy, Gyy, zero-padded
     with np.errstate(over="ignore", invalid="ignore"):
-        hess[:-2, :, 0] = a[2:] * i[2:] * i[1:-1]
-        hess[:-1, :-1, 1] = a[1:, 1:] * i[1:] * j[1:]
-        hess[:, :-2, 2] = a[:, 2:] * j[2:] * j[1:-1]
-        bound = np.polyval(np.polyval(hess[::-1], R)[::-1], R).max(axis=0)  # Horner in x, then y
+        hess[:-2, :, 0] = g[2:] * i[2:] * i[1:-1]
+        hess[:-1, :-1, 1] = g[1:, 1:] * i[1:] * j[1:]
+        hess[:, :-2, 2] = g[:, 2:] * j[2:] * j[1:-1]
+        # Horner in x, then y, of |c| at (R, R)
+        bound = np.polyval(np.polyval(np.abs(hess)[::-1], R)[::-1], R).max(axis=0)
         square = 2.0 * bound * bound
     if not (np.isfinite(square).all() and np.isfinite(g).all()):
         raise ValueError(_OVERFLOW)
     if np.any((bound != 0.0) & (square < np.finfo(float).tiny)):
         raise ValueError(_UNDERFLOW)
-    return g, np.where(g != 0.0, sum(np.indices(g.shape[:2]))[..., None], 0).max(axis=(0, 1))
+    return g, np.where(g != 0.0, i + j, 0).max(axis=(0, 1)), hess
 
 
 def _classed_points(n_fields: int, fidx, located, g_value, det, bound, R: float) -> list[tuple]:
@@ -584,8 +574,8 @@ def census_from_stacks(
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of G's
     coefficients, inside the disk of radius ``domain_radius``, by the 2-D
-    seeded Newton search.  G's first and second derivatives are taken here,
-    once per call, with `zernike.derivative`.
+    seeded Newton search.  G's first derivatives are taken here, once per
+    call, with `zernike.derivative`, and its second with `_checked`'s.
 
     ``fold`` is the fold g every field of the stack shares: G is unchanged
     by a turn of 2 pi / g, as it is when W is (for g <= 1 nothing is
@@ -603,14 +593,13 @@ def census_from_stacks(
     axially symmetric W).  ValueError as `_checked`.
     """
     R = domain_radius
-    g, degree = _checked(g, fold, R)
+    g, degree, hess = _checked(g, fold, R)
     n_fields = g.shape[-1]
     if not n_fields:
         return []
     constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
-    gx, gy = derivative(g, 0), derivative(g, 1)
     # (Gx, Gy, Gxx, Gxy, Gyy): seeding (the first two), Newton, the points' Hess G
-    newton = _stack([gx, gy, derivative(gx, 0), derivative(gx, 1), derivative(gy, 1)])
+    newton = _stack([derivative(g, 0), derivative(g, 1), *np.moveaxis(hess, 2, 0)])
     fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, fold)
     accept_tol, floor_tol = GRADIENT_TOL * gscale, 1e-16 * gscale
     live = ~constant[fidx] & (gscale[fidx] != 0.0)
@@ -700,54 +689,60 @@ def _root_count(coeffs: list[float]) -> int | None:
 
 
 def mirror_census(
-    g: np.ndarray, turned: np.ndarray, fold: int, domain_radius: float = 1.0
+    g: np.ndarray, fold: int, domain_radius: float = 1.0
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of the G of
-    wavefronts of order n = ``fold`` that have it (`_turned`), inside the
-    disk of radius R = ``domain_radius``, from the roots of G on its mirror
-    lines; ``turned`` stacks the G of the same W turned by pi / n (Z_n^n
-    negated), which puts the mirror theta = pi / n on +y exactly.
+    wavefronts of order n = ``fold`` that have it (`_has_mirror_census`),
+    inside the disk of radius R = ``domain_radius``, from the roots of G on
+    its mirror lines t = 0 and pi / n.
 
-    W is even in x, so on +y Gx = 0, and the critical points there are the
-    roots of p(y) = dG/dy(0, y), whose coefficients are j c[0, j]; y = 0 is
-    the centre.  q = p / y is solved in u = y / R for every field and mirror
-    at once (`regions._real_roots`, then `regions._polish`), a root within
+    One `zernike.ray_coefficients` call restricts G, Gxx, Gxy, Gyy and
+    their |c| to both mirrors, G = sum a_k rho^k.  G's derivative across a
+    mirror is 0, so its critical points there are the centre and the roots
+    of q = sum k a_k rho^(k-2), solved in u = rho / R for every field and
+    mirror at once (`regions._real_roots`, `regions._polish`); a root within
     d = DEDUP_RADIUS of another is dropped, and each root in
-    (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points.  A root is certified
-    when q changes sign across [u - d, u + d] (from 0 when u < d), an
-    interval that meets no other root's, and |q| exceeds Horner's a-priori
-    rounding bound gamma_m sum |a_k| |u|^k at both ends (Higham 2002, §5.1),
-    with m = 2 deg G of the field, as in `_det_rounding_bound`.  The roots in (0, 1) are
-    complete when their number certified equals `_root_count` of q; then any
-    other candidate in (0, 1) is no root, and is dropped.  Each failed check
-    is named in the field's message.  Each orbit, and the centre, is valued
-    and classed once at (0, R u) of its own mirror's G (located, `_locate`)
-    from two rows: Gxy = 0, Gxx = 2 sum c[2, j] y^j, Gyy = sum j (j - 1)
-    c[0, j] y^(j-2); its n points, turned exactly, carry those values.
-    ``gradient_scale`` is the larger of the mirrors' bounds
-    sum |j c[0, j]| R^(j-1) of |dG/dy| on [0, R].  ValueError as `_checked`,
-    and unless ``turned`` is a finite stack of g's fields and the fold >= 2."""
+    (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points.  A root is
+    certified when q changes sign across [u - d, u + d] (from 0 when u < d),
+    an interval that meets no other root's, beyond Horner's a-priori bound
+    gamma_m sum |a|_k |u|^k at both ends (Higham 2002, §5.1), |a| the
+    restriction of |c| and m = 2 deg G of the field, as in
+    `_det_rounding_bound`; on t = pi / n, whose sin and cos are rounded, m
+    adds _RAY_ROUNDS (deg G + 3), and t = 0 reads G's x^0 row bit for bit.
+    The roots in (0, 1) are complete when their number certified equals
+    `_root_count` of q; then any other candidate in (0, 1) is no root, and
+    is dropped.  Each failed check is named in the field's message.
+
+    Each orbit, and the centre, is valued and classed once, with its
+    mirror's m, at its located rho (`_locate`) on that mirror: G, and
+    det(Hess G) = G_rhorho G_nn (G_rho,n = 0 on a mirror), G_nn = cos^2 t Gxx
+    - 2 sin t cos t Gxy + sin^2 t Gyy; its n points, turned exactly, carry
+    those values.  ``gradient_scale`` is the larger of the mirrors' bounds
+    sum |k a_k| R^(k-1) of |dG/drho| on [0, R].  ValueError as `_checked`,
+    and for a fold below 2."""
     R = domain_radius
-    g, degree = _checked(g, fold, R)
-    turned = np.asarray(turned, dtype=float)
-    if turned.shape[2:] != g.shape[2:] or fold < 2 or not np.isfinite(turned).all():
-        raise ValueError("turned must be a finite stack of the fields of g, and the fold "
-                         f"at least 2; got shape {turned.shape} for g's {g.shape}, fold {fold}")
+    g, degree, hess = _checked(g, fold, R)
+    if fold < 2:
+        raise ValueError(f"the mirror census needs a fold of at least 2, got {fold}")
     n_fields = g.shape[2]
     if not n_fields:
         return []
-    # the x^0 and x^2 rows of each mirror's G (column mirror * n_fields + field)
-    dy = max(g.shape[1], turned.shape[1], 3)
-    rows = np.zeros((2, dy, 2, n_fields))
-    for mirror, c in enumerate((g, turned)):
-        rows[: len(c[:3:2]), : c.shape[1], mirror] = c[:3:2]
-    row0, row2 = rows.reshape(2, dy, -1)
-    # q = sum j c[0, j] y^(j-2) of each mirror and field, in u
-    k = np.arange(dy - 2)[:, None]
-    dq = row0[2:] * (k + 2)
+    # G, Gxx, Gxy, Gyy and their |c| on t = 0 and pi / n (cos t as sin(pi / 2
+    # - t), 0 at n = 2) as (k, polynomial, column mirror * n_fields + field),
+    # zero-padded to k = 2 at least, as q needs
+    polys = np.concatenate([g[:, :, None], hess], axis=2)
+    t = math.pi / fold
+    sin, cos = np.array([[0.0, math.sin(t)], [1.0, math.sin(math.pi / 2.0 - t)]])
+    rays = ray_coefficients(np.concatenate([polys, np.abs(polys)], axis=2)[:, :, :, None],
+                            sin[:, None], cos[:, None])
+    rays = rays.reshape(len(rays), 8, -1)
+    rays = np.concatenate([rays, np.zeros((max(3 - len(rays), 0), 8, rays.shape[2]))])
+    # q of each mirror and field, and its |c| restriction, in u
+    k = np.arange(len(rays) - 2)[:, None]
+    dq = rays[2:, 0::4].swapaxes(0, 1) * (k + 2)
     m, e = math.frexp(R)  # R^k = 2^(k (e - 1)) (2 m)^k: no power overflows,
     with np.errstate(over="ignore"):  # and no subnormal c loses a bit
-        a = np.ldexp(dq, k * (e - 1)) * (2 * m)**k
+        a, size = np.ldexp(dq, k * (e - 1)) * (2 * m)**k
     col, u = _real_roots(a)
     inside = (0.0 < u) & (u <= 1.0 + _BOUNDARY_CLAMP)
     col, u = col[inside], _polish(a[:, col[inside]], u[inside])[0]
@@ -758,9 +753,9 @@ def mirror_census(
     col, u = col[keep], u[keep]
     ends = np.stack([np.maximum(u - DEDUP_RADIUS, 0.0), u + DEDUP_RADIUS])
     value = _horner(a[:, col], ends)[0]
-    rounds = 2 * degree[col % n_fields]  # each field's own, as the class's bound
+    rounds = np.concatenate([2 * degree, 2 * degree + _RAY_ROUNDS * (degree + 3)])
     unit = np.finfo(float).eps / 2.0
-    bound = rounds * unit / (1.0 - rounds * unit) * _horner(np.abs(a[:, col]), ends)[0]
+    bound = rounds[col] * unit / (1.0 - rounds[col] * unit) * _horner(size[:, col], ends)[0]
     overlap = (np.diff(col) == 0) & (np.diff(u) <= 2.0 * DEDUP_RADIUS)
     certified = ((value[0] < 0.0) != (value[1] < 0.0)) & (np.abs(value) > bound).all(axis=0)
     certified[1:] &= ~overlap  # disjoint intervals prove distinct roots
@@ -772,16 +767,16 @@ def mirror_census(
     col, u, certified = (v[certified | (u >= 1.0) | ~settled[col]] for v in (col, u, certified))
     unproven = np.bincount(col[~certified], minlength=2 * n_fields)
 
-    # the centre of each field, then each root: G and Hess G at (0, y) of
-    # its column's rows, and the |coefficient| sums of Hess G at y >= 0
+    # centres, then roots, at rho on their mirror: the restrictions, G_rhorho, then G_nn
     at = np.concatenate([np.arange(n_fields), col])
-    ys = np.array([0.0] * n_fields + [_locate(0.0, r, R)[1] for r in (R * u).tolist()])
-    polys = np.zeros((dy, 7, at.size))  # G, Gxx, Gxy, Gyy, |Gxx|, |Gxy|, |Gyy|
-    polys[:, 0], polys[:, 1], polys[:-2, 3] = row0[:, at], 2.0 * row2[:, at], dq[:, at] * (k + 1)
-    polys[:, 4:] = np.abs(polys[:, 1:4])
-    g_value, *hess = np.polyval(polys[::-1], ys)
-    det = hess[0] * hess[2]  # Gxy = 0
-    det_bound = _det_rounding_bound(hess[:3], hess[3:], 2 * degree[at % n_fields])
+    rho = np.array([0.0] * n_fields + [_locate(0.0, r, R)[1] for r in (R * u).tolist()])
+    curves = np.zeros((len(rays), 10, at.size))
+    curves[:, :8], curves[:-2, 8:] = rays[..., at], (dq * (k + 1))[..., at].swapaxes(0, 1)
+    g_value, xx, xy, yy, _, s_xx, s_xy, s_yy, hess_rr, rr_bound = np.polyval(curves[::-1], rho)
+    c2, sc, s2 = np.array([cos * cos, 2.0 * sin * cos, sin * sin])[:, at // n_fields]
+    hess_nn, nn_bound = c2 * xx - sc * xy + s2 * yy, c2 * s_xx + sc * s_xy + s2 * s_yy
+    det = hess_nn * hess_rr
+    det_bound = _det_rounding_bound((hess_nn, 0.0, hess_rr), (nn_bound, 0.0, rr_bound), rounds[at])
     # each orbit's n points, turned exactly, with its values
     orbit = np.concatenate([np.arange(n_fields), n_fields + np.repeat(np.arange(col.size), fold)])
     phi = (2.0 * np.arange(fold) + col[:, None] // n_fields) * math.pi / fold
@@ -838,9 +833,8 @@ def rescale_check(w: WaveAberration, factor: float) -> RescaleReport:
         raise ValueError(f"factor must be positive and finite, got {factor}")
     base_field = build_field(w)
     base = find_critical_points(base_field)
-    turned = _turned(w)
     scaled_field = field_from_polynomial(w.to_polynomial().rescale_domain(factor), w.fold_order(),
-                                         None if turned is None else turned.rescale_domain(factor))
+                                         base_field.mirror)
     scaled = find_critical_points(scaled_field, domain_radius=factor)
 
     def failed(count, degenerate, message, error=math.inf):

@@ -145,6 +145,25 @@ def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y, widths=None) ->
     return out
 
 
+def ray_coefficients(coeffs: np.ndarray, sin, cos) -> np.ndarray:
+    """Each polynomial of a (DX, DY, ...) stack on the rays at (sin t, cos t),
+    which broadcast against its trailing axes, as a polynomial in rho:
+    a_k(t) = sum_{i+j=k} c_ij sin^i t cos^j t up to the stack's degree, summed
+    onto +0.0 a row of c at a time, in order of i (a zero c_ij adds a zero and
+    moves no bit), so at (0, 1) it is c[0, k] bit for bit, -0.0 read as +0.0."""
+    rows, cols = np.nonzero(np.any(coeffs != 0.0, axis=tuple(range(2, coeffs.ndim))))
+    deg = (rows + cols).max(initial=0)
+    shape = np.shape(coeffs[0, 0] * sin * cos)
+    c = coeffs.reshape(coeffs.shape[:2] + (1,) * (len(shape) + 2 - coeffs.ndim) + coeffs.shape[2:])
+    cos = np.reshape(cos, (1,) * (len(shape) - np.ndim(cos)) + np.shape(cos))
+    cos_pow = np.stack([cos ** j for j in range(min(coeffs.shape[1], deg + 1))])
+    a = np.zeros((deg + 1,) + shape)
+    for i in sorted(set(rows.tolist())):
+        m = min(len(cos_pow), deg + 1 - i)
+        a[i:i + m] += c[i, :m] * (sin ** i * cos_pow[:m])
+    return a
+
+
 @dataclass(frozen=True)
 class BivariatePolynomial:
     """Dense polynomial sum_{i,j} c[i, j] x^i y^j.

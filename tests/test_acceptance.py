@@ -162,7 +162,7 @@ def test_criterion_5_scale_invariance(analyses, monkeypatch):
     worst = 0.0
     for census in ("mirror", "2-D"):
         if census == "2-D":  # as for a W without the mirror census
-            monkeypatch.setattr(hessian, "_turned", lambda w: None)
+            monkeypatch.setattr(hessian, "_has_mirror_census", lambda w: False)
         for name in FIXTURE_ORDER:
             for factor in (0.5, 2.0, 3.5):
                 report = rescale_check(analyses[name].aberration, factor)

@@ -33,12 +33,12 @@ from starburst.caustics import (
     _meridian_aligned,
     _PolylineDistance,
     _radial_profile,
-    _ray_coefficients,
     _ray_values,
     _rotate,
     _tip_pattern,
 )
 from starburst.cli import FIXTURE_SCENARIOS, Scenario, run_analysis
+from starburst.zernike import ray_coefficients
 
 
 HIGHORDER_TERMS = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
@@ -130,7 +130,7 @@ class TestContourExtraction:
         rc, tc = 0.5 * (rho[i] + rho[i + 1]), 0.5 * (t[j] + t[j + 1])
         x0, y0 = rc * np.sin(tc), rc * np.cos(tc)
         G = BivariatePolynomial(np.array([[x0 * y0 + eps, -x0], [-y0, 1.0]]))
-        a = _ray_coefficients(G.coeffs, sin[j:j + 2], cos[j:j + 2])
+        a = ray_coefficients(G.coeffs, sin[j:j + 2], cos[j:j + 2])
         corners = _ray_values(a, rho[i:i + 2]) > 0
         code = corners[0, 0] | corners[1, 0] << 1 | corners[1, 1] << 2 | corners[0, 1] << 3
         assert code in (5, 10)

@@ -46,7 +46,6 @@ from starburst.caustics import (
     _mesh,
     _profile_peaks,
     _radial_profile,
-    _ray_coefficients,
     _ray_values,
     _stitch,
     fertility_report,
@@ -54,6 +53,7 @@ from starburst.caustics import (
 from starburst.cli import FIXTURE_SCENARIOS
 from starburst.hessian import PointClass
 from starburst.regions import ABParams
+from starburst.zernike import ray_coefficients
 
 
 def reference_stitch(nbr):
@@ -87,7 +87,7 @@ def reference_rim_crossings(field, resolution):
     wedge's rim nodes by linear interpolation in t, and completed by W's
     reflection and turns as angles."""
     _, t, sin, cos, turns, mirror = _mesh(field, resolution)
-    values = _ray_values(_ray_coefficients(field.G.coeffs, sin, cos), np.ones(1))[0].tolist()
+    values = _ray_values(ray_coefficients(field.G.coeffs, sin, cos), np.ones(1))[0].tolist()
     t = t.tolist()
     angles = []
     for k in range(len(t) - 1):
@@ -234,7 +234,7 @@ def test_circle_hit_takes_plain_products():
     for seed in range(20):
         field, grid = random_rim_field(seed)
         _, t, sin, cos, _, _ = _mesh(field, grid)
-        values = _ray_values(_ray_coefficients(field.G.coeffs, sin, cos), np.ones(1))[0].tolist()
+        values = _ray_values(ray_coefficients(field.G.coeffs, sin, cos), np.ones(1))[0].tolist()
         t = t.tolist()
         angles = []
         for k in range(len(t) - 1):

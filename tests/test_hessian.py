@@ -87,15 +87,23 @@ class TestBuildField:
         assert want.tobytes() == _padded(field.G.coeffs, shape).tobytes()
 
     def test_field_holds_the_four_polynomials_the_pipeline_reads(self):
-        # and the G of W turned by pi / n, for a W that has the mirror census
+        # and whether W has the mirror census; the census reads that G alone
         assert tuple(f.name for f in dataclasses.fields(HessianField)) == (
             "W", "Wx", "Wy", "G", "fold", "mirror")
         field = build_field(EQ3.to_wavefront())
-        assert field.fold == 3
+        assert (field.fold, field.mirror) == (3, True)
         assert np.array_equal(field.Wx.coeffs, field.W.differentiate("x").coeffs)
         assert np.array_equal(field.Wy.coeffs, field.W.differentiate("y").coeffs)
-        turned = three_term_stacks(3, [EQ3.alpha], [EQ3.beta], [-EQ3.gamma])[..., 0]
-        assert field.mirror.coeffs.tobytes() == _padded(turned, field.mirror.coeffs.shape).tobytes()
+        g = three_term_stacks(3, [EQ3.alpha], [EQ3.beta], [EQ3.gamma])[..., 0]
+        assert field.G.coeffs.tobytes() == _padded(g, field.G.coeffs.shape).tobytes()
+        # the G of W turned by pi / 3, built here at -gamma as the reference,
+        # is G turned by pi / 3, to the rounding of the coefficients
+        turned = BivariatePolynomial(three_term_stacks(3, [EQ3.alpha], [EQ3.beta],
+                                                       [-EQ3.gamma])[..., 0])
+        x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 500))
+        c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+        size = BivariatePolynomial(np.abs(field.G.coeffs))(np.hypot(x, y), np.hypot(x, y))
+        assert np.all(np.abs(turned(x, y) - field.G(x * c + y * s, y * c - x * s)) <= 1e-14 * size)
 
     def test_degree_above_the_supported_maximum_rejected(self):
         poly = BivariatePolynomial(np.eye(14)[::-1])  # x^13 + ... + y^13
@@ -169,21 +177,30 @@ def _kind(det, bound):
             PointClass.EXTREMUM if det > bound else PointClass.DEGENERATE)
 
 
-def _ring_mirror_points(field, census):
-    """For each point of the mirror census of ``field``, its ring's point
-    (0, y) on the mirror theta = 0 of the field that holds it there: the
-    field for the centre and the theta = 0 family, and for the theta = pi / n
-    family the turned field (G and ``mirror`` swapped), whose census finds
-    that family's roots on theta = 0, from the same row of coefficients."""
-    n = field.fold
-    turned = dataclasses.replace(field, G=field.mirror, mirror=field.G)
+def _turned(w):
+    """W turned by pi / n, Z_n^n negated: for a W that has the mirror census,
+    the independent reference of its theta = pi / n family, which the
+    turned W's census finds on theta = 0."""
+    n = w.fold_order()
+    return WaveAberration(tuple(dataclasses.replace(t, coeff=-t.coeff) if (t.n, t.m) == (n, n)
+                                else t for t in w.terms), w.pupil_radius)
+
+
+def _ring_mirror_points(w, census):
+    """For each point of the mirror census of W, its family (0 for the
+    centre and theta = 0, 1 for theta = pi / n) and its ring's point (0, y)
+    on the mirror theta = 0 of the field that holds it there: W's field for
+    family 0, and for family 1 the field of W turned by pi / n (`_turned`),
+    whose census finds that family's roots on theta = 0."""
+    fields = build_field(w), build_field(_turned(w))
+    n = fields[0].fold
     axis = [[(f, q) for q in find_critical_points(f).points if q.x == 0.0 and q.y >= 0.0]
-            for f in (field, turned)]
+            for f in fields]
     out = []
     for p in census.points:
         family = round(p.theta * n / math.pi) % 2
         (f, q), = [(f, q) for f, q in axis[family] if abs(q.rho - p.rho) <= 1e-9]
-        out.append((f, q.y))
+        out.append((family, f, q.y))
     return out
 
 
@@ -274,16 +291,28 @@ class TestCriticalPointCensus:
     def test_classify_matches_reported_kind(self, analyses):
         # a point is a saddle or an extremum by the sign of det(Hess G) when
         # |det| exceeds its rounding bound, and degenerate inside it.  The
-        # mirror census values each ring at its point on its own mirror:
-        # there det(Hess G) is the reported one, bit for bit; each member's
-        # own lies within its bound plus the ring's, of the same class
+        # mirror census values each ring at its point on its own mirror: on
+        # theta = 0 det(Hess G) is the reported one, bit for bit; on
+        # theta = pi / n the turned W's at (0, y) is within its bound and
+        # the member's own of it, of the same class.  Each member's own lies
+        # within its bound plus the ring's, of the same class
         for a in analyses.values():
-            for p, (field, y) in zip(a.search.points, _ring_mirror_points(a.field, a.search)):
+            for p, (family, field, y) in zip(a.search.points,
+                                             _ring_mirror_points(a.aberration, a.search)):
                 det, bound = _det_and_rounding_bound(field.G, 0.0, y)
-                assert _kind(det, bound) is p.kind
-                assert det == det_hess_g(field, 0.0, y) == p.hess_g_det
-                assert p.g_value == field.G(0.0, y)
                 own, own_bound = _det_and_rounding_bound(a.field.G, p.x, p.y)
+                assert _kind(det, bound) is p.kind
+                if family == 0:
+                    assert det == det_hess_g(field, 0.0, y) == p.hess_g_det
+                    assert p.g_value == field.G(0.0, y)
+                else:
+                    # G within the census's rounding count on pi / n plus the
+                    # turned G's own, in unit roundoffs of its |c| sum
+                    assert abs(p.hess_g_det - det) <= bound + own_bound
+                    d = field.G.degree
+                    size = BivariatePolynomial(np.abs(field.G.coeffs))(0.0, y)
+                    rounds = 4 * d + hessian._RAY_ROUNDS * (d + 3)
+                    assert abs(p.g_value - field.G(0.0, y)) <= rounds * 2.0**-53 * size
                 assert abs(own - det) <= own_bound + bound
                 assert _kind(own, own_bound) is p.kind
 
@@ -526,10 +555,10 @@ class TestRingStructure:
 
 def _both_censuses(monkeypatch):
     """Yield "mirror", then "2-D" while every W takes the 2-D census, as a
-    W without the mirror census does (`hessian._turned` of none)."""
+    W without the mirror census does (`hessian._has_mirror_census`)."""
     yield "mirror"
     with monkeypatch.context() as patched:
-        patched.setattr(hessian, "_turned", lambda w: None)
+        patched.setattr(hessian, "_has_mirror_census", lambda w: False)
         yield "2-D"
 
 
@@ -556,10 +585,9 @@ class TestRescaleInvariance:
                     True, 0.0, ""), (census, k)
                 # angles, centre and rim flags too
                 r = math.ldexp(1.0, k)
-                turned = hessian._turned(w)
                 scaled = find_critical_points(field_from_polynomial(
                     w.to_polynomial().rescale_domain(r), w.fold_order(),
-                    None if turned is None else turned.rescale_domain(r)), r)
+                    hessian._has_mirror_census(w)), r)
                 assert [(p.x / r, p.y / r, p.rho / r, p.theta, p.kind, p.on_boundary)
                         for p in scaled] == [(p.x, p.y, p.rho, p.theta, p.kind, p.on_boundary)
                                              for p in base], (census, k)
@@ -759,16 +787,38 @@ RIM_RING = ABParams(0.6240191031801114, 0.2, -0.8342619035157544, 4)
 
 def _census(params):
     """The census of a three-term wavefront, as `verify` runs it: the mirror
-    census of its G and of its G at -gamma."""
+    census of its G."""
     return _mirror_censuses([params])[0]
 
 
 def _mirror_censuses(params):
-    """`mirror_census` of three-term wavefronts of one order, as one stack."""
+    """`mirror_census` of three-term wavefronts of one order, as one stack,
+    each checked against the census of its W turned by pi / n (at -gamma,
+    built here as the reference; `_same_turned`)."""
     (n,) = {p.n for p in params}
     alpha, beta, gamma = _coefficients(params)
-    return mirror_census(three_term_stacks(n, alpha, beta, gamma),
-                         three_term_stacks(n, alpha, beta, -gamma), n)
+    censuses = mirror_census(three_term_stacks(n, alpha, beta, gamma), n)
+    for census, turned in zip(censuses, mirror_census(three_term_stacks(n, alpha, beta, -gamma), n),
+                              strict=True):
+        _same_turned(census, turned, n)
+    return censuses
+
+
+def _same_turned(census, turned, n):
+    """``turned``, the mirror census of W turned by pi / n, is ``census``, W's,
+    turned by pi / n: each family is read on the other's mirror, one at
+    t = 0 and one at t = pi / n, so they agree to rounding, with the same
+    classes and the same flags.  Points agree within 1e-9, as in
+    `_same_census`: a near-double root moves by far more than the rounding
+    of its coefficients (4.7e-12 in `test_ring_merging_boundary_is_reported`)."""
+    assert (turned.degenerate, bool(turned.message)) == (census.degenerate, bool(census.message))
+    c, s = math.cos(math.pi / n), math.sin(math.pi / n)
+    got = np.array([(p.x * c + p.y * s, p.y * c - p.x * s) for p in census]).reshape(-1, 2)
+    want = np.array([(q.x, q.y) for q in turned]).reshape(-1, 2)
+    assert len(got) == len(want)
+    for (x, y), p in zip(got, census):
+        k = np.argmin(np.hypot(*(want - (x, y)).T))
+        assert math.hypot(*(want[k] - (x, y))) <= 1e-9 and turned.points[k].kind is p.kind
 
 
 class TestKnownCensusMisses:
@@ -930,7 +980,7 @@ class TestMirrorCensus:
         w = HIGHORDER if name == "highorder" else ABParams(
             *FIXTURE_SCENARIOS[name][:4]).to_wavefront()
         field = build_field(w)
-        assert field.mirror is not None
+        assert field.mirror is True
         (two_d,) = census_from_stacks(field.G.coeffs[..., None], field.fold)
         _same_census(two_d, find_critical_points(field))
 
@@ -965,19 +1015,39 @@ class TestMirrorCensus:
         batched = _mirror_censuses(draws)
         assert [repr(r) for r in batched] == [repr(_census(p)) for p in draws]
         assert any(r.saddles for r in batched) and not any(r.message for r in batched)
-        assert mirror_census(_stack([]), _stack([]), 5) == []
+        assert mirror_census(_stack([]), 5) == []
         # each field's certificate rounds at its own degree: a hand-built G
-        # of degree 8 whose q = (u - 0.96) (1 - u)^5 on both mirrors changes
+        # of degree 8 whose q = (u - 0.96) (1 - u)^5 on theta = 0 changes
         # sign beyond Horner's bound for degree 8, but not for degree 20, so
-        # a G of degree 20 beside it must not loosen its bound
+        # a G of degree 20 beside it must not loosen its bound.  G depends
+        # on y alone, so on theta = pi / 3 q's root lies at u = 1.92
         q = np.polynomial.polynomial.polymul([-0.96, 1.0], [1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
         g = np.zeros((1, 9))
         g[0, 2:] = q / np.arange(2, 9)
         high = np.zeros((21, 21))
         high[0, 20] = high[20, 0] = 1.0
-        alone = mirror_census(g[..., None], g[..., None], 3)[0]
-        assert (len(alone), alone.message) == (7, "")
-        assert repr(mirror_census(_stack([g, high]), _stack([g, high]), 3)[0]) == repr(alone)
+        alone = mirror_census(g[..., None], 3)[0]
+        assert (len(alone), alone.message) == (4, "")
+        assert repr(mirror_census(_stack([g, high]), 3)[0]) == repr(alone)
+
+    def test_pi_over_n_certificate_adds_the_restriction_rounding(self):
+        # the hand-built q above, whose root at u = 0.96 changes sign just
+        # beyond Horner's bound for degree 8: read on theta = 0 from a G of
+        # y alone it is certified, and read on theta = pi / 3 from a G of x
+        # alone, whose restriction carries rounded sin and cos, the bound
+        # adds _RAY_ROUNDS (deg G + 3) and the root is not
+        q = np.polynomial.polynomial.polymul([-0.96, 1.0], [1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
+        row = np.zeros(9)
+        row[2:] = q / np.arange(2, 9)
+        on_y = mirror_census(row[None, :, None], 3)[0]
+        on_x = mirror_census((row / math.sin(math.pi / 3) ** np.arange(9))[:, None, None], 3)[0]
+        for census in (on_y, on_x):  # q's slope at its root is 0.04^5
+            assert [p.rho for p in census] == pytest.approx([0.0, 0.96, 0.96, 0.96], abs=1e-6)
+        assert on_y.message == ""
+        assert on_x.message == (
+            "no sign change of their own certifies 1 root(s) on the theta = pi/3 mirror; the "
+            "theta = pi/3 mirror has 0 certified roots inside the disk, and Descartes' rule "
+            "counts 1")
 
     @pytest.mark.parametrize("name", [*sorted(FIXTURE_SCENARIOS), "highorder", "draws"])
     def test_each_ring_shares_its_values(self, name):
@@ -1059,11 +1129,12 @@ class TestMirrorCensus:
         _same_census(census_from_stacks(field.G.coeffs[..., None], 5)[0], census)
 
     def test_gradient_scale_bounds_dg_dy_on_the_mirrors(self):
-        # sum |j c[0, j]| R^(j - 1) of G and of its turned G, the larger
-        field = build_field(EQ3.to_wavefront())
-        want = max(sum(abs(j * c) for j, c in enumerate(g.coeffs[0]))
-                   for g in (field.G, field.mirror))
-        assert find_critical_points(field).gradient_scale == pytest.approx(want, rel=1e-15)
+        # sum |j c[0, j]| R^(j - 1) of G and of the G of W turned by pi / n
+        # (the reference for G on theta = pi / n), the larger
+        w = EQ3.to_wavefront()
+        want = max(sum(abs(j * c) for j, c in enumerate(build_field(v).G.coeffs[0]))
+                   for v in (w, _turned(w)))
+        assert find_critical_points(build_field(w)).gradient_scale == pytest.approx(want, rel=1e-15)
 
     def test_which_w_has_the_mirror_census(self):
         def mirrored(*terms):
@@ -1072,7 +1143,7 @@ class TestMirrorCensus:
         for terms in (((2, 0, 0.1), (4, 0, 0.2), (5, 5, 0.07)),
                       ((0, 0, 1.0), (4, 0, 0.2), (2, 2, 0.1)),
                       ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.0), (3, 1, 0.0))):
-            assert mirrored(*terms) is not None, terms
+            assert mirrored(*terms) is True, terms
         for terms in (((2, 0, 0.1), (5, 5, 0.07)),                # no Z_4^0
                       ((4, 0, 0.2), (2, 0, 0.1)),                 # axial
                       ((4, 0, 0.2), (5, -5, 0.07)),               # a sine term
@@ -1080,15 +1151,29 @@ class TestMirrorCensus:
                       ((4, 0, 0.2), (7, 5, 0.07)),                # m != n
                       ((4, 0, 0.2), (1, 1, 0.07)),                # n < 2
                       ((4, 0, 0.2), (6, 0, 0.07), (3, 3, 0.1))):  # another radial term
-            assert mirrored(*terms) is None, terms
+            assert mirrored(*terms) is False, terms
 
-    def test_turned_stack_checked(self):
+    def test_stack_and_fold_checked(self):
         g = three_term_stacks(3, *_coefficients([EQ3, EQ3]))
-        turned = np.array(g)
-        turned[0, 0, 0] = np.nan
-        for bad, fold in ((g[..., :1], 3), (g[..., 0], 3), (g, 1), (turned, 3)):
-            with pytest.raises(ValueError, match="turned must be a finite stack of the fields"):
-                mirror_census(g, bad, fold)
+        for fold in (0, 1):
+            with pytest.raises(ValueError, match=f"a fold of at least 2, got {fold}"):
+                mirror_census(g, fold)
+        with pytest.raises(ValueError, match="must be a .DX, DY, fields. coefficient stack"):
+            mirror_census(g[..., 0], 3)
+        bad = np.array(g)
+        bad[0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="overflow the Hessian determinant"):
+            mirror_census(bad, 3)
+
+    def test_g_below_degree_2_has_only_its_centre(self):
+        # a constant or linear G restricts to fewer than the three
+        # coefficients q needs: each field gets its centre, degenerate, and
+        # no root on either mirror
+        for g in (np.ones((1, 1, 2)), np.array([[[1.0], [2.0]], [[0.5], [0.0]]])):
+            for census in mirror_census(g, 3):
+                (p,) = census.points
+                assert (p.rho, p.kind, p.hess_g_det, census.message) == (
+                    0.0, PointClass.DEGENERATE, 0.0, "")
 
 
 def _with_roots(*roots, factor=(1.0,)):
@@ -1243,7 +1328,7 @@ class TestBatchedCensus:
         # from G itself
         field = dataclasses.replace(
             build_field(EQ3.to_wavefront()),
-            G=poly([[0.0, 0.0, D / 2], [0.0, B, 0.0], [A / 2, 0.0, 0.0]]), fold=1, mirror=None,
+            G=poly([[0.0, 0.0, D / 2], [0.0, B, 0.0], [A / 2, 0.0, 0.0]]), fold=1, mirror=False,
         )
         (p,) = find_critical_points(field).points
         assert p.kind is PointClass.SADDLE

@@ -47,17 +47,17 @@ def sweep_cases(n: int) -> list:
     return cases
 
 
-def sweep_censuses(mirror: bool) -> list:
+def sweep_censuses(mirror: bool, turned: bool = False) -> list:
     """(params, prediction, census) of every case of `sweep_cases` for
     n = 3..6, each n censused as one stack by the 2-D census or, with
-    ``mirror``, by the mirror census."""
+    ``mirror``, by the mirror census; with ``turned``, the census of each W
+    turned by pi / n (Z_n^n negated)."""
     out = []
     for n in (3, 4, 5, 6):
         cases = sweep_cases(n)
         alpha, beta, gamma = np.array([(p.alpha, p.beta, p.gamma) for p, _ in cases]).T
-        g = three_term_stacks(n, alpha, beta, gamma)
-        censuses = (mirror_census(g, three_term_stacks(n, alpha, beta, -gamma), n) if mirror
-                    else census_from_stacks(g, n))
+        g = three_term_stacks(n, alpha, beta, -gamma if turned else gamma)
+        censuses = mirror_census(g, n) if mirror else census_from_stacks(g, n)
         out += [(p, pred, c) for (p, pred), c in zip(cases, censuses)]
     return out
 
@@ -104,6 +104,11 @@ def test_mirror_sweep_is_pinned_and_right():
     lines = MIRROR_SWEEP.read_text(encoding="utf-8").splitlines()
     assert sweep_lines(censuses) == lines
     assert all(line.split()[4] == line.split()[6] and line.endswith(" 0") for line in lines)
+    # the census of each W turned by pi / n, built here as the reference,
+    # reads each family on the other mirror, and counts the same
+    turned = sweep_censuses(mirror=True, turned=True)
+    assert sweep_lines(turned) == lines
+    assert [c.message for _, _, c in turned] == [""] * 861
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ in hex and the reason.  verify_cli.txt holds the output of
 with the elapsed time stripped; CI diffs the installed entry point's
 output against it.  A change that means to move a verdict or a deviation
 regenerates both with `PYTHONPATH=src python tests/test_verify_golden.py`
-and names the lines that moved.
+and names the lines that moved.  The rings on theta = pi / n come from G's
+restriction to that ray at rounded sin and cos (`hessian.mirror_census`),
+so their radii, and a deviation set by one of them, can move in the last
+bits when that arithmetic changes; the counts may not.
 """
 
 import contextlib

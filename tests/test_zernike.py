@@ -12,10 +12,20 @@ from starburst import (
     WaveAberration,
     ZernikeTerm,
     build_field,
+    three_term_stacks,
     zernike,
 )
-from starburst.hessian import _stack
-from starburst.zernike import _trim, derivative, gathered_values, grid_values, product, row_widths
+from starburst.hessian import _RAY_ROUNDS, _stack
+from starburst.zernike import (
+    _trim,
+    derivative,
+    gathered_values,
+    grid_values,
+    product,
+    ray_coefficients,
+    row_widths,
+    wavefront_stack,
+)
 
 
 def all_valid_terms(max_order):
@@ -359,6 +369,58 @@ def _random_stack(rng, fields, names):
         for k, c in enumerate(row):
             stack[: c.shape[0], : c.shape[1], m, k] = c
     return polys, stack
+
+
+def _product_sizes(n, alpha, beta, gamma):
+    """|Wxx| |Wyy| + |Wxy|^2 of W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n, as
+    a (DX, DY, fields) stack: the sizes the rounding of G's coefficients
+    scales with."""
+    w = wavefront_stack(((2, 0), (4, 0), (n, n)), [alpha, beta, gamma])
+    wx, wy = derivative(w, 0), derivative(w, 1)
+    xx, xy, yy = (np.abs(p) for p in (derivative(wx, 0), derivative(wx, 1), derivative(wy, 1)))
+    return _stack([product(xx, yy), product(xy, xy)]).sum(axis=2)
+
+
+class TestRayCoefficients:
+    """`zernike.ray_coefficients`, G restricted to the rays through the
+    centre, the one kernel of the contour mesh and the mirror census."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_t_0_it_is_the_x0_row_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        _, stack = _random_stack(rng, 5, 3)
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        dy = stack.shape[1]
+        for sin, cos in ((0.0, 1.0), (np.zeros((2, 1, 1)), np.ones((2, 1, 1)))):
+            a = ray_coefficients(stack, sin, cos)
+            assert a.shape[1:] == np.broadcast_shapes(stack.shape[2:], np.shape(sin))
+            row = np.zeros((len(a),) + stack.shape[2:])  # the x^0 row, +0.0 above it
+            row[:dy] = stack[0]
+            want = np.broadcast_to(row[:, None] if np.ndim(sin) else row, a.shape)
+            assert a.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_on_pi_over_n_it_is_the_turned_w(self, n):
+        # on theta = pi / n, G's restriction is the x^0 row of the G of W
+        # turned by pi / n (Z_n^n negated), built here as the reference:
+        # within _RAY_ROUNDS (deg G + 3) unit roundoffs of the |c|
+        # restriction, the kernel's bound, plus as many of each G's
+        # |Wxx| |Wyy| + |Wxy|^2, for the rounding each G carries of its own
+        # (at most 9 and 1.2 unit roundoffs measured)
+        rng = np.random.default_rng(5)
+        alpha, beta, gamma = (rng.uniform(lo, hi, 50)
+                              for lo, hi in ((-0.5, 0.5), (0.05, 0.4), (-0.3, 0.3)))
+        g, turned = (three_term_stacks(n, alpha, beta, c) for c in (gamma, -gamma))
+        t = math.pi / n
+        sin, cos = math.sin(t), math.sin(math.pi / 2.0 - t)  # as `mirror_census` takes them
+        a = ray_coefficients(g, sin, cos)
+        deg = len(a) - 1
+        assert turned.shape[1] == deg + 1
+        sizes = (ray_coefficients(np.abs(g), sin, cos)
+                 + ray_coefficients(_product_sizes(n, alpha, beta, gamma), sin, cos)[:deg + 1]
+                 + _product_sizes(n, alpha, beta, -gamma)[0, :deg + 1])
+        u = np.finfo(float).eps / 2.0
+        assert np.all(np.abs(a - turned[0]) <= _RAY_ROUNDS * (deg + 3) * u * sizes)
 
 
 class TestStackedHorner:
