@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import CriticalPoint, HessianField
-from .zernike import WaveAberration, _ranges, ray_coefficients
+from .zernike import WaveAberration, _ranges, horner, ray_coefficients
 
 ARCMIN_PER_MRAD = 10800.0 / (1000.0 * math.pi)  # ~3.437747
 MIN_GRID_RESOLUTION = 64  # smallest contour grid extract_contours accepts
@@ -336,29 +336,18 @@ def _mesh(field, resolution):
     return rho, t, sin, cos, turns, mirror
 
 
-def _ray_values(a: np.ndarray, rho) -> np.ndarray:
-    """G at the radii rho on the rays of `zernike.ray_coefficients` a, shape
-    (len(rho), a.shape[1]): Horner in rho, each step a product with a
-    contiguous copy of rho per ray, not a broadcast."""
-    r = np.repeat(np.asarray(rho, dtype=float)[:, None], a.shape[1], axis=1)
-    out = np.empty(r.shape)
-    out[:] = a[-1]
-    for ak in a[-2::-1]:
-        out *= r
-        out += ak
-    return out
-
-
 def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     """Marching-squares zero contours of G inside the unit pupil, on the
     polar (rho, t) index mesh of `_mesh`, completed by W's reflection and
     turns (`Completion`).
 
-    The mesh is evaluated a tile of t columns at a time.  Cells are (i, j)
-    to (i + 1, j + 1) in (rho, t) index; a saddle cell is paired by the sign
-    of G at its centre.  Crossings are interpolated linearly in rho along a
-    ray and in t along an arc, so a rim vertex lies on rho = 1.  A vertex on
-    a mirror line is its own image; the periodic mesh's last column is its
+    The mesh is evaluated a tile of t columns at a time, by `horner` of the
+    rays' `ray_coefficients` at a contiguous copy of rho per ray, so each
+    step's product is one contiguous loop.  Cells are (i, j) to (i + 1,
+    j + 1) in (rho, t) index; a saddle cell is paired by the sign of G at
+    its centre.  Crossings are interpolated linearly in rho along a ray and
+    in t along an arc, so a rim vertex lies on rho = 1.  A vertex on a
+    mirror line is its own image; the periodic mesh's last column is its
     first, so a curve crosses t = 0 with no seam vertex."""
     if not MIN_GRID_RESOLUTION <= resolution <= MAX_GRID_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_GRID_RESOLUTION} "
@@ -369,7 +358,8 @@ def extract_contours(field: HessianField, resolution: int = 512) -> ContourSet:
     cells, corners = [], []
     width = max(_TILE_BUDGET // ni, 2)
     for j0 in range(0, nj - 1, width - 1):
-        values = _ray_values(a[:, j0:j0 + width], rho)
+        c = a[:, j0:j0 + width]
+        values = horner(c, np.repeat(rho[:, None], c.shape[1], axis=1))
         pos = (values > 0.0).view(np.uint8)
         code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
         # the mixed cells: codes 1..14 (code 0 wraps to 255)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import _horner, _polish, _real_roots
+from .regions import _polish, _real_roots
 from .zernike import (
     MAX_RADIAL_ORDER,
     BivariatePolynomial,
@@ -60,6 +60,7 @@ from .zernike import (
     derivative,
     gathered_values,
     grid_values,
+    horner,
     product,
     ray_coefficients,
     row_widths,
@@ -529,8 +530,9 @@ def _checked(g, fold, domain_radius):
     Hess G on the disk can be squared, as det(Hess G) = Gxx Gyy - Gxy^2
     squares it (nothing squares G): twice the square of the largest of its
     bounds sum |c_ij| R^(i+j), Horner's values of |c| at (R, R), must be 0
-    or a normal float (NaN fails too).  The products and the Horner steps
-    are `derivative`'s and `grid_values`', so all of it keeps its bits."""
+    or a normal float (NaN fails too).  The products are `derivative`'s
+    and the Horner steps, in x then y, are `horner`'s, so all of it keeps
+    its bits."""
     R = domain_radius
     if not (R > 0 and math.isfinite(R)):
         raise ValueError(f"domain_radius must be positive and finite, got {R}")
@@ -547,7 +549,7 @@ def _checked(g, fold, domain_radius):
         hess[:-1, :-1, 1] = g[1:, 1:] * i[1:] * j[1:]
         hess[:, :-2, 2] = g[:, 2:] * j[2:] * j[1:-1]
         # Horner in x, then y, of |c| at (R, R)
-        bound = np.polyval(np.polyval(np.abs(hess)[::-1], R)[::-1], R).max(axis=0)
+        bound = horner(horner(np.abs(hess), R), R).max(axis=0)
         square = 2.0 * bound * bound
     if not (np.isfinite(square).all() and np.isfinite(g).all()):
         raise ValueError(_OVERFLOW)
@@ -704,14 +706,15 @@ def mirror_census(
     d = DEDUP_RADIUS of another is dropped, and each root in
     (0, 1 + _BOUNDARY_CLAMP] stands for its orbit of n points.  A root is
     certified when q changes sign across [u - d, u + d] (from 0 when u < d),
-    an interval that meets no other root's, beyond Horner's a-priori bound
-    gamma_m sum |a|_k |u|^k at both ends (Higham 2002, §5.1), |a| the
-    restriction of |c| and m = 2 deg G of the field, as in
-    `_det_rounding_bound`; on t = pi / n, whose sin and cos are rounded, m
-    adds _RAY_ROUNDS (deg G + 3), and t = 0 reads G's x^0 row bit for bit.
-    The roots in (0, 1) are complete when their number certified equals
-    `_root_count` of q; then any other candidate in (0, 1) is no root, and
-    is dropped.  Each failed check is named in the field's message.
+    an interval that meets no other root's, beyond the a-priori bound
+    gamma_m sum |a|_k |u|^k of `horner`'s order of operations at both ends
+    (Higham 2002, §5.1), |a| the restriction of |c| and m = 2 deg G of the
+    field, as in `_det_rounding_bound`; on t = pi / n, whose sin and cos
+    are rounded, m adds _RAY_ROUNDS (deg G + 3), and t = 0 reads G's x^0
+    row bit for bit.  The roots in (0, 1) are complete when their number
+    certified equals `_root_count` of q; then any other candidate in
+    (0, 1) is no root, and is dropped.  Each failed check is named in the
+    field's message.
 
     Each orbit, and the centre, is valued and classed once, with its
     mirror's m, at its located rho (`_locate`) on that mirror: G, and
@@ -752,10 +755,10 @@ def mirror_census(
     keep[1:] &= (np.diff(col) != 0) | (np.diff(u) > DEDUP_RADIUS)
     col, u = col[keep], u[keep]
     ends = np.stack([np.maximum(u - DEDUP_RADIUS, 0.0), u + DEDUP_RADIUS])
-    value = _horner(a[:, col], ends)[0]
+    value = horner(a[:, col], ends)
     rounds = np.concatenate([2 * degree, 2 * degree + _RAY_ROUNDS * (degree + 3)])
     unit = np.finfo(float).eps / 2.0
-    bound = rounds[col] * unit / (1.0 - rounds[col] * unit) * _horner(size[:, col], ends)[0]
+    bound = rounds[col] * unit / (1.0 - rounds[col] * unit) * horner(size[:, col], ends)
     overlap = (np.diff(col) == 0) & (np.diff(u) <= 2.0 * DEDUP_RADIUS)
     certified = ((value[0] < 0.0) != (value[1] < 0.0)) & (np.abs(value) > bound).all(axis=0)
     certified[1:] &= ~overlap  # disjoint intervals prove distinct roots
@@ -772,7 +775,7 @@ def mirror_census(
     rho = np.array([0.0] * n_fields + [_locate(0.0, r, R)[1] for r in (R * u).tolist()])
     curves = np.zeros((len(rays), 10, at.size))
     curves[:, :8], curves[:-2, 8:] = rays[..., at], (dq * (k + 1))[..., at].swapaxes(0, 1)
-    g_value, xx, xy, yy, _, s_xx, s_xy, s_yy, hess_rr, rr_bound = np.polyval(curves[::-1], rho)
+    g_value, xx, xy, yy, _, s_xx, s_xy, s_yy, hess_rr, rr_bound = horner(curves, rho)
     c2, sc, s2 = np.array([cos * cos, 2.0 * sin * cos, sin * sin])[:, at // n_fields]
     hess_nn, nn_bound = c2 * xx - sc * xy + s2 * yy, c2 * s_xx + sc * s_xy + s2 * s_yy
     det = hess_nn * hess_rr
@@ -785,7 +788,7 @@ def mirror_census(
     located = [_locate(px, py, R) for px, py in zip(x.tolist(), y.tolist())]
     points = _classed_points(n_fields, at[orbit] % n_fields, located,
                              g_value[orbit], det[orbit], det_bound[orbit], R)
-    scale = R * _horner(np.abs(a), 1.0)[0].reshape(2, n_fields).max(axis=0)
+    scale = R * horner(np.abs(a), 1.0).reshape(2, n_fields).max(axis=0)
     results = []
     for f in range(n_fields):
         notes = []

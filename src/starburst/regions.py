@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .zernike import CapabilityError, WaveAberration, ZernikeTerm
+from .zernike import CapabilityError, WaveAberration, ZernikeTerm, horner
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -141,7 +141,11 @@ def _ab_polynomial(n: int, coeffs, sign: float) -> np.ndarray:
 def _horner(c, x):
     """(value, derivative) at x of the polynomial with ascending coefficients
     c; each c[k] broadcasts against x, so a (degree + 1, k) array c holds k
-    polynomials, one per column, each evaluated at its own entry of x."""
+    polynomials, one per column, each evaluated at its own entry of x.
+    `_polish`'s Newton step, the one caller that needs a slope: the value
+    takes `zernike.horner`'s steps, and the slope is carried along with it,
+    not taken by Horner on the derivative's coefficients, so that
+    tests/golden/verify_results.txt keeps its bits."""
     value = slope = 0.0
     for ck in reversed(c):
         slope = slope * x + value
@@ -154,7 +158,7 @@ def ab_functions(p: ABParams):
     coeffs = _ab_coefficients(p)
     a = _ab_polynomial(p.n, coeffs, 0.0)
     b = _ab_polynomial(p.n, coeffs, 1.0) - a
-    return tuple(lambda rho, c=c: _horner(c, np.asarray(rho, dtype=float))[0] for c in (a, b))
+    return tuple(lambda rho, c=c: horner(c, rho) for c in (a, b))
 
 
 @dataclass(frozen=True)

@@ -71,40 +71,33 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-_TILE_BUDGET = 1 << 16  # grid values per tile of grid_values' y-steps, 512 KB
+def horner(c, x):
+    """Values at x of the polynomials with ascending coefficients c, each
+    c[k] broadcast against x: the package's one Horner loop over shared
+    abscissae.  The first step is c[-1] + 0 x, as in numpy's ``polyval``
+    and ``polyval2d``, so -0.0 coefficients and non-finite x keep their bits;
+    each later step is ``out *= x; out += c[k]`` in place, and ``out`` is
+    the only array made.  A contiguous x of the output's shape makes each
+    product one contiguous loop.  A scalar x and 1-D c give a numpy scalar."""
+    out = np.empty(np.broadcast(c[-1], x).shape)
+    np.multiply(x, 0.0, out=out)
+    out += c[-1]
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
+    return out[()]
 
 
 def grid_values(coeffs: np.ndarray, xs, ys) -> np.ndarray:
     """Values of sum_{i,j} coeffs[i, j, ...] x^i y^j, one polynomial per
     trailing index of ``coeffs``, on the tensor grid xs x ys: shape
-    coeffs.shape[2:] + (len(xs), len(ys)).  ``polyval2d``'s operations in
-    the same order, so bit-identical (zero padding too), without its
-    (degree + 1) * len(xs) * len(ys) temporaries.
-
-    The Horner steps in x give one row of y-coefficients per polynomial and
-    x.  The steps in y then run on tiles of about _TILE_BUDGET values: a
-    tile is consecutive rows of the output, all polynomials' rows taken as
-    one sequence, and each step multiplies it by a contiguous tile of ys
-    (one copy of ys per row, made once) and adds each row's coefficient.  A
-    tile stays in cache through all the steps, and its product is one
-    contiguous loop, not one broadcast of ys per row."""
+    coeffs.shape[2:] + (len(xs), len(ys)).  ``polyval2d``'s operations,
+    so bit-identical (zero padding too), without its
+    (degree + 1) * len(xs) * len(ys) temporaries: `horner` in x gives one
+    row of y-coefficients per polynomial and x, and `horner` in y writes
+    the grid, the only grid-sized array made."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    b = coeffs[-1][..., None] + xs * 0.0
-    for row in coeffs[-2::-1]:
-        b = row[..., None] + b * xs
-    out = np.empty(b.shape[1:] + ys.shape)
-    b = b.reshape(len(b), -1)
-    rows = out.reshape(b.shape[1], len(ys))
-    size = max(_TILE_BUDGET // max(len(ys), 1), 1)
-    y_tile = np.broadcast_to(ys, (min(size, len(rows)), len(ys))).copy()
-    zero = ys * 0.0
-    for lo in range(0, len(rows), size):
-        tile, coeff = rows[lo:lo + size], b[:, lo:lo + size, None]
-        np.add(coeff[-1], zero, out=tile)
-        for bk in coeff[-2::-1]:
-            tile *= y_tile[:len(tile)]
-            tile += bk
-    return out
+    return horner(horner(coeffs[..., None], xs)[..., None], ys)
 
 
 def row_widths(coeffs: np.ndarray) -> list[int]:
@@ -124,13 +117,15 @@ def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y, widths=None) ->
     coeffs[:, :, ..., index[k]], stacked as in `grid_values`: shape
     coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.
 
-    Gathers one Horner row per step, never the whole per-point coefficient
-    block, and only its leading columns, the stack's `row_widths`, so the
-    zero triangle above the total degree is skipped.  A caller that
-    evaluates one stack many times passes its ``widths`` once; None computes
-    them.  A skipped column would stay +0.0 at a finite point; at a
-    non-finite one every column is NaN, and at least one is always carried.
-    A stack of one field broadcasts its rows instead of gathering them."""
+    The steps in x gather one Horner row per step, never the whole
+    per-point coefficient block, and only its leading columns, the stack's
+    `row_widths`, so the zero triangle above the total degree is skipped;
+    `horner` in y then reads each point's column of y-coefficients.  A
+    caller that evaluates one stack many times passes its ``widths`` once;
+    None computes them.  A skipped column would stay +0.0 at a finite
+    point; at a non-finite one every column is NaN, and at least one is
+    always carried.  A stack of one field broadcasts its rows instead of
+    gathering them."""
     if widths is None:
         widths = row_widths(coeffs)
     field = slice(0, 1) if coeffs.shape[-1] == 1 else index
@@ -138,11 +133,7 @@ def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y, widths=None) ->
     for row, width in zip(coeffs[::-1], widths[::-1]):
         c[:width] *= x
         c[:width] += row[:width, ..., field]
-    out = np.zeros(c.shape[1:])
-    for ck in c[::-1]:
-        out *= y
-        out += ck
-    return out
+    return horner(c, y)
 
 
 def ray_coefficients(coeffs: np.ndarray, sin, cos) -> np.ndarray:

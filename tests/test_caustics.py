@@ -33,12 +33,11 @@ from starburst.caustics import (
     _meridian_aligned,
     _PolylineDistance,
     _radial_profile,
-    _ray_values,
     _rotate,
     _tip_pattern,
 )
 from starburst.cli import FIXTURE_SCENARIOS, Scenario, run_analysis
-from starburst.zernike import ray_coefficients
+from starburst.zernike import horner, ray_coefficients
 
 
 HIGHORDER_TERMS = ((4, 0, 0.2), (12, 12, 0.02), (2, 0, 0.02))
@@ -131,7 +130,7 @@ class TestContourExtraction:
         x0, y0 = rc * np.sin(tc), rc * np.cos(tc)
         G = BivariatePolynomial(np.array([[x0 * y0 + eps, -x0], [-y0, 1.0]]))
         a = ray_coefficients(G.coeffs, sin[j:j + 2], cos[j:j + 2])
-        corners = _ray_values(a, rho[i:i + 2]) > 0
+        corners = horner(a, rho[i:i + 2, None]) > 0
         code = corners[0, 0] | corners[1, 0] << 1 | corners[1, 1] << 2 | corners[0, 1] << 3
         assert code in (5, 10)
 

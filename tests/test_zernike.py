@@ -13,7 +13,6 @@ from starburst import (
     ZernikeTerm,
     build_field,
     three_term_stacks,
-    zernike,
 )
 from starburst.hessian import _RAY_ROUNDS, _stack
 from starburst.zernike import (
@@ -21,6 +20,7 @@ from starburst.zernike import (
     derivative,
     gathered_values,
     grid_values,
+    horner,
     product,
     ray_coefficients,
     row_widths,
@@ -536,8 +536,8 @@ class TestStackedHorner:
 
 
 class TestGridTiles:
-    """grid_values runs its y-steps on row tiles of about _TILE_BUDGET
-    values; every tiling gives ``polyval2d``'s bits."""
+    """grid_values gives ``polyval2d``'s bits on grids of any shape, with
+    signed zeros and non-finite nodes, and makes no second whole grid."""
 
     @staticmethod
     def _assert_grid_bits(stack, xs, ys):
@@ -549,29 +549,23 @@ class TestGridTiles:
             assert np.array_equal(out[k].view(np.uint64), want.view(np.uint64))
 
     def test_several_tiles_with_a_ragged_last_one(self):
-        # 700 x 500: tiles of 131 rows, the last of 45
+        # a tall 700 x 500 grid, with a zero of each sign among the ys
         rng = np.random.default_rng(31)
         _, stack = _random_stack(rng, 1, 1)
         xs = np.linspace(-1.0, 1.0, 700)
         ys = np.concatenate([[0.0, -0.0], np.linspace(-1.2, 0.9, 498)])
-        assert 700 % (zernike._TILE_BUDGET // 500) != 0
         self._assert_grid_bits(stack, xs, ys)
 
     def test_stacked_fields_span_tiles(self):
-        # 2 x 3 polynomials of 90 rows each, 540 rows in all: a tile ends
-        # inside a polynomial's rows
+        # 2 x 3 polynomials of 90 rows each, 540 rows in all
         rng = np.random.default_rng(32)
         _, stack = _random_stack(rng, 3, 2)
         xs = np.linspace(-1.1, 1.0, 90)
         ys = np.linspace(-1.0, 1.3, 400)
-        assert (zernike._TILE_BUDGET // 400) % 90 != 0
         self._assert_grid_bits(stack, xs, ys)
 
-    @pytest.mark.parametrize("budget", [1, 7, 64, 1000])
-    def test_any_budget(self, budget, monkeypatch):
-        # down to one row per tile, with zeros of both signs and non-finite
-        # nodes on each axis
-        monkeypatch.setattr(zernike, "_TILE_BUDGET", budget)
+    def test_signed_zeros_and_non_finite_nodes(self):
+        # zeros of both signs and non-finite nodes on each axis
         rng = np.random.default_rng(33)
         _, stack = _random_stack(rng, 2, 3)
         stack[0, 0, 1] = -0.0
@@ -594,8 +588,8 @@ class TestGridTiles:
         self._assert_grid_bits(stack, xs, ys)
 
     def test_no_temporary_of_the_whole_grid(self):
-        # at its peak a 2000 x 1000 grid holds the output, a tile of ys and
-        # the x-steps' rows, and nothing near a second grid
+        # at its peak a 2000 x 1000 grid holds the output and the x-steps'
+        # rows (9 x 2000 values), and nothing near a second grid
         stack = np.random.default_rng(35).normal(size=(9, 9, 1))
         xs, ys = np.linspace(-1, 1, 2000), np.linspace(-1, 1, 1000)
         tracemalloc.start()
@@ -604,7 +598,76 @@ class TestGridTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.nbytes + 8 * zernike._TILE_BUDGET + 400_000
+        assert peak < out.nbytes + 400_000
+
+
+class TestHorner:
+    """`zernike.horner` gives ``np.polyval``'s bits, its coefficients
+    ascending, in every layout its callers use."""
+
+    @staticmethod
+    def _assert_polyval_bits(c, x):
+        with np.errstate(invalid="ignore"):  # 0 * inf at non-finite x
+            got, want = horner(c, x), np.polyval(c[::-1], x)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_x_gives_a_numpy_scalar(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        c = rng.normal(size=int(rng.integers(1, 12)))
+        for x in (rng.uniform(-1.5, 1.5), 1.0, np.float64(0.5)):
+            got = self._assert_polyval_bits(c, x)
+            assert isinstance(got, np.float64)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_dimensional_x(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        c = rng.normal(size=int(rng.integers(1, 22)))
+        self._assert_polyval_bits(c, rng.uniform(-1.5, 1.5, 101))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_column_of_x_per_polynomial(self, seed):
+        # the mirror census's interval ends: (2, k) abscissae, polynomial
+        # j at column j
+        rng = np.random.default_rng(100 + seed)
+        k = int(rng.integers(1, 30))
+        c = rng.normal(size=(int(rng.integers(1, 22)), k))
+        self._assert_polyval_bits(c, rng.uniform(0.0, 1.2, (2, k)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_contour_layout(self, seed):
+        # a tile of the polar mesh: a contiguous (ni, w) copy of rho, one
+        # column per ray, and the rays' (deg + 1, w) coefficients
+        rng = np.random.default_rng(110 + seed)
+        w = int(rng.integers(2, 60))
+        c = rng.normal(size=(21, w))
+        x = np.repeat(np.linspace(0.0, 1.0, 257)[:, None], w, axis=1)
+        assert x.flags.c_contiguous
+        self._assert_polyval_bits(c, x)
+
+    def test_signed_zeros_and_non_finite_x(self):
+        # -0.0 coefficients, top one included, at x of both zero signs and
+        # non-finite: the first step's 0 x keeps polyval's signs and NaNs
+        rng = np.random.default_rng(120)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -0.5, 2.0])
+        for c in (np.full((5, 3), -0.0), rng.normal(size=(5, 3))):
+            c[-1, 0] = c[1, 1] = c[0, 2] = -0.0
+            self._assert_polyval_bits(c[:, :, None], x)
+            for xk in x:
+                self._assert_polyval_bits(c, xk)
+
+    def test_the_output_is_the_only_array_made(self):
+        c = np.random.default_rng(130).normal(size=(21, 500))
+        x = np.repeat(np.linspace(0.0, 1.0, 1000)[:, None], 500, axis=1)
+        tracemalloc.start()
+        try:
+            out = horner(c, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 100_000
 
 
 def _same_bits(got, want):
