@@ -30,12 +30,12 @@ half-plane or quadrant that holds the sectors (`_grid_axes`), and the
 zoom-1 grid sets each field's |grad G| scale.  The fields of a
 stack share one fold, so the crop is every field's.  Each zoom pass
 seeds each grid node once, so no two seeds share (field, x, y) and each
-counts once in the unconverged-seed message.  A pass reads the sign
-changes of Gx and Gy from one 4-bit code per node, and the local minima
-of |grad G| = np.hypot(Gx, Gy).  Each Newton trial is one evaluation of
-the (Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next step reuses;
-the loop keeps only the running seeds' state, compacted, and drops a seed
-when it stops.
+counts once in the unconverged-seed message.  A pass reads the cells
+where Gx and Gy both change sign, and the local minima of |grad G| =
+np.hypot(Gx, Gy).  Each Newton trial is one evaluation of the (Gx, Gy,
+Gxx, Gxy, Gyy) stack, whose Hessian the next step reuses; each iteration
+reads the running seeds' state from full-length arrays through their
+indices and writes it back.
 Every seed runs to its own best iterate, damped and then, once
 converged, undamped: deduplication keeps each root's best, and which
 seed that is decides the noise-level digits of the reported point.
@@ -63,7 +63,6 @@ from .zernike import (
     horner,
     product,
     ray_coefficients,
-    row_widths,
     wavefront_stack,
 )
 
@@ -256,17 +255,14 @@ def _grid_axes(radius: float, fold: int = 1):
 
 
 def _sign_change_cells(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Cells of a corner grid where both gx and gy change sign: each node's
-    4-bit code (gx > 0, gx < 0, gy > 0, gy < 0), ORed over the cell's four
-    corners, has every bit set.  A zero, -0.0 or NaN sets no bit."""
-    code = (gx > 0).view(np.uint8)
-    code |= (gx < 0).view(np.uint8) << 1
-    code |= (gy > 0).view(np.uint8) << 2
-    code |= (gy < 0).view(np.uint8) << 3
-    cell = code[..., :-1, :-1] | code[..., 1:, :-1]
-    cell |= code[..., :-1, 1:]
-    cell |= code[..., 1:, 1:]
-    return cell == 15
+    """Cells of a corner grid where both gx and gy change sign: each has a
+    corner > 0 and a corner < 0 in gx, and in gy.  A zero, -0.0 or NaN
+    corner is neither."""
+    def changes(v):
+        pos, neg = ((s[..., :-1, :-1] | s[..., 1:, :-1] | s[..., :-1, 1:] | s[..., 1:, 1:])
+                    for s in (v > 0, v < 0))
+        return pos & neg
+    return changes(gx) & changes(gy)
 
 
 def _local_min_mask(v: np.ndarray) -> np.ndarray:
@@ -342,69 +338,60 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
     direction, as on near-axial rings).  A point also stops at |grad G| <=
     ``floor_tol[k]``.  Returns each seed's best iterate and its |grad G|.
 
-    The state of the points still running is kept in compacted arrays, in
-    seed order, and a point leaves them, its best iterate written out, on
-    the iteration it stops; the stack's `row_widths` are taken once.  All
-    halvings of the points a step left worse are one evaluation: taken
-    level by level, only where the last level was still worse, they need
-    fewer points but more calls, and on the census's stacks a call's fixed
-    cost outweighs the points saved."""
-    widths = row_widths(newton)
-    v = gathered_values(newton, fidx, x, y, widths)
+    Each iteration reads the running points' state through their indices
+    and writes it back.  All halvings of the points a step left worse are
+    one evaluation: taken level by level, only where the last level was
+    still worse, they need fewer points but more calls, and on the
+    census's stacks a call's fixed cost outweighs the points saved."""
+    x, y = x.copy(), y.copy()
+    v = gathered_values(newton, fidx, x, y)
     gn = np.hypot(v[0], v[1])
     best_x, best_y, best_gn = x.copy(), y.copy(), gn.copy()
-    idx = np.flatnonzero(np.isfinite(gn) & (gn > floor_tol))  # the running seeds
-    fi, x, y, v, gn = fidx[idx], x[idx], y[idx], v[:, idx], gn[idx]
-    accept, floor = accept_tol[idx], floor_tol[idx]
-    bx, by, bgn = x.copy(), y.copy(), gn.copy()
-    full = np.full(idx.size, -1)  # full steps taken; -1 while damped
+    full = np.full(len(x), -1)  # full steps taken; -1 while damped
+    active = np.isfinite(gn) & (gn > floor_tol)
     for _ in range(_MAX_ITERATIONS):
+        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        polish = full >= 0
-        dx, dy = _newton_step(*v)
+        fi, xi, yi, polish = fidx[idx], x[idx], y[idx], full[idx] >= 0
+        dx, dy = _newton_step(*v[:, idx])
         step = np.hypot(dx, dy)
         ok = np.isfinite(step) & ~(polish & (step > 0.05 * domain_radius))
         dx[~ok] = dy[~ok] = 0.0
-        nx, ny = x + dx, y + dy
-        nv = gathered_values(newton, fi, nx, ny, widths)
+        nx, ny = xi + dx, yi + dy
+        nv = gathered_values(newton, fi, nx, ny)
         ngn = np.hypot(nv[0], nv[1])
         # where a damped step grows |grad G|, take its first halving that
         # does not, else the last; every halving of those points is one
         # evaluation
-        worse = np.flatnonzero(~polish & ~(ngn <= gn))
+        worse = np.flatnonzero(~polish & ~(ngn <= gn[idx]))
         if worse.size:
             scale = np.cumprod(np.full((_MAX_HALVINGS, 1), _DAMPING), axis=0)
-            hx = x[worse] + scale * dx[worse]
-            hy = y[worse] + scale * dy[worse]
+            hx = xi[worse] + scale * dx[worse]
+            hy = yi[worse] + scale * dy[worse]
             hv = gathered_values(newton, np.tile(fi[worse], _MAX_HALVINGS),
-                                 hx.ravel(), hy.ravel(), widths).reshape(len(nv), _MAX_HALVINGS, -1)
+                                 hx.ravel(), hy.ravel()).reshape(len(nv), _MAX_HALVINGS, -1)
             hgn = np.hypot(hv[0], hv[1])
-            better = hgn <= gn[worse]
+            better = hgn <= gn[idx[worse]]
             better[-1] = True
             pick = better.argmax(axis=0)
             col = np.arange(worse.size)
             nx[worse], ny[worse] = hx[pick, col], hy[pick, col]
             nv[:, worse], ngn[worse] = hv[:, pick, col], hgn[pick, col]
-        improved = ngn < bgn
-        bx[improved], by[improved], bgn[improved] = nx[improved], ny[improved], ngn[improved]
+        improved = ngn < best_gn[idx]
+        b = idx[improved]
+        best_x[b], best_y[b], best_gn[b] = nx[improved], ny[improved], ngn[improved]
         move = improved | polish  # a damped point moves only downhill
-        x[move], y[move], gn[move], v[:, move] = nx[move], ny[move], ngn[move], nv[:, move]
+        m = idx[move]
+        x[m], y[m], gn[m], v[:, m] = nx[move], ny[move], ngn[move], nv[:, move]
         stalled = ~polish & ~improved
-        full[polish] += 1
-        full[stalled & (bgn <= accept)] = 0
-        stop = ((stalled & (full < 0)) | (full >= _POLISH_ITERATIONS)
+        full[idx[polish]] += 1
+        full[idx[stalled & (best_gn[idx] <= accept_tol[idx])]] = 0
+        stop = ((stalled & (full[idx] < 0)) | (full[idx] >= _POLISH_ITERATIONS)
                 | (polish & (~ok | (step <= 1e-16 * domain_radius)))
-                | ~(gn > floor)
-                | (np.hypot(x, y) > 4.0 * domain_radius))
-        if stop.any():
-            done = idx[stop]
-            best_x[done], best_y[done], best_gn[done] = bx[stop], by[stop], bgn[stop]
-            run = ~stop
-            idx, fi, x, y, v, gn = idx[run], fi[run], x[run], y[run], v[:, run], gn[run]
-            accept, floor, bx, by, bgn = accept[run], floor[run], bx[run], by[run], bgn[run]
-            full = full[run]
-    best_x[idx], best_y[idx], best_gn[idx] = bx, by, bgn
+                | ~(gn[idx] > floor_tol[idx])
+                | (np.hypot(x[idx], y[idx]) > 4.0 * domain_radius))
+        active[idx[stop]] = False
     return best_x, best_y, best_gn
 
 

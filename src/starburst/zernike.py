@@ -112,7 +112,7 @@ def row_widths(coeffs: np.ndarray) -> list[int]:
     return np.maximum(np.maximum.accumulate(last[::-1])[::-1], 1).tolist()
 
 
-def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y, widths=None) -> np.ndarray:
+def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y) -> np.ndarray:
     """Values at each point (x[k], y[k]) of its own polynomials
     coeffs[:, :, ..., index[k]], stacked as in `grid_values`: shape
     coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.
@@ -121,13 +121,10 @@ def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y, widths=None) ->
     per-point coefficient block, and only its leading columns, the stack's
     `row_widths`, so the zero triangle above the total degree is skipped;
     `horner` in y then reads each point's column of y-coefficients.  A
-    caller that evaluates one stack many times passes its ``widths`` once;
-    None computes them.  A skipped column would stay +0.0 at a finite
-    point; at a non-finite one every column is NaN, and at least one is
-    always carried.  A stack of one field broadcasts its rows instead of
-    gathering them."""
-    if widths is None:
-        widths = row_widths(coeffs)
+    skipped column would stay +0.0 at a finite point; at a non-finite one
+    every column is NaN, and at least one is always carried.  A stack of
+    one field broadcasts its rows instead of gathering them."""
+    widths = row_widths(coeffs)
     field = slice(0, 1) if coeffs.shape[-1] == 1 else index
     c = np.zeros((widths[0],) + coeffs.shape[2:-1] + (len(x),))
     for row, width in zip(coeffs[::-1], widths[::-1]):

@@ -46,6 +46,12 @@ from when the polar contour mesh and its completion by reflection and turns
 replaced the Cartesian grid: contours_pupil.csv, contours_retina.csv,
 report.json (spike tips and rotation residual) and retina.svg moved, and
 the other four files of every case keep their analyze_outputs.sha256 pins.
+tests/golden/analyze_outputs_off_family.sha256 holds the files of two
+wavefronts off the paper's three-term family at the default grid, through
+the 2-D census and the symmetry search, pinned before the census's Newton
+loop and sign test were written as plain loops: ``no_fold`` (a mirror W
+with no turn, p = 1 and a null residual) and ``tilted3`` (a sine term, the
+whole periodic mesh, p = 3).
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again
@@ -106,6 +112,27 @@ def test_analyze_outputs_match_pinned_hashes(case, tmp_path):
     want = pinned_hashes("analyze_outputs_polar.sha256")[case]
     out = tmp_path / "out"
     assert main(analyze_argv(case, tmp_path) + ["--out", str(out)]) == 0
+    assert file_hashes(out) == want
+
+
+# case in analyze_outputs_off_family.sha256 -> its scenario's wavefront
+OFF_FAMILY = {
+    "no_fold": [{"n": 4, "m": 0, "coeff_um": 0.2},
+                {"n": 6, "m": 6, "coeff_um": 0.19},
+                {"n": 3, "m": 1, "coeff_um": 0.02}],
+    "tilted3": [{"n": 4, "m": 0, "coeff_um": 0.2},
+                {"n": 3, "m": 3, "coeff_um": 0.2},
+                {"n": 3, "m": -1, "coeff_um": 1e-4}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_FAMILY))
+def test_off_family_analyze_outputs_match_pinned_hashes(case, tmp_path):
+    want = pinned_hashes("analyze_outputs_off_family.sha256")[case]
+    scenario = tmp_path / f"{case}.json"
+    scenario.write_text(json.dumps({"wavefront": OFF_FAMILY[case]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert file_hashes(out) == want
 
 
