@@ -451,9 +451,10 @@ def _verify_sample(pred, census) -> tuple[float, str]:
 def _verification_samples(n: int, beta: float, samples: int, seed: int):
     """Yield ``samples`` (ABParams, prediction) pairs drawn in the
     region-diagram window, outside a band of width _VERIFY_BAND around every
-    boundary curve.  The band is in units of beta (the ``boundary_slack`` of
+    boundary curve, as lists of up to _VERIFY_CHUNK pairs, each list's rings
+    solved at once.  The band is in units of beta (the ``boundary_slack`` of
     each draw's table walk), so it covers the same share of the window at
-    every beta.  Each _VERIFY_CHUNK of draws has its rings solved at once.
+    every beta.
     """
     rng = np.random.default_rng(seed)
     g0, g1, a0, a1 = DEFAULT_WINDOWS[n]
@@ -464,7 +465,7 @@ def _verification_samples(n: int, beta: float, samples: int, seed: int):
             params = ABParams(float(rng.uniform(a0, a1)) * beta, beta, gamma, n)
             if (walk := _table_walk(params))[0]["boundary_slack"] >= _VERIFY_BAND:
                 draws.append((params, walk))
-        yield from zip([p for p, _ in draws], _with_rings([w for _, w in draws]))
+        yield list(zip([p for p, _ in draws], _with_rings([w for _, w in draws])))
 
 
 def run_verification(n: int, beta: float, samples: int, seed: int):
@@ -484,10 +485,9 @@ def run_verification(n: int, beta: float, samples: int, seed: int):
     if not beta > 0.0:
         raise ValueError("beta must be positive")
     ABParams(0.0, beta, 0.0, n)  # rejects an unsupported order and an infinite beta
-    draws = _verification_samples(n, beta, samples, seed)
     failures = []
     max_dev = 0.0
-    while chunk := list(itertools.islice(draws, _VERIFY_CHUNK)):
+    for chunk in _verification_samples(n, beta, samples, seed):
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p, _ in chunk]).T
         # every draw has the mirror census (beta > 0, and the band about the
         # gamma = 0 boundary keeps gamma != 0)

@@ -11,7 +11,7 @@ coefficients (`wavefront_stack`): `build_field` stacks one W of any
 terms, `three_term_stacks` one W = alpha Z_2^0 + beta Z_4^0 + gamma Z_n^n
 per entry of its coefficient arrays, so both give the same bits for the
 same W.  Each census takes G alone, as a stack of coefficient arrays, and
-derives G's first and second derivatives itself, once per call.
+derives G's first and second derivatives itself.
 
 A W that has the mirror census (`_has_mirror_census`: alpha Z_2^0 + beta
 Z_4^0 + gamma Z_n^n, and a constant) has every critical point of G on its
@@ -19,23 +19,22 @@ Z_4^0 + gamma Z_n^n, and a constant) has every critical point of G on its
 G's restriction to two of them, and `find_critical_points` runs it for
 such a field.  The 2-D seeded search below is the census of every other W.
 
-The search is deterministic: seeds come from fixed grids, one Newton
-kernel (`_newton`) runs data-parallel over points and fields, and results
-are deduplicated and listed ring by ring (`_ring_order`).  A field whose W
-is g-fold (g >= 2; `WaveAberration.fold_order`) is solved from the seeds
-of one sector of angle 2 pi / g and the centre, and its roots are turned
-into the other sectors and polished by the same kernel
-(`_complete_orbits`); every zoom pass evaluates its seed grid only on the
-half-plane or quadrant that holds the sectors (`_grid_axes`), and the
-zoom-1 grid sets each field's |grad G| scale.  The fields of a
-stack share one fold, so the crop is every field's.  Each zoom pass
-seeds each grid node once, so no two seeds share (field, x, y) and each
-counts once in the unconverged-seed message.  A pass reads the cells
-where Gx and Gy both change sign, and the local minima of |grad G| =
-np.hypot(Gx, Gy).  Each Newton trial is one evaluation of the (Gx, Gy,
-Gxx, Gxy, Gyy) stack, whose Hessian the next step reuses; each iteration
-reads the running seeds' state from full-length arrays through their
-indices and writes it back.
+The search is deterministic and runs one field at a time: seeds come from
+fixed grids, one Newton kernel (`_newton`) runs data-parallel over the
+field's points, and results are deduplicated and listed ring by ring
+(`_ring_order`).  A field whose W is g-fold (g >= 2;
+`WaveAberration.fold_order`) is solved from the seeds of one sector of
+angle 2 pi / g and the centre, and its roots are turned into the other
+sectors and polished by the same kernel (`_complete_orbits`); every zoom
+pass evaluates its seed grid only on the half-plane or quadrant that holds
+the sectors (`_grid_axes`), and the zoom-1 grid sets the field's |grad G|
+scale.  Each zoom pass seeds each grid node once, so no two seeds share
+(x, y) and each counts once in the unconverged-seed message.  A pass
+reads the cells where Gx and Gy both change sign, and the local minima of
+|grad G| = np.hypot(Gx, Gy).  Each Newton trial is one evaluation of the
+(Gx, Gy, Gxx, Gxy, Gyy) stack, whose Hessian the next step reuses; each
+iteration reads the running seeds' state from full-length arrays through
+their indices and writes it back.
 Every seed runs to its own best iterate, damped and then, once
 converged, undamped: deduplication keeps each root's best, and which
 seed that is decides the noise-level digits of the reported point.
@@ -279,15 +278,14 @@ def _local_min_mask(v: np.ndarray) -> np.ndarray:
 
 
 def _collect_seeds(grad: np.ndarray, domain_radius: float, fold: int):
-    """(field index, x, y) seeds from every zoom pass, each seeded once, and
-    each field's largest |grad G| on the zoom-1 grid, for a stack whose
-    fields share the fold g = ``fold``.  A pass seeds the centre of every
-    cell of its corner grid where both components of ``grad`` change sign,
-    then every node that is a corner of such a cell or a local minimum of
-    |grad G|.  Each pass reads only the part of its grid that holds the
-    sector (`_grid_axes`).  For g >= 2 only the seeds in the sector 0 <=
-    theta < 2 pi / g are kept, plus one at the centre of each field, which
-    its symmetry fixes, so the kept seeds are those of the whole grid.
+    """(x, y) seeds from every zoom pass, each seeded once, and the largest
+    |grad G| on the zoom-1 grid, for a field of fold g = ``fold``.  A pass
+    seeds the centre of every cell of its corner grid where both components
+    of ``grad`` change sign, then every node that is a corner of such a cell
+    or a local minimum of |grad G|.  Each pass reads only the part of its
+    grid that holds the sector (`_grid_axes`).  For g >= 2 only the seeds in
+    the sector 0 <= theta < 2 pi / g are kept, plus one at the centre, which
+    the symmetry fixes, so the kept seeds are those of the whole grid.
     |grad G| is np.hypot(gx, gy)."""
     blocks = []
     for zoom in _ZOOM_FACTORS:
@@ -297,21 +295,21 @@ def _collect_seeds(grad: np.ndarray, domain_radius: float, fold: int):
         cells = _sign_change_cells(gx, gy)
         norm = np.hypot(gx, gy)
         if zoom == 1.0:
-            gscale = norm.max(axis=(1, 2))
+            gscale = norm.max()
         h = 2.0 * radius / _GRID_SIZE
-        f, ci, cj = np.unravel_index(np.flatnonzero(cells), cells.shape)
-        blocks.append((f, xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
+        ci, cj = np.nonzero(cells)
+        blocks.append((xs[ci] + 0.5 * h, ys[cj] + 0.5 * h))
         nodes = _local_min_mask(norm)
-        rows, cols = cells.shape[1:]
+        rows, cols = cells.shape
         for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):  # each such cell's corners
-            nodes[:, di:di + rows, dj:dj + cols] |= cells
-        f, i, j = np.unravel_index(np.flatnonzero(nodes), nodes.shape)
-        blocks.append((f, xs[i], ys[j]))
-    centre = np.arange(grad.shape[-1] if fold >= 2 else 0)
-    blocks.append((centre, np.zeros(centre.size), np.zeros(centre.size)))
-    f, x, y = (np.concatenate(parts) for parts in zip(*blocks))
+            nodes[di:di + rows, dj:dj + cols] |= cells
+        i, j = np.nonzero(nodes)
+        blocks.append((xs[i], ys[j]))
+    centre = np.zeros(1 if fold >= 2 else 0)
+    blocks.append((centre, centre))
+    x, y = (np.concatenate(parts) for parts in zip(*blocks))
     keep = (fold <= 1) | (np.arctan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / max(fold, 1))
-    return f[keep], x[keep], y[keep], gscale
+    return x[keep], y[keep], gscale
 
 
 def _newton_step(gx, gy, gxx, gxy, gyy):
@@ -326,25 +324,25 @@ def _newton_step(gx, gy, gxx, gxy, gyy):
     return dx, dy
 
 
-def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
-    """Newton on grad G = 0 from every seed at once; point k belongs to field
-    ``fidx[k]``.  Every trial point is one evaluation of the (Gx, Gy, Gxx,
-    Gxy, Gyy) stack ``newton``, so the next step reuses the Hessian of the
-    last.  A step that does not lower |grad G| is halved, up to
-    _MAX_HALVINGS times.  A point that no halving moves stops, unless its
-    |grad G| is within ``accept_tol[k]``: then it takes up to
-    _POLISH_ITERATIONS full steps of at most 0.05 R, and keeps its best
-    iterate (full steps help where |grad G| is not monotone along Newton's
-    direction, as on near-axial rings).  A point also stops at |grad G| <=
-    ``floor_tol[k]``.  Returns each seed's best iterate and its |grad G|.
+def _newton(newton, x, y, domain_radius: float, accept_tol: float, floor_tol: float):
+    """Newton on grad G = 0 from every seed at once.  Every trial point is
+    one evaluation of the (Gx, Gy, Gxx, Gxy, Gyy) stack ``newton``, so the
+    next step reuses the Hessian of the last.  A step that does not lower
+    |grad G| is halved, up to _MAX_HALVINGS times.  A point that no halving
+    moves stops, unless its |grad G| is within ``accept_tol``: then it takes
+    up to _POLISH_ITERATIONS full steps of at most 0.05 R, and keeps its
+    best iterate (full steps help where |grad G| is not monotone along
+    Newton's direction, as on near-axial rings).  A point also stops at
+    |grad G| <= ``floor_tol``.  Returns each seed's best iterate and its
+    |grad G|.
 
     Each iteration reads the running points' state through their indices
     and writes it back.  All halvings of the points a step left worse are
     one evaluation: taken level by level, only where the last level was
     still worse, they need fewer points but more calls, and on the
-    census's stacks a call's fixed cost outweighs the points saved."""
+    census's fields a call's fixed cost outweighs the points saved."""
     x, y = x.copy(), y.copy()
-    v = gathered_values(newton, fidx, x, y)
+    v = gathered_values(newton, x, y)
     gn = np.hypot(v[0], v[1])
     best_x, best_y, best_gn = x.copy(), y.copy(), gn.copy()
     full = np.full(len(x), -1)  # full steps taken; -1 while damped
@@ -353,13 +351,13 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        fi, xi, yi, polish = fidx[idx], x[idx], y[idx], full[idx] >= 0
+        xi, yi, polish = x[idx], y[idx], full[idx] >= 0
         dx, dy = _newton_step(*v[:, idx])
         step = np.hypot(dx, dy)
         ok = np.isfinite(step) & ~(polish & (step > 0.05 * domain_radius))
         dx[~ok] = dy[~ok] = 0.0
         nx, ny = xi + dx, yi + dy
-        nv = gathered_values(newton, fi, nx, ny)
+        nv = gathered_values(newton, nx, ny)
         ngn = np.hypot(nv[0], nv[1])
         # where a damped step grows |grad G|, take its first halving that
         # does not, else the last; every halving of those points is one
@@ -369,8 +367,8 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
             scale = np.cumprod(np.full((_MAX_HALVINGS, 1), _DAMPING), axis=0)
             hx = xi[worse] + scale * dx[worse]
             hy = yi[worse] + scale * dy[worse]
-            hv = gathered_values(newton, np.tile(fi[worse], _MAX_HALVINGS),
-                                 hx.ravel(), hy.ravel()).reshape(len(nv), _MAX_HALVINGS, -1)
+            hv = gathered_values(newton, hx.ravel(), hy.ravel()).reshape(
+                len(nv), _MAX_HALVINGS, -1)
             hgn = np.hypot(hv[0], hv[1])
             better = hgn <= gn[idx[worse]]
             better[-1] = True
@@ -386,27 +384,27 @@ def _newton(newton, fidx, x, y, domain_radius: float, accept_tol, floor_tol):
         x[m], y[m], gn[m], v[:, m] = nx[move], ny[move], ngn[move], nv[:, move]
         stalled = ~polish & ~improved
         full[idx[polish]] += 1
-        full[idx[stalled & (best_gn[idx] <= accept_tol[idx])]] = 0
+        full[idx[stalled & (best_gn[idx] <= accept_tol)]] = 0
         stop = ((stalled & (full[idx] < 0)) | (full[idx] >= _POLISH_ITERATIONS)
                 | (polish & (~ok | (step <= 1e-16 * domain_radius)))
-                | ~(gn[idx] > floor_tol[idx])
+                | ~(gn[idx] > floor_tol)
                 | (np.hypot(x[idx], y[idx]) > 4.0 * domain_radius))
         active[idx[stop]] = False
     return best_x, best_y, best_gn
 
 
-def _dedup(fidx, x, y, gn, radius: float) -> np.ndarray:
-    """Indices of the points kept: in order of field, then |grad G|, each
-    unless within ``radius`` (np.hypot) of an earlier kept point of its
-    field.  Resolved in rounds over the close pairs: a point whose earlier
-    neighbours are all dropped is kept, and drops its later neighbours."""
-    order = np.lexsort((gn, fidx))
-    f, px, py = fidx[order], x[order], y[order]
-    # candidate pairs: by (field, x), as complex numbers compare, each point
-    # with the later ones of its field at most 2 radius further in x
-    by_x = np.lexsort((px, f))
-    key = f[by_x] + 1j * px[by_x]
-    count = np.searchsorted(key, key + 2j * radius, side="right") - np.arange(len(key)) - 1
+def _dedup(x, y, gn, radius: float) -> np.ndarray:
+    """Indices of the points kept: in order of |grad G|, each unless within
+    ``radius`` (np.hypot) of an earlier kept point.  Resolved in rounds over
+    the close pairs: a point whose earlier neighbours are all dropped is
+    kept, and drops its later neighbours."""
+    order = np.argsort(gn, kind="stable")
+    px, py = x[order], y[order]
+    # candidate pairs: by x, each point with the later ones at most 2 radius
+    # further in x
+    by_x = np.argsort(px, kind="stable")
+    key = px[by_x]
+    count = np.searchsorted(key, key + 2.0 * radius, side="right") - np.arange(len(key)) - 1
     a = np.repeat(np.arange(len(key)), count)
     b = _ranges(np.arange(1, len(key) + 1), count)
     i, j = np.minimum(by_x[a], by_x[b]), np.maximum(by_x[a], by_x[b])
@@ -422,40 +420,38 @@ def _dedup(fidx, x, y, gn, radius: float) -> np.ndarray:
     return order[kept]
 
 
-def _unmatched(fidx, x, y, cf, cx, cy, rank, radius: float) -> np.ndarray:
-    """Indices, in order, of the points (cf, cx, cy) that `_dedup` keeps
-    beside the deduplicated points (fidx, x, y), which rank first and so
-    are all kept: each point is dropped within ``radius`` of a point of
-    either set that ranks before it (lower ``rank``)."""
-    n = fidx.size
-    kept = _dedup(np.concatenate([fidx, cf]), np.concatenate([x, cx]),
-                  np.concatenate([y, cy]), np.concatenate([np.full(n, -1.0), rank]), radius)
+def _unmatched(x, y, cx, cy, rank, radius: float) -> np.ndarray:
+    """Indices, in order, of the points (cx, cy) that `_dedup` keeps beside
+    the deduplicated points (x, y), which rank first and so are all kept:
+    each point is dropped within ``radius`` of a point of either set that
+    ranks before it (lower ``rank``)."""
+    n = x.size
+    kept = _dedup(np.concatenate([x, cx]), np.concatenate([y, cy]),
+                  np.concatenate([np.full(n, -1.0), rank]), radius)
     return np.sort(kept[kept >= n]) - n
 
 
-def _complete_orbits(newton, fidx, x, y, fold: int, R: float, accept_tol, floor_tol):
-    """The copies, as (fidx, x, y), that complete the orbits of the
-    deduplicated points (fidx, x, y) of a stack whose fields share the fold
-    g = ``fold``.  Each point off the centre is turned by 2 pi k / g for
-    k = 1..g-1 (no turn for g < 2); a copy within DEDUP_RADIUS R of a point
-    already found is dropped, the rest are polished by `_newton`, and a
-    copy is added if it converges inside the disk onto no point already
-    found.  A field with more than _DEGENERATE_POINT_LIMIT points, which is
-    flagged non-isolated either way, is not completed."""
-    small = np.bincount(fidx) <= _DEGENERATE_POINT_LIMIT
-    src = np.flatnonzero(small[fidx] & (np.hypot(x, y) > DEDUP_RADIUS * R))
+def _complete_orbits(newton, x, y, fold: int, R: float, accept_tol: float, floor_tol: float):
+    """The copies, as (x, y), that complete the orbits of the deduplicated
+    points (x, y) of a field of fold g = ``fold``.  Each point off the
+    centre is turned by 2 pi k / g for k = 1..g-1 (no turn for g < 2); a
+    copy within DEDUP_RADIUS R of a point already found is dropped, the rest
+    are polished by `_newton`, and a copy is added if it converges inside
+    the disk onto no point already found.  A field with more than
+    _DEGENERATE_POINT_LIMIT points, which is flagged non-isolated either
+    way, is not completed."""
+    src = np.flatnonzero((len(x) <= _DEGENERATE_POINT_LIMIT) & (np.hypot(x, y) > DEDUP_RADIUS * R))
     turns = np.arange(1, fold)
     at = np.repeat(src, turns.size)
     phi = 2.0 * math.pi * np.tile(turns, src.size) / fold
     c, s = np.cos(phi), np.sin(phi)
-    cf, cx, cy = fidx[at], x[at] * c + y[at] * s, y[at] * c - x[at] * s
-    new = _unmatched(fidx, x, y, cf, cx, cy, np.zeros(at.size), DEDUP_RADIUS * R)
-    cf, cx, cy = cf[new], cx[new], cy[new]
-    cx, cy, gn = _newton(newton, cf, cx, cy, R, accept_tol[cf], floor_tol[cf])
-    ok = (gn <= accept_tol[cf]) & (np.hypot(cx, cy) <= R * (1.0 + _BOUNDARY_CLAMP))
-    cf, cx, cy, gn = cf[ok], cx[ok], cy[ok], gn[ok]
-    new = _unmatched(fidx, x, y, cf, cx, cy, gn, DEDUP_RADIUS * R)
-    return cf[new], cx[new], cy[new]
+    cx, cy = x[at] * c + y[at] * s, y[at] * c - x[at] * s
+    new = _unmatched(x, y, cx, cy, np.zeros(at.size), DEDUP_RADIUS * R)
+    cx, cy, gn = _newton(newton, cx[new], cy[new], R, accept_tol, floor_tol)
+    ok = (gn <= accept_tol) & (np.hypot(cx, cy) <= R * (1.0 + _BOUNDARY_CLAMP))
+    cx, cy, gn = cx[ok], cy[ok], gn[ok]
+    new = _unmatched(x, y, cx, cy, gn, DEDUP_RADIUS * R)
+    return cx[new], cy[new]
 
 
 def _det_rounding_bound(hess, size, n) -> np.ndarray:
@@ -563,8 +559,8 @@ def census_from_stacks(
 ) -> list[CriticalPointSearch]:
     """Census of every field of ``g``, a (DX, DY, fields) stack of G's
     coefficients, inside the disk of radius ``domain_radius``, by the 2-D
-    seeded Newton search.  G's first derivatives are taken here, once per
-    call, with `zernike.derivative`, and its second with `_checked`'s.
+    seeded Newton search, one field at a time (`_census`).  The stack is
+    checked once, and G's second derivatives taken once, by `_checked`.
 
     ``fold`` is the fold g every field of the stack shares: G is unchanged
     by a turn of 2 pi / g, as it is when W is (for g <= 1 nothing is
@@ -574,72 +570,65 @@ def census_from_stacks(
     critical point then has an orbit of g points, and a census whose
     off-centre count is not a multiple of g says so.  Each result is the
     field's census alone: it does not depend on the other fields of the
-    stack.
+    stack, nor on the zero rows and columns they pad it with.
 
     Returns a flagged empty result for a field whose G is constant (every
     coefficient but [0, 0] zero) or whose critical set is non-isolated (more
     deduplicated points than ``_DEGENERATE_POINT_LIMIT``, as happens for
     axially symmetric W).  ValueError as `_checked`.
     """
-    R = domain_radius
-    g, degree, hess = _checked(g, fold, R)
-    n_fields = g.shape[-1]
-    if not n_fields:
-        return []
-    constant = ~np.any(g.reshape(-1, n_fields)[1:], axis=0)
+    g, degree, hess = _checked(g, fold, domain_radius)
+    return [_census(g[:, :, k], hess[..., k], degree[k], fold, domain_radius)
+            for k in range(g.shape[2])]
+
+
+def _census(g, hess, degree, fold: int, R: float) -> CriticalPointSearch:
+    """The census of `census_from_stacks` of one field: G's (DX, DY)
+    coefficients ``g``, its (Gxx, Gxy, Gyy) as a (DX, DY, 3) stack
+    ``hess`` and its degree.  G's first derivatives are taken here with
+    `zernike.derivative`."""
     # (Gx, Gy, Gxx, Gxy, Gyy): seeding (the first two), Newton, the points' Hess G
     newton = _stack([derivative(g, 0), derivative(g, 1), *np.moveaxis(hess, 2, 0)])
-    fidx, x, y, gscale = _collect_seeds(newton[:, :, :2], R, fold)
+    x, y, gscale = _collect_seeds(newton[:, :, :2], R, fold)
+    if not np.any(g.reshape(-1)[1:]):
+        return CriticalPointSearch((), True, "hessian determinant is constant", float(gscale))
+    if gscale == 0.0:
+        return CriticalPointSearch((), True, "gradient of G vanishes on the sample grid",
+                                   float(gscale))
     accept_tol, floor_tol = GRADIENT_TOL * gscale, 1e-16 * gscale
-    live = ~constant[fidx] & (gscale[fidx] != 0.0)
-    fidx, x, y = fidx[live], x[live], y[live]
-    n_seeds = np.bincount(fidx, minlength=n_fields)
-    x, y, gn = _newton(newton, fidx, x, y, R, accept_tol[fidx], floor_tol[fidx])
-    ok = gn <= accept_tol[fidx]
-    n_unconverged = np.bincount(fidx[~ok], minlength=n_fields)
+    x, y, gn = _newton(newton, x, y, R, accept_tol, floor_tol)
+    ok = gn <= accept_tol
+    n_seeds, n_unconverged = len(ok), np.count_nonzero(~ok)
     keep = ok & (np.hypot(x, y) <= R * (1.0 + _BOUNDARY_CLAMP))
-    fidx, x, y, gn = fidx[keep], x[keep], y[keep], gn[keep]
+    x, y, gn = x[keep], y[keep], gn[keep]
 
     # keep the best-converged representative of each cluster
-    kept = _dedup(fidx, x, y, gn, DEDUP_RADIUS * R)
-    fidx, x, y = fidx[kept], x[kept], y[kept]
-    copies = _complete_orbits(newton, fidx, x, y, fold, R, accept_tol, floor_tol)
-    fidx, x, y = (np.concatenate(pair) for pair in zip((fidx, x, y), copies))
-    n_kept = np.bincount(fidx, minlength=n_fields)
-    kept = n_kept[fidx] <= _DEGENERATE_POINT_LIMIT
-    fidx, x, y = fidx[kept], x[kept], y[kept]
-    n_off = np.bincount(fidx[np.hypot(x, y) > DEDUP_RADIUS * R], minlength=n_fields)
+    kept = _dedup(x, y, gn, DEDUP_RADIUS * R)
+    x, y = x[kept], y[kept]
+    cx, cy = _complete_orbits(newton, x, y, fold, R, accept_tol, floor_tol)
+    x, y = np.concatenate([x, cx]), np.concatenate([y, cy])
+    if len(x) > _DEGENERATE_POINT_LIMIT:
+        return CriticalPointSearch((), True, f"non-isolated critical set ({len(x)} "
+                                   "deduplicated points)", float(gscale))
+    n_off = np.count_nonzero(np.hypot(x, y) > DEDUP_RADIUS * R)
     # each point located, then valued
     located = [_locate(float(px), float(py), R) for px, py in zip(x, y)]
     px, py = np.array([p[:2] for p in located]).reshape(-1, 2).T
-    value = gathered_values(g, fidx, px, py)
-    hess = gathered_values(newton[:, :, 2:], fidx, px, py)
-    size = gathered_values(np.abs(newton[:, :, 2:]), fidx, np.abs(px), np.abs(py))
-    bound = _det_rounding_bound(hess, size, 2 * degree[fidx])
+    value = gathered_values(g, px, py)
+    hess = gathered_values(newton[:, :, 2:], px, py)
+    size = gathered_values(np.abs(newton[:, :, 2:]), np.abs(px), np.abs(py))
+    bound = _det_rounding_bound(hess, size, 2 * degree)
     # b ** 2 of a numpy float is pow(), which can differ from b * b in the
     # last bit; the determinants reported have always used it
     det = [a * d - b**2 for a, b, d in zip(*hess)]
-    points = _classed_points(n_fields, fidx, located, value, det, bound, R)
-
-    results = []
-    for f in range(n_fields):
-        degenerate, notes = False, []
-        if constant[f]:
-            degenerate, notes = True, ["hessian determinant is constant"]
-        elif gscale[f] == 0.0:
-            degenerate, notes = True, ["gradient of G vanishes on the sample grid"]
-        elif n_kept[f] > _DEGENERATE_POINT_LIMIT:
-            degenerate = True
-            notes = [f"non-isolated critical set ({n_kept[f]} deduplicated points)"]
-        else:
-            if n_unconverged[f]:
-                notes.append(f"{n_unconverged[f]} of {n_seeds[f]} seeds did not converge")
-            if fold >= 2 and n_off[f] % fold:
-                notes.append(f"off-centre count {n_off[f]} is not a multiple of "
-                             f"the {fold}-fold symmetry")
-        results.append(CriticalPointSearch(
-            points[f], degenerate, "; ".join(notes), float(gscale[f])))
-    return results
+    (points,) = _classed_points(1, np.zeros(len(located), dtype=np.intp), located,
+                                value, det, bound, R)
+    notes = []
+    if n_unconverged:
+        notes.append(f"{n_unconverged} of {n_seeds} seeds did not converge")
+    if fold >= 2 and n_off % fold:
+        notes.append(f"off-centre count {n_off} is not a multiple of the {fold}-fold symmetry")
+    return CriticalPointSearch(points, False, "; ".join(notes), float(gscale))
 
 
 def _root_count(coeffs: list[float]) -> int | None:

@@ -112,24 +112,22 @@ def row_widths(coeffs: np.ndarray) -> list[int]:
     return np.maximum(np.maximum.accumulate(last[::-1])[::-1], 1).tolist()
 
 
-def gathered_values(coeffs: np.ndarray, index: np.ndarray, x, y) -> np.ndarray:
-    """Values at each point (x[k], y[k]) of its own polynomials
-    coeffs[:, :, ..., index[k]], stacked as in `grid_values`: shape
-    coeffs.shape[2:-1] + (len(x),), bit-identical to ``polyval2d``.
+def gathered_values(coeffs: np.ndarray, x, y) -> np.ndarray:
+    """Values of every polynomial of a (DX, DY, ...) stack at each point
+    (x[k], y[k]), stacked as in `grid_values`: shape coeffs.shape[2:] +
+    (len(x),), bit-identical to ``polyval2d``.
 
-    The steps in x gather one Horner row per step, never the whole
-    per-point coefficient block, and only its leading columns, the stack's
-    `row_widths`, so the zero triangle above the total degree is skipped;
-    `horner` in y then reads each point's column of y-coefficients.  A
-    skipped column would stay +0.0 at a finite point; at a non-finite one
-    every column is NaN, and at least one is always carried.  A stack of
-    one field broadcasts its rows instead of gathering them."""
+    Each step in x broadcasts one Horner row over the points, and carries
+    only its leading columns, the stack's `row_widths`, so the zero
+    triangle above the total degree is skipped; `horner` in y then reads
+    each point's column of y-coefficients.  A skipped column would stay
+    +0.0 at a finite point; at a non-finite one every column is NaN, and at
+    least one is always carried."""
     widths = row_widths(coeffs)
-    field = slice(0, 1) if coeffs.shape[-1] == 1 else index
-    c = np.zeros((widths[0],) + coeffs.shape[2:-1] + (len(x),))
+    c = np.zeros((widths[0],) + coeffs.shape[2:] + (len(x),))
     for row, width in zip(coeffs[::-1], widths[::-1]):
         c[:width] *= x
-        c[:width] += row[:width, ..., field]
+        c[:width] += row[:width, ..., None]
     return horner(c, y)
 
 
@@ -177,7 +175,7 @@ class BivariatePolynomial:
     def __call__(self, x, y):
         """`gathered_values` at the broadcast points (x, y); numpy floats for scalars."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        values = gathered_values(self.coeffs[:, :, None], None, x.ravel(), y.ravel())
+        values = gathered_values(self.coeffs, x.ravel(), y.ravel())
         return values.reshape(x.shape)[()]
 
     def grid(self, xs, ys) -> np.ndarray:

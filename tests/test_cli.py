@@ -794,7 +794,7 @@ class TestVerifyCommand:
         assert main(["verify", "--n", "3", "--beta", "1e-8", "--samples", "1",
                      "--seed", "2"]) == 1
         (line,) = [s for s in capsys.readouterr().out.splitlines() if "FAIL" in s]
-        ((want, _),) = _verification_samples(3, 1e-8, 1, 2)
+        (((want, _),),) = _verification_samples(3, 1e-8, 1, 2)
         assert line == (f"  FAIL gamma={want.gamma:.6g} alpha={want.alpha:.6g}: "
                         "count: predicted 3, census 1")
         gamma, alpha = (float(w.split("=")[1].rstrip(":")) for w in line.split()[1:3])

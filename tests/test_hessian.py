@@ -362,7 +362,7 @@ class TestCriticalPointCensus:
         # with the turned copies withheld, the sector's roots alone are not
         # whole orbits, and the census says so (3star's sector happens to
         # hold a whole orbit's worth)
-        monkeypatch.setattr(hessian, "_complete_orbits", lambda newton, fidx, *_: (fidx[:0],) * 3)
+        monkeypatch.setattr(hessian, "_complete_orbits", lambda newton, x, *_: (x[:0],) * 2)
         n = FIXTURE_SCENARIOS[name][3]
         field = build_field(ABParams(*FIXTURE_SCENARIOS[name][:4]).to_wavefront())
         (census,) = census_from_stacks(field.G.coeffs[..., None], n)
@@ -982,7 +982,7 @@ class TestMirrorCensus:
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_verify_draws_agree_with_the_2d_census(self, n):
         # the census corpus's 100 seed-7 draws of order n, 16 per stack
-        draws = [p for p, _ in _verification_samples(n, 0.2, 100, 7)]
+        draws = [p for chunk in _verification_samples(n, 0.2, 100, 7) for p, _ in chunk]
         for start in range(0, len(draws), 16):
             chunk = draws[start:start + 16]
             two_d = census_from_stacks(three_term_stacks(n, *_coefficients(chunk)), n)
@@ -1006,7 +1006,7 @@ class TestMirrorCensus:
         _same_census(two_d, _census(params))
 
     def test_batch_repr_equals_single(self):
-        draws = [p for p, _ in _verification_samples(5, 0.2, 40, 3)]
+        draws = [p for chunk in _verification_samples(5, 0.2, 40, 3) for p, _ in chunk]
         batched = _mirror_censuses(draws)
         assert [repr(r) for r in batched] == [repr(_census(p)) for p in draws]
         assert any(r.saddles for r in batched) and not any(r.message for r in batched)
@@ -1052,7 +1052,7 @@ class TestMirrorCensus:
         if name == "draws":
             censuses = []
             for n in SUPPORTED_ORDERS:
-                draws = [p for p, _ in _verification_samples(n, 0.2, 100, 7)]
+                draws = [p for chunk in _verification_samples(n, 0.2, 100, 7) for p, _ in chunk]
                 censuses += [(c, n) for start in range(0, len(draws), 16)
                              for c in _mirror_censuses(draws[start:start + 16])]
         else:
@@ -1403,7 +1403,7 @@ class TestThreeTermBasis:
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_stacks_match_build_field(self, n):
         params = [ABParams(a, b, g, n) for a, b, g in self.COEFFS]
-        params += [p for p, _ in _verification_samples(n, 0.2, 400, seed=7)]
+        params += [p for chunk in _verification_samples(n, 0.2, 400, seed=7) for p, _ in chunk]
         for start in range(0, len(params), 16):
             chunk = params[start : start + 16]
             got = three_term_stacks(n, *_coefficients(chunk))
@@ -1424,12 +1424,11 @@ class TestThreeTermBasis:
             find_critical_points(build_field(ABParams(0.0, 1e150, 1e150, 3).to_wavefront()))
 
 
-def _greedy_dedup(fidx, x, y, gn):
-    """Reference: the greedy pass over the points in (field, |grad G|) order."""
+def _greedy_dedup(x, y, gn):
+    """Reference: the greedy pass over the points in |grad G| order."""
     kept = []
-    for i in np.lexsort((gn, fidx)):
-        if all(fidx[j] != fidx[i] or np.hypot(x[i] - x[j], y[i] - y[j]) > DEDUP_RADIUS
-               for j in kept):
+    for i in np.argsort(gn, kind="stable"):
+        if all(np.hypot(x[i] - x[j], y[i] - y[j]) > DEDUP_RADIUS for j in kept):
             kept.append(i)
     return kept
 
@@ -1446,35 +1445,29 @@ class TestDedup:
     def test_radius_boundary(self, distance, kept):
         x = np.array([0.0, distance])
         y = np.array([0.0, 0.0])
-        out = _dedup(np.zeros(2, dtype=np.intp), x, y, np.array([2e-13, 1e-13]), DEDUP_RADIUS)
+        out = _dedup(x, y, np.array([2e-13, 1e-13]), DEDUP_RADIUS)
         # the better-converged point comes first and is always kept
         assert out.tolist() == [1, 0][:kept]
-
-    def test_fields_kept_apart(self):
-        x, y = np.zeros(3), np.zeros(3)
-        out = _dedup(np.array([1, 0, 1]), x, y, np.array([0.0, 0.0, 0.0]), DEDUP_RADIUS)
-        assert out.tolist() == [1, 0]
 
     def test_matches_greedy_pass(self):
         # chains of points 0.6 radius apart: the kept set depends on the
         # greedy order, not only on which pairs are close
         rng = np.random.default_rng(12)
         n = 400
-        fidx = rng.integers(0, 3, n)
         base = rng.uniform(-1.0, 1.0, (n // 8, 2))
         pick = rng.integers(0, len(base), n)
         steps = rng.integers(-3, 4, n) * 0.6 * DEDUP_RADIUS
         x = base[pick, 0] + steps
         y = base[pick, 1] + rng.normal(scale=0.05 * DEDUP_RADIUS, size=n)
         gn = rng.choice([1e-13, 2e-13, 3e-13], n)
-        out = _dedup(fidx, x, y, gn, DEDUP_RADIUS)
-        want = _greedy_dedup(fidx, x, y, gn)
+        out = _dedup(x, y, gn, DEDUP_RADIUS)
+        want = _greedy_dedup(x, y, gn)
         assert out.tolist() == want
         assert len(want) < n
 
     def test_matches_greedy_pass_on_clusters(self):
-        # tight clusters repeated in every field, points sharing an x, and
-        # neighbours within 2 radii in x but not in the plane
+        # tight clusters, points sharing an x, and neighbours within 2 radii
+        # in x but not in the plane
         rng = np.random.default_rng(5)
         centers = rng.uniform(-1.0, 1.0, (12, 2))
         centers[:4, 0] = centers[0, 0]
@@ -1482,11 +1475,10 @@ class TestDedup:
         offsets = rng.uniform(-1.5, 1.5, (600, 2)) * DEDUP_RADIUS
         offsets[::5, 0] = 0.0
         x, y = (centers[pick] + offsets).T
-        fidx = rng.integers(0, 5, 600)
         gn = rng.integers(1, 4, 600) * 1e-13
-        out = _dedup(fidx, x, y, gn, DEDUP_RADIUS)
-        assert out.tolist() == _greedy_dedup(fidx, x, y, gn)
-        assert 5 * len(centers) <= len(out) < 300
+        out = _dedup(x, y, gn, DEDUP_RADIUS)
+        assert out.tolist() == _greedy_dedup(x, y, gn)
+        assert len(centers) < len(out) < 300
 
 
 def _eight_neighbour_min_mask(v):
@@ -1536,21 +1528,22 @@ class TestSeeding:
                                               ABParams(0.3, 0.2, -0.2, 6)])), [6, 3, 2]),
     ], ids=["3star", "highorder", "three-term batch", "mixed folds"])
     def test_collect_seeds_each_once(self, g, folds):
-        # the stack at each of its folds, then with no fold
-        grad = _stack([derivative(g, 0), derivative(g, 1)])
-        for fold in folds + [1]:
-            _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, fold))
+        # each field of the stack at each of its folds, then with no fold
+        for k in range(g.shape[2]):
+            grad = _stack([derivative(g[:, :, k], 0), derivative(g[:, :, k], 1)])
+            for fold in folds + [1]:
+                _check_seeds(grad, 1.0, fold, _collect_seeds(grad, 1.0, fold))
 
     def test_collect_seeds_on_corpus_and_scalings(self, monkeypatch):
         # every seed grid of the pinned corpus, and the fixtures at the
         # coefficient scales of TestCoefficientScale, with each field's own
-        # fold and with none
+        # fold and with none, one call per field
         checked = []
 
         def spy(grad, radius, fold):
             got = _collect_seeds(grad, radius, fold)
             _check_seeds(grad, radius, fold, got)
-            checked.append(grad.shape[-1])
+            checked.append(fold)
             return got
 
         monkeypatch.setattr(hessian, "_collect_seeds", spy)
@@ -1558,7 +1551,7 @@ class TestSeeding:
         for _, g, fold in stacks:
             census_from_stacks(g, fold)
             census_from_stacks(g, 1)
-        assert sum(checked) == 2 * sum(len(names) for names, _, _ in stacks)
+        assert len(checked) == 2 * sum(len(names) for names, _, _ in stacks)
 
     def test_scales_read_on_each_fields_own_crop(self):
         # fields of folds 6, 3, 2 and 1 read their |grad G| scales on their
@@ -1597,13 +1590,13 @@ class TestSeeding:
 
     def test_newton_runs_on_seeds_then_copies(self, monkeypatch):
         # one Newton call on the seeds and one on the turned copies of the
-        # orbit completion per census, over enough points to cover both,
+        # orbit completion per field, over enough points to cover both,
         # and the caller's coordinates are left as they were
         checked = []
 
-        def spy(newton, fidx, x, y, radius, accept_tol, floor_tol):
+        def spy(newton, x, y, radius, accept_tol, floor_tol):
             x0, y0 = x.copy(), y.copy()
-            got = _newton(newton, fidx, x, y, radius, accept_tol, floor_tol)
+            got = _newton(newton, x, y, radius, accept_tol, floor_tol)
             assert np.array_equal(x, x0) and np.array_equal(y, y0)
             checked.append(len(x))
             return got
@@ -1615,8 +1608,8 @@ class TestSeeding:
             for name, fold in (("whole", 1), ("sector", sector_fold)):
                 checked.clear()
                 census_from_stacks(g, fold)
-                # one seed call and one copy call per census
-                assert len(checked) == 2
+                # one seed call and one copy call per field
+                assert len(checked) == 2 * g.shape[2]
                 tally[name] += checked
         seeds, no_copies, sector, copies = (tally[name][k::2] for name in tally for k in (0, 1))
         assert not any(no_copies)
@@ -1634,17 +1627,17 @@ def _corner_loop_sign_change_cells(gx, gy):
 
 
 def _check_seeds(grad, radius, fold, got):
-    """``got``, the seeds and gradient scales of `_collect_seeds` for the
-    (DX, DY, 2, fields) stack ``grad`` whose fields share the fold
-    ``fold``, against a reference that takes its minima on np.hypot(gx, gy)
-    over each pass's whole grid: every pass seeds the centre of each cell
-    where Gx and Gy both change sign, each corner node of those cells and
-    each local minimum of |grad G|, and nothing twice; a field of fold
-    g >= 2 keeps the seeds with 0 <= atan2(x, y) < 2 pi / g and one at the
-    centre; the scale is the largest hypot on the field's own crop of the
-    zoom-1 grid (`_own_crop_reference`)."""
-    def key(f, x, y):
-        return int(f), x.view(np.int64).item(), y.view(np.int64).item()
+    """``got``, the seeds and gradient scale of `_collect_seeds` for the
+    (DX, DY, 2) stack ``grad`` of a field of fold ``fold``, against a
+    reference that takes its minima on np.hypot(gx, gy) over each pass's
+    whole grid: every pass seeds the centre of each cell where Gx and Gy
+    both change sign, each corner node of those cells and each local
+    minimum of |grad G|, and nothing twice; a field of fold g >= 2 keeps the
+    seeds with 0 <= atan2(x, y) < 2 pi / g and one at the centre; the scale
+    is the largest hypot on the field's own crop of the zoom-1 grid
+    (`_own_crop_reference`)."""
+    def key(x, y):
+        return x.view(np.int64).item(), y.view(np.int64).item()
 
     def in_sector(x, y):
         return fold <= 1 or math.atan2(x, y) % (2.0 * math.pi) < 2.0 * math.pi / fold
@@ -1652,28 +1645,26 @@ def _check_seeds(grad, radius, fold, got):
     *seeds, gscale = got
     seeds = list(map(key, *seeds))
     assert len(set(seeds)) == len(seeds)
-    want = {key(f, np.float64(0.0), np.float64(0.0))
-            for f in range(grad.shape[-1] if fold >= 2 else 0)}
+    want = {key(np.float64(0.0), np.float64(0.0))} if fold >= 2 else set()
     n_cells = 0
     for zoom in _ZOOM_FACTORS:
         xs, ys = _grid_axes(radius * zoom)
         gx, gy = grid_values(grad, xs, ys)
         h = 2.0 * radius * zoom / _GRID_SIZE
-        cells = np.ones((grad.shape[-1], _GRID_SIZE, _GRID_SIZE), dtype=bool)
+        cells = np.ones((_GRID_SIZE, _GRID_SIZE), dtype=bool)
         for v in (gx, gy):
-            corners = np.array([v[:, i:i + _GRID_SIZE, j:j + _GRID_SIZE]
+            corners = np.array([v[i:i + _GRID_SIZE, j:j + _GRID_SIZE]
                                 for i in (0, 1) for j in (0, 1)])
             cells &= (corners.min(axis=0) < 0) & (corners.max(axis=0) > 0)
         norm = np.hypot(gx, gy)
         if zoom == 1.0:
-            crop = _own_crop_reference(xs, ys, fold, radius)
-            assert np.array_equal(gscale, [v[crop].max() for v in norm])
+            assert gscale == norm[_own_crop_reference(xs, ys, fold, radius)].max()
         nodes = _eight_neighbour_min_mask(norm)
-        for f, i, j in zip(*np.nonzero(cells)):
+        for i, j in zip(*np.nonzero(cells)):
             if in_sector(xs[i] + 0.5 * h, ys[j] + 0.5 * h):
-                want.add(key(f, xs[i] + 0.5 * h, ys[j] + 0.5 * h))
-            nodes[f, i:i + 2, j:j + 2] = True
-        want.update(key(f, xs[i], ys[j]) for f, i, j in zip(*np.nonzero(nodes))
+                want.add(key(xs[i] + 0.5 * h, ys[j] + 0.5 * h))
+            nodes[i:i + 2, j:j + 2] = True
+        want.update(key(xs[i], ys[j]) for i, j in zip(*np.nonzero(nodes))
                     if in_sector(xs[i], ys[j]))
         n_cells += np.count_nonzero(cells)
     assert n_cells and set(seeds) == want
@@ -1718,7 +1709,7 @@ def corpus_stacks() -> list[tuple[list[str], np.ndarray, int]]:
     stacks += [([name], three_term_stacks(p.n, *_coefficients([p])), p.n)
                for name, p in misses]
     for n in (3, 4, 5, 6):
-        draws = [p for p, _ in _verification_samples(n, 0.2, 100, 7)]
+        draws = [p for chunk in _verification_samples(n, 0.2, 100, 7) for p, _ in chunk]
         for start in range(0, len(draws), 16):
             chunk = draws[start:start + 16]
             stacks.append(([f"verify-n{n}-{k}" for k in range(start, start + len(chunk))],

@@ -51,7 +51,10 @@ wavefronts off the paper's three-term family at the default grid, through
 the 2-D census and the symmetry search, pinned before the census's Newton
 loop and sign test were written as plain loops: ``no_fold`` (a mirror W
 with no turn, p = 1 and a null residual) and ``tilted3`` (a sine term, the
-whole periodic mesh, p = 3).
+whole periodic mesh, p = 3), both of fold g = 1; and two of fold g >= 2,
+through the census's sector seeding and orbit completion, pinned before it
+ran one field at a time: ``fold4`` (the quadrant crop, p = 4) and ``fold3``
+(the half-plane crop, p = 3).
 tests/golden/regions_outputs.sha256 holds the hashes of
 `regions --n n --beta 0.2` (n = 3..6, default resolution) from before the
 region predicates ran on arrays.  The four regions.svg were pinned again
@@ -123,6 +126,12 @@ OFF_FAMILY = {
     "tilted3": [{"n": 4, "m": 0, "coeff_um": 0.2},
                 {"n": 3, "m": 3, "coeff_um": 0.2},
                 {"n": 3, "m": -1, "coeff_um": 1e-4}],
+    "fold4": [{"n": 4, "m": 0, "coeff_um": 0.2},
+              {"n": 4, "m": 4, "coeff_um": 0.15},
+              {"n": 8, "m": 4, "coeff_um": 0.03}],
+    "fold3": [{"n": 4, "m": 0, "coeff_um": 0.2},
+              {"n": 3, "m": 3, "coeff_um": 0.15},
+              {"n": 9, "m": 3, "coeff_um": 0.02}],
 }
 
 

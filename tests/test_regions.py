@@ -654,7 +654,7 @@ class TestRingStep:
 
     @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
     def test_chunk_equals_single_draws(self, n):
-        pairs = list(_verification_samples(n, 0.2, 400, 7))
+        pairs = [pair for chunk in _verification_samples(n, 0.2, 400, 7) for pair in chunk]
         assert len(pairs) == 400
         for params, pred in pairs:
             assert prediction_bits(pred) == prediction_bits(predict_saddles(params))
@@ -670,7 +670,7 @@ class TestRingStep:
 
         real_roots = regions._real_roots
         monkeypatch.setattr(regions, "_real_roots", counted)
-        assert len(list(_verification_samples(5, 0.2, 40, 1))) == 40
+        assert [len(c) for c in _verification_samples(5, 0.2, 40, 1)] == [16, 16, 8]
         assert len(calls) == 3 and sum(calls) > 20  # each call solves many families
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -699,7 +699,7 @@ class TestCensusMirror:
         # the symmetry the single table rests on, checked without the
         # closed forms: the census at -gamma is the census at gamma turned
         # by pi/n, (x, y) = (rho sin theta, rho cos theta) -> theta + pi/n
-        samples = [p for p, _ in _verification_samples(n, 0.2, 50, seed=n)]
+        samples = [p for chunk in _verification_samples(n, 0.2, 50, seed=n) for p, _ in chunk]
         coeffs = np.array([(p.alpha, p.beta, p.gamma) for p in samples]).T
         at_gamma = census_from_stacks(three_term_stacks(n, *coeffs), n)
         at_minus = census_from_stacks(three_term_stacks(n, *(coeffs * [[1], [1], [-1]])), n)

@@ -430,34 +430,30 @@ class TestStackedHorner:
         rng = np.random.default_rng(points)
         fields = int(rng.integers(1, 6))
         polys, stack = _random_stack(rng, fields, 3)
-        index = rng.integers(0, fields, points)
         x = rng.uniform(-1.3, 1.3, points)
         y = rng.uniform(-1.3, 1.3, points)
         # zeros of both signs and negative coordinates on each axis
         x[::3] = 0.0
         y[1::4] = -0.0
         x[2::5] = -np.abs(x[2::5])
-        out = gathered_values(stack, index, x, y)
-        assert out.shape == (3, points)
-        for m, row in enumerate(polys):
-            for k, c in enumerate(row):
-                sel = index == k
-                want = npol.polyval2d(x[sel], y[sel], c)
-                assert np.array_equal(out[m, sel].view(np.int64), want.view(np.int64))
+        for k in range(fields):
+            out = gathered_values(stack[..., k], x, y)
+            assert out.shape == (3, points)
+            for m, row in enumerate(polys):
+                want = npol.polyval2d(x, y, row[k])
+                assert np.array_equal(out[m].view(np.int64), want.view(np.int64))
 
     @staticmethod
-    def _assert_bits(stack, index, x, y):
-        """gathered_values against polyval2d of each stacked polynomial as
-        stored, padding included: the same bits, NaN where it is NaN."""
-        with np.errstate(invalid="ignore"):  # 0 * inf at non-finite points
-            out = gathered_values(stack, index, x, y)
-            wants = [[npol.polyval2d(x[index == k], y[index == k], stack[:, :, m, k])
-                      for k in range(stack.shape[3])] for m in range(stack.shape[2])]
-        assert out.shape == stack.shape[2:-1] + (len(x),)
-        for m, row in enumerate(wants):
-            for k, want in enumerate(row):
-                sel = index == k
-                got = out[m, sel]
+    def _assert_bits(stack, x, y):
+        """gathered_values of each field of a (DX, DY, names, fields) stack
+        against polyval2d of each of its polynomials as stored, padding
+        included: the same bits, NaN where it is NaN."""
+        for k in range(stack.shape[3]):
+            with np.errstate(invalid="ignore"):  # 0 * inf at non-finite points
+                out = gathered_values(stack[..., k], x, y)
+                wants = [npol.polyval2d(x, y, stack[:, :, m, k]) for m in range(stack.shape[2])]
+            assert out.shape == (stack.shape[2], len(x))
+            for got, want in zip(out, wants):
                 assert np.array_equal(np.isnan(got), np.isnan(want))
                 finite = ~np.isnan(want)
                 assert np.array_equal(got[finite].view(np.int64),
@@ -478,7 +474,7 @@ class TestStackedHorner:
         rng = np.random.default_rng(40 + seed)
         _, stack = _random_stack(rng, 1, 3)
         x, y = self._points(rng, 97)
-        self._assert_bits(stack, np.zeros(97, dtype=int), x, y)
+        self._assert_bits(stack, x, y)
 
     @pytest.mark.parametrize("fields", [1, 3])
     def test_triangular_stack_with_zero_margins(self, fields):
@@ -491,10 +487,9 @@ class TestStackedHorner:
         stack[2, 3, 1, 0] = 0.0  # an interior zero stays carried
         x, y = self._points(rng, 120)
         x[5::31], y[9::29], x[13::37] = np.inf, -np.inf, np.nan
-        index = rng.integers(0, fields, 120)
-        self._assert_bits(stack, index, x, y)
+        self._assert_bits(stack, x, y)
         # all zero: +0.0 at finite points, NaN at the others
-        self._assert_bits(np.zeros_like(stack), index, x, y)
+        self._assert_bits(np.zeros_like(stack), x, y)
 
     @pytest.mark.parametrize("fields", [1, 2])
     def test_negative_zero_above_the_degree(self, fields):
@@ -507,16 +502,17 @@ class TestStackedHorner:
         stack[0, 0, 1] = rng.normal(size=fields)
         x, y = self._points(rng, 64)
         assert np.signbit(npol.polyval2d(x, y, stack[:, :1, 0, 0])).any()
-        self._assert_bits(stack, rng.integers(0, fields, 64), x, y)
+        self._assert_bits(stack, x, y)
 
     def test_repeated_points(self):
         rng = np.random.default_rng(70)
         _, stack = _random_stack(rng, 3, 2)
-        index = np.repeat(rng.integers(0, 3, 10), 4)
         x, y = (np.repeat(v, 4) for v in self._points(rng, 10))
-        self._assert_bits(stack, index, x, y)
-        out = gathered_values(stack, index, x, y).reshape(2, 10, 4)
-        assert np.array_equal(out.view(np.int64), np.repeat(out[..., :1], 4, axis=-1).view(np.int64))
+        self._assert_bits(stack, x, y)
+        for k in range(3):
+            out = gathered_values(stack[..., k], x, y).reshape(2, 10, 4)
+            assert np.array_equal(out.view(np.int64),
+                                  np.repeat(out[..., :1], 4, axis=-1).view(np.int64))
 
     def test_grid_values_match_polyval2d(self):
         rng = np.random.default_rng(21)
